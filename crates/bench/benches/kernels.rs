@@ -58,12 +58,12 @@ fn bench(c: &mut Criterion) {
 
     // Doppler filtering of a 1/8-scale cube slab (what one node handles),
     // per kernel path: the scalar reference loop nest against the
-    // cache-blocked panels and the explicit-SIMD inner loops. All three
-    // produce bit-identical cubes (tests/kernel_props.rs); the deltas here
-    // are the recorded speedup trajectory in BENCH_kernels.json.
+    // cache-blocked panels. Both produce bit-identical cubes
+    // (tests/kernel_props.rs); the deltas here are the recorded speedup
+    // trajectory in BENCH_kernels.json.
     let slab = noise_cube(CubeDims::new(128, 32, 64));
     let df = DopplerFilter::new(128, DopplerConfig::default());
-    for path in [KernelPath::Reference, KernelPath::Blocked, KernelPath::Simd] {
+    for path in [KernelPath::Reference, KernelPath::Fast] {
         g.bench_function(&format!("doppler_easy_slab_128x32x64/{path}"), |b| {
             b.iter(|| df.filter_easy_with(&slab, path))
         });
@@ -82,7 +82,7 @@ fn bench(c: &mut Criterion) {
 
     // Beamforming one bin over the full range extent, per kernel path.
     let ws = wc.compute(&hard, &[0, 1]).unwrap();
-    for path in [KernelPath::Reference, KernelPath::Blocked, KernelPath::Simd] {
+    for path in [KernelPath::Reference, KernelPath::Fast] {
         g.bench_function(&format!("beamform_2bins_512rg/{path}"), |b| {
             b.iter(|| stap_kernels::beamform::Beamformer.apply_with(&hard, &ws, path))
         });
@@ -101,7 +101,7 @@ fn bench(c: &mut Criterion) {
 
     // A whole row batch (one tail node's CPI share), per kernel path: the
     // per-row reference against the ROW_BLOCK-batched panel FFTs.
-    for path in [KernelPath::Reference, KernelPath::Blocked, KernelPath::Simd] {
+    for path in [KernelPath::Reference, KernelPath::Fast] {
         g.bench_function(&format!("pulse_compress_batch_64x512/{path}"), |b| {
             b.iter_batched(
                 || vec![C32::new(0.3, -0.1); 64 * 512],

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stap_core::config::StapConfig;
-use stap_core::{IoStrategy, KernelPath, ScheduleMode, StapSystem, TailStructure};
+use stap_core::{IoStrategy, KernelPath, StapSystem, TailStructure};
 
 fn run_cfg(cfg: StapConfig) -> usize {
     let sys = StapSystem::prepare(cfg).expect("prepare");
@@ -28,10 +28,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_once(IoStrategy::Embedded, TailStructure::Combined))
     });
 
-    // The data-plane A/B axes: scalar kernels + per-hop deep copies (the
-    // pre-optimization baseline) against the blocked/SIMD zero-copy
-    // default, and the work-stealing sub-CPI schedule. All four produce
-    // byte-identical detection reports (tests/comm_slab_props.rs).
+    // What the differential oracle costs: scalar kernels + per-hop deep
+    // copies against the fast zero-copy default. Both produce
+    // byte-identical detection reports (tests/config_pairs.rs).
     g.bench_function("embedded_split_4cpis/scalar_copy_comm", |b| {
         b.iter(|| {
             run_cfg(StapConfig {
@@ -45,16 +44,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("embedded_split_4cpis/fast_zero_copy", |b| {
         b.iter(|| run_cfg(StapConfig { cpis: 4, warmup: 1, ..StapConfig::default() }))
-    });
-    g.bench_function("embedded_split_4cpis/fast_zero_copy_steal", |b| {
-        b.iter(|| {
-            run_cfg(StapConfig {
-                cpis: 4,
-                warmup: 1,
-                schedule: ScheduleMode::Steal,
-                ..StapConfig::default()
-            })
-        })
     });
     g.finish();
 }

@@ -1,9 +1,8 @@
-//! Message-based collectives over a [`Group`].
+//! The message-based barrier over a [`Group`].
 //!
-//! All collectives are built from point-to-point sends/receives on tags in
-//! the reserved [`COLLECTIVE_BIT`] space, so they interleave safely with
-//! user traffic. Every member of the group must call the same collective
-//! with the same `op_tag`.
+//! Built from point-to-point sends/receives on tags in the reserved
+//! [`COLLECTIVE_BIT`] space, so it interleaves safely with user traffic.
+//! Every member of the group must call it with the same `op_tag`.
 
 use crate::endpoint::Endpoint;
 use crate::error::CommError;
@@ -40,202 +39,6 @@ pub fn barrier(ep: &mut Endpoint, group: &Group, op_tag: Tag) -> Result<(), Comm
     Ok(())
 }
 
-/// Broadcast `value` from the group root to every member; returns the value
-/// at every rank.
-pub fn broadcast<T: Clone + Send + 'static>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: Option<T>,
-) -> Result<T, CommError> {
-    let me = ep.rank();
-    let root = group.root();
-    let t = ctag(op_tag);
-    if me == root {
-        let v = value.expect("root must supply the broadcast value");
-        for &r in group.ranks() {
-            if r != root {
-                ep.send(r, t, v.clone())?;
-            }
-        }
-        Ok(v)
-    } else {
-        ep.recv(Some(root), Some(t))
-    }
-}
-
-/// Gather each member's contribution at the root (group order). Non-roots
-/// get `None`.
-pub fn gather<T: Send + 'static>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: T,
-) -> Result<Option<Vec<T>>, CommError> {
-    let me = ep.rank();
-    let root = group.root();
-    let t = ctag(op_tag);
-    if me == root {
-        let mut out = Vec::with_capacity(group.len());
-        for &r in group.ranks() {
-            if r == root {
-                // placeholder, replaced below to preserve ordering
-                out.push(None);
-            } else {
-                out.push(None);
-            }
-        }
-        let mut slots: Vec<Option<T>> = out;
-        let my_idx = group.local_index(me).expect("root is a member");
-        slots[my_idx] = Some(value);
-        for &r in group.ranks() {
-            if r != root {
-                let v: T = ep.recv(Some(r), Some(t))?;
-                let idx = group.local_index(r).expect("sender is a member");
-                slots[idx] = Some(v);
-            }
-        }
-        Ok(Some(slots.into_iter().map(|s| s.expect("all slots filled")).collect()))
-    } else {
-        ep.send(root, t, value)?;
-        Ok(None)
-    }
-}
-
-/// Scatter one item per member from the root (group order); every member
-/// returns its item.
-pub fn scatter<T: Send + 'static>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    items: Option<Vec<T>>,
-) -> Result<T, CommError> {
-    let me = ep.rank();
-    let root = group.root();
-    let t = ctag(op_tag);
-    if me == root {
-        let items = items.expect("root must supply the scatter items");
-        assert_eq!(items.len(), group.len(), "one item per group member required");
-        let mut mine = None;
-        for (idx, item) in items.into_iter().enumerate() {
-            let r = group.world_rank(idx)?;
-            if r == me {
-                mine = Some(item);
-            } else {
-                ep.send(r, t, item)?;
-            }
-        }
-        Ok(mine.expect("root is a member"))
-    } else {
-        ep.recv(Some(root), Some(t))
-    }
-}
-
-/// All-reduce with a binary fold; every member returns the full reduction.
-pub fn allreduce<T, F>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: T,
-    mut fold: F,
-) -> Result<T, CommError>
-where
-    T: Clone + Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    // Gather to root, fold, broadcast back. Two tag slots are used so the
-    // phases cannot collide.
-    let gathered = gather(ep, group, op_tag, value)?;
-    let reduced = gathered.map(|vs| {
-        let mut it = vs.into_iter();
-        let first = it.next().expect("group non-empty");
-        it.fold(first, &mut fold)
-    });
-    broadcast(ep, group, op_tag.wrapping_add(1), reduced)
-}
-
-/// All-gather: every member contributes one value and receives everyone's,
-/// in group order.
-pub fn allgather<T: Clone + Send + 'static>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: T,
-) -> Result<Vec<T>, CommError> {
-    let gathered = gather(ep, group, op_tag, value)?;
-    broadcast(ep, group, op_tag.wrapping_add(1), gathered)
-}
-
-/// All-to-all personalized exchange: member `i` supplies one item per
-/// member (group order) and receives the items every member addressed to
-/// it, indexed by source (group order).
-pub fn alltoall<T: Send + 'static>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    items: Vec<T>,
-) -> Result<Vec<T>, CommError> {
-    assert_eq!(items.len(), group.len(), "one item per group member required");
-    let me = ep.rank();
-    let my_idx = group.local_index(me).expect("caller must be a group member");
-    let t = ctag(op_tag);
-    let mut slots: Vec<Option<T>> = (0..group.len()).map(|_| None).collect();
-    for (idx, item) in items.into_iter().enumerate() {
-        let dst = group.world_rank(idx)?;
-        if dst == me {
-            slots[my_idx] = Some(item);
-        } else {
-            // Wrap with the sender's group index so the receiver can slot it.
-            ep.send(dst, t, (my_idx, item))?;
-        }
-    }
-    for _ in 0..group.len() - 1 {
-        let (src_idx, item): (usize, T) = ep.recv(None, Some(t))?;
-        slots[src_idx] = Some(item);
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every member sent")).collect())
-}
-
-/// Reduce to the root with a binary fold (group order); non-roots get
-/// `None`.
-pub fn reduce<T, F>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: T,
-    mut fold: F,
-) -> Result<Option<T>, CommError>
-where
-    T: Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    Ok(gather(ep, group, op_tag, value)?.map(|vs| {
-        let mut it = vs.into_iter();
-        let first = it.next().expect("group non-empty");
-        it.fold(first, &mut fold)
-    }))
-}
-
-/// Inclusive prefix scan: member `i` returns `fold(v_0, ..., v_i)` in group
-/// order.
-pub fn scan<T, F>(
-    ep: &mut Endpoint,
-    group: &Group,
-    op_tag: Tag,
-    value: T,
-    mut fold: F,
-) -> Result<T, CommError>
-where
-    T: Clone + Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    let all = allgather(ep, group, op_tag, value)?;
-    let my_idx = group.local_index(ep.rank()).expect("caller must be a group member");
-    let mut it = all.into_iter().take(my_idx + 1);
-    let first = it.next().expect("prefix non-empty");
-    Ok(it.fold(first, &mut fold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,149 +58,19 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_everyone() {
-        let results = spawn_world(4, |mut ep| {
-            let g = Group::contiguous(0, 4);
-            let v = if ep.rank() == 0 { Some(vec![7u8, 8]) } else { None };
-            broadcast(&mut ep, &g, 2, v).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![7, 8]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_group_order() {
-        let results = spawn_world(4, |mut ep| {
-            let g = Group::new(vec![2, 0, 3, 1]); // root is world rank 2
-            let me = ep.rank() as u32;
-            gather(&mut ep, &g, 3, me).unwrap()
-        });
-        // Only world rank 2 (the root) gets the vector, ordered by group.
-        assert!(results[0].is_none());
-        assert_eq!(results[2].as_ref().unwrap(), &vec![2, 0, 3, 1]);
-    }
-
-    #[test]
-    fn scatter_delivers_per_member_items() {
-        let results = spawn_world(3, |mut ep| {
-            let g = Group::contiguous(0, 3);
-            let items = if ep.rank() == 0 { Some(vec![10u32, 20, 30]) } else { None };
-            scatter(&mut ep, &g, 4, items).unwrap()
-        });
-        assert_eq!(results, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn allreduce_sums_everywhere() {
-        let results = spawn_world(6, |mut ep| {
-            let g = Group::contiguous(0, 6);
-            let me = ep.rank() as u64;
-            allreduce(&mut ep, &g, 5, me, |a, b| a + b).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, 15);
-        }
-    }
-
-    #[test]
-    fn subgroup_collective_ignores_outsiders() {
-        let results = spawn_world(4, |mut ep| {
-            if ep.rank() < 2 {
-                let g = Group::contiguous(0, 2);
-                Some(allreduce(&mut ep, &g, 6, 1u32, |a, b| a + b).unwrap())
-            } else {
-                None // ranks 2,3 not in the group; do nothing
-            }
-        });
-        assert_eq!(results[0], Some(2));
-        assert_eq!(results[1], Some(2));
-        assert_eq!(results[2], None);
-    }
-
-    #[test]
-    fn allgather_gives_everyone_everything() {
-        let results = spawn_world(4, |mut ep| {
-            let g = Group::contiguous(0, 4);
-            let me = ep.rank() as u32;
-            allgather(&mut ep, &g, 10, me).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes_the_exchange_matrix() {
-        // Member i sends value 10*i + j to member j; member j must receive
-        // [10*0+j, 10*1+j, ...].
-        let n = 4;
-        let results = spawn_world(n, |mut ep| {
-            let g = Group::contiguous(0, n);
-            let me = ep.rank();
-            let items: Vec<u32> = (0..n).map(|j| (10 * me + j) as u32).collect();
-            alltoall(&mut ep, &g, 11, items).unwrap()
-        });
-        for (j, row) in results.iter().enumerate() {
-            let expect: Vec<u32> = (0..n).map(|i| (10 * i + j) as u32).collect();
-            assert_eq!(row, &expect, "member {j}");
-        }
-    }
-
-    #[test]
-    fn alltoall_on_noncontiguous_group() {
-        let results = spawn_world(4, |mut ep| {
-            if ep.rank() == 1 {
-                return None; // not in the group
-            }
-            let g = Group::new(vec![3, 0, 2]);
-            let idx = g.local_index(ep.rank()).unwrap() as u32;
-            let items: Vec<u32> = (0..3).map(|j| idx * 100 + j).collect();
-            Some(alltoall(&mut ep, &g, 12, items).unwrap())
-        });
-        // World rank 0 is group index 1 → receives item #1 from each.
-        assert_eq!(results[0].as_ref().unwrap(), &vec![1, 101, 201]);
-        assert!(results[1].is_none());
-    }
-
-    #[test]
-    fn reduce_folds_at_root_only() {
-        let results = spawn_world(5, |mut ep| {
-            let g = Group::contiguous(0, 5);
-            let me = ep.rank() as u64;
-            reduce(&mut ep, &g, 13, me, |a, b| a.max(b)).unwrap()
-        });
-        assert_eq!(results[0], Some(4));
-        for r in &results[1..] {
-            assert_eq!(*r, None);
-        }
-    }
-
-    #[test]
-    fn scan_computes_inclusive_prefixes() {
-        let results = spawn_world(5, |mut ep| {
-            let g = Group::contiguous(0, 5);
-            let me = ep.rank() as u64 + 1;
-            scan(&mut ep, &g, 14, me, |a, b| a + b).unwrap()
-        });
-        assert_eq!(results, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn collectives_interleave_with_user_traffic() {
-        let results = spawn_world(2, |mut ep| {
+    fn barrier_interleaves_with_user_traffic() {
+        // A user message sent before the barrier is still queued, on its
+        // own tag, after the barrier's reserved-bit traffic has matched.
+        spawn_world(2, |mut ep| {
             let g = Group::contiguous(0, 2);
             if ep.rank() == 0 {
                 ep.send(1, 42, String::from("user")).unwrap();
             }
-            let val = if ep.rank() == 0 { Some(5u8) } else { None };
-            let b = broadcast(&mut ep, &g, 7, val).unwrap();
+            barrier(&mut ep, &g, 42).unwrap();
             if ep.rank() == 1 {
                 let s: String = ep.recv(Some(0), Some(42)).unwrap();
                 assert_eq!(s, "user");
             }
-            b
         });
-        assert_eq!(results, vec![5, 5]);
     }
 }

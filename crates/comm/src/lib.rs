@@ -8,27 +8,11 @@
 //! typed messages over lock-free channels with MPI-ish semantics —
 //! point-to-point `send`/`recv` with selective receive (source + tag
 //! matching and an unexpected-message queue), probes, timeouts, and
-//! message-based collectives (barrier, broadcast, gather, scatter,
-//! all-reduce) over the world or any subgroup.
+//! a message-based barrier over the world or any subgroup.
 //!
 //! Sends are asynchronous (buffered, never block on the receiver), matching
 //! the paper's use of non-blocking NX calls; receives block unless the
 //! `try_`/`_timeout` variants are used.
-//!
-//! # Example
-//!
-//! ```
-//! use stap_comm::{spawn_world, Group};
-//! use stap_comm::collective::allreduce;
-//!
-//! // Four "nodes" compute the sum of their ranks, everywhere.
-//! let sums = spawn_world(4, |mut ep| {
-//!     let world = Group::contiguous(0, 4);
-//!     let mine = ep.rank() as u64;
-//!     allreduce(&mut ep, &world, 1, mine, |a, b| a + b).unwrap()
-//! });
-//! assert_eq!(sums, vec![6, 6, 6, 6]);
-//! ```
 
 pub mod collective;
 pub mod endpoint;

@@ -8,7 +8,6 @@ use stap_kernels::doppler::DopplerConfig;
 use stap_kernels::weights::{BeamSet, WeightMethod};
 use stap_kernels::KernelPath;
 use stap_pfs::{FaultPlan, FsConfig};
-use stap_pipeline::schedule::ScheduleMode;
 use stap_radar::{Motion, Scene};
 use stap_store::CubeAccess;
 use std::sync::Arc;
@@ -347,16 +346,13 @@ pub struct StapConfig {
     /// [`crate::stages::QualityTap`] the verification layer reads back.
     /// Off by default: the tap clones every weight set.
     pub quality_tap: bool,
-    /// Which kernel implementations the compute stages run (scalar
-    /// reference, cache-blocked, or SIMD). All paths are bit-identical;
-    /// the knob exists for differential testing and benchmarking.
+    /// Which kernel implementations the compute stages run: the fast path,
+    /// or the bit-identical scalar reference that differential tests and
+    /// the benchmark's oracle run compare against.
     pub kernel_path: KernelPath,
-    /// How each stage node schedules its per-CPI compute (static block or
-    /// work-stealing over sub-CPI items).
-    pub schedule: ScheduleMode,
-    /// Escape hatch for A/B-ing the zero-copy data plane: when set, stages
-    /// allocate fresh (unpooled) message buffers and deep-copy every
-    /// payload at the send boundary instead of passing slab ownership.
+    /// The oracle's data plane: when set, stages allocate fresh (unpooled)
+    /// message buffers and deep-copy every payload at the send boundary
+    /// instead of passing slab ownership.
     pub copy_comm: bool,
 }
 
@@ -388,8 +384,7 @@ impl Default for StapConfig {
             fault_plan: None,
             watchdog: None,
             quality_tap: false,
-            kernel_path: KernelPath::Auto,
-            schedule: ScheduleMode::Static,
+            kernel_path: KernelPath::Fast,
             copy_comm: false,
         }
     }

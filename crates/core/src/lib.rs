@@ -41,5 +41,4 @@ pub use io_strategy::{IoStrategy, TailStructure};
 pub use messages::{Gap, Payload};
 pub use stages::QualityTap;
 pub use stap_kernels::KernelPath;
-pub use stap_pipeline::schedule::ScheduleMode;
 pub use system::{IngestReport, StapRunOutput, StapSystem};

@@ -9,12 +9,12 @@
 
 use crate::messages::{BinSlab, Gap, Payload, RawSlab};
 use crate::stages::{broadcast_gap, port, StapPlan};
-use stap_kernels::cube::{partition_even, CubeDims, DataCube, DopplerCube};
+use stap_kernels::cube::{CubeDims, DataCube};
 use stap_kernels::doppler::{DopplerConfig, DopplerFilter};
-use stap_pipeline::schedule::{block_range, ScheduleMode, StealPool};
+use stap_pipeline::schedule::block_range;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
-use stap_pipeline::{PendingFetch, PipelineError, INFRASTRUCTURE_LOSS_MARKER};
+use stap_pipeline::{PendingFetch, PipelineError};
 use std::sync::Arc;
 
 /// Byte extent (offset, length) of range gates `[r0, r1)` in a CPI file.
@@ -74,10 +74,13 @@ fn read_with_policy(
             // Fleet-level infrastructure loss (a stripe server or compute
             // node gone for good) also aborts on the first observation —
             // retrying against dead hardware burns the backoff budget for
-            // nothing — but carries the canonical marker so a failover
-            // layer above the pipeline can re-plan instead of giving up.
+            // nothing — but as its own typed variant, so a failover layer
+            // above the pipeline can re-plan instead of giving up.
             Err(e) if e.is_infrastructure_loss() => {
-                return Err(ctx.fail(format!("{INFRASTRUCTURE_LOSS_MARKER}: {label}: {e}")))
+                return Err(PipelineError::InfrastructureLoss {
+                    stage: ctx.topology.stage(ctx.stage).name.clone(),
+                    message: format!("{label}: {e}"),
+                })
             }
             // Permanent faults (bad extents, missing files, a closed
             // stream) abort under every policy: retrying or skipping
@@ -202,8 +205,6 @@ pub struct DopplerStage {
     local: usize,
     nodes: usize,
     filter: DopplerFilter,
-    /// Sub-CPI work-stealing executor (`--schedule steal`).
-    steal: Option<StealPool>,
     /// Posted fetch for the *next* CPI (async embedded mode).
     pending: Option<(u64, PendingFetch)>,
     consecutive_drops: u32,
@@ -214,44 +215,7 @@ impl DopplerStage {
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize) -> Self {
         let cfg: DopplerConfig = plan.config.doppler.clone();
         let filter = DopplerFilter::new(plan.config.dims.pulses, cfg);
-        let steal = (plan.config.schedule == ScheduleMode::Steal).then(StealPool::for_machine);
-        Self { plan, local, nodes, filter, steal, pending: None, consecutive_drops: 0 }
-    }
-
-    /// Both filter outputs for the slab: straight fork-join over range
-    /// blocks under `--schedule steal`, whole-slab kernels otherwise.
-    ///
-    /// The stolen chunks run the blocked kernel and stitch back in range
-    /// order, so the result is bit-identical to the static path (every
-    /// range lane is an independent reduction).
-    fn filter_slab(&self, ctx: &mut StageCtx<'_>, slab: &DataCube) -> (DopplerCube, DopplerCube) {
-        if let Some(pool) = &self.steal {
-            ctx.phase(Phase::Steal);
-            let ranges = slab.dims().ranges;
-            let parts = partition_even(ranges, (pool.workers() * 4).clamp(1, ranges.max(1)));
-            let filter = &self.filter;
-            let chunks = pool.run(parts.clone(), |(c0, c1)| {
-                (
-                    filter.filter_easy_chunk(slab, c0, c1),
-                    filter.filter_staggered_chunk(slab, c0, c1),
-                )
-            });
-            ctx.phase(Phase::Compute);
-            let mut easy = DopplerCube::zeros(1, self.filter.bins(), slab.dims().channels, ranges);
-            let mut hard = DopplerCube::zeros(2, self.filter.bins(), slab.dims().channels, ranges);
-            for ((c0, _c1), (e, h)) in parts.into_iter().zip(chunks) {
-                easy.copy_range_from(&e, c0);
-                hard.copy_range_from(&h, c0);
-            }
-            (easy, hard)
-        } else {
-            ctx.phase(Phase::Compute);
-            let path = self.plan.kernel_path();
-            (
-                self.filter.filter_easy_with(slab, path),
-                self.filter.filter_staggered_with(slab, path),
-            )
-        }
+        Self { plan, local, nodes, filter, pending: None, consecutive_drops: 0 }
     }
 
     fn my_ranges(&self) -> (usize, usize) {
@@ -379,12 +343,15 @@ impl Stage for DopplerStage {
         };
 
         // Phase 2: Doppler filtering, easy (full CPI) + hard (staggered).
-        let (easy, hard) = self.filter_slab(ctx, &slab);
+        ctx.phase(Phase::Compute);
+        let path = self.plan.kernel_path();
+        let easy = self.filter.filter_easy_with(&slab, path);
+        let hard = self.filter.filter_staggered_with(&slab, path);
 
         // Phase 3: distribute per-bin slabs to the beamformers (spatial)
         // and the weight tasks (temporal consumers of this CPI's data).
         // Zero-copy mode carves the slabs out of the shared sample arena
-        // and passes ownership; `--copy-comm` deep-copies at the boundary.
+        // and passes ownership; `copy_comm` deep-copies at the boundary.
         ctx.phase(Phase::Send);
         let pool = (!self.plan.config.copy_comm).then_some(&self.plan.pools.samples);
         for (stage, is_hard, p) in sends {

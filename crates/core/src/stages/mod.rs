@@ -260,13 +260,13 @@ pub struct StapPlan {
     pub stats: FaultStats,
     /// Detection-quality capture (None unless `config.quality_tap`).
     pub tap: Option<Arc<QualityTap>>,
-    /// Recycled message-buffer arenas (bypassed under `--copy-comm`).
+    /// Recycled message-buffer arenas (bypassed under `copy_comm`).
     pub pools: CommPools,
 }
 
 impl StapPlan {
     /// A sample buffer with room for `capacity` values: pooled in
-    /// zero-copy mode, a fresh detached allocation under `--copy-comm`.
+    /// zero-copy mode, a fresh detached allocation under `copy_comm`.
     pub fn sample_buf(&self, capacity: usize) -> PoolVec<C32> {
         if self.config.copy_comm {
             PoolVec::detached(Vec::with_capacity(capacity))
@@ -285,7 +285,7 @@ impl StapPlan {
         }
     }
 
-    /// The send-boundary hook of the `--copy-comm` escape hatch: deep-copies
+    /// The send-boundary hook of the `copy_comm` oracle plane: deep-copies
     /// the payload (so the receiver gets fresh storage, as a serializing
     /// transport would produce) instead of passing slab ownership through.
     pub fn for_send<T: Clone>(&self, msg: T) -> T {
@@ -302,7 +302,7 @@ impl StapPlan {
     }
 
     /// An empty row batch with room for `capacity_rows` rows: pooled in
-    /// zero-copy mode, detached under `--copy-comm`.
+    /// zero-copy mode, detached under `copy_comm`.
     pub fn row_batch(&self, ranges: usize, capacity_rows: usize) -> crate::messages::RowBatch {
         if self.config.copy_comm {
             crate::messages::RowBatch::new(ranges)

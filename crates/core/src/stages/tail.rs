@@ -7,7 +7,6 @@ use parking_lot::Mutex;
 use stap_kernels::cfar::{cfar_row, CfarError, Detection};
 use stap_kernels::pulse::PulseCompressor;
 use stap_kernels::report::DetectionReport;
-use stap_pipeline::schedule::{ScheduleMode, StealPool};
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
 use stap_pipeline::PipelineError;
@@ -125,58 +124,17 @@ fn publish_report(
     Ok(())
 }
 
-/// Pulse-compresses every row of `batch` in place: straight fork-join over
-/// row chunks under `--schedule steal`, one whole-batch kernel call
-/// otherwise.
-///
-/// Every row is an independent lane through the batched kernel, so chunk
-/// boundaries do not change any row's FP op order — the stolen result is
-/// bit-identical to the static one.
-fn compress_batch(
-    compressor: &PulseCompressor,
-    steal: &Option<StealPool>,
-    plan: &StapPlan,
-    ctx: &mut StageCtx<'_>,
-    batch: &mut RowBatch,
-) {
-    let ranges = batch.ranges;
-    let path = plan.kernel_path();
-    match steal {
-        Some(pool) if batch.len() > 1 => {
-            ctx.phase(Phase::Steal);
-            let chunk_rows = batch.len().div_ceil(pool.workers() * 4).max(1);
-            let items: Vec<Vec<_>> =
-                batch.data.chunks(ranges * chunk_rows).map(|c| c.to_vec()).collect();
-            let done = pool.run(items, |mut chunk| {
-                compressor.compress_rows(&mut chunk, ranges, path);
-                chunk
-            });
-            ctx.phase(Phase::Compute);
-            for (dst, src) in batch.data.chunks_mut(ranges * chunk_rows).zip(done) {
-                dst.copy_from_slice(&src);
-            }
-        }
-        _ => {
-            ctx.phase(Phase::Compute);
-            compressor.compress_rows(&mut batch.data, ranges, path);
-        }
-    }
-}
-
 /// Pulse compression task.
 pub struct PulseStage {
     plan: Arc<StapPlan>,
     compressor: PulseCompressor,
-    /// Sub-CPI work-stealing executor (`--schedule steal`).
-    steal: Option<StealPool>,
 }
 
 impl PulseStage {
     /// One node of the pulse-compression task.
     pub fn new(plan: Arc<StapPlan>) -> Self {
         let compressor = PulseCompressor::new(plan.config.dims.ranges, &plan.waveform);
-        let steal = (plan.config.schedule == ScheduleMode::Steal).then(StealPool::for_machine);
-        Self { plan, compressor, steal }
+        Self { plan, compressor }
     }
 }
 
@@ -196,7 +154,8 @@ impl Stage for PulseStage {
             }
         };
 
-        compress_batch(&self.compressor, &self.steal, &self.plan, ctx, &mut batch);
+        ctx.phase(Phase::Compute);
+        self.compressor.compress_rows(&mut batch.data, ranges, self.plan.kernel_path());
 
         ctx.phase(Phase::Send);
         let est_rows = batch.len() / cfar_nodes.max(1) + 1;
@@ -265,8 +224,6 @@ pub struct CombinedTailStage {
     local: usize,
     nodes: usize,
     compressor: PulseCompressor,
-    /// Sub-CPI work-stealing executor (`--schedule steal`).
-    steal: Option<StealPool>,
     sink: ReportSink,
 }
 
@@ -274,8 +231,7 @@ impl CombinedTailStage {
     /// One node of the combined task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, sink: ReportSink) -> Self {
         let compressor = PulseCompressor::new(plan.config.dims.ranges, &plan.waveform);
-        let steal = (plan.config.schedule == ScheduleMode::Steal).then(StealPool::for_machine);
-        Self { plan, local, nodes, compressor, steal, sink }
+        Self { plan, local, nodes, compressor, sink }
     }
 }
 
@@ -291,7 +247,9 @@ impl Stage for CombinedTailStage {
             }
         };
 
-        compress_batch(&self.compressor, &self.steal, &self.plan, ctx, &mut batch);
+        // One Compute span per kernel: pulse compression, then CFAR.
+        ctx.phase(Phase::Compute);
+        self.compressor.compress_rows(&mut batch.data, ranges, self.plan.kernel_path());
         ctx.phase(Phase::Compute);
         let dets = detect_batch(&self.plan, ctx.cpi, &batch)
             .map_err(|e| ctx.fail(format!("cfar: {e}")))?;

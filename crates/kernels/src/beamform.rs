@@ -110,7 +110,7 @@ impl Beamformer {
     /// # Panics
     /// Panics when the weight DoF does not match the cube DoF.
     pub fn apply(&self, cube: &DopplerCube, weights: &WeightSet) -> BeamCube {
-        self.apply_with(cube, weights, KernelPath::Auto)
+        self.apply_with(cube, weights, KernelPath::Fast)
     }
 
     /// [`Beamformer::apply`] with an explicit kernel path.
@@ -123,66 +123,24 @@ impl Beamformer {
         assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
         let beams = weights.weights.first().map_or(0, |w| w.len());
         let mut out = BeamCube::zeros(weights.bins.clone(), beams, cube.ranges());
-        match path.resolve() {
+        match path {
             KernelPath::Reference => Self::apply_ref(cube, weights, &mut out),
-            KernelPath::Blocked | KernelPath::Auto => {
-                self.apply_into_level(cube, weights, &mut out, 0, cube.ranges(), SimdLevel::None)
-            }
-            KernelPath::Simd => self.apply_into_level(
-                cube,
-                weights,
-                &mut out,
-                0,
-                cube.ranges(),
-                SimdLevel::detect(),
-            ),
+            KernelPath::Fast => Self::apply_fast(cube, weights, &mut out, SimdLevel::detect()),
         }
         out
     }
 
-    /// Blocked beamforming of range gates `[r0, r1)` into `out` — the
-    /// chunk-level entry the work-stealing executor schedules. Gates
-    /// outside the interval are left untouched.
-    ///
-    /// # Panics
-    /// Panics when geometry disagrees or the interval is out of bounds.
-    pub fn apply_into(
-        &self,
-        cube: &DopplerCube,
-        weights: &WeightSet,
-        out: &mut BeamCube,
-        r0: usize,
-        r1: usize,
-        path: KernelPath,
-    ) {
-        let level = match path.resolve() {
-            KernelPath::Simd => SimdLevel::detect(),
-            _ => SimdLevel::None,
-        };
-        self.apply_into_level(cube, weights, out, r0, r1, level);
-    }
-
-    fn apply_into_level(
-        &self,
-        cube: &DopplerCube,
-        weights: &WeightSet,
-        out: &mut BeamCube,
-        r0: usize,
-        r1: usize,
-        level: SimdLevel,
-    ) {
-        assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
-        assert_eq!(out.bins, weights.bins, "output bins must match weight bins");
-        assert_eq!(out.ranges, cube.ranges(), "output range extent differs from cube");
-        assert!(r0 <= r1 && r1 <= cube.ranges(), "invalid gate interval {r0}..{r1}");
-        let beams = weights.weights.first().map_or(0, |w| w.len());
-        assert_eq!(out.beams, beams, "output beam count differs from weights");
+    /// Blocked beamforming: [`RANGE_BLOCK`]-gate accumulator rows, each
+    /// updated through `level`'s [`accum_row`] tier.
+    fn apply_fast(cube: &DopplerCube, weights: &WeightSet, out: &mut BeamCube, level: SimdLevel) {
+        let ranges = cube.ranges();
+        let beams = out.beams;
         let channels = cube.channels();
         let mut acc = [C32::zero(); RANGE_BLOCK];
         for (bi, &bin) in weights.bins.iter().enumerate() {
-            let mut b0 = r0;
-            while b0 < r1 {
-                let lanes = RANGE_BLOCK.min(r1 - b0);
+            let mut b0 = 0;
+            while b0 < ranges {
+                let lanes = RANGE_BLOCK.min(ranges - b0);
                 for beam in 0..beams {
                     let w = &weights.weights[bi][beam];
                     let acc = &mut acc[..lanes];
@@ -399,31 +357,26 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_simd_beamforming_are_bit_identical_to_reference() {
+    fn fast_beamforming_is_bit_identical_to_reference_at_every_simd_level() {
         // 2 staggers × 3 channels (DoF 6), 39 gates: exercises the lane
         // tail of both the 32-gate block and the SIMD vectors.
         let dc = noise_doppler(2, 4, 3, 39);
         let wc = WeightComputer::default();
         let ws = wc.compute(&dc, &[1, 3]).unwrap();
         let reference = Beamformer.apply_with(&dc, &ws, KernelPath::Reference);
-        let blocked = Beamformer.apply_with(&dc, &ws, KernelPath::Blocked);
-        let simd = Beamformer.apply_with(&dc, &ws, KernelPath::Simd);
-        assert_beams_bit_equal(&reference, &blocked);
-        assert_beams_bit_equal(&reference, &simd);
-    }
-
-    #[test]
-    fn chunked_beamforming_composes_to_full_apply() {
-        let dc = noise_doppler(1, 3, 4, 23);
-        let wc = WeightComputer::default();
-        let ws = wc.compute(&dc, &[0, 2]).unwrap();
-        let full = Beamformer.apply_with(&dc, &ws, KernelPath::Blocked);
-        let beams = ws.weights.first().map_or(0, |w| w.len());
-        let mut stitched = BeamCube::zeros(ws.bins.clone(), beams, 23);
-        for (r0, r1) in [(0usize, 9usize), (9, 20), (20, 23)] {
-            Beamformer.apply_into(&dc, &ws, &mut stitched, r0, r1, KernelPath::Blocked);
+        assert_beams_bit_equal(&reference, &Beamformer.apply_with(&dc, &ws, KernelPath::Fast));
+        // The tiers below the detected one stay reachable on older CPUs
+        // and off x86: AVX hosts also have SSE3, and scalar lanes run
+        // anywhere.
+        let below = match SimdLevel::detect() {
+            SimdLevel::Avx => vec![SimdLevel::Sse3, SimdLevel::None],
+            _ => vec![SimdLevel::None],
+        };
+        for level in below {
+            let mut out = BeamCube::zeros(ws.bins.clone(), reference.beams, 39);
+            Beamformer::apply_fast(&dc, &ws, &mut out, level);
+            assert_beams_bit_equal(&reference, &out);
         }
-        assert_beams_bit_equal(&full, &stitched);
     }
 
     #[test]

@@ -309,28 +309,6 @@ impl DopplerCube {
         &mut self.data[start..start + self.ranges]
     }
 
-    /// Copies every (stagger, bin, channel) row of `src` — a compact
-    /// range-chunk cube — into this cube at range offset `dst_r0`: the
-    /// deterministic stitch reassembling work-stealing chunk outputs.
-    ///
-    /// # Panics
-    /// Panics when the cubes' stagger/bin/channel geometry differs or the
-    /// chunk overruns this cube's range extent.
-    pub fn copy_range_from(&mut self, src: &DopplerCube, dst_r0: usize) {
-        assert_eq!(self.staggers, src.staggers, "stagger count differs");
-        assert_eq!(self.bins, src.bins, "bin count differs");
-        assert_eq!(self.channels, src.channels, "channel count differs");
-        assert!(dst_r0 + src.ranges <= self.ranges, "chunk overruns range extent");
-        for s in 0..self.staggers {
-            for b in 0..self.bins {
-                for c in 0..self.channels {
-                    self.row_mut(s, b, c)[dst_r0..dst_r0 + src.ranges]
-                        .copy_from_slice(src.row(s, b, c));
-                }
-            }
-        }
-    }
-
     /// The space(-time) snapshot for (bin, range): channel samples of every
     /// stagger concatenated — the adaptive degrees of freedom vector.
     pub fn snapshot(&self, b: usize, r: usize, out: &mut Vec<C32>) {

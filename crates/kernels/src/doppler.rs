@@ -152,7 +152,7 @@ impl DopplerFilter {
     /// Easy-path filtering: one windowed FFT over the full pulse train for
     /// every (channel, range). Output stagger count is 1.
     pub fn filter_easy(&self, cube: &DataCube) -> DopplerCube {
-        self.filter_easy_with(cube, KernelPath::Auto)
+        self.filter_easy_with(cube, KernelPath::Fast)
     }
 
     /// [`DopplerFilter::filter_easy`] with an explicit kernel path.
@@ -160,60 +160,22 @@ impl DopplerFilter {
         let d = cube.dims();
         assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
         let mut out = DopplerCube::zeros(1, self.fft_len, d.channels, d.ranges);
-        match path.resolve() {
+        match path {
             KernelPath::Reference => self.filter_easy_ref(cube, &mut out),
-            _ => self.filter_easy_into(cube, &mut out, 0, d.ranges),
+            KernelPath::Fast => self.filter_easy_fast(cube, &mut out),
         }
         out
     }
 
-    /// Blocked easy-path filtering of range gates `[r0, r1)` into `out` —
-    /// the chunk-level entry the work-stealing executor schedules. `out`
-    /// must cover the full cube geometry; gates outside `[r0, r1)` are left
-    /// untouched. Bit-identical to the scalar reference: the panel FFT runs
-    /// every range-gate lane through the exact scalar butterfly sequence.
-    ///
-    /// # Panics
-    /// Panics when the cube/output geometry disagrees with the plan or the
-    /// gate interval is out of bounds.
-    pub fn filter_easy_into(&self, cube: &DataCube, out: &mut DopplerCube, r0: usize, r1: usize) {
-        assert_eq!(out.ranges(), cube.dims().ranges, "output range extent differs from cube");
-        self.filter_easy_span(cube, out, r0, r1, 0);
-    }
-
-    /// Easy-path filtering of gates `[r0, r1)` into a *compact* cube of
-    /// `r1 - r0` gates — the owned-output form the work-stealing executor's
-    /// items return (stitch with [`DopplerCube::copy_range_from`]).
-    pub fn filter_easy_chunk(&self, cube: &DataCube, r0: usize, r1: usize) -> DopplerCube {
+    /// Blocked easy path: [`RANGE_BLOCK`]-gate panels through the multi-lane
+    /// FFT. Bit-identical to the scalar reference: the panel FFT runs every
+    /// range-gate lane through the exact scalar butterfly sequence.
+    fn filter_easy_fast(&self, cube: &DataCube, out: &mut DopplerCube) {
         let d = cube.dims();
-        let mut out = DopplerCube::zeros(1, self.fft_len, d.channels, r1 - r0);
-        self.filter_easy_span(cube, &mut out, r0, r1, r0);
-        out
-    }
-
-    /// Shared blocked easy path: gates `[r0, r1)` of `cube`, written to
-    /// `out` at range offset `b0 - out_base` (0 for full-size outputs,
-    /// `r0` for compact chunks).
-    fn filter_easy_span(
-        &self,
-        cube: &DataCube,
-        out: &mut DopplerCube,
-        r0: usize,
-        r1: usize,
-        out_base: usize,
-    ) {
-        let d = cube.dims();
-        assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
-        assert_eq!(out.staggers(), 1, "easy output must have one stagger");
-        assert_eq!(out.bins(), self.fft_len, "output bin count differs from plan");
-        assert_eq!(out.channels(), d.channels, "output channel count differs from cube");
-        assert!(r0 <= r1 && r1 <= d.ranges, "invalid gate interval {r0}..{r1}");
-        assert!(out_base <= r0 && r1 - out_base <= out.ranges(), "output too small for interval");
-        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min((r1 - r0).max(1))];
-        let mut b0 = r0;
-        while b0 < r1 {
-            let lanes = RANGE_BLOCK.min(r1 - b0);
-            let o0 = b0 - out_base;
+        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(d.ranges.max(1))];
+        let mut b0 = 0;
+        while b0 < d.ranges {
+            let lanes = RANGE_BLOCK.min(d.ranges - b0);
             let panel = &mut panel[..self.fft_len * lanes];
             for c in 0..d.channels {
                 // Gather: cube rows at fixed (p, c) are contiguous in range,
@@ -234,7 +196,7 @@ impl DopplerFilter {
                 self.plan.forward_multi(panel, lanes);
                 // Scatter: output rows at fixed (bin, c) are contiguous too.
                 for b in 0..self.fft_len {
-                    out.row_mut(0, b, c)[o0..o0 + lanes]
+                    out.row_mut(0, b, c)[b0..b0 + lanes]
                         .copy_from_slice(&panel[b * lanes..(b + 1) * lanes]);
                 }
             }
@@ -267,7 +229,7 @@ impl DopplerFilter {
     /// Hard-path (PRI-staggered) filtering: two windowed FFTs over the pulse
     /// segments `[0, P-s)` and `[s, P)`. Output stagger count is 2.
     pub fn filter_staggered(&self, cube: &DataCube) -> DopplerCube {
-        self.filter_staggered_with(cube, KernelPath::Auto)
+        self.filter_staggered_with(cube, KernelPath::Fast)
     }
 
     /// [`DopplerFilter::filter_staggered`] with an explicit kernel path.
@@ -275,63 +237,22 @@ impl DopplerFilter {
         let d = cube.dims();
         assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
         let mut out = DopplerCube::zeros(2, self.fft_len, d.channels, d.ranges);
-        match path.resolve() {
+        match path {
             KernelPath::Reference => self.filter_staggered_ref(cube, &mut out),
-            _ => self.filter_staggered_into(cube, &mut out, 0, d.ranges),
+            KernelPath::Fast => self.filter_staggered_fast(cube, &mut out),
         }
         out
     }
 
-    /// Blocked staggered filtering of range gates `[r0, r1)` into `out` —
-    /// the chunk-level entry the work-stealing executor schedules.
-    ///
-    /// # Panics
-    /// Panics when the cube/output geometry disagrees with the plan or the
-    /// gate interval is out of bounds.
-    pub fn filter_staggered_into(
-        &self,
-        cube: &DataCube,
-        out: &mut DopplerCube,
-        r0: usize,
-        r1: usize,
-    ) {
-        assert_eq!(out.ranges(), cube.dims().ranges, "output range extent differs from cube");
-        self.filter_staggered_span(cube, out, r0, r1, 0);
-    }
-
-    /// Staggered filtering of gates `[r0, r1)` into a *compact* cube of
-    /// `r1 - r0` gates — the owned-output form the work-stealing executor's
-    /// items return (stitch with [`DopplerCube::copy_range_from`]).
-    pub fn filter_staggered_chunk(&self, cube: &DataCube, r0: usize, r1: usize) -> DopplerCube {
+    /// Blocked staggered path (see [`Self::filter_easy_fast`]).
+    fn filter_staggered_fast(&self, cube: &DataCube, out: &mut DopplerCube) {
         let d = cube.dims();
-        let mut out = DopplerCube::zeros(2, self.fft_len, d.channels, r1 - r0);
-        self.filter_staggered_span(cube, &mut out, r0, r1, r0);
-        out
-    }
-
-    /// Shared blocked staggered path (see [`Self::filter_easy_span`]).
-    fn filter_staggered_span(
-        &self,
-        cube: &DataCube,
-        out: &mut DopplerCube,
-        r0: usize,
-        r1: usize,
-        out_base: usize,
-    ) {
-        let d = cube.dims();
-        assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
-        assert_eq!(out.staggers(), 2, "staggered output must have two staggers");
-        assert_eq!(out.bins(), self.fft_len, "output bin count differs from plan");
-        assert_eq!(out.channels(), d.channels, "output channel count differs from cube");
-        assert!(r0 <= r1 && r1 <= d.ranges, "invalid gate interval {r0}..{r1}");
-        assert!(out_base <= r0 && r1 - out_base <= out.ranges(), "output too small for interval");
         let s = self.config.stagger_offset;
         let seg = self.pulses - s;
-        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min((r1 - r0).max(1))];
-        let mut b0 = r0;
-        while b0 < r1 {
-            let lanes = RANGE_BLOCK.min(r1 - b0);
-            let o0 = b0 - out_base;
+        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(d.ranges.max(1))];
+        let mut b0 = 0;
+        while b0 < d.ranges {
+            let lanes = RANGE_BLOCK.min(d.ranges - b0);
             let panel = &mut panel[..self.fft_len * lanes];
             for c in 0..d.channels {
                 for (stagger, start) in [(0usize, 0usize), (1, s)] {
@@ -350,7 +271,7 @@ impl DopplerFilter {
                     }
                     self.plan.forward_multi(panel, lanes);
                     for b in 0..self.fft_len {
-                        out.row_mut(stagger, b, c)[o0..o0 + lanes]
+                        out.row_mut(stagger, b, c)[b0..b0 + lanes]
                             .copy_from_slice(&panel[b * lanes..(b + 1) * lanes]);
                     }
                 }
@@ -499,64 +420,24 @@ mod tests {
     }
 
     #[test]
-    fn blocked_easy_filter_is_bit_identical_to_reference() {
+    fn fast_easy_filter_is_bit_identical_to_reference() {
         // 45 ranges: not a multiple of the 32-lane block, exercising the tail.
         let dims = CubeDims::new(12, 3, 45);
         let cube = noise_cube(dims, 0x5EED);
         let df = DopplerFilter::new(12, DopplerConfig::default());
         let reference = df.filter_easy_with(&cube, KernelPath::Reference);
-        let blocked = df.filter_easy_with(&cube, KernelPath::Blocked);
-        assert_cubes_bit_equal(&reference, &blocked);
+        let fast = df.filter_easy_with(&cube, KernelPath::Fast);
+        assert_cubes_bit_equal(&reference, &fast);
     }
 
     #[test]
-    fn blocked_staggered_filter_is_bit_identical_to_reference() {
+    fn fast_staggered_filter_is_bit_identical_to_reference() {
         let dims = CubeDims::new(16, 2, 37);
         let cube = noise_cube(dims, 0xBEEF);
         let df = DopplerFilter::new(16, DopplerConfig::default());
         let reference = df.filter_staggered_with(&cube, KernelPath::Reference);
-        let blocked = df.filter_staggered_with(&cube, KernelPath::Blocked);
-        assert_cubes_bit_equal(&reference, &blocked);
-    }
-
-    #[test]
-    fn chunked_intervals_compose_to_full_filter() {
-        let dims = CubeDims::new(8, 2, 21);
-        let cube = noise_cube(dims, 0xF00D);
-        let df = DopplerFilter::new(8, DopplerConfig::default());
-        let full = df.filter_easy_with(&cube, KernelPath::Blocked);
-        let mut stitched = DopplerCube::zeros(1, df.bins(), 2, 21);
-        for (r0, r1) in [(0usize, 7usize), (7, 16), (16, 21)] {
-            df.filter_easy_into(&cube, &mut stitched, r0, r1);
-        }
-        assert_cubes_bit_equal(&full, &stitched);
-        let full_s = df.filter_staggered_with(&cube, KernelPath::Blocked);
-        let mut stitched_s = DopplerCube::zeros(2, df.bins(), 2, 21);
-        for (r0, r1) in [(0usize, 5usize), (5, 21)] {
-            df.filter_staggered_into(&cube, &mut stitched_s, r0, r1);
-        }
-        assert_cubes_bit_equal(&full_s, &stitched_s);
-    }
-
-    #[test]
-    fn compact_chunks_stitch_to_full_filter() {
-        let dims = CubeDims::new(12, 2, 50);
-        let cube = noise_cube(dims, 0xC0FFEE);
-        let df = DopplerFilter::new(12, DopplerConfig::default());
-        let full = df.filter_easy_with(&cube, KernelPath::Blocked);
-        let mut stitched = DopplerCube::zeros(1, df.bins(), 2, 50);
-        for (r0, r1) in [(0usize, 33usize), (33, 41), (41, 50)] {
-            let chunk = df.filter_easy_chunk(&cube, r0, r1);
-            stitched.copy_range_from(&chunk, r0);
-        }
-        assert_cubes_bit_equal(&full, &stitched);
-        let full_s = df.filter_staggered_with(&cube, KernelPath::Blocked);
-        let mut stitched_s = DopplerCube::zeros(2, df.bins(), 2, 50);
-        for (r0, r1) in [(0usize, 17usize), (17, 50)] {
-            let chunk = df.filter_staggered_chunk(&cube, r0, r1);
-            stitched_s.copy_range_from(&chunk, r0);
-        }
-        assert_cubes_bit_equal(&full_s, &stitched_s);
+        let fast = df.filter_staggered_with(&cube, KernelPath::Fast);
+        assert_cubes_bit_equal(&reference, &fast);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Kernel implementation selection: scalar reference, cache-blocked, or
-//! `std::arch` SIMD — with runtime feature detection.
+//! Kernel implementation selection: the scalar reference (the differential
+//! oracle) or the one fast path — cache-blocked panels whose beamforming
+//! inner loop uses the widest `std::arch` tier the CPU reports at runtime.
 //!
-//! Every optimized path is constructed to be **bit-identical** to the scalar
+//! The fast path is constructed to be **bit-identical** to the scalar
 //! reference: blocking and SIMD vectorize across *independent outputs*
 //! (range gates), never inside a reduction, so each output element sees the
 //! exact floating-point operation sequence of the reference loop. The
@@ -15,54 +16,19 @@ use std::sync::OnceLock;
 pub enum KernelPath {
     /// The naive scalar loops — always compiled, the correctness oracle.
     Reference,
-    /// Cache-blocked panels with autovectorizer-friendly lane-inner loops.
-    Blocked,
-    /// Blocked layout plus explicit `std::arch` SSE3/AVX inner loops.
-    /// Falls back to [`KernelPath::Blocked`] when the CPU lacks the
-    /// features (or off x86).
-    Simd,
-    /// [`KernelPath::Simd`] when the CPU supports it, else
-    /// [`KernelPath::Blocked`].
+    /// Cache-blocked panels with lane-inner loops; beamforming accumulates
+    /// through [`SimdLevel::detect`]'s `std::arch` tier (scalar lanes when
+    /// the CPU has none, or off x86).
     #[default]
-    Auto,
-}
-
-impl KernelPath {
-    /// Resolves [`KernelPath::Auto`] against the detected CPU features.
-    pub fn resolve(self) -> KernelPath {
-        match self {
-            KernelPath::Auto => {
-                if SimdLevel::detect() == SimdLevel::None {
-                    KernelPath::Blocked
-                } else {
-                    KernelPath::Simd
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Parses a CLI/config spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "reference" | "scalar" | "ref" => Ok(KernelPath::Reference),
-            "blocked" => Ok(KernelPath::Blocked),
-            "simd" => Ok(KernelPath::Simd),
-            "auto" | "fast" => Ok(KernelPath::Auto),
-            other => Err(format!("kernel path must be scalar|blocked|simd|auto, got '{other}'")),
-        }
-    }
+    Fast,
 }
 
 impl fmt::Display for KernelPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(match self {
             KernelPath::Reference => "scalar",
-            KernelPath::Blocked => "blocked",
-            KernelPath::Simd => "simd",
-            KernelPath::Auto => "auto",
-        };
-        f.write_str(s)
+            KernelPath::Fast => "fast",
+        })
     }
 }
 
@@ -115,20 +81,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_resolves_to_concrete_path() {
-        let r = KernelPath::Auto.resolve();
-        assert!(matches!(r, KernelPath::Blocked | KernelPath::Simd));
-        assert_eq!(KernelPath::Reference.resolve(), KernelPath::Reference);
-        assert_eq!(KernelPath::Blocked.resolve(), KernelPath::Blocked);
-    }
-
-    #[test]
-    fn parse_round_trip() {
-        assert_eq!(KernelPath::parse("scalar").unwrap(), KernelPath::Reference);
-        assert_eq!(KernelPath::parse("blocked").unwrap(), KernelPath::Blocked);
-        assert_eq!(KernelPath::parse("simd").unwrap(), KernelPath::Simd);
-        assert_eq!(KernelPath::parse("auto").unwrap(), KernelPath::Auto);
-        assert!(KernelPath::parse("mmx").is_err());
+    fn labels_name_the_two_paths() {
+        assert_eq!(KernelPath::Reference.to_string(), "scalar");
+        assert_eq!(KernelPath::default().to_string(), "fast");
     }
 
     #[test]

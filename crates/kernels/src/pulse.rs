@@ -89,7 +89,7 @@ impl PulseCompressor {
 
     /// Compresses every (beam, bin) row of a beam cube in place.
     pub fn compress(&self, cube: &mut BeamCube) {
-        self.compress_with(cube, KernelPath::Auto);
+        self.compress_with(cube, KernelPath::Fast);
     }
 
     /// [`PulseCompressor::compress`] with an explicit kernel path.
@@ -98,10 +98,9 @@ impl PulseCompressor {
         self.compress_rows(cube.rows_flat_mut(), ranges, path);
     }
 
-    /// Compresses `data` interpreted as consecutive rows of `row_len` gates
-    /// — the chunk-level entry the work-stealing executor schedules.
+    /// Compresses `data` interpreted as consecutive rows of `row_len` gates.
     ///
-    /// The blocked path batches [`ROW_BLOCK`] rows per multi-lane panel FFT;
+    /// The fast path batches [`ROW_BLOCK`] rows per multi-lane panel FFT;
     /// every lane runs the exact scalar butterfly/multiply sequence, so the
     /// output is bit-identical to [`PulseCompressor::compress_row`] per row.
     ///
@@ -114,7 +113,7 @@ impl PulseCompressor {
         }
         assert!(row_len > 0 && data.len().is_multiple_of(row_len), "data must be whole rows");
         assert!(row_len <= self.fft_len, "row length exceeds planned FFT length");
-        match path.resolve() {
+        match path {
             KernelPath::Reference => {
                 for row in data.chunks_mut(row_len) {
                     // Reference keeps the original per-row allocation.
@@ -122,7 +121,7 @@ impl PulseCompressor {
                     self.compress_row_with(row, &mut buf);
                 }
             }
-            _ => {
+            KernelPath::Fast => {
                 let mut panel = vec![C32::zero(); self.fft_len * ROW_BLOCK];
                 let mut rows = data.chunks_mut(row_len).collect::<Vec<_>>();
                 for batch in rows.chunks_mut(ROW_BLOCK) {
@@ -266,7 +265,7 @@ mod tests {
         let pc = PulseCompressor::new(ranges, &wf);
         let mut reference = data.clone();
         pc.compress_rows(&mut reference, ranges, KernelPath::Reference);
-        pc.compress_rows(&mut data, ranges, KernelPath::Blocked);
+        pc.compress_rows(&mut data, ranges, KernelPath::Fast);
         for (i, (x, y)) in reference.iter().zip(data.iter()).enumerate() {
             assert_eq!(x.re.to_bits(), y.re.to_bits(), "re differs at {i}");
             assert_eq!(x.im.to_bits(), y.im.to_bits(), "im differs at {i}");
@@ -284,7 +283,7 @@ mod tests {
         let pc = PulseCompressor::new(ranges, &wf);
         let mut via_row = row.clone();
         pc.compress_row(&mut via_row);
-        pc.compress_rows(&mut row, ranges, KernelPath::Blocked);
+        pc.compress_rows(&mut row, ranges, KernelPath::Fast);
         for (x, y) in via_row.iter().zip(row.iter()) {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());

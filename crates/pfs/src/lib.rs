@@ -38,7 +38,6 @@
 //! ```
 
 pub mod async_io;
-pub mod collective;
 pub mod config;
 pub mod error;
 pub mod fault;

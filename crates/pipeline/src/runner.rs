@@ -188,7 +188,9 @@ impl Pipeline {
         // communication failures, then a watchdog expiry, with `Aborted`
         // teardown fallout last.
         let rank = |e: &PipelineError| match e {
-            PipelineError::Stage { .. } | PipelineError::Topology(_) => 0,
+            PipelineError::Stage { .. }
+            | PipelineError::InfrastructureLoss { .. }
+            | PipelineError::Topology(_) => 0,
             PipelineError::Comm(c) if *c != stap_comm::CommError::Aborted => 1,
             PipelineError::Timeout { .. } => 2,
             PipelineError::Comm(_) => 3,

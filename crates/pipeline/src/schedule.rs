@@ -1,126 +1,9 @@
 //! Work-distribution helpers: the "Round Robin Scheduling" of the paper's
-//! figures, plus block partitioning and the work-stealing stage executor.
+//! figures, plus block partitioning.
 //!
 //! The Doppler task's output bins are dealt to the weight/beamforming nodes
 //! round-robin; range gates are dealt to I/O and Doppler nodes in blocks.
-//! [`StealPool`] adds dynamic self-scheduling *within* a stage node: a CPI's
-//! compute splits into sub-CPI items (range blocks, row chunks) that idle
-//! workers steal from a shared queue, so a node with jittery per-item cost
-//! finishes at the speed of its fastest schedule rather than its worst
-//! static partition.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// How a stage node schedules its per-CPI compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScheduleMode {
-    /// Each node runs its CPI's kernels as one static block (the paper's
-    /// design: scheduling happens only *across* nodes).
-    #[default]
-    Static,
-    /// The CPI's kernels split into sub-CPI items executed by a
-    /// work-stealing pool; results are stitched deterministically, so
-    /// outputs are bit-identical to `Static`.
-    Steal,
-}
-
-impl ScheduleMode {
-    /// Parses the CLI grammar: `static` or `steal`.
-    ///
-    /// # Errors
-    /// Returns a message describing the malformed spec.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "static" => Ok(ScheduleMode::Static),
-            "steal" => Ok(ScheduleMode::Steal),
-            _ => Err(format!("--schedule must be static|steal, got '{spec}'")),
-        }
-    }
-
-    /// Canonical label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ScheduleMode::Static => "static",
-            ScheduleMode::Steal => "steal",
-        }
-    }
-}
-
-/// Work-stealing fork-join executor for sub-CPI items.
-///
-/// `run` pushes every item onto a shared queue; the submitting thread and
-/// up to `workers - 1` helpers pop items until the queue drains (each pop
-/// is a steal — there is no static pre-partition), then the results are
-/// reassembled **in item order**, so the output is independent of which
-/// worker computed what. Items must be owned (no borrows of the output):
-/// the deterministic stitch is what keeps `--schedule steal` bit-identical
-/// to static scheduling.
-#[derive(Debug, Clone)]
-pub struct StealPool {
-    workers: usize,
-}
-
-impl StealPool {
-    /// A pool of `workers` total executors (including the submitter).
-    pub fn new(workers: usize) -> Self {
-        Self { workers: workers.max(1) }
-    }
-
-    /// A pool sized to the machine (one worker per available core).
-    pub fn for_machine() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        Self::new(n)
-    }
-
-    /// Total executors (submitter + helpers).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Executes `f` over every item, stealing dynamically, and returns the
-    /// results in the items' original order.
-    pub fn run<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let helpers = self.workers.min(n) - 1;
-        let queue: Mutex<VecDeque<(usize, I)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let work = || {
-            let mut local: Vec<(usize, T)> = Vec::new();
-            loop {
-                // One lock per steal; the item compute runs unlocked.
-                let stolen = queue.lock().expect("steal queue poisoned").pop_front();
-                match stolen {
-                    Some((i, item)) => local.push((i, f(item))),
-                    None => break,
-                }
-            }
-            done.lock().expect("result sink poisoned").append(&mut local);
-        };
-        if helpers == 0 {
-            work();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..helpers {
-                    s.spawn(work);
-                }
-                work();
-            });
-        }
-        let mut out = done.into_inner().expect("result sink poisoned");
-        out.sort_unstable_by_key(|&(i, _)| i);
-        out.into_iter().map(|(_, t)| t).collect()
-    }
-}
+//! All scheduling happens *across* nodes, in the stage-to-node map.
 
 /// Owner of item `i` under round-robin distribution over `nodes` nodes.
 pub fn round_robin_owner(item: usize, nodes: usize) -> usize {
@@ -209,46 +92,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn local_bounds_checked() {
         block_range(10, 2, 2);
-    }
-
-    #[test]
-    fn schedule_mode_grammar_round_trips() {
-        assert_eq!(ScheduleMode::parse("static").unwrap(), ScheduleMode::Static);
-        assert_eq!(ScheduleMode::parse("steal").unwrap(), ScheduleMode::Steal);
-        assert!(ScheduleMode::parse("greedy").unwrap_err().contains("static|steal"));
-        assert_eq!(ScheduleMode::Steal.label(), "steal");
-        assert_eq!(ScheduleMode::default(), ScheduleMode::Static);
-    }
-
-    #[test]
-    fn steal_pool_preserves_item_order() {
-        let pool = StealPool::new(4);
-        let items: Vec<usize> = (0..37).collect();
-        let out = pool.run(items, |i| i * i);
-        assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn steal_pool_handles_degenerate_shapes() {
-        let pool = StealPool::new(8);
-        assert_eq!(pool.run(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(pool.run(vec![7u32], |x| x + 1), vec![8]);
-        // More workers than items must not deadlock or duplicate work.
-        assert_eq!(pool.run(vec![1u32, 2], |x| x), vec![1, 2]);
-        assert!(StealPool::new(0).workers() == 1, "worker floor of one");
-        assert!(StealPool::for_machine().workers() >= 1);
-    }
-
-    #[test]
-    fn steal_pool_runs_every_item_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let pool = StealPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let out = pool.run((0..101).collect::<Vec<usize>>(), |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 101);
-        assert_eq!(out.len(), 101);
     }
 }

@@ -9,13 +9,6 @@
 
 use stap_trace::Phase;
 
-/// Canonical prefix stamped onto pipeline failure messages caused by a
-/// permanent fleet-level loss (stripe server or compute node gone for
-/// good). Failover layers above the pipeline — which only see the flat
-/// error string of a dead worker — match on this marker to distinguish
-/// "re-plan on the degraded pool" from "the data itself is bad, abort".
-pub const INFRASTRUCTURE_LOSS_MARKER: &str = "infrastructure loss";
-
 /// Why a fetch from a CPI source failed.
 ///
 /// Deliberately minimal: the concrete error taxonomies live with their

@@ -24,7 +24,7 @@ use stap_core::{SourceSpec, StapConfig, StapSystem, StreamSettings, WatchdogPoli
 use stap_ingest::{CpiRing, Frontend, FrontendConfig};
 use stap_kernels::CubeDims;
 use stap_pfs::{FsConfig, Pfs};
-use stap_pipeline::{PipelineError, INFRASTRUCTURE_LOSS_MARKER};
+use stap_pipeline::PipelineError;
 use stap_store::CubeAccess;
 use stap_trace::{fleet_chrome_trace, ClockSpec, FleetTrack};
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ struct WorkerDone {
     /// `(stripe units, bytes)` migrated by online restriping during a
     /// degraded re-run (store-tier missions only).
     restriped: Option<(u64, u64)>,
-    result: Result<Box<stap_core::StapRunOutput>, String>,
+    result: Result<Box<stap_core::StapRunOutput>, PipelineError>,
 }
 
 /// The executed fleet: per-mission reports, conservation counters, and the
@@ -162,7 +162,7 @@ fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> StapConfig {
 
 /// A degraded re-run's outcome, paired with the `(stripe units, bytes)`
 /// any online restripe migrated before the pipeline started.
-type DegradedRun = (Result<Box<stap_core::StapRunOutput>, String>, Option<(u64, u64)>);
+type DegradedRun = (Result<Box<stap_core::StapRunOutput>, PipelineError>, Option<(u64, u64)>);
 
 /// Runs a failed-over mission's degraded re-run, returning the run result
 /// and the `(stripe units, bytes)` any online restripe migrated.
@@ -181,8 +181,7 @@ fn run_degraded(config: StapConfig, from_sf: usize) -> DegradedRun {
     if !store_tier {
         let result = StapSystem::prepare(config)
             .and_then(|sys| sys.run_with_clock(ClockSpec::Wall))
-            .map(Box::new)
-            .map_err(|e| e.to_string());
+            .map(Box::new);
         return (result, None);
     }
     let degraded_fs = config.fs.clone();
@@ -202,8 +201,7 @@ fn run_degraded(config: StapConfig, from_sf: usize) -> DegradedRun {
             ));
             sys.run_with_clock(ClockSpec::Wall)
         })
-        .map(Box::new)
-        .map_err(|e| e.to_string());
+        .map(Box::new);
     (result, restriped)
 }
 
@@ -333,8 +331,7 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
             std::thread::spawn(move || {
                 let result = StapSystem::prepare(config)
                     .and_then(|sys| sys.run_with_clock(ClockSpec::Wall))
-                    .map(Box::new)
-                    .map_err(|e| e.to_string());
+                    .map(Box::new);
                 let _ = tx.send(WorkerDone {
                     id: d.id,
                     spec: d.spec,
@@ -352,11 +349,8 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
             Ok(done) => {
                 let end = epoch.elapsed().as_secs_f64();
                 makespan = makespan.max(end);
-                let infra_loss = done
-                    .result
-                    .as_ref()
-                    .err()
-                    .is_some_and(|m| m.contains(INFRASTRUCTURE_LOSS_MARKER));
+                let infra_loss =
+                    done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
                 if let (true, Some(f), false) =
                     (infra_loss, cfg.fault, failovers.contains_key(&done.id))
                 {
@@ -515,7 +509,7 @@ fn finish(
                 ..base
             }
         }
-        Err(msg) => MissionReport { outcome: MissionOutcome::Failed(msg), ..base },
+        Err(e) => MissionReport { outcome: MissionOutcome::Failed(e.to_string()), ..base },
     }
 }
 

@@ -32,10 +32,6 @@ pub enum Phase {
     /// Time a mission spent failing over after a fleet fault: from the
     /// infrastructure-loss error to the restart on the degraded store.
     Failover,
-    /// Time in the work-stealing sub-CPI executor (`--schedule steal`):
-    /// fork-join over range blocks / row chunks, including steal-queue
-    /// contention. Static scheduling records the same work as `Compute`.
-    Steal,
     /// Time serving a read from the storage tier's cache (`stap-store`):
     /// a memory copy off the I/O servers instead of a striped read. The
     /// cache-hit analogue of `Read`.
@@ -44,7 +40,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// All phases in canonical (display and storage) order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -56,7 +52,6 @@ impl Phase {
         Phase::Backoff,
         Phase::Ingest,
         Phase::Failover,
-        Phase::Steal,
         Phase::CacheHit,
     ];
 
@@ -72,8 +67,7 @@ impl Phase {
             Phase::Backoff => 5,
             Phase::Ingest => 6,
             Phase::Failover => 7,
-            Phase::Steal => 8,
-            Phase::CacheHit => 9,
+            Phase::CacheHit => 8,
         }
     }
 
@@ -88,7 +82,6 @@ impl Phase {
             Phase::Backoff => "backoff",
             Phase::Ingest => "ingest",
             Phase::Failover => "failover",
-            Phase::Steal => "steal",
             Phase::CacheHit => "cachehit",
         }
     }

@@ -63,21 +63,12 @@ fn run(a: RunArgs) {
         failure_policy: a.failure_policy,
         watchdog: a.watchdog.then(ppstap::core::WatchdogPolicy::default),
         source,
-        kernel_path: a.kernels,
-        schedule: a.schedule,
-        copy_comm: a.copy_comm,
         ..StapConfig::default()
     };
     println!("structure : {} / {}", config.io.label(), config.tail.label());
     if config.io.uses_store_tier() || config.access != ppstap::store::CubeAccess::Resident {
         println!("store tier: io={} access={}", config.io.describe(), config.access.label());
     }
-    println!(
-        "data plane: kernels={} schedule={} comm={}",
-        config.kernel_path,
-        config.schedule.label(),
-        if config.copy_comm { "copy" } else { "zero-copy" }
-    );
     println!(
         "files     : {} x {} KiB on {}",
         config.fanout,
@@ -100,22 +91,11 @@ fn run(a: RunArgs) {
         }
     };
 
-    println!(
-        "\n{:<16}{:>7}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}",
-        "task",
-        "nodes",
-        "read",
-        "recv",
-        "wwait",
-        "compute",
-        "send",
-        "backoff",
-        "ingest",
-        "failover",
-        "steal",
-        "cachehit",
-        "total"
-    );
+    print!("\n{:<16}{:>7}", "task", "nodes");
+    for phase in Phase::ALL {
+        print!("{:>10}", phase.label());
+    }
+    println!("{:>10}", "total");
     for (i, stage) in system.topology().stages().iter().enumerate() {
         let id = StageId(i);
         print!("{:<16}{:>7}", stage.name, stage.nodes);

@@ -5,7 +5,7 @@
 //! paper-scale configuration, regenerate the evaluation tables, sweep the
 //! stripe factor, search plans, and serve multi-mission fleets.
 
-use stap_core::{FailurePolicy, IoStrategy, KernelPath, ScheduleMode, SourceSpec, TailStructure};
+use stap_core::{FailurePolicy, IoStrategy, SourceSpec, TailStructure};
 use stap_model::machines::MachineModel;
 use stap_pfs::FaultPlan;
 use stap_serve::{ArrivalSpec, FleetFault};
@@ -266,13 +266,6 @@ pub struct RunArgs {
     /// CPI source spec (`file` or `stream[:opts]`), validated at parse
     /// time; `None` means the default file staging.
     pub source: Option<String>,
-    /// Kernel implementation (`--kernels scalar|blocked|simd|auto`).
-    pub kernels: KernelPath,
-    /// Intra-stage scheduling (`--schedule static|steal`).
-    pub schedule: ScheduleMode,
-    /// Disable the zero-copy slab data plane: allocate fresh buffers and
-    /// deep-copy every message at the send boundary (the A/B baseline).
-    pub copy_comm: bool,
 }
 
 impl Default for RunArgs {
@@ -291,9 +284,6 @@ impl Default for RunArgs {
             trace: None,
             virtual_clock: false,
             source: None,
-            kernels: KernelPath::Auto,
-            schedule: ScheduleMode::Static,
-            copy_comm: false,
         }
     }
 }
@@ -446,15 +436,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                         SourceSpec::parse(v).map_err(ParseError)?; // validate now
                         a.source = Some(v.to_string());
                     }
-                    "--kernels" => {
-                        a.kernels =
-                            KernelPath::parse(take_value(flag, &mut it)?).map_err(ParseError)?;
-                    }
-                    "--schedule" => {
-                        a.schedule =
-                            ScheduleMode::parse(take_value(flag, &mut it)?).map_err(ParseError)?;
-                    }
-                    "--copy-comm" => a.copy_comm = true,
                     other => return Err(ParseError(format!("unknown flag '{other}' for run"))),
                 }
             }
@@ -791,8 +772,6 @@ USAGE:
                  [--failure-policy abort|retry:A:MS|skip:A:MS:MAXC]
                  [--trace text|chrome:PATH] [--virtual-clock]
                  [--source file|stream[:depth=N,policy=P,rate=R,strict-lag]]
-                 [--kernels scalar|blocked|simd|auto] [--schedule static|steal]
-                 [--copy-comm]
         Run the real threaded pipeline on a small cube and print timings,
         detections, throughput and latency. --source stream replaces the
         file-staging read path with the in-memory staging tier: a seeded
@@ -818,17 +797,9 @@ USAGE:
         (load in chrome://tracing or Perfetto; one track per stage node,
         retries linked by flow arrows). --virtual-clock times phases on a
         deterministic virtual clock so trace output is bit-reproducible.
-        --kernels picks the kernel implementation: scalar is the naive
-        reference loop nest, blocked the cache-blocked panels, simd adds
-        explicit SSE3/AVX inner loops (runtime-detected), auto (default)
-        the fastest available — all paths are bit-identical. --schedule
-        steal splits each CPI's kernels into sub-CPI items run by a
-        work-stealing pool (traced as the steal phase); outputs stay
-        bit-identical to static. --copy-comm disables the zero-copy slab
-        data plane, deep-copying every inter-stage message — the A/B
-        baseline for the arena-backed default. --io cached:MB puts the
-        stap-store tier (an MB-MiB LRU read cache plus a one-deep pattern
-        prefetcher) in front of the embedded reads; --io prefetch:D runs
+        --io cached:MB puts the stap-store tier (an MB-MiB LRU read cache
+        plus a one-deep pattern prefetcher) in front of the embedded
+        reads; --io prefetch:D runs
         the tier cacheless-warm with D cubes of server-side read-ahead.
         The run then prints a greppable 'cache hit-rate' line and traces
         hits as the cachehit phase. --access ooc:ROWS streams demand
@@ -1005,26 +976,11 @@ mod tests {
     }
 
     #[test]
-    fn run_data_plane_flags() {
-        let c =
-            parse(&["run", "--kernels", "scalar", "--schedule", "steal", "--copy-comm"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Run(RunArgs {
-                kernels: KernelPath::Reference,
-                schedule: ScheduleMode::Steal,
-                copy_comm: true,
-                ..RunArgs::default()
-            })
-        );
-        let c = parse(&["run", "--kernels", "blocked"]).unwrap();
-        assert_eq!(c, Command::Run(RunArgs { kernels: KernelPath::Blocked, ..RunArgs::default() }));
-        assert!(parse(&["run", "--kernels", "mmx"])
-            .unwrap_err()
-            .0
-            .contains("scalar|blocked|simd|auto"));
-        assert!(parse(&["run", "--schedule", "gang"]).unwrap_err().0.contains("static|steal"));
-        assert!(parse(&["run", "--schedule"]).unwrap_err().0.contains("needs a value"));
+    fn run_has_no_data_plane_flags() {
+        for flag in [&["--schedule", "steal"][..], &["--kernels", "simd"], &["--copy-comm"]] {
+            let args = [&["run"][..], flag].concat();
+            assert!(parse(&args).unwrap_err().0.contains("unknown flag"), "{flag:?}");
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 
 use proptest::prelude::*;
 use stap_core::config::{FailurePolicy, RetryPolicy, StapConfig, WatchdogPolicy};
-use stap_core::{IoStrategy, ScheduleMode, StapRunOutput, StapSystem};
+use stap_core::{IoStrategy, StapRunOutput, StapSystem};
 use stap_kernels::cube::CubeDims;
 use stap_pfs::{Fault, FaultPlan, FaultWindow};
-use stap_pipeline::{PipelineError, INFRASTRUCTURE_LOSS_MARKER};
+use stap_pipeline::PipelineError;
 use stap_radar::{Scene, Target};
 use std::time::Duration;
 
@@ -109,7 +109,8 @@ fn assert_typed_root_cause(err: &PipelineError) {
         PipelineError::Comm(stap_comm::CommError::Aborted) => {
             panic!("bare Aborted leaked out of a chaos run")
         }
-        PipelineError::Stage { stage, message } => {
+        PipelineError::Stage { stage, message }
+        | PipelineError::InfrastructureLoss { stage, message } => {
             assert!(!stage.is_empty() && !message.is_empty());
         }
         _ => {}
@@ -126,7 +127,9 @@ fn outcome_fingerprint(out: &Result<StapRunOutput, PipelineError>) -> String {
         // Which of several simultaneously-failing nodes surfaces first can
         // differ between runs, so the fingerprint pins the error *site*
         // (variant + stage), not the full message.
-        Err(PipelineError::Stage { stage, .. }) => format!("err stage={stage}"),
+        Err(
+            PipelineError::Stage { stage, .. } | PipelineError::InfrastructureLoss { stage, .. },
+        ) => format!("err stage={stage}"),
         Err(PipelineError::Timeout { .. }) => "err timeout".into(),
         Err(e) => format!("err {e:?}"),
     }
@@ -170,23 +173,8 @@ proptest! {
         }
 
         // Same seed, same schedule, same outcome.
-        let second = StapSystem::prepare(cfg.clone()).unwrap().run();
+        let second = StapSystem::prepare(cfg).unwrap().run();
         prop_assert_eq!(outcome_fingerprint(&first), outcome_fingerprint(&second));
-
-        // Scheduling is orthogonal to fault handling: the work-stealing
-        // executor must reproduce the same drops, the same retries, and
-        // byte-identical reports as static scheduling under the identical
-        // fault schedule.
-        let stolen = StapSystem::prepare(StapConfig {
-            schedule: ScheduleMode::Steal,
-            ..cfg
-        })
-        .unwrap()
-        .run();
-        prop_assert_eq!(outcome_fingerprint(&first), outcome_fingerprint(&stolen));
-        if let (Ok(a), Ok(b)) = (&first, &stolen) {
-            prop_assert_eq!(a.retries, b.retries, "retry counts differ across schedulers");
-        }
     }
 
     /// Fleet-level chaos: a seeded *permanent* loss (stripe server or
@@ -194,9 +182,10 @@ proptest! {
     /// generic three:
     /// 4. permanent losses are never retried or skipped into oblivion —
     ///    when one is observed the run fails fast, and
-    /// 5. the flat error text carries [`INFRASTRUCTURE_LOSS_MARKER`], so a
-    ///    failover layer that only sees a dead worker's message can still
-    ///    classify "re-plan on the degraded pool" vs "the data is bad".
+    /// 5. the error is the typed [`PipelineError::InfrastructureLoss`], so a
+    ///    failover layer holding a dead worker's error can classify
+    ///    "re-plan on the degraded pool" vs "the data is bad" without
+    ///    reading its text.
     #[test]
     fn fleet_loss_chaos_terminates_with_classifiable_errors(
         seed in 0u64..u64::MAX,
@@ -229,8 +218,7 @@ proptest! {
             Err(e) => {
                 assert_typed_root_cause(e);
                 prop_assert!(
-                    e.to_string().contains(INFRASTRUCTURE_LOSS_MARKER)
-                        || matches!(e, PipelineError::Timeout { .. }),
+                    e.is_infrastructure_loss() || matches!(e, PipelineError::Timeout { .. }),
                     "fleet loss surfaced unclassifiably: {e}"
                 );
             }

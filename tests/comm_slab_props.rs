@@ -1,6 +1,6 @@
 //! Property suite for the zero-copy slab data plane: the arena-backed
 //! buffer pool in `stap-comm` and its end-to-end A/B contract against the
-//! `--copy-comm` baseline.
+//! `copy_comm` oracle.
 //!
 //! Invariants:
 //! 1. **Conservation** — every buffer the pool hands out is either live or
@@ -11,12 +11,12 @@
 //!    debug builds, so stale reads surface as NaN-patterned garbage instead
 //!    of silently-valid old samples.
 //! 3. **A/B parity** — a 3-CPI pipeline run produces byte-identical
-//!    detection reports with the zero-copy data plane and with `--copy-comm`
-//!    deep copies, and with static and work-stealing scheduling.
+//!    detection reports with the zero-copy data plane and with `copy_comm`
+//!    deep copies.
 
 use ppstap::comm::{PoolVec, SlabPool};
 use ppstap::core::config::StapConfig;
-use ppstap::core::{ScheduleMode, StapSystem};
+use ppstap::core::StapSystem;
 use ppstap::math::C32;
 use ppstap::scenario::find;
 use proptest::prelude::*;
@@ -155,20 +155,10 @@ fn three_cpi_config() -> StapConfig {
 }
 
 /// The zero-copy data plane is an optimization, not a semantic: reports
-/// are byte-identical with and without `--copy-comm`.
+/// are byte-identical with and without `copy_comm`.
 #[test]
 fn copy_comm_and_zero_copy_reports_are_byte_identical() {
     let zero_copy = report_bytes(three_cpi_config());
     let copied = report_bytes(StapConfig { copy_comm: true, ..three_cpi_config() });
     assert_eq!(zero_copy, copied, "copy-comm changed the detection reports");
-}
-
-/// Work-stealing is a schedule, not a semantic: reports are byte-identical
-/// under static and steal scheduling (the stolen chunks stitch in
-/// deterministic range order).
-#[test]
-fn static_and_steal_reports_are_byte_identical() {
-    let statics = report_bytes(three_cpi_config());
-    let stolen = report_bytes(StapConfig { schedule: ScheduleMode::Steal, ..three_cpi_config() });
-    assert_eq!(statics, stolen, "steal scheduling changed the detection reports");
 }

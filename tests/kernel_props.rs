@@ -1,10 +1,10 @@
-//! Differential kernel-correctness suite: every optimized kernel path
-//! (cache-blocked panels, explicit SIMD, chunked fork-join decompositions)
-//! must be **bit-identical** — 0 ULP — to the always-compiled scalar
-//! reference, over random shapes including non-multiple-of-block range
-//! counts and degenerate single-pulse cubes.
+//! Differential kernel-correctness suite: the fast kernel path
+//! (cache-blocked panels, explicit SIMD accumulation) must be
+//! **bit-identical** — 0 ULP — to the always-compiled scalar reference,
+//! over random shapes including non-multiple-of-block range counts and
+//! degenerate single-pulse cubes.
 //!
-//! The optimized paths earn this by vectorizing across *independent
+//! The fast path earns this by vectorizing across *independent
 //! outputs* (range-gate lanes), never inside a reduction, so each output
 //! element sees the exact FP operation sequence of the reference loop.
 //! These tests are the contract that keeps that true.
@@ -17,7 +17,7 @@
 use ppstap::core::config::StapConfig;
 use ppstap::core::StapSystem;
 use ppstap::kernels::beamform::Beamformer;
-use ppstap::kernels::cube::{partition_even, CubeDims, DataCube, DopplerCube};
+use ppstap::kernels::cube::{CubeDims, DataCube, DopplerCube};
 use ppstap::kernels::doppler::{DopplerConfig, DopplerFilter};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
 use ppstap::kernels::weights::WeightSet;
@@ -75,16 +75,15 @@ fn assert_doppler_bits_equal(a: &DopplerCube, b: &DopplerCube, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Doppler: blocked, SIMD, and compact-chunk+stitch outputs are
-    /// bit-identical to the scalar reference, easy and staggered paths,
-    /// over random shapes (single-pulse cubes included).
+    /// Doppler: the fast path is bit-identical to the scalar reference,
+    /// easy and staggered, over random shapes (single-pulse cubes
+    /// included).
     #[test]
     fn doppler_paths_are_bit_identical(
         seed in 0u64..u64::MAX,
         pulses in 1usize..21,
         channels in 1usize..5,
         ranges in 1usize..71,
-        parts in 1usize..6,
     ) {
         let mut d = Draws::new(seed);
         let cube = random_cube(CubeDims::new(pulses, channels, ranges), &mut d);
@@ -94,40 +93,20 @@ proptest! {
         };
         let filter = DopplerFilter::new(pulses, cfg);
 
-        type FullFn = fn(&DopplerFilter, &DataCube, KernelPath) -> DopplerCube;
-        type ChunkFn = fn(&DopplerFilter, &DataCube, usize, usize) -> DopplerCube;
-        let variants: [(FullFn, ChunkFn); 2] = [
-            (|f, c, p| f.filter_easy_with(c, p), |f, c, r0, r1| f.filter_easy_chunk(c, r0, r1)),
-            (
-                |f, c, p| f.filter_staggered_with(c, p),
-                |f, c, r0, r1| f.filter_staggered_chunk(c, r0, r1),
-            ),
-        ];
-        for (full, chunk) in variants {
-            let reference = full(&filter, &cube, KernelPath::Reference);
-            for path in [KernelPath::Blocked, KernelPath::Simd, KernelPath::Auto] {
-                let fast = full(&filter, &cube, path);
-                assert_doppler_bits_equal(&reference, &fast, &format!("{path}"));
-            }
-            // Compact chunks stitched back in range order — the steal
-            // executor's decomposition — reproduce the same bits no
-            // matter where the chunk boundaries fall.
-            let mut stitched = DopplerCube::zeros(
-                reference.staggers(),
-                reference.bins(),
-                reference.channels(),
-                reference.ranges(),
-            );
-            for (r0, r1) in partition_even(ranges, parts.min(ranges)) {
-                stitched.copy_range_from(&chunk(&filter, &cube, r0, r1), r0);
-            }
-            assert_doppler_bits_equal(&reference, &stitched, "chunk stitch");
-        }
+        assert_doppler_bits_equal(
+            &filter.filter_easy_with(&cube, KernelPath::Reference),
+            &filter.filter_easy_with(&cube, KernelPath::Fast),
+            "easy",
+        );
+        assert_doppler_bits_equal(
+            &filter.filter_staggered_with(&cube, KernelPath::Reference),
+            &filter.filter_staggered_with(&cube, KernelPath::Fast),
+            "staggered",
+        );
     }
 
-    /// Beamforming: blocked and SIMD weighted sums are bit-identical to
-    /// the scalar reference under random weights, shapes, and stagger
-    /// counts.
+    /// Beamforming: the fast path's weighted sums are bit-identical to the
+    /// scalar reference under random weights, shapes, and stagger counts.
     #[test]
     fn beamform_paths_are_bit_identical(
         seed in 0u64..u64::MAX,
@@ -151,28 +130,26 @@ proptest! {
         let ws = WeightSet { bins, weights, dof };
 
         let reference = Beamformer.apply_with(&cube, &ws, KernelPath::Reference);
-        for path in [KernelPath::Blocked, KernelPath::Simd, KernelPath::Auto] {
-            let fast = Beamformer.apply_with(&cube, &ws, path);
-            prop_assert_eq!(reference.rows_total(), fast.rows_total());
-            for beam in 0..beams {
-                for (i, _) in reference.bins.iter().enumerate() {
-                    for (r, (x, y)) in
-                        reference.row(beam, i).iter().zip(fast.row(beam, i)).enumerate()
-                    {
-                        prop_assert!(
-                            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                            "{} beam {} bin {} gate {}: {:?} vs {:?}",
-                            path, beam, i, r, x, y
-                        );
-                    }
+        let fast = Beamformer.apply_with(&cube, &ws, KernelPath::Fast);
+        prop_assert_eq!(reference.rows_total(), fast.rows_total());
+        for beam in 0..beams {
+            for (i, _) in reference.bins.iter().enumerate() {
+                for (r, (x, y)) in
+                    reference.row(beam, i).iter().zip(fast.row(beam, i)).enumerate()
+                {
+                    prop_assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "beam {} bin {} gate {}: {:?} vs {:?}",
+                        beam, i, r, x, y
+                    );
                 }
             }
         }
     }
 
     /// Pulse compression: the batched panel kernel is bit-identical to the
-    /// per-row reference, and row-chunk boundaries (the steal executor's
-    /// decomposition) never change any row's bits.
+    /// per-row reference, and where a caller splits the batch into row
+    /// chunks never changes any row's bits.
     #[test]
     fn pulse_paths_are_bit_identical(
         seed in 0u64..u64::MAX,
@@ -189,23 +166,21 @@ proptest! {
         let mut reference = data.clone();
         pc.compress_rows(&mut reference, ranges, KernelPath::Reference);
 
-        for path in [KernelPath::Blocked, KernelPath::Simd, KernelPath::Auto] {
-            let mut fast = data.clone();
-            pc.compress_rows(&mut fast, ranges, path);
-            for (i, (x, y)) in reference.iter().zip(&fast).enumerate() {
-                prop_assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "{} sample {}: {:?} vs {:?}",
-                    path, i, x, y
-                );
-            }
+        let mut fast = data.clone();
+        pc.compress_rows(&mut fast, ranges, KernelPath::Fast);
+        for (i, (x, y)) in reference.iter().zip(&fast).enumerate() {
+            prop_assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "sample {}: {:?} vs {:?}",
+                i, x, y
+            );
         }
 
-        // Chunked: compress row chunks independently, as the steal pool
-        // does, and compare against the whole-batch result.
+        // Chunked: compress row chunks independently and compare against
+        // the whole-batch result.
         let mut chunked = data.clone();
         for chunk in chunked.chunks_mut(ranges * chunk_rows) {
-            pc.compress_rows(chunk, ranges, KernelPath::Blocked);
+            pc.compress_rows(chunk, ranges, KernelPath::Fast);
         }
         for (i, (x, y)) in reference.iter().zip(&chunked).enumerate() {
             prop_assert!(
@@ -234,9 +209,7 @@ fn detection_sets_are_bit_identical_across_kernel_paths() {
         let base = find(name).expect("catalog scenario").config();
         let scalar =
             report_bytes(StapConfig { kernel_path: KernelPath::Reference, ..base.clone() });
-        for path in [KernelPath::Blocked, KernelPath::Simd, KernelPath::Auto] {
-            let fast = report_bytes(StapConfig { kernel_path: path, ..base.clone() });
-            assert_eq!(scalar, fast, "{name}: {path} detections differ from scalar");
-        }
+        let fast = report_bytes(StapConfig { kernel_path: KernelPath::Fast, ..base.clone() });
+        assert_eq!(scalar, fast, "{name}: fast detections differ from scalar");
     }
 }

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use stap_core::config::{FailurePolicy, RetryPolicy, StapConfig, WatchdogPolicy};
-use stap_core::{IoStrategy, ScheduleMode, StapSystem};
+use stap_core::{IoStrategy, StapSystem};
 use stap_kernels::cube::CubeDims;
 use stap_pfs::{Fault, FaultPlan, FaultWindow};
 use stap_pipeline::timing::Phase;
@@ -49,12 +49,7 @@ impl Draws {
     }
 }
 
-fn tiny_config(
-    io: IoStrategy,
-    policy: FailurePolicy,
-    plan: FaultPlan,
-    schedule: ScheduleMode,
-) -> StapConfig {
+fn tiny_config(io: IoStrategy, policy: FailurePolicy, plan: FaultPlan) -> StapConfig {
     StapConfig {
         dims: CubeDims::new(16, 4, 64),
         scene: Scene {
@@ -75,7 +70,6 @@ fn tiny_config(
         failure_policy: policy,
         fault_plan: Some(plan),
         watchdog: Some(WatchdogPolicy::default()),
-        schedule,
         ..StapConfig::default()
     }
 }
@@ -121,12 +115,9 @@ proptest! {
         seed in 0u64..u64::MAX,
         io_choice in 0usize..2,
         policy_choice in 0usize..2,
-        schedule_choice in 0usize..2,
     ) {
         let io = if io_choice == 0 { IoStrategy::Embedded } else { IoStrategy::SeparateTask };
-        let schedule =
-            if schedule_choice == 0 { ScheduleMode::Static } else { ScheduleMode::Steal };
-        let cfg = tiny_config(io, retry_or_skip(policy_choice), random_plan(seed), schedule);
+        let cfg = tiny_config(io, retry_or_skip(policy_choice), random_plan(seed));
         let sys = StapSystem::prepare(cfg).unwrap();
         // A schedule the policy cannot outlive (e.g. a server down for the
         // whole run under plain Retry) aborts with a typed error; there is
@@ -193,18 +184,6 @@ proptest! {
                     node, r.cpi
                 );
             }
-        }
-
-        // The work-stealing executor must be visible in the trace: any CPI
-        // that produced a report ran the Doppler fork-join, so a completed
-        // steal-mode run always carries Steal-phase spans (and a static
-        // run never does).
-        let has_steal = report.spans.iter().any(|s| s.phase == Phase::Steal);
-        if schedule == ScheduleMode::Steal && !out.reports.is_empty() {
-            prop_assert!(has_steal, "steal schedule completed CPIs but traced no Steal spans");
-        }
-        if schedule == ScheduleMode::Static {
-            prop_assert!(!has_steal, "static schedule must not trace Steal spans");
         }
 
         // Retried time must be visible: if the run recorded retries, some
