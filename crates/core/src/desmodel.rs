@@ -14,52 +14,26 @@
 //! iteration of compute+send; synchronous reads (SP PIOFS) serialize with
 //! the computation, exactly as in the paper's discussion of why the SP
 //! scales poorly.
+//!
+//! The simulator prices nothing itself: the tasks, their Eq. 6 costs, their
+//! dependency edges and the read term come from the shared task table
+//! ([`stap_model::tasktable`]), and each stripe-unit request's service time
+//! from [`stap_pfs::timing::extent_service`]. What lives here is the
+//! event-level behaviour — when a read is posted, what it overlaps, what a
+//! fault does to a CPI — in `SimState::duration`.
 
 use crate::io_strategy::{IoStrategy, TailStructure};
 use stap_des::{Engine, FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
-use stap_model::assignment::{assign_nodes, SEPARATE_IO_NODES};
+use stap_model::assignment::assign_nodes;
+use stap_model::cachetier::{CacheTierModel, STAGING_FANOUT};
 use stap_model::machines::MachineModel;
-use stap_model::tasktime::{combined_task_time_cap, comm_time, comm_time_cap, task_time_cap};
+use stap_model::tasktable::task_table;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
-use stap_pfs::layout::StripeLayout;
-use stap_pfs::timing::parallel_read_completion;
+use stap_pfs::timing::extent_service;
 use stap_pfs::FaultWindow;
-use stap_pfs::OpenMode;
 use stap_pipeline::timing::{Phase, Span};
 use std::collections::HashMap;
-
-/// Simulated storage-tier cache in front of the embedded read (the DES
-/// twin of `stap_model::cachetier::CacheTierModel`, so `serve --sim` and
-/// `plan` price `cached:{MB}` / `prefetch:{D}` identically).
-#[derive(Debug, Clone, Copy)]
-struct CacheSim {
-    /// Seconds to serve one cube from the server cache.
-    hit_time: f64,
-    /// CPI index from which every read hits (`Some(fanout)` when the
-    /// working set fits the cache: one pass through the round-robin
-    /// staging files warms it); `None` = never warm (prefetch-only).
-    warm_after: Option<u64>,
-}
-
-/// Maps a storage-tier strategy onto its simulated cache, pricing it with
-/// the shared `stap_model::cachetier` cost model.
-fn cache_sim(io: IoStrategy, cube_bytes: usize) -> Option<CacheSim> {
-    use stap_model::cachetier::{hit_time, CacheTierModel, STAGING_FANOUT};
-    match io {
-        IoStrategy::Cached { mb } => {
-            let tier = CacheTierModel::cached((mb as usize) << 20, cube_bytes, STAGING_FANOUT);
-            Some(CacheSim {
-                hit_time: tier.hit_time,
-                warm_after: tier.warm.then_some(STAGING_FANOUT as u64),
-            })
-        }
-        IoStrategy::Prefetch { .. } => {
-            Some(CacheSim { hit_time: hit_time(cube_bytes), warm_after: None })
-        }
-        IoStrategy::Embedded | IoStrategy::SeparateTask => None,
-    }
-}
 
 /// How a task's instance duration is determined.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +46,13 @@ enum DurKind {
     /// stripe-server submission) and overlaps cold misses with compute
     /// regardless of client `iread` support — the read-ahead is issued by
     /// the I/O servers.
-    ReadEmbedded { compute: f64, send: f64, overhead: f64, overlap: bool, cache: Option<CacheSim> },
+    ReadEmbedded {
+        compute: f64,
+        send: f64,
+        overhead: f64,
+        overlap: bool,
+        cache: Option<CacheTierModel>,
+    },
 }
 
 /// Predicted per-phase seconds of one task instance, in pipeline order
@@ -95,11 +75,6 @@ impl PhaseBreakdown {
     /// Sum of the four phases.
     pub fn total(&self) -> f64 {
         self.read + self.recv + self.compute + self.send
-    }
-
-    /// A non-read task's breakdown from its Eq. 6 cost components.
-    fn from_costs(c: stap_model::TaskCosts) -> Self {
-        Self { read: 0.0, recv: c.recv, compute: c.compute + c.overhead, send: c.send }
     }
 }
 
@@ -439,8 +414,8 @@ pub struct DesExperiment {
     /// Tail structure.
     pub tail: TailStructure,
     /// Total compute nodes for the seven tasks (the separate-I/O design
-    /// adds [`SEPARATE_IO_NODES`] readers on top, as in the paper's
-    /// Table 2).
+    /// adds [`stap_model::assignment::SEPARATE_IO_NODES`] readers on top,
+    /// as in the paper's Table 2).
     pub compute_nodes: usize,
     /// CPIs to simulate.
     pub cpis: u64,
@@ -562,10 +537,8 @@ struct SimState {
     /// Next instance index allowed to start per task.
     next_cpi: Vec<u64>,
     io: FcfsResource,
-    io_layout: StripeLayout,
-    io_service_latency: f64,
-    io_bandwidth: f64,
-    cube_bytes: usize,
+    /// `(stripe server, service seconds)` of one whole-file CPI read.
+    reads: Vec<(usize, f64)>,
     cpis: u64,
     warmup: u64,
     durations: Vec<Tally>,
@@ -594,11 +567,8 @@ impl SimState {
     fn read_done(&mut self, post: SimTime, j: u64) -> SimTime {
         let scale = self.read_scale.get(j as usize).copied().unwrap_or(1.0);
         let mut done = post;
-        for req in self.io_layout.map_extent(0, self.cube_bytes) {
-            let service = SimTime::from_secs_f64(
-                scale * (self.io_service_latency + req.len as f64 / self.io_bandwidth),
-            );
-            let (_, d) = self.io.submit_to(req.server, post, service);
+        for &(server, service) in &self.reads {
+            let (_, d) = self.io.submit_to(server, post, SimTime::from_secs_f64(scale * service));
             done = done.max(d);
         }
         done
@@ -624,9 +594,11 @@ impl SimState {
             DurKind::Fixed(secs) => SimTime::from_secs_f64(secs),
             DurKind::ReadEmbedded { compute, send, overhead, overlap, cache: Some(c) } => {
                 let _ = overlap; // the store tier forces server-side overlap
-                if c.warm_after.is_some_and(|n| j >= n) {
-                    // Warm hit: the cube comes off the server cache at
-                    // copy bandwidth; the stripe servers stay idle.
+                if c.warm && j >= STAGING_FANOUT as u64 {
+                    // Warm hit (one pass through the round-robin staging
+                    // files has filled a cache that holds the working set):
+                    // the cube comes off the server cache at copy
+                    // bandwidth; the stripe servers stay idle.
                     SimTime::from_secs_f64(c.hit_time + compute + send + overhead)
                 } else {
                     // Cold miss: the server-side prefetcher posted the
@@ -744,238 +716,52 @@ fn deliver(eng: &mut Engine<SimState>, st: &mut SimState, k: usize, j: u64, at: 
 }
 
 impl DesExperiment {
-    /// Builds the simulated task vector with modeled durations.
-    fn build_tasks(&self) -> (Vec<SimTask>, usize) {
-        let w = StapWorkload::derive(self.shape);
-        let a = self
-            .assignment_override
-            .clone()
-            .unwrap_or_else(|| assign_nodes(&w, &TaskId::SEVEN, self.compute_nodes));
-        let p = |t: TaskId| a.nodes_for(t).expect("task assigned");
-        let m = &self.machine;
-        // Aggregate per-task capacity: the node count on homogeneous pools,
-        // the packed classes' summed rates when the assignment carries a
-        // class breakdown (planner output on heterogeneous machines).
-        let cap = |t: TaskId| a.capacity_for(t, &m.classes).expect("task assigned");
-        let read_nodes = if self.io == IoStrategy::SeparateTask { SEPARATE_IO_NODES } else { 0 };
-        let df_pred = read_nodes;
-        let df_succ = p(TaskId::EasyWeight)
-            + p(TaskId::HardWeight)
-            + p(TaskId::EasyBeamform)
-            + p(TaskId::HardBeamform);
-
-        // Static estimate of one CPI cube's read completion, used for the
-        // predicted phase split of whichever task carries the read.
-        let read_est =
-            parallel_read_completion(&m.fs, &[(0, self.shape.cube_bytes())], m.open_mode);
-
-        let mut tasks: Vec<SimTask> = Vec::new();
-        // Optional read task (index 0 when present).
-        if self.io == IoStrategy::SeparateTask {
-            let send = comm_time(m, w.output_bytes(TaskId::Read), read_nodes, p(TaskId::Doppler));
-            let overhead = m.overhead(read_nodes);
-            tasks.push(SimTask {
-                label: "parallel read".into(),
-                id: TaskId::Read,
-                nodes: read_nodes,
-                // The read task also uses `iread` where available: the
-                // read for CPI j+1 overlaps the send of CPI j.
-                dur: DurKind::ReadEmbedded {
-                    compute: 0.0,
-                    send,
-                    overhead,
-                    overlap: m.can_overlap_io(),
-                    cache: None,
-                },
-                phases: PhaseBreakdown { read: read_est, recv: 0.0, compute: overhead, send },
-                spatial_preds: vec![],
-                temporal_preds: vec![],
-            });
-        }
-        let read_idx = if tasks.is_empty() { None } else { Some(0usize) };
-
-        // Doppler.
-        let df_nodes = p(TaskId::Doppler);
-        let df_idx = tasks.len();
-        let capd = cap(TaskId::Doppler);
-        let (df_dur, df_phases) = match self.io {
-            IoStrategy::SeparateTask => {
-                let c = task_time_cap(m, &w, TaskId::Doppler, capd, df_pred, df_succ);
-                (DurKind::Fixed(c.total()), PhaseBreakdown::from_costs(c))
-            }
-            io => {
-                let compute = m.compute_time_cap(w.flops(TaskId::Doppler), capd.compute);
-                let send = comm_time_cap(m, w.output_bytes(TaskId::Doppler), capd.net, df_succ);
-                let overhead = m.overhead(df_nodes);
-                let cache = cache_sim(io, self.shape.cube_bytes());
-                // The phase split charges the steady-state read: the hit
-                // time once the cache is warm, the striped read otherwise.
-                let read_phase = match cache {
-                    Some(c) if c.warm_after.is_some() => c.hit_time,
-                    _ => read_est,
+    /// Maps the shared task table onto simulated tasks: a row without a
+    /// read term runs for its constant `T_i`, the read-bearing row gets the
+    /// event-driven read.
+    fn build_tasks(&self) -> Vec<SimTask> {
+        let a = self.assignment_override.clone().unwrap_or_else(|| {
+            assign_nodes(&StapWorkload::derive(self.shape), &TaskId::SEVEN, self.compute_nodes)
+        });
+        task_table(&self.machine, self.shape, self.io, self.tail, &a)
+            .into_iter()
+            .map(|row| {
+                let c = row.costs;
+                let (dur, read) = match row.read {
+                    None => (DurKind::Fixed(c.total()), 0.0),
+                    Some(r) => (
+                        DurKind::ReadEmbedded {
+                            compute: c.compute,
+                            send: c.send,
+                            overhead: c.overhead,
+                            overlap: r.overlap,
+                            cache: r.cache,
+                        },
+                        // The phase split charges the steady-state read: the
+                        // hit time once the cache is warm, the striped read
+                        // otherwise.
+                        match r.cache {
+                            Some(tier) if tier.warm => tier.hit_time,
+                            _ => r.read_time,
+                        },
+                    ),
                 };
-                (
-                    DurKind::ReadEmbedded {
-                        compute,
-                        send,
-                        overhead,
-                        overlap: m.can_overlap_io(),
-                        cache,
+                SimTask {
+                    label: row.slot.label.into(),
+                    id: row.slot.id,
+                    nodes: row.nodes,
+                    dur,
+                    phases: PhaseBreakdown {
+                        read,
+                        recv: c.recv,
+                        compute: c.compute + c.overhead,
+                        send: c.send,
                     },
-                    PhaseBreakdown {
-                        read: read_phase,
-                        recv: 0.0,
-                        compute: compute + overhead,
-                        send,
-                    },
-                )
-            }
-        };
-        tasks.push(SimTask {
-            label: TaskId::Doppler.label().into(),
-            id: TaskId::Doppler,
-            nodes: df_nodes,
-            dur: df_dur,
-            phases: df_phases,
-            spatial_preds: read_idx.into_iter().collect(),
-            temporal_preds: vec![],
-        });
-
-        // Weights (spatial consumers of Doppler output in message timing;
-        // their results feed the beamformers temporally).
-        let ew_idx = tasks.len();
-        let cew = task_time_cap(
-            m,
-            &w,
-            TaskId::EasyWeight,
-            cap(TaskId::EasyWeight),
-            df_nodes,
-            p(TaskId::EasyBeamform),
-        );
-        tasks.push(SimTask {
-            label: TaskId::EasyWeight.label().into(),
-            id: TaskId::EasyWeight,
-            nodes: p(TaskId::EasyWeight),
-            dur: DurKind::Fixed(cew.total()),
-            phases: PhaseBreakdown::from_costs(cew),
-            spatial_preds: vec![df_idx],
-            temporal_preds: vec![],
-        });
-        let hw_idx = tasks.len();
-        let chw = task_time_cap(
-            m,
-            &w,
-            TaskId::HardWeight,
-            cap(TaskId::HardWeight),
-            df_nodes,
-            p(TaskId::HardBeamform),
-        );
-        tasks.push(SimTask {
-            label: TaskId::HardWeight.label().into(),
-            id: TaskId::HardWeight,
-            nodes: p(TaskId::HardWeight),
-            dur: DurKind::Fixed(chw.total()),
-            phases: PhaseBreakdown::from_costs(chw),
-            spatial_preds: vec![df_idx],
-            temporal_preds: vec![],
-        });
-
-        // Beamformers: spatial on Doppler, temporal on their weight task.
-        let tail_pred_nodes = p(TaskId::EasyBeamform) + p(TaskId::HardBeamform);
-        let (pc_nodes, cf_nodes) = (p(TaskId::PulseCompression), p(TaskId::Cfar));
-        let tail_first_nodes =
-            if self.tail == TailStructure::Combined { pc_nodes + cf_nodes } else { pc_nodes };
-        let ebf_idx = tasks.len();
-        let cebf = task_time_cap(
-            m,
-            &w,
-            TaskId::EasyBeamform,
-            cap(TaskId::EasyBeamform),
-            df_nodes,
-            tail_first_nodes,
-        );
-        tasks.push(SimTask {
-            label: TaskId::EasyBeamform.label().into(),
-            id: TaskId::EasyBeamform,
-            nodes: p(TaskId::EasyBeamform),
-            dur: DurKind::Fixed(cebf.total()),
-            phases: PhaseBreakdown::from_costs(cebf),
-            spatial_preds: vec![df_idx],
-            temporal_preds: vec![ew_idx],
-        });
-        let hbf_idx = tasks.len();
-        let chbf = task_time_cap(
-            m,
-            &w,
-            TaskId::HardBeamform,
-            cap(TaskId::HardBeamform),
-            df_nodes,
-            tail_first_nodes,
-        );
-        tasks.push(SimTask {
-            label: TaskId::HardBeamform.label().into(),
-            id: TaskId::HardBeamform,
-            nodes: p(TaskId::HardBeamform),
-            dur: DurKind::Fixed(chbf.total()),
-            phases: PhaseBreakdown::from_costs(chbf),
-            spatial_preds: vec![df_idx],
-            temporal_preds: vec![hw_idx],
-        });
-
-        // Tail.
-        match self.tail {
-            TailStructure::Split => {
-                let pc_idx = tasks.len();
-                let cpc = task_time_cap(
-                    m,
-                    &w,
-                    TaskId::PulseCompression,
-                    cap(TaskId::PulseCompression),
-                    tail_pred_nodes,
-                    cf_nodes,
-                );
-                tasks.push(SimTask {
-                    label: TaskId::PulseCompression.label().into(),
-                    id: TaskId::PulseCompression,
-                    nodes: pc_nodes,
-                    dur: DurKind::Fixed(cpc.total()),
-                    phases: PhaseBreakdown::from_costs(cpc),
-                    spatial_preds: vec![ebf_idx, hbf_idx],
-                    temporal_preds: vec![],
-                });
-                let ccf = task_time_cap(m, &w, TaskId::Cfar, cap(TaskId::Cfar), pc_nodes, 1);
-                tasks.push(SimTask {
-                    label: TaskId::Cfar.label().into(),
-                    id: TaskId::Cfar,
-                    nodes: cf_nodes,
-                    dur: DurKind::Fixed(ccf.total()),
-                    phases: PhaseBreakdown::from_costs(ccf),
-                    spatial_preds: vec![pc_idx],
-                    temporal_preds: vec![],
-                });
-            }
-            TailStructure::Combined => {
-                let ctail = combined_task_time_cap(
-                    m,
-                    &w,
-                    TaskId::PulseCompression,
-                    TaskId::Cfar,
-                    cap(TaskId::PulseCompression).merge(cap(TaskId::Cfar)),
-                    tail_pred_nodes,
-                    1,
-                );
-                tasks.push(SimTask {
-                    label: "PC + CFAR".into(),
-                    id: TaskId::PulseCompression,
-                    nodes: pc_nodes + cf_nodes,
-                    dur: DurKind::Fixed(ctail.total()),
-                    phases: PhaseBreakdown::from_costs(ctail),
-                    spatial_preds: vec![ebf_idx, hbf_idx],
-                    temporal_preds: vec![],
-                });
-            }
-        }
-        (tasks, read_nodes)
+                    spatial_preds: row.slot.spatial_preds,
+                    temporal_preds: row.slot.temporal_preds,
+                }
+            })
+            .collect()
     }
 
     /// Runs the experiment cell and also returns the per-instance
@@ -990,14 +776,11 @@ impl DesExperiment {
     }
 
     fn run_inner(&self, traced: bool) -> (DesResult, Vec<TraceEntry>) {
-        let (tasks, read_nodes) = self.build_tasks();
+        let tasks = self.build_tasks();
         let n = tasks.len();
+        let read_nodes: usize =
+            tasks.iter().filter(|t| t.id == TaskId::Read).map(|t| t.nodes).sum();
         let fs = &self.machine.fs;
-        let io_service_latency = fs.request_latency.as_secs_f64()
-            + match self.machine.open_mode {
-                OpenMode::Async => 0.0,
-                OpenMode::Unix => fs.unix_mode_penalty.as_secs_f64(),
-            };
         let source_idx = 0usize; // read task when present, else Doppler
         let sink_idx = n - 1;
         let mut faults: Vec<CpiFault> = match &self.faults {
@@ -1028,10 +811,7 @@ impl DesExperiment {
             prev_start: vec![None; n],
             next_cpi: vec![0; n],
             io: FcfsResource::new("stripe servers", fs.stripe_factor),
-            io_layout: StripeLayout::new(fs.stripe_unit, fs.stripe_factor),
-            io_service_latency,
-            io_bandwidth: fs.server_bandwidth,
-            cube_bytes: self.shape.cube_bytes(),
+            reads: extent_service(fs, 0, self.shape.cube_bytes(), self.machine.open_mode),
             cpis: self.cpis,
             warmup: self.warmup,
             durations: (0..n).map(|_| Tally::new()).collect(),
@@ -1225,6 +1005,83 @@ mod tests {
         );
         let r = emb.run();
         assert!(r.tasks[0].phases.read > 0.0, "embedded design charges the read to Doppler");
+    }
+
+    #[test]
+    fn every_consumer_reads_the_same_task_table() {
+        // One table, three readers: across the whole configuration space the
+        // DES's phase split and the closed-form prediction carry exactly the
+        // f64s of the task-table rows.
+        use stap_model::assignment::pack_classes;
+        use stap_model::prediction::predict_with_assignment;
+        let shape = ShapeParams::paper_default();
+        let w = StapWorkload::derive(shape);
+        let machines = [
+            MachineModel::paragon(16),
+            MachineModel::paragon(64),
+            MachineModel::sp(),
+            MachineModel::paragon_hetero(),
+        ];
+        let ios = [
+            IoStrategy::Embedded,
+            IoStrategy::SeparateTask,
+            IoStrategy::Cached { mb: 32 },
+            IoStrategy::Cached { mb: 64 },
+            IoStrategy::Cached { mb: 128 },
+            IoStrategy::Prefetch { depth: 2 },
+            IoStrategy::Prefetch { depth: 4 },
+        ];
+        for m in &machines {
+            for io in ios {
+                for tail in [TailStructure::Split, TailStructure::Combined] {
+                    for n in [25usize, 50, 100] {
+                        let a = pack_classes(&w, &assign_nodes(&w, &TaskId::SEVEN, n), &m.classes);
+                        let rows = task_table(m, shape, io, tail, &a);
+                        let pred = predict_with_assignment(m, shape, io, tail, &a);
+                        let mut exp = DesExperiment::new(m.clone(), io, tail, n);
+                        exp.cpis = 12;
+                        exp.warmup = 4;
+                        exp.assignment_override = Some(a);
+                        let des = exp.run();
+                        let at = format!("{} {io:?} {tail:?} n={n}", m.name);
+                        assert_eq!(rows.len(), des.tasks.len(), "{at}");
+                        assert_eq!(rows.len(), pred.task_times.len(), "{at}");
+                        for ((row, sim), tt) in rows.iter().zip(&des.tasks).zip(&pred.task_times) {
+                            let at = format!("{at}: {}", row.slot.label);
+                            let c = row.costs;
+                            assert_eq!((sim.id, sim.nodes), (row.slot.id, row.nodes), "{at}");
+                            assert_eq!(sim.label, row.slot.label, "{at}");
+                            assert_eq!(sim.phases.recv.to_bits(), c.recv.to_bits(), "{at}");
+                            assert_eq!(sim.phases.send.to_bits(), c.send.to_bits(), "{at}");
+                            assert_eq!(
+                                sim.phases.compute.to_bits(),
+                                (c.compute + c.overhead).to_bits(),
+                                "{at}"
+                            );
+                            assert_eq!(tt.task, row.slot.id, "{at}");
+                            assert_eq!(tt.time.to_bits(), row.time().to_bits(), "{at}");
+                            match row.read {
+                                None => {
+                                    assert_eq!(sim.phases.read, 0.0, "{at}");
+                                    assert_eq!(tt.time.to_bits(), c.total().to_bits(), "{at}");
+                                    // A constant task runs for its `T_i`, to
+                                    // the simulator's clock resolution.
+                                    assert!((sim.time - c.total()).abs() < 1e-9, "{at}");
+                                    assert!((sim.phases.total() - c.total()).abs() < 1e-12, "{at}");
+                                }
+                                Some(r) => {
+                                    assert_eq!(pred.read_time.to_bits(), r.read_time.to_bits());
+                                    let warm = r.cache.is_some_and(|t| t.warm);
+                                    let read =
+                                        if warm { r.cache.unwrap().hit_time } else { r.read_time };
+                                    assert_eq!(sim.phases.read.to_bits(), read.to_bits(), "{at}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

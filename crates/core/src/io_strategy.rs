@@ -1,183 +1,5 @@
-//! The two I/O designs the paper evaluates, the tail-structure choice
-//! introduced by the task-combination study (§6), and the smart-storage
-//! strategies the `stap-store` tier adds on top of the embedded design.
+//! The I/O-design and tail-structure choices. They are defined next to the
+//! cost model that prices them (`stap_model::io_strategy`) and re-exported
+//! here so every `stap_core::io_strategy::…` path keeps resolving.
 
-/// Where the parallel file read happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoStrategy {
-    /// First design (paper §4.1, Fig. 3): "embeds the parallel I/O in the
-    /// first task of the pipeline, i.e. in the Doppler filter processing
-    /// task. The Doppler filter processing task now consists of three
-    /// phases: reading data from files, computation, and sending phases."
-    Embedded,
-    /// Second design (paper §4.1, Fig. 4): "creates a new task for reading
-    /// data and this task is added to the beginning of the pipeline." The
-    /// pipeline then has eight tasks.
-    SeparateTask,
-    /// Embedded reads in front of an I/O-server read cache of `mb` MiB
-    /// (`stap-store`): once the round-robin staging working set fits, the
-    /// steady state serves cubes at copy bandwidth and skips the stripe
-    /// servers.
-    Cached {
-        /// Cache budget in MiB.
-        mb: u32,
-    },
-    /// Embedded reads with server-side read-ahead `depth` cubes deep
-    /// (`stap-store`): misses overlap with the previous CPI's compute even
-    /// when the client file system has no `iread`.
-    Prefetch {
-        /// Read-ahead depth in cubes.
-        depth: u32,
-    },
-}
-
-impl IoStrategy {
-    /// Display label used by the tables (the strategy kind; parameters
-    /// are carried by [`IoStrategy::describe`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            IoStrategy::Embedded => "I/O embedded in Doppler filter task",
-            IoStrategy::SeparateTask => "separate I/O task",
-            IoStrategy::Cached { .. } => "embedded I/O behind server read cache",
-            IoStrategy::Prefetch { .. } => "embedded I/O with server read-ahead",
-        }
-    }
-
-    /// Compact parameterized form, inverse of [`IoStrategy::parse`]:
-    /// `embedded`, `separate`, `cached:64`, `prefetch:4`.
-    pub fn describe(self) -> String {
-        match self {
-            IoStrategy::Embedded => "embedded".to_string(),
-            IoStrategy::SeparateTask => "separate".to_string(),
-            IoStrategy::Cached { mb } => format!("cached:{mb}"),
-            IoStrategy::Prefetch { depth } => format!("prefetch:{depth}"),
-        }
-    }
-
-    /// Parses the compact form accepted everywhere a strategy is named
-    /// (CLI flags, serve scripts): `embedded`, `separate`, `cached:{MB}`,
-    /// `prefetch:{D}`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        const GRAMMAR: &str = "embedded|separate|cached:MB|prefetch:D";
-        match s {
-            "embedded" => Ok(IoStrategy::Embedded),
-            "separate" => Ok(IoStrategy::SeparateTask),
-            _ => {
-                if let Some(mb) = s.strip_prefix("cached:") {
-                    return match mb.parse::<u32>() {
-                        Ok(mb) if mb > 0 => Ok(IoStrategy::Cached { mb }),
-                        _ => Err(format!("cache size in {s:?} must be a positive MiB count")),
-                    };
-                }
-                if let Some(depth) = s.strip_prefix("prefetch:") {
-                    return match depth.parse::<u32>() {
-                        Ok(depth) if depth > 0 => Ok(IoStrategy::Prefetch { depth }),
-                        _ => Err(format!("prefetch depth in {s:?} must be a positive cube count")),
-                    };
-                }
-                Err(format!("unknown I/O strategy {s:?} (expected {GRAMMAR})"))
-            }
-        }
-    }
-
-    /// Number of pipeline tasks this design yields (with a split tail).
-    /// The storage-tier strategies keep the embedded topology: the smarts
-    /// live on the servers, not in an extra pipeline task.
-    pub fn task_count(self) -> usize {
-        match self {
-            IoStrategy::SeparateTask => 8,
-            _ => 7,
-        }
-    }
-
-    /// Whether the strategy runs the `stap-store` tier in front of the
-    /// file system (cache and/or prefetcher).
-    pub fn uses_store_tier(self) -> bool {
-        matches!(self, IoStrategy::Cached { .. } | IoStrategy::Prefetch { .. })
-    }
-
-    /// The cache byte budget the strategy implies: the configured cache
-    /// for `cached:{MB}`, `in_flight` cubes' worth for `prefetch:{D}`
-    /// (read-ahead needs somewhere to land), zero otherwise.
-    pub fn cache_bytes(self, cube_bytes: usize) -> usize {
-        match self {
-            IoStrategy::Cached { mb } => (mb as usize) << 20,
-            IoStrategy::Prefetch { depth } => (depth as usize + 1) * cube_bytes,
-            _ => 0,
-        }
-    }
-
-    /// The server-side read-ahead depth the strategy implies.
-    pub fn readahead_depth(self) -> u32 {
-        match self {
-            IoStrategy::Prefetch { depth } => depth,
-            // A plain cache still prefetches one ahead: the detector is
-            // what keeps the cache warm for cubes never seen before.
-            IoStrategy::Cached { .. } => 1,
-            _ => 0,
-        }
-    }
-}
-
-/// Whether pulse compression and CFAR run as two tasks or one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailStructure {
-    /// Pulse compression and CFAR as separate pipeline tasks.
-    Split,
-    /// The two tasks combined into one, running on `P_5 + P_6` nodes —
-    /// the paper's latency optimization (§6): `T_{5+6} < T_5 + T_6`.
-    Combined,
-}
-
-impl TailStructure {
-    /// Display label used by the tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            TailStructure::Split => "PC and CFAR split",
-            TailStructure::Combined => "PC + CFAR combined",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn task_counts_match_paper() {
-        assert_eq!(IoStrategy::Embedded.task_count(), 7);
-        assert_eq!(IoStrategy::SeparateTask.task_count(), 8);
-        assert_eq!(IoStrategy::Cached { mb: 64 }.task_count(), 7, "store tier keeps 7 tasks");
-        assert_eq!(IoStrategy::Prefetch { depth: 4 }.task_count(), 7);
-    }
-
-    #[test]
-    fn labels_distinct() {
-        assert_ne!(IoStrategy::Embedded.label(), IoStrategy::SeparateTask.label());
-        assert_ne!(TailStructure::Split.label(), TailStructure::Combined.label());
-    }
-
-    #[test]
-    fn parse_and_describe_round_trip() {
-        for s in ["embedded", "separate", "cached:64", "prefetch:4"] {
-            assert_eq!(IoStrategy::parse(s).unwrap().describe(), s);
-        }
-        assert!(IoStrategy::parse("cached:0").is_err());
-        assert!(IoStrategy::parse("cached:x").is_err());
-        assert!(IoStrategy::parse("prefetch:0").is_err());
-        let e = IoStrategy::parse("sideways").unwrap_err();
-        assert!(e.contains("embedded|separate"), "{e}");
-    }
-
-    #[test]
-    fn store_tier_parameters() {
-        let cube = 1 << 20;
-        assert_eq!(IoStrategy::Cached { mb: 64 }.cache_bytes(cube), 64 << 20);
-        assert_eq!(IoStrategy::Prefetch { depth: 3 }.cache_bytes(cube), 4 * cube);
-        assert_eq!(IoStrategy::Embedded.cache_bytes(cube), 0);
-        assert_eq!(IoStrategy::Cached { mb: 64 }.readahead_depth(), 1);
-        assert_eq!(IoStrategy::Prefetch { depth: 3 }.readahead_depth(), 3);
-        assert!(IoStrategy::Cached { mb: 1 }.uses_store_tier());
-        assert!(!IoStrategy::SeparateTask.uses_store_tier());
-    }
-}
+pub use stap_model::io_strategy::{IoStrategy, TailStructure};

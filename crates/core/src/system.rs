@@ -19,6 +19,7 @@ use stap_ingest::{
     StreamSource,
 };
 use stap_kernels::report::DetectionReport;
+use stap_model::tasktable::task_slots;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::{IoCounters, OpenMode, Pfs};
 use stap_pipeline::runner::{Pipeline, StageFactory};
@@ -472,29 +473,26 @@ impl StapSystem {
         let w = StapWorkload::derive(shape);
         let io_secs = cfg.dims.bytes() as f64 / IO_BYTES_PER_SEC;
         let n = cfg.nodes;
-        let sec =
-            |flops: f64, nodes: usize, io: f64| (flops / FLOPS_PER_SEC + io) / nodes.max(1) as f64;
-        let mut times: Vec<f64> = Vec::new();
-        if self.plan.separate_io() {
-            times.push(sec(0.0, n.read, io_secs));
-            times.push(sec(w.flops(TaskId::Doppler), n.doppler, 0.0));
-        } else {
-            times.push(sec(w.flops(TaskId::Doppler), n.doppler, io_secs));
-        }
-        times.push(sec(w.flops(TaskId::EasyWeight), n.easy_weight, 0.0));
-        times.push(sec(w.flops(TaskId::HardWeight), n.hard_weight, 0.0));
-        times.push(sec(w.flops(TaskId::EasyBeamform), n.easy_bf, 0.0));
-        times.push(sec(w.flops(TaskId::HardBeamform), n.hard_bf, 0.0));
-        match cfg.tail {
-            TailStructure::Split => {
-                times.push(sec(w.flops(TaskId::PulseCompression), n.pulse, 0.0));
-                times.push(sec(w.flops(TaskId::Cfar), n.cfar, 0.0));
-            }
-            TailStructure::Combined => {
-                let flops = w.flops(TaskId::PulseCompression) + w.flops(TaskId::Cfar);
-                times.push(sec(flops, n.pulse + n.cfar, 0.0));
-            }
-        }
+        let nodes_of = |t: TaskId| match t {
+            TaskId::Read => n.read,
+            TaskId::Doppler => n.doppler,
+            TaskId::EasyWeight => n.easy_weight,
+            TaskId::HardWeight => n.hard_weight,
+            TaskId::EasyBeamform => n.easy_bf,
+            TaskId::HardBeamform => n.hard_bf,
+            TaskId::PulseCompression => n.pulse,
+            TaskId::Cfar => n.cfar,
+        };
+        // One deadline per pipeline task, in the shared task-table order.
+        let times: Vec<f64> = task_slots(cfg.io, cfg.tail)
+            .iter()
+            .map(|slot| {
+                let flops: f64 = slot.members().map(|t| w.flops(t)).sum();
+                let nodes: usize = slot.members().map(nodes_of).sum();
+                let io = if slot.reads { io_secs } else { 0.0 };
+                (flops / FLOPS_PER_SEC + io) / nodes.max(1) as f64
+            })
+            .collect();
         let deadlines = times
             .into_iter()
             .map(|t| Duration::from_secs_f64((t * policy.factor).min(3600.0)).max(policy.floor))

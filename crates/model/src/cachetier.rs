@@ -1,8 +1,10 @@
 //! Cost model of the smart storage tier's read cache (`stap-store`).
 //!
-//! One formula is shared by the analytic prediction, the planner's DP
-//! bounds, the DES, and the real `StoreSource`'s pacing, so all four agree
-//! on what a cache hit costs and when the cache is warm:
+//! This module is where a cache hit is priced and where "warm" is decided.
+//! [`crate::io_strategy::IoStrategy::cache_tier`] maps a strategy onto a
+//! [`CacheTierModel`], the task table carries it on the read-bearing row,
+//! and the prediction, the planner bounds and the DES read it from there;
+//! the real `StoreSource` paces hits with the same [`hit_time`].
 //!
 //! - A **hit** serves the cube from server memory at copy bandwidth —
 //!   [`hit_time`] = [`HIT_LATENCY`] + bytes / [`COPY_BANDWIDTH`] — and
@@ -73,17 +75,6 @@ impl CacheTierModel {
             read_time.max(self.hit_time + core)
         }
     }
-
-    /// The effective steady-state read time the stripe servers must be
-    /// credited with under this cache model (warm: the servers are idle;
-    /// cold: the full striped read, hidden behind compute).
-    pub fn effective_read_time(&self, read_time: f64) -> f64 {
-        if self.warm {
-            self.hit_time
-        } else {
-            read_time
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +104,5 @@ mod tests {
         let cold = CacheTierModel { hit_time: 0.04, warm: false };
         assert!((cold.front_body(0.2, 0.01) - 0.2).abs() < 1e-12, "read dominates");
         assert!((cold.front_body(0.03, 0.01) - 0.05).abs() < 1e-12, "copy+core dominates");
-        assert!((m.effective_read_time(0.2) - 0.04).abs() < 1e-12);
-        assert!((cold.effective_read_time(0.2) - 0.2).abs() < 1e-12);
     }
 }

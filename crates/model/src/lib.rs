@@ -2,7 +2,7 @@
 
 //! # stap-model — machine models, workloads, and the paper's equations
 //!
-//! The quantitative heart of the reproduction. Four pieces:
+//! The quantitative heart of the reproduction:
 //!
 //! - [`machines`] — calibrated descriptions of the two evaluation machines
 //!   (Intel Paragon, IBM SP): sustained node FLOP rate, interconnect
@@ -17,7 +17,12 @@
 //!   task-combination algebra (Eqs. 6–11) and its throughput corollary
 //!   (Eqs. 12–14);
 //! - [`assignment`] — workload-proportional node assignment ("each task is
-//!   parallelized by evenly partitioning its work load among P_i nodes").
+//!   parallelized by evenly partitioning its work load among P_i nodes");
+//! - [`io_strategy`] — the I/O designs and tail structures being compared;
+//! - [`tasktable`] — the per-task `T_i` table for one configuration, built
+//!   once: pipeline structure, Eq. 6 costs and the file-read term;
+//! - [`prediction`] — that table folded through Eqs. 1–4;
+//! - [`cachetier`] — what a storage-tier cache hit costs.
 
 //! # Example
 //!
@@ -37,8 +42,10 @@
 pub mod analytic;
 pub mod assignment;
 pub mod cachetier;
+pub mod io_strategy;
 pub mod machines;
 pub mod prediction;
+pub mod tasktable;
 pub mod tasktime;
 pub mod workload;
 
@@ -47,6 +54,7 @@ pub use assignment::{
     assign_nodes, pack_classes, try_assign_nodes, try_pack_classes, Assignment, AssignmentError,
 };
 pub use cachetier::CacheTierModel;
+pub use io_strategy::{IoStrategy, TailStructure};
 pub use machines::{MachineModel, NodeClass};
 pub use prediction::{predict, predict_with_assignment, PipelinePrediction, PredictStructure};
 pub use tasktime::{task_time, StageCapacity, TaskCosts};

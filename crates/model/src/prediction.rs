@@ -1,22 +1,19 @@
 //! Closed-form pipeline prediction — the paper's own analytic method.
 //!
-//! Given a machine, a workload shape and a node assignment, apply Eq. 6 to
-//! get every `T_i`, fold the file read into the first task per the I/O
-//! design (overlapped when `iread` exists, serialized otherwise), then
-//! apply Eqs. 1–4. No simulation: this is what the authors could compute on
-//! paper, and the DES must agree with it in steady state (tested in
-//! `stap-core`).
+//! Given a machine, a workload shape and a node assignment, build the
+//! per-task time table ([`crate::tasktable`]) and fold its rows through
+//! Eqs. 1–4. No simulation: this is what the authors could compute on
+//! paper, and the DES — which maps the same rows to simulated tasks — must
+//! agree with it in steady state (tested in `stap-core`).
 
 use crate::analytic::{latency, throughput, TaskTime};
-use crate::assignment::{assign_nodes, Assignment, SEPARATE_IO_NODES};
-use crate::cachetier::CacheTierModel;
+use crate::assignment::{assign_nodes, Assignment};
+use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::machines::MachineModel;
-use crate::tasktime::{combined_task_time_cap, comm_time, comm_time_cap, task_time_cap};
+use crate::tasktable::task_table;
 use crate::workload::{ShapeParams, StapWorkload, TaskId};
-use stap_pfs::layout::StripeLayout;
-use stap_pfs::timing::ServerQueueSim;
 
-/// Which pipeline structure to predict.
+/// Which of the paper's pipeline structures to predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictStructure {
     /// Separate read task at the head (vs embedded in Doppler).
@@ -38,17 +35,6 @@ pub struct PipelinePrediction {
     pub read_time: f64,
 }
 
-/// Steady-state time for the stripe servers to deliver one whole CPI file
-/// when reads are issued back-to-back: the servers' aggregate service time
-/// for the file's stripe units (the queue never drains between CPIs at the
-/// bottleneck, so latency terms pipeline away).
-pub fn steady_read_time(m: &MachineModel, shape: ShapeParams) -> f64 {
-    let fs = &m.fs;
-    let layout = StripeLayout::new(fs.stripe_unit, fs.stripe_factor);
-    let mut sim = ServerQueueSim::new(fs);
-    sim.submit_extent(0.0, layout, 0, shape.cube_bytes(), m.open_mode)
-}
-
 /// Predicts throughput and latency for the given structure and node count,
 /// assigning nodes with the proportional heuristic ([`assign_nodes`]).
 pub fn predict(
@@ -59,12 +45,14 @@ pub fn predict(
 ) -> PipelinePrediction {
     let w = StapWorkload::derive(shape);
     let a = assign_nodes(&w, &TaskId::SEVEN, compute_nodes);
-    predict_with_assignment(m, shape, structure, &a)
+    let io = if structure.separate_io { IoStrategy::SeparateTask } else { IoStrategy::Embedded };
+    let tail = if structure.combined_tail { TailStructure::Combined } else { TailStructure::Split };
+    predict_with_assignment(m, shape, io, tail, &a)
 }
 
-/// Predicts throughput and latency for the given structure under an explicit
-/// node assignment — the entry point used by the planner, which searches
-/// assignments instead of taking the proportional heuristic.
+/// Predicts throughput and latency of one I/O design and tail structure
+/// under an explicit node assignment — the entry point used by the planner,
+/// which searches assignments instead of taking the proportional heuristic.
 ///
 /// `a` must assign every one of [`TaskId::SEVEN`]; for a combined tail the
 /// PC and CFAR entries together give the merged task `P_5 + P_6` nodes.
@@ -74,137 +62,19 @@ pub fn predict(
 pub fn predict_with_assignment(
     m: &MachineModel,
     shape: ShapeParams,
-    structure: PredictStructure,
+    io: IoStrategy,
+    tail: TailStructure,
     a: &Assignment,
 ) -> PipelinePrediction {
-    predict_with_assignment_cached(m, shape, structure, None, a)
-}
-
-/// [`predict_with_assignment`] with an optional smart-storage cache tier in
-/// front of the stripe servers. With `Some(cache)` the embedded front
-/// task's read term follows [`CacheTierModel::front_body`]: a warm cache
-/// serves every steady-state cube at `hit_time` and the stripe servers
-/// drop out; a cold one overlaps the striped read with compute via
-/// server-side read-ahead. `cache` is ignored for separate-I/O structures
-/// (the cache tier fronts the embedded read path only).
-///
-/// # Panics
-/// Panics if any of the seven compute tasks is missing from `a`.
-pub fn predict_with_assignment_cached(
-    m: &MachineModel,
-    shape: ShapeParams,
-    structure: PredictStructure,
-    cache: Option<CacheTierModel>,
-    a: &Assignment,
-) -> PipelinePrediction {
-    let w = StapWorkload::derive(shape);
-    let p = |t: TaskId| a.nodes_for(t).expect("assigned");
-    // Per-task aggregate capacity: the node count on homogeneous machines,
-    // the packed classes' summed rates on heterogeneous pools.
-    let cap = |t: TaskId| a.capacity_for(t, &m.classes).expect("assigned");
-    let read_time = steady_read_time(m, shape);
-    let df_nodes = p(TaskId::Doppler);
-    let df_succ = p(TaskId::EasyWeight)
-        + p(TaskId::HardWeight)
-        + p(TaskId::EasyBeamform)
-        + p(TaskId::HardBeamform);
-
-    let mut times: Vec<TaskTime> = Vec::new();
-
-    // The first task (read task or Doppler) absorbs the file read.
-    if structure.separate_io {
-        let send = comm_time(m, w.output_bytes(TaskId::Read), SEPARATE_IO_NODES, df_nodes);
-        let t_read = if m.can_overlap_io() {
-            // iread overlaps the next read with this CPI's send.
-            read_time.max(send) + m.overhead(SEPARATE_IO_NODES)
-        } else {
-            read_time + send + m.overhead(SEPARATE_IO_NODES)
-        };
-        times.push(TaskTime { task: TaskId::Read, time: t_read });
-        times.push(TaskTime {
-            task: TaskId::Doppler,
-            time: task_time_cap(
-                m,
-                &w,
-                TaskId::Doppler,
-                cap(TaskId::Doppler),
-                SEPARATE_IO_NODES,
-                df_succ,
-            )
-            .total(),
-        });
-    } else {
-        let capd = cap(TaskId::Doppler);
-        let compute = m.compute_time_cap(w.flops(TaskId::Doppler), capd.compute);
-        let send = comm_time_cap(m, w.output_bytes(TaskId::Doppler), capd.net, df_succ);
-        let t_df = match cache {
-            Some(c) => c.front_body(read_time, compute + send) + m.overhead(df_nodes),
-            None if m.can_overlap_io() => read_time.max(compute + send) + m.overhead(df_nodes),
-            None => read_time + compute + send + m.overhead(df_nodes),
-        };
-        times.push(TaskTime { task: TaskId::Doppler, time: t_df });
-    }
-
-    // Middle tasks.
-    let tail_pred = p(TaskId::EasyBeamform) + p(TaskId::HardBeamform);
-    let tail_first = if structure.combined_tail {
-        p(TaskId::PulseCompression) + p(TaskId::Cfar)
-    } else {
-        p(TaskId::PulseCompression)
-    };
-    for (t, pred, succ) in [
-        (TaskId::EasyWeight, df_nodes, p(TaskId::EasyBeamform)),
-        (TaskId::HardWeight, df_nodes, p(TaskId::HardBeamform)),
-        (TaskId::EasyBeamform, df_nodes, tail_first),
-        (TaskId::HardBeamform, df_nodes, tail_first),
-    ] {
-        times.push(TaskTime { task: t, time: task_time_cap(m, &w, t, cap(t), pred, succ).total() });
-    }
-
-    // Tail.
-    if structure.combined_tail {
-        let t56 = combined_task_time_cap(
-            m,
-            &w,
-            TaskId::PulseCompression,
-            TaskId::Cfar,
-            cap(TaskId::PulseCompression).merge(cap(TaskId::Cfar)),
-            tail_pred,
-            1,
-        );
-        times.push(TaskTime { task: TaskId::PulseCompression, time: t56.total() });
-    } else {
-        times.push(TaskTime {
-            task: TaskId::PulseCompression,
-            time: task_time_cap(
-                m,
-                &w,
-                TaskId::PulseCompression,
-                cap(TaskId::PulseCompression),
-                tail_pred,
-                p(TaskId::Cfar),
-            )
-            .total(),
-        });
-        times.push(TaskTime {
-            task: TaskId::Cfar,
-            time: task_time_cap(
-                m,
-                &w,
-                TaskId::Cfar,
-                cap(TaskId::Cfar),
-                p(TaskId::PulseCompression),
-                1,
-            )
-            .total(),
-        });
-    }
-
+    let rows = task_table(m, shape, io, tail, a);
+    let times: Vec<TaskTime> =
+        rows.iter().map(|r| TaskTime { task: r.slot.id, time: r.time() }).collect();
+    let read = rows.iter().find_map(|r| r.read).expect("one row carries the file read");
     PipelinePrediction {
         throughput: throughput(&times),
         latency: latency(&times),
         task_times: times,
-        read_time,
+        read_time: read.read_time,
     }
 }
 
@@ -268,8 +138,9 @@ mod tests {
         let w = StapWorkload::derive(shape);
         let a = assign_nodes(&w, &TaskId::SEVEN, 100);
         let packed = crate::assignment::pack_classes(&w, &a, &m.classes);
-        let hom = predict_with_assignment(&m, shape, SPLIT_EMBEDDED, &a);
-        let het = predict_with_assignment(&m, shape, SPLIT_EMBEDDED, &packed);
+        let (io, tail) = (IoStrategy::Embedded, TailStructure::Split);
+        let hom = predict_with_assignment(&m, shape, io, tail, &a);
+        let het = predict_with_assignment(&m, shape, io, tail, &packed);
         assert!(het.throughput >= hom.throughput - 1e-12);
         assert!(het.latency <= hom.latency + 1e-12);
     }
@@ -282,10 +153,10 @@ mod tests {
         let shape = ShapeParams::paper_default();
         let w = StapWorkload::derive(shape);
         let a = assign_nodes(&w, &TaskId::SEVEN, 100);
-        let plain = predict_with_assignment(&m, shape, SPLIT_EMBEDDED, &a);
-        let warm = CacheTierModel::cached(4 * shape.cube_bytes(), shape.cube_bytes(), 4);
-        assert!(warm.warm);
-        let cached = predict_with_assignment_cached(&m, shape, SPLIT_EMBEDDED, Some(warm), &a);
+        let at = |io| predict_with_assignment(&m, shape, io, TailStructure::Split, &a);
+        let plain = at(IoStrategy::Embedded);
+        // 64 MiB holds the four-cube staging working set.
+        let cached = at(IoStrategy::Cached { mb: 64 });
         // The gain is capped by whichever task becomes the new bottleneck,
         // but lifting the read ceiling must show.
         assert!(
@@ -298,13 +169,7 @@ mod tests {
         // A cold cache (prefetch) still cannot beat the striped read on an
         // async machine — the read was already overlapped — but must never
         // be worse than serializing it.
-        let cold = predict_with_assignment_cached(
-            &m,
-            shape,
-            SPLIT_EMBEDDED,
-            Some(CacheTierModel::prefetch(shape.cube_bytes())),
-            &a,
-        );
+        let cold = at(IoStrategy::Prefetch { depth: 2 });
         assert!(cold.throughput <= plain.throughput + 1e-12);
     }
 

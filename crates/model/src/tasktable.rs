@@ -1,0 +1,311 @@
+//! The paper's per-task time table, built once.
+//!
+//! The whole method of the paper is one table of task times
+//! `T_i = W_i/P_i + C_i + V_i` (Eq. 6) from which throughput `1/max T_i`
+//! and latency (the sum along the critical path) follow — the period and
+//! latency of an interval mapping in Benoit et al.'s terms. [`task_table`]
+//! builds that table for one (machine, shape, I/O design, tail structure,
+//! assignment): rows in pipeline order, each with its Eq. 6 costs, its place
+//! in the dependency graph, and — on the one row that absorbs the file read
+//! — the read term. The closed-form prediction folds the rows through
+//! Eqs. 1–4, the DES maps each row to a simulated task, and the planner's
+//! bounds share [`front_body`]; none of them unrolls the pipeline itself.
+//!
+//! Adding an I/O strategy means giving it a row here (which row reads, and
+//! its [`ReadTerm`]) and an event behaviour in the DES's `duration`.
+
+use crate::assignment::{Assignment, SEPARATE_IO_NODES};
+use crate::cachetier::CacheTierModel;
+use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::machines::MachineModel;
+use crate::tasktime::{combined_task_time_cap, task_time_cap, StageCapacity, TaskCosts};
+use crate::workload::{ShapeParams, StapWorkload, TaskId};
+use stap_pfs::timing::ServerQueueSim;
+
+/// One task's place in the pipeline structure, before any machine prices
+/// it. Predecessors are indices into the slot vector.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskSlot {
+    /// The task (a combined tail reports as `PulseCompression`).
+    pub id: TaskId,
+    /// The task merged onto this slot's nodes (CFAR under a combined tail).
+    pub merged: Option<TaskId>,
+    /// Table label.
+    pub label: &'static str,
+    /// Whether this task performs the parallel file read.
+    pub reads: bool,
+    /// Spatial predecessors (same CPI).
+    pub spatial_preds: Vec<usize>,
+    /// Temporal predecessors (previous CPI).
+    pub temporal_preds: Vec<usize>,
+    /// Whether the task's time counts toward latency (weight tasks do not:
+    /// "the temporal data dependency does not affect the latency").
+    pub on_latency_path: bool,
+}
+
+impl TaskSlot {
+    /// The task ids running on this slot's nodes.
+    pub fn members(&self) -> impl Iterator<Item = TaskId> {
+        std::iter::once(self.id).chain(self.merged)
+    }
+}
+
+/// The pipeline structure the I/O design and tail choice yield: 7 tasks,
+/// 8 with a separate read task, one fewer with PC+CFAR combined.
+pub fn task_slots(io: IoStrategy, tail: TailStructure) -> Vec<TaskSlot> {
+    let slot = |id: TaskId, spatial: &[usize], temporal: &[usize]| TaskSlot {
+        id,
+        merged: None,
+        label: id.label(),
+        reads: false,
+        spatial_preds: spatial.to_vec(),
+        temporal_preds: temporal.to_vec(),
+        on_latency_path: !id.is_temporal(),
+    };
+    let mut slots = Vec::with_capacity(io.task_count());
+    if io == IoStrategy::SeparateTask {
+        slots.push(TaskSlot { reads: true, ..slot(TaskId::Read, &[], &[]) });
+        slots.push(slot(TaskId::Doppler, &[0], &[]));
+    } else {
+        // Every other design embeds the read in the Doppler task.
+        slots.push(TaskSlot { reads: true, ..slot(TaskId::Doppler, &[], &[]) });
+    }
+    let df = slots.len() - 1;
+    // The weights consume Doppler output in message timing; their results
+    // feed the beamformers of the next CPI.
+    let (ew, hw, ebf, hbf) = (df + 1, df + 2, df + 3, df + 4);
+    slots.push(slot(TaskId::EasyWeight, &[df], &[]));
+    slots.push(slot(TaskId::HardWeight, &[df], &[]));
+    slots.push(slot(TaskId::EasyBeamform, &[df], &[ew]));
+    slots.push(slot(TaskId::HardBeamform, &[df], &[hw]));
+    let pc = slot(TaskId::PulseCompression, &[ebf, hbf], &[]);
+    match tail {
+        TailStructure::Split => {
+            slots.push(pc);
+            slots.push(slot(TaskId::Cfar, &[hbf + 1], &[]));
+        }
+        TailStructure::Combined => {
+            slots.push(TaskSlot { merged: Some(TaskId::Cfar), label: "PC + CFAR", ..pc });
+        }
+    }
+    slots
+}
+
+/// What the read-bearing task pays for one CPI file.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadTerm {
+    /// Steady-state striped read of one whole CPI file (s).
+    pub read_time: f64,
+    /// Whether the client can overlap the read with its own work (`iread`).
+    pub overlap: bool,
+    /// The storage tier in front of the read, if the strategy has one; it
+    /// overlaps misses server-side whatever `overlap` says.
+    pub cache: Option<CacheTierModel>,
+}
+
+/// One row of the task table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskRow {
+    /// The task's place in the pipeline.
+    pub slot: TaskSlot,
+    /// Nodes assigned (`P_i`).
+    pub nodes: usize,
+    /// Eq. 6 cost components, file read excluded.
+    pub costs: TaskCosts,
+    /// The read term, on the read-bearing row only.
+    pub read: Option<ReadTerm>,
+}
+
+impl TaskRow {
+    /// Steady-state `T_i`: Eq. 6, with the file read folded into the body
+    /// of the task that performs it.
+    pub fn time(&self) -> f64 {
+        let c = self.costs;
+        match self.read {
+            Some(r) => front_body(r.read_time, c.compute, c.send, r.overlap, r.cache) + c.overhead,
+            None => c.total(),
+        }
+    }
+}
+
+/// Body time (before the overhead `V_i`) of the task that absorbs the file
+/// read: behind a storage tier the tier's own model applies; with `iread`
+/// the read hides behind the task's compute and send; otherwise the three
+/// serialize.
+pub fn front_body(
+    read: f64,
+    compute: f64,
+    send: f64,
+    can_overlap: bool,
+    cache: Option<CacheTierModel>,
+) -> f64 {
+    match cache {
+        Some(c) => c.front_body(read, compute + send),
+        None if can_overlap => read.max(compute + send),
+        None => read + compute + send,
+    }
+}
+
+/// Steady-state time for the stripe servers to deliver one whole CPI file
+/// when reads are issued back-to-back: the servers' aggregate service time
+/// for the file's stripe units (the queue never drains between CPIs at the
+/// bottleneck, so latency terms pipeline away).
+pub fn steady_read_time(m: &MachineModel, shape: ShapeParams) -> f64 {
+    ServerQueueSim::new(&m.fs).submit_extent(0.0, 0, shape.cube_bytes(), m.open_mode)
+}
+
+/// Builds the task table: one row per pipeline task, in pipeline order.
+///
+/// `a` must assign every one of [`TaskId::SEVEN`]; a combined tail runs on
+/// the PC and CFAR entries' nodes together. The separate read task always
+/// gets [`SEPARATE_IO_NODES`] base-class nodes outside the assignment.
+///
+/// # Panics
+/// Panics if any of the seven compute tasks is missing from `a`.
+pub fn task_table(
+    m: &MachineModel,
+    shape: ShapeParams,
+    io: IoStrategy,
+    tail: TailStructure,
+    a: &Assignment,
+) -> Vec<TaskRow> {
+    let w = StapWorkload::derive(shape);
+    let slots = task_slots(io, tail);
+    // Aggregate capacity per slot: the node count on homogeneous machines,
+    // the packed classes' summed rates on heterogeneous pools.
+    let caps: Vec<StageCapacity> = slots
+        .iter()
+        .map(|s| {
+            s.members()
+                .map(|t| match t {
+                    TaskId::Read => StageCapacity::homogeneous(SEPARATE_IO_NODES),
+                    t => a.capacity_for(t, &m.classes).expect("task assigned"),
+                })
+                .reduce(StageCapacity::merge)
+                .expect("a slot has at least one member")
+        })
+        .collect();
+    let read = ReadTerm {
+        read_time: steady_read_time(m, shape),
+        overlap: m.can_overlap_io(),
+        cache: io.cache_tier(shape.cube_bytes()),
+    };
+    let costs: Vec<TaskCosts> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            // A task receives from its spatial predecessors and sends to
+            // every task that lists it as a predecessor; the sink reports to
+            // one collector.
+            let pred_nodes = s.spatial_preds.iter().map(|&p| caps[p].nodes).sum();
+            let succ_nodes = slots
+                .iter()
+                .zip(&caps)
+                .filter(|(k, _)| k.spatial_preds.contains(&i) || k.temporal_preds.contains(&i))
+                .map(|(_, c)| c.nodes)
+                .sum::<usize>()
+                .max(1);
+            match s.merged {
+                Some(second) => {
+                    combined_task_time_cap(m, &w, s.id, second, caps[i], pred_nodes, succ_nodes)
+                }
+                None => task_time_cap(m, &w, s.id, caps[i], pred_nodes, succ_nodes),
+            }
+        })
+        .collect();
+    slots
+        .into_iter()
+        .zip(caps)
+        .zip(costs)
+        .map(|((slot, cap), costs)| TaskRow {
+            nodes: cap.nodes,
+            costs,
+            read: slot.reads.then_some(read),
+            slot,
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assignment::assign_nodes;
+    use stap_pfs::timing::{extent_read_time, parallel_read_completion};
+
+    fn table(io: IoStrategy, tail: TailStructure) -> Vec<TaskRow> {
+        let shape = ShapeParams::paper_default();
+        let a = assign_nodes(&StapWorkload::derive(shape), &TaskId::SEVEN, 50);
+        task_table(&MachineModel::paragon(64), shape, io, tail, &a)
+    }
+
+    #[test]
+    fn structure_follows_the_io_design_and_tail() {
+        let emb = table(IoStrategy::Embedded, TailStructure::Split);
+        assert_eq!(emb.len(), 7);
+        assert!(emb[0].read.is_some() && emb[0].slot.id == TaskId::Doppler);
+        assert!(emb[1..].iter().all(|r| r.read.is_none()));
+        assert_eq!(emb[0].costs.recv, 0.0, "the embedded reader receives nothing");
+
+        let sep = table(IoStrategy::SeparateTask, TailStructure::Combined);
+        assert_eq!(sep.len(), 7, "one more for the read, one fewer for the tail");
+        assert_eq!((sep[0].slot.id, sep[0].nodes), (TaskId::Read, SEPARATE_IO_NODES));
+        assert_eq!(sep[0].costs.compute, 0.0);
+        assert_eq!(sep[1].slot.spatial_preds, vec![0]);
+        let last = sep.last().unwrap();
+        assert_eq!((last.slot.label, last.slot.merged), ("PC + CFAR", Some(TaskId::Cfar)));
+        assert_eq!(last.slot.spatial_preds, vec![4, 5], "fed by both beamformers");
+        // Beamformers take the previous CPI's weights.
+        assert_eq!(sep[4].slot.temporal_preds, vec![2]);
+        assert_eq!(sep[5].slot.temporal_preds, vec![3]);
+        for r in &sep {
+            assert_eq!(r.slot.on_latency_path, !r.slot.id.is_temporal());
+        }
+    }
+
+    #[test]
+    fn store_strategies_keep_the_embedded_shape_and_carry_their_tier() {
+        let cube = ShapeParams::paper_default().cube_bytes();
+        for io in [IoStrategy::Cached { mb: 64 }, IoStrategy::Prefetch { depth: 2 }] {
+            let rows = table(io, TailStructure::Split);
+            assert_eq!(rows.len(), 7);
+            assert_eq!(rows[0].read.unwrap().cache, io.cache_tier(cube));
+            assert!(io.cache_tier(cube).is_some());
+        }
+        assert!(IoStrategy::Cached { mb: 64 }.cache_tier(cube).unwrap().warm);
+        assert!(!IoStrategy::Cached { mb: 32 }.cache_tier(cube).unwrap().warm);
+        assert!(!IoStrategy::Prefetch { depth: 4 }.cache_tier(cube).unwrap().warm);
+        assert_eq!(IoStrategy::SeparateTask.cache_tier(cube), None);
+    }
+
+    #[test]
+    fn front_body_arms() {
+        assert_eq!(front_body(0.2, 0.05, 0.01, true, None), 0.2, "iread hides the work");
+        assert_eq!(front_body(0.2, 0.05, 0.01, false, None), 0.2 + 0.05 + 0.01);
+        let warm = CacheTierModel { hit_time: 0.04, warm: true };
+        assert_eq!(front_body(0.2, 0.05, 0.01, false, Some(warm)), warm.front_body(0.2, 0.06));
+    }
+
+    proptest::proptest! {
+        /// The table carries one `read_time`: for the whole-file extent the
+        /// steady-state read, the parallel-read completion and the one
+        /// pricing function are the same f64.
+        #[test]
+        fn one_read_time_for_the_whole_file(
+            sf in 1usize..130,
+            pulses in 8usize..200,
+            unix in 0u8..2,
+        ) {
+            let mut m = MachineModel::paragon(64).with_stripe_factor(sf);
+            if unix == 1 {
+                m.open_mode = stap_pfs::OpenMode::Unix;
+            }
+            let shape = ShapeParams { pulses, ..ShapeParams::paper_default() };
+            let bytes = shape.cube_bytes();
+            let steady = steady_read_time(&m, shape);
+            let parallel = parallel_read_completion(&m.fs, &[(0, bytes)], m.open_mode);
+            proptest::prop_assert_eq!(steady.to_bits(), parallel.to_bits());
+            let priced = extent_read_time(&m.fs, 0, bytes, m.open_mode);
+            proptest::prop_assert_eq!(steady.to_bits(), priced.to_bits());
+        }
+    }
+}

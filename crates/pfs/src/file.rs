@@ -351,26 +351,21 @@ impl FileHandle {
     /// [`FsConfig::pace_reads`], so wall-clock runs exhibit the striping
     /// cost the queueing model predicts. A no-op at the default scale 0.
     fn paced_sleep(&self, offset: u64, len: usize) {
-        let cfg = &self.fs.inner.config;
-        if cfg.pace_reads <= 0.0 {
-            return;
-        }
-        let per_request = cfg.request_latency.as_secs_f64()
-            + match self.mode {
-                OpenMode::Unix => cfg.unix_mode_penalty.as_secs_f64(),
-                OpenMode::Async => 0.0,
-            };
-        // Per-server FCFS over this extent's stripe-unit requests: the
-        // read finishes when its busiest server drains.
-        let mut busy = vec![0.0f64; cfg.stripe_factor];
-        for req in self.fs.inner.layout.map_extent(offset, len) {
-            busy[req.server] += per_request + req.len as f64 / cfg.server_bandwidth;
-        }
-        let modeled = busy.into_iter().fold(0.0, f64::max);
-        let pause = std::time::Duration::from_secs_f64(modeled * cfg.pace_reads);
+        let pause = self.paced_pause(offset, len);
         if !pause.is_zero() {
             std::thread::sleep(pause);
         }
+    }
+
+    /// The pause [`Self::paced_sleep`] takes: `pace_reads ×` the time idle
+    /// stripe servers need for this extent.
+    fn paced_pause(&self, offset: u64, len: usize) -> std::time::Duration {
+        let cfg = &self.fs.inner.config;
+        if cfg.pace_reads <= 0.0 {
+            return std::time::Duration::ZERO;
+        }
+        let modeled = crate::timing::extent_read_time(cfg, offset, len, self.mode);
+        std::time::Duration::from_secs_f64(modeled * cfg.pace_reads)
     }
 
     /// The file system this handle belongs to.
@@ -602,6 +597,28 @@ mod tests {
         let t0 = std::time::Instant::now();
         f.read_at(0, 1000).unwrap();
         assert!(t0.elapsed() >= std::time::Duration::from_micros(1800), "pacing did not sleep");
+    }
+
+    proptest::proptest! {
+        /// One stripe-read price: the pricing function, the queue simulator
+        /// from idle and the pacing sleep at scale 1 are the same f64.
+        #[test]
+        fn every_consumer_prices_an_extent_identically(
+            stripe_unit in 1usize..5000,
+            stripe_factor in 1usize..20,
+            offset in 0u64..100_000,
+            len in 0usize..200_000,
+            unix in 0u8..2,
+        ) {
+            let mode = if unix == 1 { OpenMode::Unix } else { OpenMode::Async };
+            let cfg = FsConfig { stripe_unit, ..FsConfig::piofs().with_stripe_factor(stripe_factor) }
+                .with_read_pacing(1.0);
+            let price = crate::timing::extent_read_time(&cfg, offset, len, mode);
+            let queued = crate::ServerQueueSim::new(&cfg).submit_extent(0.0, offset, len, mode);
+            proptest::prop_assert_eq!(price.to_bits(), queued.to_bits());
+            let pause = Pfs::mount(cfg).gopen("f", mode).paced_pause(offset, len);
+            proptest::prop_assert_eq!(pause, std::time::Duration::from_secs_f64(price));
+        }
     }
 
     #[test]

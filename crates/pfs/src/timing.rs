@@ -8,17 +8,55 @@
 //! stripe units of a 16 MiB CPI file on few servers, and the paper's I/O
 //! bottleneck appears.
 //!
+//! [`extent_service`] is the only code in the workspace that turns
+//! `(FsConfig, extent, OpenMode)` into per-server service seconds: the
+//! queue simulator here, the pacing sleep in [`crate::file`], the DES read
+//! path in `stap-core` and the fleet simulator in `stap-serve` all call it.
+//!
 //! Times are `f64` seconds of virtual time.
 
 use crate::config::{FsConfig, OpenMode};
 use crate::layout::StripeLayout;
 
+/// Uncontended service seconds of one stripe-unit request of `bytes`.
+fn request_service(cfg: &FsConfig, bytes: usize, mode: OpenMode) -> f64 {
+    let penalty = match mode {
+        OpenMode::Async => 0.0,
+        OpenMode::Unix => cfg.unix_mode_penalty.as_secs_f64(),
+    };
+    cfg.request_latency.as_secs_f64() + penalty + bytes as f64 / cfg.server_bandwidth
+}
+
+/// `(server, service seconds)` of every stripe-unit request the byte extent
+/// maps to, in file order.
+pub fn extent_service(
+    cfg: &FsConfig,
+    offset: u64,
+    len: usize,
+    mode: OpenMode,
+) -> Vec<(usize, f64)> {
+    StripeLayout::new(cfg.stripe_unit, cfg.stripe_factor)
+        .map_extent(offset, len)
+        .into_iter()
+        .map(|req| (req.server, request_service(cfg, req.len, mode)))
+        .collect()
+}
+
+/// Time for idle servers to deliver the byte extent: each server works
+/// through its share of the requests back to back, and the read finishes
+/// when the busiest one drains.
+pub fn extent_read_time(cfg: &FsConfig, offset: u64, len: usize, mode: OpenMode) -> f64 {
+    let mut busy = vec![0.0f64; cfg.stripe_factor];
+    for (server, service) in extent_service(cfg, offset, len, mode) {
+        busy[server] += service;
+    }
+    busy.into_iter().fold(0.0, f64::max)
+}
+
 /// Per-server FCFS queue simulator.
 #[derive(Debug, Clone)]
 pub struct ServerQueueSim {
-    latency: f64,
-    unix_penalty: f64,
-    bandwidth: f64,
+    cfg: FsConfig,
     free_at: Vec<f64>,
     served: Vec<u64>,
     /// Per-server `(arrival, completion)` log of every submitted request,
@@ -30,9 +68,7 @@ impl ServerQueueSim {
     /// Creates a simulator for the given file system.
     pub fn new(cfg: &FsConfig) -> Self {
         Self {
-            latency: cfg.request_latency.as_secs_f64(),
-            unix_penalty: cfg.unix_mode_penalty.as_secs_f64(),
-            bandwidth: cfg.server_bandwidth,
+            cfg: cfg.clone(),
             free_at: vec![0.0; cfg.stripe_factor],
             served: vec![0; cfg.stripe_factor],
             history: vec![Vec::new(); cfg.stripe_factor],
@@ -46,18 +82,18 @@ impl ServerQueueSim {
 
     /// Service time for one request of `bytes` (no queueing).
     pub fn service_time(&self, bytes: usize, mode: OpenMode) -> f64 {
-        let penalty = match mode {
-            OpenMode::Async => 0.0,
-            OpenMode::Unix => self.unix_penalty,
-        };
-        self.latency + penalty + bytes as f64 / self.bandwidth
+        request_service(&self.cfg, bytes, mode)
     }
 
     /// Submits one request arriving at `arrival` against `server`; returns
     /// its completion time and advances the server's queue.
     pub fn submit(&mut self, arrival: f64, server: usize, bytes: usize, mode: OpenMode) -> f64 {
+        self.enqueue(arrival, server, self.service_time(bytes, mode))
+    }
+
+    fn enqueue(&mut self, arrival: f64, server: usize, service: f64) -> f64 {
         let start = arrival.max(self.free_at[server]);
-        let done = start + self.service_time(bytes, mode);
+        let done = start + service;
         self.free_at[server] = done;
         self.served[server] += 1;
         self.history[server].push((arrival, done));
@@ -67,17 +103,10 @@ impl ServerQueueSim {
     /// Submits every stripe-unit request of the byte extent at `arrival`
     /// (the client pipelines requests to distinct servers); returns when the
     /// last completes.
-    pub fn submit_extent(
-        &mut self,
-        arrival: f64,
-        layout: StripeLayout,
-        offset: u64,
-        len: usize,
-        mode: OpenMode,
-    ) -> f64 {
+    pub fn submit_extent(&mut self, arrival: f64, offset: u64, len: usize, mode: OpenMode) -> f64 {
         let mut done = arrival;
-        for req in layout.map_extent(offset, len) {
-            done = done.max(self.submit(arrival, req.server, req.len, mode));
+        for (server, service) in extent_service(&self.cfg, offset, len, mode) {
+            done = done.max(self.enqueue(arrival, server, service));
         }
         done
     }
@@ -187,7 +216,7 @@ mod tests {
     fn extent_fans_out_across_servers() {
         let mut sim = ServerQueueSim::new(&cfg(4));
         // 4 units over 4 servers: all parallel → one service time.
-        let done = sim.submit_extent(0.0, StripeLayout::new(1000, 4), 0, 4000, OpenMode::Async);
+        let done = sim.submit_extent(0.0, 0, 4000, OpenMode::Async);
         assert!((done - 0.002).abs() < 1e-12);
         assert_eq!(sim.served_counts(), &[1, 1, 1, 1]);
     }
@@ -248,7 +277,7 @@ mod tests {
         // A striped extent fans one unit out to each server: no server
         // ever sees a queue deeper than its single in-service request.
         let mut sim = ServerQueueSim::new(&cfg(4));
-        sim.submit_extent(0.0, StripeLayout::new(1000, 4), 0, 4000, OpenMode::Async);
+        sim.submit_extent(0.0, 0, 4000, OpenMode::Async);
         for s in 0..4 {
             assert_eq!(sim.queue_depth_at(s, 0.0), 1);
             assert_eq!(sim.queue_depth_at(s, 0.002), 0);

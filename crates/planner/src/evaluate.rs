@@ -14,12 +14,12 @@ use crate::plan::{
     Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats, SlaOutcome,
 };
 use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContext};
-use crate::search::{cache_tier, search_structure};
+use crate::search::search_structure;
 use stap_core::desmodel::{DesExperiment, DesFaultModel, FaultSource, Redundancy};
 use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_model::assignment::{assign_nodes, pack_classes, SEPARATE_IO_NODES};
 use stap_model::machines::MachineModel;
-use stap_model::prediction::{predict_with_assignment_cached, PredictStructure};
+use stap_model::prediction::predict_with_assignment;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 
 /// A candidate entering exact evaluation: its assignment, chosen stripe
@@ -168,10 +168,6 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                     pool.push((heuristic.clone(), heur_sf, PlanOrigin::Heuristic, None));
                 }
 
-                let structure = PredictStructure {
-                    separate_io: io == IoStrategy::SeparateTask,
-                    combined_tail: tail == TailStructure::Combined,
-                };
                 // Under a fault model every base candidate expands with the
                 // redundancy menu; dominance pruning then discards the
                 // pairings the fault rate does not justify. The expansion
@@ -195,19 +191,14 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                         m.with_stripe_factor(sf)
                     };
                     let a = pack_classes(&w, &a, &m.classes);
-                    // The store-tier strategies price their cache/prefetch
-                    // effect through the same `CacheTierModel` the DP bounds
-                    // used, so bounds stay admissible against this score.
-                    let pred = predict_with_assignment_cached(
-                        &msf,
-                        cfg.shape,
-                        structure,
-                        cache_tier(io, cfg.shape),
-                        &a,
-                    );
+                    // The exact score prices the strategy's read through the
+                    // same `front_body` and cache tier the DP bounds used,
+                    // so the bounds stay admissible against it.
+                    let pred = predict_with_assignment(&msf, cfg.shape, io, tail, &a);
                     stats.exact_evals += 1;
                     let compute_nodes = a.total();
-                    let readers = if structure.separate_io { SEPARATE_IO_NODES } else { 0 };
+                    let readers =
+                        if io == IoStrategy::SeparateTask { SEPARATE_IO_NODES } else { 0 };
                     for &redundancy in &redundancies {
                         let analytic = match &cfg.fault {
                             Some(ctx) => {

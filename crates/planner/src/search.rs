@@ -45,7 +45,7 @@ use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_model::assignment::{Assignment, SEPARATE_IO_NODES};
 use stap_model::cachetier::CacheTierModel;
 use stap_model::machines::MachineModel;
-use stap_model::prediction::steady_read_time;
+use stap_model::tasktable::{front_body, steady_read_time};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 
 /// A candidate assignment surviving the DP, with its admissible bounds.
@@ -97,20 +97,6 @@ impl Stage {
     }
 }
 
-/// The storage-tier cost model a strategy implies, shared by the DP
-/// bounds here and the exact evaluation (`predict_with_assignment_cached`)
-/// so both price `cached:{MB}` / `prefetch:{D}` identically.
-pub(crate) fn cache_tier(io: IoStrategy, shape: ShapeParams) -> Option<CacheTierModel> {
-    use stap_model::cachetier::STAGING_FANOUT;
-    match io {
-        IoStrategy::Cached { mb } => {
-            Some(CacheTierModel::cached((mb as usize) << 20, shape.cube_bytes(), STAGING_FANOUT))
-        }
-        IoStrategy::Prefetch { .. } => Some(CacheTierModel::prefetch(shape.cube_bytes())),
-        IoStrategy::Embedded | IoStrategy::SeparateTask => None,
-    }
-}
-
 /// Admissible communication bound: one peer message's latency plus the
 /// bandwidth term at the best net capacity any `nodes`-node group can have
 /// (the exact model pays `net_latency × peers`, peers ≥ 1, at the packed
@@ -124,9 +110,9 @@ fn lb_comm(m: &MachineModel, bytes: usize, nodes: usize) -> f64 {
 
 /// Admissible bound on a single compute task's `T_i` (Eq. 6) on `p` nodes.
 /// `cache` carries the storage-tier cost model for `cached:{MB}` /
-/// `prefetch:{D}` strategies; its `front_body` is monotone in the core
-/// time, so feeding it the lower-bounded core keeps the bound admissible
-/// (the exact evaluation applies the identical formula to the exact core).
+/// `prefetch:{D}` strategies; [`front_body`] is monotone in the core time,
+/// so feeding it the lower-bounded core keeps the bound admissible (the
+/// exact evaluation applies the same function to the exact core).
 fn single_lb(
     m: &MachineModel,
     w: &StapWorkload,
@@ -140,14 +126,11 @@ fn single_lb(
     let send = lb_comm(m, w.output_bytes(t), p);
     if t == TaskId::Doppler && io != IoStrategy::SeparateTask {
         // Embedded-shaped designs: the file read folds into Doppler; no
-        // receive. The storage tier, when present, reprices the read.
+        // receive. The storage tier, when present, reprices the read. The
+        // relaxed core enters as one term, `read + (compute + send)`: the
+        // plan report prints these bounds to the last bit.
         let core = compute + send;
-        let body = match cache {
-            Some(c) => c.front_body(read_time, core),
-            None if m.can_overlap_io() => read_time.max(core),
-            None => read_time + core,
-        };
-        return body + m.overhead(p);
+        return front_body(read_time, core, 0.0, m.can_overlap_io(), cache) + m.overhead(p);
     }
     let recv = lb_comm(m, w.input_bytes(t), p);
     compute + recv + send + m.overhead(p)
@@ -162,8 +145,7 @@ fn read_task_lb(m: &MachineModel, w: &StapWorkload, read_time: f64) -> f64 {
         m.net_latency
             + w.output_bytes(TaskId::Read) as f64 / (SEPARATE_IO_NODES as f64 * m.net_bandwidth)
     };
-    let body = if m.can_overlap_io() { read_time.max(send) } else { read_time + send };
-    body + m.overhead(SEPARATE_IO_NODES)
+    front_body(read_time, 0.0, send, m.can_overlap_io(), None) + m.overhead(SEPARATE_IO_NODES)
 }
 
 /// Best split of `q` nodes between two tasks whose joint cost is the max of
@@ -419,7 +401,7 @@ pub(crate) fn search_structure(
     let w = StapWorkload::derive(shape);
     let read_times: Vec<f64> =
         sfs.iter().map(|&sf| steady_read_time(&m.with_stripe_factor(sf), shape)).collect();
-    let cache = cache_tier(io, shape);
+    let cache = io.cache_tier(shape.cube_bytes());
     let stages = build_stages(m, &w, io, tail, budget, &read_times, cache);
     let slack = Slack::for_run(m, &stages, io, budget);
     let suffix_min: Vec<usize> = {
@@ -546,7 +528,7 @@ fn picks_to_assignment(stages: &[Stage], picks: &[u16]) -> Assignment {
 mod tests {
     use super::*;
     use stap_model::assignment::{assign_nodes, pack_classes};
-    use stap_model::prediction::{predict_with_assignment, PredictStructure};
+    use stap_model::prediction::predict_with_assignment;
 
     fn paragon64() -> MachineModel {
         MachineModel::paragon(64)
@@ -739,15 +721,7 @@ mod tests {
         nodes: &[usize],
     ) -> (f64, f64) {
         let a = Assignment::new(TaskId::SEVEN.to_vec(), nodes.to_vec());
-        let pred = predict_with_assignment(
-            m,
-            ShapeParams::paper_default(),
-            PredictStructure {
-                separate_io: io == IoStrategy::SeparateTask,
-                combined_tail: tail == TailStructure::Combined,
-            },
-            &a,
-        );
+        let pred = predict_with_assignment(m, ShapeParams::paper_default(), io, tail, &a);
         (pred.throughput, pred.latency)
     }
 
@@ -855,7 +829,8 @@ mod tests {
             let pred = predict_with_assignment(
                 &m,
                 shape,
-                PredictStructure { separate_io: false, combined_tail: false },
+                IoStrategy::Embedded,
+                TailStructure::Split,
                 &packed,
             );
             let exact_bottleneck = 1.0 / pred.throughput;

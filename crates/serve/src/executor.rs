@@ -16,7 +16,8 @@
 //! one Chrome trace — open it and see the whole fleet on a shared timeline.
 
 use crate::mission::{
-    fleet_table, MissionOutcome, MissionReport, MissionSource, MissionSpec, PlanChoice, SlaVerdict,
+    fleet_table, sla_hit_rate, MissionOutcome, MissionReport, MissionSource, MissionSpec,
+    PlanChoice, SlaVerdict,
 };
 use crate::scheduler::{Counters, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
@@ -74,35 +75,27 @@ impl FleetOutcome {
         fleet_table(&self.missions)
     }
 
+    /// One `(SLA verdict, failed over)` pair per mission.
+    fn grades(&self) -> impl Iterator<Item = (SlaVerdict, bool)> + '_ {
+        self.missions.iter().map(|m| (m.sla, m.failover.is_some()))
+    }
+
     /// Fraction of SLA-bounded missions that met their bound (`None` when
     /// no mission carried an SLA).
     pub fn sla_hit_rate(&self) -> Option<f64> {
-        let graded: Vec<bool> = self.missions.iter().filter_map(|m| m.sla.hit()).collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+        sla_hit_rate(self.grades(), true)
     }
 
-    /// The counterfactual SLA hit-rate without the failover machinery: a
-    /// mission that needed failover would have aborted at the fleet fault,
-    /// so every bounded failed-over mission counts as a miss. The spread
+    /// The counterfactual SLA hit-rate without the failover machinery:
+    /// every bounded failed-over mission counts as a miss. The spread
     /// between this and [`Self::sla_hit_rate`] is what redundancy bought.
     pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
-        let graded: Vec<bool> = self
-            .missions
-            .iter()
-            .filter_map(|m| m.sla.hit().map(|h| h && m.failover.is_none()))
-            .collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+        sla_hit_rate(self.grades(), false)
     }
 
     /// Missions that survived a fleet fault by failing over.
     pub fn failovers(&self) -> usize {
-        self.missions.iter().filter(|m| m.failover.is_some()).count()
+        self.grades().filter(|&(_, failed_over)| failed_over).count()
     }
 
     /// Machine-readable fleet run report: the shared schema with a root
@@ -261,44 +254,52 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
     let mut makespan = 0.0f64;
 
     loop {
-        let now = epoch.elapsed().as_secs_f64();
-        // Fire due script events.
-        while next_event < script.events.len() && script.events[next_event].at <= now {
-            match script.events[next_event].action.clone() {
-                ScriptAction::Submit(spec) => {
-                    let name = spec.name.clone();
-                    let source = spec.source;
-                    match sched.submit(spec.clone(), now) {
-                        Ok(id) => {
-                            // Admitted stream missions start receiving data
-                            // immediately: the radar does not wait for the
-                            // scheduler to find compute.
-                            if let MissionSource::Stream { depth, policy, rate } = source {
-                                let ring = Arc::new(CpiRing::new(&name, depth, policy));
-                                let frontend = Frontend::spawn(
-                                    Arc::clone(&ring),
-                                    frontend_config(&spec, rate),
-                                );
-                                feeds.insert(id, StreamFeed { ring, frontend: Some(frontend) });
+        // Apply the next due script instant — every event sharing its time,
+        // in file order, each at that script time — then run one dispatch
+        // pass before looking at the instant after it: the simulator's
+        // `submit -> pump`. A loop that has fallen behind therefore still
+        // offers each arrival to the idle workers before the next, possibly
+        // higher-priority, one exists.
+        let due = script.events.get(next_event).map(|ev| ev.at);
+        if let Some(at) = due.filter(|&at| at <= epoch.elapsed().as_secs_f64()) {
+            while next_event < script.events.len() && script.events[next_event].at == at {
+                match script.events[next_event].action.clone() {
+                    ScriptAction::Submit(spec) => {
+                        let name = spec.name.clone();
+                        let source = spec.source;
+                        match sched.submit(spec.clone(), at) {
+                            Ok(id) => {
+                                // Admitted stream missions start receiving
+                                // data immediately: the radar does not wait
+                                // for the scheduler to find compute.
+                                if let MissionSource::Stream { depth, policy, rate } = source {
+                                    let ring = Arc::new(CpiRing::new(&name, depth, policy));
+                                    let frontend = Frontend::spawn(
+                                        Arc::clone(&ring),
+                                        frontend_config(&spec, rate),
+                                    );
+                                    feeds.insert(id, StreamFeed { ring, frontend: Some(frontend) });
+                                }
+                            }
+                            Err(e) => rejected.push((name, e.to_string())),
+                        }
+                    }
+                    ScriptAction::Cancel { name } => {
+                        if let Some(id) = sched.cancel(&name) {
+                            cancelled.push(name);
+                            // Drain the cancelled mission's stream: closing
+                            // the ring is what unblocks a producer parked on
+                            // a full ring — without it the frontend thread
+                            // would hang forever, since no consumer will
+                            // ever attach.
+                            if let Some(feed) = feeds.remove(&id) {
+                                feed.drain();
                             }
                         }
-                        Err(e) => rejected.push((name, e.to_string())),
                     }
                 }
-                ScriptAction::Cancel { name } => {
-                    if let Some(id) = sched.cancel(&name) {
-                        cancelled.push(name);
-                        // Drain the cancelled mission's stream: closing the
-                        // ring is what unblocks a producer parked on a full
-                        // ring — without it the frontend thread would hang
-                        // forever, since no consumer will ever attach.
-                        if let Some(feed) = feeds.remove(&id) {
-                            feed.drain();
-                        }
-                    }
-                }
+                next_event += 1;
             }
-            next_event += 1;
         }
         // Dispatch whatever fits the worker pool and the free nodes.
         while let Some(d) = sched.next_ready(epoch.elapsed().as_secs_f64()) {
@@ -344,72 +345,70 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
                 });
             });
         }
-        // Collect finished missions (or idle briefly until something moves).
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(done) => {
-                let end = epoch.elapsed().as_secs_f64();
-                makespan = makespan.max(end);
-                let infra_loss =
-                    done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
-                if let (true, Some(f), false) =
-                    (infra_loss, cfg.fault, failovers.contains_key(&done.id))
-                {
-                    // Fleet fault observed mid-mission: mark the store
-                    // degraded (survivors absorb the lost directory, the
-                    // plan cache is flushed), re-plan inside the nodes the
-                    // mission already holds, and restart it on the
-                    // surviving stripe directories instead of failing it.
-                    sched.mark_server_lost(f.server);
-                    let surviving = done.plan.stripe_factor.saturating_sub(1).max(1);
-                    let plan = sched
-                        .degraded_plan(&done.spec, surviving, done.plan.total_nodes)
-                        .unwrap_or_else(|| PlanChoice {
-                            stripe_factor: surviving,
-                            ..done.plan.clone()
-                        });
-                    let restart = epoch.elapsed().as_secs_f64();
-                    failovers.insert(
-                        done.id,
-                        Failover {
-                            fault: f,
-                            fail_time: end,
-                            restart_time: restart,
-                            from_sf: done.plan.stripe_factor,
-                        },
-                    );
-                    let config = mission_config(&done.spec, &plan);
-                    let from_sf = done.plan.stripe_factor;
-                    let tx = tx.clone();
-                    let WorkerDone { id, spec, submit, start, read_contention, .. } = done;
-                    std::thread::spawn(move || {
-                        let (result, restriped) = run_degraded(config, from_sf);
-                        let _ = tx.send(WorkerDone {
-                            id,
-                            spec,
-                            plan,
-                            submit,
-                            start,
-                            read_contention,
-                            restriped,
-                            result,
-                        });
-                    });
-                    continue;
-                }
-                sched.complete(done.id, done.result.is_err());
-                // Tear the mission's stream down (a failed run may leave
-                // the producer parked) and keep its peak occupancy.
-                let staging_peak = feeds.remove(&done.id).map_or(0, StreamFeed::drain);
-                let failover = failovers.remove(&done.id);
-                missions.push(finish(done, end, staging_peak, failover, &mut tracks));
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        let drained = next_event >= script.events.len();
-        if drained && sched.queued() == 0 && sched.running() == 0 {
+        if next_event >= script.events.len() && sched.queued() == 0 && sched.running() == 0 {
             break;
         }
+        // Collect one finished mission, sleeping no later than the next
+        // script instant (not at all when one is already due).
+        let done = match script.events.get(next_event) {
+            Some(ev) => {
+                let wait = (ev.at - epoch.elapsed().as_secs_f64()).max(0.0);
+                rx.recv_timeout(Duration::from_secs_f64(wait)).ok()
+            }
+            // Script drained: only a completion can move the fleet. The
+            // loop holds a sender, so this never reports a disconnect.
+            None => rx.recv().ok(),
+        };
+        let Some(done) = done else { continue };
+        let end = epoch.elapsed().as_secs_f64();
+        makespan = makespan.max(end);
+        let infra_loss = done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
+        if let (true, Some(f), false) = (infra_loss, cfg.fault, failovers.contains_key(&done.id)) {
+            // Fleet fault observed mid-mission: mark the store degraded
+            // (survivors absorb the lost directory, the plan cache is
+            // flushed), re-plan inside the nodes the mission already holds,
+            // and restart it on the surviving stripe directories instead of
+            // failing it.
+            sched.mark_server_lost(f.server);
+            let surviving = done.plan.stripe_factor.saturating_sub(1).max(1);
+            let plan = sched
+                .degraded_plan(&done.spec, surviving, done.plan.total_nodes)
+                .unwrap_or_else(|| PlanChoice { stripe_factor: surviving, ..done.plan.clone() });
+            let restart = epoch.elapsed().as_secs_f64();
+            failovers.insert(
+                done.id,
+                Failover {
+                    fault: f,
+                    fail_time: end,
+                    restart_time: restart,
+                    from_sf: done.plan.stripe_factor,
+                },
+            );
+            let config = mission_config(&done.spec, &plan);
+            let from_sf = done.plan.stripe_factor;
+            let tx = tx.clone();
+            let WorkerDone { id, spec, submit, start, read_contention, .. } = done;
+            std::thread::spawn(move || {
+                let (result, restriped) = run_degraded(config, from_sf);
+                let _ = tx.send(WorkerDone {
+                    id,
+                    spec,
+                    plan,
+                    submit,
+                    start,
+                    read_contention,
+                    restriped,
+                    result,
+                });
+            });
+            continue;
+        }
+        sched.complete(done.id, done.result.is_err());
+        // Tear the mission's stream down (a failed run may leave the
+        // producer parked) and keep its peak occupancy.
+        let staging_peak = feeds.remove(&done.id).map_or(0, StreamFeed::drain);
+        let failover = failovers.remove(&done.id);
+        missions.push(finish(done, end, staging_peak, failover, &mut tracks));
     }
     // Whatever streams are still attached (none, unless a mission slipped
     // through every path above) must not leak producer threads.

@@ -261,6 +261,25 @@ impl SlaVerdict {
     }
 }
 
+/// Fraction of SLA-bounded missions that met their bound, over one
+/// `(verdict, failed over)` pair per completed mission (`None` when no
+/// mission carried an SLA). With `credit_failover` off it is the
+/// counterfactual without the failover machinery: a mission that needed
+/// failover would have aborted at the fleet fault, so every bounded
+/// failed-over mission counts as a miss.
+pub(crate) fn sla_hit_rate(
+    grades: impl Iterator<Item = (SlaVerdict, bool)>,
+    credit_failover: bool,
+) -> Option<f64> {
+    let graded: Vec<bool> = grades
+        .filter_map(|(sla, failed_over)| sla.hit().map(|h| h && (credit_failover || !failed_over)))
+        .collect();
+    if graded.is_empty() {
+        return None;
+    }
+    Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+}
+
 /// How a mission's execution ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MissionOutcome {

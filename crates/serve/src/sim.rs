@@ -16,13 +16,16 @@
 //! run (used by the serve-conformance suite to compare prediction against
 //! execution on the same footing).
 
-use crate::mission::{MissionOutcome, MissionReport, MissionSource, PlanChoice, SlaVerdict};
+use crate::mission::{
+    sla_hit_rate, MissionOutcome, MissionReport, MissionSource, PlanChoice, SlaVerdict,
+};
 use crate::scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_des::{Engine, FcfsResource, SimTime, StagingModel, StagingPolicy};
 use stap_ingest::BackpressurePolicy;
 use stap_model::workload::ShapeParams;
-use stap_pfs::{FsConfig, StripeLayout};
+use stap_pfs::timing::{extent_read_time, extent_service};
+use stap_pfs::{FsConfig, OpenMode};
 
 /// How the simulator prices a mission's per-CPI read.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,35 +147,27 @@ pub struct SimFleetReport {
 }
 
 impl SimFleetReport {
+    /// One `(SLA verdict, failed over)` pair per mission.
+    fn grades(&self) -> impl Iterator<Item = (SlaVerdict, bool)> + '_ {
+        self.rows.iter().map(|r| (r.sla, r.failover.is_some()))
+    }
+
     /// Fraction of SLA-bounded missions predicted to meet their bound
     /// (`None` when no mission carried an SLA).
     pub fn sla_hit_rate(&self) -> Option<f64> {
-        let graded: Vec<bool> = self.rows.iter().filter_map(|r| r.sla.hit()).collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+        sla_hit_rate(self.grades(), true)
     }
 
-    /// The counterfactual SLA hit-rate without the failover machinery:
-    /// every bounded failed-over mission counts as a miss (it would have
-    /// aborted at the fleet fault). Mirrors
+    /// The counterfactual SLA hit-rate without the failover machinery.
+    /// Mirrors
     /// [`FleetOutcome::sla_hit_rate_no_failover`](crate::executor::FleetOutcome::sla_hit_rate_no_failover).
     pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
-        let graded: Vec<bool> = self
-            .rows
-            .iter()
-            .filter_map(|r| r.sla.hit().map(|h| h && r.failover.is_none()))
-            .collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+        sla_hit_rate(self.grades(), false)
     }
 
     /// Missions predicted to survive a fleet fault by failing over.
     pub fn failovers(&self) -> usize {
-        self.rows.iter().filter(|r| r.failover.is_some()).count()
+        self.grades().filter(|&(_, failed_over)| failed_over).count()
     }
 
     /// Mean predicted queue wait over completed missions, seconds.
@@ -424,25 +419,11 @@ fn price_cpi(plan: &PlanChoice, model: &ReadModel) -> (Vec<(usize, f64)>, f64, f
     match model {
         ReadModel::Planned => {
             let fs = FsConfig::paragon_pfs(plan.stripe_factor);
-            let layout = StripeLayout::new(fs.stripe_unit, fs.stripe_factor);
             let bytes = ShapeParams::paper_default().cube_bytes();
-            let reads: Vec<(usize, f64)> = layout
-                .map_extent(0, bytes)
-                .into_iter()
-                .map(|r| {
-                    let service =
-                        fs.request_latency.as_secs_f64() + r.len as f64 / fs.server_bandwidth;
-                    (r.server, service)
-                })
-                .collect();
+            let reads = extent_service(&fs, 0, bytes, OpenMode::Async);
             // Uncontended read: each of the sf directories serves its share
             // of the units back-to-back.
-            let servers = plan.stripe_factor.max(1);
-            let mut per_server = vec![0.0f64; servers];
-            for &(srv, svc) in &reads {
-                per_server[srv % servers] += svc;
-            }
-            let read_alone = per_server.iter().copied().fold(0.0, f64::max);
+            let read_alone = extent_read_time(&fs, 0, bytes, OpenMode::Async);
             // The plan's steady-state cycle is 1/throughput; whatever the
             // read does not account for is modelled as compute.
             let cycle = 1.0 / plan.throughput.max(1e-9);

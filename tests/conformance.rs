@@ -19,7 +19,7 @@ use stap_core::desmodel::DesExperiment;
 use stap_core::{IoStrategy, TailStructure};
 use stap_model::assignment::{assign_nodes, pack_classes, Assignment};
 use stap_model::machines::MachineModel;
-use stap_model::prediction::{predict_with_assignment, PredictStructure};
+use stap_model::prediction::predict_with_assignment;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_planner::{plan, PlannerConfig};
 
@@ -32,13 +32,6 @@ use stap_planner::{plan, PlannerConfig};
 const TPUT_TOL_PCT: f64 = 25.0;
 const LAT_TOL_PCT: f64 = 45.0;
 
-fn structure_of(io: IoStrategy, tail: TailStructure) -> PredictStructure {
-    PredictStructure {
-        separate_io: io == IoStrategy::SeparateTask,
-        combined_tail: tail == TailStructure::Combined,
-    }
-}
-
 /// Analytic and DES metrics for one configuration under the same explicit
 /// (packed) assignment. Returns (analytic tput, des tput, analytic lat,
 /// des lat).
@@ -49,7 +42,7 @@ fn evaluate_both(
     a: &Assignment,
 ) -> (f64, f64, f64, f64) {
     let shape = ShapeParams::paper_default();
-    let pred = predict_with_assignment(m, shape, structure_of(io, tail), a);
+    let pred = predict_with_assignment(m, shape, io, tail, a);
     let mut exp = DesExperiment::new(m.clone(), io, tail, a.total());
     exp.assignment_override = Some(a.clone());
     let des = exp.run();
@@ -144,7 +137,7 @@ proptest! {
         let w = StapWorkload::derive(ShapeParams::paper_default());
         let a = pack_classes(&w, &assignment_from(&counts), &m.classes);
         let shape = ShapeParams::paper_default();
-        let pred = predict_with_assignment(&m, shape, structure_of(io, tail), &a);
+        let pred = predict_with_assignment(&m, shape, io, tail, &a);
         let (at, dt, al, dl) = evaluate_both(&m, io, tail, &a);
         prop_assert!(at > 0.0 && al > 0.0, "degenerate analytic metrics");
         prop_assert!(
@@ -184,9 +177,9 @@ proptest! {
         let wide = narrow.with_stripe_factor(sf * 2);
         let a = assignment_from(&counts);
         let shape = ShapeParams::paper_default();
-        let s = structure_of(IoStrategy::Embedded, TailStructure::Split);
-        let pn = predict_with_assignment(&narrow, shape, s, &a);
-        let pw = predict_with_assignment(&wide, shape, s, &a);
+        let (io, tail) = (IoStrategy::Embedded, TailStructure::Split);
+        let pn = predict_with_assignment(&narrow, shape, io, tail, &a);
+        let pw = predict_with_assignment(&wide, shape, io, tail, &a);
         prop_assert!(pw.read_time <= pn.read_time);
         prop_assert!(pw.throughput >= pn.throughput - 1e-12);
         for (tn, tw) in pn.task_times.iter().zip(&pw.task_times).skip(1) {
@@ -217,12 +210,8 @@ fn planner_scores_match_reevaluation_of_the_emitted_plan() {
         };
         let m = base.with_stripe_factor(p.stripe_factor);
         assert_eq!(m.name, p.machine, "plan #{} names a machine we cannot rebuild", p.id);
-        let pred = predict_with_assignment(
-            &m,
-            ShapeParams::paper_default(),
-            structure_of(p.io, p.tail),
-            &p.assignment,
-        );
+        let pred =
+            predict_with_assignment(&m, ShapeParams::paper_default(), p.io, p.tail, &p.assignment);
         assert_eq!(
             pred.throughput, p.analytic.throughput,
             "plan #{} throughput is not reproducible",

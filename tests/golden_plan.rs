@@ -92,3 +92,50 @@ fn plan_json_auto_stripe_with_sla_is_stable() {
     assert!(out.contains("\"sla\":{\"max_latency\":0.5,"), "SLA block missing");
     check_golden("plan_auto_sla_n50.json", &out);
 }
+
+#[test]
+fn plan_json_sp_widened_io_menu_is_stable() {
+    // The synchronous-read machine under the full strategy menu, DES
+    // validation on: locks the read+compute+send serialization, the store
+    // tier's cache/prefetch pricing and the DES that replays them.
+    let out = run_plan(&["plan", "--machine", "sp", "--io", "auto", "--nodes", "50", "--json"]);
+    assert!(out.contains("\"io\":\"cached:64\"") && out.contains("\"io\":\"prefetch:2\""));
+    check_golden("plan_sp_ioauto_n50.json", &out);
+}
+
+#[test]
+fn plan_json_hetero_pool_auto_stripe_is_stable() {
+    // The mixed pool: class packing, searched stripe factors and the store
+    // tier in one artifact.
+    let out = run_plan(&[
+        "plan",
+        "--machine",
+        "paragon-het",
+        "--io",
+        "auto",
+        "--stripe-factor",
+        "auto",
+        "--nodes",
+        "100",
+        "--json",
+    ]);
+    check_golden("plan_het_ioauto_n100.json", &out);
+}
+
+#[test]
+fn sim_tables_over_the_paper_grid_are_stable() {
+    // Every paper machine x I/O design x tail structure at 50 nodes: the
+    // per-task T_i table plus analytic and simulated throughput/latency.
+    let mut out = String::new();
+    for machine in ["paragon16", "paragon64", "sp"] {
+        for io in ["embedded", "separate"] {
+            for tail in ["split", "combined"] {
+                let args =
+                    ["sim", "--machine", machine, "--io", io, "--tail", tail, "--nodes", "50"];
+                out.push_str(&format!("== {} ==\n", args.join(" ")));
+                out.push_str(&run_plan(&args));
+            }
+        }
+    }
+    check_golden("sim_table_n50.txt", &out);
+}
