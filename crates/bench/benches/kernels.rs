@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use stap_kernels::cfar::{cfar_row, CfarConfig};
 use stap_kernels::covariance::{estimate_covariance, TrainingConfig};
 use stap_kernels::cube::{CubeDims, DataCube, DopplerCube};
-use stap_kernels::doppler::{DopplerConfig, DopplerFilter};
+use stap_kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use stap_kernels::pulse::{lfm_chirp, PulseCompressor};
 use stap_kernels::weights::WeightComputer;
 use stap_kernels::KernelPath;
@@ -69,6 +69,27 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_function(&format!("doppler_staggered_slab_128x32x64/{path}"), |b| {
             b.iter(|| df.filter_staggered_with(&slab, path))
+        });
+    }
+
+    // One Doppler node's whole front at the benchmark geometry — the unit
+    // `DopplerStage` runs per CPI: range-major wire bytes in, the two bin
+    // buffers (easy bins x 1 stagger, hard bins x 2 staggers) out.
+    let wire = noise_cube(CubeDims::new(64, 16, 256)).to_range_major_bytes();
+    let df = DopplerFilter::new(64, DopplerConfig::default());
+    let (easy_bins, hard_bins) = (df.bin_class().easy_bins(64), df.bin_class().hard_bins(64));
+    for path in [KernelPath::Reference, KernelPath::Fast] {
+        g.bench_function(&format!("doppler_front_node_64x16x256/{path}"), |b| {
+            b.iter(|| {
+                let src = Samples::Wire { bytes: &wire, channels: 16 };
+                let mut easy = vec![C32::zero(); easy_bins.len() * 16 * 256];
+                let mut hard = vec![C32::zero(); hard_bins.len() * 2 * 16 * 256];
+                let rows = BinRows::slab(&easy_bins, 1, 16, (256, 0), &mut easy);
+                df.filter_into(src, false, rows, path);
+                let rows = BinRows::slab(&hard_bins, 2, 16, (256, 0), &mut hard);
+                df.filter_into(src, true, rows, path);
+                (easy, hard)
+            })
         });
     }
 

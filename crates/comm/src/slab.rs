@@ -316,6 +316,14 @@ impl<T: Poison> Clone for SharedSlab<T> {
     }
 }
 
+impl<T: Poison> SharedSlab<T> {
+    /// An independent copy of the contents in fresh storage (from the same
+    /// pool, or detached) — what a serializing transport would deliver.
+    pub fn deep_clone(&self) -> Self {
+        PoolVec::clone(&self.inner).freeze()
+    }
+}
+
 impl<T: Poison> Deref for SharedSlab<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {

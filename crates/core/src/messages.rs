@@ -7,12 +7,13 @@
 //! their bins. The row-batch type carries beamformed (bin, beam) range rows
 //! between the tail tasks.
 //!
-//! Every payload's sample/byte storage is a [`PoolVec`] so the data plane
-//! can recycle slabs through a [`SlabPool`] arena across CPIs (zero-copy
-//! mode); `--copy-comm` constructs detached (plain-allocation) buffers
-//! instead.
+//! Every payload's sample/byte storage is a [`PoolVec`] (frozen into a
+//! [`SharedSlab`] where one buffer fans out to many receivers) so the data
+//! plane can recycle slabs through a [`SlabPool`] arena across CPIs
+//! (zero-copy mode); `copy_comm` constructs detached (plain-allocation)
+//! buffers instead.
 
-use stap_comm::{PoolVec, SlabPool};
+use stap_comm::{PoolVec, SharedSlab, SlabPool};
 use stap_kernels::cube::DopplerCube;
 use stap_math::C32;
 
@@ -65,7 +66,13 @@ impl<T> Payload<T> {
 /// Doppler-filtered samples for `bins` over ranges `[r0, r1)`.
 ///
 /// Layout: `data[((bin_idx · staggers + s) · channels + c) · (r1-r0) + r]`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The samples are a frozen [`SharedSlab`]: a Doppler node filters all
+/// easy (or hard) bins into one buffer and fans it out by refcount
+/// ([`BinSlab::share`]); each receiver picks the bins it owns in
+/// [`assemble_bins`]. `Clone` is the deep copy the `copy_comm` oracle
+/// plane makes at its send boundary.
+#[derive(Debug)]
 pub struct BinSlab {
     /// The absolute Doppler bin numbers carried (in order).
     pub bins: Vec<usize>,
@@ -78,36 +85,26 @@ pub struct BinSlab {
     /// Last range gate (exclusive).
     pub r1: usize,
     /// Samples.
-    pub data: PoolVec<C32>,
+    pub data: SharedSlab<C32>,
+}
+
+impl Clone for BinSlab {
+    /// Deep copy: fresh sample storage (from the same pool, or detached).
+    fn clone(&self) -> Self {
+        Self { data: self.data.deep_clone(), ..self.share() }
+    }
 }
 
 impl BinSlab {
     /// Extracts a slab from a Doppler cube covering ranges `[r0, r1)` of the
     /// cube's local range axis, relabeled as absolute gates. The sample
-    /// buffer is detached (plain allocation); the pipeline's zero-copy path
-    /// uses [`BinSlab::from_cube_pooled`].
+    /// buffer is detached (plain allocation).
     ///
     /// `cube` holds this node's range interval starting at absolute gate
     /// `cube_r0`; the slab covers the cube's *entire* local range extent.
     pub fn from_cube(cube: &DopplerCube, bins: &[usize], cube_r0: usize) -> Self {
-        Self::from_cube_pooled(cube, bins, cube_r0, None)
-    }
-
-    /// [`BinSlab::from_cube`] drawing the sample buffer from `pool` (when
-    /// one is given), so steady-state CPIs recycle slabs instead of
-    /// allocating.
-    pub fn from_cube_pooled(
-        cube: &DopplerCube,
-        bins: &[usize],
-        cube_r0: usize,
-        pool: Option<&SlabPool<C32>>,
-    ) -> Self {
         let n = cube.ranges();
-        let cap = bins.len() * cube.staggers() * cube.channels() * n;
-        let mut data = match pool {
-            Some(pool) => pool.take(cap),
-            None => PoolVec::detached(Vec::with_capacity(cap)),
-        };
+        let mut data = Vec::with_capacity(bins.len() * cube.staggers() * cube.channels() * n);
         for &b in bins {
             for s in 0..cube.staggers() {
                 for c in 0..cube.channels() {
@@ -122,15 +119,25 @@ impl BinSlab {
             channels: cube.channels(),
             r0: cube_r0,
             r1: cube_r0 + n,
-            data,
+            data: PoolVec::detached(data).freeze(),
         }
+    }
+
+    /// Another handle on the same samples (a refcount, not a copy); the
+    /// buffer recycles when the last handle drops.
+    pub fn share(&self) -> Self {
+        Self { bins: self.bins.clone(), data: self.data.clone(), ..*self }
+    }
+
+    /// The `r1 - r0` samples of (carried bin `bin_idx`, stagger, channel).
+    pub fn row(&self, bin_idx: usize, s: usize, c: usize) -> &[C32] {
+        let n = self.r1 - self.r0;
+        &self.data[((bin_idx * self.staggers + s) * self.channels + c) * n..][..n]
     }
 
     /// Sample lookup.
     pub fn get(&self, bin_idx: usize, s: usize, c: usize, abs_r: usize) -> C32 {
-        let n = self.r1 - self.r0;
-        let r = abs_r - self.r0;
-        self.data[((bin_idx * self.staggers + s) * self.channels + c) * n + r]
+        self.row(bin_idx, s, c)[abs_r - self.r0]
     }
 
     /// Number of bytes of sample payload (for I/O accounting).
@@ -202,10 +209,9 @@ pub fn assemble_bins(
     slabs: &[BinSlab],
 ) -> Result<DopplerCube, AssemblyError> {
     let first = slabs.first().ok_or(AssemblyError::NoSlabs)?;
-    let staggers = first.staggers;
-    let channels = first.channels;
-    let mut cube = DopplerCube::zeros(staggers, bins.len(), channels, ranges);
-    let mut covered = vec![0usize; ranges];
+    let (staggers, channels) = (first.staggers, first.channels);
+    // Per slab, where each requested bin sits among the bins it carries.
+    let mut parts = Vec::with_capacity(slabs.len());
     for slab in slabs {
         if slab.staggers != staggers {
             return Err(AssemblyError::StaggerMismatch {
@@ -219,25 +225,39 @@ pub fn assemble_bins(
                 found: slab.channels,
             });
         }
-        for (i, &b) in bins.iter().enumerate() {
-            let bin_idx =
-                slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b))?;
-            for s in 0..staggers {
-                for c in 0..channels {
-                    for abs_r in slab.r0..slab.r1 {
-                        *cube.get_mut(s, i, c, abs_r) = slab.get(bin_idx, s, c, abs_r);
-                    }
+        let at = |&b| slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b));
+        parts.push((slab, bins.iter().map(at).collect::<Result<Vec<usize>, _>>()?));
+    }
+    // Walk the slabs in gate order: each contributes the gates nothing
+    // before it covered, and together they must reach `ranges`.
+    parts.sort_by_key(|(slab, _)| slab.r0);
+    let mut pieces = Vec::with_capacity(parts.len());
+    let mut gate = 0;
+    for (slab, at) in &parts {
+        if slab.r0 > gate || gate >= ranges {
+            break;
+        }
+        if slab.r1 > gate {
+            pieces.push((*slab, at, gate - slab.r0..slab.r1.min(ranges) - slab.r0));
+            gate = slab.r1;
+        }
+    }
+    if gate < ranges {
+        return Err(AssemblyError::RangeGap { gate });
+    }
+    // Coverage holds, so every output row is appended whole, piece by
+    // piece — no zero-fill to overwrite.
+    let mut data = Vec::with_capacity(staggers * bins.len() * channels * ranges);
+    for s in 0..staggers {
+        for i in 0..bins.len() {
+            for c in 0..channels {
+                for (slab, at, gates) in &pieces {
+                    data.extend_from_slice(&slab.row(at[i], s, c)[gates.clone()]);
                 }
             }
         }
-        for c in covered.iter_mut().take(slab.r1).skip(slab.r0) {
-            *c += 1;
-        }
     }
-    if let Some(gate) = covered.iter().position(|&c| c == 0) {
-        return Err(AssemblyError::RangeGap { gate });
-    }
-    Ok(cube)
+    Ok(DopplerCube::from_data(staggers, bins.len(), channels, ranges, data))
 }
 
 /// Raw on-disk bytes for range gates `[r0, r1)` — what the separate read
@@ -364,6 +384,41 @@ mod tests {
         assert_eq!(full.get(1, 1, 0, 3), cube.get(1, 3, 0, 1));
         // Absolute gate 1 came from slab_b.
         assert_eq!(full.get(0, 0, 2, 1), cube_b.get(0, 1, 2, 1));
+    }
+
+    #[test]
+    fn receivers_pick_their_bins_from_one_shared_slab() {
+        // One sender buffer carrying bins 1, 3, 5 fans out by refcount; each
+        // receiver assembles only the bins it owns, in its own order.
+        let cube = tiny_cube(2, 6, 2, 4);
+        let slab = BinSlab::from_cube(&cube, &[1, 3, 5], 0);
+        let shared = slab.share();
+        assert_eq!(shared.data.as_ptr(), slab.data.as_ptr(), "share() must not copy");
+        let copied = slab.clone();
+        assert_ne!(copied.data.as_ptr(), slab.data.as_ptr(), "clone() is the deep copy");
+        for (mine, from) in [(vec![5, 1], shared), (vec![3], copied)] {
+            let full = assemble_bins(&mine, 4, &[from]).expect("tiled");
+            for (i, &b) in mine.iter().enumerate() {
+                for s in 0..2 {
+                    for c in 0..2 {
+                        assert_eq!(full.row(s, i, c), cube.row(s, b, c));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_slabs_still_cover_every_gate_once() {
+        let cube = tiny_cube(1, 2, 1, 6);
+        let bytes = cube.row(0, 1, 0).to_vec();
+        let part = |r0: usize, r1: usize| {
+            let mut dc = DopplerCube::zeros(1, 2, 1, r1 - r0);
+            dc.row_mut(0, 1, 0).copy_from_slice(&bytes[r0..r1]);
+            BinSlab::from_cube(&dc, &[1], r0)
+        };
+        let full = assemble_bins(&[1], 6, &[part(3, 6), part(0, 4), part(2, 3)]).expect("tiled");
+        assert_eq!(full.row(0, 0, 0), &bytes[..]);
     }
 
     #[test]

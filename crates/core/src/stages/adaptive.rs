@@ -89,6 +89,9 @@ impl Stage for WeightStage {
             let ranges = self.plan.config.dims.ranges;
             let cube = assemble_bins(&my_bins, ranges, &slabs)
                 .map_err(|e| ctx.fail(format!("doppler assembly: {e}")))?;
+            // The slabs are shared with every other consumer of this CPI:
+            // let go now so the buffers recycle without waiting on the solve.
+            drop(slabs);
             ctx.phase(Phase::Compute);
             // The assembled cube's bin axis is positional; compute against
             // positional indices, then relabel to absolute bins for
@@ -220,6 +223,7 @@ impl Stage for BeamformStage {
         ctx.phase(Phase::Send);
         let cube = assemble_bins(&my_bins, ranges, &slabs)
             .map_err(|e| ctx.fail(format!("beamform assembly: {e}")))?;
+        drop(slabs);
         ctx.phase(Phase::Compute);
         let ws = self
             .select_weights(&weights_full, &my_bins)

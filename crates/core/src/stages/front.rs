@@ -10,7 +10,8 @@
 use crate::messages::{BinSlab, Gap, Payload, RawSlab};
 use crate::stages::{broadcast_gap, port, StapPlan};
 use stap_kernels::cube::{CubeDims, DataCube};
-use stap_kernels::doppler::{DopplerConfig, DopplerFilter};
+use stap_kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
+use stap_math::C32;
 use stap_pipeline::schedule::block_range;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
@@ -190,11 +191,9 @@ impl Stage for ReadStage {
     }
 }
 
-/// This node's raw slab for the current CPI, or the gap displacing it.
-enum SlabOutcome {
-    Cube(DataCube),
-    Gap(Gap),
-}
+/// This node's range-major wire bytes for the current CPI — the fetched
+/// extent, or one slab per overlapping reader — or the gap displacing them.
+type Acquired = Result<Vec<RawSlab>, Gap>;
 
 /// The Doppler filter task. Three phases when I/O is embedded — "reading
 /// data from files, computation, and sending" — with asynchronous reads
@@ -223,10 +222,7 @@ impl DopplerStage {
     }
 
     /// Acquires this node's slab for `cpi`, embedded mode (sync or async).
-    fn acquire_slab_embedded(
-        &mut self,
-        ctx: &mut StageCtx<'_>,
-    ) -> Result<SlabOutcome, PipelineError> {
+    fn acquire_slab_embedded(&mut self, ctx: &mut StageCtx<'_>) -> Result<Acquired, PipelineError> {
         let dims = self.plan.config.dims;
         let (r0, r1) = self.my_ranges();
         let (off, len) = slab_extent(dims, r0, r1);
@@ -255,26 +251,18 @@ impl DopplerStage {
             }
         }
         Ok(match outcome {
-            ReadOutcome::Data(bytes) => {
-                SlabOutcome::Cube(DataCube::slab_from_range_major_bytes(dims, r0, r1, &bytes))
-            }
-            ReadOutcome::Dropped(reason) => SlabOutcome::Gap(gap_here(ctx, reason)),
+            ReadOutcome::Data(bytes) => Ok(vec![RawSlab::new(r0, r1, bytes)]),
+            ReadOutcome::Dropped(reason) => Err(gap_here(ctx, reason)),
         })
     }
 
-    /// Receives this node's slab from the separate read task.
-    fn acquire_slab_separate(
-        &mut self,
-        ctx: &mut StageCtx<'_>,
-    ) -> Result<SlabOutcome, PipelineError> {
+    /// Receives this node's slabs from the separate read task.
+    fn acquire_slab_separate(&mut self, ctx: &mut StageCtx<'_>) -> Result<Acquired, PipelineError> {
         let dims = self.plan.config.dims;
         let (r0, r1) = self.my_ranges();
         let read = self.plan.roles.read.expect("separate mode has a read stage");
         let readers = ctx.topology.stage(read).nodes;
-        let gate_bytes = dims.channels * dims.pulses * 8;
-        let mut buf = self.plan.byte_buf((r1 - r0) * gate_bytes);
-        buf.resize((r1 - r0) * gate_bytes, 0);
-        let mut covered = 0usize;
+        let mut slabs = Vec::new();
         let mut gap: Option<Gap> = None;
         for i in 0..readers {
             let (i0, i1) = block_range(dims.ranges, readers, i);
@@ -282,29 +270,66 @@ impl DopplerStage {
                 continue;
             }
             match ctx.recv_from::<Payload<RawSlab>>(read, i, port::RAW)? {
-                Payload::Data(slab) => {
-                    let b0 = (slab.r0 - r0) * gate_bytes;
-                    buf[b0..b0 + slab.bytes.len()].copy_from_slice(&slab.bytes);
-                    covered += slab.r1 - slab.r0;
-                }
+                Payload::Data(slab) => slabs.push(slab),
                 Payload::Gap(g) => gap = Some(g),
             }
         }
-        if let Some(g) = gap {
-            return Ok(SlabOutcome::Gap(g));
+        Ok(gap.map_or(Ok(slabs), Err))
+    }
+
+    /// Doppler-filters the wire bytes straight into the two outgoing
+    /// buffers — every easy bin x 1 stagger, every hard bin x 2 — with no
+    /// cube in between; each raw slab lands at its own gate offset.
+    ///
+    /// # Errors
+    /// A slab outside this node's gates, or whose byte length does not
+    /// match its gate interval, is a stage error, as is a set of slabs
+    /// that does not cover the node's gates.
+    fn filter_wire(
+        &self,
+        ctx: &StageCtx<'_>,
+        raw: Vec<RawSlab>,
+    ) -> Result<[BinSlab; 2], PipelineError> {
+        let dims = self.plan.config.dims;
+        let (r0, r1) = self.my_ranges();
+        let (n, gate_bytes) = (r1 - r0, dims.channels * dims.pulses * 8);
+        let fail = |what: String| ctx.fail(format!("node {} CPI {}: {what}", self.local, ctx.cpi));
+        let mut covered = 0;
+        for s in &raw {
+            let fits = r0 <= s.r0 && s.r0 <= s.r1 && s.r1 <= r1;
+            if !fits || s.bytes.len() != (s.r1 - s.r0) * gate_bytes {
+                return Err(fail(format!(
+                    "raw slab for gates [{}, {}) of [{r0}, {r1}) carries {} bytes, not {gate_bytes} per gate",
+                    s.r0,
+                    s.r1,
+                    s.bytes.len()
+                )));
+            }
+            covered += s.r1 - s.r0;
         }
-        if covered != r1 - r0 {
-            return Err(ctx.fail(format!("raw slabs covered {covered} of {} gates", r1 - r0)));
+        if covered != n {
+            return Err(fail(format!("raw slabs covered {covered} of {n} gates")));
         }
-        Ok(SlabOutcome::Cube(DataCube::slab_from_range_major_bytes(dims, r0, r1, &buf)))
+        Ok([false, true].map(|hard| {
+            let bins = if hard { &self.plan.hard_bins } else { &self.plan.easy_bins };
+            let staggers = if hard { 2 } else { 1 };
+            let len = bins.len() * staggers * dims.channels * n;
+            let mut data = self.plan.sample_buf(len);
+            data.resize(len, C32::zero());
+            for s in &raw {
+                let src = Samples::Wire { bytes: &s.bytes, channels: dims.channels };
+                let rows = BinRows::slab(bins, staggers, dims.channels, (n, s.r0 - r0), &mut data);
+                self.filter.filter_into(src, hard, rows, self.plan.kernel_path());
+            }
+            let (bins, channels, data) = (bins.clone(), dims.channels, data.freeze());
+            BinSlab { bins, staggers, channels, r0, r1, data }
+        }))
     }
 }
 
 impl Stage for DopplerStage {
     fn run_cpi(&mut self, ctx: &mut StageCtx<'_>) -> Result<(), PipelineError> {
-        let (r0, _r1) = self.my_ranges();
-
-        // Phase 1: acquire the raw slab (read from PFS or recv from the
+        // Phase 1: acquire the raw bytes (read from PFS or recv from the
         // read task).
         let outcome = if self.plan.separate_io() {
             ctx.phase(Phase::Recv);
@@ -322,12 +347,12 @@ impl Stage for DopplerStage {
             (roles.hard_weight, true, port::HARD_TRAIN),
         ];
 
-        let slab = match outcome {
-            SlabOutcome::Cube(slab) => {
+        let raw = match outcome {
+            Ok(raw) => {
                 self.consecutive_drops = 0;
-                slab
+                raw
             }
-            SlabOutcome::Gap(g) => {
+            Err(g) => {
                 // Drops originate here only in embedded mode; in separate
                 // mode the read task already enforced its own budget.
                 if !self.plan.separate_io() {
@@ -342,25 +367,21 @@ impl Stage for DopplerStage {
             }
         };
 
-        // Phase 2: Doppler filtering, easy (full CPI) + hard (staggered).
+        // Phase 2: Doppler filtering, easy (full CPI) + hard (staggered),
+        // wire bytes in, outgoing bin slabs out.
         ctx.phase(Phase::Compute);
-        let path = self.plan.kernel_path();
-        let easy = self.filter.filter_easy_with(&slab, path);
-        let hard = self.filter.filter_staggered_with(&slab, path);
+        let slabs = self.filter_wire(ctx, raw)?;
 
-        // Phase 3: distribute per-bin slabs to the beamformers (spatial)
-        // and the weight tasks (temporal consumers of this CPI's data).
-        // Zero-copy mode carves the slabs out of the shared sample arena
-        // and passes ownership; `copy_comm` deep-copies at the boundary.
+        // Phase 3: fan each slab out to the beamformers (spatial) and the
+        // weight tasks (temporal consumers of this CPI's data). Zero-copy
+        // mode hands every receiver a refcount on the one pooled buffer
+        // and the receiver picks its own bins; `copy_comm` deep-copies at
+        // the boundary.
         ctx.phase(Phase::Send);
-        let pool = (!self.plan.config.copy_comm).then_some(&self.plan.pools.samples);
         for (stage, is_hard, p) in sends {
-            let nodes = ctx.topology.stage(stage).nodes;
-            let cube = if is_hard { &hard } else { &easy };
-            for n in 0..nodes {
-                let bins = self.plan.owned_bins(is_hard, nodes, n);
-                let msg = Payload::Data(BinSlab::from_cube_pooled(cube, &bins, r0, pool));
-                ctx.send_to(stage, n, p, self.plan.for_send(msg))?;
+            let slab = &slabs[usize::from(is_hard)];
+            for n in 0..ctx.topology.stage(stage).nodes {
+                ctx.send_to(stage, n, p, self.plan.for_send(Payload::Data(slab.share())))?;
             }
         }
         Ok(())
@@ -370,6 +391,10 @@ impl Stage for DopplerStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StapConfig;
+    use crate::stages::Roles;
+    use stap_pipeline::topology::Topology;
+    use stap_pipeline::{CpiSource, Pipeline, SourceError, StageFactory};
 
     #[test]
     fn slab_extents_tile_the_file() {
@@ -382,5 +407,57 @@ mod tests {
             cursor = off + len as u64;
         }
         assert_eq!(cursor, dims.bytes() as u64);
+    }
+
+    /// A source that delivers one sample fewer than it was asked for.
+    #[derive(Debug)]
+    struct ShortSource;
+
+    impl CpiSource for ShortSource {
+        fn fetch(&self, _cpi: u64, _offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
+            Ok(vec![0; len - 8])
+        }
+    }
+
+    #[test]
+    fn short_read_is_a_stage_error_naming_stage_node_and_cpi() {
+        let mut topo = Topology::new();
+        let doppler = topo.add_stage("Doppler filter", 2);
+        let rest = topo.add_stage("rest", 1);
+        topo.add_edge(doppler, rest);
+        let config = StapConfig { cpis: 1, warmup: 0, ..StapConfig::default() };
+        let bins = config.doppler.bins;
+        let plan = Arc::new(StapPlan {
+            roles: Roles {
+                read: None,
+                doppler,
+                easy_weight: rest,
+                hard_weight: rest,
+                easy_bf: rest,
+                hard_bf: rest,
+                pulse: rest,
+                cfar: None,
+            },
+            easy_bins: bins.easy_bins(config.nbins()),
+            hard_bins: bins.hard_bins(config.nbins()),
+            files: Vec::new(),
+            source: Arc::new(ShortSource),
+            waveform: Vec::new(),
+            stats: Default::default(),
+            tap: None,
+            pools: Default::default(),
+            config,
+        });
+        let front: StageFactory =
+            Box::new(move |local| Box::new(DopplerStage::new(Arc::clone(&plan), local, 2)));
+        let idle: StageFactory = Box::new(|_| Box::new(|_: &mut StageCtx<'_>| Ok(())));
+        match Pipeline::new(topo, vec![front, idle]).run(1, 0).unwrap_err() {
+            PipelineError::Stage { stage, message } => {
+                assert_eq!(stage, "Doppler filter");
+                assert!(message.contains("CPI 0") && message.contains("node "), "{message}");
+                assert!(message.contains("bytes, not"), "{message}");
+            }
+            other => panic!("expected a typed stage error, got {other:?}"),
+        }
     }
 }

@@ -240,6 +240,21 @@ impl DopplerCube {
         }
     }
 
+    /// Wraps existing samples in `[stagger][bin][channel][range]` order.
+    ///
+    /// # Panics
+    /// Panics when `data.len()` is not the product of the four extents.
+    pub fn from_data(
+        staggers: usize,
+        bins: usize,
+        channels: usize,
+        ranges: usize,
+        data: Vec<C32>,
+    ) -> Self {
+        assert_eq!(data.len(), staggers * bins * channels * ranges, "cube data length mismatch");
+        Self { staggers, bins, channels, ranges, data }
+    }
+
     /// Number of staggered segments (1 = easy, 2 = hard).
     #[inline]
     pub fn staggers(&self) -> usize {

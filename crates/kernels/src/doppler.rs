@@ -157,73 +157,7 @@ impl DopplerFilter {
 
     /// [`DopplerFilter::filter_easy`] with an explicit kernel path.
     pub fn filter_easy_with(&self, cube: &DataCube, path: KernelPath) -> DopplerCube {
-        let d = cube.dims();
-        assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
-        let mut out = DopplerCube::zeros(1, self.fft_len, d.channels, d.ranges);
-        match path {
-            KernelPath::Reference => self.filter_easy_ref(cube, &mut out),
-            KernelPath::Fast => self.filter_easy_fast(cube, &mut out),
-        }
-        out
-    }
-
-    /// Blocked easy path: [`RANGE_BLOCK`]-gate panels through the multi-lane
-    /// FFT. Bit-identical to the scalar reference: the panel FFT runs every
-    /// range-gate lane through the exact scalar butterfly sequence.
-    fn filter_easy_fast(&self, cube: &DataCube, out: &mut DopplerCube) {
-        let d = cube.dims();
-        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(d.ranges.max(1))];
-        let mut b0 = 0;
-        while b0 < d.ranges {
-            let lanes = RANGE_BLOCK.min(d.ranges - b0);
-            let panel = &mut panel[..self.fft_len * lanes];
-            for c in 0..d.channels {
-                // Gather: cube rows at fixed (p, c) are contiguous in range,
-                // so each panel row is one windowed streaming copy.
-                let src_all = cube.as_slice();
-                for p in 0..self.pulses {
-                    let base = (p * d.channels + c) * d.ranges + b0;
-                    let src = &src_all[base..base + lanes];
-                    let dst = &mut panel[p * lanes..(p + 1) * lanes];
-                    let w = self.window_full[p];
-                    for (dv, sv) in dst.iter_mut().zip(src.iter()) {
-                        *dv = sv.scale(w);
-                    }
-                }
-                for v in panel.iter_mut().skip(self.pulses * lanes) {
-                    *v = C32::zero();
-                }
-                self.plan.forward_multi(panel, lanes);
-                // Scatter: output rows at fixed (bin, c) are contiguous too.
-                for b in 0..self.fft_len {
-                    out.row_mut(0, b, c)[b0..b0 + lanes]
-                        .copy_from_slice(&panel[b * lanes..(b + 1) * lanes]);
-                }
-            }
-            b0 += lanes;
-        }
-    }
-
-    /// Scalar reference easy path: per-(channel, range) gather + FFT, the
-    /// original naive loop kept as the correctness and bench baseline.
-    #[allow(clippy::needless_range_loop)] // gathers strided cube samples into a dense FFT buffer
-    fn filter_easy_ref(&self, cube: &DataCube, out: &mut DopplerCube) {
-        let d = cube.dims();
-        let mut buf = vec![C32::zero(); self.fft_len];
-        for c in 0..d.channels {
-            for r in 0..d.ranges {
-                for p in 0..self.pulses {
-                    buf[p] = cube.get(p, c, r).scale(self.window_full[p]);
-                }
-                for v in buf.iter_mut().skip(self.pulses) {
-                    *v = C32::zero();
-                }
-                self.plan.forward(&mut buf);
-                for (b, &v) in buf.iter().enumerate() {
-                    *out.get_mut(0, b, c, r) = v;
-                }
-            }
-        }
+        self.filter_cube(cube, false, path)
     }
 
     /// Hard-path (PRI-staggered) filtering: two windowed FFTs over the pulse
@@ -234,44 +168,84 @@ impl DopplerFilter {
 
     /// [`DopplerFilter::filter_staggered`] with an explicit kernel path.
     pub fn filter_staggered_with(&self, cube: &DataCube, path: KernelPath) -> DopplerCube {
+        self.filter_cube(cube, true, path)
+    }
+
+    /// Every bin of `cube` into a fresh [`DopplerCube`].
+    fn filter_cube(&self, cube: &DataCube, staggered: bool, path: KernelPath) -> DopplerCube {
         let d = cube.dims();
-        assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
-        let mut out = DopplerCube::zeros(2, self.fft_len, d.channels, d.ranges);
-        match path {
-            KernelPath::Reference => self.filter_staggered_ref(cube, &mut out),
-            KernelPath::Fast => self.filter_staggered_fast(cube, &mut out),
-        }
+        let staggers = if staggered { 2 } else { 1 };
+        let mut out = DopplerCube::zeros(staggers, self.fft_len, d.channels, d.ranges);
+        let bins: Vec<usize> = (0..self.fft_len).collect();
+        let dst = BinRows {
+            bins: &bins,
+            out: out.as_mut_slice(),
+            row_len: d.ranges,
+            r_off: 0,
+            bin_rows: d.channels,
+            stagger_rows: self.fft_len * d.channels,
+        };
+        self.filter_into(Samples::Cube(cube), staggered, dst, path);
         out
     }
 
-    /// Blocked staggered path (see [`Self::filter_easy_fast`]).
-    fn filter_staggered_fast(&self, cube: &DataCube, out: &mut DopplerCube) {
-        let d = cube.dims();
-        let s = self.config.stagger_offset;
-        let seg = self.pulses - s;
-        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(d.ranges.max(1))];
+    /// The filter every caller runs: easy (one full-train segment) or
+    /// staggered (two offset segments) filtering of `src`, keeping only
+    /// `dst.bins` and writing them straight into `dst.out` — no
+    /// intermediate cube on either side.
+    ///
+    /// # Panics
+    /// Panics when `src` does not hold whole `pulses`-long trains, a
+    /// selected bin is out of range, or `dst.out` is too short for the
+    /// rows addressed.
+    pub fn filter_into(
+        &self,
+        src: Samples<'_>,
+        staggered: bool,
+        dst: BinRows<'_>,
+        path: KernelPath,
+    ) {
+        let (channels, gates) = src.shape(self.pulses);
+        assert!(dst.bins.iter().all(|&b| b < self.fft_len), "selected bin beyond the FFT length");
+        assert!(dst.r_off + gates <= dst.row_len, "gates overrun the output rows");
+        let starts = [0, self.config.stagger_offset];
+        let (window, starts) = if staggered {
+            (&self.window_seg, &starts[..])
+        } else {
+            (&self.window_full, &starts[..1])
+        };
+        match path {
+            KernelPath::Reference => self.run_reference(src, channels, gates, window, starts, dst),
+            KernelPath::Fast => self.run_panels(src, channels, gates, window, starts, dst),
+        }
+    }
+
+    /// Blocked path: [`RANGE_BLOCK`]-gate panels through the multi-lane
+    /// FFT. Bit-identical to the scalar reference: the panel FFT runs every
+    /// range-gate lane through the exact scalar butterfly sequence.
+    fn run_panels(
+        &self,
+        src: Samples<'_>,
+        channels: usize,
+        gates: usize,
+        window: &[f32],
+        starts: &[usize],
+        mut dst: BinRows<'_>,
+    ) {
+        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(gates.max(1))];
         let mut b0 = 0;
-        while b0 < d.ranges {
-            let lanes = RANGE_BLOCK.min(d.ranges - b0);
+        while b0 < gates {
+            let lanes = RANGE_BLOCK.min(gates - b0);
             let panel = &mut panel[..self.fft_len * lanes];
-            for c in 0..d.channels {
-                for (stagger, start) in [(0usize, 0usize), (1, s)] {
-                    let src_all = cube.as_slice();
-                    for k in 0..seg {
-                        let base = ((start + k) * d.channels + c) * d.ranges + b0;
-                        let src = &src_all[base..base + lanes];
-                        let dst = &mut panel[k * lanes..(k + 1) * lanes];
-                        let w = self.window_seg[k];
-                        for (dv, sv) in dst.iter_mut().zip(src.iter()) {
-                            *dv = sv.scale(w);
-                        }
-                    }
-                    for v in panel.iter_mut().skip(seg * lanes) {
-                        *v = C32::zero();
-                    }
+            for c in 0..channels {
+                for (stagger, &start) in starts.iter().enumerate() {
+                    src.gather(panel, lanes, self.pulses, (start, c, b0), window);
+                    panel[window.len() * lanes..].fill(C32::zero());
                     self.plan.forward_multi(panel, lanes);
-                    for b in 0..self.fft_len {
-                        out.row_mut(stagger, b, c)[b0..b0 + lanes]
+                    // Scatter: output rows at fixed (bin, c) are contiguous.
+                    let at = dst.r_off + b0;
+                    for (i, &b) in dst.bins.iter().enumerate() {
+                        dst.row_mut(i, stagger, c)[at..at + lanes]
                             .copy_from_slice(&panel[b * lanes..(b + 1) * lanes]);
                     }
                 }
@@ -280,29 +254,163 @@ impl DopplerFilter {
         }
     }
 
-    /// Scalar reference staggered path (the original naive loop).
-    #[allow(clippy::needless_range_loop)] // gathers strided cube samples into a dense FFT buffer
-    fn filter_staggered_ref(&self, cube: &DataCube, out: &mut DopplerCube) {
-        let d = cube.dims();
-        let s = self.config.stagger_offset;
-        let seg = self.pulses - s;
+    /// Scalar reference path: per-(channel, range) gather + FFT, the
+    /// original naive loop kept as the correctness and bench baseline.
+    fn run_reference(
+        &self,
+        src: Samples<'_>,
+        channels: usize,
+        gates: usize,
+        window: &[f32],
+        starts: &[usize],
+        mut dst: BinRows<'_>,
+    ) {
         let mut buf = vec![C32::zero(); self.fft_len];
-        for c in 0..d.channels {
-            for r in 0..d.ranges {
-                for (stagger, start) in [(0usize, 0usize), (1, s)] {
-                    for k in 0..seg {
-                        buf[k] = cube.get(start + k, c, r).scale(self.window_seg[k]);
+        for c in 0..channels {
+            for r in 0..gates {
+                for (stagger, &start) in starts.iter().enumerate() {
+                    for (k, &w) in window.iter().enumerate() {
+                        buf[k] = src.get(self.pulses, start + k, c, r).scale(w);
                     }
-                    for v in buf.iter_mut().skip(seg) {
-                        *v = C32::zero();
-                    }
+                    buf[window.len()..].fill(C32::zero());
                     self.plan.forward(&mut buf);
-                    for (b, &v) in buf.iter().enumerate() {
-                        *out.get_mut(stagger, b, c, r) = v;
+                    let at = dst.r_off + r;
+                    for (i, &b) in dst.bins.iter().enumerate() {
+                        dst.row_mut(i, stagger, c)[at] = buf[b];
                     }
                 }
             }
         }
+    }
+}
+
+/// Raw CPI samples the filter reads, in either of the layouts they exist in.
+#[derive(Debug, Clone, Copy)]
+pub enum Samples<'a> {
+    /// A pulse-major cube (`[pulse][channel][range]`).
+    Cube(&'a DataCube),
+    /// Range-major wire bytes (`[range][channel][pulse]`, little-endian
+    /// interleaved f32 re/im) for a whole number of range gates — a CPI
+    /// file extent as fetched.
+    Wire {
+        /// The bytes.
+        bytes: &'a [u8],
+        /// Channels per gate.
+        channels: usize,
+    },
+}
+
+impl Samples<'_> {
+    /// `(channels, range gates)` held, for `pulses`-long trains.
+    fn shape(&self, pulses: usize) -> (usize, usize) {
+        match *self {
+            Samples::Cube(cube) => {
+                let d = cube.dims();
+                assert_eq!(d.pulses, pulses, "cube pulse count differs from plan");
+                (d.channels, d.ranges)
+            }
+            Samples::Wire { bytes, channels } => {
+                let gate_bytes = channels * pulses * 8;
+                assert!(
+                    gate_bytes > 0 && bytes.len() % gate_bytes == 0,
+                    "wire bytes are not whole range gates"
+                );
+                (channels, bytes.len() / gate_bytes)
+            }
+        }
+    }
+
+    /// Sample at (pulse, channel, range).
+    fn get(&self, pulses: usize, p: usize, c: usize, r: usize) -> C32 {
+        match *self {
+            Samples::Cube(cube) => cube.get(p, c, r),
+            Samples::Wire { bytes, channels } => {
+                wire_sample(&bytes[((r * channels + c) * pulses + p) * 8..][..8])
+            }
+        }
+    }
+
+    /// Fills panel rows `0..window.len()` (lane-minor) with the windowed
+    /// pulses `start..` of channel `c`, range gates `b0..b0 + lanes`.
+    fn gather(
+        &self,
+        panel: &mut [C32],
+        lanes: usize,
+        pulses: usize,
+        (start, c, b0): (usize, usize, usize),
+        window: &[f32],
+    ) {
+        match *self {
+            // Cube rows at fixed (p, c) are contiguous in range, so each
+            // panel row is one windowed streaming copy.
+            Samples::Cube(cube) => {
+                let d = cube.dims();
+                for (k, &w) in window.iter().enumerate() {
+                    let base = ((start + k) * d.channels + c) * d.ranges + b0;
+                    let src = &cube.as_slice()[base..base + lanes];
+                    for (dv, sv) in panel[k * lanes..(k + 1) * lanes].iter_mut().zip(src) {
+                        *dv = sv.scale(w);
+                    }
+                }
+            }
+            // Wire pulse trains at fixed (r, c) are contiguous, so each lane
+            // is one streaming read transposed into the L1-resident panel.
+            Samples::Wire { bytes, channels } => {
+                for l in 0..lanes {
+                    let base = (((b0 + l) * channels + c) * pulses + start) * 8;
+                    let train = bytes[base..base + window.len() * 8].chunks_exact(8);
+                    for (k, (z, &w)) in train.zip(window).enumerate() {
+                        panel[k * lanes + l] = wire_sample(z).scale(w);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Decodes one 8-byte little-endian (re, im) wire sample.
+#[inline]
+fn wire_sample(z: &[u8]) -> C32 {
+    C32::new(
+        f32::from_le_bytes([z[0], z[1], z[2], z[3]]),
+        f32::from_le_bytes([z[4], z[5], z[6], z[7]]),
+    )
+}
+
+/// Where a filter pass scatters its output: one `row_len`-gate row per
+/// (selected bin, stagger, channel), the pass's gates landing at `r_off`.
+#[derive(Debug)]
+pub struct BinRows<'a> {
+    /// Absolute Doppler bins to keep, in output order.
+    pub bins: &'a [usize],
+    /// Row storage.
+    pub out: &'a mut [C32],
+    /// Range gates per row.
+    pub row_len: usize,
+    /// Gate within each row where the pass's first gate lands.
+    pub r_off: usize,
+    /// Rows between consecutive selected bins.
+    pub bin_rows: usize,
+    /// Rows between the two staggers of one bin.
+    pub stagger_rows: usize,
+}
+
+impl<'a> BinRows<'a> {
+    /// Rows in the message layout `[bin][stagger][channel][range]` — what a
+    /// bin slab carries between stages.
+    pub fn slab(
+        bins: &'a [usize],
+        staggers: usize,
+        channels: usize,
+        (row_len, r_off): (usize, usize),
+        out: &'a mut [C32],
+    ) -> Self {
+        Self { bins, out, row_len, r_off, bin_rows: staggers * channels, stagger_rows: channels }
+    }
+
+    fn row_mut(&mut self, i: usize, stagger: usize, c: usize) -> &mut [C32] {
+        let row = i * self.bin_rows + stagger * self.stagger_rows + c;
+        &mut self.out[row * self.row_len..(row + 1) * self.row_len]
     }
 }
 
@@ -438,6 +546,42 @@ mod tests {
         let reference = df.filter_staggered_with(&cube, KernelPath::Reference);
         let fast = df.filter_staggered_with(&cube, KernelPath::Fast);
         assert_cubes_bit_equal(&reference, &fast);
+    }
+
+    #[test]
+    fn wire_bytes_filter_straight_into_selected_bin_rows() {
+        // Two wire pieces (gates [0, 33) and [33, 37)) of one slab, a bin
+        // subset in non-ascending order: every row equals the reference
+        // cube's row for that (bin, stagger, channel).
+        let dims = CubeDims::new(12, 2, 37);
+        let cube = noise_cube(dims, 0xF00D);
+        let df = DopplerFilter::new(12, DopplerConfig::default());
+        let (bins, wire) = ([9usize, 0, 4], cube.to_range_major_bytes());
+        let cut = DataCube::range_major_offset(dims, 33) as usize;
+        for staggered in [false, true] {
+            let staggers = if staggered { 2 } else { 1 };
+            let mut out = vec![C32::zero(); bins.len() * staggers * 2 * 37];
+            for (bytes, r_off) in [(&wire[..cut], 0), (&wire[cut..], 33)] {
+                let rows = BinRows::slab(&bins, staggers, 2, (37, r_off), &mut out);
+                df.filter_into(
+                    Samples::Wire { bytes, channels: 2 },
+                    staggered,
+                    rows,
+                    KernelPath::Fast,
+                );
+            }
+            let reference = match staggered {
+                true => df.filter_staggered_with(&cube, KernelPath::Reference),
+                false => df.filter_easy_with(&cube, KernelPath::Reference),
+            };
+            for (row, got) in out.chunks_exact(37).enumerate() {
+                let (i, s, c) = (row / (staggers * 2), row / 2 % staggers, row % 2);
+                let want = reference.row(s, bins[i], c);
+                assert!(got.iter().zip(want).all(|(g, w)| {
+                    g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
+                }));
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! 3. **A/B parity** — a 3-CPI pipeline run produces byte-identical
 //!    detection reports with the zero-copy data plane and with `copy_comm`
 //!    deep copies.
+//! 4. **Shared fan-out** — a frozen slab handed to N receiver threads
+//!    recycles exactly once, when the last handle drops and not before, and
+//!    a whole pipeline run returns every slab it fanned out.
 
 use ppstap::comm::{PoolVec, SlabPool};
 use ppstap::core::config::StapConfig;
-use ppstap::core::StapSystem;
+use ppstap::core::{IoStrategy, StapSystem};
 use ppstap::math::C32;
 use ppstap::scenario::find;
 use proptest::prelude::*;
@@ -141,6 +144,61 @@ fn recycled_storage_never_leaks_previous_contents() {
         "previous owner's samples survived recycling"
     );
     assert!(prefix.iter().all(|v| v.is_nan()), "recycled storage is not poison-NaN");
+}
+
+/// One frozen slab fanned to six receiver threads (the Doppler → weight /
+/// beamform hop): its contents stay intact while any handle lives — the
+/// sender's is dropped first, under a barrier — and the storage recycles
+/// exactly once, poisoned (debug builds) only after the last handle went.
+#[test]
+fn frozen_slab_fanned_across_threads_recycles_once_after_the_last_drop() {
+    const RECEIVERS: usize = 6;
+    let pool: SlabPool<f32> = SlabPool::new();
+    let shared = pool.take_filled(256, 3.5).freeze();
+    let ptr = shared.as_ptr();
+    let barrier = std::sync::Barrier::new(RECEIVERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..RECEIVERS {
+            let mine = shared.clone();
+            let (barrier, pool) = (&barrier, &pool);
+            scope.spawn(move || {
+                barrier.wait(); // every receiver holds its handle
+                barrier.wait(); // the sender's handle is gone
+                assert!(mine.iter().all(|&v| v == 3.5), "recycled under a live handle");
+                assert_eq!(pool.stats().outstanding, 1);
+                assert_eq!(pool.free_buffers(), 0, "recycled before the last handle dropped");
+            });
+        }
+        barrier.wait();
+        drop(shared);
+        barrier.wait();
+    });
+    let stats = pool.stats();
+    assert_eq!((stats.takes, stats.outstanding), (1, 0));
+    assert_eq!(pool.free_buffers(), 1, "six handles, one buffer, one recycle");
+    let again = pool.take(256);
+    assert_eq!((again.as_ptr(), pool.stats().recycled), (ptr, 1));
+    #[cfg(debug_assertions)]
+    {
+        // Initialized memory the recycle overwrote (see the test above).
+        let prefix: &[f32] = unsafe { std::slice::from_raw_parts(again.as_ptr(), 256) };
+        assert!(prefix.iter().all(|v| v.is_nan()), "recycled storage is not poison-NaN");
+    }
+}
+
+/// After a whole run — separate I/O, so both the byte and the sample pool
+/// carry traffic, with every Doppler slab fanned out by refcount — nothing
+/// is left checked out of either pool.
+#[test]
+fn a_full_run_returns_every_slab_to_both_pools() {
+    let cfg = StapConfig { io: IoStrategy::SeparateTask, ..three_cpi_config() };
+    let sys = StapSystem::prepare(cfg).unwrap();
+    sys.run().unwrap();
+    let pools = &sys.plan().pools;
+    for (name, stats) in [("samples", pools.samples.stats()), ("bytes", pools.bytes.stats())] {
+        assert!(stats.takes > 0, "{name} pool saw no traffic");
+        assert_eq!(stats.outstanding, 0, "{name} pool leaked after run()");
+    }
 }
 
 /// Detection reports of a 3-CPI two-target run, flattened to bytes.

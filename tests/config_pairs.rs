@@ -9,6 +9,10 @@
 //! tail {split, combined} × source {file, stream} × kernels {reference,
 //! fast} × copy_comm {false, true} — 96 combinations, 8 rows.
 //!
+//! One row rides outside the pairs table: separate I/O with three readers
+//! feeding two Doppler nodes, so a Doppler node filters partial raw slabs
+//! from two readers into one outgoing buffer.
+//!
 //! Excluded combinations: none. `StapSystem::prepare` accepts all 96
 //! (`every_combination_prepares` holds it to that, so a future rejection
 //! must be listed here instead of being skipped). A stream-fed run
@@ -16,7 +20,7 @@
 //! table spends one row on those pairs and keeps every other `cached:8`
 //! and `ooc:8` row file-fed.
 
-use ppstap::core::config::StapConfig;
+use ppstap::core::config::{NodeCounts, StapConfig};
 use ppstap::core::{IoStrategy, SourceSpec, StapSystem, StreamSettings, TailStructure};
 use ppstap::kernels::KernelPath;
 use ppstap::pipeline::{ClockSpec, PipelineReport};
@@ -53,6 +57,13 @@ fn config([io, access, tail, source, kernels, copy_comm]: [usize; 6]) -> StapCon
     }
 }
 
+/// Separate I/O, fast kernels, zero-copy comm, three readers over two
+/// Doppler nodes: reader 1's gates straddle the Doppler split.
+fn split_readers_config() -> StapConfig {
+    let cfg = config([1, 0, 0, 0, 1, 0]);
+    StapConfig { nodes: NodeCounts { read: 3, doppler: 2, ..cfg.nodes }, ..cfg }
+}
+
 #[test]
 fn table_covers_every_pair_of_axis_values() {
     for a in 0..LEVELS.len() {
@@ -84,11 +95,11 @@ fn every_combination_prepares() {
 /// attributed to exactly one phase: the spans of each (stage, node, CPI)
 /// abut and end where the record ends, and the record's phase totals sum
 /// to that interval.
-fn assert_trace_conserved(report: &PipelineReport, row: [usize; 6]) {
+fn assert_trace_conserved(report: &PipelineReport, row: &str) {
     for (stage, nodes) in report.records.iter().enumerate() {
         for (node, recs) in nodes.iter().enumerate() {
             for r in recs {
-                let at = format!("row {row:?} stage {stage} node {node} cpi {}", r.cpi);
+                let at = format!("row {row} stage {stage} node {node} cpi {}", r.cpi);
                 let spans: Vec<_> = report
                     .spans
                     .iter()
@@ -110,11 +121,12 @@ fn assert_trace_conserved(report: &PipelineReport, row: [usize; 6]) {
 #[test]
 fn every_row_matches_the_oracle_and_conserves_traced_time() {
     let mut oracle = None;
-    for row in ROWS {
-        let sys = StapSystem::prepare(config(row)).expect("prepare");
+    let rows = ROWS.iter().map(|&row| (format!("{row:?}"), config(row)));
+    for (row, cfg) in rows.chain([("3 readers, 2 Doppler".to_string(), split_readers_config())]) {
+        let sys = StapSystem::prepare(cfg).expect("prepare");
         let out = sys.run_with_clock(ClockSpec::virtual_default()).expect("run");
-        assert_eq!(out.reports.len(), 3, "row {row:?} lost a CPI");
-        assert_trace_conserved(&out.timing, row);
+        assert_eq!(out.reports.len(), 3, "row {row} lost a CPI");
+        assert_trace_conserved(&out.timing, &row);
         // A report lists detections in the order its tail nodes gathered
         // them, which follows the split/combined node partition; put each
         // report in (beam, bin, range) order before comparing every byte.
@@ -128,6 +140,6 @@ fn every_row_matches_the_oracle_and_conserves_traced_time() {
             })
             .collect();
         let oracle = oracle.get_or_insert_with(|| bytes.clone());
-        assert!(*oracle == bytes, "row {row:?} changed the detection reports");
+        assert!(*oracle == bytes, "row {row} changed the detection reports");
     }
 }

@@ -15,10 +15,11 @@
 //! `two-target` and `noise-only` scenarios.
 
 use ppstap::core::config::StapConfig;
+use ppstap::core::messages::BinSlab;
 use ppstap::core::StapSystem;
 use ppstap::kernels::beamform::Beamformer;
 use ppstap::kernels::cube::{CubeDims, DataCube, DopplerCube};
-use ppstap::kernels::doppler::{DopplerConfig, DopplerFilter};
+use ppstap::kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
 use ppstap::kernels::weights::WeightSet;
 use ppstap::kernels::KernelPath;
@@ -103,6 +104,61 @@ proptest! {
             &filter.filter_staggered_with(&cube, KernelPath::Fast),
             "staggered",
         );
+    }
+
+    /// The fused front — range-major wire bytes of a gate sub-interval
+    /// filtered straight into the selected bin rows of a wider outgoing
+    /// buffer — is bit-identical, on both kernel paths, to the oracle chain
+    /// it replaced: parse a slab cube, reference-filter every bin, copy the
+    /// selected bins out. Pulse counts include non-powers of two, range
+    /// counts non-multiples of the 32-lane block, the sub-interval starts
+    /// at `r0 > 0`, and the bin subset is arbitrary and unordered.
+    #[test]
+    fn fused_wire_front_matches_the_oracle_chain(
+        seed in 0u64..u64::MAX,
+        pulses in 2usize..21,
+        channels in 1usize..4,
+        ranges in 1usize..71,
+        lead in 1usize..9,
+        trail in 0usize..5,
+    ) {
+        let mut d = Draws::new(seed);
+        let dims = CubeDims::new(pulses, channels, lead + ranges + trail);
+        let disk = random_cube(dims, &mut d).to_range_major_bytes();
+        let (r0, r1) = (lead, lead + ranges);
+        let extent = DataCube::range_major_offset(dims, r0) as usize
+            ..DataCube::range_major_offset(dims, r1) as usize;
+        let filter = DopplerFilter::new(pulses, DopplerConfig::default());
+        let mut bins: Vec<usize> = (0..filter.bins()).filter(|_| d.f32() < 0.0).collect();
+        let turn = (mix(seed) % bins.len().max(1) as u64) as usize;
+        bins.rotate_left(turn);
+
+        let slab = DataCube::slab_from_range_major_bytes(dims, r0, r1, &disk[extent.clone()]);
+        for staggered in [false, true] {
+            let oracle = match staggered {
+                true => filter.filter_staggered_with(&slab, KernelPath::Reference),
+                false => filter.filter_easy_with(&slab, KernelPath::Reference),
+            };
+            let oracle = BinSlab::from_cube(&oracle, &bins, r0);
+            for path in [KernelPath::Reference, KernelPath::Fast] {
+                // Rows as wide as the whole range axis: the pass must land
+                // at `r0` and leave every other gate alone.
+                let untouched = C32::new(7.0, -7.0);
+                let mut out = vec![untouched; bins.len() * oracle.staggers * channels * dims.ranges];
+                let rows = BinRows::slab(&bins, oracle.staggers, channels, (dims.ranges, r0), &mut out);
+                let src = Samples::Wire { bytes: &disk[extent.clone()], channels };
+                filter.filter_into(src, staggered, rows, path);
+                for (n, got) in out.chunks_exact(dims.ranges).enumerate() {
+                    let per_bin = oracle.staggers * channels;
+                    let want = oracle.row(n / per_bin, n / channels % oracle.staggers, n % channels);
+                    let same = |(g, w): (&C32, &C32)| {
+                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
+                    };
+                    prop_assert!(got[r0..r1].iter().zip(want).all(same), "{path} row {n} differs");
+                    prop_assert!(got[..r0].iter().chain(&got[r1..]).all(|&z| z == untouched));
+                }
+            }
+        }
     }
 
     /// Beamforming: the fast path's weighted sums are bit-identical to the
