@@ -1,182 +1,19 @@
 #![warn(missing_docs)]
 
-//! # stap-bench — the experiment harness
+//! # stap-bench — layer microbenches and their regression gate
 //!
-//! Regenerates every table and figure of the paper's evaluation section:
+//! Three Criterion benches time one layer each, below the end-to-end
+//! benchmark in `examples/benchmark`:
 //!
-//! | Artifact | Driver | Bench target |
+//! | Bench | Layer | Gated against |
 //! |---|---|---|
-//! | Table 1 / Fig 5 | [`stap_core::experiments::table1`] | `table1_embedded_io`, `fig5_embedded_bars` |
-//! | Table 2 / Fig 6 | [`stap_core::experiments::table2`] | `table2_separate_io`, `fig6_separate_bars` |
-//! | Table 3 / Fig 7 | [`stap_core::experiments::table3`] | `table3_combined`, `fig7_combined_bars` |
-//! | Table 4 | [`stap_core::experiments::table4`] | `table4_improvement` |
-//! | Figure 8 | [`stap_core::experiments::fig8`] | `fig8_comparison` |
-//! | Ablations | [`stap_core::experiments::ablation`] | `ablation_*` |
+//! | `kernels` | the STAP kernels, scalar reference vs fast path | `BENCH_kernels.json` |
+//! | `planner` | `stap_planner::plan` searches at 25, 50 and 100 nodes | — (report uploaded) |
+//! | `store` | `stap-store` hit / miss / prefetch / out-of-core / restripe | — (report uploaded) |
 //!
-//! `cargo run -p stap-bench --bin tables --release` prints everything at
-//! once (and writes `results/*.txt`); the Criterion benches time each
-//! regeneration and the real signal-processing kernels.
-
-use stap_core::experiments::ablation;
-use stap_core::experiments::render::{render_fig8, render_figure, render_table, render_table4};
-use stap_core::experiments::{fig8_from, table1, table2, table3, table4_from};
-
-/// One regenerated artifact: a name and its rendered text.
-pub struct Artifact {
-    /// File-friendly name (e.g. `table1`).
-    pub name: &'static str,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Runs the full evaluation and renders every table and figure.
-pub fn regenerate_all() -> Vec<Artifact> {
-    let t1 = table1();
-    let t2 = table2();
-    let t3 = table3();
-    let t4 = table4_from(&t1, &t3);
-
-    let mut out = vec![
-        Artifact { name: "table1", text: render_table(&t1) },
-        Artifact {
-            name: "fig5",
-            text: render_figure("Figure 5. Results corresponding to Table 1.", &t1),
-        },
-        Artifact { name: "table2", text: render_table(&t2) },
-        Artifact {
-            name: "fig6",
-            text: render_figure("Figure 6. Results corresponding to Table 2.", &t2),
-        },
-        Artifact { name: "table3", text: render_table(&t3) },
-        Artifact {
-            name: "fig7",
-            text: render_figure("Figure 7. Results corresponding to Table 3.", &t3),
-        },
-        Artifact { name: "table4", text: render_table4(&t4) },
-    ];
-    let f8 = fig8_from(t1, t3);
-    out.push(Artifact { name: "fig8", text: render_fig8(&f8) });
-    out.push(Artifact { name: "ablation_stripe_sweep", text: render_stripe_sweep() });
-    out.push(Artifact { name: "ablation_async", text: render_async_ablation() });
-    out.push(Artifact {
-        name: "validation",
-        text: stap_core::experiments::validation::render_validation(
-            &stap_core::experiments::validation::validate_embedded_grid(),
-        ),
-    });
-    out.push(Artifact { name: "fault_degradation", text: render_fault_degradation() });
-    out.push(Artifact {
-        name: "ingest_backpressure",
-        text: stap_core::experiments::ingest::backpressure_report(),
-    });
-    out.push(Artifact {
-        name: "detection_quality",
-        text: stap_scenario::experiments::detection_quality(),
-    });
-    out.push(Artifact {
-        name: "store_cache",
-        text: stap_core::experiments::store::store_cache_report(),
-    });
-    out.push(Artifact { name: "reliability_tradeoff", text: render_reliability_tradeoff() });
-    out
-}
-
-/// Fault rates swept by the reliability experiment: from "a crash a
-/// month" to "the pool is on fire", bracketing the crossover where
-/// replication's survival collapses and only checkpointing holds a bound.
-pub const RELIABILITY_RATES: [f64; 5] = [1e-5, 1e-4, 5e-4, 1e-3, 5e-3];
-
-/// Renders the redundancy-cost vs survival-probability sweep
-/// (`results/reliability_tradeoff.txt`).
-pub fn render_reliability_tradeoff() -> String {
-    stap_planner::reliability::tradeoff_report(&RELIABILITY_RATES)
-}
-
-/// Renders the fault-degradation experiment (`results/fault_degradation.txt`).
-pub fn render_fault_degradation() -> String {
-    use stap_core::experiments::degradation::{
-        fault_degradation, recoverable_degradation, render_degradation,
-    };
-    let rates = [0.0, 0.05, 0.1, 0.2, 0.3];
-    render_degradation(&fault_degradation(&rates), &recoverable_degradation(&rates))
-}
-
-/// Renders the stripe-factor sweep ablation.
-pub fn render_stripe_sweep() -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Ablation: Paragon PFS stripe-factor sweep at 100 compute nodes (embedded I/O)."
-    );
-    let _ = writeln!(s, "{:<8}{:>14}{:>12}{:>10}", "sf", "throughput", "latency", "io util");
-    for (sf, r) in ablation::sweep_stripe_factor(&[4, 8, 16, 32, 64, 128], 100) {
-        let _ = writeln!(
-            s,
-            "{:<8}{:>14.3}{:>12.4}{:>10.3}",
-            sf, r.throughput, r.latency, r.io_utilization
-        );
-    }
-    s
-}
-
-/// Renders the async-vs-sync I/O ablation.
-pub fn render_async_ablation() -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Ablation: asynchronous (iread) vs synchronous reads, Paragon sf=64, 100 nodes."
-    );
-    let (with_async, without) = ablation::async_toggle(100);
-    let _ = writeln!(
-        s,
-        "  async: throughput {:.3} CPI/s, latency {:.4} s",
-        with_async.throughput, with_async.latency
-    );
-    let _ = writeln!(
-        s,
-        "  sync : throughput {:.3} CPI/s, latency {:.4} s",
-        without.throughput, without.latency
-    );
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stripe_sweep_renders_all_factors() {
-        let s = render_stripe_sweep();
-        for sf in [4, 8, 16, 32, 64, 128] {
-            assert!(
-                s.lines()
-                    .any(|l| l.starts_with(&format!("{sf} ")) || l.starts_with(&format!("{sf}"))),
-                "missing sf={sf}\n{s}"
-            );
-        }
-    }
-
-    #[test]
-    fn async_ablation_mentions_both_modes() {
-        let s = render_async_ablation();
-        assert!(s.contains("async:"));
-        assert!(s.contains("sync :"));
-    }
-
-    #[test]
-    fn reliability_tradeoff_covers_every_rate_and_redundancy() {
-        let s = render_reliability_tradeoff();
-        for rate in RELIABILITY_RATES {
-            assert!(s.contains(&format!("{rate:.1e}")), "missing rate {rate}\n{s}");
-        }
-        for label in ["rep:1", "rep:2", "ckpt:4", "ckpt:16"] {
-            assert!(s.contains(label), "missing redundancy '{label}'\n{s}");
-        }
-        assert!(
-            regenerate_all().iter().any(|a| a.name == "reliability_tradeoff"),
-            "artifact registered"
-        );
-    }
-}
+//! `BENCH_JSON=out.json cargo bench -p stap-bench --bench <name>` writes a
+//! report and the `bench_gate` binary compares one row by row against a
+//! committed baseline. The paper's tables and figures are not benchmarks:
+//! `ppstap tables --out results` regenerates them from the one artifact
+//! list in the umbrella crate (`ppstap::artifacts`), and
+//! `tests/results_pinned.rs` pins them.

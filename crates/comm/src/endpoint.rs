@@ -217,13 +217,6 @@ impl Endpoint {
         let tag = env.tag;
         env.downcast::<T>().map_err(|_| CommError::TypeMismatch { src, tag })
     }
-
-    /// Posts a non-blocking receive (MPI `Irecv` flavor): captures the
-    /// selectors now, complete it later with [`RecvRequest::wait`] /
-    /// [`RecvRequest::test`]. Posting does not consume anything.
-    pub fn irecv(&self, src: Option<usize>, tag: Option<Tag>) -> RecvRequest {
-        RecvRequest { src, tag }
-    }
 }
 
 /// A clone of the world-wide abort flag, detached from any endpoint. Lets
@@ -244,46 +237,6 @@ impl AbortHandle {
     pub fn is_aborted(&self) -> bool {
         self.abort.load(Ordering::SeqCst)
     }
-}
-
-/// A posted receive, completed against the endpoint that (logically) owns
-/// it. The handle carries only the selectors; the unexpected-message queue
-/// inside the endpoint is the actual buffer, so requests can complete in
-/// any order regardless of arrival order.
-#[derive(Debug, Clone, Copy)]
-pub struct RecvRequest {
-    src: Option<usize>,
-    tag: Option<Tag>,
-}
-
-impl RecvRequest {
-    /// Blocks until the matching message arrives.
-    pub fn wait<T: 'static>(self, ep: &mut Endpoint) -> Result<T, CommError> {
-        ep.recv(self.src, self.tag)
-    }
-
-    /// Non-blocking completion test.
-    pub fn test<T: 'static>(self, ep: &mut Endpoint) -> Result<Option<T>, CommError> {
-        ep.try_recv(self.src, self.tag)
-    }
-
-    /// Completion with a deadline.
-    pub fn wait_timeout<T: 'static>(
-        self,
-        ep: &mut Endpoint,
-        timeout: Duration,
-    ) -> Result<T, CommError> {
-        ep.recv_timeout(self.src, self.tag, timeout)
-    }
-}
-
-/// Waits for every posted receive, returning payloads in request order
-/// (MPI `Waitall`).
-pub fn wait_all<T: 'static>(
-    ep: &mut Endpoint,
-    requests: Vec<RecvRequest>,
-) -> Result<Vec<T>, CommError> {
-    requests.into_iter().map(|r| r.wait(ep)).collect()
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -413,47 +366,6 @@ mod tests {
         assert_eq!(e1.recv_count(), 2);
         assert_eq!(e1.try_recv::<u32>(None, None).unwrap(), None, "inbox drained");
         assert_eq!(e1.recv_count(), 2, "an empty try_recv does not count");
-    }
-
-    #[test]
-    fn posted_receives_complete_out_of_order() {
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        // Post receives for tags 1 and 2 before anything arrives.
-        let r1 = e1.irecv(Some(0), Some(1));
-        let r2 = e1.irecv(Some(0), Some(2));
-        assert_eq!(r2.test::<u32>(&mut e1).unwrap(), None);
-        // Messages arrive in the opposite order of completion.
-        e0.send(1, 2, 20u32).unwrap();
-        e0.send(1, 1, 10u32).unwrap();
-        assert_eq!(r2.wait::<u32>(&mut e1).unwrap(), 20);
-        assert_eq!(r1.wait::<u32>(&mut e1).unwrap(), 10);
-    }
-
-    #[test]
-    fn wait_all_preserves_request_order() {
-        use crate::endpoint::wait_all;
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let reqs: Vec<_> = (0..4).map(|t| e1.irecv(Some(0), Some(t))).collect();
-        for t in (0..4).rev() {
-            e0.send(1, t, t as u64 * 100).unwrap();
-        }
-        let got: Vec<u64> = wait_all(&mut e1, reqs).unwrap();
-        assert_eq!(got, vec![0, 100, 200, 300]);
-    }
-
-    #[test]
-    fn posted_receive_timeout() {
-        let mut eps = CommWorld::create(1);
-        let mut e0 = eps.pop().unwrap();
-        let r = e0.irecv(None, Some(9));
-        assert_eq!(
-            r.wait_timeout::<u32>(&mut e0, Duration::from_millis(10)).unwrap_err(),
-            CommError::Timeout
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod message;
 pub mod slab;
 pub mod world;
 
-pub use endpoint::{wait_all, AbortHandle, Endpoint, RecvRequest};
+pub use endpoint::{AbortHandle, Endpoint};
 pub use error::CommError;
 pub use group::Group;
 pub use message::{Envelope, Tag};

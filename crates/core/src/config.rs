@@ -143,8 +143,22 @@ impl Default for StreamSettings {
     }
 }
 
+/// Settings compare by value; an attached ring compares by identity.
+impl PartialEq for StreamSettings {
+    fn eq(&self, other: &Self) -> bool {
+        let same_ring = match (&self.attach, &other.attach) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        (self.depth, self.policy, self.rate, self.strict_lag)
+            == (other.depth, other.policy, other.rate, other.strict_lag)
+            && same_ring
+    }
+}
+
 /// Where the pipeline front gets its CPI cubes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum SourceSpec {
     /// Round-robin staging files on the parallel file system (the
     /// paper's design).

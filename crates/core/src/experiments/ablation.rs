@@ -44,6 +44,47 @@ pub fn async_toggle(compute_nodes: usize) -> (DesResult, DesResult) {
     (with_async, without_async)
 }
 
+/// Renders `results/ablation_stripe_sweep.txt`.
+pub fn render_stripe_sweep() -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "Ablation: Paragon PFS stripe-factor sweep at 100 compute nodes (embedded I/O)."
+    );
+    let _ = writeln!(s, "{:<8}{:>14}{:>12}{:>10}", "sf", "throughput", "latency", "io util");
+    for (sf, r) in sweep_stripe_factor(&[4, 8, 16, 32, 64, 128], 100) {
+        let _ = writeln!(
+            s,
+            "{:<8}{:>14.3}{:>12.4}{:>10.3}",
+            sf, r.throughput, r.latency, r.io_utilization
+        );
+    }
+    s
+}
+
+/// Renders `results/ablation_async.txt`.
+pub fn render_async_ablation() -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "Ablation: asynchronous (iread) vs synchronous reads, Paragon sf=64, 100 nodes."
+    );
+    let (with_async, without) = async_toggle(100);
+    let _ = writeln!(
+        s,
+        "  async: throughput {:.3} CPI/s, latency {:.4} s",
+        with_async.throughput, with_async.latency
+    );
+    let _ = writeln!(
+        s,
+        "  sync : throughput {:.3} CPI/s, latency {:.4} s",
+        without.throughput, without.latency
+    );
+    s
+}
+
 /// Sweeps the number of dedicated reader nodes in the separate-I/O design.
 pub fn sweep_reader_count(readers: &[usize], compute_nodes: usize) -> Vec<(usize, DesResult)> {
     readers

@@ -42,7 +42,7 @@ impl OsRank {
 }
 
 /// CFAR detector configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfarConfig {
     /// Training cells on each side of the cell under test.
     pub training: usize,

@@ -27,7 +27,7 @@ pub struct NodeClass {
 }
 
 /// A parallel machine: nodes + interconnect + parallel file system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Display name.
     pub name: String,
@@ -221,11 +221,32 @@ impl MachineModel {
     pub fn paper_machines() -> Vec<MachineModel> {
         vec![Self::paragon(16), Self::paragon(64), Self::sp()]
     }
+
+    /// Resolves a machine key ([`Self::KEYS`]) to its model: the one place
+    /// the CLI's `--machine` and a mission's `machine=` keys are matched.
+    pub fn by_key(key: &str) -> Option<MachineModel> {
+        match key {
+            "paragon16" => Some(Self::paragon(16)),
+            "paragon64" => Some(Self::paragon(64)),
+            "paragon-het" => Some(Self::paragon_hetero()),
+            "sp" => Some(Self::sp()),
+            _ => None,
+        }
+    }
+
+    /// The keys [`Self::by_key`] resolves, in `a|b|c` usage form.
+    pub const KEYS: &'static str = "paragon16|paragon64|paragon-het|sp";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_key_resolves() {
+        assert!(MachineModel::KEYS.split('|').all(|k| MachineModel::by_key(k).is_some()));
+        assert!(MachineModel::by_key("cray").is_none());
+    }
 
     #[test]
     fn sp_is_faster_cpu_but_sync_io() {

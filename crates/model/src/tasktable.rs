@@ -20,7 +20,7 @@ use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::machines::MachineModel;
 use crate::tasktime::{combined_task_time_cap, task_time_cap, StageCapacity, TaskCosts};
 use crate::workload::{ShapeParams, StapWorkload, TaskId};
-use stap_pfs::timing::ServerQueueSim;
+use stap_pfs::timing::extent_read_time;
 
 /// One task's place in the pipeline structure, before any machine prices
 /// it. Predecessors are indices into the slot vector.
@@ -151,7 +151,7 @@ pub fn front_body(
 /// for the file's stripe units (the queue never drains between CPIs at the
 /// bottleneck, so latency terms pipeline away).
 pub fn steady_read_time(m: &MachineModel, shape: ShapeParams) -> f64 {
-    ServerQueueSim::new(&m.fs).submit_extent(0.0, 0, shape.cube_bytes(), m.open_mode)
+    extent_read_time(&m.fs, 0, shape.cube_bytes(), m.open_mode)
 }
 
 /// Builds the task table: one row per pipeline task, in pipeline order.
@@ -230,7 +230,6 @@ pub fn task_table(
 mod tests {
     use super::*;
     use crate::assignment::assign_nodes;
-    use stap_pfs::timing::{extent_read_time, parallel_read_completion};
 
     fn table(io: IoStrategy, tail: TailStructure) -> Vec<TaskRow> {
         let shape = ShapeParams::paper_default();
@@ -283,29 +282,5 @@ mod tests {
         assert_eq!(front_body(0.2, 0.05, 0.01, false, None), 0.2 + 0.05 + 0.01);
         let warm = CacheTierModel { hit_time: 0.04, warm: true };
         assert_eq!(front_body(0.2, 0.05, 0.01, false, Some(warm)), warm.front_body(0.2, 0.06));
-    }
-
-    proptest::proptest! {
-        /// The table carries one `read_time`: for the whole-file extent the
-        /// steady-state read, the parallel-read completion and the one
-        /// pricing function are the same f64.
-        #[test]
-        fn one_read_time_for_the_whole_file(
-            sf in 1usize..130,
-            pulses in 8usize..200,
-            unix in 0u8..2,
-        ) {
-            let mut m = MachineModel::paragon(64).with_stripe_factor(sf);
-            if unix == 1 {
-                m.open_mode = stap_pfs::OpenMode::Unix;
-            }
-            let shape = ShapeParams { pulses, ..ShapeParams::paper_default() };
-            let bytes = shape.cube_bytes();
-            let steady = steady_read_time(&m, shape);
-            let parallel = parallel_read_completion(&m.fs, &[(0, bytes)], m.open_mode);
-            proptest::prop_assert_eq!(steady.to_bits(), parallel.to_bits());
-            let priced = extent_read_time(&m.fs, 0, bytes, m.open_mode);
-            proptest::prop_assert_eq!(steady.to_bits(), priced.to_bits());
-        }
     }
 }

@@ -91,52 +91,6 @@ impl std::fmt::Debug for ReadHandle {
     }
 }
 
-/// A pending asynchronous write (the `iwrite` analogue).
-pub struct WriteHandle {
-    rx: mpsc::Receiver<Result<(), PfsError>>,
-    worker: Option<JoinHandle<()>>,
-    /// Offset the write was posted at.
-    pub offset: u64,
-    /// Bytes being written.
-    pub len: usize,
-}
-
-impl WriteHandle {
-    /// Blocks until the write is durable in the stripe stores.
-    pub fn wait(mut self) -> Result<(), PfsError> {
-        let result = match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => return Err(PfsError::WorkerFailed(join_failure_detail(&mut self.worker))),
-        };
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-        result
-    }
-
-    /// Non-blocking completion test.
-    pub fn try_wait(&mut self) -> Option<Result<(), PfsError>> {
-        match self.rx.try_recv() {
-            Ok(r) => {
-                if let Some(w) = self.worker.take() {
-                    let _ = w.join();
-                }
-                Some(r)
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(PfsError::WorkerFailed(join_failure_detail(&mut self.worker))))
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for WriteHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteHandle").field("offset", &self.offset).field("len", &self.len).finish()
-    }
-}
-
 fn spawn_read_worker(
     handle: FileHandle,
     cpi: Option<u64>,
@@ -186,29 +140,6 @@ impl FileHandle {
         self.fs().stats().count_async_post();
         let (rx, worker) = spawn_read_worker(self.clone(), Some(cpi), offset, len);
         Ok(ReadHandle { rx, worker: Some(worker), offset, len })
-    }
-
-    /// Posts an asynchronous positioned write (`iwrite`) — used by the
-    /// radar-side recorder to overlap staging with cube synthesis. Errors
-    /// on sync-only file systems.
-    pub fn write_at_async(&self, offset: u64, data: Vec<u8>) -> Result<WriteHandle, PfsError> {
-        if !self.fs().config().supports_async {
-            return Err(PfsError::AsyncUnsupported);
-        }
-        self.fs().stats().count_async_post();
-        let (tx, rx) = mpsc::channel();
-        let handle = self.clone();
-        let len = data.len();
-        let worker = std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| handle.write_at(offset, &data)));
-            let result = match outcome {
-                Ok(r) => r,
-                Err(payload) => Err(PfsError::WorkerFailed(panic_detail(payload.as_ref()))),
-            };
-            handle.fs().stats().count_async_done();
-            let _ = tx.send(result);
-        });
-        Ok(WriteHandle { rx, worker: Some(worker), offset, len })
     }
 }
 
@@ -300,53 +231,6 @@ mod tests {
             Err(PfsError::Injected { cpi: 2, .. }) => {}
             other => panic!("expected injected fault, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn async_write_round_trips() {
-        let fs = async_fs();
-        let f = fs.gopen("w", OpenMode::Async);
-        let h = f.write_at_async(32, vec![5u8; 100]).unwrap();
-        h.wait().unwrap();
-        assert_eq!(f.read_at(32, 100).unwrap(), vec![5u8; 100]);
-        assert_eq!(f.len(), 132);
-    }
-
-    #[test]
-    fn async_write_rejected_on_piofs() {
-        let fs = Pfs::mount(FsConfig::piofs());
-        let f = fs.gopen("w", OpenMode::Unix);
-        assert_eq!(f.write_at_async(0, vec![1]).unwrap_err(), PfsError::AsyncUnsupported);
-    }
-
-    #[test]
-    fn async_write_surfaces_write_faults() {
-        let fs = async_fs();
-        let f = fs.gopen("w", OpenMode::Async);
-        f.write_at(0, &[1u8; 8]).unwrap();
-        fs.inject_write_fault("w").unwrap();
-        match f.write_at_async(0, vec![2u8; 8]).unwrap().wait() {
-            Err(PfsError::WriteFaulted(name)) => assert_eq!(name, "w"),
-            other => panic!("expected write fault, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn async_write_try_wait_completes() {
-        let fs = async_fs();
-        let f = fs.gopen("w", OpenMode::Async);
-        let mut h = f.write_at_async(0, vec![9u8; 64]).unwrap();
-        let mut spins = 0;
-        loop {
-            if let Some(r) = h.try_wait() {
-                r.unwrap();
-                break;
-            }
-            spins += 1;
-            assert!(spins < 1_000_000);
-            std::thread::yield_now();
-        }
-        assert_eq!(f.read_at(0, 64).unwrap(), vec![9u8; 64]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct FsConfig {
     /// Read-pacing scale. `0.0` (the default personalities) leaves reads
     /// at memory speed; a positive value makes every read sleep
     /// `pace_reads ×` its modeled service time (per-server FCFS over the
-    /// extent's stripe-unit requests, as in [`crate::ServerQueueSim`]), so
+    /// extent's stripe-unit requests, [`crate::timing::extent_read_time`]), so
     /// a wall-clock run exhibits the paper's stripe-factor-dependent read
     /// cost.
     pub pace_reads: f64,
@@ -108,6 +108,20 @@ impl FsConfig {
         }
     }
 
+    /// Resolves a file-system personality key ([`Self::KEYS`]): the one
+    /// place the CLI's `--fs` keys are matched.
+    pub fn by_key(key: &str) -> Option<FsConfig> {
+        match key {
+            "pfs16" => Some(Self::paragon_pfs(16)),
+            "pfs64" => Some(Self::paragon_pfs(64)),
+            "piofs" => Some(Self::piofs()),
+            _ => None,
+        }
+    }
+
+    /// The keys [`Self::by_key`] resolves, in `a|b|c` usage form.
+    pub const KEYS: &'static str = "pfs16|pfs64|piofs";
+
     /// The same file system with read pacing scaled by `scale` (`0.0`
     /// disables pacing). See [`FsConfig::pace_reads`].
     pub fn with_read_pacing(&self, scale: f64) -> Self {
@@ -152,6 +166,12 @@ impl FsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_key_resolves() {
+        assert!(FsConfig::KEYS.split('|').all(|k| FsConfig::by_key(k).is_some()));
+        assert!(FsConfig::by_key("nfs").is_none());
+    }
 
     #[test]
     fn paragon_presets_differ_only_in_factor() {

@@ -54,4 +54,3 @@ pub use file::{FileHandle, Pfs};
 pub use layout::{StripeLayout, StripeRequest};
 pub use stats::{IoCounters, IoStats};
 pub use storage::ServerStats;
-pub use timing::ServerQueueSim;

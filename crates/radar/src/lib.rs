@@ -9,14 +9,11 @@
 //! returns, the reason STAP exists), barrage jammers and thermal noise.
 //!
 //! [`scene`] describes a scenario; [`generate`] renders it into
-//! [`stap_kernels::DataCube`]s; [`recorder`] lays successive CPIs out
-//! round-robin across a set of byte sinks exactly as the paper's radar
-//! writes its four files.
+//! [`stap_kernels::DataCube`]s. Staging the cubes round-robin across the
+//! paper's four files is `StapSystem::prepare`'s job in `stap-core`.
 
 pub mod generate;
-pub mod recorder;
 pub mod scene;
 
 pub use generate::{CubeGenerator, JammerDrift, Motion, TargetDrift};
-pub use recorder::RoundRobinRecorder;
 pub use scene::{Clutter, Jammer, Scene, Target};

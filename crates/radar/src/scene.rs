@@ -47,7 +47,7 @@ impl Default for Clutter {
 }
 
 /// A complete scenario.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scene {
     /// Point targets.
     pub targets: Vec<Target>,

@@ -9,7 +9,7 @@ use stap_radar::{Clutter, Jammer, JammerDrift, Motion, Scene, Target, TargetDrif
 
 /// A named, parameterized, seeded scenario: everything needed to run the
 /// real pipeline over a known world and score what comes out.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Catalog name (`ppstap verify --scenario NAME`).
     pub name: String,

@@ -1,7 +1,7 @@
 //! Missions: what a client submits, why admission can refuse one, and what
 //! the fleet reports when it is done.
 
-use stap_core::{IoStrategy, TailStructure};
+use stap_core::{IoStrategy, SourceSpec, TailStructure};
 use stap_ingest::BackpressurePolicy;
 use stap_model::machines::MachineModel;
 use stap_trace::chrome::escape;
@@ -39,6 +39,19 @@ impl MissionSource {
         match self {
             MissionSource::File => 0,
             MissionSource::Stream { depth, .. } => *depth,
+        }
+    }
+}
+
+impl From<SourceSpec> for MissionSource {
+    /// The mission-script view of a `--source` spec (a mission's ring is
+    /// attached by the scheduler, so only depth, policy and rate carry).
+    fn from(spec: SourceSpec) -> Self {
+        match spec {
+            SourceSpec::File => MissionSource::File,
+            SourceSpec::Stream(s) => {
+                MissionSource::Stream { depth: s.depth, policy: s.policy, rate: s.rate }
+            }
         }
     }
 }
@@ -95,13 +108,7 @@ impl MissionSpec {
 
 /// Resolves a mission's machine profile key to its model.
 pub fn machine_profile(key: &str) -> Result<MachineModel, AdmissionError> {
-    match key {
-        "paragon16" => Ok(MachineModel::paragon(16)),
-        "paragon64" => Ok(MachineModel::paragon(64)),
-        "paragon-het" => Ok(MachineModel::paragon_hetero()),
-        "sp" => Ok(MachineModel::sp()),
-        other => Err(AdmissionError::UnknownMachine { key: other.to_string() }),
-    }
+    MachineModel::by_key(key).ok_or_else(|| AdmissionError::UnknownMachine { key: key.to_string() })
 }
 
 /// Why the scheduler refused a mission. Every variant is a final, typed
@@ -436,12 +443,10 @@ pub fn fleet_table(reports: &[MissionReport]) -> String {
     out
 }
 
+/// The first `n` characters of `s` (mission names are unvalidated text, so
+/// the cut must land on a char boundary).
 fn truncate(s: &str, n: usize) -> &str {
-    if s.len() <= n {
-        s
-    } else {
-        &s[..n]
-    }
+    s.char_indices().nth(n).map_or(s, |(i, _)| &s[..i])
 }
 
 #[cfg(test)]
@@ -508,6 +513,9 @@ mod tests {
         assert!(t.contains("alpha"));
         assert!(t.contains("met"));
         assert!(t.contains("done"));
+        // The 11th byte of this name falls inside the two-byte 'é'.
+        let wide = MissionReport { name: "radar-siteé-north".into(), ..report() };
+        assert!(fleet_table(&[wide]).contains("radar-siteé "));
     }
 
     #[test]

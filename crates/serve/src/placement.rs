@@ -120,10 +120,8 @@ impl StripeLoadTracker {
 
     /// Missions currently holding stripe directory `server` — the
     /// instantaneous depth a new read against that directory would queue
-    /// behind (the per-directory face of
-    /// [`stap_pfs::ServerQueueSim::queue_depth_at`]). A lost directory
-    /// reports 0 (nothing can be served from it), as does an
-    /// out-of-range index.
+    /// behind. A lost directory reports 0 (nothing can be served from it),
+    /// as does an out-of-range index.
     pub fn depth_at(&self, server: usize) -> u32 {
         match (self.load.get(server), self.lost.get(server)) {
             (Some(&depth), Some(&false)) => depth,

@@ -1,16 +1,16 @@
 //! `ppstap` — the command-line driver.
 //!
-//! See `ppstap help` (or [`ppstap::cli::HELP`]) for usage.
+//! See `ppstap help` (or [`ppstap::cli::help`]) for usage.
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use ppstap::cli::{
-    machine_for, parse, Command, PlanArgs, RunArgs, ServeArgs, SimArgs, SubmitArgs, TraceMode,
-    VerifyArgs, HELP,
+    help, parse, Command, PlanArgs, RunArgs, ServeArgs, SimArgs, SubmitArgs, TraceMode, VerifyArgs,
 };
 use ppstap::core::config::StapConfig;
 use ppstap::core::desmodel::{render_gantt, DesExperiment};
 use ppstap::core::experiments::ablation::sweep_stripe_factor;
 use ppstap::core::StapSystem;
-use ppstap::pfs::FsConfig;
 use ppstap::pipeline::timing::Phase;
 use ppstap::pipeline::topology::StageId;
 use ppstap::pipeline::ClockSpec;
@@ -19,7 +19,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg_refs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     match parse(&arg_refs) {
-        Ok(Command::Help) => print!("{HELP}"),
+        Ok(Command::Help) => print!("{}", help()),
         Ok(Command::Run(a)) => run(a),
         Ok(Command::Sim(a)) => sim(a),
         Ok(Command::Tables { out }) => tables(out),
@@ -30,39 +30,25 @@ fn main() {
         Ok(Command::Verify(a)) => verify_cmd(a),
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprint!("{HELP}");
+            eprint!("{}", help());
             std::process::exit(2);
         }
     }
 }
 
-fn fs_for(key: &str) -> FsConfig {
-    match key {
-        "pfs16" => FsConfig::paragon_pfs(16),
-        "pfs64" => FsConfig::paragon_pfs(64),
-        "piofs" => FsConfig::piofs(),
-        _ => unreachable!("validated by the parser"),
-    }
-}
-
 fn run(a: RunArgs) {
-    let source = a
-        .source
-        .as_deref()
-        .map(|s| ppstap::core::SourceSpec::parse(s).expect("validated by the parser"))
-        .unwrap_or_default();
     let config = StapConfig {
         io: a.io,
         access: a.access,
         tail: a.tail,
         cpis: a.cpis,
         warmup: (a.cpis / 3).max(1),
-        fs: fs_for(&a.fs),
+        fs: a.fs,
         record_reports: a.record_reports,
         fault_plan: a.fault_plan.clone(),
         failure_policy: a.failure_policy,
         watchdog: a.watchdog.then(ppstap::core::WatchdogPolicy::default),
-        source,
+        source: a.source,
         ..StapConfig::default()
     };
     println!("structure : {} / {}", config.io.label(), config.tail.label());
@@ -164,8 +150,7 @@ fn run(a: RunArgs) {
 }
 
 fn sim(a: SimArgs) {
-    let machine = machine_for(&a.machine).expect("validated by the parser");
-    let mut exp = DesExperiment::new(machine, a.io, a.tail, a.nodes);
+    let mut exp = DesExperiment::new(a.machine, a.io, a.tail, a.nodes);
     if a.fault_rate > 0.0 {
         exp.faults = Some(ppstap::core::DesFaultModel::transient(
             ppstap::core::FaultSource::Random { rate: a.fault_rate, seed: a.fault_seed },
@@ -216,74 +201,32 @@ fn print_result(r: &ppstap::core::DesResult) {
 }
 
 fn tables(out: Option<String>) {
-    if let Some(dir) = &out {
-        std::fs::create_dir_all(dir).expect("create output dir");
+    if let Err(e) = write_tables(out.as_deref()) {
+        eprintln!("error: writing artifacts to {}: {e}", out.unwrap_or_default());
+        std::process::exit(1);
     }
-    for artifact in stap_bench_shim::regenerate_all() {
-        println!("{}", "=".repeat(100));
-        println!("{}", artifact.1);
-        if let Some(dir) = &out {
-            let path = format!("{dir}/{}.txt", artifact.0);
-            std::fs::write(&path, &artifact.1).expect("write artifact");
+}
+
+/// Prints every artifact and, given a directory, writes `<dir>/<name>.txt`.
+fn write_tables(out: Option<&str>) -> std::io::Result<()> {
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir)?;
+    }
+    for (name, generate) in ppstap::artifacts::ARTIFACTS {
+        let text = generate();
+        println!("{}\n{text}", "=".repeat(100));
+        if let Some(dir) = out {
+            let path = format!("{dir}/{name}.txt");
+            std::fs::write(&path, &text)?;
             eprintln!("wrote {path}");
         }
     }
-}
-
-/// Local re-implementation of the bench crate's artifact list (the umbrella
-/// crate does not depend on `stap-bench`, which is a leaf).
-mod stap_bench_shim {
-    use ppstap::core::experiments::degradation::{
-        fault_degradation, recoverable_degradation, render_degradation,
-    };
-    use ppstap::core::experiments::phases::phase_breakdown_report;
-    use ppstap::core::experiments::render::{
-        render_fig8, render_figure, render_table, render_table4,
-    };
-    use ppstap::core::experiments::validation::{render_validation, validate_embedded_grid};
-    use ppstap::core::experiments::{fig8_from, table1, table2, table3, table4_from};
-
-    pub fn regenerate_all() -> Vec<(&'static str, String)> {
-        let t1 = table1();
-        let t2 = table2();
-        let t3 = table3();
-        let t4 = table4_from(&t1, &t3);
-        let mut out = vec![
-            ("table1", render_table(&t1)),
-            ("fig5", render_figure("Figure 5. Results corresponding to Table 1.", &t1)),
-            ("table2", render_table(&t2)),
-            ("fig6", render_figure("Figure 6. Results corresponding to Table 2.", &t2)),
-            ("table3", render_table(&t3)),
-            ("fig7", render_figure("Figure 7. Results corresponding to Table 3.", &t3)),
-            ("table4", render_table4(&t4)),
-        ];
-        let f8 = fig8_from(t1, t3);
-        out.push(("fig8", render_fig8(&f8)));
-        out.push(("validation", render_validation(&validate_embedded_grid())));
-        let rates = [0.0, 0.05, 0.1, 0.2, 0.3];
-        out.push((
-            "fault_degradation",
-            render_degradation(&fault_degradation(&rates), &recoverable_degradation(&rates)),
-        ));
-        out.push(("phase_breakdown", phase_breakdown_report()));
-        out.push(("serve_contention", ppstap::serve::experiments::contention_report()));
-        out.push(("ingest_backpressure", ppstap::core::experiments::ingest::backpressure_report()));
-        out.push(("detection_quality", ppstap::scenario::experiments::detection_quality()));
-        out.push(("store_cache", ppstap::core::experiments::store::store_cache_report()));
-        // Same rates as stap-bench's RELIABILITY_RATES (the umbrella crate
-        // cannot depend on the leaf bench crate).
-        out.push((
-            "reliability_tradeoff",
-            ppstap::planner::reliability::tradeoff_report(&[1e-5, 1e-4, 5e-4, 1e-3, 5e-3]),
-        ));
-        out
-    }
+    Ok(())
 }
 
 fn plan_cmd(a: PlanArgs) {
-    let machines = a.machines().expect("validated by the parser");
-    let mut cfg = ppstap::planner::PlannerConfig::new(machines, a.nodes);
-    if let Some(ios) = a.ios.clone() {
+    let mut cfg = ppstap::planner::PlannerConfig::new(a.machines, a.nodes);
+    if let Some(ios) = a.ios {
         cfg.ios = ios;
     }
     if a.no_des {
@@ -315,22 +258,10 @@ fn serve_config_from(a: &ServeArgs) -> ppstap::serve::ServeConfig {
     }
 }
 
-/// Maps a validated `--source` spec to the mission-script source.
-fn mission_source_from(spec: &str) -> ppstap::serve::MissionSource {
-    match ppstap::core::SourceSpec::parse(spec).expect("validated by the parser") {
-        ppstap::core::SourceSpec::File => ppstap::serve::MissionSource::File,
-        ppstap::core::SourceSpec::Stream(s) => {
-            ppstap::serve::MissionSource::Stream { depth: s.depth, policy: s.policy, rate: s.rate }
-        }
-    }
-}
-
 fn serve_cmd(a: ServeArgs) {
     let script = if let Some(spec) = &a.arrivals {
         let mut template = ppstap::serve::MissionSpec::new("template");
-        if let Some(src) = &a.source {
-            template.source = mission_source_from(src);
-        }
+        template.source = a.source;
         let script = ppstap::serve::generate_script(spec, a.duration, a.arrival_seed, &template);
         eprintln!(
             "arrivals {}: {} missions over {} s (seed {})",
@@ -437,14 +368,13 @@ fn submit_cmd(a: SubmitArgs) {
 
 fn verify_cmd(a: VerifyArgs) {
     use ppstap::scenario as sc;
-    if a.list {
+    let Some(mut scenario) = a.scenario.filter(|_| !a.list) else {
         println!("{:<14} {:<8} summary", "scenario", "targets");
         for s in sc::catalog() {
             println!("{:<14} {:<8} {}", s.name, s.scene.targets.len(), s.summary);
         }
         return;
-    }
-    let mut scenario = sc::find(&a.scenario).expect("validated by the parser");
+    };
     if let Some(path) = &a.requirements {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -461,14 +391,8 @@ fn verify_cmd(a: VerifyArgs) {
             }
         }
     }
-    let source = a
-        .source
-        .as_deref()
-        .map(|s| ppstap::core::SourceSpec::parse(s).expect("validated by the parser"))
-        .unwrap_or_default();
-    if let Some(spec) = &a.sweep {
-        let sweep = sc::Sweep::parse(spec).expect("validated by the parser");
-        let points = match sc::sweep::run(&scenario, &sweep, &source) {
+    if let Some(sweep) = &a.sweep {
+        let points = match sc::sweep::run(&scenario, sweep, &a.source) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -489,14 +413,14 @@ fn verify_cmd(a: VerifyArgs) {
                 body.join(", ")
             );
         } else {
-            print!("{}", sc::sweep::table(&scenario.name, &sweep, &points));
+            print!("{}", sc::sweep::table(&scenario.name, sweep, &points));
         }
         if !passed {
             std::process::exit(1);
         }
         return;
     }
-    let evaluation = match sc::evaluate_with_source(&scenario, source) {
+    let evaluation = match sc::evaluate_with_source(&scenario, a.source) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("error: {e}");

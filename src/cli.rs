@@ -1,14 +1,17 @@
 //! Command-line interface of the `ppstap` driver binary.
 //!
-//! A small hand-rolled parser (no external dependencies) covering what a
-//! user does with this repository: run the real pipeline, simulate a
-//! paper-scale configuration, regenerate the evaluation tables, sweep the
-//! stripe factor, search plans, and serve multi-mission fleets.
+//! One declarative table per subcommand: a `Flag` row per flag carries its
+//! name, value placeholder, one-line help and a typed setter, and one loop
+//! (`Subcommand::parse`) drives every table. `ppstap help` is generated
+//! from the same rows, so a flag cannot be parsed but undocumented. Setters parse, they do not validate: the `*Args` structs
+//! hold resolved models and parsed specs, never the strings that named
+//! them.
 
 use stap_core::{FailurePolicy, IoStrategy, SourceSpec, TailStructure};
 use stap_model::machines::MachineModel;
-use stap_pfs::FaultPlan;
-use stap_serve::{ArrivalSpec, FleetFault};
+use stap_pfs::{FaultPlan, FsConfig};
+use stap_scenario::{Scenario, Sweep};
+use stap_serve::{ArrivalSpec, FleetFault, MissionSource, WorkloadScript};
 use stap_store::CubeAccess;
 
 /// Parsed command.
@@ -45,18 +48,17 @@ pub enum Command {
 /// Arguments of `ppstap verify`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyArgs {
-    /// Catalog scenario to verify (empty with `--list`).
-    pub scenario: String,
+    /// Catalog scenario to verify (`None` with `--list`).
+    pub scenario: Option<Scenario>,
     /// List the catalog instead of verifying.
     pub list: bool,
     /// Requirements file overriding the scenario's built-in requirement.
     pub requirements: Option<String>,
-    /// Single-axis sweep spec (`AXIS=v1,v2,...` with AXIS one of
-    /// snr|jnr|cnr|seed), validated at parse time.
-    pub sweep: Option<String>,
-    /// CPI source spec (`file` or `stream[:opts]`), validated at parse
-    /// time; `None` means file staging.
-    pub source: Option<String>,
+    /// Single-axis sweep (`AXIS=v1,v2,...` with AXIS one of
+    /// snr|jnr|cnr|seed).
+    pub sweep: Option<Sweep>,
+    /// CPI source (`file` or `stream[:opts]`); file staging by default.
+    pub source: SourceSpec,
     /// Emit the machine-readable requirement report instead of the table.
     pub json: bool,
 }
@@ -74,9 +76,9 @@ pub struct ServeArgs {
     pub duration: f64,
     /// Seed of the deterministic arrival draw (`--arrivals` only).
     pub arrival_seed: u64,
-    /// Mission source spec applied to every generated mission
-    /// (`file` or `stream[:opts]`, the `ppstap run --source` grammar).
-    pub source: Option<String>,
+    /// Source of every generated mission (`file` or `stream[:opts]`, the
+    /// `ppstap run --source` grammar).
+    pub source: MissionSource,
     /// Staging-tier capacity in cubes shared by all stream missions.
     pub staging: usize,
     /// Predict in DES capacity mode instead of executing pipelines.
@@ -103,7 +105,7 @@ impl Default for ServeArgs {
             arrivals: None,
             duration: 10.0,
             arrival_seed: 7,
-            source: None,
+            source: MissionSource::File,
             staging: 256,
             sim: false,
             workers: 2,
@@ -117,7 +119,7 @@ impl Default for ServeArgs {
 }
 
 /// Arguments of `ppstap submit`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubmitArgs {
     /// The mission's `key=value` tokens, in the workload-script submit
     /// grammar (`name=…`, `nodes=…`, `max-latency=…`, …).
@@ -136,15 +138,11 @@ impl SubmitArgs {
 /// Arguments of `ppstap plan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanArgs {
-    /// Machine family: "paragon" (both stripe factors unless narrowed by
-    /// `--stripe-factor`), "paragon16", "paragon64", "paragon-het", "sp",
-    /// or "all".
-    pub machine: String,
-    /// Narrows "paragon" to one stripe factor (16 or 64).
-    pub stripe_factor: Option<usize>,
-    /// `--stripe-factor auto`: the planner searches the full sweep range
-    /// (8..128) as a first-class axis instead of fixing a factor up front.
-    pub stripe_auto: bool,
+    /// The machine models to search, resolved from `--machine` (a family
+    /// "paragon" or "all", or one machine key) and `--stripe-factor`
+    /// (16, 64, or `auto`: the planner searches the sweep range 8..128 as
+    /// a first-class axis instead of fixing a factor up front).
+    pub machines: Vec<MachineModel>,
     /// `--io` narrowing: `None` searches the paper's classic pair
     /// {embedded, separate}; `auto` expands to the full store-tier menu
     /// ([`auto_io_menu`]); a single strategy pins the axis.
@@ -169,9 +167,7 @@ pub struct PlanArgs {
 impl Default for PlanArgs {
     fn default() -> Self {
         Self {
-            machine: "paragon".into(),
-            stripe_factor: None,
-            stripe_auto: false,
+            machines: vec![MachineModel::paragon(16), MachineModel::paragon(64)],
             ios: None,
             nodes: 100,
             json: false,
@@ -179,33 +175,6 @@ impl Default for PlanArgs {
             max_latency: None,
             fault_rate: None,
             max_failure_prob: None,
-        }
-    }
-}
-
-impl PlanArgs {
-    /// Resolves the machine family + stripe factor into concrete models.
-    pub fn machines(&self) -> Result<Vec<MachineModel>, ParseError> {
-        if self.stripe_auto && !["paragon", "paragon-het"].contains(&self.machine.as_str()) {
-            return Err(ParseError(format!(
-                "--stripe-factor auto only applies to --machine paragon|paragon-het, not '{}'",
-                self.machine
-            )));
-        }
-        match (self.machine.as_str(), self.stripe_factor) {
-            ("paragon", None) if self.stripe_auto => Ok(vec![MachineModel::paragon_tunable()]),
-            ("paragon", None) => Ok(vec![MachineModel::paragon(16), MachineModel::paragon(64)]),
-            ("paragon", Some(sf)) if sf == 16 || sf == 64 => Ok(vec![MachineModel::paragon(sf)]),
-            ("paragon", Some(sf)) => {
-                Err(ParseError(format!("--stripe-factor must be 16 or 64, got {sf}")))
-            }
-            // The heterogeneous pool always searches its stripe candidates.
-            ("paragon-het", None) => Ok(vec![MachineModel::paragon_hetero()]),
-            ("all", None) => Ok(MachineModel::paper_machines()),
-            (key, None) => Ok(vec![machine_for(key)?]),
-            (key, Some(_)) => Err(ParseError(format!(
-                "--stripe-factor only applies to --machine paragon, not '{key}'"
-            ))),
         }
     }
 }
@@ -220,19 +189,6 @@ pub enum TraceMode {
     Text,
 }
 
-fn parse_trace(v: &str) -> Result<TraceMode, ParseError> {
-    if v == "text" {
-        return Ok(TraceMode::Text);
-    }
-    if let Some(path) = v.strip_prefix("chrome:") {
-        if path.is_empty() {
-            return Err(ParseError("--trace chrome: needs a file path".into()));
-        }
-        return Ok(TraceMode::Chrome(path.to_string()));
-    }
-    Err(ParseError(format!("--trace must be text|chrome:PATH, got '{v}'")))
-}
-
 /// Arguments of `ppstap run`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
@@ -245,8 +201,8 @@ pub struct RunArgs {
     pub tail: TailStructure,
     /// CPIs to execute.
     pub cpis: u64,
-    /// File-system personality: "pfs16", "pfs64" or "piofs".
-    pub fs: String,
+    /// File-system personality (`--fs pfs16|pfs64|piofs`).
+    pub fs: FsConfig,
     /// Write detection reports back to the file system.
     pub record_reports: bool,
     /// Injected fault schedule (`--fault-plan` grammar; seeded by
@@ -263,9 +219,8 @@ pub struct RunArgs {
     /// Time phases on a deterministic virtual clock (timestamps count
     /// clock observations), making trace output bit-reproducible.
     pub virtual_clock: bool,
-    /// CPI source spec (`file` or `stream[:opts]`), validated at parse
-    /// time; `None` means the default file staging.
-    pub source: Option<String>,
+    /// CPI source (`file` or `stream[:opts]`); file staging by default.
+    pub source: SourceSpec,
 }
 
 impl Default for RunArgs {
@@ -275,7 +230,7 @@ impl Default for RunArgs {
             access: CubeAccess::Resident,
             tail: TailStructure::Split,
             cpis: 6,
-            fs: "pfs16".into(),
+            fs: FsConfig::paragon_pfs(16),
             record_reports: false,
             fault_plan: None,
             fault_seed: 0,
@@ -283,7 +238,7 @@ impl Default for RunArgs {
             watchdog: false,
             trace: None,
             virtual_clock: false,
-            source: None,
+            source: SourceSpec::File,
         }
     }
 }
@@ -291,8 +246,8 @@ impl Default for RunArgs {
 /// Arguments of `ppstap sim`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimArgs {
-    /// Machine key: "paragon16", "paragon64" or "sp".
-    pub machine: String,
+    /// Machine model (`--machine paragon16|paragon64|paragon-het|sp`).
+    pub machine: MachineModel,
     /// I/O design.
     pub io: IoStrategy,
     /// Tail structure.
@@ -311,7 +266,7 @@ pub struct SimArgs {
 impl Default for SimArgs {
     fn default() -> Self {
         Self {
-            machine: "paragon64".into(),
+            machine: MachineModel::paragon(64),
             io: IoStrategy::Embedded,
             tail: TailStructure::Split,
             nodes: 50,
@@ -334,10 +289,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn parse_io(v: &str) -> Result<IoStrategy, ParseError> {
-    IoStrategy::parse(v).map_err(|e| ParseError(format!("--io: {e}")))
-}
-
 /// The strategy menu `--io auto` hands the planner: the paper's two
 /// designs plus the store-tier strategies at a few cache sizes and
 /// read-ahead depths.
@@ -353,6 +304,61 @@ pub fn auto_io_menu() -> Vec<IoStrategy> {
     ]
 }
 
+/// Resolves a machine key to its model.
+pub fn machine_for(key: &str) -> Result<MachineModel, ParseError> {
+    MachineModel::by_key(key)
+        .ok_or_else(|| ParseError(format!("--machine must be {}, got '{key}'", MachineModel::KEYS)))
+}
+
+// ---- value parsers shared by the setters --------------------------------
+
+type Setter<A> = fn(&mut A, &str) -> Result<(), ParseError>;
+
+fn set<T>(slot: &mut T, value: T) -> Result<(), ParseError> {
+    *slot = value;
+    Ok(())
+}
+
+fn ensure(ok: bool, msg: impl Into<String>) -> Result<(), ParseError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ParseError(msg.into()))
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<T, ParseError> {
+    v.parse().map_err(|_| ParseError(format!("{flag} must be {what}")))
+}
+
+/// A count of at least `min` (`note` says why, e.g. " (one per task)").
+fn at_least(flag: &str, v: &str, what: &str, min: usize, note: &str) -> Result<usize, ParseError> {
+    let n = number(flag, v, what)?;
+    ensure(n >= min, format!("{flag} must be at least {min}{note}"))?;
+    Ok(n)
+}
+
+/// A compute-node budget: at least one node per pipeline task.
+fn node_budget(flag: &str, v: &str) -> Result<usize, ParseError> {
+    at_least(flag, v, "a number", 7, " (one per task)")
+}
+
+fn positive_secs(flag: &str, v: &str) -> Result<f64, ParseError> {
+    let s: f64 = number(flag, v, "a number of seconds")?;
+    ensure(s > 0.0 && s.is_finite(), format!("{flag} must be positive"))?;
+    Ok(s)
+}
+
+fn probability(flag: &str, v: &str) -> Result<f64, ParseError> {
+    let p: f64 = number(flag, v, "a probability")?;
+    ensure((0.0..=1.0).contains(&p), format!("{flag} must be in [0, 1]"))?;
+    Ok(p)
+}
+
+fn parse_io(v: &str) -> Result<IoStrategy, ParseError> {
+    IoStrategy::parse(v).map_err(|e| ParseError(format!("--io: {e}")))
+}
+
 fn parse_tail(v: &str) -> Result<TailStructure, ParseError> {
     match v {
         "split" => Ok(TailStructure::Split),
@@ -361,555 +367,518 @@ fn parse_tail(v: &str) -> Result<TailStructure, ParseError> {
     }
 }
 
-/// Resolves a machine key to its model.
-pub fn machine_for(key: &str) -> Result<MachineModel, ParseError> {
-    match key {
-        "paragon16" => Ok(MachineModel::paragon(16)),
-        "paragon64" => Ok(MachineModel::paragon(64)),
-        "paragon-het" => Ok(MachineModel::paragon_hetero()),
-        "sp" => Ok(MachineModel::sp()),
-        other => Err(ParseError(format!(
-            "--machine must be paragon16|paragon64|paragon-het|sp, got '{other}'"
-        ))),
+fn parse_source(v: &str) -> Result<SourceSpec, ParseError> {
+    SourceSpec::parse(v).map_err(ParseError)
+}
+
+fn parse_trace(v: &str) -> Result<TraceMode, ParseError> {
+    if v == "text" {
+        return Ok(TraceMode::Text);
+    }
+    if let Some(path) = v.strip_prefix("chrome:") {
+        ensure(!path.is_empty(), "--trace chrome: needs a file path")?;
+        return Ok(TraceMode::Chrome(path.to_string()));
+    }
+    Err(ParseError(format!("--trace must be text|chrome:PATH, got '{v}'")))
+}
+
+// ---- the table machinery -------------------------------------------------
+
+/// One row of a subcommand's flag table: `(name, value placeholder,
+/// one-line help, setter)`. A switch has the placeholder `""` and its
+/// setter is handed `""`.
+type Flag<A> = (&'static str, &'static str, &'static str, Setter<A>);
+
+/// One subcommand: its flag table over the draft type `A`, the cross-flag
+/// checks that finish a draft, and its help prose.
+struct Spec<A: 'static> {
+    name: &'static str,
+    /// Usage text and handler of non-flag tokens (`submit`'s `key=value`s).
+    positional: Option<(&'static str, Setter<A>)>,
+    flags: &'static [Flag<A>],
+    finish: fn(A) -> Result<Command, ParseError>,
+    about: &'static str,
+}
+
+/// What [`parse`] and [`help`] need of a [`Spec`], whatever its draft type.
+trait Subcommand: Sync {
+    fn name(&self) -> &'static str;
+    fn parse(&self, it: &mut dyn Iterator<Item = &str>) -> Result<Command, ParseError>;
+    fn usage(&self) -> String;
+    /// `(flag, takes a value)` per table row.
+    #[cfg(test)]
+    fn flags(&self) -> Vec<(&'static str, bool)>;
+}
+
+impl<A: Default> Subcommand for Spec<A> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn parse(&self, it: &mut dyn Iterator<Item = &str>) -> Result<Command, ParseError> {
+        let mut draft = A::default();
+        while let Some(token) = it.next() {
+            match (self.flags.iter().find(|f| f.0 == token), self.positional) {
+                (Some(&(_, "", _, set)), _) => set(&mut draft, "")?,
+                (Some(&(_, _, _, set)), _) => {
+                    let value =
+                        it.next().ok_or_else(|| ParseError(format!("{token} needs a value")));
+                    set(&mut draft, value?)?;
+                }
+                (None, Some((_, set))) => set(&mut draft, token)?,
+                (None, None) => {
+                    return Err(ParseError(format!("unknown flag '{token}' for {}", self.name)))
+                }
+            }
+        }
+        (self.finish)(draft)
+    }
+
+    /// The synopsis line, one line per table row, then the about prose.
+    fn usage(&self) -> String {
+        let tokens = self.positional.map_or("[flags]", |(synopsis, _)| synopsis);
+        let mut out = format!("    ppstap {} {tokens}\n", self.name);
+        for (name, value, help, _) in self.flags {
+            let item = format!("[{}]", format!("{name} {value}").trim_end());
+            out += &format!("          {item:<44} {help}\n");
+        }
+        for line in self.about.lines() {
+            out += format!("        {line}").trim_end();
+            out.push('\n');
+        }
+        out
+    }
+
+    #[cfg(test)]
+    fn flags(&self) -> Vec<(&'static str, bool)> {
+        self.flags.iter().map(|f| (f.0, !f.1.is_empty())).collect()
     }
 }
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<&'a str, ParseError> {
-    it.next().ok_or_else(|| ParseError(format!("{flag} needs a value")))
-}
+/// Every subcommand, in help order.
+static COMMANDS: [&dyn Subcommand; 8] =
+    [&RUN, &SIM, &TABLES, &SWEEP, &PLAN, &SERVE, &SUBMIT, &VERIFY];
 
 /// Parses the argument list (without the program name).
 pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     let mut it = args.iter().copied();
-    let cmd = match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
-        Some(c) => c,
+    let Some(cmd) = it.next().filter(|c| !["help", "--help", "-h"].contains(c)) else {
+        return Ok(Command::Help);
     };
-    match cmd {
-        "run" => {
-            let mut a = RunArgs::default();
-            let mut fault_spec: Option<String> = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--io" => a.io = parse_io(take_value(flag, &mut it)?)?,
-                    "--access" => {
-                        a.access = CubeAccess::parse(take_value(flag, &mut it)?)
-                            .map_err(|e| ParseError(format!("--access: {e}")))?;
-                    }
-                    "--tail" => a.tail = parse_tail(take_value(flag, &mut it)?)?,
-                    "--cpis" => {
-                        a.cpis = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--cpis must be a number".into()))?;
-                        if a.cpis < 2 {
-                            return Err(ParseError("--cpis must be at least 2".into()));
-                        }
-                    }
-                    "--fs" => {
-                        let v = take_value(flag, &mut it)?;
-                        if !["pfs16", "pfs64", "piofs"].contains(&v) {
-                            return Err(ParseError(format!(
-                                "--fs must be pfs16|pfs64|piofs, got '{v}'"
-                            )));
-                        }
-                        a.fs = v.to_string();
-                    }
-                    "--record-reports" => a.record_reports = true,
-                    "--fault-plan" => fault_spec = Some(take_value(flag, &mut it)?.to_string()),
-                    "--fault-seed" => {
-                        a.fault_seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--fault-seed must be a number".into()))?;
-                    }
-                    "--failure-policy" => {
-                        a.failure_policy =
-                            FailurePolicy::parse(take_value(flag, &mut it)?).map_err(ParseError)?;
-                    }
-                    "--watchdog" => a.watchdog = true,
-                    "--trace" => a.trace = Some(parse_trace(take_value(flag, &mut it)?)?),
-                    "--virtual-clock" => a.virtual_clock = true,
-                    "--source" => {
-                        let v = take_value(flag, &mut it)?;
-                        SourceSpec::parse(v).map_err(ParseError)?; // validate now
-                        a.source = Some(v.to_string());
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}' for run"))),
-                }
-            }
-            // The plan is seeded, so it can only be built once both
-            // `--fault-plan` and `--fault-seed` have been consumed.
-            if let Some(spec) = fault_spec {
-                a.fault_plan = Some(FaultPlan::parse(&spec, a.fault_seed).map_err(ParseError)?);
-            }
-            Ok(Command::Run(a))
-        }
-        "sim" => {
-            let mut a = SimArgs::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--machine" => {
-                        let v = take_value(flag, &mut it)?;
-                        machine_for(v)?; // validate now
-                        a.machine = v.to_string();
-                    }
-                    "--io" => a.io = parse_io(take_value(flag, &mut it)?)?,
-                    "--tail" => a.tail = parse_tail(take_value(flag, &mut it)?)?,
-                    "--nodes" => {
-                        a.nodes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--nodes must be a number".into()))?;
-                        if a.nodes < 7 {
-                            return Err(ParseError(
-                                "--nodes must be at least 7 (one per task)".into(),
-                            ));
-                        }
-                    }
-                    "--trace" => a.trace = true,
-                    "--fault-rate" => {
-                        let v: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--fault-rate must be a probability".into()))?;
-                        if !(0.0..=1.0).contains(&v) {
-                            return Err(ParseError("--fault-rate must be in [0, 1]".into()));
-                        }
-                        a.fault_rate = v;
-                    }
-                    "--fault-seed" => {
-                        a.fault_seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--fault-seed must be a number".into()))?;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}' for sim"))),
-                }
-            }
-            Ok(Command::Sim(a))
-        }
-        "tables" => {
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--out" => out = Some(take_value(flag, &mut it)?.to_string()),
-                    other => return Err(ParseError(format!("unknown flag '{other}' for tables"))),
-                }
-            }
-            Ok(Command::Tables { out })
-        }
-        "sweep" => {
-            let mut nodes = 100usize;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--nodes" => {
-                        nodes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--nodes must be a number".into()))?;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}' for sweep"))),
-                }
-            }
-            Ok(Command::Sweep { nodes })
-        }
-        "plan" => {
-            let mut a = PlanArgs::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--machine" => {
-                        let v = take_value(flag, &mut it)?;
-                        let known =
-                            ["paragon", "paragon16", "paragon64", "paragon-het", "sp", "all"];
-                        if !known.contains(&v) {
-                            return Err(ParseError(format!(
-                                "--machine must be paragon|paragon16|paragon64|paragon-het|sp|all, got '{v}'"
-                            )));
-                        }
-                        a.machine = v.to_string();
-                    }
-                    "--io" => {
-                        let v = take_value(flag, &mut it)?;
-                        a.ios = Some(if v == "auto" { auto_io_menu() } else { vec![parse_io(v)?] });
-                    }
-                    "--stripe-factor" => {
-                        let v = take_value(flag, &mut it)?;
-                        if v == "auto" {
-                            a.stripe_auto = true;
-                            a.stripe_factor = None;
-                        } else {
-                            a.stripe_auto = false;
-                            a.stripe_factor = Some(v.parse().map_err(|_| {
-                                ParseError("--stripe-factor must be a number or 'auto'".into())
-                            })?);
-                        }
-                    }
-                    "--max-latency" => {
-                        let v: f64 = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--max-latency must be a number of seconds".into())
-                        })?;
-                        if !(v > 0.0 && v.is_finite()) {
-                            return Err(ParseError("--max-latency must be positive".into()));
-                        }
-                        a.max_latency = Some(v);
-                    }
-                    "--nodes" => {
-                        a.nodes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--nodes must be a number".into()))?;
-                        if a.nodes < 7 {
-                            return Err(ParseError(
-                                "--nodes must be at least 7 (one per task)".into(),
-                            ));
-                        }
-                    }
-                    "--json" => a.json = true,
-                    "--no-des" => a.no_des = true,
-                    "--fault-rate" => {
-                        let v: f64 = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--fault-rate must be a per-node per-CPI rate".into())
-                        })?;
-                        if !(v > 0.0 && v < 1.0) {
-                            return Err(ParseError("--fault-rate must be in (0, 1)".into()));
-                        }
-                        a.fault_rate = Some(v);
-                    }
-                    "--max-failure-prob" => {
-                        let v: f64 = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--max-failure-prob must be a probability".into())
-                        })?;
-                        if !(0.0..=1.0).contains(&v) {
-                            return Err(ParseError("--max-failure-prob must be in [0, 1]".into()));
-                        }
-                        a.max_failure_prob = Some(v);
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}' for plan"))),
-                }
-            }
-            if a.max_failure_prob.is_some() && a.fault_rate.is_none() {
-                return Err(ParseError(
-                    "--max-failure-prob needs --fault-rate to define the fault model".into(),
-                ));
-            }
-            a.machines()?; // validate the combination now
-            Ok(Command::Plan(a))
-        }
-        "serve" => {
-            let mut a = ServeArgs::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--script" => a.script = take_value(flag, &mut it)?.to_string(),
-                    "--arrivals" => {
-                        a.arrivals = Some(
-                            ArrivalSpec::parse(take_value(flag, &mut it)?).map_err(ParseError)?,
-                        );
-                    }
-                    "--duration" => {
-                        let v: f64 = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--duration must be a number of seconds".into())
-                        })?;
-                        if !(v > 0.0 && v.is_finite()) {
-                            return Err(ParseError("--duration must be positive".into()));
-                        }
-                        a.duration = v;
-                    }
-                    "--arrival-seed" => {
-                        a.arrival_seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--arrival-seed must be a number".into()))?;
-                    }
-                    "--source" => {
-                        let v = take_value(flag, &mut it)?;
-                        SourceSpec::parse(v).map_err(ParseError)?; // validate now
-                        a.source = Some(v.to_string());
-                    }
-                    "--staging" => {
-                        a.staging = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--staging must be a number of cubes".into())
-                        })?;
-                        if a.staging == 0 {
-                            return Err(ParseError("--staging must be at least 1".into()));
-                        }
-                    }
-                    "--sim" => a.sim = true,
-                    "--workers" => {
-                        a.workers = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--workers must be a number".into()))?;
-                        if a.workers == 0 {
-                            return Err(ParseError("--workers must be at least 1".into()));
-                        }
-                    }
-                    "--pool-nodes" => {
-                        a.pool_nodes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--pool-nodes must be a number".into()))?;
-                        if a.pool_nodes < 7 {
-                            return Err(ParseError(
-                                "--pool-nodes must be at least 7 (one per task)".into(),
-                            ));
-                        }
-                    }
-                    "--queue-capacity" => {
-                        a.queue_capacity = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--queue-capacity must be a number".into()))?;
-                        if a.queue_capacity == 0 {
-                            return Err(ParseError("--queue-capacity must be at least 1".into()));
-                        }
-                    }
-                    "--json" => a.json = true,
-                    "--fault-plan" => {
-                        a.fault = Some(
-                            FleetFault::parse(take_value(flag, &mut it)?).map_err(ParseError)?,
-                        );
-                    }
-                    "--trace" => match parse_trace(take_value(flag, &mut it)?)? {
-                        TraceMode::Chrome(path) => a.trace = Some(path),
-                        TraceMode::Text => {
-                            return Err(ParseError(
-                                "serve --trace must be chrome:PATH (the fleet table already \
-                                 prints to stdout)"
-                                    .into(),
-                            ))
-                        }
-                    },
-                    other => return Err(ParseError(format!("unknown flag '{other}' for serve"))),
-                }
-            }
-            if a.script.is_empty() && a.arrivals.is_none() {
-                return Err(ParseError("serve needs --script FILE or --arrivals SPEC".into()));
-            }
-            if !a.script.is_empty() && a.arrivals.is_some() {
-                return Err(ParseError(
-                    "--script and --arrivals both name a workload; pick one".into(),
-                ));
-            }
-            if a.sim && a.trace.is_some() {
-                return Err(ParseError(
-                    "--trace applies to real execution; --sim predicts without running \
-                     pipelines"
-                        .into(),
-                ));
-            }
-            Ok(Command::Serve(a))
-        }
-        "submit" => {
-            let mut a = SubmitArgs { kvs: Vec::new(), json: false };
-            for word in it {
-                match word {
-                    "--json" => a.json = true,
-                    kv if kv.contains('=') => a.kvs.push(kv.to_string()),
-                    other => {
-                        return Err(ParseError(format!(
-                            "submit takes key=value tokens (and --json), got '{other}'"
-                        )))
-                    }
-                }
-            }
-            // Validate the mission grammar now so errors surface at parse
-            // time, not mid-fleet.
-            stap_serve::WorkloadScript::parse(&a.script_text())
-                .map_err(|e| ParseError(format!("submit: {e}")))?;
-            Ok(Command::Submit(a))
-        }
-        "verify" => {
-            let mut a = VerifyArgs::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--scenario" => {
-                        let v = take_value(flag, &mut it)?;
-                        if stap_scenario::find(v).is_none() {
-                            let names: Vec<String> =
-                                stap_scenario::catalog().into_iter().map(|s| s.name).collect();
-                            return Err(ParseError(format!(
-                                "unknown scenario '{v}' (catalog: {})",
-                                names.join(", ")
-                            )));
-                        }
-                        a.scenario = v.to_string();
-                    }
-                    "--list" => a.list = true,
-                    "--requirements" => {
-                        a.requirements = Some(take_value(flag, &mut it)?.to_string());
-                    }
-                    "--sweep" => {
-                        let v = take_value(flag, &mut it)?;
-                        stap_scenario::Sweep::parse(v).map_err(ParseError)?; // validate now
-                        a.sweep = Some(v.to_string());
-                    }
-                    "--source" => {
-                        let v = take_value(flag, &mut it)?;
-                        SourceSpec::parse(v).map_err(ParseError)?; // validate now
-                        a.source = Some(v.to_string());
-                    }
-                    "--json" => a.json = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}' for verify"))),
-                }
-            }
-            if a.scenario.is_empty() && !a.list {
-                return Err(ParseError("verify needs --scenario NAME or --list".into()));
-            }
-            if a.list && (a.sweep.is_some() || a.requirements.is_some()) {
-                return Err(ParseError(
-                    "--list only lists the catalog; drop the other flags".into(),
-                ));
-            }
-            Ok(Command::Verify(a))
-        }
-        other => Err(ParseError(format!("unknown command '{other}' (try 'ppstap help')"))),
+    match COMMANDS.iter().find(|c| c.name() == cmd) {
+        Some(c) => c.parse(&mut it),
+        None => Err(ParseError(format!("unknown command '{cmd}' (try 'ppstap help')"))),
     }
 }
 
-/// The help text.
-pub const HELP: &str = "\
-ppstap — parallel pipelined STAP with parallel-I/O strategies (IPPS 2000 reproduction)
+/// The help text, generated from the flag tables.
+pub fn help() -> String {
+    let mut out = String::from(
+        "ppstap — parallel pipelined STAP with parallel-I/O strategies (IPPS 2000 reproduction)\n\
+         \nUSAGE:\n",
+    );
+    for c in COMMANDS {
+        out += &c.usage();
+        out.push('\n');
+    }
+    out + "    ppstap help\n        Show this text.\n"
+}
 
-USAGE:
-    ppstap run   [--io embedded|separate|cached:MB|prefetch:D]
-                 [--access resident|ooc:ROWS]
-                 [--tail split|combined] [--cpis N]
-                 [--fs pfs16|pfs64|piofs] [--record-reports]
-                 [--fault-plan SPEC] [--fault-seed N] [--watchdog]
-                 [--failure-policy abort|retry:A:MS|skip:A:MS:MAXC]
-                 [--trace text|chrome:PATH] [--virtual-clock]
-                 [--source file|stream[:depth=N,policy=P,rate=R,strict-lag]]
-        Run the real threaded pipeline on a small cube and print timings,
-        detections, throughput and latency. --source stream replaces the
-        file-staging read path with the in-memory staging tier: a seeded
-        radar frontend pushes the same cube sequence into a bounded ring
-        (depth=N cubes) the pipeline pulls from, with backpressure policy
-        block (default), drop-oldest, or reject, paced at rate=R cubes/s
-        (0 = unpaced); detections are bit-identical to the file run, with
-        read time re-attributed to the ingest phase. --fault-plan injects a seeded,
-        reproducible fault schedule into the CPI read path; SPEC is a
-        comma-separated list of:
-            file:NAME@A..B       NAME unavailable for CPIs [A, B)
-            server:IDX@A..B      stripe server IDX down for the window
-            transient:NAME:K@A..B   first K attempts of each read fail
-            flaky:NAME:P@A..B    each attempt fails with probability P
-            slow:NAME:MS@A..B    reads take an extra MS milliseconds
-        --failure-policy decides what a failed read does: abort the run
-        (default), retry A times with exponential backoff from MS ms, or
-        skip — retry then drop the CPI as a gap bubble, aborting only
-        after MAXC consecutive drops. --watchdog arms per-stage deadlines
-        derived from the predicted task times. --trace text prints the
-        per-stage phase-statistics table (count/sum/min/max/p50/p99 per
-        phase); --trace chrome:PATH writes a Chrome trace-event JSON file
-        (load in chrome://tracing or Perfetto; one track per stage node,
-        retries linked by flow arrows). --virtual-clock times phases on a
-        deterministic virtual clock so trace output is bit-reproducible.
-        --io cached:MB puts the stap-store tier (an MB-MiB LRU read cache
-        plus a one-deep pattern prefetcher) in front of the embedded
-        reads; --io prefetch:D runs
-        the tier cacheless-warm with D cubes of server-side read-ahead.
-        The run then prints a greppable 'cache hit-rate' line and traces
-        hits as the cachehit phase. --access ooc:ROWS streams demand
-        misses through ROWS-row chunks charged against a hard footprint
-        meter (the run prints the 'ooc footprint' peak-vs-bound line);
-        detections stay bit-identical to resident access.
+// ---- the tables: one row per flag, kept one row per line ----------------
 
-    ppstap sim   [--machine paragon16|paragon64|sp] [--io embedded|separate]
-                 [--tail split|combined] [--nodes N] [--trace]
-                 [--fault-rate P] [--fault-seed N]
-        Simulate one paper-scale configuration in virtual time.
-        --fault-rate P drops each CPI's read with probability P under the
-        skip policy's virtual-time analogue (deterministic per seed),
-        reporting dropped CPIs and delivered throughput.
+const IO: &str = "embedded|separate|cached:MB|prefetch:D";
+const TAIL: &str = "split|combined";
 
-    ppstap tables [--out DIR]
-        Regenerate Tables 1-4 and Figures 5-8 (plus ablations and the
-        validation grid), optionally writing DIR/*.txt.
+/// `run` before its seeded `--fault-plan` is built: the plan needs the
+/// seed, which may follow it on the command line.
+#[derive(Default)]
+struct RunDraft {
+    run: RunArgs,
+    fault_spec: Option<String>,
+}
 
-    ppstap sweep [--nodes N]
-        Stripe-factor sweep at N compute nodes.
+#[rustfmt::skip]
+static RUN: Spec<RunDraft> = Spec {
+    name: "run",
+    positional: None,
+    flags: &[
+        ("--io", IO, "I/O design", |d, v| set(&mut d.run.io, parse_io(v)?)),
+        ("--access", "resident|ooc:ROWS", "cube access mode", |d, v| {
+            let access = CubeAccess::parse(v).map_err(|e| ParseError(format!("--access: {e}")))?;
+            set(&mut d.run.access, access)
+        }),
+        ("--tail", TAIL, "tail structure", |d, v| set(&mut d.run.tail, parse_tail(v)?)),
+        ("--cpis", "N", "CPIs to execute", |d, v| {
+            d.run.cpis = number("--cpis", v, "a number")?;
+            ensure(d.run.cpis >= 2, "--cpis must be at least 2")
+        }),
+        ("--fs", FsConfig::KEYS, "file-system personality", |d, v| {
+            let unknown = || ParseError(format!("--fs must be {}, got '{v}'", FsConfig::KEYS));
+            set(&mut d.run.fs, FsConfig::by_key(v).ok_or_else(unknown)?)
+        }),
+        ("--record-reports", "", "write detection reports back", |d, _| set(&mut d.run.record_reports, true)),
+        ("--fault-plan", "SPEC", "seeded fault schedule", |d, v| set(&mut d.fault_spec, Some(v.to_string()))),
+        ("--fault-seed", "N", "seed of the fault plan",
+            |d, v| set(&mut d.run.fault_seed, number("--fault-seed", v, "a number")?)),
+        ("--watchdog", "", "arm per-stage deadlines", |d, _| set(&mut d.run.watchdog, true)),
+        ("--failure-policy", "abort|retry:A:MS|skip:A:MS:MAXC", "what a failed read does",
+            |d, v| set(&mut d.run.failure_policy, FailurePolicy::parse(v).map_err(ParseError)?)),
+        ("--trace", "text|chrome:PATH", "phase trace output", |d, v| set(&mut d.run.trace, Some(parse_trace(v)?))),
+        ("--virtual-clock", "", "deterministic trace clock", |d, _| set(&mut d.run.virtual_clock, true)),
+        ("--source", "file|stream[:depth=N,policy=P,rate=R,strict-lag]", "CPI source",
+            |d, v| set(&mut d.run.source, parse_source(v)?)),
+    ],
+    finish: |d| {
+        let mut run = d.run;
+        if let Some(spec) = d.fault_spec {
+            run.fault_plan = Some(FaultPlan::parse(&spec, run.fault_seed).map_err(ParseError)?);
+        }
+        Ok(Command::Run(run))
+    },
+    about: "\
+Run the real threaded pipeline on a small cube and print timings,
+detections, throughput and latency. --source stream replaces the
+file-staging read path with the in-memory staging tier: a seeded
+radar frontend pushes the same cube sequence into a bounded ring
+(depth=N cubes) the pipeline pulls from, with backpressure policy
+block (default), drop-oldest, or reject, paced at rate=R cubes/s
+(0 = unpaced); detections are bit-identical to the file run, with
+read time re-attributed to the ingest phase. --fault-plan injects a seeded,
+reproducible fault schedule into the CPI read path; SPEC is a
+comma-separated list of:
+    file:NAME@A..B       NAME unavailable for CPIs [A, B)
+    server:IDX@A..B      stripe server IDX down for the window
+    transient:NAME:K@A..B   first K attempts of each read fail
+    flaky:NAME:P@A..B    each attempt fails with probability P
+    slow:NAME:MS@A..B    reads take an extra MS milliseconds
+--failure-policy decides what a failed read does: abort the run
+(default), retry A times with exponential backoff from MS ms, or
+skip — retry then drop the CPI as a gap bubble, aborting only
+after MAXC consecutive drops. --watchdog arms per-stage deadlines
+derived from the predicted task times. --trace text prints the
+per-stage phase-statistics table (count/sum/min/max/p50/p99 per
+phase); --trace chrome:PATH writes a Chrome trace-event JSON file
+(load in chrome://tracing or Perfetto; one track per stage node,
+retries linked by flow arrows). --virtual-clock times phases on a
+deterministic virtual clock so trace output is bit-reproducible.
+--io cached:MB puts the stap-store tier (an MB-MiB LRU read cache
+plus a one-deep pattern prefetcher) in front of the embedded
+reads; --io prefetch:D runs
+the tier cacheless-warm with D cubes of server-side read-ahead.
+The run then prints a greppable 'cache hit-rate' line and traces
+hits as the cachehit phase. --access ooc:ROWS streams demand
+misses through ROWS-row chunks charged against a hard footprint
+meter (the run prints the 'ooc footprint' peak-vs-bound line);
+detections stay bit-identical to resident access.
+",
+};
 
-    ppstap plan  [--machine paragon|paragon16|paragon64|paragon-het|sp|all]
-                 [--io embedded|separate|cached:MB|prefetch:D|auto]
-                 [--stripe-factor 16|64|auto] [--nodes N] [--max-latency S]
-                 [--fault-rate R] [--max-failure-prob P] [--json] [--no-des]
-        Search node assignments x I/O strategies x task combining for the
-        throughput/latency Pareto front (DES-validated unless --no-des),
-        printing every pruned candidate with the reason it lost.
-        --io auto widens the strategy axis beyond the paper's pair with
-        the stap-store strategies (cached:32|64|128, prefetch:2|4),
-        searched under the same admissible DP bounds; a single --io value
-        pins the axis. --stripe-factor auto adds the PFS stripe factor (8..128) as a search
-        axis; paragon-het plans a mixed 96+32-node pool, packing fast nodes
-        onto the heaviest tasks. --max-latency S filters the front to plans
-        meeting the latency SLA and names the max-throughput survivor.
-        --fault-rate R enables tri-criteria planning: each node fails with
-        per-CPI rate R, the search space gains stage replication and
-        checkpoint/restart placements, plans are scored on *delivered*
-        throughput and mission-survival probability, and the front becomes
-        throughput x latency x reliability. --max-failure-prob P (requires
-        --fault-rate) names the max-delivered-throughput survivor whose
-        mission-failure probability meets the bound.
+#[rustfmt::skip]
+static SIM: Spec<SimArgs> = Spec {
+    name: "sim",
+    positional: None,
+    flags: &[
+        ("--machine", MachineModel::KEYS, "machine model", |a, v| set(&mut a.machine, machine_for(v)?)),
+        ("--io", IO, "I/O design", |a, v| set(&mut a.io, parse_io(v)?)),
+        ("--tail", TAIL, "tail structure", |a, v| set(&mut a.tail, parse_tail(v)?)),
+        ("--nodes", "N", "compute nodes", |a, v| set(&mut a.nodes, node_budget("--nodes", v)?)),
+        ("--trace", "", "print the execution Gantt chart", |a, _| set(&mut a.trace, true)),
+        ("--fault-rate", "P", "per-CPI read-fault probability",
+            |a, v| set(&mut a.fault_rate, probability("--fault-rate", v)?)),
+        ("--fault-seed", "N", "seed of the fault draw",
+            |a, v| set(&mut a.fault_seed, number("--fault-seed", v, "a number")?)),
+    ],
+    finish: |a| Ok(Command::Sim(a)),
+    about: "\
+Simulate one paper-scale configuration in virtual time.
+--fault-rate P drops each CPI's read with probability P under the
+skip policy's virtual-time analogue (deterministic per seed),
+reporting dropped CPIs and delivered throughput.
+",
+};
 
-    ppstap serve (--script FILE | --arrivals SPEC) [--sim] [--workers N]
-                 [--pool-nodes N] [--queue-capacity N] [--staging N]
-                 [--duration S] [--arrival-seed N] [--source SPEC]
-                 [--fault-plan server-loss:IDX@T] [--json] [--trace chrome:PATH]
-        Run a multi-mission fleet from a workload script: each line is
-            at <secs> submit name=<id> [machine=KEY] [nodes=N] [cpis=C]
-                     [priority=P] [max-latency=S] [io=embedded|separate]
-                     [tail=split|combined] [source=file|stream]
-                     [staging=N] [backpressure=POLICY] [rate=R]
-            at <secs> cancel name=<id>
-        source=stream feeds the mission from the in-memory staging tier
-        (a per-mission ring of staging=N cubes under backpressure=block|
-        drop-oldest|reject, frontend paced at rate=R cubes/s); the
-        scheduler charges each stream mission's ring against one shared
-        staging tier of --staging cubes. --arrivals SPEC replaces the
-        script with an elastic arrival process over [0, --duration):
-            poisson:RATE          memoryless arrivals at RATE missions/s
-            bursty:LO:HI:DWELL    MMPP-2 switching between LO and HI
-                                  missions/s with mean dwell DWELL s
-            diurnal:MEAN:PERIOD   sinusoidal rate around MEAN with
-                                  period PERIOD s
-        drawn deterministically from --arrival-seed; --source SPEC (the
-        run --source grammar) sets every generated mission's source.
-        Admission re-plans each mission inside the currently-free node
-        budget (typed rejections: pool exceeded, no feasible plan, queue
-        full); admitted missions wait in a bounded priority queue and run
-        on a bounded worker pool under watchdogs. Prints the per-mission
-        fleet table (queue wait, plan, throughput, drops, SLA verdict);
-        --json emits the machine-readable fleet report; --trace chrome:PATH
-        writes one merged Chrome trace with a mission-tagged track per
-        mission. --sim predicts the same script in DES capacity mode
-        (shared FCFS stripe servers; stream missions gate on a virtual
-        staging ring instead of the store) and reports per-mission queue
-        wait, slowdown, SLA hit-rate, and fleet store utilization.
-        --fault-plan server-loss:IDX@T permanently kills stripe server IDX
-        once a mission reaches CPI T: in-flight missions fail over (the
-        store is re-striped over the survivors, the mission re-planned
-        inside its reserved nodes and completed degraded, the event visible
-        as a failover span in the trace), and the report grades SLA
-        hit-rate with and without the failover path; --sim predicts the
-        same fault schedule in capacity mode.
+#[rustfmt::skip]
+static TABLES: Spec<Option<String>> = Spec {
+    name: "tables",
+    positional: None,
+    flags: &[("--out", "DIR", "also write DIR/<artifact>.txt", |out, v| set(out, Some(v.to_string())))],
+    finish: |out| Ok(Command::Tables { out }),
+    about: "\
+Regenerate Tables 1-4 and Figures 5-8 (plus ablations and the
+validation grid), optionally writing DIR/*.txt.
+",
+};
 
-    ppstap submit name=<id> [key=value ...] [--json]
-        One-shot serve: admit and run a single mission now, printing its
-        mission report (same key=value grammar as the script's submit).
+#[rustfmt::skip]
+static SWEEP: Spec<Option<usize>> = Spec {
+    name: "sweep",
+    positional: None,
+    flags: &[("--nodes", "N", "compute nodes", |n, v| set(n, Some(number("--nodes", v, "a number")?)))],
+    finish: |nodes| Ok(Command::Sweep { nodes: nodes.unwrap_or(100) }),
+    about: "\
+Stripe-factor sweep at N compute nodes.
+",
+};
 
-    ppstap verify (--scenario NAME | --list) [--requirements FILE]
-                  [--sweep AXIS=v1,v2,...] [--source file|stream[:opts]]
-                  [--json]
-        Run the real seven-task pipeline over a catalog scenario and check
-        the measured detection quality — Pd/Pfa from truth-matched CFAR
-        detections, SINR loss against optimal weights — against the
-        scenario's requirements, printing a pass/fail table with margins
-        (greppable 'result: PASS'/'result: FAIL' line; exit code 1 on
-        FAIL). --list prints the catalog. --requirements FILE overrides
-        the built-in bounds with 'key = value' lines (min_pd, max_pfa,
-        max_sinr_loss_db, pfa_within_sigmas). --sweep re-evaluates the
-        scenario once per value along one axis (snr|jnr|cnr|seed).
-        --source stream feeds the pipeline from the staging tier instead
-        of files (detections are identical by construction — that
-        invariance is itself under test). --json emits the machine-
-        readable requirement report.
+/// What `plan --machine` named, before `--stripe-factor` narrows it.
+#[derive(Default)]
+enum Family {
+    #[default]
+    Paragon,
+    All,
+    One(Box<MachineModel>),
+}
 
-    ppstap help
-        Show this text.
-";
+#[derive(Default)]
+enum Stripe {
+    #[default]
+    Unset,
+    Auto,
+    Fixed(usize),
+}
+
+/// `plan` before `--machine` and `--stripe-factor` (either order, the last
+/// of each wins) resolve into [`PlanArgs::machines`].
+#[derive(Default)]
+struct PlanDraft {
+    plan: PlanArgs,
+    family: Family,
+    /// The `--machine` text, for error messages.
+    machine: String,
+    stripe: Stripe,
+}
+
+#[rustfmt::skip]
+static PLAN: Spec<PlanDraft> = Spec {
+    name: "plan",
+    positional: None,
+    flags: &[
+        ("--machine", "paragon|paragon16|paragon64|paragon-het|sp|all", "machine family or model", |d, v| {
+            let unknown = || ParseError(format!("--machine must be paragon|{}|all, got '{v}'", MachineModel::KEYS));
+            d.family = match v {
+                "paragon" => Family::Paragon,
+                "all" => Family::All,
+                key => Family::One(Box::new(MachineModel::by_key(key).ok_or_else(unknown)?)),
+            };
+            set(&mut d.machine, v.to_string())
+        }),
+        ("--io", "embedded|separate|cached:MB|prefetch:D|auto", "I/O strategy axis", |d, v| {
+            set(&mut d.plan.ios, Some(if v == "auto" { auto_io_menu() } else { vec![parse_io(v)?] }))
+        }),
+        ("--stripe-factor", "16|64|auto", "PFS stripe factor", |d, v| set(&mut d.stripe, match v {
+            "auto" => Stripe::Auto,
+            n => Stripe::Fixed(number("--stripe-factor", n, "a number or 'auto'")?),
+        })),
+        ("--nodes", "N", "compute-node budget", |d, v| set(&mut d.plan.nodes, node_budget("--nodes", v)?)),
+        ("--max-latency", "S", "latency SLA in seconds",
+            |d, v| set(&mut d.plan.max_latency, Some(positive_secs("--max-latency", v)?))),
+        ("--fault-rate", "R", "per-node per-CPI failure rate", |d, v| {
+            let r: f64 = number("--fault-rate", v, "a per-node per-CPI rate")?;
+            ensure(r > 0.0 && r < 1.0, "--fault-rate must be in (0, 1)")?;
+            set(&mut d.plan.fault_rate, Some(r))
+        }),
+        ("--max-failure-prob", "P", "mission-failure-probability SLA",
+            |d, v| set(&mut d.plan.max_failure_prob, Some(probability("--max-failure-prob", v)?))),
+        ("--json", "", "emit the report as JSON", |d, _| set(&mut d.plan.json, true)),
+        ("--no-des", "", "skip stage-2 DES validation", |d, _| set(&mut d.plan.no_des, true)),
+    ],
+    finish: finish_plan,
+    about: "\
+Search node assignments x I/O strategies x task combining for the
+throughput/latency Pareto front (DES-validated unless --no-des),
+printing every pruned candidate with the reason it lost.
+--io auto widens the strategy axis beyond the paper's pair with
+the stap-store strategies (cached:32|64|128, prefetch:2|4),
+searched under the same admissible DP bounds; a single --io value
+pins the axis. --stripe-factor auto adds the PFS stripe factor (8..128) as a search
+axis; paragon-het plans a mixed 96+32-node pool, packing fast nodes
+onto the heaviest tasks. --max-latency S filters the front to plans
+meeting the latency SLA and names the max-throughput survivor.
+--fault-rate R enables tri-criteria planning: each node fails with
+per-CPI rate R, the search space gains stage replication and
+checkpoint/restart placements, plans are scored on *delivered*
+throughput and mission-survival probability, and the front becomes
+throughput x latency x reliability. --max-failure-prob P (requires
+--fault-rate) names the max-delivered-throughput survivor whose
+mission-failure probability meets the bound.
+",
+};
+
+fn finish_plan(d: PlanDraft) -> Result<Command, ParseError> {
+    let mut plan = d.plan;
+    ensure(
+        plan.max_failure_prob.is_none() || plan.fault_rate.is_some(),
+        "--max-failure-prob needs --fault-rate to define the fault model",
+    )?;
+    plan.machines = match (d.family, d.stripe) {
+        (Family::Paragon, Stripe::Unset) => PlanArgs::default().machines,
+        (Family::Paragon, Stripe::Auto) => vec![MachineModel::paragon_tunable()],
+        (Family::Paragon, Stripe::Fixed(sf @ (16 | 64))) => vec![MachineModel::paragon(sf)],
+        (Family::Paragon, Stripe::Fixed(sf)) => {
+            return Err(ParseError(format!("--stripe-factor must be 16 or 64, got {sf}")))
+        }
+        (Family::All, Stripe::Unset) => MachineModel::paper_machines(),
+        (Family::One(m), Stripe::Unset) => vec![*m],
+        // A pool that already searches its stripe candidates (paragon-het).
+        (Family::One(m), Stripe::Auto) if m.stripe_options().len() > 1 => vec![*m],
+        (_, Stripe::Auto) => {
+            return Err(ParseError(format!(
+                "--stripe-factor auto only applies to --machine paragon|paragon-het, not '{}'",
+                d.machine
+            )))
+        }
+        (_, Stripe::Fixed(_)) => {
+            return Err(ParseError(format!(
+                "--stripe-factor only applies to --machine paragon, not '{}'",
+                d.machine
+            )))
+        }
+    };
+    Ok(Command::Plan(plan))
+}
+
+#[rustfmt::skip]
+static SERVE: Spec<ServeArgs> = Spec {
+    name: "serve",
+    positional: None,
+    flags: &[
+        ("--script", "FILE", "workload script to run", |a, v| set(&mut a.script, v.to_string())),
+        ("--arrivals", "SPEC", "elastic arrival process instead of a script",
+            |a, v| set(&mut a.arrivals, Some(ArrivalSpec::parse(v).map_err(ParseError)?))),
+        ("--sim", "", "predict in DES capacity mode", |a, _| set(&mut a.sim, true)),
+        ("--workers", "N", "concurrent missions",
+            |a, v| set(&mut a.workers, at_least("--workers", v, "a number", 1, "")?)),
+        ("--pool-nodes", "N", "nodes in the shared pool", |a, v| set(&mut a.pool_nodes, node_budget("--pool-nodes", v)?)),
+        ("--queue-capacity", "N", "bounded submission-queue capacity",
+            |a, v| set(&mut a.queue_capacity, at_least("--queue-capacity", v, "a number", 1, "")?)),
+        ("--staging", "N", "shared staging-tier capacity in cubes",
+            |a, v| set(&mut a.staging, at_least("--staging", v, "a number of cubes", 1, "")?)),
+        ("--duration", "S", "arrival window in seconds", |a, v| set(&mut a.duration, positive_secs("--duration", v)?)),
+        ("--arrival-seed", "N", "seed of the arrival draw",
+            |a, v| set(&mut a.arrival_seed, number("--arrival-seed", v, "a number")?)),
+        ("--source", "SPEC", "source of every generated mission", |a, v| set(&mut a.source, parse_source(v)?.into())),
+        ("--fault-plan", "server-loss:IDX@T", "fleet-level fault",
+            |a, v| set(&mut a.fault, Some(FleetFault::parse(v).map_err(ParseError)?))),
+        ("--json", "", "emit the machine-readable fleet report", |a, _| set(&mut a.json, true)),
+        ("--trace", "chrome:PATH", "merged mission-tagged Chrome trace", |a, v| match parse_trace(v)? {
+            TraceMode::Chrome(path) => set(&mut a.trace, Some(path)),
+            TraceMode::Text => Err(ParseError(
+                "serve --trace must be chrome:PATH (the fleet table already prints to stdout)".into(),
+            )),
+        }),
+    ],
+    finish: |a| {
+        ensure(!a.script.is_empty() || a.arrivals.is_some(), "serve needs --script FILE or --arrivals SPEC")?;
+        ensure(a.script.is_empty() || a.arrivals.is_none(), "--script and --arrivals both name a workload; pick one")?;
+        ensure(
+            !(a.sim && a.trace.is_some()),
+            "--trace applies to real execution; --sim predicts without running pipelines",
+        )?;
+        Ok(Command::Serve(a))
+    },
+    about: "\
+Run a multi-mission fleet from a workload script: each line is
+    at <secs> submit name=<id> [machine=KEY] [nodes=N] [cpis=C]
+             [priority=P] [max-latency=S] [io=embedded|separate]
+             [tail=split|combined] [source=file|stream]
+             [staging=N] [backpressure=POLICY] [rate=R]
+    at <secs> cancel name=<id>
+source=stream feeds the mission from the in-memory staging tier
+(a per-mission ring of staging=N cubes under backpressure=block|
+drop-oldest|reject, frontend paced at rate=R cubes/s); the
+scheduler charges each stream mission's ring against one shared
+staging tier of --staging cubes. --arrivals SPEC replaces the
+script with an elastic arrival process over [0, --duration):
+    poisson:RATE          memoryless arrivals at RATE missions/s
+    bursty:LO:HI:DWELL    MMPP-2 switching between LO and HI
+                          missions/s with mean dwell DWELL s
+    diurnal:MEAN:PERIOD   sinusoidal rate around MEAN with
+                          period PERIOD s
+drawn deterministically from --arrival-seed; --source SPEC (the
+run --source grammar) sets every generated mission's source.
+Admission re-plans each mission inside the currently-free node
+budget (typed rejections: pool exceeded, no feasible plan, queue
+full); admitted missions wait in a bounded priority queue and run
+on a bounded worker pool under watchdogs. Prints the per-mission
+fleet table (queue wait, plan, throughput, drops, SLA verdict);
+--json emits the machine-readable fleet report; --trace chrome:PATH
+writes one merged Chrome trace with a mission-tagged track per
+mission. --sim predicts the same script in DES capacity mode
+(shared FCFS stripe servers; stream missions gate on a virtual
+staging ring instead of the store) and reports per-mission queue
+wait, slowdown, SLA hit-rate, and fleet store utilization.
+--fault-plan server-loss:IDX@T permanently kills stripe server IDX
+once a mission reaches CPI T: in-flight missions fail over (the
+store is re-striped over the survivors, the mission re-planned
+inside its reserved nodes and completed degraded, the event visible
+as a failover span in the trace), and the report grades SLA
+hit-rate with and without the failover path; --sim predicts the
+same fault schedule in capacity mode.
+",
+};
+
+#[rustfmt::skip]
+static SUBMIT: Spec<SubmitArgs> = Spec {
+    name: "submit",
+    positional: Some(("name=<id> [key=value ...]", |a, word| {
+        ensure(word.contains('='), format!("submit takes key=value tokens (and --json), got '{word}'"))?;
+        a.kvs.push(word.to_string());
+        Ok(())
+    })),
+    flags: &[("--json", "", "emit the machine-readable mission report", |a, _| set(&mut a.json, true))],
+    // The mission grammar is checked now so errors surface at parse time,
+    // not mid-fleet.
+    finish: |a| match WorkloadScript::parse(&a.script_text()) {
+        Ok(_) => Ok(Command::Submit(a)),
+        Err(e) => Err(ParseError(format!("submit: {e}"))),
+    },
+    about: "\
+One-shot serve: admit and run a single mission now, printing its
+mission report (same key=value grammar as the script's submit).
+",
+};
+
+#[rustfmt::skip]
+static VERIFY: Spec<VerifyArgs> = Spec {
+    name: "verify",
+    positional: None,
+    flags: &[
+        ("--scenario", "NAME", "catalog scenario to verify", |a, v| {
+            let catalog = || stap_scenario::catalog().into_iter().map(|s| s.name).collect::<Vec<_>>().join(", ");
+            let unknown = || ParseError(format!("unknown scenario '{v}' (catalog: {})", catalog()));
+            set(&mut a.scenario, Some(stap_scenario::find(v).ok_or_else(unknown)?))
+        }),
+        ("--list", "", "list the catalog instead", |a, _| set(&mut a.list, true)),
+        ("--requirements", "FILE", "override the built-in bounds", |a, v| set(&mut a.requirements, Some(v.to_string()))),
+        ("--sweep", "AXIS=v1,v2,...", "re-evaluate along one axis",
+            |a, v| set(&mut a.sweep, Some(Sweep::parse(v).map_err(ParseError)?))),
+        ("--source", "file|stream[:opts]", "CPI source", |a, v| set(&mut a.source, parse_source(v)?)),
+        ("--json", "", "emit the machine-readable requirement report", |a, _| set(&mut a.json, true)),
+    ],
+    finish: |a| {
+        ensure(a.scenario.is_some() || a.list, "verify needs --scenario NAME or --list")?;
+        ensure(
+            !(a.list && (a.sweep.is_some() || a.requirements.is_some())),
+            "--list only lists the catalog; drop the other flags",
+        )?;
+        Ok(Command::Verify(a))
+    },
+    about: "\
+Run the real seven-task pipeline over a catalog scenario and check
+the measured detection quality — Pd/Pfa from truth-matched CFAR
+detections, SINR loss against optimal weights — against the
+scenario's requirements, printing a pass/fail table with margins
+(greppable 'result: PASS'/'result: FAIL' line; exit code 1 on
+FAIL). --list prints the catalog. --requirements FILE overrides
+the built-in bounds with 'key = value' lines (min_pd, max_pfa,
+max_sinr_loss_db, pfa_within_sigmas). --sweep re-evaluates the
+scenario once per value along one axis (snr|jnr|cnr|seed).
+--source stream feeds the pipeline from the staging tier instead
+of files (detections are identical by construction — that
+invariance is itself under test). --json emits the machine-
+readable requirement report.
+",
+};
 
 #[cfg(test)]
 mod tests {
@@ -944,7 +913,7 @@ mod tests {
                 io: IoStrategy::SeparateTask,
                 tail: TailStructure::Combined,
                 cpis: 9,
-                fs: "piofs".into(),
+                fs: FsConfig::piofs(),
                 record_reports: true,
                 ..RunArgs::default()
             })
@@ -989,7 +958,7 @@ mod tests {
         assert_eq!(
             c,
             Command::Sim(SimArgs {
-                machine: "sp".into(),
+                machine: MachineModel::sp(),
                 nodes: 25,
                 trace: true,
                 ..SimArgs::default()
@@ -1083,8 +1052,7 @@ mod tests {
         assert_eq!(
             c,
             Command::Plan(PlanArgs {
-                machine: "paragon".into(),
-                stripe_factor: Some(64),
+                machines: vec![MachineModel::paragon(64)],
                 nodes: 100,
                 json: true,
                 no_des: true,
@@ -1099,14 +1067,20 @@ mod tests {
         assert_eq!(
             c,
             Command::Plan(PlanArgs {
-                stripe_auto: true,
+                machines: vec![MachineModel::paragon_tunable()],
                 max_latency: Some(0.25),
                 ..PlanArgs::default()
             })
         );
         // A later numeric factor overrides auto (last flag wins).
         let c = parse(&["plan", "--stripe-factor", "auto", "--stripe-factor", "16"]).unwrap();
-        assert_eq!(c, Command::Plan(PlanArgs { stripe_factor: Some(16), ..PlanArgs::default() }));
+        assert_eq!(
+            c,
+            Command::Plan(PlanArgs {
+                machines: vec![MachineModel::paragon(16)],
+                ..PlanArgs::default()
+            })
+        );
     }
 
     #[test]
@@ -1164,26 +1138,40 @@ mod tests {
 
     #[test]
     fn plan_auto_and_hetero_machine_resolution() {
-        let auto = PlanArgs { stripe_auto: true, ..PlanArgs::default() }.machines().unwrap();
+        let auto = plan_machines(&["--stripe-factor", "auto"]);
         assert_eq!(auto.len(), 1);
         assert!(auto[0].stripe_options().len() > 1, "auto searches several factors");
-        let het =
-            PlanArgs { machine: "paragon-het".into(), ..PlanArgs::default() }.machines().unwrap();
-        assert!(het[0].pool_size().is_some(), "hetero pool is bounded");
-        assert!(het[0].stripe_options().len() > 1);
+        for flags in [
+            &["--machine", "paragon-het"][..],
+            &["--machine", "paragon-het", "--stripe-factor", "auto"],
+        ] {
+            let het = plan_machines(flags);
+            assert!(het[0].pool_size().is_some(), "hetero pool is bounded");
+            assert!(het[0].stripe_options().len() > 1);
+        }
+    }
+
+    fn plan_machines(flags: &[&str]) -> Vec<MachineModel> {
+        match parse(&[&["plan"][..], flags].concat()) {
+            Ok(Command::Plan(a)) => a.machines,
+            other => panic!("expected plan, got {other:?}"),
+        }
     }
 
     #[test]
     fn plan_machine_resolution() {
-        let both = PlanArgs::default().machines().unwrap();
+        let both = plan_machines(&[]);
         assert_eq!(both.len(), 2, "bare paragon searches both stripe factors");
-        let one = PlanArgs { stripe_factor: Some(16), ..PlanArgs::default() }.machines().unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].fs.stripe_factor, 16);
-        let all = PlanArgs { machine: "all".into(), ..PlanArgs::default() }.machines().unwrap();
-        assert_eq!(all.len(), 3);
-        let sp = PlanArgs { machine: "sp".into(), ..PlanArgs::default() }.machines().unwrap();
-        assert_eq!(sp[0].fs.stripe_factor, 80);
+        // The flags combine in either order.
+        for flags in
+            [&["--stripe-factor", "16"][..], &["--stripe-factor", "16", "--machine", "paragon"]]
+        {
+            let one = plan_machines(flags);
+            assert_eq!(one.len(), 1);
+            assert_eq!(one[0].fs.stripe_factor, 16);
+        }
+        assert_eq!(plan_machines(&["--machine", "all"]).len(), 3);
+        assert_eq!(plan_machines(&["--machine", "sp"])[0].fs.stripe_factor, 80);
     }
 
     #[test]
@@ -1245,7 +1233,7 @@ mod tests {
         assert_eq!(
             c,
             Command::Run(RunArgs {
-                source: Some("stream:depth=8,policy=drop-oldest,rate=4".into()),
+                source: SourceSpec::parse("stream:depth=8,policy=drop-oldest,rate=4").unwrap(),
                 ..RunArgs::default()
             })
         );
@@ -1278,7 +1266,7 @@ mod tests {
                 arrivals: Some(ArrivalSpec::Poisson { rate: 2.0 }),
                 duration: 30.0,
                 arrival_seed: 11,
-                source: Some("stream".into()),
+                source: MissionSource::stream_default(),
                 staging: 64,
                 ..ServeArgs::default()
             })
@@ -1358,7 +1346,10 @@ mod tests {
         let c = parse(&["verify", "--scenario", "two-target"]).unwrap();
         assert_eq!(
             c,
-            Command::Verify(VerifyArgs { scenario: "two-target".into(), ..VerifyArgs::default() })
+            Command::Verify(VerifyArgs {
+                scenario: stap_scenario::find("two-target"),
+                ..VerifyArgs::default()
+            })
         );
         let c = parse(&[
             "verify",
@@ -1374,9 +1365,9 @@ mod tests {
         assert_eq!(
             c,
             Command::Verify(VerifyArgs {
-                scenario: "noise-only".into(),
-                sweep: Some("seed=1,2,3".into()),
-                source: Some("stream:depth=2".into()),
+                scenario: stap_scenario::find("noise-only"),
+                sweep: Sweep::parse("seed=1,2,3").ok(),
+                source: SourceSpec::parse("stream:depth=2").unwrap(),
                 json: true,
                 ..VerifyArgs::default()
             })
@@ -1407,6 +1398,62 @@ mod tests {
             .0
             .contains("only lists"));
         assert!(parse(&["verify", "--frob"]).unwrap_err().0.contains("unknown flag"));
+    }
+
+    #[test]
+    fn every_table_row_is_documented_needs_its_value_and_is_keyed_once() {
+        let help = help();
+        for c in COMMANDS {
+            assert!(help.contains(&c.usage()), "help shows {}", c.name());
+            let rows = c.flags();
+            for &(flag, takes_value) in &rows {
+                assert!(c.usage().contains(&format!("[{flag}")), "{} help lacks {flag}", c.name());
+                assert_eq!(rows.iter().filter(|r| r.0 == flag).count(), 1, "{flag} keyed once");
+                if takes_value {
+                    let e = parse(&[c.name(), flag]).unwrap_err().0;
+                    assert_eq!(e, format!("{flag} needs a value"));
+                }
+            }
+            // `submit` hands non-flag tokens to its key=value handler instead.
+            if c.name() != "submit" {
+                let e = parse(&[c.name(), "--frobnicate"]).unwrap_err().0;
+                assert_eq!(e, format!("unknown flag '--frobnicate' for {}", c.name()));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `parse` returns a command or an error for any token vector:
+        /// table flag names, plausible values and arbitrary bytes, mixed.
+        #[test]
+        fn parse_never_panics(
+            cmd in 0usize..9,
+            picks in proptest::collection::vec(
+                (0usize..3, 0usize..64, proptest::collection::vec(proptest::any::<u8>(), 0..10)),
+                0..8,
+            ),
+        ) {
+            const VALUES: [&str; 24] = [
+                "0", "1", "7", "100", "-1", "0.5", "1e400", "nan", "auto", "paragon", "all", "sp",
+                "piofs", "stream:depth=2", "stream:depth=é", "ooc:8", "cached:64", "skip:2:5:3",
+                "poisson:2", "server-loss:0@1", "transient:a:1@2..4", "seed=1,2", "chrome:t.json",
+                "name=radar-siteé-north",
+            ];
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.name()).chain(["launch"]).collect();
+            let flags: Vec<&str> = COMMANDS.iter().flat_map(|c| c.flags()).map(|f| f.0).collect();
+            let mut tokens = vec![names[cmd].to_string()];
+            for (kind, index, bytes) in picks {
+                tokens.push(match kind {
+                    0 => flags[index % flags.len()].to_string(),
+                    1 => VALUES[index % VALUES.len()].to_string(),
+                    _ => String::from_utf8_lossy(&bytes).into_owned(),
+                });
+            }
+            let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
+            let _ = parse(&refs);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 //! # ppstap — Parallel Pipelined STAP with Parallel-I/O Strategies
 //!
@@ -28,6 +29,7 @@
 //! - [`scenario`] — the scenario catalog and requirements-driven
 //!   detection-quality verification (`ppstap verify`).
 
+pub mod artifacts;
 pub mod cli;
 
 pub use stap_comm as comm;
