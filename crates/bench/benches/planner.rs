@@ -3,6 +3,7 @@
 //! budgets.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use stap_model::io_strategy::{IoStrategy, TailStructure};
 use stap_model::machines::MachineModel;
 use stap_planner::{plan, PlannerConfig};
 
@@ -16,6 +17,27 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    // What `stap_serve::Scheduler` asks on a cold admission: the trimmed
+    // beam, analytic only, the I/O axis pinned.
+    g.bench_function("admission_sp_n16", |b| {
+        b.iter(|| {
+            let mut cfg = PlannerConfig::new(vec![MachineModel::sp()], 16).without_des();
+            cfg.beam_width = 12;
+            cfg.per_structure = 6;
+            cfg.ios = vec![IoStrategy::Embedded];
+            plan(&cfg)
+        })
+    });
+    // One structure, so the DP (`search::search_structure`, crate-private)
+    // is all but the ~25 exact scores of its candidates.
+    g.bench_function("search_structure_paragon64_n50", |b| {
+        b.iter(|| {
+            let mut cfg = PlannerConfig::new(vec![MachineModel::paragon(64)], 50).without_des();
+            cfg.ios = vec![IoStrategy::Embedded];
+            cfg.tails = vec![TailStructure::Split];
+            plan(&cfg)
+        })
+    });
     g.bench_function("full_des_paragon64_n100", |b| {
         b.iter(|| plan(&PlannerConfig::new(vec![MachineModel::paragon(64)], 100)))
     });

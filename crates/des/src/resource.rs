@@ -70,11 +70,27 @@ impl FcfsResource {
         arrival: SimTime,
         service: SimTime,
     ) -> (SimTime, SimTime) {
+        self.submit_batch_to(server, arrival, service, 1)
+    }
+
+    /// Submits `jobs` jobs pinned to one server, all arriving at `arrival`
+    /// and needing `total` service between them (e.g. one CPI's stripe
+    /// units on one stripe directory). They run back to back, so the
+    /// server's clock, [`jobs`](Self::jobs) and the busy time end where
+    /// `jobs` calls of [`submit_to`](Self::submit_to) would leave them;
+    /// returns `(start of the first, completion of the last)`.
+    pub fn submit_batch_to(
+        &mut self,
+        server: usize,
+        arrival: SimTime,
+        total: SimTime,
+        jobs: u64,
+    ) -> (SimTime, SimTime) {
         let start = arrival.max(self.free_at[server]);
-        let done = start + service;
+        let done = start + total;
         self.free_at[server] = done;
-        self.busy.record(service.as_secs_f64());
-        self.jobs += 1;
+        self.busy.record(total.as_secs_f64());
+        self.jobs += jobs;
         (start, done)
     }
 
@@ -155,6 +171,31 @@ mod tests {
         assert_eq!(d1, ms(10));
         assert_eq!(d2, ms(20));
         assert_eq!(d3, ms(10));
+    }
+
+    #[test]
+    fn a_batch_equals_its_jobs_submitted_one_by_one() {
+        // Two clients share server 0; the first posts five uneven services
+        // per round, once job by job and once as a batch.
+        let services = [3_141u64, 59, 2_653, 589, 7_932].map(SimTime::from_micros);
+        let total = services.iter().fold(SimTime::ZERO, |acc, &s| acc + s);
+        let mut single = FcfsResource::new("stripes", 2);
+        let mut batched = single.clone();
+        for round in 0..4u64 {
+            let now = ms(round * 10);
+            let mut last = now;
+            for &s in &services {
+                last = single.submit_to(0, now, s).1;
+            }
+            let (_, done) = batched.submit_batch_to(0, now, total, services.len() as u64);
+            assert_eq!(done, last, "round {round}");
+            // The other client's job queues behind either form alike.
+            assert_eq!(single.submit_to(0, now, ms(4)), batched.submit_to(0, now, ms(4)));
+            assert_eq!(single.submit_to(1, now, ms(1)), batched.submit_to(1, now, ms(1)));
+        }
+        assert_eq!(single.free_at, batched.free_at);
+        assert_eq!(single.jobs(), batched.jobs());
+        assert!((single.total_busy_secs() - batched.total_busy_secs()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 //! # stap-planner — auto-configuration search for the STAP pipeline
 //!
@@ -39,7 +40,7 @@
 //! let cfg = PlannerConfig::new(vec![MachineModel::paragon(64)], 25).without_des();
 //! let report = plan(&cfg);
 //! assert!(!report.front_ids.is_empty());
-//! let best = report.best_throughput().unwrap();
+//! let best = report.best_throughput().expect("the front is not empty");
 //! assert!(best.analytic.throughput > 0.0);
 //! ```
 

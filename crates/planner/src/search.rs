@@ -254,13 +254,34 @@ fn build_stages(
     stages
 }
 
-#[derive(Debug, Clone)]
+/// DP stages per structure at most (five singles and the folded BF pair).
+const MAX_STAGES: usize = 6;
+
+#[derive(Debug, Clone, Copy)]
 struct Label {
     maxt: f64,
     lat: f64,
-    picks: Vec<u16>,
+    /// Nodes picked per stage so far, inline: extending a label allocates
+    /// nothing.
+    picks: [u16; MAX_STAGES],
+    stages: u8,
     /// Index into the candidate stripe-factor list.
     sfi: u16,
+}
+
+impl Label {
+    fn base(t: f64, sfi: usize) -> Self {
+        Label { maxt: t, lat: t, picks: [0; MAX_STAGES], stages: 0, sfi: sfi as u16 }
+    }
+
+    /// This label with `q` nodes on the next stage, whose bound is `t`.
+    fn extended(mut self, q: usize, t: f64, counts_latency: bool) -> Self {
+        self.maxt = self.maxt.max(t);
+        self.lat += if counts_latency { t } else { 0.0 };
+        self.picks[self.stages as usize] = q as u16;
+        self.stages += 1;
+        self
+    }
 }
 
 /// The slack that makes relaxed-bound dominance sound: upper bounds on how
@@ -291,7 +312,8 @@ impl Slack {
 
 /// Slack-dominance-prunes one DP cell in place and trims it to `beam`
 /// labels evenly spaced along the (sorted) bottleneck axis. Returns the
-/// number of labels discarded.
+/// number of labels discarded. Every pass keeps a subsequence of the one
+/// before, so the survivors are compacted to the front of `cell` itself.
 fn prune_cell(cell: &mut Vec<Label>, beam: usize, slack: Slack) -> u64 {
     let before = cell.len();
     cell.sort_by(|a, b| {
@@ -300,81 +322,84 @@ fn prune_cell(cell: &mut Vec<Label>, beam: usize, slack: Slack) -> u64 {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.lat.partial_cmp(&b.lat).unwrap_or(std::cmp::Ordering::Equal))
     });
-    // Two-pointer scan: kept labels are sorted by maxt, so the potential
-    // dominators of `l` are exactly the kept prefix with
+    // Two-pointer scan: kept labels (`cell[..kept]`) are sorted by maxt, so
+    // the potential dominators of `l` are exactly the kept prefix with
     // `maxt + slack.bot ≤ l.maxt`; track that prefix's min latency.
-    let mut kept: Vec<Label> = Vec::new();
-    let mut j = 0usize;
+    let (mut kept, mut j) = (0usize, 0usize);
     let mut prefix_min_lat = f64::INFINITY;
-    for l in cell.drain(..) {
-        while j < kept.len() && kept[j].maxt + slack.bot <= l.maxt {
-            prefix_min_lat = prefix_min_lat.min(kept[j].lat);
+    for i in 0..before {
+        let l = cell[i];
+        while j < kept && cell[j].maxt + slack.bot <= l.maxt {
+            prefix_min_lat = prefix_min_lat.min(cell[j].lat);
             j += 1;
         }
         if prefix_min_lat + slack.lat > l.lat {
-            kept.push(l);
+            cell[kept] = l;
+            kept += 1;
         }
     }
-    if kept.len() > beam && beam > 0 {
+    cell.truncate(kept);
+    if kept > beam && beam > 0 {
         // The beam trim is the one heuristic cut (tests that prove
         // exactness disable it). Spend the budget on the plain bound
         // staircase: the slack-kept near-duplicates exist only so no
         // exact-optimal completion is *provably* lost, and spacing the beam
         // across them would dilute coverage of the actual front.
-        let mut stair: Vec<Label> = Vec::new();
         let mut best_lat = f64::INFINITY;
-        for l in &kept {
-            if l.lat < best_lat {
+        cell.retain(|l| {
+            l.lat < best_lat && {
                 best_lat = l.lat;
-                stair.push(l.clone());
+                true
             }
-        }
-        let n = stair.len();
+        });
+        let n = cell.len();
         if n > beam {
-            let mut picked: Vec<Label> = Vec::with_capacity(beam);
-            let mut last = usize::MAX;
+            let (mut picked, mut last) = (0usize, usize::MAX);
             for i in 0..beam {
                 let idx = i * (n - 1) / (beam - 1).max(1);
                 if idx != last {
-                    picked.push(stair[idx].clone());
+                    cell[picked] = cell[idx];
+                    picked += 1;
                     last = idx;
                 }
             }
-            stair = picked;
+            cell.truncate(picked);
         }
-        kept = stair;
     }
-    let dropped = before - kept.len();
-    *cell = kept;
-    dropped as u64
+    (before - cell.len()) as u64
 }
 
-/// A compact Pareto set of (bottleneck, latency) points used for
-/// cross-cell dominance: labels that used *fewer* nodes and are slack-better
-/// on both bounds dominate, because every completion of the bigger label is
-/// also open to the smaller one.
+/// The (bottleneck, latency) staircase used for cross-cell dominance:
+/// labels that used *fewer* nodes and are slack-better on both bounds
+/// dominate, because every completion of the bigger label is also open to
+/// the smaller one. `points` ascends in bottleneck and strictly descends in
+/// latency, so the best latency among the points slack-below a bottleneck
+/// is the last of a prefix.
 struct Accumulator {
     points: Vec<(f64, f64)>,
     slack: Slack,
 }
 
 impl Accumulator {
-    fn new(slack: Slack) -> Self {
-        Self { points: Vec::new(), slack }
-    }
-
     fn dominates(&self, maxt: f64, lat: f64) -> bool {
-        self.points.iter().any(|&(m, l)| self.slack.dominates(m, l, maxt, lat))
+        let below = self.points.partition_point(|&(m, _)| m + self.slack.bot <= maxt);
+        self.points[..below].last().is_some_and(|&(m, l)| self.slack.dominates(m, l, maxt, lat))
     }
 
     fn absorb(&mut self, cell: &[Label]) {
         for l in cell {
-            if !self.dominates(l.maxt, l.lat) {
-                // Compact the point set with plain dominance (dropping a
-                // stored point only weakens future pruning — still sound).
-                self.points.retain(|&(m, lt)| !(l.maxt <= m && l.lat <= lt));
-                self.points.push((l.maxt, l.lat));
+            let at = self.points.partition_point(|&(m, _)| m < l.maxt);
+            // A point plainly dominated by a stored one answers no query
+            // the stored one does not (slack dominance included), and the
+            // points `l` plainly dominates follow `at` contiguously.
+            let shadowed = |&(m, lt): &(f64, f64)| m <= l.maxt && lt <= l.lat;
+            if self.points[..at].last().is_some_and(shadowed)
+                || self.points.get(at).is_some_and(shadowed)
+            {
+                continue;
             }
+            let end = at + self.points[at..].partition_point(|&(_, lt)| lt >= l.lat);
+            self.points.splice(at..end, [(l.maxt, l.lat)]);
         }
     }
 }
@@ -417,57 +442,49 @@ pub(crate) fn search_structure(
 
     // One base label per stripe factor. The separate-I/O read task is
     // outside the node budget (fixed 4 reader nodes) but contributes to
-    // both bounds; embedded designs pay the read inside the first stage.
+    // both bounds; embedded designs (including the storage-tier strategies)
+    // pay the read inside the first stage.
     let mut cells: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
-    for (sfi, &rt) in read_times.iter().enumerate().take(sfs.len()) {
-        let base = match io {
-            IoStrategy::SeparateTask => {
-                let t = read_task_lb(m, &w, rt);
-                Label { maxt: t, lat: t, picks: vec![], sfi: sfi as u16 }
-            }
-            // Embedded-shaped designs (including the storage-tier
-            // strategies) pay the read inside the first stage.
-            _ => Label { maxt: 0.0, lat: 0.0, picks: vec![], sfi: sfi as u16 },
-        };
-        cells[0].push(base);
+    for (sfi, &rt) in read_times.iter().enumerate() {
+        let t = if io == IoStrategy::SeparateTask { read_task_lb(m, &w, rt) } else { 0.0 };
+        cells[0].push(Label::base(t, sfi));
     }
 
+    // Each stage is built one target cell (`used + q` nodes) at a time, in
+    // ascending order: by then the accumulator holds every smaller cell of
+    // the stage, so a label it dominates is counted and never stored.
+    // Parents are walked by `used`, then in cell order: the stable sort in
+    // `prune_cell` and the beam's first-of-equals break ties by this
+    // sequence, and the plan goldens pin it. Every pruned label's
+    // read contribution is already materialized (stage 0 pays it), so
+    // cross-stripe-factor dominance is sound here.
+    let mut next: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
+    let mut acc = Accumulator { points: Vec::new(), slack };
     for (si, stage) in stages.iter().enumerate() {
-        let after = suffix_min[si + 1];
-        let mut next: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
-        for (used, cell) in cells.iter().enumerate() {
-            if cell.is_empty() {
+        acc.points.clear();
+        let top = budget - suffix_min[si + 1];
+        for (target, cell) in next.iter_mut().enumerate() {
+            cell.clear();
+            if target < stage.min_nodes || target > top {
                 continue;
             }
-            let qcap = budget.saturating_sub(used + after);
-            for label in cell {
-                for q in stage.min_nodes..=qcap {
+            for (used, parents) in cells[..=target - stage.min_nodes].iter().enumerate() {
+                let q = target - used;
+                for label in parents {
                     let t = stage.t(label.sfi as usize, q);
-                    let mut picks = label.picks.clone();
-                    picks.push(q as u16);
+                    let child = label.extended(q, t, stage.counts_latency);
                     labels_created += 1;
-                    next[used + q].push(Label {
-                        maxt: label.maxt.max(t),
-                        lat: label.lat + if stage.counts_latency { t } else { 0.0 },
-                        picks,
-                        sfi: label.sfi,
-                    });
+                    if acc.dominates(child.maxt, child.lat) {
+                        labels_pruned += 1;
+                    } else {
+                        cell.push(child);
+                    }
                 }
             }
-        }
-        // Prune: per-cell slack dominance + beam, then cross-cell slack
-        // dominance by labels that used fewer nodes. Every pruned label's
-        // read contribution is already materialized (stage 0 pays it), so
-        // cross-stripe-factor dominance is sound here.
-        let mut acc = Accumulator::new(slack);
-        for cell in next.iter_mut() {
-            let before = cell.len();
-            cell.retain(|l| !acc.dominates(l.maxt, l.lat));
-            labels_pruned += (before - cell.len()) as u64;
             labels_pruned += prune_cell(cell, beam_width, slack);
             acc.absorb(cell);
         }
-        cells = next;
+        std::mem::swap(&mut cells, &mut next);
     }
 
     // Gather every complete label, slack-prune on the bounds, cap, and
@@ -485,7 +502,7 @@ pub(crate) fn search_structure(
     let candidates = finals
         .into_iter()
         .map(|l| SearchCandidate {
-            assignment: picks_to_assignment(&stages, &l.picks),
+            assignment: picks_to_assignment(&stages, &l.picks[..l.stages as usize]),
             stripe_factor: sfs[l.sfi as usize],
             bound_bottleneck: l.maxt,
             bound_latency: l.lat,

@@ -365,10 +365,9 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
         let infra_loss = done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
         if let (true, Some(f), false) = (infra_loss, cfg.fault, failovers.contains_key(&done.id)) {
             // Fleet fault observed mid-mission: mark the store degraded
-            // (survivors absorb the lost directory, the plan cache is
-            // flushed), re-plan inside the nodes the mission already holds,
-            // and restart it on the surviving stripe directories instead of
-            // failing it.
+            // (survivors absorb the lost directory), re-plan inside the
+            // nodes the mission already holds, and restart it on the
+            // surviving stripe directories instead of failing it.
             sched.mark_server_lost(f.server);
             let surviving = done.plan.stripe_factor.saturating_sub(1).max(1);
             let plan = sched

@@ -357,12 +357,14 @@ impl Scheduler {
     /// Records a fleet fault: stripe directory `server` of the shared store
     /// is permanently gone. The contention tracker stops counting it
     /// (survivors absorb its share — see
-    /// [`StripeLoadTracker::contended_read_estimate`]) and the admission
-    /// plan cache is invalidated, so every plan after the fault is searched
-    /// against the degraded store.
+    /// [`StripeLoadTracker::contended_read_estimate`]). Admission plans are
+    /// kept: `plan_for` reads the spec, its machine profile and the pool
+    /// size, none of which the loss changes, so a search repeated after it
+    /// returns the cached plan bit for bit. Planning against the degraded
+    /// store is [`Scheduler::degraded_plan`], which the executor runs for
+    /// the missions in flight.
     pub fn mark_server_lost(&mut self, server: usize) {
         self.stripes.mark_lost(server);
-        self.plan_cache.clear();
     }
 
     /// Re-plans a mission for the degraded store after a fleet fault: the
@@ -631,17 +633,20 @@ mod tests {
     }
 
     #[test]
-    fn lost_server_invalidates_the_plan_cache_and_stretches_contention() {
+    fn a_lost_server_keeps_admission_plans_that_do_not_depend_on_it() {
         let mut s = Scheduler::new(small_cfg());
         s.submit(spec("a", 25, 0), 0.0).unwrap();
-        assert_eq!(s.plan_cache.len(), 1);
+        let before = s.next_ready(0.0).expect("a dispatches").plan;
         let healthy = s.contention_for(64);
         s.mark_server_lost(0);
-        assert!(s.plan_cache.is_empty(), "degraded store invalidates cached plans");
         assert!(
             s.contention_for(64) > healthy,
             "survivors absorb the lost directory's share of reads"
         );
+        s.submit(spec("b", 25, 0), 1.0).unwrap();
+        let after = s.next_ready(1.0).expect("b dispatches").plan;
+        assert_eq!(before, after, "the loss changes no input of the admission search");
+        assert_eq!(s.plan_cache.len(), 1, "one search serves both sides of the fault");
     }
 
     #[test]

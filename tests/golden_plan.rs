@@ -139,3 +139,55 @@ fn sim_tables_over_the_paper_grid_are_stable() {
     }
     check_golden("sim_table_n50.txt", &out);
 }
+
+// The three goldens below were written by the commit before the DP in
+// `stap-planner::search` was rebuilt cell by cell; they lock the printed
+// `labels_created`/`labels_pruned` counters and the tie-breaks (searched
+// stripe axis under the full I/O menu, fault-expanded candidates, the
+// narrow admission beam) the four above do not reach.
+
+#[test]
+fn plan_json_paragon_io_and_stripe_auto_is_stable() {
+    let out = run_plan(&[
+        "plan",
+        "--machine",
+        "paragon",
+        "--io",
+        "auto",
+        "--stripe-factor",
+        "auto",
+        "--nodes",
+        "40",
+        "--json",
+    ]);
+    check_golden("plan_paragon_ioauto_sfauto_n40.json", &out);
+}
+
+#[test]
+fn plan_json_hetero_pool_fault_aware_is_stable() {
+    let out = run_plan(&[
+        "plan",
+        "--machine",
+        "paragon-het",
+        "--fault-rate",
+        "1e-4",
+        "--nodes",
+        "32",
+        "--json",
+    ]);
+    assert!(out.contains("\"fault\":{"), "fault block missing");
+    check_golden("plan_het_fault_n32.json", &out);
+}
+
+#[test]
+fn plan_json_admission_shape_is_stable() {
+    // What `stap_serve::Scheduler::plan_for` asks on every cold admission:
+    // a trimmed, analytic-only search with the I/O axis pinned.
+    use ppstap::planner::{plan, to_json, PlannerConfig};
+    let machine = ppstap::serve::machine_profile("sp").expect("a profile stap-serve knows");
+    let mut cfg = PlannerConfig::new(vec![machine], 16).without_des();
+    cfg.beam_width = 12;
+    cfg.per_structure = 6;
+    cfg.ios = vec![ppstap::core::IoStrategy::Embedded];
+    check_golden("plan_admission_sp_n16.json", &to_json(&plan(&cfg)));
+}
