@@ -56,6 +56,21 @@ fn bench(c: &mut Criterion) {
         )
     });
 
+    // One 32-lane 64-point panel — the unit a Doppler node transforms
+    // 384 times per CPI at the benchmark geometry (bit reversal included).
+    // Microseconds per call: 1000 samples bring `bench_gate`'s noise floor
+    // for the row down to 2 us, so a fall back to scalar lanes trips it.
+    let plan = FftPlan::<f32>::new(64);
+    g.sample_size(1000);
+    g.bench_function("fft_64_x32_lanes", |b| {
+        b.iter_batched(
+            || vec![C32::new(1.0, -0.5); 64 * 32],
+            |mut panel| plan.forward_multi(&mut panel, 32),
+            BatchSize::SmallInput,
+        )
+    });
+    g.sample_size(10);
+
     // Doppler filtering of a 1/8-scale cube slab (what one node handles),
     // per kernel path: the scalar reference loop nest against the
     // cache-blocked panels. Both produce bit-identical cubes
@@ -92,6 +107,19 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    // The same front with the two output buffers reused, as the pipeline's
+    // pooled slabs are: what a Doppler node pays per CPI.
+    let mut easy = vec![C32::zero(); easy_bins.len() * 16 * 256];
+    let mut hard = vec![C32::zero(); hard_bins.len() * 2 * 16 * 256];
+    g.bench_function("doppler_front_node_64x16x256/fast_reused", |b| {
+        b.iter(|| {
+            let src = Samples::Wire { bytes: &wire, channels: 16 };
+            let rows = BinRows::slab(&easy_bins, 1, 16, (256, 0), &mut easy);
+            df.filter_into(src, false, rows, KernelPath::Fast);
+            let rows = BinRows::slab(&hard_bins, 2, 16, (256, 0), &mut hard);
+            df.filter_into(src, true, rows, KernelPath::Fast);
+        })
+    });
 
     // Covariance + weights for one hard bin (DoF 64).
     let hard = noise_doppler(2, 2, 32, 512);

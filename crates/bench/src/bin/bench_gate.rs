@@ -8,11 +8,14 @@
 //! For every benchmark name present in both reports the gate computes the
 //! ratio `current_mean / baseline_mean`, prints the comparison table, and
 //! exits non-zero when **any row** is slower than its baseline by more
-//! than the threshold ratio (default 1.15) *and* by more than
-//! [`NOISE_FLOOR_S`] in absolute terms. Each row is one layer's number, so
-//! one layer regressing 2x fails the gate even when the rest of the suite
-//! holds; the absolute floor keeps microsecond-scale rows, whose means
-//! jitter by tens of percent on a shared runner, from tripping it.
+//! than the threshold ratio (default 1.15) *and* by more than its noise
+//! floor in absolute terms: [`NOISE_FLOOR_S`] for a 10-sample mean,
+//! shrinking with the square root of the baseline row's sample count. Each
+//! row is one layer's number, so one layer regressing 2x fails the gate
+//! even when the rest of the suite holds; the absolute floor keeps
+//! microsecond-scale rows, whose means jitter by tens of percent on a
+//! shared runner, from tripping it, and a microsecond-scale row that must
+//! be gated (`fft_64_x32_lanes`) takes more samples.
 
 use std::process::ExitCode;
 
@@ -20,6 +23,8 @@ use std::process::ExitCode;
 struct Row {
     name: String,
     mean_s: f64,
+    /// Samples behind the mean (10 when the report does not say).
+    iters: f64,
 }
 
 /// Minimal parser for the shim's flat JSON array (no nesting, no escapes
@@ -30,6 +35,7 @@ fn parse_report(text: &str) -> Result<Vec<Row>, String> {
         let obj = obj.split('}').next().ok_or("unterminated object")?;
         let mut name = None;
         let mut mean_s = None;
+        let mut iters = 10.0;
         for field in obj.split(',') {
             let Some((key, value)) = field.split_once(':') else { continue };
             match key.trim().trim_matches('"') {
@@ -40,19 +46,29 @@ fn parse_report(text: &str) -> Result<Vec<Row>, String> {
                 "mean_s" => {
                     mean_s = Some(value.trim().parse::<f64>().map_err(|e| format!("mean_s: {e}"))?);
                 }
+                "iters" => {
+                    iters = value.trim().parse::<f64>().map_err(|e| format!("iters: {e}"))?;
+                }
                 _ => {}
             }
         }
         match (name, mean_s) {
-            (Some(name), Some(mean_s)) => rows.push(Row { name, mean_s }),
+            (Some(name), Some(mean_s)) => rows.push(Row { name, mean_s, iters }),
             _ => return Err("object missing name or mean_s".into()),
         }
     }
     Ok(rows)
 }
 
-/// Slowdowns smaller than this are run-to-run noise at any ratio.
+/// Slowdowns of a 10-sample mean smaller than this are run-to-run noise at
+/// any ratio.
 const NOISE_FLOOR_S: f64 = 20e-6;
+
+/// The floor for a row whose mean rests on `iters` samples: the spread of
+/// a mean falls with the square root of its sample count.
+fn noise_floor_s(iters: f64) -> f64 {
+    NOISE_FLOOR_S * (10.0 / iters.max(10.0)).sqrt()
+}
 
 /// `(name, baseline mean, current mean, regressed?)` for every benchmark
 /// present in both reports with a positive baseline.
@@ -66,7 +82,8 @@ fn compare<'a>(
         let Some(base) = baseline.iter().find(|b| b.name == cur.name) else { continue };
         if base.mean_s > 0.0 {
             let slower_by = cur.mean_s - base.mean_s;
-            let regressed = cur.mean_s > threshold * base.mean_s && slower_by > NOISE_FLOOR_S;
+            let regressed = cur.mean_s > threshold * base.mean_s
+                && slower_by > noise_floor_s(base.iters.min(cur.iters));
             rows.push((cur.name.as_str(), base.mean_s, cur.mean_s, regressed));
         }
     }
@@ -120,7 +137,7 @@ fn main() -> ExitCode {
     let failed: Vec<&str> =
         rows.iter().filter(|&&(.., regressed)| regressed).map(|&(name, ..)| name).collect();
     println!(
-        "\ngate: {threshold:.2}x and {:.0} us per row, {} of {} rows over",
+        "\ngate: {threshold:.2}x and {:.0} us per 10-sample row, {} of {} rows over",
         NOISE_FLOOR_S * 1e6,
         failed.len(),
         rows.len()
@@ -138,7 +155,7 @@ mod tests {
     use super::*;
 
     fn rows(means: &[(&str, f64)]) -> Vec<Row> {
-        means.iter().map(|&(name, mean_s)| Row { name: name.into(), mean_s }).collect()
+        means.iter().map(|&(name, mean_s)| Row { name: name.into(), mean_s, iters: 10.0 }).collect()
     }
 
     #[test]
@@ -152,6 +169,30 @@ mod tests {
             verdicts.iter().filter(|&&(.., over)| over).map(|&(name, ..)| name).collect();
         assert_eq!(verdicts.len(), 4);
         assert_eq!(regressed, ["b"]);
+    }
+
+    /// The committed baseline carries the lane-wide FFT rows, and the one
+    /// that is microseconds long has the samples to be gated: falling back
+    /// to the scalar lane loop (2 -> 6 us per panel or worse) trips it, the
+    /// jitter of a shared runner (a third either way) does not.
+    #[test]
+    fn the_committed_baseline_gates_the_lane_wide_fft_rows() {
+        let baseline = parse_report(include_str!("../../../../BENCH_kernels.json"))
+            .expect("the committed baseline parses");
+        let row = |name: &str| {
+            baseline.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("{name} not gated"))
+        };
+        assert!(row("doppler_front_node_64x16x256/fast_reused").mean_s > NOISE_FLOOR_S);
+        let panel = row("fft_64_x32_lanes");
+        let at = |factor: f64| {
+            vec![Row {
+                name: panel.name.clone(),
+                mean_s: panel.mean_s * factor,
+                iters: panel.iters,
+            }]
+        };
+        assert!(compare(&baseline, &at(3.0), 1.15)[0].3, "a scalar fallback must trip the gate");
+        assert!(!compare(&baseline, &at(1.33), 1.15)[0].3, "runner jitter must not");
     }
 
     #[test]

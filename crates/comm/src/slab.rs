@@ -13,7 +13,11 @@
 //! Recycled buffers are **poisoned** in debug builds (every element
 //! overwritten with [`Poison::POISON`]) so stale reads of a recycled slab
 //! show up as screaming NaN-patterns rather than silently plausible data;
-//! `tests/comm_slab_props.rs` exercises this.
+//! `tests/comm_slab_props.rs` exercises this. A buffer parks on the free
+//! list at the length it was dropped with, so [`SlabPool::take_len`] can
+//! hand a producer that overwrites every element its storage back without
+//! a fill — and in debug builds an element the producer skipped still reads
+//! as poison.
 //!
 //! [`SharedSlab`] adds refcounted read-only fan-out: freeze a slab once,
 //! hand cheap clones to N consumers, and the buffer recycles when the last
@@ -135,26 +139,44 @@ impl<T: Poison> SlabPool<T> {
     /// Checks out an **empty** buffer with capacity ≥ `capacity`. Fill it
     /// with `push`/`extend_from_slice`; it returns to the pool on drop.
     pub fn take(&self, capacity: usize) -> PoolVec<T> {
+        let mut v = self.checkout(capacity);
+        v.clear();
+        v
+    }
+
+    /// Checks out a buffer of exactly `len` elements for a producer that
+    /// overwrites all of them: recycled storage comes back as it was parked
+    /// (stale in release builds, [`Poison::POISON`] in debug builds) and
+    /// only fresh or grown storage is written with `fill`.
+    pub fn take_len(&self, len: usize, fill: T) -> PoolVec<T> {
+        let mut v = self.checkout(len);
+        v.resize(len, fill);
+        v
+    }
+
+    /// A buffer of the request's size class, at whatever length it was
+    /// recycled with (empty when fresh).
+    fn checkout(&self, capacity: usize) -> PoolVec<T> {
         let class = class_for_request(capacity);
-        let mut buf = {
+        let recycled = {
             let mut classes = self.inner.classes.lock();
             classes.get_mut(&class).and_then(Vec::pop)
         };
         let c = &self.inner.counters;
         c.takes.fetch_add(1, Ordering::Relaxed);
-        match &mut buf {
-            Some(b) => {
-                b.clear();
+        let buf = match recycled {
+            Some(buf) => {
                 c.recycled.fetch_add(1, Ordering::Relaxed);
+                buf
             }
             None => {
-                buf = Some(Vec::with_capacity(class));
                 c.fresh.fetch_add(1, Ordering::Relaxed);
+                Vec::with_capacity(class)
             }
-        }
+        };
         let now = c.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         c.peak_outstanding.fetch_max(now, Ordering::Relaxed);
-        PoolVec { buf: buf.unwrap_or_default(), pool: Arc::downgrade(&self.inner) }
+        PoolVec { buf, pool: Arc::downgrade(&self.inner) }
     }
 
     /// Checks out a buffer holding `len` copies of `fill`.
@@ -195,13 +217,9 @@ impl<T: Poison> PoolInner<T> {
         // Debug builds poison the recycled storage so any use-after-recycle
         // read produces unmistakable garbage instead of stale-but-plausible
         // samples.
-        #[cfg(debug_assertions)]
-        {
-            for v in buf.iter_mut() {
-                *v = T::POISON;
-            }
+        if cfg!(debug_assertions) {
+            buf.fill(T::POISON);
         }
-        buf.clear();
         let class = class_for_return(buf.capacity());
         if class == 0 {
             return;
@@ -362,28 +380,36 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn recycled_buffers_are_poisoned() {
+    fn take_len_returns_recycled_storage_at_len_without_a_fill() {
         let pool: SlabPool<f32> = SlabPool::new();
-        let ptr;
-        {
-            let mut v = pool.take(32);
-            v.extend_from_slice(&[3.5; 32]);
-            ptr = v.as_ptr();
-        }
-        // The recycled buffer must hand back the *same* storage, now
-        // poisoned: fill it and check the pre-fill debug pattern via a
-        // fresh take of raw capacity.
-        let mut v2 = pool.take(32);
-        assert_eq!(v2.as_ptr(), ptr, "expected storage reuse");
-        // Reading beyond len is not possible through the safe API; instead
-        // resize without writing and observe the poison NaN pattern is NOT
-        // visible after resize (resize writes). The poison guarantee is
-        // that recycle overwrote the old 3.5 values:
-        v2.resize(32, 0.0);
-        assert!(v2.iter().all(|&x| x == 0.0));
-        // And the poison constant itself is a NaN with our payload.
-        assert!(<f32 as Poison>::POISON.is_nan());
+        // Fresh storage is written with the fill value.
+        let mut v = pool.take_len(100, 0.0);
+        assert_eq!(v.len(), 100);
+        assert!(v.iter().all(|&x| x == 0.0));
+        v.fill(3.5);
+        let ptr = v.as_ptr();
+        drop(v);
+        // Same class, shorter: the same storage at exactly `len`, poisoned
+        // in debug builds (so an element the producer skips is caught) and
+        // as it was dropped in release builds — never re-filled.
+        let mut v = pool.take_len(90, 0.0);
+        assert_eq!((v.as_ptr(), v.len()), (ptr, 90));
+        let untouched = if cfg!(debug_assertions) { <f32 as Poison>::POISON } else { 3.5 };
+        assert!(v.iter().all(|x| x.to_bits() == untouched.to_bits()));
+        v[..89].fill(1.0);
+        assert_eq!(v[89].to_bits(), untouched.to_bits(), "the skipped element still shows");
+        drop(v);
+        // Longer than it was parked at: only the grown tail is filled.
+        let v = pool.take_len(120, 0.0);
+        assert_eq!((v.as_ptr(), v.len()), (ptr, 120));
+        assert!(v[90..].iter().all(|&x| x == 0.0));
+        drop(v);
+        // `take` still hands the same storage back empty, and a take_len
+        // moves the counters exactly as a take does.
+        assert!(pool.take(100).is_empty());
+        let s = pool.stats();
+        assert_eq!((s.takes, s.fresh, s.recycled, s.outstanding), (4, 1, 3, 0));
+        assert_eq!((s.peak_outstanding, pool.free_buffers()), (1, 1));
     }
 
     #[test]

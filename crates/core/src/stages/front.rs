@@ -11,7 +11,6 @@ use crate::messages::{BinSlab, Gap, Payload, RawSlab};
 use crate::stages::{broadcast_gap, port, StapPlan};
 use stap_kernels::cube::{CubeDims, DataCube};
 use stap_kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
-use stap_math::C32;
 use stap_pipeline::schedule::block_range;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
@@ -282,9 +281,9 @@ impl DopplerStage {
     /// cube in between; each raw slab lands at its own gate offset.
     ///
     /// # Errors
-    /// A slab outside this node's gates, or whose byte length does not
-    /// match its gate interval, is a stage error, as is a set of slabs
-    /// that does not cover the node's gates.
+    /// A slab that does not continue where the previous one ended, or whose
+    /// byte length does not match its gate interval, is a stage error, as
+    /// is a set of slabs that stops short of the node's gates.
     fn filter_wire(
         &self,
         ctx: &StageCtx<'_>,
@@ -294,28 +293,31 @@ impl DopplerStage {
         let (r0, r1) = self.my_ranges();
         let (n, gate_bytes) = (r1 - r0, dims.channels * dims.pulses * 8);
         let fail = |what: String| ctx.fail(format!("node {} CPI {}: {what}", self.local, ctx.cpi));
-        let mut covered = 0;
+        // The slabs must tile [r0, r1) in order: the filter below writes
+        // exactly the gates they cover into buffers nobody zero-fills.
+        let mut next = r0;
         for s in &raw {
-            let fits = r0 <= s.r0 && s.r0 <= s.r1 && s.r1 <= r1;
+            let fits = s.r0 == next && s.r0 <= s.r1 && s.r1 <= r1;
             if !fits || s.bytes.len() != (s.r1 - s.r0) * gate_bytes {
                 return Err(fail(format!(
-                    "raw slab for gates [{}, {}) of [{r0}, {r1}) carries {} bytes, not {gate_bytes} per gate",
+                    "raw slab for gates [{}, {}) after [{r0}, {next}) of [{r0}, {r1}) carries {} bytes, not {gate_bytes} per gate",
                     s.r0,
                     s.r1,
                     s.bytes.len()
                 )));
             }
-            covered += s.r1 - s.r0;
+            next = s.r1;
         }
-        if covered != n {
-            return Err(fail(format!("raw slabs covered {covered} of {n} gates")));
+        if next != r1 {
+            return Err(fail(format!("raw slabs covered {} of {n} gates", next - r0)));
         }
         Ok([false, true].map(|hard| {
             let bins = if hard { &self.plan.hard_bins } else { &self.plan.easy_bins };
             let staggers = if hard { 2 } else { 1 };
             let len = bins.len() * staggers * dims.channels * n;
-            let mut data = self.plan.sample_buf(len);
-            data.resize(len, C32::zero());
+            // Every (bin, stagger, channel) row is written in full below:
+            // the slabs were checked to tile the node's gates.
+            let mut data = self.plan.sample_buf_len(len);
             for s in &raw {
                 let src = Samples::Wire { bytes: &s.bytes, channels: dims.channels };
                 let rows = BinRows::slab(bins, staggers, dims.channels, (n, s.r0 - r0), &mut data);

@@ -275,6 +275,18 @@ impl StapPlan {
         }
     }
 
+    /// A sample buffer of exactly `len` values for a kernel that overwrites
+    /// every one of them: pooled storage comes back at `len` without a fill
+    /// (see [`SlabPool::take_len`](stap_comm::SlabPool::take_len)), a fresh
+    /// zeroed allocation under `copy_comm`.
+    pub fn sample_buf_len(&self, len: usize) -> PoolVec<C32> {
+        if self.config.copy_comm {
+            PoolVec::detached(vec![C32::zero(); len])
+        } else {
+            self.pools.samples.take_len(len, C32::zero())
+        }
+    }
+
     /// A byte buffer with room for `capacity` values (see
     /// [`StapPlan::sample_buf`]).
     pub fn byte_buf(&self, capacity: usize) -> PoolVec<u8> {

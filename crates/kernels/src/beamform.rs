@@ -366,13 +366,8 @@ mod tests {
         let reference = Beamformer.apply_with(&dc, &ws, KernelPath::Reference);
         assert_beams_bit_equal(&reference, &Beamformer.apply_with(&dc, &ws, KernelPath::Fast));
         // The tiers below the detected one stay reachable on older CPUs
-        // and off x86: AVX hosts also have SSE3, and scalar lanes run
-        // anywhere.
-        let below = match SimdLevel::detect() {
-            SimdLevel::Avx => vec![SimdLevel::Sse3, SimdLevel::None],
-            _ => vec![SimdLevel::None],
-        };
-        for level in below {
+        // and off x86.
+        for &level in SimdLevel::available() {
             let mut out = BeamCube::zeros(ws.bins.clone(), reference.beams, 39);
             Beamformer::apply_fast(&dc, &ws, &mut out, level);
             assert_beams_bit_equal(&reference, &out);

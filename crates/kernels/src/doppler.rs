@@ -15,8 +15,9 @@ use stap_math::window::Window;
 use stap_math::{FftPlan, C32};
 
 /// Range-gate lane count per blocked panel. 32 lanes keep a 128-bin panel
-/// at 32 KiB — L1-resident on anything the paper targets — while giving the
-/// autovectorizer full-width contiguous lane loops.
+/// at 32 KiB — L1-resident on anything the paper targets — and make every
+/// panel row a whole number of `std::arch` vectors (8 AVX, 16 SSE3) for
+/// [`FftPlan::forward_multi`]'s lane-wide butterflies.
 const RANGE_BLOCK: usize = 32;
 
 /// Classification of Doppler bins into easy and hard processing cases.
@@ -222,7 +223,8 @@ impl DopplerFilter {
 
     /// Blocked path: [`RANGE_BLOCK`]-gate panels through the multi-lane
     /// FFT. Bit-identical to the scalar reference: the panel FFT runs every
-    /// range-gate lane through the exact scalar butterfly sequence.
+    /// range-gate lane through the exact scalar butterfly sequence, one
+    /// vector of lanes per instruction.
     fn run_panels(
         &self,
         src: Samples<'_>,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 //! # stap-math — from-scratch numerics for the STAP reproduction
 //!
@@ -16,13 +17,15 @@
 //! - [`cholesky`]: Hermitian positive-definite factorization and solves;
 //! - [`qr`]: complex Householder QR and least-squares solves;
 //! - [`solve`]: triangular substitution primitives;
-//! - [`stats`]: small statistics and decibel helpers.
+//! - [`stats`]: small statistics and decibel helpers;
+//! - [`simd`]: the one cached `std::arch` tier detection.
 //!
 //! # Example
 //!
 //! ```
 //! use stap_math::{C64, CMat, CholeskyFactor, FftPlan};
 //!
+//! # fn main() -> Result<(), stap_math::MathError> {
 //! // FFT round trip.
 //! let plan = FftPlan::<f64>::new(8);
 //! let mut signal: Vec<C64> = (0..8).map(|i| C64::cis(0.3 * i as f64)).collect();
@@ -34,8 +37,10 @@
 //! // Solve a Hermitian positive-definite system.
 //! let mut a = CMat::<f64>::identity(3);
 //! a.load_diagonal(1.0); // A = 2I
-//! let x = CholeskyFactor::new(&a).unwrap().solve(&[C64::one(); 3]).unwrap();
+//! let x = CholeskyFactor::new(&a)?.solve(&[C64::one(); 3])?;
 //! assert!((x[0].re - 0.5).abs() < 1e-12);
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod cholesky;
@@ -45,6 +50,7 @@ pub mod fft;
 pub mod matrix;
 pub mod qr;
 pub mod scalar;
+pub mod simd;
 pub mod solve;
 pub mod stats;
 pub mod window;
@@ -56,6 +62,7 @@ pub use fft::FftPlan;
 pub use matrix::CMat;
 pub use qr::QrFactor;
 pub use scalar::Scalar;
+pub use simd::SimdLevel;
 
 /// Errors produced by the linear-algebra routines in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,5 +1,7 @@
 //! Floating-point abstraction so the numerics work over both `f32` and `f64`.
 
+use crate::complex::Complex;
+use crate::simd::SimdLevel;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -84,10 +86,27 @@ pub trait Scalar:
             other
         }
     }
+
+    /// The butterfly stages of [`FftPlan`](crate::FftPlan)'s multi-lane
+    /// transforms, over a bit-reversed lane-minor panel of
+    /// `2·twiddles.len()` rows. The default is the generic lane loop;
+    /// `f32` runs `std::arch` butterflies at `level`, bit-identical per
+    /// lane.
+    #[doc(hidden)]
+    fn panel_butterflies(
+        panel: &mut [Complex<Self>],
+        lanes: usize,
+        twiddles: &[Complex<Self>],
+        inverse: bool,
+        level: SimdLevel,
+    ) {
+        let _ = level;
+        crate::fft::butterflies_lanes(panel, lanes, twiddles, inverse, 0);
+    }
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $pi:expr, $eps:expr) => {
+    ($t:ty, $pi:expr, $eps:expr $(, $panel_butterflies:path)?) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -144,11 +163,23 @@ macro_rules! impl_scalar {
             fn is_finite(self) -> bool {
                 self.is_finite()
             }
+            $(
+                #[inline]
+                fn panel_butterflies(
+                    panel: &mut [Complex<Self>],
+                    lanes: usize,
+                    twiddles: &[Complex<Self>],
+                    inverse: bool,
+                    level: SimdLevel,
+                ) {
+                    $panel_butterflies(panel, lanes, twiddles, inverse, level);
+                }
+            )?
         }
     };
 }
 
-impl_scalar!(f32, std::f32::consts::PI, f32::EPSILON);
+impl_scalar!(f32, std::f32::consts::PI, f32::EPSILON, crate::fft::butterflies_lanes_f32);
 impl_scalar!(f64, std::f64::consts::PI, f64::EPSILON);
 
 #[cfg(test)]

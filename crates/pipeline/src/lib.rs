@@ -15,8 +15,8 @@
 //! - [`stage`] defines the per-node behavior trait and its context
 //!   (endpoint, groups, per-phase timing);
 //! - [`tags`] encodes (CPI, port) into message tags;
-//! - [`runner`] launches one thread per node via `stap-comm` and drives the
-//!   CPIs;
+//! - [`runner`] launches one thread per node via `stap-comm`, binds each
+//!   to a CPU (`placement`) and drives the CPIs;
 //! - [`timing`] collects per-phase wall-clock records and computes the
 //!   paper's two metrics — throughput and latency — from real
 //!   measurements;
@@ -24,6 +24,7 @@
 //!   figures label "Round Robin Scheduling".
 
 pub mod error;
+mod placement;
 pub mod runner;
 pub mod schedule;
 pub mod source;

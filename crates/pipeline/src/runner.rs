@@ -1,7 +1,9 @@
-//! Launching a pipeline: one thread per node, CPIs driven in order,
-//! timing collected into a [`PipelineReport`].
+//! Launching a pipeline: one thread per node, each bound to a CPU
+//! (`placement`), CPIs driven in order, timing collected into a
+//! [`PipelineReport`].
 
 use crate::error::PipelineError;
+use crate::placement::Placement;
 use crate::stage::{Stage, StageCtx};
 use crate::timing::{PipelineReport, StageTracer};
 use crate::topology::Topology;
@@ -95,6 +97,7 @@ impl Pipeline {
         let n = topology.total_nodes();
 
         let endpoints = CommWorld::create(n);
+        let placement = Placement::for_run(n);
         let beats = Heartbeats::new(n);
         let expiry: Mutex<Option<Expiry>> = Mutex::new(None);
         let monitor_stop = AtomicBool::new(false);
@@ -121,8 +124,10 @@ impl Pipeline {
                 .into_iter()
                 .map(|mut ep| {
                     let beats = &beats;
+                    let placement = &placement;
                     scope.spawn(move || {
                         let rank = ep.rank();
+                        placement.bind(rank);
                         let (stage, local) =
                             topology.locate(rank).expect("every rank belongs to a stage");
                         let mut behavior = factories[stage.0](local);
@@ -449,6 +454,35 @@ mod tests {
         let reg = report.registry();
         assert!(reg.stats(2, Phase::Send).is_none());
         assert!(reg.stats(1, Phase::Recv).is_some());
+    }
+
+    #[test]
+    fn node_threads_run_bound_and_the_launcher_stays_free() {
+        use crate::placement::allowed_cpus;
+        use std::sync::Arc;
+        let before = allowed_cpus();
+        let mut t = Topology::new();
+        t.add_stage("pair", 2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let f: StageFactory = Box::new(move |_| {
+            let seen = Arc::clone(&seen2);
+            Box::new(move |_ctx: &mut StageCtx<'_>| {
+                seen.lock().push(allowed_cpus());
+                Ok(())
+            })
+        });
+        Pipeline::new(t, vec![f]).run(1, 0).unwrap();
+        assert_eq!(allowed_cpus(), before, "a run leaves its caller's CPU set alone");
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2);
+        if before.len() >= 2 {
+            // One CPU each, out of the launcher's set, and not the same one.
+            assert!(seen.iter().all(|s| s.len() == 1 && before.contains(&s[0])), "{seen:?}");
+            assert_ne!(seen[0], seen[1]);
+        } else {
+            assert!(seen.iter().all(|s| *s == before), "{seen:?}");
+        }
     }
 
     #[test]

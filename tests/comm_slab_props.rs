@@ -9,7 +9,9 @@
 //!    leaked.
 //! 2. **No use-after-recycle** — a recycled buffer's storage is poisoned in
 //!    debug builds, so stale reads surface as NaN-patterned garbage instead
-//!    of silently-valid old samples.
+//!    of silently-valid old samples; that holds for the length-preserving
+//!    `take_len` checkout too, where it is what catches a producer that
+//!    skipped an element.
 //! 3. **A/B parity** — a 3-CPI pipeline run produces byte-identical
 //!    detection reports with the zero-copy data plane and with `copy_comm`
 //!    deep copies.
@@ -17,7 +19,7 @@
 //!    recycles exactly once, when the last handle drops and not before, and
 //!    a whole pipeline run returns every slab it fanned out.
 
-use ppstap::comm::{PoolVec, SlabPool};
+use ppstap::comm::{Poison, PoolVec, SlabPool};
 use ppstap::core::config::StapConfig;
 use ppstap::core::{IoStrategy, StapSystem};
 use ppstap::math::C32;
@@ -63,12 +65,19 @@ proptest! {
         let mut live: Vec<PoolVec<f32>> = Vec::new();
         let mut frozen = Vec::new();
         for _ in 0..ops {
-            match d.next(4) {
+            match d.next(5) {
                 0 => {
                     let cap = 1 + d.next(300) as usize;
                     let buf = pool.take_filled(cap, 0.5);
                     prop_assert!(buf.capacity() >= cap);
                     prop_assert_eq!(buf.len(), cap);
+                    live.push(buf);
+                }
+                4 => {
+                    let len = 1 + d.next(300) as usize;
+                    let mut buf = pool.take_len(len, 0.5);
+                    prop_assert_eq!(buf.len(), len);
+                    buf.fill(0.25); // its contract: the caller writes it all
                     live.push(buf);
                 }
                 1 => {
@@ -119,6 +128,36 @@ proptest! {
         drop(second);
         prop_assert_eq!(pool.stats().outstanding, 0);
     }
+
+    /// `take_len` hands back exactly `len` elements. Recycled storage is not
+    /// re-filled: what the caller has not written reads as poison in debug
+    /// builds (the previous owner's samples in release builds), and only
+    /// fresh or grown storage holds the fill value. `take` of the same
+    /// storage is still empty, and the counters move as they do for `take`.
+    #[test]
+    fn take_len_is_len_long_and_fills_only_fresh_or_grown_storage(
+        first in 1usize..300,
+        second in 1usize..300,
+    ) {
+        let pool: SlabPool<f32> = SlabPool::new();
+        let mut buf = pool.take_len(first, 0.0);
+        prop_assert_eq!(buf.len(), first);
+        prop_assert!(buf.iter().all(|&v| v == 0.0), "a fresh buffer is zero");
+        buf.fill(7.0);
+        drop(buf);
+        let again = pool.take_len(second, 0.0);
+        prop_assert_eq!(again.len(), second);
+        let recycled = pool.stats().recycled == 1;
+        let kept = if recycled { first.min(second) } else { 0 };
+        let parked = if cfg!(debug_assertions) { <f32 as Poison>::POISON } else { 7.0 };
+        prop_assert!(again[..kept].iter().all(|v| v.to_bits() == parked.to_bits()));
+        prop_assert!(again[kept..].iter().all(|&v| v == 0.0));
+        drop(again);
+        prop_assert!(pool.take(second).is_empty());
+        let s = pool.stats();
+        prop_assert_eq!((s.takes, s.fresh + s.recycled, s.outstanding), (3, 3, 0));
+        prop_assert_eq!(s.peak_outstanding, 1);
+    }
 }
 
 /// A recycled buffer's storage is poisoned (debug builds): nothing the
@@ -131,19 +170,15 @@ fn recycled_storage_never_leaks_previous_contents() {
     buf.extend_from_slice(&[7.0; 64]);
     let ptr = buf.as_ptr();
     drop(buf);
-    // Same size class: this take recycles the dropped buffer's storage.
-    let again = pool.take(64);
+    // Same size class: this checkout recycles the dropped buffer's storage,
+    // at the length it was parked with and without a fill.
+    let again = pool.take_len(64, 0.0);
     assert_eq!(pool.stats().recycled, 1);
     assert_eq!(again.as_ptr(), ptr, "expected storage reuse");
-    // The pool hands buffers out empty; inspect the raw prefix the previous
-    // owner wrote (initialized memory — recycle overwrote it with the
-    // poison pattern before parking) to prove the old samples are gone.
-    let prefix: &[f32] = unsafe { std::slice::from_raw_parts(again.as_ptr(), 64) };
     assert!(
-        prefix.iter().all(|v| v.to_bits() != 7.0f32.to_bits()),
-        "previous owner's samples survived recycling"
+        again.iter().all(|v| v.to_bits() == <f32 as Poison>::POISON.to_bits()),
+        "recycled storage is not the poison pattern"
     );
-    assert!(prefix.iter().all(|v| v.is_nan()), "recycled storage is not poison-NaN");
 }
 
 /// One frozen slab fanned to six receiver threads (the Doppler → weight /

@@ -23,7 +23,7 @@ use ppstap::kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
 use ppstap::kernels::weights::WeightSet;
 use ppstap::kernels::KernelPath;
-use ppstap::math::C32;
+use ppstap::math::{FftPlan, SimdLevel, C32};
 use ppstap::scenario::find;
 use proptest::prelude::*;
 
@@ -244,6 +244,55 @@ proptest! {
                 "chunked sample {}: {:?} vs {:?}",
                 i, x, y
             );
+        }
+    }
+
+    /// The panel FFT at every SIMD tier this CPU has (the detected one, the
+    /// ones below it, the scalar lane loop) is bit-identical, lane by lane,
+    /// to the scalar plan, forward and inverse: odd and even `log2 n` (a
+    /// leading single stage or none), every vector tail length, and inputs
+    /// that include both zeros and subnormals, where a reordered or fused
+    /// operation would show first.
+    #[test]
+    fn panel_fft_is_bit_identical_per_lane_at_every_tier(
+        seed in 0u64..u64::MAX,
+        size in 0usize..7,
+        lanes in 1usize..41,
+    ) {
+        let n = [2usize, 4, 8, 32, 64, 128, 512][size];
+        let plan = FftPlan::<f32>::new(n);
+        let mut d = Draws::new(seed);
+        let part = |d: &mut Draws| {
+            let x = d.f32();
+            match mix(d.state ^ 0xA5) % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits((x.to_bits() & 0x007F_FFFF).max(1)), // subnormal
+                3 => -f32::MIN_POSITIVE * x.abs(), // negative subnormal or -0
+                _ => x,
+            }
+        };
+        let input: Vec<C32> = (0..n * lanes).map(|_| C32::new(part(&mut d), part(&mut d))).collect();
+        prop_assert!(input.iter().all(|z| z.is_finite()));
+
+        let lane = |l: usize| (0..n).map(|k| input[k * lanes + l]).collect::<Vec<C32>>();
+        let forward: Vec<Vec<C32>> = (0..lanes).map(|l| { let mut x = lane(l); plan.forward(&mut x); x }).collect();
+        let inverse: Vec<Vec<C32>> = (0..lanes).map(|l| { let mut x = lane(l); plan.inverse(&mut x); x }).collect();
+        for &level in SimdLevel::available() {
+            let mut fwd = input.clone();
+            plan.forward_multi_at(&mut fwd, lanes, level);
+            let mut inv = input.clone();
+            plan.inverse_multi_at(&mut inv, lanes, level);
+            for (got, want, dir) in [(&fwd, &forward, "forward"), (&inv, &inverse, "inverse")] {
+                for (i, g) in got.iter().enumerate() {
+                    let w = want[i % lanes][i / lanes];
+                    prop_assert!(
+                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                        "{} n={} lanes={} {:?}: lane {} sample {}: {:?} vs {:?}",
+                        dir, n, lanes, level, i % lanes, i / lanes, g, w
+                    );
+                }
+            }
         }
     }
 }
