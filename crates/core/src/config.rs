@@ -7,6 +7,8 @@ use stap_kernels::cube::CubeDims;
 use stap_kernels::doppler::DopplerConfig;
 use stap_kernels::weights::{BeamSet, WeightMethod};
 use stap_kernels::KernelPath;
+use stap_model::tasktable::{task_slots, TaskSlot};
+use stap_model::workload::TaskId;
 use stap_pfs::{FaultPlan, FsConfig};
 use stap_radar::{Motion, Scene};
 use stap_store::CubeAccess;
@@ -279,20 +281,29 @@ impl Default for NodeCounts {
 }
 
 impl NodeCounts {
+    /// Nodes of one task — the only place a task maps to a node count.
+    pub fn of(&self, task: TaskId) -> usize {
+        match task {
+            TaskId::Read => self.read,
+            TaskId::Doppler => self.doppler,
+            TaskId::EasyWeight => self.easy_weight,
+            TaskId::HardWeight => self.hard_weight,
+            TaskId::EasyBeamform => self.easy_bf,
+            TaskId::HardBeamform => self.hard_bf,
+            TaskId::PulseCompression => self.pulse,
+            TaskId::Cfar => self.cfar,
+        }
+    }
+
+    /// Nodes of one pipeline stage: the sum over the tasks it runs (a
+    /// combined tail runs on the PC and CFAR nodes together).
+    pub(crate) fn of_slot(&self, slot: &TaskSlot) -> usize {
+        slot.members().map(|t| self.of(t)).sum()
+    }
+
     /// Total threads a run will use under the given strategy/tail.
     pub fn total(&self, io: IoStrategy, tail: TailStructure) -> usize {
-        let mut n = self.doppler
-            + self.easy_weight
-            + self.hard_weight
-            + self.easy_bf
-            + self.hard_bf
-            + self.pulse
-            + self.cfar;
-        if io == IoStrategy::SeparateTask {
-            n += self.read;
-        }
-        let _ = tail; // combined tail reuses pulse+cfar nodes
-        n
+        task_slots(io, tail).iter().map(|slot| self.of_slot(slot)).sum()
     }
 }
 

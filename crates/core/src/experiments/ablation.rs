@@ -85,30 +85,6 @@ pub fn render_async_ablation() -> String {
     s
 }
 
-/// Sweeps the number of dedicated reader nodes in the separate-I/O design.
-pub fn sweep_reader_count(readers: &[usize], compute_nodes: usize) -> Vec<(usize, DesResult)> {
-    readers
-        .iter()
-        .map(|&n| {
-            let mut exp = DesExperiment::new(
-                MachineModel::paragon(16),
-                IoStrategy::SeparateTask,
-                TailStructure::Split,
-                compute_nodes,
-            );
-            exp.cpis = 48;
-            // Reader count is a constant in the model; emulate by scaling
-            // the send cost through shape? The reader count only affects
-            // the read task's send fan-out, which the experiment captures
-            // through SEPARATE_IO_NODES; instead we vary stripe factor-
-            // equivalent pressure by reducing per-CPI bytes per reader.
-            let r = exp.run();
-            let _ = n;
-            (n, r)
-        })
-        .collect()
-}
-
 /// Sweeps CPI cube size (range gates), showing when the pipeline flips
 /// from compute-bound to I/O-bound on the small stripe factor.
 pub fn sweep_cube_size(range_gates: &[usize], compute_nodes: usize) -> Vec<(usize, DesResult)> {
@@ -123,63 +99,6 @@ pub fn sweep_cube_size(range_gates: &[usize], compute_nodes: usize) -> Vec<(usiz
             );
             exp.shape.ranges = rg;
             (rg, exp.run())
-        })
-        .collect()
-}
-
-/// The paper's §6.2 corollary: when one of the combined tasks *determines
-/// the throughput* (Eq. 15: `T_max = max(T_5, T_6)`), combining improves
-/// throughput *and* latency simultaneously. A workload-proportional
-/// assignment never produces that situation, so this ablation starves the
-/// tail tasks of nodes and hands the surplus to the hard weight task.
-pub fn combined_bottleneck_case(compute_nodes: usize) -> (DesResult, DesResult) {
-    use stap_model::assignment::{assign_nodes, Assignment};
-    use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
-
-    let w = StapWorkload::derive(ShapeParams::paper_default());
-    let base = assign_nodes(&w, &TaskId::SEVEN, compute_nodes);
-    let mut nodes = base.nodes.clone();
-    let tasks = base.tasks.clone();
-    let pc = tasks.iter().position(|&t| t == TaskId::PulseCompression).expect("pc");
-    let cf = tasks.iter().position(|&t| t == TaskId::Cfar).expect("cfar");
-    let hw = tasks.iter().position(|&t| t == TaskId::HardWeight).expect("hw");
-    // Starve the tail down to one node each; the freed nodes go to hard
-    // weight (temporal, so its time never enters the latency path).
-    let freed = (nodes[pc] - 1) + (nodes[cf] - 1);
-    nodes[pc] = 1;
-    nodes[cf] = 1;
-    nodes[hw] += freed;
-    let assignment = Assignment::new(tasks, nodes);
-
-    let run = |tail| {
-        let mut exp = DesExperiment::new(
-            MachineModel::paragon(64),
-            IoStrategy::Embedded,
-            tail,
-            compute_nodes,
-        );
-        exp.assignment_override = Some(assignment.clone());
-        exp.run()
-    };
-    (run(TailStructure::Split), run(TailStructure::Combined))
-}
-
-/// Calibration-robustness sweep: scales the modeled node compute rate by
-/// the given factors and reruns the central comparison (sf=16 vs sf=64 at
-/// 100 nodes). The paper's conclusion must not hinge on our exact
-/// 80 MFLOP/s guess: the bottleneck should persist for faster nodes and
-/// fade for much slower ones (where compute, not I/O, paces everything).
-pub fn calibration_sensitivity(cpu_scales: &[f64]) -> Vec<(f64, f64)> {
-    cpu_scales
-        .iter()
-        .map(|&scale| {
-            let run = |sf: usize| {
-                let mut m = MachineModel::paragon(sf);
-                m.node_flops *= scale;
-                DesExperiment::new(m, IoStrategy::Embedded, TailStructure::Split, 100).run()
-            };
-            let ratio = run(16).throughput / run(64).throughput;
-            (scale, ratio)
         })
         .collect()
 }
@@ -206,47 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn eq15_combining_improves_both_metrics_when_tail_paces() {
-        let (split, combined) = combined_bottleneck_case(50);
-        // Precondition: the starved tail really paces the split pipeline.
-        let t_tail_split = split
-            .tasks
-            .iter()
-            .filter(|t| t.label == "pulse compr" || t.label == "CFAR")
-            .map(|t| t.time)
-            .fold(0.0f64, f64::max);
-        let t_other_max = split
-            .tasks
-            .iter()
-            .filter(|t| t.label != "pulse compr" && t.label != "CFAR")
-            .map(|t| t.time)
-            .fold(0.0f64, f64::max);
-        assert!(t_tail_split > t_other_max, "precondition: tail must pace");
-        // Eq. 15: both metrics improve.
-        assert!(
-            combined.throughput > 1.05 * split.throughput,
-            "throughput {} !> {}",
-            combined.throughput,
-            split.throughput
-        );
-        assert!(combined.latency < split.latency);
-    }
-
-    #[test]
     fn async_ablation_shows_overlap_benefit() {
         let (with, without) = async_toggle(100);
         assert!(with.throughput > without.throughput);
-    }
-
-    #[test]
-    fn conclusion_robust_to_cpu_calibration() {
-        let sweep = calibration_sensitivity(&[0.25, 1.0, 4.0]);
-        // Much slower CPUs: compute paces everything, the stripe factors tie.
-        assert!(sweep[0].1 > 0.95, "slow-CPU ratio {}", sweep[0].1);
-        // Our calibration: the bottleneck (the paper's finding).
-        assert!(sweep[1].1 < 0.85, "nominal ratio {}", sweep[1].1);
-        // Faster CPUs: the bottleneck deepens.
-        assert!(sweep[2].1 < sweep[1].1, "fast-CPU ratio {}", sweep[2].1);
     }
 
     #[test]

@@ -265,16 +265,6 @@ pub struct StapPlan {
 }
 
 impl StapPlan {
-    /// A sample buffer with room for `capacity` values: pooled in
-    /// zero-copy mode, a fresh detached allocation under `copy_comm`.
-    pub fn sample_buf(&self, capacity: usize) -> PoolVec<C32> {
-        if self.config.copy_comm {
-            PoolVec::detached(Vec::with_capacity(capacity))
-        } else {
-            self.pools.samples.take(capacity)
-        }
-    }
-
     /// A sample buffer of exactly `len` values for a kernel that overwrites
     /// every one of them: pooled storage comes back at `len` without a fill
     /// (see [`SlabPool::take_len`](stap_comm::SlabPool::take_len)), a fresh
@@ -287,8 +277,8 @@ impl StapPlan {
         }
     }
 
-    /// A byte buffer with room for `capacity` values (see
-    /// [`StapPlan::sample_buf`]).
+    /// A byte buffer with room for `capacity` values: pooled in zero-copy
+    /// mode, a fresh detached allocation under `copy_comm`.
     pub fn byte_buf(&self, capacity: usize) -> PoolVec<u8> {
         if self.config.copy_comm {
             PoolVec::detached(Vec::with_capacity(capacity))

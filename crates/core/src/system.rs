@@ -7,7 +7,6 @@
 //! per node — and returns measured timings plus the detection reports.
 
 use crate::config::{SourceSpec, StapConfig, StreamSettings, WatchdogPolicy};
-use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::messages::Gap;
 use crate::stages::adaptive::{BeamformStage, WeightStage};
 use crate::stages::front::{DopplerStage, ReadStage};
@@ -23,6 +22,7 @@ use stap_model::tasktable::task_slots;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::{IoCounters, OpenMode, Pfs};
 use stap_pipeline::runner::{Pipeline, StageFactory};
+use stap_pipeline::stage::Stage;
 use stap_pipeline::timing::PipelineReport;
 use stap_pipeline::topology::{StageId, Topology};
 use stap_pipeline::{ClockSpec, CpiSource, PipelineError, WatchdogSpec};
@@ -242,58 +242,49 @@ impl StapSystem {
         let easy_bins = bc.easy_bins(nbins);
         let hard_bins = bc.hard_bins(nbins);
 
-        // Topology.
-        let n = config.nodes;
+        // The pipeline structure is the task table's: one stage per slot,
+        // in slot order (so stage ids are slot indices and world ranks
+        // follow the table), edges from the slots' predecessors.
+        let slots = task_slots(config.io, config.tail);
+        let sizes: Vec<usize> = slots.iter().map(|slot| config.nodes.of_slot(slot)).collect();
         let mut topo = Topology::new();
-        let read = (config.io == IoStrategy::SeparateTask)
-            .then(|| topo.add_stage("parallel read", n.read));
-        let doppler = topo.add_stage("Doppler filter", n.doppler);
-        let easy_weight = topo.add_stage("easy weight", n.easy_weight);
-        let hard_weight = topo.add_stage("hard weight", n.hard_weight);
-        let easy_bf = topo.add_stage("easy BF", n.easy_bf);
-        let hard_bf = topo.add_stage("hard BF", n.hard_bf);
-        let (pulse, cfar) = match config.tail {
-            TailStructure::Split => {
-                let pc = topo.add_stage("pulse compr", n.pulse);
-                let cf = topo.add_stage("CFAR", n.cfar);
-                (pc, Some(cf))
-            }
-            TailStructure::Combined => {
-                // "the number of nodes assigned to this single task is equal
-                // to the sum of the nodes assigned to the two original
-                // tasks".
-                let pc = topo.add_stage("PC + CFAR", n.pulse + n.cfar);
-                (pc, None)
-            }
-        };
-        if let Some(r) = read {
-            topo.add_edge(r, doppler);
+        for (slot, &nodes) in slots.iter().zip(&sizes) {
+            topo.add_stage(slot.label, nodes);
         }
-        topo.add_edge(doppler, easy_bf);
-        topo.add_edge(doppler, hard_bf);
-        topo.add_edge(doppler, easy_weight);
-        topo.add_edge(doppler, hard_weight);
-        topo.add_temporal_edge(easy_weight, easy_bf);
-        topo.add_temporal_edge(hard_weight, hard_bf);
-        topo.add_edge(easy_bf, pulse);
-        topo.add_edge(hard_bf, pulse);
-        if let Some(cf) = cfar {
-            topo.add_edge(pulse, cf);
+        for (to, slot) in slots.iter().enumerate() {
+            for &from in &slot.spatial_preds {
+                topo.add_edge(StageId(from), StageId(to));
+            }
+            for &from in &slot.temporal_preds {
+                topo.add_temporal_edge(StageId(from), StageId(to));
+            }
         }
         topo.validate()?;
-
-        let roles =
-            Roles { read, doppler, easy_weight, hard_weight, easy_bf, hard_bf, pulse, cfar };
+        let stage_of = |task: TaskId| slots.iter().position(|s| s.id == task).map(StageId);
+        let must = |task: TaskId| {
+            stage_of(task).ok_or_else(|| PipelineError::Topology(format!("no {task:?} slot")))
+        };
+        let roles = Roles {
+            read: stage_of(TaskId::Read),
+            doppler: must(TaskId::Doppler)?,
+            easy_weight: must(TaskId::EasyWeight)?,
+            hard_weight: must(TaskId::HardWeight)?,
+            easy_bf: must(TaskId::EasyBeamform)?,
+            hard_bf: must(TaskId::HardBeamform)?,
+            pulse: must(TaskId::PulseCompression)?,
+            cfar: stage_of(TaskId::Cfar),
+        };
+        // The reading stage is the pipeline's source; the last is its sink.
+        let reading = slots.iter().position(|s| s.reads);
+        let source_stage =
+            reading.map(StageId).ok_or(PipelineError::Topology("no reading slot".into()))?;
+        let sink_stage = StageId(slots.len() - 1);
 
         // The data-plane seam: file- and stream-fed runs differ only in
         // which `CpiSource` the front stages fetch through. Every CPI is
-        // fetched (in disjoint extents) by each node of the front stage,
+        // fetched (in disjoint extents) by each node of the reading stage,
         // so the stream source caches each cube for that many readers.
-        let readers = if config.io == IoStrategy::SeparateTask {
-            config.nodes.read
-        } else {
-            config.nodes.doppler
-        };
+        let readers = sizes[source_stage.0];
         let mut stream = None;
         let mut store: Option<Arc<StoreSource>> = None;
         let source: Arc<dyn CpiSource> = match &config.source {
@@ -358,77 +349,48 @@ impl StapSystem {
         });
         let reports: ReportSink = Arc::new(Mutex::new(Vec::new()));
 
-        // Stage factories, in topology (stage-id) order.
-        let mut factories: Vec<StageFactory> = Vec::new();
-        let cfg = &plan.config;
-        if read.is_some() {
-            let p = Arc::clone(&plan);
-            let nodes = cfg.nodes.read;
-            factories.push(Box::new(move |local| {
-                Box::new(ReadStage::new(Arc::clone(&p), local, nodes))
-            }));
-        }
-        {
-            let p = Arc::clone(&plan);
-            let nodes = cfg.nodes.doppler;
-            factories.push(Box::new(move |local| {
-                Box::new(DopplerStage::new(Arc::clone(&p), local, nodes))
-            }));
-        }
-        for (hard, nodes) in [(false, cfg.nodes.easy_weight), (true, cfg.nodes.hard_weight)] {
-            let p = Arc::clone(&plan);
-            factories.push(Box::new(move |local| {
-                Box::new(WeightStage::new(Arc::clone(&p), local, nodes, hard))
-            }));
-        }
-        for (hard, nodes) in [(false, cfg.nodes.easy_bf), (true, cfg.nodes.hard_bf)] {
-            let p = Arc::clone(&plan);
-            factories.push(Box::new(move |local| {
-                Box::new(BeamformStage::new(Arc::clone(&p), local, nodes, hard))
-            }));
-        }
-        match cfg.tail {
-            TailStructure::Split => {
-                let p = Arc::clone(&plan);
-                factories.push(Box::new(move |_local| Box::new(PulseStage::new(Arc::clone(&p)))));
-                let p = Arc::clone(&plan);
-                let sink = Arc::clone(&reports);
-                let nodes = cfg.nodes.cfar;
-                factories.push(Box::new(move |local| {
-                    Box::new(CfarStage::new(Arc::clone(&p), local, nodes, Arc::clone(&sink)))
-                }));
-            }
-            TailStructure::Combined => {
-                let p = Arc::clone(&plan);
-                let sink = Arc::clone(&reports);
-                let nodes = cfg.nodes.pulse + cfg.nodes.cfar;
-                factories.push(Box::new(move |local| {
-                    Box::new(CombinedTailStage::new(
-                        Arc::clone(&p),
-                        local,
-                        nodes,
-                        Arc::clone(&sink),
-                    ))
-                }));
-            }
-        }
+        // One stage implementation per task-table slot, in slot order. The
+        // match has no wildcard arm: a task the table names without a stage
+        // implementation does not compile.
+        let factories: Vec<StageFactory> = slots
+            .iter()
+            .zip(sizes)
+            .map(|(slot, nodes)| -> StageFactory {
+                let (task, merged) = (slot.id, slot.merged.is_some());
+                let (plan, sink) = (Arc::clone(&plan), Arc::clone(&reports));
+                Box::new(move |local| -> Box<dyn Stage> {
+                    let (p, sink) = (Arc::clone(&plan), Arc::clone(&sink));
+                    match task {
+                        TaskId::Read => Box::new(ReadStage::new(p, local, nodes)),
+                        TaskId::Doppler => Box::new(DopplerStage::new(p, local, nodes)),
+                        TaskId::EasyWeight => Box::new(WeightStage::new(p, local, nodes, false)),
+                        TaskId::HardWeight => Box::new(WeightStage::new(p, local, nodes, true)),
+                        TaskId::EasyBeamform => {
+                            Box::new(BeamformStage::new(p, local, nodes, false))
+                        }
+                        TaskId::HardBeamform => Box::new(BeamformStage::new(p, local, nodes, true)),
+                        // "the number of nodes assigned to this single task
+                        // is equal to the sum of the nodes assigned to the
+                        // two original tasks" — `nodes` is that sum.
+                        TaskId::PulseCompression if merged => {
+                            Box::new(CombinedTailStage::new(p, local, nodes, sink))
+                        }
+                        TaskId::PulseCompression => Box::new(PulseStage::new(p)),
+                        TaskId::Cfar => Box::new(CfarStage::new(p, local, nodes, sink)),
+                    }
+                })
+            })
+            .collect();
 
         let pipeline = Pipeline::new(topo, factories);
-        let source_stage = read.unwrap_or(doppler);
-        let sink_stage = cfar.unwrap_or(pulse);
         Ok(Self { plan, pipeline, sink_stage, source_stage, reports, fs, stream, store })
     }
 
     /// The smart storage tier, when this system routes reads through one
-    /// (cached/prefetch strategies or out-of-core access). Exposes the
-    /// live files for online restriping.
+    /// (cached/prefetch strategies or out-of-core access); online
+    /// restriping goes through it.
     pub fn store_source(&self) -> Option<&Arc<StoreSource>> {
         self.store.as_ref()
-    }
-
-    /// The staging ring of a stream-fed system (None for file-fed).
-    pub fn staging_ring(&self) -> Option<&Arc<CpiRing>> {
-        self.stream.as_ref().map(|s| &s.ring)
     }
 
     /// The shared plan (bins, roles, files).
@@ -472,25 +434,13 @@ impl StapSystem {
         };
         let w = StapWorkload::derive(shape);
         let io_secs = cfg.dims.bytes() as f64 / IO_BYTES_PER_SEC;
-        let n = cfg.nodes;
-        let nodes_of = |t: TaskId| match t {
-            TaskId::Read => n.read,
-            TaskId::Doppler => n.doppler,
-            TaskId::EasyWeight => n.easy_weight,
-            TaskId::HardWeight => n.hard_weight,
-            TaskId::EasyBeamform => n.easy_bf,
-            TaskId::HardBeamform => n.hard_bf,
-            TaskId::PulseCompression => n.pulse,
-            TaskId::Cfar => n.cfar,
-        };
         // One deadline per pipeline task, in the shared task-table order.
         let times: Vec<f64> = task_slots(cfg.io, cfg.tail)
             .iter()
             .map(|slot| {
                 let flops: f64 = slot.members().map(|t| w.flops(t)).sum();
-                let nodes: usize = slot.members().map(nodes_of).sum();
                 let io = if slot.reads { io_secs } else { 0.0 };
-                (flops / FLOPS_PER_SEC + io) / nodes.max(1) as f64
+                (flops / FLOPS_PER_SEC + io) / cfg.nodes.of_slot(slot).max(1) as f64
             })
             .collect();
         let deadlines = times
@@ -682,15 +632,96 @@ mod tests {
     }
 
     #[test]
-    fn topology_matches_strategy() {
-        let sys = StapSystem::prepare(tiny_config()).unwrap();
-        assert_eq!(sys.topology().stage_count(), 7);
-        let sep = StapSystem::prepare(StapConfig { io: IoStrategy::SeparateTask, ..tiny_config() })
-            .unwrap();
-        assert_eq!(sep.topology().stage_count(), 8);
-        let comb =
-            StapSystem::prepare(StapConfig { tail: TailStructure::Combined, ..tiny_config() })
-                .unwrap();
-        assert_eq!(comb.topology().stage_count(), 6);
+    fn executed_topology_is_the_task_table() {
+        use crate::config::NodeCounts;
+        use crate::io_strategy::{IoStrategy, TailStructure};
+        // Distinct counts, so a task mapped to another task's field shows.
+        let nodes = NodeCounts {
+            read: 3,
+            doppler: 2,
+            easy_weight: 4,
+            hard_weight: 5,
+            easy_bf: 6,
+            hard_bf: 7,
+            pulse: 8,
+            cfar: 9,
+        };
+        let ios = [
+            IoStrategy::Embedded,
+            IoStrategy::SeparateTask,
+            IoStrategy::Cached { mb: 8 },
+            IoStrategy::Prefetch { depth: 2 },
+        ];
+        for (io, tail) in ios
+            .into_iter()
+            .flat_map(|io| [TailStructure::Split, TailStructure::Combined].map(|tail| (io, tail)))
+        {
+            let sys = StapSystem::prepare(StapConfig { io, tail, nodes, ..tiny_config() }).unwrap();
+            let (topo, slots) = (sys.topology(), task_slots(io, tail));
+            // The stage list the system used to wire by hand, in rank order.
+            let mut want = Vec::new();
+            if io == IoStrategy::SeparateTask {
+                want.push(("parallel read", 3));
+            }
+            want.extend([
+                ("Doppler filter", 2),
+                ("easy weight", 4),
+                ("hard weight", 5),
+                ("easy BF", 6),
+                ("hard BF", 7),
+            ]);
+            match tail {
+                TailStructure::Split => want.extend([("pulse compr", 8), ("CFAR", 9)]),
+                TailStructure::Combined => want.push(("PC + CFAR", 17)),
+            }
+            let got: Vec<_> = topo.stages().iter().map(|s| (s.name.as_str(), s.nodes)).collect();
+            assert_eq!(got, want, "{io:?} {tail:?}");
+            for (i, slot) in slots.iter().enumerate() {
+                assert_eq!(topo.stage(StageId(i)).name, slot.label);
+                assert_eq!(topo.stage(StageId(i)).nodes, nodes.of_slot(slot));
+                let preds = |temporal: bool| -> Vec<usize> {
+                    let edges =
+                        topo.edges().iter().filter(|e| e.to.0 == i && e.temporal == temporal);
+                    let mut from: Vec<usize> = edges.map(|e| e.from.0).collect();
+                    from.sort_unstable();
+                    from
+                };
+                assert_eq!(preds(false), slot.spatial_preds, "{io:?} {tail:?} {}", slot.label);
+                assert_eq!(preds(true), slot.temporal_preds, "{io:?} {tail:?} {}", slot.label);
+            }
+            let edges: usize =
+                slots.iter().map(|s| s.spatial_preds.len() + s.temporal_preds.len()).sum();
+            assert_eq!(topo.edges().len(), edges, "no edge the table does not name");
+
+            let roles = sys.plan().roles;
+            let task = |s: StageId| (slots[s.0].id, slots[s.0].merged);
+            let split = tail == TailStructure::Split;
+            assert_eq!(
+                roles.read.map(task),
+                (io == IoStrategy::SeparateTask).then_some((TaskId::Read, None))
+            );
+            assert_eq!(task(roles.doppler), (TaskId::Doppler, None));
+            assert_eq!(task(roles.easy_weight), (TaskId::EasyWeight, None));
+            assert_eq!(task(roles.hard_weight), (TaskId::HardWeight, None));
+            assert_eq!(task(roles.easy_bf), (TaskId::EasyBeamform, None));
+            assert_eq!(task(roles.hard_bf), (TaskId::HardBeamform, None));
+            let merged = (!split).then_some(TaskId::Cfar);
+            assert_eq!(task(roles.pulse), (TaskId::PulseCompression, merged));
+            assert_eq!(roles.cfar.map(task), split.then_some((TaskId::Cfar, None)));
+            assert_eq!(sys.source_stage, roles.read.unwrap_or(roles.doppler));
+            assert_eq!(sys.sink_stage, roles.cfar.unwrap_or(roles.pulse));
+            assert_eq!(nodes.total(io, tail), topo.total_nodes());
+        }
+    }
+
+    #[test]
+    fn a_default_embedded_run_waits_on_every_read_it_posts() {
+        let out = StapSystem::prepare(StapConfig::default()).unwrap().run().unwrap();
+        let io = out.io;
+        assert!(io.async_posts > 0);
+        assert_eq!(io.async_posts, io.async_done);
+        // The counts the thread-per-read implementation reported for this
+        // run: two Doppler nodes x six CPIs, the first CPI read in place.
+        assert_eq!((io.cpi_reads, io.async_posts, io.bytes_read), (12, 10, 1_572_864));
     }
 }

@@ -113,13 +113,6 @@ impl<T: Scalar> FftPlan<T> {
         let _ = self.log2n;
     }
 
-    /// Out-of-place convenience wrapper around [`FftPlan::forward`].
-    pub fn forward_to(&self, input: &[Complex<T>], out: &mut Vec<Complex<T>>) {
-        out.clear();
-        out.extend_from_slice(input);
-        self.forward(out);
-    }
-
     /// In-place forward DFT over a multi-lane panel.
     ///
     /// `panel` holds `lanes` independent length-`n` sequences interleaved

@@ -2,51 +2,29 @@
 //!
 //! On the Paragon the pipeline posts a read at the start of an iteration,
 //! computes on the previous CPI's data, then calls the wait routine; the
-//! read proceeds concurrently. Here a posted read runs on a worker thread
-//! against the shared file handle, and [`ReadHandle::wait`] joins it —
-//! genuine overlap, observable with real timing.
+//! read proceeds concurrently. Here a posted read is a record, not a thread
+//! (ViPIOS: clients only post): it runs the synchronous read's body at post
+//! time — counters, fault plan, bounds check, gather — and keeps the result
+//! plus an absolute deadline, post time plus the pause the read still owes
+//! (a slow fault's delay and the paced service time). [`ReadHandle::wait`]
+//! sleeps until that deadline, so whatever the node did in between overlaps
+//! the read's modelled service time, and an injected failure returns at
+//! once.
 //!
 //! PIOFS ("the IBM AIX operating system ... asynchronous parallel
 //! read/write subroutines are not supported") rejects these calls with
 //! [`PfsError::AsyncUnsupported`].
-//!
-//! Worker failures never lose their root cause: a panic inside the worker
-//! is caught and carried in [`PfsError::WorkerFailed`] along with the
-//! panic payload, and a disconnected channel falls back to joining the
-//! worker to extract the payload from the join error.
 
 use crate::error::PfsError;
-use crate::file::FileHandle;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::thread::JoinHandle;
+use crate::file::{FileHandle, Pfs};
+use std::time::Instant;
 
-/// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`/`join`)
-/// into a human-readable root cause.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker panicked: {s}")
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Joins a finished/vanished worker and names the best available root
-/// cause for its channel having disconnected.
-fn join_failure_detail(worker: &mut Option<JoinHandle<()>>) -> String {
-    match worker.take().map(JoinHandle::join) {
-        Some(Err(payload)) => panic_detail(payload.as_ref()),
-        Some(Ok(())) => "worker exited without reporting a result".to_string(),
-        None => "worker channel disconnected before completion".to_string(),
-    }
-}
-
-/// A pending asynchronous read (the `iread` return value).
+/// A pending asynchronous read (the `iread` return value): the read's
+/// outcome and the instant its modelled service time runs out.
 pub struct ReadHandle {
-    rx: mpsc::Receiver<Result<Vec<u8>, PfsError>>,
-    worker: Option<JoinHandle<()>>,
+    result: Result<Vec<u8>, PfsError>,
+    ready_at: Instant,
+    fs: Pfs,
     /// Offset the read was posted at (diagnostics).
     pub offset: u64,
     /// Length requested.
@@ -54,34 +32,13 @@ pub struct ReadHandle {
 }
 
 impl ReadHandle {
-    /// Blocks until the read completes and returns the bytes (the
-    /// `msgwait`/`iowait` analogue).
-    pub fn wait(mut self) -> Result<Vec<u8>, PfsError> {
-        let result = match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => return Err(PfsError::WorkerFailed(join_failure_detail(&mut self.worker))),
-        };
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-        result
-    }
-
-    /// Non-blocking completion test (`iodone` analogue). On `Some`, the
-    /// result is final and `wait` must not be called again.
-    pub fn try_wait(&mut self) -> Option<Result<Vec<u8>, PfsError>> {
-        match self.rx.try_recv() {
-            Ok(r) => {
-                if let Some(w) = self.worker.take() {
-                    let _ = w.join();
-                }
-                Some(r)
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(PfsError::WorkerFailed(join_failure_detail(&mut self.worker))))
-            }
-        }
+    /// Blocks until the read's deadline and returns the bytes (the
+    /// `msgwait`/`iowait` analogue). The deadline is absolute, so time the
+    /// caller spent between post and wait is never slept twice.
+    pub fn wait(self) -> Result<Vec<u8>, PfsError> {
+        std::thread::sleep(self.ready_at.saturating_duration_since(Instant::now()));
+        self.fs.stats().count_async_done();
+        self.result
     }
 }
 
@@ -91,55 +48,33 @@ impl std::fmt::Debug for ReadHandle {
     }
 }
 
-fn spawn_read_worker(
-    handle: FileHandle,
-    cpi: Option<u64>,
-    offset: u64,
-    len: usize,
-) -> (mpsc::Receiver<Result<Vec<u8>, PfsError>>, JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| match cpi {
-            Some(cpi) => handle.read_at_cpi(cpi, offset, len),
-            None => handle.read_at(offset, len),
-        }));
-        let result = match outcome {
-            Ok(r) => r,
-            Err(payload) => Err(PfsError::WorkerFailed(panic_detail(payload.as_ref()))),
-        };
-        handle.fs().stats().count_async_done();
-        let _ = tx.send(result);
-    });
-    (rx, worker)
-}
-
 impl FileHandle {
     /// Posts an asynchronous positioned read (`ireadoff`). Errors
     /// immediately on a sync-only file system (the PIOFS personality).
     pub fn read_at_async(&self, offset: u64, len: usize) -> Result<ReadHandle, PfsError> {
-        if !self.fs().config().supports_async {
-            return Err(PfsError::AsyncUnsupported);
-        }
-        self.fs().stats().count_async_post();
-        let (rx, worker) = spawn_read_worker(self.clone(), None, offset, len);
-        Ok(ReadHandle { rx, worker: Some(worker), offset, len })
+        self.post(None, offset, len)
     }
 
     /// Posts an asynchronous CPI-addressed read — like
-    /// [`Self::read_at_async`] but routed through
-    /// [`Self::read_at_cpi`] so an installed fault plan applies.
+    /// [`Self::read_at_async`] but with [`Self::read_at_cpi`]'s body, so an
+    /// installed fault plan applies.
     pub fn read_at_cpi_async(
         &self,
         cpi: u64,
         offset: u64,
         len: usize,
     ) -> Result<ReadHandle, PfsError> {
+        self.post(Some(cpi), offset, len)
+    }
+
+    fn post(&self, cpi: Option<u64>, offset: u64, len: usize) -> Result<ReadHandle, PfsError> {
         if !self.fs().config().supports_async {
             return Err(PfsError::AsyncUnsupported);
         }
         self.fs().stats().count_async_post();
-        let (rx, worker) = spawn_read_worker(self.clone(), Some(cpi), offset, len);
-        Ok(ReadHandle { rx, worker: Some(worker), offset, len })
+        let (result, pause) = self.read_body(cpi, offset, len);
+        let ready_at = Instant::now() + pause;
+        Ok(ReadHandle { result, ready_at, fs: self.fs().clone(), offset, len })
     }
 }
 
@@ -148,12 +83,33 @@ mod tests {
     use super::*;
     use crate::config::{FsConfig, OpenMode};
     use crate::fault::{Fault, FaultPlan, FaultWindow};
-    use crate::file::Pfs;
+    use std::time::Duration;
 
     fn async_fs() -> Pfs {
         let mut cfg = FsConfig::paragon_pfs(4);
         cfg.stripe_unit = 32;
         Pfs::mount(cfg)
+    }
+
+    /// One 1000-byte stripe unit on one server: 2 ms of modelled service
+    /// time, scaled by `pace`.
+    fn paced_fs(pace: f64) -> (Pfs, Duration) {
+        let cfg = FsConfig {
+            name: "paced".into(),
+            stripe_unit: 1000,
+            stripe_factor: 1,
+            server_bandwidth: 1e6,
+            request_latency: Duration::from_millis(1),
+            unix_mode_penalty: Duration::ZERO,
+            supports_async: true,
+            pace_reads: pace,
+        };
+        let pause = Duration::from_secs_f64(
+            crate::timing::extent_read_time(&cfg, 0, 1000, OpenMode::Async) * pace,
+        );
+        let fs = Pfs::mount(cfg);
+        fs.gopen("a", OpenMode::Async).write_at(0, &[1u8; 1000]).unwrap();
+        (fs, pause)
     }
 
     #[test]
@@ -176,36 +132,56 @@ mod tests {
     }
 
     #[test]
-    fn async_read_overlaps_with_work() {
-        let fs = async_fs();
+    fn work_between_post_and_wait_overlaps_the_paced_pause() {
+        let (fs, pause) = paced_fs(100.0);
         let f = fs.gopen("a", OpenMode::Async);
-        f.write_at(0, &[1u8; 4096]).unwrap();
-        let h = f.read_at_async(0, 4096).unwrap();
-        // Do "computation" while the read is in flight.
-        let mut acc = 0u64;
-        for i in 0..10_000u64 {
-            acc = acc.wrapping_mul(31).wrapping_add(i);
+        // Unoverlapped, the wait serves the whole pause.
+        let t = Instant::now();
+        f.read_at_async(0, 1000).unwrap().wait().unwrap();
+        assert!(t.elapsed() >= pause, "a posted read returned before its deadline");
+        // Overlapped by at least its pause of work, it returns at once.
+        let posted = Instant::now();
+        let h = f.read_at_async(0, 1000).unwrap();
+        while posted.elapsed() < pause {
+            std::hint::spin_loop();
         }
-        assert!(acc != 0);
-        assert_eq!(h.wait().unwrap().len(), 4096);
+        let t = Instant::now();
+        assert_eq!(h.wait().unwrap(), vec![1u8; 1000]);
+        assert!(t.elapsed() < pause / 4, "wait slept {:?} after the deadline", t.elapsed());
+        let io = fs.io_counters();
+        assert_eq!((io.async_posts, io.async_done, io.sync_reads), (2, 2, 2));
     }
 
     #[test]
-    fn try_wait_eventually_completes() {
+    fn slow_fault_delay_is_still_owed_at_wait() {
         let fs = async_fs();
         let f = fs.gopen("a", OpenMode::Async);
-        f.write_at(0, &[9u8; 64]).unwrap();
-        let mut h = f.read_at_async(0, 64).unwrap();
-        let mut spins = 0;
-        let out = loop {
-            if let Some(r) = h.try_wait() {
-                break r;
-            }
-            spins += 1;
-            assert!(spins < 1_000_000, "async read never completed");
-            std::thread::yield_now();
-        };
-        assert_eq!(out.unwrap(), vec![9u8; 64]);
+        f.write_at(0, &[3u8; 64]).unwrap();
+        let delay = Duration::from_millis(60);
+        fs.install_fault_plan(FaultPlan::new(1).with(Fault::SlowRead {
+            file: "a".into(),
+            delay,
+            window: FaultWindow::always(),
+        }));
+        let posted = Instant::now();
+        let h = f.read_at_cpi_async(0, 0, 8).unwrap();
+        assert_eq!(h.wait().unwrap(), vec![3u8; 8]);
+        assert!(posted.elapsed() >= delay, "the straggler delay was not served");
+    }
+
+    #[test]
+    fn injected_failure_returns_at_once() {
+        let (fs, pause) = paced_fs(2500.0);
+        let f = fs.gopen("a", OpenMode::Async);
+        fs.install_fault_plan(
+            FaultPlan::new(1)
+                .with(Fault::FileUnavailable { file: "a".into(), window: FaultWindow::always() }),
+        );
+        let posted = Instant::now();
+        let h = f.read_at_cpi_async(0, 0, 1000).unwrap();
+        assert!(matches!(h.wait(), Err(PfsError::Injected { cpi: 0, attempt: 0, .. })));
+        assert!(posted.elapsed() < pause / 10, "a failed read waited {:?}", posted.elapsed());
+        assert_eq!(fs.io_counters().injected_failures, 1);
     }
 
     #[test]
@@ -234,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn many_concurrent_async_reads() {
+    fn many_outstanding_async_reads() {
         let fs = async_fs();
         let f = fs.gopen("a", OpenMode::Async);
         let data: Vec<u8> = (0..128).map(|i| (i % 251) as u8).collect();
@@ -242,26 +218,6 @@ mod tests {
         let handles: Vec<_> = (0..16).map(|k| f.read_at_async(k * 8, 8).unwrap()).collect();
         for (k, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait().unwrap(), data[k * 8..k * 8 + 8].to_vec());
-        }
-    }
-
-    #[test]
-    fn worker_panic_payload_reaches_the_error() {
-        // A panicking worker must not reduce to a bare "worker failed":
-        // the payload is the root cause failure-injection tests assert on.
-        let payload: Box<dyn std::any::Any + Send> = Box::new("stripe store exploded".to_string());
-        let detail = panic_detail(payload.as_ref());
-        assert!(detail.contains("stripe store exploded"), "{detail}");
-        let (tx, rx) = mpsc::channel::<Result<Vec<u8>, PfsError>>();
-        let worker = std::thread::spawn(|| panic!("disk on fire"));
-        // Let the worker die before waiting so recv sees a disconnect.
-        drop(tx);
-        let h = ReadHandle { rx, worker: Some(worker), offset: 0, len: 0 };
-        match h.wait() {
-            Err(PfsError::WorkerFailed(detail)) => {
-                assert!(detail.contains("disk on fire"), "lost root cause: {detail}")
-            }
-            other => panic!("expected WorkerFailed, got {other:?}"),
         }
     }
 }

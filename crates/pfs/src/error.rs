@@ -19,9 +19,6 @@ pub enum PfsError {
     /// Asynchronous I/O requested on a file system without async support
     /// (the PIOFS personality).
     AsyncUnsupported,
-    /// The async worker disappeared before completing the request; carries
-    /// the root cause (panic payload or disconnect context).
-    WorkerFailed(String),
     /// The file has an injected read fault (testing facility, dm-flakey
     /// style): reads fail until the fault is cleared.
     Faulted(String),
@@ -64,13 +61,7 @@ impl PfsError {
     /// conditions), false for permanent errors (missing file, bad extent,
     /// unsupported operation) where retrying is futile.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            PfsError::Faulted(_)
-                | PfsError::WriteFaulted(_)
-                | PfsError::Injected { .. }
-                | PfsError::WorkerFailed(_)
-        )
+        matches!(self, PfsError::Faulted(_) | PfsError::WriteFaulted(_) | PfsError::Injected { .. })
     }
 
     /// True for permanent fleet-level infrastructure loss
@@ -93,7 +84,6 @@ impl fmt::Display for PfsError {
             PfsError::AsyncUnsupported => {
                 write!(f, "asynchronous I/O not supported by this file system")
             }
-            PfsError::WorkerFailed(detail) => write!(f, "async I/O worker failed: {detail}"),
             PfsError::Faulted(name) => write!(f, "injected read fault on file: {name}"),
             PfsError::WriteFaulted(name) => write!(f, "injected write fault on file: {name}"),
             PfsError::Injected { file, cpi, attempt, detail } => {
@@ -121,8 +111,6 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("10") && s.contains("12"));
         assert!(format!("{}", PfsError::NoSuchFile("x".into())).contains('x'));
-        let w = format!("{}", PfsError::WorkerFailed("thread panicked: boom".into()));
-        assert!(w.contains("boom"), "root cause must survive into the message: {w}");
         let i = format!(
             "{}",
             PfsError::Injected {
@@ -139,7 +127,6 @@ mod tests {
     fn transience_classification() {
         assert!(PfsError::Faulted("a".into()).is_transient());
         assert!(PfsError::WriteFaulted("a".into()).is_transient());
-        assert!(PfsError::WorkerFailed("x".into()).is_transient());
         assert!(PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: String::new() }
             .is_transient());
         assert!(!PfsError::NoSuchFile("a".into()).is_transient());

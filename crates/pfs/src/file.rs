@@ -3,7 +3,7 @@
 
 use crate::config::{FsConfig, OpenMode};
 use crate::error::PfsError;
-use crate::fault::{FaultPlan, ReadDecision};
+use crate::fault::{FaultPlan, LostUnit, ReadDecision};
 use crate::layout::StripeLayout;
 use crate::stats::{IoCounters, IoStats};
 use crate::storage::{FileId, StripeServer};
@@ -11,6 +11,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct FileMeta {
     id: FileId,
@@ -131,12 +132,6 @@ impl Pfs {
     /// Total stripe units resident on each server — layout diagnostics.
     pub fn server_unit_counts(&self) -> Vec<usize> {
         self.inner.servers.iter().map(|s| s.unit_count()).collect()
-    }
-
-    /// Per-server traffic counters (reads/writes served) — load-balance
-    /// diagnostics for the striping layout.
-    pub fn server_stats(&self) -> Vec<crate::storage::ServerStats> {
-        self.inner.servers.iter().map(|s| s.stats()).collect()
     }
 
     /// Injects a read fault on `name` (dm-flakey style testing facility):
@@ -266,11 +261,9 @@ impl FileHandle {
     /// Reading past EOF is an error (the pipeline's reads are always whole
     /// CPI cubes at known offsets).
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, PfsError> {
-        self.fs.inner.stats.count_sync_read();
-        if self.meta.faulted.load(Ordering::SeqCst) {
-            return Err(PfsError::Faulted(self.name.clone()));
-        }
-        self.read_unchecked(offset, len)
+        let (result, pause) = self.read_body(None, offset, len);
+        std::thread::sleep(pause);
+        result
     }
 
     /// CPI-addressed positioned read — the pipeline's read path. Identical
@@ -280,58 +273,42 @@ impl FileHandle {
     /// delayed, or proceeds. Each call for the same `(file, cpi, offset)`
     /// advances the attempt counter, so a retry is attempt 1, 2, …
     pub fn read_at_cpi(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, PfsError> {
-        self.fs.inner.stats.count_cpi_read();
-        if self.meta.faulted.load(Ordering::SeqCst) {
-            return Err(PfsError::Faulted(self.name.clone()));
-        }
-        if let Some(plan) = self.fs.fault_plan() {
-            let inner = &self.fs.inner;
-            let mut servers: Vec<usize> =
-                inner.layout.map_extent(offset, len).into_iter().map(|req| req.server).collect();
-            servers.sort_unstable();
-            servers.dedup();
-            let attempt = {
-                let mut attempts = inner.attempts.lock();
-                let slot = attempts.entry((self.meta.id, cpi, offset)).or_insert(0);
-                let prior = *slot;
-                *slot += 1;
-                prior
-            };
-            match plan.read_decision(&self.name, cpi, attempt, &servers) {
-                ReadDecision::Fail { detail } => {
-                    self.fs.inner.stats.count_injected_failure();
-                    return Err(PfsError::Injected {
-                        file: self.name.clone(),
-                        cpi,
-                        attempt,
-                        detail,
-                    });
-                }
-                ReadDecision::Lost { unit } => {
-                    self.fs.inner.stats.count_injected_failure();
-                    return Err(match unit {
-                        crate::fault::LostUnit::Server(server) => {
-                            PfsError::ServerLost { server, cpi }
-                        }
-                        crate::fault::LostUnit::Node(node) => PfsError::NodeLost { node, cpi },
-                    });
-                }
-                ReadDecision::Proceed { delay } => {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
-        self.read_unchecked(offset, len)
+        let (result, pause) = self.read_body(Some(cpi), offset, len);
+        std::thread::sleep(pause);
+        result
     }
 
-    fn read_unchecked(&self, offset: u64, len: usize) -> Result<Vec<u8>, PfsError> {
+    /// The one read body behind every read, synchronous or posted: counts
+    /// the read, applies the faulted flag and (for a CPI-addressed read)
+    /// the fault plan, checks bounds and gathers the extent from the stripe
+    /// servers. It never sleeps; it returns the outcome and the pause the
+    /// read still owes — a slow fault's delay plus, on success,
+    /// [`Self::paced_pause`]. An injected failure owes nothing.
+    pub(crate) fn read_body(
+        &self,
+        cpi: Option<u64>,
+        offset: u64,
+        len: usize,
+    ) -> (Result<Vec<u8>, PfsError>, Duration) {
+        let inner = &self.fs.inner;
+        match cpi {
+            Some(_) => inner.stats.count_cpi_read(),
+            None => inner.stats.count_sync_read(),
+        }
+        if self.meta.faulted.load(Ordering::SeqCst) {
+            return (Err(PfsError::Faulted(self.name.clone())), Duration::ZERO);
+        }
+        let delay = match (cpi, self.fs.fault_plan()) {
+            (Some(cpi), Some(plan)) => match self.decide(&plan, cpi, offset, len) {
+                Ok(delay) => delay,
+                Err(e) => return (Err(e), Duration::ZERO),
+            },
+            _ => Duration::ZERO,
+        };
         let size = self.len();
         if offset + len as u64 > size {
-            return Err(PfsError::OutOfBounds { offset, len, size });
+            return (Err(PfsError::OutOfBounds { offset, len, size }), delay);
         }
-        let inner = &self.fs.inner;
         let mut out = vec![0u8; len];
         for req in inner.layout.map_extent(offset, len) {
             let start = (req.file_offset - offset) as usize;
@@ -343,29 +320,54 @@ impl FileHandle {
             );
         }
         inner.stats.count_bytes_read(len);
-        self.paced_sleep(offset, len);
-        Ok(out)
+        (Ok(out), delay + self.paced_pause(offset, len))
     }
 
-    /// Sleeps the modeled service time of this read scaled by
-    /// [`FsConfig::pace_reads`], so wall-clock runs exhibit the striping
-    /// cost the queueing model predicts. A no-op at the default scale 0.
-    fn paced_sleep(&self, offset: u64, len: usize) {
-        let pause = self.paced_pause(offset, len);
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
+    /// Advances this extent's attempt counter and asks the fault plan about
+    /// the attempt: the straggler delay to serve, or the injected error.
+    fn decide(
+        &self,
+        plan: &FaultPlan,
+        cpi: u64,
+        offset: u64,
+        len: usize,
+    ) -> Result<Duration, PfsError> {
+        let inner = &self.fs.inner;
+        let mut servers: Vec<usize> =
+            inner.layout.map_extent(offset, len).into_iter().map(|req| req.server).collect();
+        servers.sort_unstable();
+        servers.dedup();
+        let attempt = {
+            let mut attempts = inner.attempts.lock();
+            let slot = attempts.entry((self.meta.id, cpi, offset)).or_insert(0);
+            let prior = *slot;
+            *slot += 1;
+            prior
+        };
+        let err = match plan.read_decision(&self.name, cpi, attempt, &servers) {
+            ReadDecision::Proceed { delay } => return Ok(delay),
+            ReadDecision::Fail { detail } => {
+                PfsError::Injected { file: self.name.clone(), cpi, attempt, detail }
+            }
+            ReadDecision::Lost { unit: LostUnit::Server(server) } => {
+                PfsError::ServerLost { server, cpi }
+            }
+            ReadDecision::Lost { unit: LostUnit::Node(node) } => PfsError::NodeLost { node, cpi },
+        };
+        inner.stats.count_injected_failure();
+        Err(err)
     }
 
-    /// The pause [`Self::paced_sleep`] takes: `pace_reads ×` the time idle
-    /// stripe servers need for this extent.
-    fn paced_pause(&self, offset: u64, len: usize) -> std::time::Duration {
+    /// `pace_reads ×` the time idle stripe servers need for this extent:
+    /// the pause that makes wall-clock runs exhibit the striping cost the
+    /// queueing model predicts. Zero at the default scale 0.
+    fn paced_pause(&self, offset: u64, len: usize) -> Duration {
         let cfg = &self.fs.inner.config;
         if cfg.pace_reads <= 0.0 {
-            return std::time::Duration::ZERO;
+            return Duration::ZERO;
         }
         let modeled = crate::timing::extent_read_time(cfg, offset, len, self.mode);
-        std::time::Duration::from_secs_f64(modeled * cfg.pace_reads)
+        Duration::from_secs_f64(modeled * cfg.pace_reads)
     }
 
     /// The file system this handle belongs to.

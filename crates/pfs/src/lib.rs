@@ -16,7 +16,8 @@
 //! The implementation is functional *and* temporal:
 //! - [`mod@file`] really stores bytes, physically distributed over per-server
 //!   stripe-unit block maps ([`storage`]) according to [`layout`];
-//! - [`async_io`] provides genuinely concurrent reads on worker threads;
+//! - [`async_io`] posts reads as a result plus an absolute deadline, so the
+//!   poster's work overlaps the read's modelled service time;
 //! - [`timing`] provides the per-server FCFS queueing model (seek latency +
 //!   bandwidth) that the discrete-event experiments use to regenerate the
 //!   paper's numbers.
@@ -53,4 +54,3 @@ pub use fault::{Fault, FaultPlan, FaultWindow, LostUnit};
 pub use file::{FileHandle, Pfs};
 pub use layout::{StripeLayout, StripeRequest};
 pub use stats::{IoCounters, IoStats};
-pub use storage::ServerStats;

@@ -86,9 +86,9 @@ pub struct IoCounters {
     /// CPI-addressed reads (`read_at_cpi`) issued, including failed
     /// attempts.
     pub cpi_reads: u64,
-    /// Asynchronous operations posted (`iread`/`iwrite` analogues).
+    /// Asynchronous reads posted (`iread`).
     pub async_posts: u64,
-    /// Asynchronous operations whose worker finished (success or error).
+    /// Posted reads waited on (`iowait`), success or error.
     pub async_done: u64,
     /// Positioned writes issued.
     pub writes: u64,

@@ -7,56 +7,21 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a file within the file system.
 pub type FileId = u64;
-
-/// Cumulative traffic counters of one I/O server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Bytes served by reads.
-    pub bytes_read: u64,
-    /// Bytes absorbed by writes.
-    pub bytes_written: u64,
-    /// Read requests served.
-    pub read_requests: u64,
-    /// Write requests served.
-    pub write_requests: u64,
-}
 
 /// One I/O server's block store: (file, stripe-unit number) → unit bytes.
 #[derive(Debug, Default)]
 pub struct StripeServer {
     blocks: Mutex<HashMap<(FileId, u64), Vec<u8>>>,
     stripe_unit: usize,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    read_requests: AtomicU64,
-    write_requests: AtomicU64,
 }
 
 impl StripeServer {
     /// Creates a server for units of `stripe_unit` bytes.
     pub fn new(stripe_unit: usize) -> Self {
-        Self {
-            blocks: Mutex::new(HashMap::new()),
-            stripe_unit,
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            read_requests: AtomicU64::new(0),
-            write_requests: AtomicU64::new(0),
-        }
-    }
-
-    /// Traffic counters so far.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            read_requests: self.read_requests.load(Ordering::Relaxed),
-            write_requests: self.write_requests.load(Ordering::Relaxed),
-        }
+        Self { blocks: Mutex::new(HashMap::new()), stripe_unit }
     }
 
     /// Writes `data` into stripe unit `unit` of `file` at `offset_in_unit`,
@@ -69,8 +34,6 @@ impl StripeServer {
         let mut blocks = self.blocks.lock();
         let block = blocks.entry((file, unit)).or_insert_with(|| vec![0u8; self.stripe_unit]);
         block[offset_in_unit..offset_in_unit + data.len()].copy_from_slice(data);
-        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.write_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads `len` bytes from stripe unit `unit` at `offset_in_unit` into
@@ -85,8 +48,6 @@ impl StripeServer {
             Some(block) => out.copy_from_slice(&block[offset_in_unit..offset_in_unit + out.len()]),
             None => out.fill(0),
         }
-        self.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.read_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of stripe units this server holds (across all files).
@@ -133,20 +94,6 @@ mod tests {
         assert_eq!(s.unit_count(), 1);
         s.read(1, 0, 0, &mut out);
         assert_eq!(out, [0; 8]);
-    }
-
-    #[test]
-    fn stats_count_traffic() {
-        let s = StripeServer::new(16);
-        s.write(1, 0, 0, &[1; 8]);
-        s.write(1, 1, 0, &[1; 16]);
-        let mut out = [0u8; 4];
-        s.read(1, 0, 0, &mut out);
-        let st = s.stats();
-        assert_eq!(st.bytes_written, 24);
-        assert_eq!(st.write_requests, 2);
-        assert_eq!(st.bytes_read, 4);
-        assert_eq!(st.read_requests, 1);
     }
 
     #[test]

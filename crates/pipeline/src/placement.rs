@@ -13,9 +13,8 @@
 //!
 //! Slots are dealt from one process-wide counter, so pipelines that run at
 //! the same time (`stap-serve` missions, the test suite) continue where the
-//! previous one stopped instead of all starting at the first CPU. A thread
-//! a node spawns (an `iread` worker) inherits its node's CPU. On a launcher
-//! that may use a single CPU, on a target other than Linux, or when the
+//! previous one stopped instead of all starting at the first CPU. On a
+//! launcher that may use a single CPU, on a target other than Linux, or when the
 //! kernel refuses, nothing is bound and the run proceeds as before.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

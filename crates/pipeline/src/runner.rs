@@ -49,20 +49,10 @@ impl Pipeline {
         self.run_inner(cpis, warmup, None, ClockSpec::Wall)
     }
 
-    /// Like [`Self::run`], but with per-stage watchdog deadlines: a stage
+    /// Fully configured run: optional per-stage watchdog deadlines (a stage
     /// that fails to complete a CPI within its deadline tears the world
-    /// down and the run returns [`PipelineError::Timeout`] naming it.
-    pub fn run_with_watchdog(
-        &self,
-        cpis: u64,
-        warmup: u64,
-        spec: &WatchdogSpec,
-    ) -> Result<PipelineReport, PipelineError> {
-        self.run_configured(cpis, warmup, Some(spec), ClockSpec::Wall)
-    }
-
-    /// Fully configured run: optional watchdog plus an explicit
-    /// [`ClockSpec`]. Under `ClockSpec::Virtual` every node traces against
+    /// down and the run returns [`PipelineError::Timeout`] naming it) plus
+    /// an explicit [`ClockSpec`]. Under `ClockSpec::Virtual` every node traces against
     /// its own deterministic clock, making the report's records and spans
     /// bit-reproducible (the golden-trace tests run this way).
     pub fn run_configured(
@@ -379,7 +369,7 @@ mod tests {
         });
         let p = Pipeline::new(t, vec![f_src, f_snk]);
         let spec = crate::watchdog::WatchdogSpec::uniform(2, Duration::from_millis(100));
-        let err = p.run_with_watchdog(4, 0, &spec).unwrap_err();
+        let err = p.run_configured(4, 0, Some(&spec), ClockSpec::Wall).unwrap_err();
         match err {
             PipelineError::Timeout { stage, deadline_ms } => {
                 assert_eq!(stage, "snk", "the hung receiver is the root cause");
@@ -394,7 +384,7 @@ mod tests {
         use std::time::Duration;
         let p = arithmetic_pipeline();
         let spec = crate::watchdog::WatchdogSpec::uniform(3, Duration::from_secs(30));
-        let report = p.run_with_watchdog(5, 1, &spec).unwrap();
+        let report = p.run_configured(5, 1, Some(&spec), ClockSpec::Wall).unwrap();
         assert_eq!(report.cpis, 5);
     }
 
@@ -421,7 +411,7 @@ mod tests {
         });
         let p = Pipeline::new(t, vec![f_src, f_snk]);
         let spec = crate::watchdog::WatchdogSpec::uniform(2, Duration::from_millis(2000));
-        match p.run_with_watchdog(2, 0, &spec).unwrap_err() {
+        match p.run_configured(2, 0, Some(&spec), ClockSpec::Wall).unwrap_err() {
             PipelineError::Stage { stage, .. } => assert_eq!(stage, "src"),
             other => panic!("expected the stage error, got {other:?}"),
         }

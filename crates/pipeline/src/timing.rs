@@ -54,8 +54,9 @@ impl PipelineReport {
         }
     }
 
-    fn steady(&self, cpi: u64) -> bool {
-        cpi >= self.warmup
+    /// The records every node of `stage` kept for `cpi`.
+    fn records_at(&self, stage: StageId, cpi: u64) -> impl Iterator<Item = &CpiRecord> {
+        self.records[stage.0].iter().filter_map(move |node| node.iter().find(|r| r.cpi == cpi))
     }
 
     /// Aggregates the raw spans into the deterministic per-(stage, phase)
@@ -84,65 +85,26 @@ impl PipelineReport {
     /// Mean task execution time `T_i`: for each steady CPI the slowest node
     /// of the stage, averaged over CPIs.
     pub fn task_time(&self, stage: StageId) -> f64 {
-        let nodes = &self.records[stage.0];
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for cpi in 0..self.cpis {
-            if !self.steady(cpi) {
-                continue;
-            }
-            let mut worst: f64 = 0.0;
-            for node in nodes {
-                if let Some(r) = node.iter().find(|r| r.cpi == cpi) {
-                    worst = worst.max(r.total());
-                }
-            }
-            sum += worst;
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        self.slowest_node_mean(stage, CpiRecord::total)
     }
 
     /// Mean time a stage spends in a phase (slowest node per CPI).
     pub fn phase_time(&self, stage: StageId, phase: Phase) -> f64 {
-        let nodes = &self.records[stage.0];
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for cpi in 0..self.cpis {
-            if !self.steady(cpi) {
-                continue;
-            }
-            let mut worst: f64 = 0.0;
-            for node in nodes {
-                if let Some(r) = node.iter().find(|r| r.cpi == cpi) {
-                    worst = worst.max(r.phase(phase));
-                }
-            }
-            sum += worst;
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        self.slowest_node_mean(stage, |r| r.phase(phase))
+    }
+
+    /// `of` at the stage's slowest node per steady CPI, averaged over CPIs.
+    fn slowest_node_mean(&self, stage: StageId, of: impl Fn(&CpiRecord) -> f64) -> f64 {
+        let steady: Vec<f64> = (self.warmup..self.cpis)
+            .map(|cpi| self.records_at(stage, cpi).map(&of).fold(0.0, f64::max))
+            .collect();
+        mean(&steady)
     }
 
     /// Measured throughput in CPIs/second: steady-state completion rate at
     /// the sink stage (last stage by default).
     pub fn throughput(&self, sink: StageId) -> f64 {
-        let nodes = &self.records[sink.0];
-        let finish = |cpi: u64| -> f64 {
-            nodes
-                .iter()
-                .filter_map(|n| n.iter().find(|r| r.cpi == cpi))
-                .map(|r| r.end)
-                .fold(0.0, f64::max)
-        };
+        let finish = |cpi: u64| self.records_at(sink, cpi).map(|r| r.end).fold(0.0, f64::max);
         if self.cpis <= self.warmup + 1 {
             return 0.0;
         }
@@ -157,28 +119,14 @@ impl PipelineReport {
 
     /// Per-CPI end-to-end latencies (steady CPIs only), in CPI order.
     pub fn latencies(&self, source: StageId, sink: StageId) -> Vec<f64> {
-        let src = &self.records[source.0];
-        let snk = &self.records[sink.0];
-        let mut out = Vec::new();
-        for cpi in 0..self.cpis {
-            if !self.steady(cpi) {
-                continue;
-            }
-            let start = src
-                .iter()
-                .filter_map(|n| n.iter().find(|r| r.cpi == cpi))
-                .map(|r| r.start)
-                .fold(f64::INFINITY, f64::min);
-            let end = snk
-                .iter()
-                .filter_map(|n| n.iter().find(|r| r.cpi == cpi))
-                .map(|r| r.end)
-                .fold(0.0, f64::max);
-            if start.is_finite() && end > 0.0 {
-                out.push(end - start);
-            }
-        }
-        out
+        (self.warmup..self.cpis)
+            .filter_map(|cpi| {
+                let start =
+                    self.records_at(source, cpi).map(|r| r.start).fold(f64::INFINITY, f64::min);
+                let end = self.records_at(sink, cpi).map(|r| r.end).fold(0.0, f64::max);
+                (start.is_finite() && end > 0.0).then_some(end - start)
+            })
+            .collect()
     }
 
     /// Latency at percentile `p` in `[0, 100]` over steady CPIs
@@ -197,35 +145,16 @@ impl PipelineReport {
     /// Measured latency in seconds: mean over steady CPIs of
     /// `sink finish − source start`.
     pub fn latency(&self, source: StageId, sink: StageId) -> f64 {
-        let src = &self.records[source.0];
-        let snk = &self.records[sink.0];
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for cpi in 0..self.cpis {
-            if !self.steady(cpi) {
-                continue;
-            }
-            let start = src
-                .iter()
-                .filter_map(|n| n.iter().find(|r| r.cpi == cpi))
-                .map(|r| r.start)
-                .fold(f64::INFINITY, f64::min);
-            let end = snk
-                .iter()
-                .filter_map(|n| n.iter().find(|r| r.cpi == cpi))
-                .map(|r| r.end)
-                .fold(0.0, f64::max);
-            if start.is_finite() && end > 0.0 {
-                sum += end - start;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        mean(&self.latencies(source, sink))
     }
+}
+
+/// Arithmetic mean, summed in order (0 for no values).
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().fold(0.0, |sum, v| sum + v) / values.len() as f64
 }
 
 #[cfg(test)]

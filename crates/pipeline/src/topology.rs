@@ -125,11 +125,6 @@ impl Topology {
         self.edges.iter().filter(|e| e.to == id).map(|e| e.from).collect()
     }
 
-    /// All successors (spatial + temporal).
-    pub fn succs(&self, id: StageId) -> Vec<StageId> {
-        self.edges.iter().filter(|e| e.from == id).map(|e| e.to).collect()
-    }
-
     /// Stages with no spatial predecessor (the pipeline sources).
     pub fn sources(&self) -> Vec<StageId> {
         (0..self.stages.len()).map(StageId).filter(|&s| self.spatial_preds(s).is_empty()).collect()

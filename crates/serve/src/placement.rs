@@ -118,17 +118,6 @@ impl StripeLoadTracker {
         }
     }
 
-    /// Missions currently holding stripe directory `server` — the
-    /// instantaneous depth a new read against that directory would queue
-    /// behind. A lost directory reports 0 (nothing can be served from it),
-    /// as does an out-of-range index.
-    pub fn depth_at(&self, server: usize) -> u32 {
-        match (self.load.get(server), self.lost.get(server)) {
-            (Some(&depth), Some(&false)) => depth,
-            _ => 0,
-        }
-    }
-
     /// Peak missions sharing any of the *surviving* `sf` directories
     /// (including the caller if it has acquired). Lost directories are
     /// skipped: their stale counts would otherwise pin the estimate to a
@@ -220,22 +209,6 @@ mod tests {
         // directory 0 is inside its span.
         let narrow = t.contended_read_estimate(0.4, 4);
         assert!((narrow - 0.4 * 4.0 / 3.0).abs() < 1e-12, "got {narrow}");
-    }
-
-    #[test]
-    fn depth_at_reports_per_directory_load() {
-        let mut t = StripeLoadTracker::new(8);
-        t.acquire(8);
-        t.acquire(4);
-        assert_eq!(t.depth_at(0), 2, "directories 0..4 carry both missions");
-        assert_eq!(t.depth_at(5), 1, "directories 4..8 carry only the wide one");
-        assert_eq!(t.depth_at(99), 0, "out-of-range directory is empty");
-        t.mark_lost(0);
-        assert_eq!(t.depth_at(0), 0, "a lost directory serves nothing");
-        t.release(4);
-        assert_eq!(t.depth_at(1), 1);
-        t.release(8);
-        assert_eq!(t.depth_at(5), 0);
     }
 
     #[test]

@@ -431,11 +431,6 @@ impl Scheduler {
         self.running.len()
     }
 
-    /// Free nodes in the pool.
-    pub fn free_nodes(&self) -> usize {
-        self.pool.free()
-    }
-
     /// Free cubes in the shared staging tier (capacity minus the ring
     /// depths of running stream missions).
     pub fn free_staging(&self) -> usize {

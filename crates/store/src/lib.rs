@@ -36,6 +36,6 @@ pub mod source;
 pub use cache::{CacheKey, CacheStats, ReadCache};
 pub use chunked::{ChunkedCube, CubeAccess, FootprintGrant, FootprintMeter};
 pub use error::StoreError;
-pub use prefetch::{Prefetcher, ReadAhead, HOT_QUEUE_DEPTH};
+pub use prefetch::{Prefetcher, ReadAhead};
 pub use restripe::{restripe_live, LiveFile, RestripeReport};
 pub use source::{StoreConfig, StoreSource};

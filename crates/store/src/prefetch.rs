@@ -14,11 +14,6 @@ use std::collections::HashMap;
 /// stream enough to issue read-ahead.
 pub const MIN_RUN: u64 = 2;
 
-/// Queue depth at which a stripe server counts as hot; read-ahead that
-/// would land on a hot server is suppressed so the prefetcher never
-/// competes with demand reads.
-pub const HOT_QUEUE_DEPTH: usize = 4;
-
 /// One tracked access stream: the same `(offset, len)` extent read from
 /// successive CPIs.
 #[derive(Debug, Clone, Copy)]
@@ -59,16 +54,8 @@ impl Prefetcher {
     }
 
     /// Records a demand read of `(cpi, offset, len)` and returns the
-    /// read-aheads to issue. `hot` reports whether the stripe server that
-    /// would serve a given CPI is currently hot (deep queue) — hot targets
-    /// are skipped, not deferred.
-    pub fn observe(
-        &self,
-        cpi: u64,
-        offset: u64,
-        len: usize,
-        mut hot: impl FnMut(u64) -> bool,
-    ) -> Vec<ReadAhead> {
+    /// read-aheads to issue.
+    pub fn observe(&self, cpi: u64, offset: u64, len: usize) -> Vec<ReadAhead> {
         if self.depth == 0 {
             return Vec::new();
         }
@@ -90,11 +77,7 @@ impl Prefetcher {
         if run < MIN_RUN {
             return Vec::new();
         }
-        (1..=u64::from(self.depth))
-            .map(|d| cpi + d)
-            .filter(|&next| !hot(next))
-            .map(|next| ReadAhead { cpi: next, offset, len })
-            .collect()
+        (1..=u64::from(self.depth)).map(|d| ReadAhead { cpi: cpi + d, offset, len }).collect()
     }
 
     /// Forgets all tracked streams (e.g. after a restripe swap).
@@ -107,21 +90,17 @@ impl Prefetcher {
 mod tests {
     use super::*;
 
-    fn cold(_: u64) -> bool {
-        false
-    }
-
     #[test]
     fn first_touch_is_not_trusted() {
         let p = Prefetcher::new(2);
-        assert!(p.observe(0, 0, 64, cold).is_empty());
+        assert!(p.observe(0, 0, 64).is_empty());
     }
 
     #[test]
     fn a_run_triggers_depth_readaheads() {
         let p = Prefetcher::new(3);
-        assert!(p.observe(4, 0, 64, cold).is_empty());
-        let ra = p.observe(5, 0, 64, cold);
+        assert!(p.observe(4, 0, 64).is_empty());
+        let ra = p.observe(5, 0, 64);
         assert_eq!(
             ra,
             vec![
@@ -135,11 +114,11 @@ mod tests {
     #[test]
     fn a_seek_breaks_the_run() {
         let p = Prefetcher::new(2);
-        p.observe(0, 0, 64, cold);
-        assert!(!p.observe(1, 0, 64, cold).is_empty(), "run established");
-        assert!(p.observe(9, 0, 64, cold).is_empty(), "seek resets trust");
+        p.observe(0, 0, 64);
+        assert!(!p.observe(1, 0, 64).is_empty(), "run established");
+        assert!(p.observe(9, 0, 64).is_empty(), "seek resets trust");
         // One more sequential touch re-establishes the run.
-        let ra = p.observe(10, 0, 64, cold);
+        let ra = p.observe(10, 0, 64);
         assert_eq!(ra.len(), 2);
         assert_eq!(ra[0].cpi, 11);
     }
@@ -147,36 +126,24 @@ mod tests {
     #[test]
     fn distinct_extents_are_distinct_streams() {
         let p = Prefetcher::new(1);
-        p.observe(0, 0, 64, cold);
-        p.observe(0, 64, 64, cold);
-        assert!(p.observe(1, 0, 64, cold).len() == 1);
-        assert!(p.observe(1, 64, 64, cold).len() == 1);
-    }
-
-    #[test]
-    fn hot_servers_are_skipped() {
-        let p = Prefetcher::new(4);
-        p.observe(0, 0, 64, cold);
-        let ra = p.observe(1, 0, 64, |cpi| cpi % 2 == 0);
-        assert_eq!(
-            ra.iter().map(|r| r.cpi).collect::<Vec<_>>(),
-            vec![3, 5],
-            "even CPIs land on hot servers and are suppressed"
-        );
+        p.observe(0, 0, 64);
+        p.observe(0, 64, 64);
+        assert!(p.observe(1, 0, 64).len() == 1);
+        assert!(p.observe(1, 64, 64).len() == 1);
     }
 
     #[test]
     fn depth_zero_disables() {
         let p = Prefetcher::new(0);
-        p.observe(0, 0, 64, cold);
-        assert!(p.observe(1, 0, 64, cold).is_empty());
+        p.observe(0, 0, 64);
+        assert!(p.observe(1, 0, 64).is_empty());
     }
 
     #[test]
     fn repeated_same_cpi_does_not_grow_the_run() {
         let p = Prefetcher::new(1);
-        p.observe(0, 0, 64, cold);
-        p.observe(0, 0, 64, cold);
-        assert!(p.observe(0, 0, 64, cold).is_empty(), "rereads of one CPI are not a stream");
+        p.observe(0, 0, 64);
+        p.observe(0, 0, 64);
+        assert!(p.observe(0, 0, 64).is_empty(), "rereads of one CPI are not a stream");
     }
 }

@@ -170,11 +170,6 @@ impl StoreSource {
         self.chunker.as_ref().map(|c| &c.meter)
     }
 
-    /// The live (restripable) backing files.
-    pub fn live_files(&self) -> &[Arc<LiveFile>] {
-        &self.files
-    }
-
     /// Migrates every backing file onto `dst_pfs` (copy-then-swap per
     /// stripe unit) without stopping readers, then resets the pattern
     /// detector — the new layout starts with a clean stream history.
@@ -212,9 +207,9 @@ impl StoreSource {
         if self.cache.capacity() == 0 {
             return;
         }
-        // The real tier has no queue-depth oracle for future CPIs — the
-        // hot-server guard bites in the simulated tier, which does.
-        for ra in self.prefetcher.observe(cpi, offset, len, |_| false) {
+        // Stage every predicted CPI the cache does not already hold; the
+        // fill worker reads it in the background.
+        for ra in self.prefetcher.observe(cpi, offset, len) {
             let key = self.key(ra.cpi, ra.offset, ra.len);
             if self.cache.peek(&key) {
                 continue;

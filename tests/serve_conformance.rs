@@ -113,10 +113,11 @@ const STAGGER_SECS: f64 = 0.015;
 /// CPIs per mission such that its nominal runtime is at least 4× the whole
 /// submission window on *this* machine — otherwise a fast host lets m0
 /// finish before m4 is submitted and the drain order legitimately differs
-/// between modes.
+/// between modes. The cap only guards against a nonsense probe: a mission
+/// CPI costs about 0.1 ms in release, so 0.3 s of runtime takes ~3000.
 fn mission_cpis(per_cpi_secs: f64) -> u64 {
     let window = 5.0 * STAGGER_SECS;
-    ((window * 4.0 / per_cpi_secs).ceil() as u64).clamp(8, 512)
+    ((window * 4.0 / per_cpi_secs).ceil() as u64).clamp(8, 8192)
 }
 
 /// The fixed contention script: six 25-node missions of `cpis` CPIs
