@@ -22,11 +22,6 @@ pub struct Endpoint {
     /// Unexpected-message queue: arrived envelopes that did not match a
     /// pending selective receive.
     pending: VecDeque<Envelope>,
-    /// Bytes sent, for communication-volume accounting.
-    sent_msgs: u64,
-    /// Messages delivered to a receive call, the other half of the
-    /// communication-volume accounting.
-    recvd_msgs: u64,
 }
 
 impl Endpoint {
@@ -36,7 +31,7 @@ impl Endpoint {
         inbox: Receiver<Envelope>,
         abort: Arc<AtomicBool>,
     ) -> Self {
-        Self { rank, peers, inbox, abort, pending: VecDeque::new(), sent_msgs: 0, recvd_msgs: 0 }
+        Self { rank, peers, inbox, abort, pending: VecDeque::new() }
     }
 
     /// Raises the world-wide abort flag: every endpoint currently blocked
@@ -70,22 +65,6 @@ impl Endpoint {
         self.peers.len()
     }
 
-    /// Number of messages sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.sent_msgs
-    }
-
-    /// Number of messages delivered to a receive call so far.
-    pub fn recv_count(&self) -> u64 {
-        self.recvd_msgs
-    }
-
-    /// Counts and downcasts a matched envelope.
-    fn deliver<T: 'static>(&mut self, env: Envelope) -> Result<T, CommError> {
-        self.recvd_msgs += 1;
-        Self::downcast(env)
-    }
-
     /// Sends `value` to rank `dst` with `tag`. Buffered: never blocks on the
     /// receiver (the NX `csend`-to-ready-receiver fast path).
     pub fn send<T: Send + 'static>(
@@ -106,9 +85,7 @@ impl Endpoint {
             } else {
                 CommError::Disconnected { peer: dst }
             }
-        })?;
-        self.sent_msgs += 1;
-        Ok(())
+        })
     }
 
     /// Blocking selective receive: waits for a message matching the
@@ -121,14 +98,14 @@ impl Endpoint {
         // First serve the unexpected-message queue.
         if let Some(pos) = self.pending.iter().position(|e| e.matches(src, tag)) {
             let env = self.pending.remove(pos).expect("position just found");
-            return self.deliver(env);
+            return Self::downcast(env);
         }
         loop {
             if self.aborted() {
                 return Err(CommError::Aborted);
             }
             match self.inbox.recv_timeout(ABORT_POLL) {
-                Ok(env) if env.matches(src, tag) => return self.deliver(env),
+                Ok(env) if env.matches(src, tag) => return Self::downcast(env),
                 Ok(env) => self.pending.push_back(env),
                 Err(RecvTimeoutError::Timeout) => {} // re-check the abort flag
                 Err(RecvTimeoutError::Disconnected) => {
@@ -146,11 +123,11 @@ impl Endpoint {
     ) -> Result<Option<T>, CommError> {
         if let Some(pos) = self.pending.iter().position(|e| e.matches(src, tag)) {
             let env = self.pending.remove(pos).expect("position just found");
-            return self.deliver(env).map(Some);
+            return Self::downcast(env).map(Some);
         }
         loop {
             match self.inbox.try_recv() {
-                Ok(env) if env.matches(src, tag) => return self.deliver(env).map(Some),
+                Ok(env) if env.matches(src, tag) => return Self::downcast(env).map(Some),
                 Ok(env) => self.pending.push_back(env),
                 Err(TryRecvError::Empty) => return Ok(None),
                 Err(TryRecvError::Disconnected) => {
@@ -170,7 +147,7 @@ impl Endpoint {
         let deadline = Instant::now() + timeout;
         if let Some(pos) = self.pending.iter().position(|e| e.matches(src, tag)) {
             let env = self.pending.remove(pos).expect("position just found");
-            return self.deliver(env);
+            return Self::downcast(env);
         }
         loop {
             if self.aborted() {
@@ -182,7 +159,7 @@ impl Endpoint {
             }
             let tick = (deadline - now).min(ABORT_POLL);
             match self.inbox.recv_timeout(tick) {
-                Ok(env) if env.matches(src, tag) => return self.deliver(env),
+                Ok(env) if env.matches(src, tag) => return Self::downcast(env),
                 Ok(env) => self.pending.push_back(env),
                 Err(RecvTimeoutError::Timeout) => {} // re-check flag/deadline
                 Err(RecvTimeoutError::Disconnected) => {
@@ -345,27 +322,23 @@ mod tests {
         e0.send(0, 1, 99u64).unwrap();
         let got: u64 = e0.recv(Some(0), Some(1)).unwrap();
         assert_eq!(got, 99);
-        assert_eq!(e0.sent_count(), 1);
-        assert_eq!(e0.recv_count(), 1);
     }
 
     #[test]
-    fn recv_count_tracks_deliveries_not_probes() {
+    fn probed_envelopes_are_delivered_once_in_order() {
         let mut eps = CommWorld::create(2);
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         e0.send(1, 7, 1u32).unwrap();
         e0.send(1, 7, 2u32).unwrap();
-        // Probing parks the envelope in the pending queue without counting.
+        // Probing parks the envelope in the pending queue without
+        // delivering it.
         while !e1.probe(Some(0), Some(7)) {
             std::thread::yield_now();
         }
-        assert_eq!(e1.recv_count(), 0);
-        let _: u32 = e1.recv(Some(0), Some(7)).unwrap();
-        let _: u32 = e1.recv(Some(0), Some(7)).unwrap();
-        assert_eq!(e1.recv_count(), 2);
+        assert_eq!(e1.recv::<u32>(Some(0), Some(7)).unwrap(), 1);
+        assert_eq!(e1.recv::<u32>(Some(0), Some(7)).unwrap(), 2);
         assert_eq!(e1.try_recv::<u32>(None, None).unwrap(), None, "inbox drained");
-        assert_eq!(e1.recv_count(), 2, "an empty try_recv does not count");
     }
 
     #[test]

@@ -237,23 +237,11 @@ pub struct PoolVec<T: Poison> {
 }
 
 impl<T: Poison> PoolVec<T> {
-    /// A pool-less buffer wrapping `vec` — used by the `--copy-comm`
-    /// escape hatch and by tests that want plain allocation semantics.
+    /// A pool-less buffer wrapping `vec` — used by the
+    /// `StapConfig::copy_comm` oracle and by tests that want plain
+    /// allocation semantics.
     pub fn detached(vec: Vec<T>) -> Self {
         Self { buf: vec, pool: Weak::new() }
-    }
-
-    /// True when this buffer recycles into a live pool on drop.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.strong_count() > 0
-    }
-
-    /// Consumes the guard, detaching the storage from the pool (it will
-    /// not be recycled).
-    pub fn into_vec(mut self) -> Vec<T> {
-        // Steal the buffer so Drop sees an empty, capacity-0 vec, which
-        // recycles to nothing.
-        std::mem::take(&mut self.buf)
     }
 
     /// Freezes into a refcounted, cheaply clonable read-only slab; the
@@ -433,8 +421,9 @@ mod tests {
         let v = pool.take_copy(&[1.0, 2.0, 3.0]);
         let w = v.clone();
         assert_eq!(*v, *w);
-        assert!(w.is_pooled());
         assert_eq!(pool.stats().takes, 2);
+        drop(w);
+        assert_eq!(pool.free_buffers(), 1, "the clone recycles into the same pool");
     }
 
     #[test]
@@ -444,8 +433,7 @@ mod tests {
         assert_eq!(pool.stats().takes, 0);
         assert_eq!(pool.free_buffers(), 0);
         let v = PoolVec::detached(vec![2.0; 4]);
-        assert!(!v.is_pooled());
-        assert_eq!(v.clone().into_vec(), vec![2.0; 4]);
+        assert_eq!(*v.clone(), *v);
     }
 
     #[test]

@@ -32,7 +32,6 @@ use stap_model::tasktable::task_table;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::timing::extent_service;
 use stap_pfs::FaultWindow;
-use stap_pipeline::timing::{Phase, Span};
 use std::collections::HashMap;
 
 /// How a task's instance duration is determined.
@@ -910,64 +909,6 @@ pub fn render_gantt(result: &DesResult, trace: &[TraceEntry], max_time: f64) -> 
     s
 }
 
-/// Converts a traced virtual-time run into the same span format the real
-/// pipeline's tracer emits: each task instance's interval is split into
-/// Read → Recv → Compute → Send spans in pipeline order, proportionally to
-/// the task's predicted [`PhaseBreakdown`]. A task with an all-zero
-/// breakdown yields a single Compute span covering the whole interval.
-///
-/// The spans feed the same exporters as measured runs, so a DES prediction
-/// can be opened in the Chrome trace viewer or tabulated next to a real
-/// trace (`node` is always 0: the simulator models each task's node group
-/// as one lane).
-pub fn des_spans(result: &DesResult, trace: &[TraceEntry]) -> Vec<Span> {
-    const ORDER: [Phase; 4] = [Phase::Read, Phase::Recv, Phase::Compute, Phase::Send];
-    let mut spans = Vec::with_capacity(trace.len() * 2);
-    for e in trace {
-        let Some(row) = result.tasks.get(e.task) else { continue };
-        let b = row.phases;
-        let weights = [b.read, b.recv, b.compute, b.send];
-        let total: f64 = weights.iter().sum();
-        let len = e.end - e.start;
-        if total <= 0.0 || len <= 0.0 {
-            spans.push(Span {
-                stage: e.task,
-                node: 0,
-                cpi: e.cpi,
-                attempt: 0,
-                phase: Phase::Compute,
-                start: e.start,
-                end: e.end,
-            });
-            continue;
-        }
-        let mut cursor = e.start;
-        for (k, (&phase, &wgt)) in ORDER.iter().zip(&weights).enumerate() {
-            if wgt <= 0.0 {
-                continue;
-            }
-            // The last non-empty phase absorbs rounding so spans tile the
-            // instance interval exactly.
-            let end = if weights[k + 1..].iter().all(|&w| w <= 0.0) {
-                e.end
-            } else {
-                cursor + len * wgt / total
-            };
-            spans.push(Span {
-                stage: e.task,
-                node: 0,
-                cpi: e.cpi,
-                attempt: 0,
-                phase,
-                start: cursor,
-                end,
-            });
-            cursor = end;
-        }
-    }
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,33 +1023,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn des_spans_tile_every_traced_instance() {
-        let exp = DesExperiment::new(
-            MachineModel::paragon(16),
-            IoStrategy::SeparateTask,
-            TailStructure::Combined,
-            25,
-        );
-        let (result, trace) = exp.run_traced();
-        let spans = des_spans(&result, &trace);
-        assert!(!spans.is_empty());
-        for e in &trace {
-            let mine: Vec<&Span> =
-                spans.iter().filter(|s| s.stage == e.task && s.cpi == e.cpi).collect();
-            assert!(!mine.is_empty(), "task {} cpi {} has no spans", e.task, e.cpi);
-            // Spans appear in pipeline phase order and tile [start, end].
-            assert_eq!(mine[0].start, e.start);
-            assert_eq!(mine.last().expect("nonempty").end, e.end);
-            for pair in mine.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-                assert!(pair[0].phase.index() < pair[1].phase.index());
-            }
-        }
-        // The read task's spans include a Read phase.
-        assert!(spans.iter().any(|s| s.stage == 0 && s.phase == Phase::Read));
     }
 
     #[test]

@@ -85,24 +85,6 @@ pub fn render_async_ablation() -> String {
     s
 }
 
-/// Sweeps CPI cube size (range gates), showing when the pipeline flips
-/// from compute-bound to I/O-bound on the small stripe factor.
-pub fn sweep_cube_size(range_gates: &[usize], compute_nodes: usize) -> Vec<(usize, DesResult)> {
-    range_gates
-        .iter()
-        .map(|&rg| {
-            let mut exp = DesExperiment::new(
-                MachineModel::paragon(16),
-                IoStrategy::Embedded,
-                TailStructure::Split,
-                compute_nodes,
-            );
-            exp.shape.ranges = rg;
-            (rg, exp.run())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +110,5 @@ mod tests {
     fn async_ablation_shows_overlap_benefit() {
         let (with, without) = async_toggle(100);
         assert!(with.throughput > without.throughput);
-    }
-
-    #[test]
-    fn larger_cubes_push_io_bound() {
-        let sweep = sweep_cube_size(&[256, 512, 1024], 100);
-        // Utilization of the I/O servers rises with cube size.
-        assert!(sweep[2].1.io_utilization >= sweep[0].1.io_utilization);
     }
 }

@@ -166,12 +166,16 @@ pub fn store_cache_report() -> String {
         st.inserts,
         st.evictions
     );
+    // The observed peak depends on how the chunk reads interleave across
+    // threads; the bound and whether the run held it do not. An overshoot
+    // is already a typed error from the footprint meter.
     let ooc_st = ooc_out.store.expect("out-of-core run routes through the tier");
     let (peak, bound) = ooc_st.footprint.expect("out-of-core run meters its scratch");
     let cube = ooc.dims.bytes() as u64;
     let _ = writeln!(
         out,
-        "  ooc footprint: peak {peak} B <= bound {bound} B; cube {cube} B = {:.1}x the bound",
+        "  ooc footprint within the {bound} B bound: {}; cube {cube} B = {:.1}x the bound",
+        if peak <= bound { "yes" } else { "NO" },
         cube as f64 / bound as f64
     );
     let _ = writeln!(out, "The tier is invisible to detections; only where the staging bytes");
@@ -233,7 +237,7 @@ mod tests {
         let r = store_cache_report();
         assert!(r.contains("bit-identical detections: yes"), "parity must hold:\n{r}");
         assert!(r.contains("cache hit-rate:"), "hit-rate line present:\n{r}");
-        assert!(r.contains("ooc footprint: peak"), "footprint line present:\n{r}");
+        assert!(r.contains("B bound: yes;"), "footprint held its bound:\n{r}");
         for io in ["cached:32", "cached:64", "cached:128", "prefetch:2", "prefetch:4"] {
             assert!(r.contains(io), "strategy {io} missing from the sweep:\n{r}");
         }

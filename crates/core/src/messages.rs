@@ -45,24 +45,6 @@ pub enum Payload<T> {
     Gap(Gap),
 }
 
-impl<T> Payload<T> {
-    /// True when this message is a gap bubble.
-    pub fn is_gap(&self) -> bool {
-        matches!(self, Payload::Gap(_))
-    }
-
-    /// Splits into data or the gap that displaced it.
-    ///
-    /// # Errors
-    /// Returns the [`Gap`] when this payload is a bubble.
-    pub fn into_result(self) -> Result<T, Gap> {
-        match self {
-            Payload::Data(d) => Ok(d),
-            Payload::Gap(g) => Err(g),
-        }
-    }
-}
-
 /// Doppler-filtered samples for `bins` over ranges `[r0, r1)`.
 ///
 /// Layout: `data[((bin_idx · staggers + s) · channels + c) · (r1-r0) + r]`.
@@ -138,11 +120,6 @@ impl BinSlab {
     /// Sample lookup.
     pub fn get(&self, bin_idx: usize, s: usize, c: usize, abs_r: usize) -> C32 {
         self.row(bin_idx, s, c)[abs_r - self.r0]
-    }
-
-    /// Number of bytes of sample payload (for I/O accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len() * 8
     }
 }
 
@@ -273,7 +250,8 @@ pub struct RawSlab {
 }
 
 impl RawSlab {
-    /// A slab over a detached byte buffer (tests and `--copy-comm`).
+    /// A slab over a detached byte buffer (tests and
+    /// `StapConfig::copy_comm`).
     pub fn new(r0: usize, r1: usize, bytes: Vec<u8>) -> Self {
         Self { r0, r1, bytes: PoolVec::detached(bytes) }
     }
@@ -471,26 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn payload_bytes_counts_samples() {
-        let cube = tiny_cube(1, 2, 2, 4);
-        let slab = BinSlab::from_cube(&cube, &[0, 1], 0);
-        assert_eq!(slab.payload_bytes(), 2 * 2 * 4 * 8);
-    }
-
-    #[test]
     #[should_panic(expected = "row length")]
     fn row_length_checked() {
         RowBatch::new(4).push(0, 0, &[C32::zero(); 3]);
-    }
-
-    #[test]
-    fn payload_splits_into_data_or_gap() {
-        let d: Payload<u32> = Payload::Data(7);
-        assert!(!d.is_gap());
-        assert_eq!(d.into_result().unwrap(), 7);
-        let gap = Gap { cpi: 3, origin: "Doppler filter".into(), reason: "boom".into() };
-        let g: Payload<u32> = Payload::Gap(gap.clone());
-        assert!(g.is_gap());
-        assert_eq!(g.into_result().unwrap_err(), gap);
     }
 }

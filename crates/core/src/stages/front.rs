@@ -2,7 +2,7 @@
 //! filter task with both I/O designs.
 //!
 //! The front is where CPI files meet the pipeline, so it is also where the
-//! failure policy acts: every CPI read goes through [`read_with_policy`],
+//! failure policy acts: every CPI read goes through `read_with_policy`,
 //! which retries transient faults within the configured budget and — under
 //! `SkipCpi` — converts an exhausted budget into a [`Gap`] bubble instead
 //! of an abort.

@@ -9,7 +9,7 @@ pub mod front;
 pub mod tail;
 
 use crate::config::StapConfig;
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::io_strategy::IoStrategy;
 use crate::messages::{Gap, Payload};
 use parking_lot::Mutex;
 use stap_comm::{PoolVec, SlabPool};
@@ -353,11 +353,6 @@ impl StapPlan {
     /// True when this run uses the separate-I/O-task design.
     pub fn separate_io(&self) -> bool {
         self.config.io == IoStrategy::SeparateTask
-    }
-
-    /// True when the tail is combined.
-    pub fn combined_tail(&self) -> bool {
-        self.config.tail == TailStructure::Combined
     }
 }
 

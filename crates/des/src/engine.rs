@@ -59,11 +59,6 @@ impl<S> Engine<S> {
         self.processed
     }
 
-    /// Events still queued.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Schedules `cb` to fire at absolute time `at`.
     ///
     /// # Panics
@@ -103,19 +98,6 @@ impl<S> Engine<S> {
         while self.step(state) {}
         // Reclaim slot storage between runs.
         self.slots.clear();
-        self.now
-    }
-
-    /// Runs while events exist and the next event time is ≤ `until`.
-    pub fn run_until(&mut self, state: &mut S, until: SimTime) -> SimTime {
-        while let Some(Reverse(key)) = self.heap.peek() {
-            if key.time > until {
-                break;
-            }
-            self.step(state);
-        }
-        // The clock observes the horizon even when no event lands on it.
-        self.now = self.now.max(until);
         self.now
     }
 }
@@ -197,19 +179,6 @@ mod tests {
             e.schedule_at(SimTime::from_millis(5), |_, _| {});
         });
         eng.run(&mut ());
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let mut eng = Engine::<Vec<u32>>::new();
-        let mut log = Vec::new();
-        eng.schedule_at(SimTime::from_millis(10), |_, s| s.push(1));
-        eng.schedule_at(SimTime::from_millis(30), |_, s| s.push(2));
-        eng.run_until(&mut log, SimTime::from_millis(20));
-        assert_eq!(log, vec![1]);
-        assert_eq!(eng.pending(), 1);
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]

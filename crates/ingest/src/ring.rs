@@ -241,11 +241,6 @@ impl CpiRing {
         self.items.notify_all();
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Cubes currently staged.
     pub fn len(&self) -> usize {
         self.lock().buf.len()
@@ -374,7 +369,6 @@ mod tests {
         ring.push(cube(0)).unwrap();
         ring.close();
         ring.reopen();
-        assert!(!ring.is_closed());
         assert!(ring.is_empty());
         assert_eq!(ring.stats().accepted, 0);
         ring.push(cube(9)).unwrap();

@@ -94,15 +94,6 @@ impl DataCube {
         &mut self.data
     }
 
-    /// The pulse train at a fixed (channel, range): one value per pulse.
-    pub fn pulse_train(&self, c: usize, r: usize, out: &mut Vec<C32>) {
-        out.clear();
-        out.reserve(self.dims.pulses);
-        for p in 0..self.dims.pulses {
-            out.push(self.get(p, c, r));
-        }
-    }
-
     /// Serializes to the on-disk layout: little-endian interleaved f32
     /// re/im pairs, in storage order.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -373,21 +364,6 @@ mod tests {
         assert_eq!(bytes.len(), dims.bytes());
         let back = DataCube::from_bytes(dims, &bytes);
         assert_eq!(back, cube);
-    }
-
-    #[test]
-    fn pulse_train_reads_across_pulses() {
-        let dims = CubeDims::new(4, 2, 3);
-        let mut cube = DataCube::zeros(dims);
-        for p in 0..4 {
-            *cube.get_mut(p, 1, 2) = C32::new(p as f32, 0.0);
-        }
-        let mut train = Vec::new();
-        cube.pulse_train(1, 2, &mut train);
-        assert_eq!(train.len(), 4);
-        for (p, z) in train.iter().enumerate() {
-            assert_eq!(*z, C32::new(p as f32, 0.0));
-        }
     }
 
     #[test]

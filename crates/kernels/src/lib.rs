@@ -29,7 +29,6 @@ pub mod doppler;
 pub mod path;
 pub mod pulse;
 pub mod report;
-pub mod tracking;
 pub mod truth;
 pub mod weights;
 
@@ -41,6 +40,5 @@ pub use doppler::{BinClass, DopplerConfig, DopplerFilter};
 pub use path::{KernelPath, SimdLevel};
 pub use pulse::{lfm_chirp, PulseCompressor};
 pub use report::DetectionReport;
-pub use tracking::{Track, TrackState, Tracker, TrackerConfig};
 pub use truth::{TruthError, TruthGate, TruthScore};
 pub use weights::{mdl_rank, WeightComputer, WeightMethod, WeightSet};

@@ -39,7 +39,6 @@ pub struct PulseCompressor {
     replica_spectrum: Vec<C32>,
     plan: FftPlan<f32>,
     fft_len: usize,
-    waveform_len: usize,
 }
 
 impl PulseCompressor {
@@ -55,12 +54,7 @@ impl PulseCompressor {
         for z in &mut spec {
             *z = z.conj();
         }
-        Self { replica_spectrum: spec, plan, fft_len, waveform_len: waveform.len() }
-    }
-
-    /// Length of the waveform replica.
-    pub fn waveform_len(&self) -> usize {
-        self.waveform_len
+        Self { replica_spectrum: spec, plan, fft_len }
     }
 
     /// Compresses one range row in place. `row[r]` becomes the matched-filter
@@ -100,7 +94,7 @@ impl PulseCompressor {
 
     /// Compresses `data` interpreted as consecutive rows of `row_len` gates.
     ///
-    /// The fast path batches [`ROW_BLOCK`] rows per multi-lane panel FFT;
+    /// The fast path batches `ROW_BLOCK` (8) rows per multi-lane panel FFT;
     /// every lane runs the exact scalar butterfly/multiply sequence, so the
     /// output is bit-identical to [`PulseCompressor::compress_row`] per row.
     ///

@@ -59,11 +59,6 @@ impl<T: Scalar> CholeskyFactor<T> {
         &self.l
     }
 
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.l.rows()
-    }
-
     /// Solves `A x = b` using the factorization (`L y = b`, then `Lᴴ x = y`).
     pub fn solve(&self, b: &[Complex<T>]) -> Result<Vec<Complex<T>>, MathError> {
         let y = forward_substitute(&self.l, b)?;
@@ -73,16 +68,6 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// Reconstructs `L·Lᴴ` (mainly for testing/diagnostics).
     pub fn reconstruct(&self) -> CMat<T> {
         self.l.mul(&self.l.hermitian()).expect("L·Lᴴ dims always agree")
-    }
-
-    /// log-determinant of `A`: `2·Σ ln L[i,i]`. Useful for adaptive
-    /// detector normalization and as a conditioning diagnostic.
-    pub fn log_det(&self) -> T {
-        let mut acc = T::ZERO;
-        for i in 0..self.order() {
-            acc += self.l[(i, i)].re.ln();
-        }
-        acc * T::TWO
     }
 }
 
@@ -158,7 +143,6 @@ mod tests {
         for (p, q) in x.iter().zip(b.iter()) {
             assert!((*p - *q).abs() < 1e-14);
         }
-        assert!(ch.log_det().abs() < 1e-14);
     }
 
     #[test]
@@ -172,19 +156,5 @@ mod tests {
     fn non_square_is_rejected() {
         let a = CMat::<f64>::zeros(2, 3);
         assert!(matches!(CholeskyFactor::new(&a), Err(MathError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn log_det_matches_diagonal_product() {
-        let a = {
-            let mut m = CMat::<f64>::identity(3);
-            m[(0, 0)] = C64::from_re(4.0);
-            m[(1, 1)] = C64::from_re(9.0);
-            m[(2, 2)] = C64::from_re(16.0);
-            m
-        };
-        let ch = CholeskyFactor::new(&a).unwrap();
-        let expect = (4.0f64 * 9.0 * 16.0).ln();
-        assert!((ch.log_det() - expect).abs() < 1e-12);
     }
 }

@@ -79,12 +79,6 @@ impl<T: Scalar> Complex<T> {
         self.im.atan2(self.re)
     }
 
-    /// Builds `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// The unit phasor `e^{iθ}`; the workhorse of steering vectors and
     /// FFT twiddle factors.
     #[inline]
@@ -268,13 +262,6 @@ mod tests {
         let b = C64::new(-1.0, 0.5);
         assert!(close(a * b / b, a, 1e-12));
         assert!(close(b.inv() * b, C64::one(), 1e-12));
-    }
-
-    #[test]
-    fn polar_round_trip() {
-        let z = C64::from_polar(2.0, 0.7);
-        assert!((z.abs() - 2.0).abs() < 1e-12);
-        assert!((z.arg() - 0.7).abs() < 1e-12);
     }
 
     #[test]

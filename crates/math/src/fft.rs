@@ -393,21 +393,6 @@ pub fn dft_naive<T: Scalar>(input: &[Complex<T>]) -> Vec<Complex<T>> {
     out
 }
 
-/// Circular convolution of two equal-length power-of-two sequences via FFT.
-pub fn circular_convolve<T: Scalar>(a: &[Complex<T>], b: &[Complex<T>]) -> Vec<Complex<T>> {
-    assert_eq!(a.len(), b.len(), "circular convolution needs equal lengths");
-    let plan = FftPlan::new(a.len());
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    plan.forward(&mut fa);
-    plan.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= *y;
-    }
-    plan.inverse(&mut fa);
-    fa
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,25 +467,6 @@ mod tests {
         plan.forward(&mut buf);
         let freq_energy: f64 = buf.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy.max(1.0));
-    }
-
-    #[test]
-    fn convolution_with_impulse_is_identity() {
-        let n = 32;
-        let sig: Vec<C64> = (0..n).map(|i| C64::new(i as f64, -(i as f64))).collect();
-        let out = circular_convolve(&sig, &impulse(n, 0));
-        assert!(max_err(&out, &sig) < 1e-9);
-    }
-
-    #[test]
-    fn convolution_with_shifted_impulse_rotates() {
-        let n = 8;
-        let sig: Vec<C64> = (0..n).map(|i| C64::from_re(i as f64)).collect();
-        let out = circular_convolve(&sig, &impulse(n, 2));
-        for i in 0..n {
-            let expect = sig[(i + n - 2) % n];
-            assert!((out[i] - expect).abs() < 1e-9);
-        }
     }
 
     #[test]

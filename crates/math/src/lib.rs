@@ -15,9 +15,8 @@
 //! - [`window`]: taper windows (Hann, Hamming, Blackman, Kaiser, ...);
 //! - [`matrix`]: dense row-major complex matrices;
 //! - [`cholesky`]: Hermitian positive-definite factorization and solves;
-//! - [`qr`]: complex Householder QR and least-squares solves;
 //! - [`solve`]: triangular substitution primitives;
-//! - [`stats`]: small statistics and decibel helpers;
+//! - [`stats`]: small statistics helpers;
 //! - [`simd`]: the one cached `std::arch` tier detection.
 //!
 //! # Example
@@ -48,7 +47,6 @@ pub mod complex;
 pub mod eigen;
 pub mod fft;
 pub mod matrix;
-pub mod qr;
 pub mod scalar;
 pub mod simd;
 pub mod solve;
@@ -60,7 +58,6 @@ pub use complex::{Complex, C32, C64};
 pub use eigen::Eigh;
 pub use fft::FftPlan;
 pub use matrix::CMat;
-pub use qr::QrFactor;
 pub use scalar::Scalar;
 pub use simd::SimdLevel;
 

@@ -43,15 +43,6 @@ impl<T: Scalar> CMat<T> {
         Self { rows, cols, data }
     }
 
-    /// Builds a matrix from row-major data.
-    ///
-    /// # Panics
-    /// Panics when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex<T>>) -> Self {
-        assert_eq!(data.len(), rows * cols, "row-major data length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -91,11 +82,6 @@ impl<T: Scalar> CMat<T> {
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn hermitian(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
-    }
-
-    /// Plain transpose `Aᵀ` (no conjugation).
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Matrix-matrix product.
@@ -239,7 +225,11 @@ mod tests {
     use crate::complex::C64;
 
     fn mat(rows: usize, cols: usize, vals: &[(f64, f64)]) -> CMat<f64> {
-        CMat::from_vec(rows, cols, vals.iter().map(|&(r, i)| C64::new(r, i)).collect())
+        assert_eq!(vals.len(), rows * cols);
+        CMat::from_fn(rows, cols, |r, c| {
+            let (re, im) = vals[r * cols + c];
+            C64::new(re, im)
+        })
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         let a = mat(2, 2, &[(1.0, 1.0), (0.0, 2.0), (3.0, 0.0), (1.0, -1.0)]);
         let v = vec![C64::new(1.0, 0.0), C64::new(0.0, 1.0)];
         let got = a.mul_vec(&v).unwrap();
-        let vm = CMat::from_vec(2, 1, v);
+        let vm = CMat::from_fn(2, 1, |r, _| v[r]);
         let expect = a.mul(&vm).unwrap();
         assert_eq!(got[0], expect[(0, 0)]);
         assert_eq!(got[1], expect[(1, 0)]);

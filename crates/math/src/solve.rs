@@ -1,5 +1,4 @@
-//! Triangular-system substitution primitives shared by the Cholesky and QR
-//! solvers.
+//! Triangular-system substitution primitives for the Cholesky solver.
 
 use crate::complex::Complex;
 use crate::matrix::CMat;
@@ -24,32 +23,6 @@ pub fn forward_substitute<T: Scalar>(
             acc -= l[(i, j)] * x[j];
         }
         let d = l[(i, i)];
-        if d.abs() <= T::EPSILON {
-            return Err(MathError::Singular(i));
-        }
-        x[i] = acc / d;
-    }
-    Ok(x)
-}
-
-/// Solves `U x = b` for upper-triangular `U` by backward substitution.
-///
-/// Only the upper triangle (including the diagonal) of `u` is read.
-pub fn backward_substitute<T: Scalar>(
-    u: &CMat<T>,
-    b: &[Complex<T>],
-) -> Result<Vec<Complex<T>>, MathError> {
-    let n = u.rows();
-    if u.cols() != n || b.len() != n {
-        return Err(MathError::DimensionMismatch { got: (u.rows(), u.cols()), expected: (n, n) });
-    }
-    let mut x = vec![Complex::zero(); n];
-    for i in (0..n).rev() {
-        let mut acc = b[i];
-        for j in i + 1..n {
-            acc -= u[(i, j)] * x[j];
-        }
-        let d = u[(i, i)];
         if d.abs() <= T::EPSILON {
             return Err(MathError::Singular(i));
         }
@@ -113,23 +86,12 @@ mod tests {
     }
 
     #[test]
-    fn backward_then_multiply_recovers_rhs() {
-        let u = lower().hermitian(); // upper triangular
-        let b = vec![C64::new(2.0, -1.0), C64::new(1.0, 1.0), C64::new(0.5, 0.0)];
-        let x = backward_substitute(&u, &b).unwrap();
-        let back = u.mul_vec(&x).unwrap();
-        for (p, q) in back.iter().zip(b.iter()) {
-            assert!((*p - *q).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn conj_lower_matches_explicit_hermitian() {
         let l = lower();
         let b = vec![C64::new(1.0, 1.0), C64::new(2.0, 0.0), C64::new(0.0, -1.0)];
-        let via_trick = backward_substitute_conj_lower(&l, &b).unwrap();
-        let via_explicit = backward_substitute(&l.hermitian(), &b).unwrap();
-        for (p, q) in via_trick.iter().zip(via_explicit.iter()) {
+        let x = backward_substitute_conj_lower(&l, &b).unwrap();
+        let back = l.hermitian().mul_vec(&x).unwrap();
+        for (p, q) in back.iter().zip(b.iter()) {
             assert!((*p - *q).abs() < 1e-12);
         }
     }
@@ -147,6 +109,6 @@ mod tests {
         let l = CMat::<f64>::zeros(3, 2);
         assert!(forward_substitute(&l, &[C64::one(); 3]).is_err());
         let sq = CMat::<f64>::identity(3);
-        assert!(backward_substitute(&sq, &[C64::one(); 2]).is_err());
+        assert!(backward_substitute_conj_lower(&sq, &[C64::one(); 2]).is_err());
     }
 }

@@ -1,23 +1,8 @@
-//! Small statistics and decibel helpers used by CFAR thresholds and the
-//! experiment reporting.
+//! Small statistics helpers used by CFAR thresholds and the experiment
+//! reporting.
 
 use crate::complex::Complex;
 use crate::scalar::Scalar;
-
-/// Power ratio to decibels: `10·log10(x)`.
-pub fn db10(x: f64) -> f64 {
-    10.0 * x.log10()
-}
-
-/// Amplitude ratio to decibels: `20·log10(x)`.
-pub fn db20(x: f64) -> f64 {
-    20.0 * x.log10()
-}
-
-/// Decibels (power) back to a linear ratio.
-pub fn from_db10(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -52,28 +37,10 @@ pub fn mean_power<T: Scalar>(zs: &[Complex<T>]) -> f64 {
     zs.iter().map(|z| z.norm_sqr().to_f64()).sum::<f64>() / zs.len() as f64
 }
 
-/// Geometric mean of strictly positive values; 0 if any value is ≤ 0 or the
-/// slice is empty.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::C64;
-
-    #[test]
-    fn db_round_trips() {
-        assert!((db10(100.0) - 20.0).abs() < 1e-12);
-        assert!((db20(10.0) - 20.0).abs() < 1e-12);
-        assert!((from_db10(30.0) - 1000.0).abs() < 1e-9);
-        let x = 3.7;
-        assert!((from_db10(db10(x)) - x).abs() < 1e-12);
-    }
 
     #[test]
     fn mean_and_variance_known_values() {
@@ -94,12 +61,5 @@ mod tests {
     fn mean_power_of_unit_phasors_is_one() {
         let zs: Vec<C64> = (0..8).map(|k| C64::cis(k as f64)).collect();
         assert!((mean_power(&zs) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_values() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[1.0, -1.0]), 0.0);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 }

@@ -60,12 +60,6 @@ impl Window {
             *v = v.scale(c);
         }
     }
-
-    /// Sum of the coefficients (the coherent gain numerator).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let c: Vec<f64> = self.coefficients(n);
-        c.iter().sum::<f64>() / n as f64
-    }
 }
 
 /// Modified Bessel function of the first kind, order zero, by power series.
@@ -153,11 +147,5 @@ mod tests {
     fn degenerate_lengths() {
         assert!(Window::Hann.coefficients::<f64>(0).is_empty());
         assert_eq!(Window::Hann.coefficients::<f64>(1), vec![1.0]);
-    }
-
-    #[test]
-    fn coherent_gain_of_hann_is_half() {
-        let g = Window::Hann.coherent_gain(4096);
-        assert!((g - 0.5).abs() < 1e-3, "gain={g}");
     }
 }

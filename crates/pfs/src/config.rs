@@ -130,11 +130,6 @@ impl FsConfig {
         fs
     }
 
-    /// Aggregate streaming bandwidth with all servers busy.
-    pub fn aggregate_bandwidth(&self) -> f64 {
-        self.server_bandwidth * self.stripe_factor as f64
-    }
-
     /// The current striping choice.
     pub fn stripe(&self) -> StripeConfig {
         StripeConfig { unit: self.stripe_unit, factor: self.stripe_factor }
@@ -213,13 +208,5 @@ mod tests {
     #[should_panic(expected = "stripe factor must be positive")]
     fn zero_stripe_factor_rejected() {
         StripeConfig::new(64 * 1024, 0);
-    }
-
-    #[test]
-    fn aggregate_bandwidth_scales_with_factor() {
-        assert!(
-            FsConfig::paragon_pfs(64).aggregate_bandwidth()
-                > 3.9 * FsConfig::paragon_pfs(16).aggregate_bandwidth() / 1.0001
-        );
     }
 }

@@ -22,8 +22,6 @@ pub enum PfsError {
     /// The file has an injected read fault (testing facility, dm-flakey
     /// style): reads fail until the fault is cleared.
     Faulted(String),
-    /// The file has an injected write fault: writes fail until cleared.
-    WriteFaulted(String),
     /// A scheduled fault from the mounted [`crate::fault::FaultPlan`]
     /// failed this read attempt.
     Injected {
@@ -61,7 +59,7 @@ impl PfsError {
     /// conditions), false for permanent errors (missing file, bad extent,
     /// unsupported operation) where retrying is futile.
     pub fn is_transient(&self) -> bool {
-        matches!(self, PfsError::Faulted(_) | PfsError::WriteFaulted(_) | PfsError::Injected { .. })
+        matches!(self, PfsError::Faulted(_) | PfsError::Injected { .. })
     }
 
     /// True for permanent fleet-level infrastructure loss
@@ -85,7 +83,6 @@ impl fmt::Display for PfsError {
                 write!(f, "asynchronous I/O not supported by this file system")
             }
             PfsError::Faulted(name) => write!(f, "injected read fault on file: {name}"),
-            PfsError::WriteFaulted(name) => write!(f, "injected write fault on file: {name}"),
             PfsError::Injected { file, cpi, attempt, detail } => {
                 write!(f, "injected fault reading {file} (CPI {cpi}, attempt {attempt}): {detail}")
             }
@@ -126,7 +123,6 @@ mod tests {
     #[test]
     fn transience_classification() {
         assert!(PfsError::Faulted("a".into()).is_transient());
-        assert!(PfsError::WriteFaulted("a".into()).is_transient());
         assert!(PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: String::new() }
             .is_transient());
         assert!(!PfsError::NoSuchFile("a".into()).is_transient());

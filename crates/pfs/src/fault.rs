@@ -130,12 +130,6 @@ impl Fault {
             Fault::ServerLoss { from, .. } => FaultWindow { from: *from, until: u64::MAX },
         }
     }
-
-    /// True for permanent fleet-level faults (server loss, node crash):
-    /// their read decisions are terminal, never retryable.
-    pub fn is_fleet_level(&self) -> bool {
-        matches!(self, Fault::ServerLoss { .. } | Fault::NodeCrash { .. })
-    }
 }
 
 /// Which piece of fleet infrastructure a terminal read decision lost.
@@ -543,7 +537,6 @@ mod tests {
             "never recovers, regardless of retries"
         );
         assert!(!fail(&plan.read_decision("x", 5, 0, &[0, 1, 3])), "other servers unaffected");
-        assert!(plan.faults()[0].is_fleet_level());
     }
 
     #[test]
@@ -561,9 +554,6 @@ mod tests {
             "any file, any attempt: the reader node is dead"
         );
         assert!(!fail(&plan.read_decision("a", 4, 0, &[])), "window closed (node replaced)");
-        assert!(plan.faults()[0].is_fleet_level());
-        assert!(!Fault::FileUnavailable { file: "a".into(), window: FaultWindow::always() }
-            .is_fleet_level());
     }
 
     #[test]

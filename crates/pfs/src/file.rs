@@ -18,8 +18,6 @@ struct FileMeta {
     size: AtomicU64,
     /// Injected read-fault flag: reads fail while set (testing facility).
     faulted: std::sync::atomic::AtomicBool,
-    /// Injected write-fault flag: writes fail while set.
-    write_faulted: std::sync::atomic::AtomicBool,
 }
 
 struct Inner {
@@ -93,7 +91,6 @@ impl Pfs {
                     id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
                     size: AtomicU64::new(0),
                     faulted: std::sync::atomic::AtomicBool::new(false),
-                    write_faulted: std::sync::atomic::AtomicBool::new(false),
                 })
             }))
         };
@@ -106,20 +103,6 @@ impl Pfs {
         let meta =
             names.get(name).cloned().ok_or_else(|| PfsError::NoSuchFile(name.to_string()))?;
         Ok(FileHandle { fs: self.clone(), meta, mode, name: name.to_string() })
-    }
-
-    /// Removes a file and frees its stripe units.
-    pub fn unlink(&self, name: &str) -> Result<(), PfsError> {
-        let meta = self
-            .inner
-            .names
-            .write()
-            .remove(name)
-            .ok_or_else(|| PfsError::NoSuchFile(name.to_string()))?;
-        for s in &self.inner.servers {
-            s.remove_file(meta.id);
-        }
-        Ok(())
     }
 
     /// Names currently present.
@@ -146,29 +129,10 @@ impl Pfs {
         self.set_fault(name, false)
     }
 
-    /// Injects a write fault on `name`: every write fails with
-    /// [`PfsError::WriteFaulted`] until [`Pfs::clear_write_fault`] is
-    /// called. Reads are unaffected.
-    pub fn inject_write_fault(&self, name: &str) -> Result<(), PfsError> {
-        self.set_write_fault(name, true)
-    }
-
-    /// Clears an injected write fault.
-    pub fn clear_write_fault(&self, name: &str) -> Result<(), PfsError> {
-        self.set_write_fault(name, false)
-    }
-
     fn set_fault(&self, name: &str, value: bool) -> Result<(), PfsError> {
         let names = self.inner.names.read();
         let meta = names.get(name).ok_or_else(|| PfsError::NoSuchFile(name.to_string()))?;
         meta.faulted.store(value, Ordering::SeqCst);
-        Ok(())
-    }
-
-    fn set_write_fault(&self, name: &str, value: bool) -> Result<(), PfsError> {
-        let names = self.inner.names.read();
-        let meta = names.get(name).ok_or_else(|| PfsError::NoSuchFile(name.to_string()))?;
-        meta.write_faulted.store(value, Ordering::SeqCst);
         Ok(())
     }
 
@@ -178,12 +142,6 @@ impl Pfs {
     /// resets attempt counters.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         *self.inner.fault_plan.write() = Some(Arc::new(plan));
-        self.inner.attempts.lock().clear();
-    }
-
-    /// Removes the installed fault schedule.
-    pub fn clear_fault_plan(&self) {
-        *self.inner.fault_plan.write() = None;
         self.inner.attempts.lock().clear();
     }
 
@@ -237,9 +195,6 @@ impl FileHandle {
 
     /// Positioned write: stripes `data` starting at byte `offset`.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), PfsError> {
-        if self.meta.write_faulted.load(Ordering::SeqCst) {
-            return Err(PfsError::WriteFaulted(self.name.clone()));
-        }
         self.fs.inner.stats.count_write(data.len());
         let inner = &self.fs.inner;
         for req in inner.layout.map_extent(offset, data.len()) {
@@ -436,17 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn unlink_frees_units() {
-        let fs = small_fs(2);
-        let f = fs.gopen("a", OpenMode::Async);
-        f.write_at(0, &[1u8; 64]).unwrap();
-        assert!(fs.server_unit_counts().iter().sum::<usize>() > 0);
-        fs.unlink("a").unwrap();
-        assert_eq!(fs.server_unit_counts().iter().sum::<usize>(), 0);
-        assert!(fs.unlink("a").is_err());
-    }
-
-    #[test]
     fn overwrite_in_place_updates_bytes() {
         let fs = small_fs(2);
         let f = fs.gopen("a", OpenMode::Async);
@@ -484,21 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_write_fault_fails_writes_until_cleared() {
-        let fs = small_fs(2);
-        let f = fs.gopen("a", OpenMode::Async);
-        f.write_at(0, &[1u8; 8]).unwrap();
-        fs.inject_write_fault("a").unwrap();
-        assert!(matches!(f.write_at(0, &[2u8; 8]), Err(PfsError::WriteFaulted(_))));
-        // Reads still work while write-faulted.
-        assert_eq!(f.read_at(0, 8).unwrap(), vec![1u8; 8]);
-        fs.clear_write_fault("a").unwrap();
-        f.write_at(0, &[2u8; 8]).unwrap();
-        assert_eq!(f.read_at(0, 8).unwrap(), vec![2u8; 8]);
-        assert!(fs.inject_write_fault("missing").is_err());
-    }
-
-    #[test]
     fn fault_plan_windows_apply_to_cpi_reads_only() {
         let fs = small_fs(2);
         let f = fs.gopen("a", OpenMode::Async);
@@ -513,7 +442,8 @@ mod tests {
         assert!(f.read_at_cpi(4, 0, 8).is_ok());
         // Plain reads bypass the plan entirely.
         assert!(f.read_at(0, 8).is_ok());
-        fs.clear_fault_plan();
+        // A new plan replaces the old one.
+        fs.install_fault_plan(FaultPlan::new(1));
         assert!(f.read_at_cpi(2, 0, 8).is_ok());
     }
 

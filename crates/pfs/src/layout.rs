@@ -68,11 +68,6 @@ impl StripeLayout {
         }
         out
     }
-
-    /// Number of stripe units needed to hold `size` bytes.
-    pub fn units_for(&self, size: u64) -> u64 {
-        size.div_ceil(self.stripe_unit as u64)
-    }
 }
 
 #[cfg(test)]
@@ -146,20 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn units_for_rounds_up() {
-        let l = StripeLayout::new(1000, 2);
-        assert_eq!(l.units_for(0), 0);
-        assert_eq!(l.units_for(1), 1);
-        assert_eq!(l.units_for(1000), 1);
-        assert_eq!(l.units_for(1001), 2);
-    }
-
-    #[test]
     fn paper_file_is_256_units() {
         // 16 MiB file, 64 KiB units → 256 stripe units, "distributed across
         // all stripe directories in all the parallel file systems".
         let l = StripeLayout::new(64 * 1024, 64);
-        assert_eq!(l.units_for(16 * 1024 * 1024), 256);
+        assert_eq!(l.map_extent(0, 16 * 1024 * 1024).len(), 256);
     }
 
     #[test]

@@ -5,12 +5,6 @@
 //! round-robin; range gates are dealt to I/O and Doppler nodes in blocks.
 //! All scheduling happens *across* nodes, in the stage-to-node map.
 
-/// Owner of item `i` under round-robin distribution over `nodes` nodes.
-pub fn round_robin_owner(item: usize, nodes: usize) -> usize {
-    assert!(nodes > 0, "need at least one node");
-    item % nodes
-}
-
 /// The items (out of `total`) owned by `local` under round-robin
 /// distribution over `nodes`.
 pub fn round_robin_items(total: usize, nodes: usize, local: usize) -> Vec<usize> {
@@ -43,7 +37,7 @@ mod tests {
             for i in round_robin_items(total, nodes, local) {
                 assert!(!seen[i], "item {i} assigned twice");
                 seen[i] = true;
-                assert_eq!(round_robin_owner(i, nodes), local);
+                assert_eq!(i % nodes, local);
             }
         }
         assert!(seen.iter().all(|&s| s));

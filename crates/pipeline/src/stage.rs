@@ -32,11 +32,6 @@ impl<'a> StageCtx<'a> {
         self.topology.group(s)
     }
 
-    /// Number of nodes in this stage.
-    pub fn stage_nodes(&self) -> usize {
-        self.topology.stage(self.stage).nodes
-    }
-
     /// Enters a timing phase; the previous phase closes automatically on
     /// the same clock observation, so consecutive phases tile the
     /// interval with no gap.

@@ -11,8 +11,8 @@
 //! Chrome-trace exporter and the per-stage metrics registry.
 
 use crate::topology::{StageId, Topology};
+use stap_trace::MetricsRegistry;
 pub use stap_trace::{CpiRecord, Phase, Span, StageTracer};
-use stap_trace::{MetricsRegistry, PhaseStats};
 
 /// All timing from one pipeline run.
 #[derive(Debug, Clone)]
@@ -74,12 +74,6 @@ impl PipelineReport {
     /// Renders the paper-style per-stage phase table from the registry.
     pub fn phase_table_text(&self) -> String {
         self.registry().render_text()
-    }
-
-    /// Aggregated stats for one (stage, phase), if any spans were
-    /// recorded.
-    pub fn phase_stats(&self, stage: StageId, phase: Phase) -> Option<PhaseStats> {
-        self.registry().stats(stage.0, phase).copied()
     }
 
     /// Mean task execution time `T_i`: for each steady CPI the slowest node
@@ -276,7 +270,7 @@ mod tests {
             end: 1.0,
         }];
         let r = PipelineReport::new(&t, vec![vec![rec(0, 0.0, 1.0)]], spans, 1, 0);
-        assert_eq!(r.phase_stats(StageId(0), Phase::Compute).unwrap().count, 1);
+        assert_eq!(r.registry().stats(0, Phase::Compute).unwrap().count, 1);
         let table = r.phase_table_text();
         assert!(table.contains("compute"));
         stap_trace::json::validate_chrome_trace(&r.chrome_trace()).unwrap();

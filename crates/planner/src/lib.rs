@@ -12,17 +12,18 @@
 //!
 //! Three layers:
 //!
-//! 1. **Candidate generation** ([`search`], internal): per (machine, I/O
-//!    design, tail structure), a bounded bi-criteria dynamic program over
-//!    per-task node assignments. Labels carry admissible lower bounds on
-//!    the bottleneck `max_i T_i` (Eq. 1/3) and the latency-path sum
-//!    (Eq. 2/4); dominance and a beam bound prune the exponential space to
-//!    `O(stages × budget × beam)` labels.
+//! 1. **Candidate generation** (the internal `search` module): per
+//!    (machine, I/O design, tail structure), a bounded bi-criteria dynamic
+//!    program over per-task node assignments. Labels carry admissible lower
+//!    bounds on the bottleneck `max_i T_i` (Eq. 1/3) and the latency-path
+//!    sum (Eq. 2/4); dominance and a beam bound prune the exponential space
+//!    to `O(stages × budget × beam)` labels.
 //! 2. **Two-stage evaluation** ([`evaluate`]): exact analytic scoring of
 //!    every candidate (plus the seed proportional heuristic), one global
 //!    Pareto cut, then DES validation of the survivors only.
-//! 3. **Reporting** ([`plan`] types, [`report`]): [`Plan`]/[`SearchReport`]
-//!    with per-candidate [`Outcome`] provenance, a text table, and JSON.
+//! 3. **Reporting** ([`plan`](mod@plan) types, [`report`]):
+//!    [`Plan`]/[`SearchReport`] with per-candidate [`Outcome`] provenance, a
+//!    text table, and JSON.
 //!
 //! With a fault rate ([`PlannerConfig::with_fault_rate`]) the search turns
 //! **tri-criteria**: each candidate is expanded with a redundancy menu

@@ -13,7 +13,7 @@
 //! - **replicated** (`spares` warm standbys): the mission survives up to
 //!   `spares` crashes — survival is the Poisson CDF `P(X ≤ spares)`; each
 //!   promotion stalls the pipeline for
-//!   [`REPLICA_PROMOTE_PERIODS`](stap_core::desmodel::REPLICA_PROMOTE_PERIODS)
+//!   [`REPLICA_PROMOTE_PERIODS`]
 //!   source periods, and each spare is a real node admission must reserve.
 //! - **checkpointed** (interval `k`): every crash is recoverable —
 //!   survival is 1 — but the mission pays a steady checkpoint tax

@@ -79,14 +79,6 @@ pub struct Motion {
     pub jammers: Vec<JammerDrift>,
 }
 
-impl Motion {
-    /// True when nothing moves (every cube sees the static scene).
-    pub fn is_static(&self) -> bool {
-        self.targets.iter().all(|t| *t == TargetDrift::default())
-            && self.jammers.iter().all(|j| *j == JammerDrift::default())
-    }
-}
-
 /// Streaming generator of successive CPI cubes for one scene.
 #[derive(Debug)]
 pub struct CubeGenerator {
@@ -109,13 +101,6 @@ impl CubeGenerator {
             cpi: 0,
             motion: Motion::default(),
         }
-    }
-
-    /// Attaches per-target kinematics (indexed like `Scene::targets`;
-    /// missing entries mean stationary). Builder style.
-    pub fn with_drift(mut self, drift: Vec<TargetDrift>) -> Self {
-        self.motion.targets = drift;
-        self
     }
 
     /// Attaches full scene kinematics (target and jammer motion). Builder
@@ -343,8 +328,10 @@ mod tests {
             noise_power: 0.01,
             ..Default::default()
         };
-        let mut g = CubeGenerator::new(dims(), scene, 1, 6)
-            .with_drift(vec![TargetDrift { gates_per_cpi: 3.0, doppler_per_cpi: 0.0 }]);
+        let mut g = CubeGenerator::new(dims(), scene, 1, 6).with_motion(Motion {
+            targets: vec![TargetDrift { gates_per_cpi: 3.0, doppler_per_cpi: 0.0 }],
+            ..Default::default()
+        });
         for cpi in 0..4u64 {
             let cube = g.next_cube();
             let powers: Vec<f64> = (0..64)
@@ -362,8 +349,10 @@ mod tests {
             noise_power: 0.01,
             ..Default::default()
         };
-        let mut g = CubeGenerator::new(dims(), scene, 1, 6)
-            .with_drift(vec![TargetDrift { gates_per_cpi: 100.0, doppler_per_cpi: 0.0 }]);
+        let mut g = CubeGenerator::new(dims(), scene, 1, 6).with_motion(Motion {
+            targets: vec![TargetDrift { gates_per_cpi: 100.0, doppler_per_cpi: 0.0 }],
+            ..Default::default()
+        });
         let _ = g.next_cube(); // cpi 0 at gate 60
         let cube = g.next_cube(); // cpi 1 would be gate 160 → clamps to 63
         assert!(cube.get(0, 0, 63).norm_sqr() > 1.0);
@@ -380,8 +369,10 @@ mod tests {
             ..Default::default()
         };
         // Only the first target moves.
-        let mut g = CubeGenerator::new(dims(), scene, 1, 7)
-            .with_drift(vec![TargetDrift { gates_per_cpi: 5.0, doppler_per_cpi: 0.0 }]);
+        let mut g = CubeGenerator::new(dims(), scene, 1, 7).with_motion(Motion {
+            targets: vec![TargetDrift { gates_per_cpi: 5.0, doppler_per_cpi: 0.0 }],
+            ..Default::default()
+        });
         let _ = g.next_cube();
         let cube = g.next_cube();
         assert!(cube.get(0, 0, 10).norm_sqr() > 1.0, "moved target at 10");
@@ -477,8 +468,6 @@ mod tests {
         let j = JammerDrift { spatial_per_cpi: -0.05, blink_period: 4, blink_duty: 2 };
         assert!(j.is_on(0) && j.is_on(1) && !j.is_on(2) && !j.is_on(3) && j.is_on(4));
         assert!((j.spatial_at(0.3, 2) - 0.2).abs() < 1e-12);
-        assert!(Motion::default().is_static());
-        assert!(!Motion { targets: vec![d], ..Default::default() }.is_static());
     }
 
     #[test]

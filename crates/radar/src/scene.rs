@@ -94,18 +94,6 @@ impl Scene {
             noise_power: 1.0,
         }
     }
-
-    /// Adds a target, builder style.
-    pub fn with_target(mut self, t: Target) -> Self {
-        self.targets.push(t);
-        self
-    }
-
-    /// Adds a jammer, builder style.
-    pub fn with_jammer(mut self, j: Jammer) -> Self {
-        self.jammers.push(j);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -119,15 +107,6 @@ mod tests {
         assert!(s.jammers.is_empty());
         assert!(s.clutter.is_none());
         assert_eq!(s.noise_power, 1.0);
-    }
-
-    #[test]
-    fn builders_accumulate() {
-        let s = Scene::noise_only()
-            .with_target(Target { range_gate: 1, doppler: 0.1, spatial_freq: 0.0, snr_db: 10.0 })
-            .with_jammer(Jammer { spatial_freq: 0.2, jnr_db: 20.0 });
-        assert_eq!(s.targets.len(), 1);
-        assert_eq!(s.jammers.len(), 1);
     }
 
     #[test]

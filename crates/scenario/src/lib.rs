@@ -7,11 +7,11 @@
 //! system runs under each I/O strategy; this crate answers *whether the
 //! answers are right*. It provides:
 //!
-//! - [`catalog`] — a library of named, seeded, deterministic scenarios
+//! - [`catalog`](mod@catalog) — a library of named, seeded, deterministic scenarios
 //!   built from `stap-radar` scenes: maneuvering and crossing targets,
 //!   moving and blinking jammers, clutter-ridge variants, PRF and
 //!   array-geometry sweep points — each with ground truth attached;
-//! - [`evaluate`] — a detection-quality evaluator that runs the **real
+//! - [`evaluate`](mod@evaluate) — a detection-quality evaluator that runs the **real
 //!   seven-task pipeline** (file- or stream-fed) over a scenario and
 //!   measures Pd/Pfa via truth-matched CFAR detections, SINR loss against
 //!   optimal weights, and the angle-Doppler surface the CFAR stage

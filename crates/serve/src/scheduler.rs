@@ -27,7 +27,7 @@ pub struct ServeConfig {
     /// Total staging-tier capacity in cubes, shared by all concurrently
     /// running stream missions' rings. A stream mission asking for a deeper
     /// ring than this is rejected
-    /// ([`AdmissionError::StagingExceeded`](crate::mission::AdmissionError::StagingExceeded));
+    /// ([`AdmissionError::StagingExceeded`]);
     /// one that fits waits in the queue until enough staging frees up.
     pub staging_capacity: usize,
     /// Injected fleet fault: a permanent stripe-server loss every file-fed
@@ -443,13 +443,6 @@ impl Scheduler {
         self.counters
     }
 
-    /// Read-contention multiplier a plan would currently see (co-location
-    /// on its busiest surviving stripe server, stretched by any lost
-    /// directories' share).
-    pub fn contention_for(&self, stripe_factor: usize) -> f64 {
-        self.stripes.contended_read_estimate(1.0, stripe_factor)
-    }
-
     /// The mission-conservation invariant:
     /// `submitted == rejected + cancelled + completed + failed + queued + running`.
     pub fn conserves(&self) -> bool {
@@ -632,10 +625,10 @@ mod tests {
         let mut s = Scheduler::new(small_cfg());
         s.submit(spec("a", 25, 0), 0.0).unwrap();
         let before = s.next_ready(0.0).expect("a dispatches").plan;
-        let healthy = s.contention_for(64);
+        let healthy = s.stripes.contended_read_estimate(1.0, 64);
         s.mark_server_lost(0);
         assert!(
-            s.contention_for(64) > healthy,
+            s.stripes.contended_read_estimate(1.0, 64) > healthy,
             "survivors absorb the lost directory's share of reads"
         );
         s.submit(spec("b", 25, 0), 1.0).unwrap();

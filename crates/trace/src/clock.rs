@@ -86,11 +86,6 @@ impl ClockSpec {
         ClockSpec::Virtual { tick: 1e-3 }
     }
 
-    /// True when timestamps are deterministic.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, ClockSpec::Virtual { .. })
-    }
-
     /// Builds the clock for one node's tracer. `epoch` is the run epoch
     /// (ignored by virtual clocks).
     pub fn clock(&self, epoch: Instant) -> Box<dyn TraceClock> {
@@ -125,8 +120,6 @@ mod tests {
 
     #[test]
     fn spec_builds_the_right_clock() {
-        assert!(!ClockSpec::Wall.is_virtual());
-        assert!(ClockSpec::virtual_default().is_virtual());
         let mut v = ClockSpec::Virtual { tick: 2.0 }.clock(Instant::now());
         assert_eq!(v.now(), 0.0);
         assert_eq!(v.now(), 2.0);

@@ -191,11 +191,6 @@ impl StageTracer {
         self.stage
     }
 
-    /// Node index of this track.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Reads the tracer's clock (one observation).
     pub fn now(&mut self) -> f64 {
         self.clock.now()

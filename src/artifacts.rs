@@ -4,8 +4,7 @@
 //! regenerates the evaluation; `tests/results_pinned.rs` holds the names to
 //! the `results/*.txt` stems and the virtual-time rows to the committed
 //! bytes. `ingest_backpressure` and `phase_breakdown` time real runs on the
-//! wall clock, and `store_cache`'s out-of-core peak depends on thread
-//! scheduling; every other row is deterministic.
+//! wall clock; every other row is deterministic.
 
 use stap_core::experiments::degradation::{
     fault_degradation, recoverable_degradation, render_degradation,

@@ -8,7 +8,7 @@
 //! bit-identical to the file-staged sequence — the property that makes
 //! `--source stream` interchangeable with the paper's staging files.
 
-use ppstap::ingest::{BackpressurePolicy, CpiRing, Frontend, FrontendConfig};
+use ppstap::ingest::{BackpressurePolicy, CpiRing, Frontend, FrontendConfig, StampedCube};
 use ppstap::kernels::cube::CubeDims;
 use ppstap::radar::{CubeGenerator, Scene};
 use proptest::prelude::*;
@@ -170,4 +170,105 @@ fn stream_runs_attribute_staging_to_the_ingest_phase() {
         "stream runs pull from the staging ring"
     );
     assert_eq!(keys(&file_out), keys(&stream_out), "bit-equal detection records");
+}
+
+/// Runs `case` on its own thread and fails the test if it has not finished
+/// within `limit`, closing `ring` first so parked threads can unwind.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    ring: &CpiRing,
+    case: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(case());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(out) => {
+            worker.join().expect("the case returned, so its thread exits cleanly");
+            out
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            ring.close();
+            panic!("ring case hung past {limit:?}");
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the case panicked"))
+        }
+    }
+}
+
+/// Several producers push disjoint sequence ranges while several consumers
+/// pop until the ring closes. Returns every popped seq.
+fn contend(ring: &CpiRing, producers: u64, consumers: usize, per_producer: u64) -> Vec<u64> {
+    // Every thread starts at once, so pushes and pops contend from the first.
+    let start = std::sync::Barrier::new(producers as usize + consumers);
+    std::thread::scope(|s| {
+        let pushers: Vec<_> = (0..producers)
+            .map(|p| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for seq in p * per_producer..(p + 1) * per_producer {
+                        let bytes = Arc::new(seq.to_le_bytes().to_vec());
+                        ring.push(StampedCube { seq, bytes })
+                            .expect("ring stays open while producing");
+                    }
+                })
+            })
+            .collect();
+        let poppers: Vec<_> = (0..consumers)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let mut seqs = Vec::new();
+                    while let Ok((cube, _lag)) = ring.pop() {
+                        assert_eq!(
+                            cube.bytes[..],
+                            cube.seq.to_le_bytes(),
+                            "bytes travel with their seq"
+                        );
+                        seqs.push(cube.seq);
+                    }
+                    seqs
+                })
+            })
+            .collect();
+        for p in pushers {
+            p.join().expect("producer panicked");
+        }
+        ring.close();
+        poppers.into_iter().flat_map(|c| c.join().expect("consumer panicked")).collect()
+    })
+}
+
+/// Three producers and three consumers on one ring. Under `block`, every
+/// pushed seq is popped exactly once; under `drop-oldest`, nothing is popped
+/// twice and the ring's counters conserve. Each case is bounded by a join
+/// timeout, so a lost wake-up fails the test instead of stalling it.
+#[test]
+fn ring_survives_many_producers_and_consumers() {
+    const PRODUCERS: u64 = 3;
+    const PER_PRODUCER: u64 = 2000;
+    for capacity in [1usize, 4] {
+        for policy in [BackpressurePolicy::Block, BackpressurePolicy::DropOldest] {
+            let ring = Arc::new(CpiRing::new("stress", capacity, policy));
+            let shared = Arc::clone(&ring);
+            let mut seqs = within(Duration::from_secs(60), &ring, move || {
+                contend(&shared, PRODUCERS, 3, PER_PRODUCER)
+            });
+            let stats = ring.stats();
+            assert!(stats.conserves(), "{policy:?} cap {capacity}: {stats:?}");
+            assert_eq!(stats.accepted, PRODUCERS * PER_PRODUCER, "{policy:?}: every push admitted");
+            assert_eq!(stats.delivered, seqs.len() as u64);
+            seqs.sort_unstable();
+            let popped = seqs.len();
+            seqs.dedup();
+            assert_eq!(seqs.len(), popped, "{policy:?} cap {capacity}: a seq was popped twice");
+            if policy == BackpressurePolicy::Block {
+                assert_eq!(seqs, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
+                assert_eq!(stats.dropped, 0);
+            }
+        }
+    }
 }

@@ -157,3 +157,62 @@ proptest! {
         }
     }
 }
+
+/// Eight threads hammer one cache with lookups and inserts over a key space
+/// four times its capacity. Every hit returns the bytes inserted under that
+/// key, and the counters conserve once the threads have joined.
+#[test]
+fn read_cache_holds_its_laws_under_eight_threads() {
+    use ppstap::store::{CacheKey, ReadCache};
+
+    const THREADS: u64 = 8;
+    const OPS: u64 = 4000;
+    const KEYS: usize = 64;
+    const EXTENT: usize = 64;
+    // Room for a quarter of the key space, so evictions are constant.
+    let cache = ReadCache::new(KEYS / 4 * EXTENT);
+    let bytes_of = |slot: usize| -> Vec<u8> {
+        (0..EXTENT).map(|i| (slot.wrapping_mul(131) + i) as u8).collect()
+    };
+    // Every thread starts at once, so lookups and inserts contend from the
+    // first.
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let lookups: u64 = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cache, start) = (&cache, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ t;
+                    let mut issued = 0u64;
+                    for _ in 0..OPS {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let slot = (state >> 33) as usize % KEYS;
+                        let key = CacheKey { slot, offset: 0, len: EXTENT };
+                        issued += 1;
+                        match cache.lookup(&key) {
+                            Some(hit) => {
+                                assert_eq!(*hit, bytes_of(slot), "slot {slot} served foreign bytes")
+                            }
+                            None => cache.insert(key, Arc::new(bytes_of(slot)), false),
+                        }
+                    }
+                    issued
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panicked")).sum()
+    });
+    let (hits, misses, inserts, evictions, _) = cache.stats().snapshot();
+    assert_eq!(hits + misses, lookups, "every lookup is exactly one hit or one miss");
+    assert!(evictions <= inserts, "evicted {evictions} of {inserts} inserts");
+    assert!(evictions > 0, "a key space four times the capacity must evict");
+    assert!(
+        cache.bytes() <= cache.capacity(),
+        "{} B resident over a {} B budget",
+        cache.bytes(),
+        cache.capacity()
+    );
+}
