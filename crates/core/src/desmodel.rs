@@ -20,38 +20,59 @@
 //! ([`stap_model::tasktable`]), and each stripe-unit request's service time
 //! from [`stap_pfs::timing::extent_service`]. What lives here is the
 //! event-level behaviour — when a read is posted, what it overlaps, what a
-//! fault does to a CPI — in `SimState::duration`.
+//! fault does to a CPI — in [`read_step`] (which the fleet simulator in
+//! `stap-serve` calls too) and `SimState::duration`.
 
 use crate::io_strategy::{IoStrategy, TailStructure};
 use stap_des::{Engine, FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
 use stap_model::assignment::assign_nodes;
-use stap_model::cachetier::{CacheTierModel, STAGING_FANOUT};
+use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
-use stap_model::tasktable::task_table;
+use stap_model::tasktable::{task_table, ReadTerm};
+use stap_model::tasktime::TaskCosts;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::timing::extent_service;
 use stap_pfs::FaultWindow;
 use std::collections::HashMap;
 
-/// How a task's instance duration is determined.
-#[derive(Debug, Clone, Copy)]
-enum DurKind {
-    /// Constant `T_i` (compute + comm + overhead), seconds.
-    Fixed(f64),
-    /// Embedded read in the Doppler task: read + compute(+send+overhead),
-    /// with async overlap when the file system allows it. A storage-tier
-    /// cache, when present, serves warm reads from server memory (no
-    /// stripe-server submission) and overlaps cold misses with compute
-    /// regardless of client `iread` support — the read-ahead is issued by
-    /// the I/O servers.
-    ReadEmbedded {
-        compute: f64,
-        send: f64,
-        overhead: f64,
-        overlap: bool,
-        cache: Option<CacheTierModel>,
-    },
+/// Duration of the read-bearing task's instance for CPI `cpi`, starting at
+/// `t0`: read plus compute, send and overhead from `costs` (its receive
+/// side is empty). `post(at)` posts the CPI's read at virtual time `at` and
+/// returns when the read completes; it is not called on a warm-cache hit.
+///
+/// - A warm storage-tier cache (one pass through the round-robin staging
+///   files has filled a cache that holds the working set) serves the cube
+///   at copy bandwidth; the stripe servers stay idle.
+/// - A cold miss behind the tier is posted when the previous instance
+///   started (`prev_start`): the server-side prefetcher overlaps it with
+///   compute even without client `iread`, and the cube still crosses the
+///   cache copy on its way up.
+/// - Without a tier, `iread` posts at the previous start too and overlaps
+///   the read with compute; a synchronous read is posted at `t0` and
+///   compute waits for it.
+pub fn read_step(
+    costs: &TaskCosts,
+    read: &ReadTerm,
+    cpi: u64,
+    t0: SimTime,
+    prev_start: Option<SimTime>,
+    post: impl FnOnce(SimTime) -> SimTime,
+) -> SimTime {
+    let TaskCosts { compute, send, overhead, .. } = *costs;
+    let work = match read.cache {
+        Some(c) if c.warm && cpi >= STAGING_FANOUT as u64 => {
+            return SimTime::from_secs_f64(c.hit_time + compute + send + overhead);
+        }
+        Some(c) => {
+            post(prev_start.unwrap_or(t0)).max(t0 + SimTime::from_secs_f64(c.hit_time + compute))
+        }
+        None if read.overlap => {
+            post(prev_start.unwrap_or(t0)).max(t0 + SimTime::from_secs_f64(compute))
+        }
+        None => post(t0).max(t0) + SimTime::from_secs_f64(compute),
+    };
+    work.saturating_sub(t0) + SimTime::from_secs_f64(send + overhead)
 }
 
 /// Predicted per-phase seconds of one task instance, in pipeline order
@@ -85,7 +106,10 @@ struct SimTask {
     /// (combined tail reports as `PulseCompression`).
     id: TaskId,
     nodes: usize,
-    dur: DurKind,
+    /// Eq. 6 costs: a task without a read term runs for their total `T_i`.
+    costs: TaskCosts,
+    /// The read term of the read-bearing task, run through [`read_step`].
+    read: Option<ReadTerm>,
     /// Predicted phase split of one instance (steady state, fault-free).
     phases: PhaseBreakdown,
     /// Spatial predecessors (same CPI), indices into the task vector.
@@ -583,44 +607,13 @@ impl SimState {
             if i == self.source_idx {
                 return SimTime::from_secs_f64(fault.extra);
             }
-            let nominal = match self.tasks[i].dur {
-                DurKind::Fixed(secs) => secs,
-                DurKind::ReadEmbedded { compute, send, overhead, .. } => compute + send + overhead,
-            };
-            return SimTime::from_secs_f64(GAP_FORWARD_FRACTION * nominal);
+            return SimTime::from_secs_f64(GAP_FORWARD_FRACTION * self.tasks[i].costs.total());
         }
-        let base = match self.tasks[i].dur {
-            DurKind::Fixed(secs) => SimTime::from_secs_f64(secs),
-            DurKind::ReadEmbedded { compute, send, overhead, overlap, cache: Some(c) } => {
-                let _ = overlap; // the store tier forces server-side overlap
-                if c.warm && j >= STAGING_FANOUT as u64 {
-                    // Warm hit (one pass through the round-robin staging
-                    // files has filled a cache that holds the working set):
-                    // the cube comes off the server cache at copy
-                    // bandwidth; the stripe servers stay idle.
-                    SimTime::from_secs_f64(c.hit_time + compute + send + overhead)
-                } else {
-                    // Cold miss: the server-side prefetcher posted the
-                    // read when the previous CPI started, so it overlaps
-                    // compute even without client `iread`; the cube still
-                    // crosses the cache copy on its way up.
-                    let post = self.prev_start[i].unwrap_or(t0);
-                    let read_done = self.read_done(post, j);
-                    let work = read_done.max(t0 + SimTime::from_secs_f64(c.hit_time + compute));
-                    work.saturating_sub(t0) + SimTime::from_secs_f64(send + overhead)
-                }
-            }
-            DurKind::ReadEmbedded { compute, send, overhead, overlap, cache: None } => {
-                let post = if overlap { self.prev_start[i].unwrap_or(t0) } else { t0 };
-                let read_done = self.read_done(post, j);
-                let work = if overlap {
-                    // iread: the read proceeds concurrently with compute.
-                    read_done.max(t0 + SimTime::from_secs_f64(compute))
-                } else {
-                    // Synchronous read, then compute.
-                    read_done.max(t0) + SimTime::from_secs_f64(compute)
-                };
-                work.saturating_sub(t0) + SimTime::from_secs_f64(send + overhead)
+        let (costs, prev_start) = (self.tasks[i].costs, self.prev_start[i]);
+        let base = match self.tasks[i].read {
+            None => SimTime::from_secs_f64(costs.total()),
+            Some(read) => {
+                read_step(&costs, &read, j, t0, prev_start, |post| self.read_done(post, j))
             }
         };
         if i == self.source_idx && fault.extra > 0.0 {
@@ -726,30 +719,18 @@ impl DesExperiment {
             .into_iter()
             .map(|row| {
                 let c = row.costs;
-                let (dur, read) = match row.read {
-                    None => (DurKind::Fixed(c.total()), 0.0),
-                    Some(r) => (
-                        DurKind::ReadEmbedded {
-                            compute: c.compute,
-                            send: c.send,
-                            overhead: c.overhead,
-                            overlap: r.overlap,
-                            cache: r.cache,
-                        },
-                        // The phase split charges the steady-state read: the
-                        // hit time once the cache is warm, the striped read
-                        // otherwise.
-                        match r.cache {
-                            Some(tier) if tier.warm => tier.hit_time,
-                            _ => r.read_time,
-                        },
-                    ),
-                };
+                // The phase split charges the steady-state read: the hit
+                // time once the cache is warm, the striped read otherwise.
+                let read = row.read.map_or(0.0, |r| match r.cache {
+                    Some(tier) if tier.warm => tier.hit_time,
+                    _ => r.read_time,
+                });
                 SimTask {
                     label: row.slot.label.into(),
                     id: row.slot.id,
                     nodes: row.nodes,
-                    dur,
+                    costs: c,
+                    read: row.read,
                     phases: PhaseBreakdown {
                         read,
                         recv: c.recv,

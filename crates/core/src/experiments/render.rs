@@ -18,7 +18,7 @@ pub fn render_table(t: &Table) -> String {
         // Header.
         let _ = write!(out, "{:<16}", "task");
         for m in &machines {
-            let _ = write!(out, "{:>28}", truncate(m, 27));
+            let _ = write!(out, "{m:>28.27}");
         }
         let _ = writeln!(out);
         let _ = write!(out, "{:<16}", "");
@@ -90,7 +90,7 @@ pub fn render_table4(t: &Table4) -> String {
     }
     let _ = writeln!(out);
     for (m, row) in t.machines.iter().zip(&t.improvement_pct) {
-        let _ = write!(out, "{:<30}", truncate(m, 29));
+        let _ = write!(out, "{m:<30.29}");
         for v in row {
             let _ = write!(out, "{:>11.1}%", v);
         }
@@ -156,14 +156,6 @@ fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-fn truncate(s: &str, n: usize) -> &str {
-    if s.len() <= n {
-        s
-    } else {
-        &s[..n]
-    }
-}
-
 /// Renders the `phases` section of a machine-readable run report (see
 /// `StapRunOutput::run_report_json`) back into the paper-style per-stage
 /// phase table, so archived reports can be summarized without re-running.
@@ -202,13 +194,8 @@ pub fn render_phase_report(report_json: &str) -> Result<String, String> {
         let mean = if count > 0.0 { sum / count } else { 0.0 };
         let _ = writeln!(
             out,
-            "{:<16}{:>7}  {:<8}{:>8}{:>12.6}{:>12.6}",
-            truncate(&task, 15),
-            nodes as u64,
-            phase,
-            count as u64,
-            sum,
-            mean
+            "{:<16.15}{:>7}  {:<8}{:>8}{:>12.6}{:>12.6}",
+            task, nodes as u64, phase, count as u64, sum, mean
         );
     }
     Ok(out)
@@ -244,9 +231,9 @@ fn render_mission_rows(rows: &[stap_trace::json::Json]) -> Result<String, String
         };
         let _ = writeln!(
             out,
-            "{:<4}{:<12}{:>4}{:>9.3}{:>9.3}{:>9.3}{:>7}{:>6}  {:<10} {:<30}",
+            "{:<4}{:<12.11}{:>4}{:>9.3}{:>9.3}{:>9.3}{:>7}{:>6}  {:<10} {:<30.30}",
             num_of("mission")? as u64,
-            truncate(&str_of("name")?, 11),
+            str_of("name")?,
             num_of("priority")? as u64,
             num_of("queue_wait")?,
             num_of("end")? - num_of("start")?,
@@ -254,7 +241,7 @@ fn render_mission_rows(rows: &[stap_trace::json::Json]) -> Result<String, String
             num_of("drops")? as u64,
             sla,
             str_of("outcome")?,
-            truncate(&str_of("plan")?, 30),
+            str_of("plan")?,
         );
     }
     Ok(out)
@@ -377,11 +364,19 @@ mod tests {
                  "plan": "sf=64 separate/split n=29", "submit": 0.0, "start": 3.0,
                  "end": 4.0, "queue_wait": 3.0, "read_contention": 1.0,
                  "throughput": 2.2, "latency": 0.40, "drops": 0, "retries": 0,
+                 "sla": null, "outcome": "done"},
+                {"mission": 2, "name": "radar-siteé-north", "priority": 0,
+                 "requested_nodes": 25, "plan": "sf=16 embedded/split n=25", "submit": 0.0,
+                 "start": 4.0, "end": 5.0, "queue_wait": 4.0, "read_contention": 1.0,
+                 "throughput": 2.0, "latency": 0.40, "drops": 0, "retries": 0,
                  "sla": null, "outcome": "done"}
             ]
         }"#;
         let table = render_phase_report(report).expect("valid fleet report");
         assert!(table.contains("alpha") && table.contains("beta"), "{table}");
+        // Names are outside input: the 11-character cut lands after the
+        // two-byte 'é', not inside it.
+        assert!(table.contains("radar-siteé "), "{table}");
         assert!(table.contains("met"), "SLA verdict column: {table}");
         assert!(table.contains("sf=64 embedded/split"), "plan column: {table}");
         assert!(table.contains("queue") || table.contains("wait(s)"), "{table}");

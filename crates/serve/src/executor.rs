@@ -369,10 +369,7 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
             // nodes the mission already holds, and restart it on the
             // surviving stripe directories instead of failing it.
             sched.mark_server_lost(f.server);
-            let surviving = done.plan.stripe_factor.saturating_sub(1).max(1);
-            let plan = sched
-                .degraded_plan(&done.spec, surviving, done.plan.total_nodes)
-                .unwrap_or_else(|| PlanChoice { stripe_factor: surviving, ..done.plan.clone() });
+            let (plan, _) = sched.degraded_plan(done.id);
             let restart = epoch.elapsed().as_secs_f64();
             failovers.insert(
                 done.id,
@@ -435,14 +432,7 @@ fn finish(
         let migrated = done.restriped.map_or(String::new(), |(units, bytes)| {
             format!("; restriped {units} stripe units ({bytes} B) onto the survivors")
         });
-        format!(
-            "stripe server {} lost at CPI {}; re-planned from sf={} onto {} (degraded){}",
-            f.fault.server,
-            f.fault.at_cpi,
-            f.from_sf,
-            done.plan.summary(),
-            migrated
-        )
+        f.fault.failover_note(f.from_sf, &done.plan) + &migrated
     });
     let base = MissionReport {
         id: done.id,

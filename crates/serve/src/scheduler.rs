@@ -9,8 +9,14 @@
 
 use crate::mission::{machine_profile, AdmissionError, MissionSpec, PlanChoice};
 use crate::placement::{NodePool, StripeLoadTracker};
+use stap_des::SimTime;
+use stap_model::assignment::Assignment;
+use stap_model::machines::MachineModel;
+use stap_model::tasktable::{task_table, TaskRow};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
+use stap_pfs::timing::extent_service;
 use stap_planner::PlannerConfig;
+use std::sync::Arc;
 
 /// Fleet-level configuration: pool size, worker bound, queue bound.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +82,17 @@ impl FleetFault {
             )),
         }
     }
+
+    /// What a mission that failed over from stripe factor `from_sf` onto
+    /// `plan` reports (both modes say it alike).
+    pub(crate) fn failover_note(&self, from_sf: usize, plan: &PlanChoice) -> String {
+        format!(
+            "stripe server {} lost at CPI {}; re-planned from sf={from_sf} onto {} (degraded)",
+            self.server,
+            self.at_cpi,
+            plan.summary()
+        )
+    }
 }
 
 /// Mission-conservation counters. At any instant
@@ -97,13 +114,63 @@ pub struct Counters {
     pub failed: u64,
 }
 
-/// A mission admitted and waiting for nodes/workers.
+/// `(stripe directory, total service, stripe-unit reads)`: what one CPI asks
+/// of one directory. The units of a CPI all arrive together and a directory
+/// serves them back to back, so the simulator posts their sum as one job.
+pub(crate) type ReadBatch = (usize, SimTime, u64);
+
+/// Sums `units` per directory, each rounded to the simulator's clock on its
+/// own first: the integer sum is then exactly the time the directory would
+/// spend on them one by one.
+fn batch_reads(units: &[(usize, f64)]) -> Vec<ReadBatch> {
+    let dirs = units.iter().map(|&(dir, _)| dir + 1).max().unwrap_or(0);
+    let mut batches: Vec<ReadBatch> = (0..dirs).map(|dir| (dir, SimTime::ZERO, 0)).collect();
+    for &(dir, svc) in units {
+        batches[dir].1 += SimTime::from_secs_f64(svc);
+        batches[dir].2 += 1;
+    }
+    batches.retain(|b| b.2 > 0);
+    batches
+}
+
+/// One CPI of a plan, priced once per plan-cache entry for the capacity
+/// model: the plan's task-table rows and one CPI file's stripe-unit reads,
+/// both on the mission's machine restriped to the plan's stripe factor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanCost {
+    /// The plan's task-table rows, pipeline order.
+    pub(crate) rows: Vec<TaskRow>,
+    /// One CPI file's stripe-unit requests in the machine's open mode,
+    /// batched per directory.
+    pub(crate) reads: Vec<ReadBatch>,
+    /// The per-task assignment the rows were priced with.
+    assignment: Assignment,
+}
+
+impl PlanCost {
+    fn price(machine: &MachineModel, plan: &PlanChoice, assignment: Assignment) -> Self {
+        let m = machine.with_stripe_factor(plan.stripe_factor);
+        let shape = ShapeParams::paper_default();
+        Self {
+            rows: task_table(&m, shape, plan.io, plan.tail, &assignment),
+            reads: batch_reads(&extent_service(&m.fs, 0, shape.cube_bytes(), m.open_mode)),
+            assignment,
+        }
+    }
+}
+
+/// A plan from the admission search together with its price.
+type Priced = (PlanChoice, Arc<PlanCost>);
+
+/// An admitted mission: queued until it dispatches, then running (and
+/// holding its plan's nodes and stripes) until it completes.
 #[derive(Debug, Clone)]
-struct Queued {
+struct Admitted {
     id: u64,
     seq: u64,
     spec: MissionSpec,
     plan: PlanChoice,
+    cost: Arc<PlanCost>,
     submit: f64,
 }
 
@@ -116,6 +183,8 @@ pub struct Dispatch {
     pub spec: MissionSpec,
     /// The admitted plan.
     pub plan: PlanChoice,
+    /// The admitted plan's price.
+    pub(crate) cost: Arc<PlanCost>,
     /// Submission time (fleet-epoch seconds).
     pub submit: f64,
     /// Dispatch time (fleet-epoch seconds).
@@ -125,15 +194,6 @@ pub struct Dispatch {
     pub read_contention: f64,
 }
 
-/// What is currently holding pool resources.
-#[derive(Debug, Clone)]
-struct Running {
-    id: u64,
-    nodes: usize,
-    stripe_factor: usize,
-    staging: usize,
-}
-
 /// The fleet scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -141,20 +201,25 @@ pub struct Scheduler {
     pool: NodePool,
     stripes: StripeLoadTracker,
     workload: StapWorkload,
-    queue: Vec<Queued>,
-    running: Vec<Running>,
+    queue: Vec<Admitted>,
+    running: Vec<Admitted>,
     counters: Counters,
     next_id: u64,
     next_seq: u64,
-    plan_cache: Vec<(PlanKey, PlanChoice)>,
+    plan_cache: Vec<(PlanKey, Priced)>,
 }
 
-/// Cache key for admission plans (the planner is deterministic, so one
-/// search per distinct request shape is enough).
+/// Cache key of the admission search (the planner is deterministic, so one
+/// search per distinct request shape, stripe factor and node cap is
+/// enough).
 #[derive(Debug, Clone, PartialEq)]
 struct PlanKey {
     machine: String,
+    /// The stripe factors the search may choose among: the profile's own,
+    /// or the surviving directories after a loss.
+    stripe_factors: Vec<usize>,
     nodes: usize,
+    cap: usize,
     max_latency: Option<f64>,
     io: Option<stap_core::IoStrategy>,
     tail: Option<stap_core::TailStructure>,
@@ -192,12 +257,12 @@ impl Scheduler {
     pub fn submit(&mut self, spec: MissionSpec, now: f64) -> Result<u64, AdmissionError> {
         self.counters.submitted += 1;
         match self.admit(&spec) {
-            Ok(plan) => {
+            Ok((plan, cost)) => {
                 let id = self.next_id;
                 self.next_id += 1;
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.queue.push(Queued { id, seq, spec, plan, submit: now });
+                self.queue.push(Admitted { id, seq, spec, plan, cost, submit: now });
                 Ok(id)
             }
             Err(e) => {
@@ -209,7 +274,7 @@ impl Scheduler {
 
     /// Admission control: typed pool guard, then planner feasibility inside
     /// the pool budget, then queue backpressure.
-    fn admit(&mut self, spec: &MissionSpec) -> Result<PlanChoice, AdmissionError> {
+    fn admit(&mut self, spec: &MissionSpec) -> Result<Priced, AdmissionError> {
         // Malformed budgets first: the planner would panic below 7 nodes,
         // the typed assignment error tells the client instead.
         if let Err(e) = stap_model::try_assign_nodes(&self.workload, &TaskId::SEVEN, spec.nodes) {
@@ -231,36 +296,39 @@ impl Scheduler {
                 capacity: self.cfg.staging_capacity,
             });
         }
-        let plan = self.plan_for(spec, machine, owned)?;
+        let priced = self.search(spec, &machine, owned)?;
         if self.queue.len() >= self.cfg.queue_capacity {
             return Err(AdmissionError::QueueFull { capacity: self.cfg.queue_capacity });
         }
-        Ok(plan)
+        Ok(priced)
     }
 
-    /// Finds (or recalls) the best feasible plan for a spec: max analytic
-    /// throughput over the planner's Pareto front, restricted to plans whose
-    /// total node count fits the pool and whose latency meets the SLA.
-    fn plan_for(
+    /// The admission search: finds (or recalls) the best feasible plan for
+    /// a spec on `machine` — max analytic throughput over the planner's
+    /// Pareto front, restricted to plans of at most `cap` nodes whose
+    /// latency meets the SLA — and prices it.
+    fn search(
         &mut self,
         spec: &MissionSpec,
-        machine: stap_model::machines::MachineModel,
-        owned: usize,
-    ) -> Result<PlanChoice, AdmissionError> {
+        machine: &MachineModel,
+        cap: usize,
+    ) -> Result<Priced, AdmissionError> {
         let key = PlanKey {
             machine: spec.machine.clone(),
+            stripe_factors: machine.stripe_options(),
             nodes: spec.nodes,
+            cap,
             max_latency: spec.max_latency,
             io: spec.io,
             tail: spec.tail,
         };
-        if let Some((_, plan)) = self.plan_cache.iter().find(|(k, _)| *k == key) {
-            return Ok(plan.clone());
+        if let Some((_, priced)) = self.plan_cache.iter().find(|(k, _)| *k == key) {
+            return Ok(priced.clone());
         }
         // A trimmed, analytic-only search: admission sits on the submit
         // path, so it trades beam width for latency. The full-width search
         // is still available offline via `ppstap plan`.
-        let mut cfg = PlannerConfig::new(vec![machine], spec.nodes).without_des();
+        let mut cfg = PlannerConfig::new(vec![machine.clone()], spec.nodes).without_des();
         cfg.beam_width = 12;
         cfg.per_structure = 6;
         cfg.max_latency = spec.max_latency;
@@ -274,13 +342,13 @@ impl Scheduler {
         let best = report
             .front()
             .into_iter()
-            .filter(|p| p.total_nodes <= owned)
+            .filter(|p| p.total_nodes <= cap)
             .filter(|p| spec.max_latency.is_none_or(|sla| p.ranked().latency <= sla))
             .max_by(|a, b| a.ranked().throughput.total_cmp(&b.ranked().throughput));
         let Some(p) = best else {
             let detail =
                 report.sla.as_ref().and_then(|s| s.infeasible.clone()).unwrap_or_else(|| {
-                    format!("no front plan fits {} nodes within the pool of {owned}", spec.nodes)
+                    format!("no front plan fits {} nodes within the pool of {cap}", spec.nodes)
                 });
             return Err(AdmissionError::NoFeasiblePlan { detail });
         };
@@ -293,8 +361,9 @@ impl Scheduler {
             throughput: p.ranked().throughput,
             latency: p.ranked().latency,
         };
-        self.plan_cache.push((key, plan.clone()));
-        Ok(plan)
+        let cost = Arc::new(PlanCost::price(machine, &plan, p.assignment.clone()));
+        self.plan_cache.push((key, (plan.clone(), Arc::clone(&cost))));
+        Ok((plan, cost))
     }
 
     /// Dispatches the next runnable mission at time `now`, if a worker and
@@ -321,18 +390,14 @@ impl Scheduler {
         let took = self.pool.reserve(q.plan.total_nodes).expect("guarded at admission");
         debug_assert!(took, "filtered on free nodes");
         self.stripes.acquire(q.plan.stripe_factor);
-        self.running.push(Running {
-            id: q.id,
-            nodes: q.plan.total_nodes,
-            stripe_factor: q.plan.stripe_factor,
-            staging: q.spec.source.staging_depth(),
-        });
+        self.running.push(q.clone());
         self.counters.started += 1;
         let read_contention = self.stripes.contended_read_estimate(1.0, q.plan.stripe_factor);
         Some(Dispatch {
             id: q.id,
             spec: q.spec,
             plan: q.plan,
+            cost: q.cost,
             submit: q.submit,
             start: now,
             read_contention,
@@ -344,8 +409,8 @@ impl Scheduler {
     pub fn complete(&mut self, id: u64, failed: bool) {
         if let Some(i) = self.running.iter().position(|r| r.id == id) {
             let r = self.running.remove(i);
-            self.pool.release(r.nodes);
-            self.stripes.release(r.stripe_factor);
+            self.pool.release(r.plan.total_nodes);
+            self.stripes.release(r.plan.stripe_factor);
             if failed {
                 self.counters.failed += 1;
             } else {
@@ -358,56 +423,36 @@ impl Scheduler {
     /// is permanently gone. The contention tracker stops counting it
     /// (survivors absorb its share — see
     /// [`StripeLoadTracker::contended_read_estimate`]). Admission plans are
-    /// kept: `plan_for` reads the spec, its machine profile and the pool
-    /// size, none of which the loss changes, so a search repeated after it
-    /// returns the cached plan bit for bit. Planning against the degraded
-    /// store is [`Scheduler::degraded_plan`], which the executor runs for
-    /// the missions in flight.
+    /// kept: a fleet fault strikes each file-fed mission's store at the
+    /// mission's own CPI `at_cpi`, so a mission admitted after the loss
+    /// still starts on the healthy stripe factor and fails over itself.
+    /// Planning against the degraded store is [`Scheduler::degraded_plan`].
     pub fn mark_server_lost(&mut self, server: usize) {
         self.stripes.mark_lost(server);
     }
 
-    /// Re-plans a mission for the degraded store after a fleet fault: the
-    /// same trimmed admission search, but on the machine profile re-striped
-    /// over `surviving_sf` directories, capped to the `reserved` nodes the
-    /// mission already holds (failover must not grow the reservation).
-    /// `None` when no front plan fits — the caller falls back to the
-    /// admitted plan with the stripe factor clamped.
-    pub fn degraded_plan(
-        &mut self,
-        spec: &MissionSpec,
-        surviving_sf: usize,
-        reserved: usize,
-    ) -> Option<PlanChoice> {
-        let mut machine =
-            machine_profile(&spec.machine).ok()?.with_stripe_factor(surviving_sf.max(1));
+    /// Re-plans running mission `id` for its store after a fleet fault:
+    /// the admission search on the machine profile re-striped over the
+    /// `sf - 1` surviving directories, capped to the nodes the mission
+    /// already holds (failover must not grow the reservation). When no
+    /// front plan fits, the admitted assignment runs on the survivors.
+    /// Both the executor and the capacity model fail over through here.
+    ///
+    /// # Panics
+    /// Panics when mission `id` is not running.
+    pub fn degraded_plan(&mut self, id: u64) -> (PlanChoice, Arc<PlanCost>) {
+        let r = self.running.iter().find(|r| r.id == id).cloned().expect("a running mission");
+        let surviving = r.plan.stripe_factor.saturating_sub(1).max(1);
+        let mut machine = machine_profile(&r.spec.machine)
+            .expect("an admitted mission's machine resolves")
+            .with_stripe_factor(surviving);
         // The degraded store has exactly the surviving directories: the
         // search must not wander back to the healthy presets.
-        machine.stripe_candidates = vec![surviving_sf.max(1)];
-        let mut cfg = PlannerConfig::new(vec![machine], spec.nodes).without_des();
-        cfg.beam_width = 12;
-        cfg.per_structure = 6;
-        cfg.max_latency = spec.max_latency;
-        if let Some(io) = spec.io {
-            cfg.ios = vec![io];
-        }
-        if let Some(tail) = spec.tail {
-            cfg.tails = vec![tail];
-        }
-        let report = stap_planner::plan(&cfg);
-        let p = report
-            .front()
-            .into_iter()
-            .filter(|p| p.total_nodes <= reserved)
-            .max_by(|a, b| a.ranked().throughput.total_cmp(&b.ranked().throughput))?;
-        Some(PlanChoice {
-            stripe_factor: p.stripe_factor,
-            io: p.io,
-            tail: p.tail,
-            total_nodes: p.total_nodes,
-            assignment: p.assignment_str(),
-            throughput: p.ranked().throughput,
-            latency: p.ranked().latency,
+        machine.stripe_candidates = vec![surviving];
+        self.search(&r.spec, &machine, r.plan.total_nodes).unwrap_or_else(|_| {
+            let plan = PlanChoice { stripe_factor: surviving, ..r.plan };
+            let cost = PlanCost::price(&machine, &plan, r.cost.assignment.clone());
+            (plan, Arc::new(cost))
         })
     }
 
@@ -434,7 +479,7 @@ impl Scheduler {
     /// Free cubes in the shared staging tier (capacity minus the ring
     /// depths of running stream missions).
     pub fn free_staging(&self) -> usize {
-        let used: usize = self.running.iter().map(|r| r.staging).sum();
+        let used: usize = self.running.iter().map(|r| r.spec.source.staging_depth()).sum();
         self.cfg.staging_capacity.saturating_sub(used)
     }
 
@@ -642,15 +687,28 @@ mod tests {
         let mut s = Scheduler::new(small_cfg());
         s.submit(spec("a", 25, 0), 0.0).unwrap();
         let d = s.next_ready(0.0).expect("dispatch");
-        let p = s
-            .degraded_plan(
-                &d.spec,
-                d.plan.stripe_factor.saturating_sub(1).max(1),
-                d.plan.total_nodes,
-            )
-            .expect("degraded plan exists");
+        let (p, cost) = s.degraded_plan(d.id);
         assert!(p.total_nodes <= d.plan.total_nodes, "failover must not grow the reservation");
         assert_eq!(p.stripe_factor, d.plan.stripe_factor - 1);
+        let dirs = cost.reads.iter().map(|&(dir, ..)| dir + 1).max();
+        assert_eq!(dirs, Some(p.stripe_factor), "re-priced on the survivors only");
+        // One search per distinct key: a second failover of the same shape
+        // recalls the first.
+        let again = s.degraded_plan(d.id);
+        assert_eq!((again.0, &*again.1), (p, &*cost));
+        assert_eq!(s.plan_cache.len(), 2, "admission and degraded keys differ by stripe factor");
+    }
+
+    #[test]
+    fn admission_prices_the_plan_on_its_own_machine() {
+        // An `sp` plan reads PIOFS in Unix mode, not Paragon PFS.
+        let mut s = Scheduler::new(small_cfg());
+        s.submit(MissionSpec { machine: "sp".into(), ..spec("a", 25, 0) }, 0.0).unwrap();
+        let d = s.next_ready(0.0).expect("dispatch");
+        let cube = ShapeParams::paper_default().cube_bytes();
+        let piofs = extent_service(&stap_pfs::FsConfig::piofs(), 0, cube, stap_pfs::OpenMode::Unix);
+        assert_eq!(d.cost.reads, batch_reads(&piofs));
+        assert_eq!(d.cost.rows.iter().filter(|r| r.read.is_some()).count(), 1);
     }
 
     #[test]

@@ -2,36 +2,42 @@
 //!
 //! `ppstap serve --sim` replays a workload script against the *same*
 //! [`Scheduler`] the real executor uses, but executes missions as
-//! discrete-event processes: each CPI posts its stripe-unit reads to one
-//! shared multi-server FCFS store ([`stap_des::FcfsResource`]) and then
-//! computes for the plan's residual cycle time. Co-located missions queue
-//! behind each other on the stripe directories they share, so the
-//! simulation reports contention-stretched runtimes (slowdown), queue
-//! waits, SLA hit-rate, and fleet store utilization — the capacity-planning
-//! questions — in milliseconds of wall time.
+//! discrete-event processes. A mission's CPI is a fold of its plan's task
+//! table: the read-bearing row runs the DES's own event step
+//! ([`stap_core::desmodel::read_step`]), posting the CPI's stripe-unit
+//! reads to one shared multi-server FCFS store ([`stap_des::FcfsResource`])
+//! — overlapped with compute under `iread`, before it without, or behind a
+//! cache tier — and the CPI ends when that row or the slowest other row is
+//! done. Co-located missions queue behind each other on the stripe
+//! directories they share, so the simulation reports contention-stretched
+//! runtimes (slowdown), queue waits, SLA hit-rate, and fleet store
+//! utilization — the capacity-planning questions — in milliseconds of wall
+//! time. A fleet fault fails a mission over through
+//! [`Scheduler::degraded_plan`], as the executor does.
 //!
-//! Two read models are available: [`ReadModel::Planned`] derives per-unit
-//! service times from the machine profile's file system (pure prediction),
-//! while [`ReadModel::Measured`] is calibrated from an uncontended executed
-//! run (used by the serve-conformance suite to compare prediction against
+//! Two read models are available: [`ReadModel::Planned`] folds the rows the
+//! scheduler priced for the admitted plan (pure prediction), while
+//! [`ReadModel::Measured`] is calibrated from an uncontended executed run
+//! (used by the serve-conformance suite to compare prediction against
 //! execution on the same footing).
 
 use crate::mission::{
     sla_hit_rate, MissionOutcome, MissionReport, MissionSource, PlanChoice, SlaVerdict,
 };
-use crate::scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
+use crate::scheduler::{
+    Counters, Dispatch, FleetFault, PlanCost, ReadBatch, Scheduler, ServeConfig,
+};
 use crate::script::{ScriptAction, WorkloadScript};
+use stap_core::desmodel::read_step;
 use stap_des::{Engine, FcfsResource, SimTime, StagingModel, StagingPolicy};
 use stap_ingest::BackpressurePolicy;
-use stap_model::workload::ShapeParams;
-use stap_pfs::timing::{extent_read_time, extent_service};
-use stap_pfs::{FsConfig, OpenMode};
-use std::rc::Rc;
+use stap_model::tasktable::ReadTerm;
+use stap_model::tasktime::TaskCosts;
 
-/// How the simulator prices a mission's per-CPI read.
+/// How the simulator prices a mission's CPI.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReadModel {
-    /// Derive stripe-unit service times from the plan's file-system profile
+    /// Fold the plan's task-table rows, priced on the mission's machine
     /// (prediction from first principles).
     Planned,
     /// Calibrated against an executed uncontended run: each CPI costs
@@ -280,54 +286,109 @@ impl SimFleetReport {
     }
 }
 
-/// `(stripe directory, total service, stripe-unit reads)`: what one CPI asks
-/// of one directory. The units of a CPI all arrive together and a directory
-/// serves them back to back, so it posts their sum as one store job.
-type ReadBatch = (usize, SimTime, u64);
-
-/// One CPI's read of a plan, priced.
-struct CpiRead {
-    /// `(stripe directory, service seconds)` per stripe-unit read.
-    units: Vec<(usize, f64)>,
-    /// `units` per directory at their healthy service time.
+/// One CPI of a mission as the fold runs it.
+struct CpiFold {
+    /// The read-bearing row's Eq. 6 costs.
+    front: TaskCosts,
+    /// The read-bearing row's read term.
+    read: ReadTerm,
+    /// The slowest other row's `T_i`.
+    others: SimTime,
+    /// What each CPI posts to the store.
     batches: Vec<ReadBatch>,
-    /// Seconds the read takes on idle directories.
-    alone: f64,
+    /// Directories the batches rotate over from CPI to CPI (1 = pinned).
+    rotation: usize,
 }
 
-impl CpiRead {
-    fn new(units: Vec<(usize, f64)>, alone: f64) -> Self {
-        Self { batches: batch_reads(&units, 1.0), units, alone }
+impl CpiFold {
+    /// One CPI of `plan`, priced as `cost`, under `model`.
+    fn new(model: &ReadModel, plan: &PlanChoice, cost: &PlanCost) -> Self {
+        match *model {
+            ReadModel::Planned => {
+                let rows = &cost.rows;
+                let (front, read) = rows
+                    .iter()
+                    .find_map(|r| r.read.map(|read| (r.costs, read)))
+                    .expect("one row carries the file read");
+                let others = rows.iter().filter(|r| r.read.is_none()).map(|r| r.time());
+                Self {
+                    front,
+                    read,
+                    others: SimTime::from_secs_f64(others.fold(0.0, f64::max)),
+                    batches: cost.reads.clone(),
+                    rotation: 1,
+                }
+            }
+            // One aggregate synchronous read, then compute. The read
+            // rotates over the plan's directories so co-located missions
+            // still collide on shared servers.
+            ReadModel::Measured { runtime_per_cpi, read_fraction } => {
+                let read = runtime_per_cpi * read_fraction.clamp(0.0, 1.0);
+                let compute = runtime_per_cpi - read;
+                Self {
+                    front: TaskCosts { compute, recv: 0.0, send: 0.0, overhead: 0.0 },
+                    read: ReadTerm { read_time: read, overlap: false, cache: None },
+                    others: SimTime::ZERO,
+                    batches: vec![(0, SimTime::from_secs_f64(read), 1)],
+                    rotation: plan.stripe_factor.max(1),
+                }
+            }
+        }
     }
-}
 
-/// Sums `units` per directory, each stretched and rounded to the
-/// simulator's clock on its own first: the integer sum is then exactly the
-/// time the directory would spend on them one by one.
-fn batch_reads(units: &[(usize, f64)], stretch: f64) -> Vec<ReadBatch> {
-    let dirs = units.iter().map(|&(dir, _)| dir + 1).max().unwrap_or(0);
-    let mut batches: Vec<ReadBatch> = (0..dirs).map(|dir| (dir, SimTime::ZERO, 0)).collect();
-    for &(dir, svc) in units {
-        batches[dir].1 += SimTime::from_secs_f64(svc * stretch);
-        batches[dir].2 += 1;
+    /// Posts CPI `cpi`'s reads to `store` at `at`; returns when the last
+    /// one completes.
+    fn post(&self, store: &mut FcfsResource, cpi: u64, at: SimTime) -> SimTime {
+        let servers = store.servers();
+        let rotate = cpi as usize % self.rotation;
+        self.batches.iter().fold(at, |done, &(dir, total, units)| {
+            done.max(store.submit_batch_to((dir + rotate) % servers, at, total, units).1)
+        })
     }
-    batches.retain(|b| b.2 > 0);
-    batches
+
+    /// End of CPI `cpi` started at `t0`: the read-bearing row's event step,
+    /// reading through `post`, or the slowest other row if that is longer.
+    fn cpi_end(
+        &self,
+        cpi: u64,
+        t0: SimTime,
+        prev_start: Option<SimTime>,
+        post: impl FnOnce(SimTime) -> SimTime,
+    ) -> SimTime {
+        t0 + read_step(&self.front, &self.read, cpi, t0, prev_start, post).max(self.others)
+    }
+
+    /// Seconds `cpis` CPIs take alone: the same fold on an idle store. With
+    /// one client, whose every CPI posts the same batches at one instant, an
+    /// idle store finishes a CPI's read exactly when its slowest directory
+    /// would alone, so that directory stands in for the store.
+    fn nominal(&self, cpis: u64) -> f64 {
+        let slowest = self.batches.iter().map(|&(_, total, _)| total).max().unwrap_or_default();
+        let (mut t0, mut prev_start, mut free) = (SimTime::ZERO, None, SimTime::ZERO);
+        for cpi in 0..cpis {
+            let end = self.cpi_end(cpi, t0, prev_start, |at| {
+                free = at.max(free) + slowest;
+                free
+            });
+            (t0, prev_start) = (end, Some(t0));
+        }
+        t0.as_secs_f64()
+    }
 }
 
 /// A running simulated mission.
 struct Active {
+    /// The dispatch, its plan replaced by the degraded re-plan after a
+    /// failover.
     d: Dispatch,
     cpis: u64,
     cpis_done: u64,
     nominal_runtime: f64,
-    /// One CPI's read as priced at dispatch.
-    read: Rc<CpiRead>,
-    /// What each CPI posts to the store: `read.batches`, or the units
-    /// re-batched at the degraded service time after a failover.
-    reads: Vec<ReadBatch>,
-    /// Residual compute per CPI after the uncontended read, seconds.
-    compute: f64,
+    /// One CPI of the plan the mission runs.
+    fold: CpiFold,
+    /// Start of the previous CPI, when an overlapped read of this one is
+    /// posted.
+    prev_start: Option<SimTime>,
     /// Virtual staging ring gating each CPI of a stream-fed mission
     /// (file-fed missions: `None`).
     staging: Option<StagingModel>,
@@ -342,9 +403,7 @@ struct Active {
 struct FleetState {
     sched: Scheduler,
     store: FcfsResource,
-    /// The planned cube read per stripe factor, priced on first use: it
-    /// depends on nothing else a mission brings.
-    planned_reads: Vec<(usize, Rc<CpiRead>)>,
+    model: ReadModel,
     active: Vec<Option<Active>>,
     rows: Vec<SimMissionRow>,
     rejected: Vec<(String, String)>,
@@ -358,7 +417,7 @@ pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetRepor
     let mut state = FleetState {
         sched: Scheduler::new(cfg.serve.clone()),
         store: FcfsResource::new("stripe-store", stripe_servers),
-        planned_reads: Vec::new(),
+        model: cfg.read_model.clone(),
         active: Vec::new(),
         rows: Vec::new(),
         rejected: Vec::new(),
@@ -369,11 +428,10 @@ pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetRepor
         let at = SimTime::from_secs_f64(ev.at);
         match ev.action.clone() {
             ScriptAction::Submit(spec) => {
-                let model = cfg.read_model.clone();
                 eng.schedule_at(at, move |e, s| {
                     let now = e.now().as_secs_f64();
                     match s.sched.submit(spec.clone(), now) {
-                        Ok(_) => pump(e, s, &model),
+                        Ok(_) => pump(e, s),
                         Err(err) => s.rejected.push((spec.name, err.to_string())),
                     }
                 });
@@ -402,20 +460,19 @@ pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetRepor
 }
 
 /// Dispatches every currently-runnable mission and starts its CPI loop.
-fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState, model: &ReadModel) {
+fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
     while let Some(d) = st.sched.next_ready(eng.now().as_secs_f64()) {
         let id = d.id;
         let cpis = d.spec.cpis.max(2);
-        let (read, compute, mut nominal_per_cpi) = price_cpi(&mut st.planned_reads, &d.plan, model);
-        let mut reads = read.batches.clone();
+        let mut fold = CpiFold::new(&st.model, &d.plan, &d.cost);
         let staging = match d.spec.source {
             MissionSource::File => None,
             MissionSource::Stream { depth, policy, rate } => {
-                // Stream missions bypass the striped store: their per-CPI
-                // gate is cube arrival through the staging ring, not a
-                // stripe read, so the nominal cycle is compute only.
-                reads.clear();
-                nominal_per_cpi = compute;
+                // Stream missions bypass the striped store: the cube
+                // arrives through the staging ring, and compute waits for
+                // it.
+                fold.read = ReadTerm { read_time: 0.0, overlap: false, cache: None };
+                fold.batches.clear();
                 let period =
                     if rate > 0.0 { SimTime::from_secs_f64(1.0 / rate) } else { SimTime::ZERO };
                 Some(StagingModel::new(depth, period, cpis, staging_policy(policy)))
@@ -431,10 +488,9 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState, model: &ReadModel) {
             d,
             cpis,
             cpis_done: 0,
-            nominal_runtime: nominal_per_cpi * cpis as f64,
-            read,
-            reads,
-            compute,
+            nominal_runtime: fold.nominal(cpis),
+            fold,
+            prev_start: None,
             staging,
             fault,
             failover: None,
@@ -444,8 +500,7 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState, model: &ReadModel) {
             st.active.resize_with(idx + 1, || None);
         }
         st.active[idx] = Some(active);
-        let model = model.clone();
-        step_cpi(eng, st, id, &model);
+        step_cpi(eng, st, id);
     }
 }
 
@@ -458,114 +513,52 @@ fn staging_policy(p: BackpressurePolicy) -> StagingPolicy {
     }
 }
 
-/// Prices one CPI of a plan: its read, the residual compute, and the
-/// uncontended per-CPI cycle time.
-fn price_cpi(
-    planned: &mut Vec<(usize, Rc<CpiRead>)>,
-    plan: &PlanChoice,
-    model: &ReadModel,
-) -> (Rc<CpiRead>, f64, f64) {
-    match model {
-        ReadModel::Planned => {
-            let sf = plan.stripe_factor;
-            let read = match planned.iter().find(|(k, _)| *k == sf) {
-                Some((_, read)) => Rc::clone(read),
-                None => {
-                    let fs = FsConfig::paragon_pfs(sf);
-                    let bytes = ShapeParams::paper_default().cube_bytes();
-                    // Uncontended read: each of the sf directories serves
-                    // its share of the units back-to-back.
-                    let read = Rc::new(CpiRead::new(
-                        extent_service(&fs, 0, bytes, OpenMode::Async),
-                        extent_read_time(&fs, 0, bytes, OpenMode::Async),
-                    ));
-                    planned.push((sf, Rc::clone(&read)));
-                    read
-                }
-            };
-            // The plan's steady-state cycle is 1/throughput; whatever the
-            // read does not account for is modelled as compute.
-            let cycle = 1.0 / plan.throughput.max(1e-9);
-            let compute = (cycle - read.alone).max(0.0);
-            let nominal = read.alone + compute;
-            (read, compute, nominal)
-        }
-        ReadModel::Measured { runtime_per_cpi, read_fraction } => {
-            let read = runtime_per_cpi * read_fraction.clamp(0.0, 1.0);
-            let compute = runtime_per_cpi - read;
-            // One aggregate read per CPI, pinned (in `step_cpi`) to the
-            // mission's stripe directories round-robin.
-            (Rc::new(CpiRead::new(vec![(0, read)], read)), compute, *runtime_per_cpi)
-        }
-    }
-}
-
-/// Runs one CPI of mission `id`: queue its reads on the shared store, then
-/// compute; schedules the next CPI (or completion) at the cycle end.
-fn step_cpi(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64, model: &ReadModel) {
+/// Runs one CPI of mission `id` through its fold on the shared store and
+/// schedules the next CPI (or completion) at its end.
+fn step_cpi(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     let now = eng.now();
-    let servers = st.store.servers();
     let Some(a) = st.active.get_mut(id as usize).and_then(|a| a.as_mut()) else {
         return;
     };
     // The fleet fault fires the moment the mission reaches its CPI: the
     // attempt so far is discarded (the executor's first pipeline dies on
     // the infrastructure-loss error), the store is marked degraded, and
-    // the mission restarts with its reads re-striped over the survivors —
-    // failover, not abort.
-    if let Some(f) = a.fault {
-        if a.cpis_done >= f.at_cpi {
-            a.fault = None;
-            a.cpis_done = 0;
-            let sf = a.d.plan.stripe_factor.max(2);
-            let stretch = sf as f64 / (sf as f64 - 1.0);
-            a.reads = batch_reads(&a.read.units, stretch);
-            a.failover = Some(format!(
-                "stripe server {} lost at CPI {}; re-striped over {} surviving directories \
-                 (degraded)",
-                f.server,
-                f.at_cpi,
-                sf - 1
-            ));
-            st.sched.mark_server_lost(f.server);
-        }
+    // the mission restarts on the plan re-planned for the surviving
+    // directories — failover, not abort.
+    if let Some(f) = a.fault.filter(|f| a.cpis_done >= f.at_cpi) {
+        a.fault = None;
+        a.cpis_done = 0;
+        a.prev_start = None;
+        st.sched.mark_server_lost(f.server);
+        let (plan, cost) = st.sched.degraded_plan(id);
+        a.fold = CpiFold::new(&st.model, &plan, &cost);
+        a.failover = Some(f.failover_note(a.d.plan.stripe_factor, &plan));
+        a.d.plan = plan;
     }
-    let rotate = match model {
-        // Planned requests already carry their stripe directory.
-        ReadModel::Planned => 0,
-        // Measured aggregates rotate over the plan's directories so
-        // co-located missions still collide on shared servers.
-        ReadModel::Measured { .. } => (a.cpis_done as usize) % a.d.plan.stripe_factor.max(1),
-    };
-    let mut read_done = now;
-    for &(dir, total, units) in &a.reads {
-        let (_, done) = st.store.submit_batch_to((dir + rotate) % servers, now, total, units);
-        read_done = read_done.max(done);
-    }
-    // Stream missions gate on the staging ring instead: the CPI starts when
-    // its cube has arrived (a lossy ring delivers what survives; an
-    // exhausted one stops gating).
-    if let Some(staging) = a.staging.as_mut() {
-        if let Some(ready) = staging.pop(now) {
-            read_done = read_done.max(ready);
-        }
-    }
-    let cycle_end = read_done + SimTime::from_secs_f64(a.compute);
+    let cpi = a.cpis_done;
+    let (fold, staging, store) = (&a.fold, &mut a.staging, &mut st.store);
+    let end = fold.cpi_end(cpi, now, a.prev_start, |at| {
+        let done = fold.post(store, cpi, at);
+        // Stream missions gate on the staging ring instead: the CPI reads
+        // its cube when it has arrived (a lossy ring delivers what
+        // survives; an exhausted one stops gating).
+        staging.as_mut().and_then(|s| s.pop(at)).map_or(done, |ready| done.max(ready))
+    });
+    a.prev_start = Some(now);
     a.cpis_done += 1;
     let finished = a.cpis_done >= a.cpis;
-    let model = model.clone();
-    eng.schedule_at(cycle_end, move |e, s| {
+    eng.schedule_at(end, move |e, s| {
         if finished {
-            finish_mission(e, s, id, &model);
+            finish_mission(e, s, id);
         } else {
-            step_cpi(e, s, id, &model);
+            step_cpi(e, s, id);
         }
     });
 }
 
 /// Completes mission `id`: frees its resources, records its row, and pumps
 /// the queue.
-fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64, model: &ReadModel) {
+fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     let Some(a) = st.active.get_mut(id as usize).and_then(|a| a.take()) else {
         return;
     };
@@ -596,7 +589,7 @@ fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64, mo
         sla: SlaVerdict::grade(a.d.spec.max_latency, latency),
         failover: a.failover.clone(),
     });
-    pump(eng, st, model);
+    pump(eng, st);
 }
 
 #[cfg(test)]
@@ -633,6 +626,54 @@ mod tests {
             row.slowdown
         );
         assert!(r.counters.completed == 1 && r.sched_conserved());
+    }
+
+    #[test]
+    fn a_lone_mission_runs_its_plan_on_every_machine_io_and_tail() {
+        // Nominal is the same fold on an idle store, so a lone mission's
+        // slowdown is 1 by construction; and with no cache to warm up
+        // (`cached:32` never holds the staging working set) its steady
+        // cycle is the plan's `1 / max T_i`, to the clock's nanosecond.
+        for machine in stap_model::machines::MachineModel::KEYS.split('|') {
+            for io in ["embedded", "separate", "cached:32"] {
+                for tail in ["split", "combined"] {
+                    let run = |cpis: u64| {
+                        let s = script(&format!(
+                            "at 0 submit name=solo machine={machine} nodes=25 cpis={cpis} \
+                             io={io} tail={tail}\n"
+                        ));
+                        let r = simulate_fleet(&s, &SimConfig::default());
+                        r.rows[0].clone()
+                    };
+                    let (short, long) = (run(8), run(16));
+                    let at = format!("{machine} {io} {tail}");
+                    for row in [&short, &long] {
+                        assert!((row.slowdown - 1.0).abs() < 1e-6, "{at}: {}", row.slowdown);
+                    }
+                    let cycle = ((long.end - long.start) - (short.end - short.start)) / 8.0;
+                    let period = 1.0 / short.plan.throughput;
+                    assert!((cycle / period - 1.0).abs() < 1e-6, "{at}: {cycle} vs {period}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_sp_mission_reads_piofs_in_unix_mode() {
+        // The store's busy time is exactly the plan's own reads: PIOFS with
+        // its synchronous Unix-mode penalty, not Paragon PFS.
+        use stap_model::workload::ShapeParams;
+        use stap_pfs::timing::extent_service;
+        let cpis = 8;
+        let s = script(&format!("at 0 submit name=solo machine=sp nodes=25 cpis={cpis}\n"));
+        let c = SimConfig::default();
+        let r = simulate_fleet(&s, &c);
+        let cube = ShapeParams::paper_default().cube_bytes();
+        let units = extent_service(&stap_pfs::FsConfig::piofs(), 0, cube, stap_pfs::OpenMode::Unix);
+        let want = cpis as f64 * units.iter().map(|&(_, svc)| svc).sum::<f64>();
+        let busy = r.fleet_utilization * r.makespan * c.serve.stripe_servers as f64;
+        assert!((busy / want - 1.0).abs() < 1e-6, "store busy {busy} s, PIOFS reads {want} s");
+        assert_eq!(r.store_jobs, cpis * units.len() as u64);
     }
 
     impl SimFleetReport {
@@ -789,6 +830,10 @@ mod tests {
         assert_eq!(r.failovers(), 2);
         let a = r.rows.iter().find(|x| x.name == "a").expect("a completes");
         assert!(a.slowdown > 1.0, "lost work plus degraded reads stretch the run: {}", a.slowdown);
+        // Failover re-plans onto the survivors, as the executor does.
+        assert_eq!(a.plan.stripe_factor, 63, "{}", a.plan.summary());
+        let note = a.failover.as_deref().expect("failover recorded");
+        assert!(note.contains("re-planned from sf=64 onto sf=63"), "{note}");
         assert_eq!(r.sla_hit_rate(), Some(1.0), "degraded run still meets the loose bound");
         assert_eq!(r.sla_hit_rate_no_failover(), Some(0.0), "counterfactual death");
         let text = r.render_text();
@@ -803,8 +848,8 @@ mod tests {
     fn fault_script_report_matches_the_pinned_bytes() {
         // 40 bursty arrivals over four machines, three budgets and two I/O
         // pins under a server loss every eight-CPI mission meets. The golden
-        // was written before admission plans outlived the loss and before a
-        // CPI's reads were posted per directory; neither may move a byte.
+        // was last written when a mission's CPI became a fold of its plan's
+        // task table and a failover became a re-plan.
         use crate::arrivals::{generate_script, ArrivalSpec};
         use crate::mission::MissionSpec;
         let arrivals = ArrivalSpec::Bursty { lo: 0.4, hi: 1.6, dwell: 4.0 };
