@@ -156,97 +156,6 @@ fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Renders the `phases` section of a machine-readable run report (see
-/// `StapRunOutput::run_report_json`) back into the paper-style per-stage
-/// phase table, so archived reports can be summarized without re-running.
-///
-/// Fleet run reports (`ppstap serve --json`) carry a root `missions` array
-/// instead; those render as the per-mission fleet table.
-pub fn render_phase_report(report_json: &str) -> Result<String, String> {
-    let root = stap_trace::json::parse(report_json)?;
-    if let Some(missions) = root.get("missions").and_then(|m| m.as_array()) {
-        return render_mission_rows(missions);
-    }
-    let rows = root
-        .get("phases")
-        .and_then(|p| p.as_array())
-        .ok_or_else(|| "report has no `phases` (or `missions`) array".to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<16}{:>7}  {:<8}{:>8}{:>12}{:>12}",
-        "task", "nodes", "phase", "count", "sum(s)", "mean(s)"
-    );
-    for row in rows {
-        let str_of = |k: &str| {
-            row.get(k)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("phases row is missing string field `{k}`"))
-        };
-        let num_of = |k: &str| {
-            row.get(k)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("phases row is missing numeric field `{k}`"))
-        };
-        let (task, phase) = (str_of("task")?, str_of("phase")?);
-        let (nodes, count, sum) = (num_of("nodes")?, num_of("count")?, num_of("sum")?);
-        let mean = if count > 0.0 { sum / count } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "{:<16.15}{:>7}  {:<8}{:>8}{:>12.6}{:>12.6}",
-            task, nodes as u64, phase, count as u64, sum, mean
-        );
-    }
-    Ok(out)
-}
-
-/// Renders a fleet report's `missions` array as the per-mission table:
-/// queue wait, plan, delivered throughput, drops, SLA verdict, outcome.
-fn render_mission_rows(rows: &[stap_trace::json::Json]) -> Result<String, String> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<4}{:<12}{:>4}{:>9}{:>9}{:>9}{:>7}{:>6}  {:<10} {:<30}",
-        "id", "mission", "pri", "wait(s)", "run(s)", "CPI/s", "drops", "sla", "outcome", "plan"
-    );
-    for row in rows {
-        let str_of = |k: &str| {
-            row.get(k)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missions row is missing string field `{k}`"))
-        };
-        let num_of = |k: &str| {
-            row.get(k)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("missions row is missing numeric field `{k}`"))
-        };
-        let sla = match row.get("sla") {
-            None | Some(stap_trace::json::Json::Null) => "-",
-            Some(v) => match v.get("met") {
-                Some(stap_trace::json::Json::Bool(true)) => "met",
-                _ => "MISS",
-            },
-        };
-        let _ = writeln!(
-            out,
-            "{:<4}{:<12.11}{:>4}{:>9.3}{:>9.3}{:>9.3}{:>7}{:>6}  {:<10} {:<30.30}",
-            num_of("mission")? as u64,
-            str_of("name")?,
-            num_of("priority")? as u64,
-            num_of("queue_wait")?,
-            num_of("end")? - num_of("start")?,
-            num_of("throughput")?,
-            num_of("drops")? as u64,
-            sla,
-            str_of("outcome")?,
-            str_of("plan")?,
-        );
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,61 +236,5 @@ mod tests {
         assert_eq!(bar(10.0, 5.0, 4), "####");
         assert_eq!(bar(1.0, 0.0, 4), "");
         assert_eq!(bar(0.0, 5.0, 4), "");
-    }
-
-    #[test]
-    fn phase_report_renders_run_report_json() {
-        let report = r#"{
-            "phases": [
-                {"stage": 0, "task": "Doppler filter", "nodes": 2, "phase": "read",
-                 "count": 4, "sum": 0.008, "min": 0.001, "max": 0.003,
-                 "p50": 0.002, "p99": 0.003},
-                {"stage": 0, "task": "Doppler filter", "nodes": 2, "phase": "compute",
-                 "count": 4, "sum": 0.040, "min": 0.009, "max": 0.011,
-                 "p50": 0.010, "p99": 0.011}
-            ]
-        }"#;
-        let table = render_phase_report(report).expect("valid report");
-        assert!(table.contains("Doppler filter"));
-        assert!(table.contains("read"));
-        assert!(table.contains("0.010000"), "mean column missing: {table}");
-        assert!(render_phase_report("{}").is_err());
-        assert!(render_phase_report("not json").is_err());
-    }
-
-    #[test]
-    fn phase_report_renders_fleet_mission_tables() {
-        let report = r#"{
-            "mode": "serve", "makespan": 4.0,
-            "missions": [
-                {"mission": 0, "name": "alpha", "priority": 2, "requested_nodes": 25,
-                 "plan": "sf=64 embedded/split n=25", "submit": 0.0, "start": 0.5,
-                 "end": 3.0, "queue_wait": 0.5, "read_contention": 2.0,
-                 "throughput": 1.9, "latency": 0.55, "drops": 1, "retries": 0,
-                 "sla": {"met": true, "bound": 0.6, "actual": 0.55},
-                 "outcome": "done"},
-                {"mission": 1, "name": "beta", "priority": 0, "requested_nodes": 25,
-                 "plan": "sf=64 separate/split n=29", "submit": 0.0, "start": 3.0,
-                 "end": 4.0, "queue_wait": 3.0, "read_contention": 1.0,
-                 "throughput": 2.2, "latency": 0.40, "drops": 0, "retries": 0,
-                 "sla": null, "outcome": "done"},
-                {"mission": 2, "name": "radar-siteé-north", "priority": 0,
-                 "requested_nodes": 25, "plan": "sf=16 embedded/split n=25", "submit": 0.0,
-                 "start": 4.0, "end": 5.0, "queue_wait": 4.0, "read_contention": 1.0,
-                 "throughput": 2.0, "latency": 0.40, "drops": 0, "retries": 0,
-                 "sla": null, "outcome": "done"}
-            ]
-        }"#;
-        let table = render_phase_report(report).expect("valid fleet report");
-        assert!(table.contains("alpha") && table.contains("beta"), "{table}");
-        // Names are outside input: the 11-character cut lands after the
-        // two-byte 'é', not inside it.
-        assert!(table.contains("radar-siteé "), "{table}");
-        assert!(table.contains("met"), "SLA verdict column: {table}");
-        assert!(table.contains("sf=64 embedded/split"), "plan column: {table}");
-        assert!(table.contains("queue") || table.contains("wait(s)"), "{table}");
-        // A malformed mission row is a typed error, not a panic.
-        let bad = r#"{"missions": [{"mission": 0}]}"#;
-        assert!(render_phase_report(bad).unwrap_err().contains("missing"));
     }
 }

@@ -2,6 +2,7 @@
 //! and a hand-rolled JSON serialization (the workspace carries no serde).
 
 use crate::plan::{Outcome, Plan, SearchReport};
+use stap_trace::chrome::escape;
 
 fn fmt_metrics(p: &Plan, fault_on: bool) -> String {
     let rel =
@@ -123,18 +124,6 @@ fn short_tail(p: &Plan) -> &'static str {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
@@ -192,7 +181,7 @@ fn json_plan(p: &Plan, fault_on: bool) -> String {
                 ),
                 _ => String::new(),
             };
-            format!("{{\"task\":\"{}\",\"nodes\":{n}{classes}}}", esc(t.label()))
+            format!("{{\"task\":\"{}\",\"nodes\":{n}{classes}}}", escape(t.label()))
         })
         .collect();
     format!(
@@ -205,7 +194,7 @@ fn json_plan(p: &Plan, fault_on: bool) -> String {
             "\"des\":{},\"des_error_pct\":{},\"outcome\":{}}}"
         ),
         p.id,
-        esc(&p.machine),
+        escape(&p.machine),
         p.stripe_factor,
         short_io(p),
         short_tail(p),
@@ -240,7 +229,7 @@ pub fn to_json(r: &SearchReport) -> String {
                 json_f64(s.max_latency),
                 feasible.join(","),
                 s.best_id.map_or("null".to_string(), |i| i.to_string()),
-                s.infeasible.as_ref().map_or("null".to_string(), |m| format!("\"{}\"", esc(m))),
+                s.infeasible.as_ref().map_or("null".to_string(), |m| format!("\"{}\"", escape(m))),
             )
         }
     };
@@ -257,7 +246,7 @@ pub fn to_json(r: &SearchReport) -> String {
                 f.max_failure_prob.map_or("null".to_string(), json_f64),
                 feasible.join(","),
                 f.best_id.map_or("null".to_string(), |i| i.to_string()),
-                f.infeasible.as_ref().map_or("null".to_string(), |m| format!("\"{}\"", esc(m))),
+                f.infeasible.as_ref().map_or("null".to_string(), |m| format!("\"{}\"", escape(m))),
             )
         }
     };
@@ -376,13 +365,5 @@ mod tests {
         cfg.per_structure = 4;
         let json = to_json(&plan(&cfg));
         assert!(json.contains("\"classes\":["), "{json}");
-    }
-
-    #[test]
-    fn esc_handles_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b"), "a\\\"b");
-        assert_eq!(esc("a\\b"), "a\\\\b");
-        assert_eq!(esc("a\nb"), "a\\nb");
-        assert_eq!(esc("a\u{1}b"), "a\\u0001b");
     }
 }

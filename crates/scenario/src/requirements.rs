@@ -2,6 +2,7 @@
 //! scenario must meet, evaluated into a pass/fail report with margins.
 
 use crate::evaluate::Evaluation;
+use stap_trace::chrome::escape;
 
 /// Detection-quality bounds for one scenario. Every field is optional —
 /// only the set bounds are checked — so one type covers target-rich and
@@ -42,10 +43,14 @@ impl Requirement {
             let Some((key, value)) = line.split_once('=') else {
                 return Err(format!("line {}: expected 'key = value', got '{raw}'", lineno + 1));
             };
-            let v: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: bad number '{}'", lineno + 1, value.trim()))?;
+            let v =
+                value.trim().parse::<f64>().ok().filter(|v| v.is_finite()).ok_or_else(|| {
+                    format!(
+                        "line {}: bad number '{}' (expected a finite number)",
+                        lineno + 1,
+                        value.trim()
+                    )
+                })?;
             match key.trim() {
                 "min_pd" => req.min_pd = Some(v),
                 "max_pfa" => req.max_pfa = Some(v),
@@ -116,11 +121,11 @@ impl RequirementReport {
         s
     }
 
-    /// The report as one JSON object (hand-rolled, like the run report).
+    /// The report as one JSON object (hand-rolled; the workspace carries no serde).
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"scenario\": \"{}\", \"passed\": {}, \"checks\": [",
-            self.scenario,
+            escape(&self.scenario),
             self.passed()
         );
         for (i, c) in self.checks.iter().enumerate() {
@@ -211,6 +216,10 @@ mod tests {
     fn parse_rejects_malformed_lines() {
         assert!(Requirement::parse("min_pd 0.9").unwrap_err().contains("key = value"));
         assert!(Requirement::parse("min_pd = maybe").unwrap_err().contains("bad number"));
+        for bad in ["min_pd = nan", "max_pfa = inf", "max_sinr_loss_db = -inf", "min_pd = 1e400"] {
+            let e = Requirement::parse(&format!("# bounds\n{bad}\n")).unwrap_err();
+            assert!(e.starts_with("line 2:") && e.contains("finite"), "{bad}: {e}");
+        }
         assert!(Requirement::parse("max_sinr = 1").unwrap_err().contains("unknown requirement"));
     }
 
@@ -250,7 +259,7 @@ mod tests {
     #[test]
     fn json_report_parses_and_carries_the_checks() {
         let rep = RequirementReport {
-            scenario: "demo".into(),
+            scenario: "de\"mo\\".into(),
             checks: vec![Check {
                 name: "pd",
                 measured: 0.5,
@@ -261,6 +270,7 @@ mod tests {
             }],
         };
         let json = stap_trace::json::parse(&rep.to_json()).expect("report parses as JSON");
+        assert_eq!(json.get("scenario").and_then(|v| v.as_str()), Some("de\"mo\\"));
         assert_eq!(json.get("passed"), Some(&stap_trace::json::Json::Bool(false)));
         let checks = json.get("checks").and_then(|v| v.as_array()).unwrap();
         assert_eq!(checks.len(), 1);

@@ -5,6 +5,7 @@ use crate::catalog::Scenario;
 use crate::evaluate::{evaluate_with_source, EvalError, Evaluation};
 use crate::requirements::{check, RequirementReport};
 use stap_core::config::SourceSpec;
+use stap_trace::chrome::escape;
 
 /// Which scenario knob a sweep turns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +61,10 @@ impl Sweep {
         let values: Vec<f64> = values
             .split(',')
             .filter(|v| !v.trim().is_empty())
-            .map(|v| v.trim().parse::<f64>().map_err(|_| format!("bad sweep value '{v}'")))
+            .map(|v| {
+                let value = v.trim().parse::<f64>().ok().filter(|x| x.is_finite());
+                value.ok_or_else(|| format!("bad sweep value '{v}' (expected a finite number)"))
+            })
             .collect::<Result<_, _>>()?;
         if values.is_empty() {
             return Err(format!("sweep '{spec}' has no values"));
@@ -140,6 +144,22 @@ pub fn table(scenario: &str, sweep: &Sweep, points: &[SweepPoint]) -> String {
     s
 }
 
+/// The sweep as one JSON object: the scenario, the axis, whether every
+/// point passed, and each point's value with its requirement report.
+pub fn to_json(scenario: &str, sweep: &Sweep, points: &[SweepPoint]) -> String {
+    let body: Vec<String> = points
+        .iter()
+        .map(|p| format!("{{\"value\": {}, \"report\": {}}}", p.value, p.report.to_json()))
+        .collect();
+    format!(
+        "{{\"scenario\": \"{}\", \"axis\": \"{}\", \"passed\": {}, \"points\": [{}]}}",
+        escape(scenario),
+        sweep.axis.name(),
+        points.iter().all(|p| p.report.passed()),
+        body.join(", ")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +175,17 @@ mod tests {
         assert!(Sweep::parse("prf=1").unwrap_err().contains("unknown sweep axis"));
         assert!(Sweep::parse("snr=x").unwrap_err().contains("bad sweep value"));
         assert!(Sweep::parse("snr=").unwrap_err().contains("no values"));
+        for bad in ["snr=nan", "snr=5,inf", "seed=-inf", "jnr=1e400"] {
+            assert!(Sweep::parse(bad).unwrap_err().contains("finite"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn json_document_escapes_the_scenario_name() {
+        let doc = to_json("two\"target", &Sweep::parse("snr=1").unwrap(), &[]);
+        let v = stap_trace::json::parse(&doc).expect("sweep JSON parses");
+        assert_eq!(v.get("scenario").and_then(|s| s.as_str()), Some("two\"target"));
+        assert_eq!(v.get("axis").and_then(|s| s.as_str()), Some("snr"));
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! one Chrome trace — open it and see the whole fleet on a shared timeline.
 
 use crate::mission::{
-    fleet_table, sla_hit_rate, MissionOutcome, MissionReport, MissionSource, MissionSpec,
-    PlanChoice, SlaVerdict,
+    FleetReport, MissionOutcome, MissionReport, MissionSource, MissionSpec, PlanChoice, SlaVerdict,
 };
-use crate::scheduler::{Counters, FleetFault, Scheduler, ServeConfig};
+use crate::scheduler::{Dispatch, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::{SourceSpec, StapConfig, StapSystem, StreamSettings, WatchdogPolicy};
 use stap_ingest::{CpiRing, Frontend, FrontendConfig};
@@ -27,102 +26,20 @@ use stap_kernels::CubeDims;
 use stap_pfs::{FsConfig, Pfs};
 use stap_pipeline::PipelineError;
 use stap_store::CubeAccess;
-use stap_trace::{fleet_chrome_trace, ClockSpec, FleetTrack};
+use stap_trace::{ClockSpec, FleetTrack};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one worker thread sends back when its mission ends.
 struct WorkerDone {
-    id: u64,
-    spec: MissionSpec,
-    plan: PlanChoice,
-    submit: f64,
-    start: f64,
-    read_contention: f64,
+    /// The dispatch, its plan replaced by the degraded re-plan after a
+    /// failover.
+    d: Dispatch,
     /// `(stripe units, bytes)` migrated by online restriping during a
     /// degraded re-run (store-tier missions only).
     restriped: Option<(u64, u64)>,
     result: Result<Box<stap_core::StapRunOutput>, PipelineError>,
-}
-
-/// The executed fleet: per-mission reports, conservation counters, and the
-/// merged mission-tagged trace.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// Per-mission reports, ordered by mission id.
-    pub missions: Vec<MissionReport>,
-    /// Names of missions cancelled while queued.
-    pub cancelled: Vec<String>,
-    /// `(name, typed reason)` for rejected submissions.
-    pub rejected: Vec<(String, String)>,
-    /// Mission-conservation counters.
-    pub counters: Counters,
-    /// Wall seconds from fleet epoch to the last completion.
-    pub makespan: f64,
-    tracks: Vec<FleetTrack>,
-}
-
-impl FleetOutcome {
-    /// The merged Chrome trace: one process track per mission, tagged
-    /// `mission <id> · <name>`.
-    pub fn chrome_trace(&self) -> String {
-        fleet_chrome_trace(&self.tracks)
-    }
-
-    /// The per-mission fleet table.
-    pub fn fleet_table(&self) -> String {
-        fleet_table(&self.missions)
-    }
-
-    /// One `(SLA verdict, failed over)` pair per mission.
-    fn grades(&self) -> impl Iterator<Item = (SlaVerdict, bool)> + '_ {
-        self.missions.iter().map(|m| (m.sla, m.failover.is_some()))
-    }
-
-    /// Fraction of SLA-bounded missions that met their bound (`None` when
-    /// no mission carried an SLA).
-    pub fn sla_hit_rate(&self) -> Option<f64> {
-        sla_hit_rate(self.grades(), true)
-    }
-
-    /// The counterfactual SLA hit-rate without the failover machinery:
-    /// every bounded failed-over mission counts as a miss. The spread
-    /// between this and [`Self::sla_hit_rate`] is what redundancy bought.
-    pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
-        sla_hit_rate(self.grades(), false)
-    }
-
-    /// Missions that survived a fleet fault by failing over.
-    pub fn failovers(&self) -> usize {
-        self.grades().filter(|&(_, failed_over)| failed_over).count()
-    }
-
-    /// Machine-readable fleet run report: the shared schema with a root
-    /// `missions` array (what `render_phase_report` turns back into the
-    /// fleet table).
-    pub fn fleet_json(&self) -> String {
-        let missions: Vec<String> = self.missions.iter().map(|m| m.to_json()).collect();
-        let sla = self.sla_hit_rate().map_or("null".to_string(), |r| format!("{r:.4}"));
-        let sla_bare =
-            self.sla_hit_rate_no_failover().map_or("null".to_string(), |r| format!("{r:.4}"));
-        format!(
-            "{{\"mode\": \"serve\", \"makespan\": {:.9}, \"sla_hit_rate\": {}, \
-             \"sla_hit_rate_no_failover\": {}, \"failovers\": {}, \
-             \"submitted\": {}, \"rejected\": {}, \"cancelled\": {}, \"completed\": {}, \
-             \"failed\": {}, \"missions\": [{}]}}",
-            self.makespan,
-            sla,
-            sla_bare,
-            self.failovers(),
-            self.counters.submitted,
-            self.counters.rejected,
-            self.counters.cancelled,
-            self.counters.completed,
-            self.counters.failed,
-            missions.join(", ")
-        )
-    }
 }
 
 /// An in-flight failover: the fleet fault a mission observed, when its
@@ -240,14 +157,14 @@ fn frontend_config(spec: &MissionSpec, rate: f64) -> FrontendConfig {
 /// executed fleet. Blocks until every admitted mission has completed (or
 /// failed under its watchdog); never hangs — admission guarantees every
 /// queued mission fits an empty pool, so the queue always drains.
-pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
+pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
     let mut sched = Scheduler::new(cfg.clone());
     let epoch = Instant::now();
     let (tx, rx) = std::sync::mpsc::channel::<WorkerDone>();
     let mut next_event = 0usize;
     let mut rejected: Vec<(String, String)> = Vec::new();
     let mut cancelled: Vec<String> = Vec::new();
-    let mut missions: Vec<MissionReport> = Vec::new();
+    let mut rows: Vec<MissionReport> = Vec::new();
     let mut tracks: Vec<FleetTrack> = Vec::new();
     let mut feeds: HashMap<u64, StreamFeed> = HashMap::new();
     let mut failovers: HashMap<u64, Failover> = HashMap::new();
@@ -333,16 +250,7 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
                 let result = StapSystem::prepare(config)
                     .and_then(|sys| sys.run_with_clock(ClockSpec::Wall))
                     .map(Box::new);
-                let _ = tx.send(WorkerDone {
-                    id: d.id,
-                    spec: d.spec,
-                    plan: d.plan,
-                    submit: d.submit,
-                    start: d.start,
-                    read_contention: d.read_contention,
-                    restriped: None,
-                    result,
-                });
+                let _ = tx.send(WorkerDone { d, restriped: None, result });
             });
         }
         if next_event >= script.events.len() && sched.queued() == 0 && sched.running() == 0 {
@@ -362,58 +270,52 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetOutcome {
         let Some(done) = done else { continue };
         let end = epoch.elapsed().as_secs_f64();
         makespan = makespan.max(end);
+        let id = done.d.id;
         let infra_loss = done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
-        if let (true, Some(f), false) = (infra_loss, cfg.fault, failovers.contains_key(&done.id)) {
+        if let (true, Some(f), false) = (infra_loss, cfg.fault, failovers.contains_key(&id)) {
             // Fleet fault observed mid-mission: mark the store degraded
             // (survivors absorb the lost directory), re-plan inside the
             // nodes the mission already holds, and restart it on the
             // surviving stripe directories instead of failing it.
             sched.mark_server_lost(f.server);
-            let (plan, _) = sched.degraded_plan(done.id);
+            let (plan, cost) = sched.degraded_plan(id);
+            let from_sf = done.d.plan.stripe_factor;
             let restart = epoch.elapsed().as_secs_f64();
-            failovers.insert(
-                done.id,
-                Failover {
-                    fault: f,
-                    fail_time: end,
-                    restart_time: restart,
-                    from_sf: done.plan.stripe_factor,
-                },
-            );
-            let config = mission_config(&done.spec, &plan);
-            let from_sf = done.plan.stripe_factor;
+            failovers
+                .insert(id, Failover { fault: f, fail_time: end, restart_time: restart, from_sf });
+            let config = mission_config(&done.d.spec, &plan);
+            let d = Dispatch { plan, cost, ..done.d };
             let tx = tx.clone();
-            let WorkerDone { id, spec, submit, start, read_contention, .. } = done;
             std::thread::spawn(move || {
                 let (result, restriped) = run_degraded(config, from_sf);
-                let _ = tx.send(WorkerDone {
-                    id,
-                    spec,
-                    plan,
-                    submit,
-                    start,
-                    read_contention,
-                    restriped,
-                    result,
-                });
+                let _ = tx.send(WorkerDone { d, restriped, result });
             });
             continue;
         }
-        sched.complete(done.id, done.result.is_err());
+        sched.complete(id, done.result.is_err());
         // Tear the mission's stream down (a failed run may leave the
         // producer parked) and keep its peak occupancy.
-        let staging_peak = feeds.remove(&done.id).map_or(0, StreamFeed::drain);
-        let failover = failovers.remove(&done.id);
-        missions.push(finish(done, end, staging_peak, failover, &mut tracks));
+        let staging_peak = feeds.remove(&id).map_or(0, StreamFeed::drain);
+        let failover = failovers.remove(&id);
+        rows.push(finish(done, end, staging_peak, failover, &mut tracks));
     }
     // Whatever streams are still attached (none, unless a mission slipped
     // through every path above) must not leak producer threads.
     for (_, feed) in feeds.drain() {
         feed.drain();
     }
-    missions.sort_by_key(|m| m.id);
+    rows.sort_by_key(|m| m.id);
     tracks.sort_by_key(|t| t.mission_id);
-    FleetOutcome { missions, cancelled, rejected, counters: sched.counters(), makespan, tracks }
+    FleetReport {
+        rows,
+        rejected,
+        cancelled,
+        counters: sched.counters(),
+        makespan,
+        fleet_utilization: None,
+        store_jobs: 0,
+        tracks,
+    }
 }
 
 /// Builds the report (and trace track) for one finished worker. A
@@ -428,39 +330,21 @@ fn finish(
     failover: Option<Failover>,
     tracks: &mut Vec<FleetTrack>,
 ) -> MissionReport {
+    let d = &done.d;
     let note = failover.as_ref().map(|f| {
         let migrated = done.restriped.map_or(String::new(), |(units, bytes)| {
             format!("; restriped {units} stripe units ({bytes} B) onto the survivors")
         });
-        f.fault.failover_note(f.from_sf, &done.plan) + &migrated
+        f.fault.failover_note(f.from_sf, &d.plan) + &migrated
     });
-    let base = MissionReport {
-        id: done.id,
-        name: done.spec.name.clone(),
-        priority: done.spec.priority,
-        requested_nodes: done.spec.nodes,
-        plan: done.plan.clone(),
-        submit: done.submit,
-        start: done.start,
-        end,
-        queue_wait: done.start - done.submit,
-        read_contention: done.read_contention,
-        throughput: 0.0,
-        latency: 0.0,
-        drops: 0,
-        retries: 0,
-        staging_peak,
-        sla: SlaVerdict::Unbounded,
-        outcome: MissionOutcome::Completed,
-        failover: note,
-    };
+    let base = MissionReport { staging_peak, ..MissionReport::new(d, end, note) };
     match done.result {
         Ok(out) => {
             // Spans are on the mission's own run epoch; shift them onto the
             // fleet epoch so the merged trace shows queueing and overlap.
             // A failed-over mission's surviving output is its re-run, so
             // its spans sit on the restart time.
-            let origin = failover.as_ref().map_or(done.start, |f| f.restart_time);
+            let origin = failover.as_ref().map_or(d.start, |f| f.restart_time);
             let mut spans: Vec<stap_trace::Span> = out
                 .timing
                 .spans
@@ -482,8 +366,8 @@ fn finish(
                 });
             }
             tracks.push(FleetTrack {
-                mission_id: done.id,
-                name: done.spec.name.clone(),
+                mission_id: d.id,
+                name: d.spec.name.clone(),
                 stage_names,
                 spans,
             });
@@ -492,8 +376,7 @@ fn finish(
                 latency: out.latency(),
                 drops: out.dropped.len() as u64,
                 retries: out.retries,
-                sla: SlaVerdict::grade(done.spec.max_latency, out.latency()),
-                outcome: MissionOutcome::Completed,
+                sla: SlaVerdict::grade(d.spec.max_latency, out.latency()),
                 ..base
             }
         }
@@ -523,8 +406,8 @@ mod tests {
         )
         .expect("valid script");
         let out = run_fleet(&script, &cfg());
-        assert_eq!(out.missions.len(), 2, "both missions complete: {:?}", out.missions);
-        assert!(out.missions.iter().all(|m| m.outcome == MissionOutcome::Completed));
+        assert_eq!(out.rows.len(), 2, "both missions complete: {:?}", out.rows);
+        assert!(out.rows.iter().all(|m| m.outcome == MissionOutcome::Completed));
         assert!(out.counters.completed == 2 && out.counters.submitted == 2);
         let trace = out.chrome_trace();
         let v = stap_trace::json::parse(&trace).expect("valid trace JSON");
@@ -538,9 +421,9 @@ mod tests {
             .collect();
         assert!(names.iter().any(|n| n.contains("alpha")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("beta")), "{names:?}");
-        let table = out.fleet_table();
+        let table = out.render_text();
         assert!(table.contains("alpha") && table.contains("beta"));
-        let json = stap_trace::json::parse(&out.fleet_json()).expect("valid fleet JSON");
+        let json = stap_trace::json::parse(&out.to_json()).expect("valid fleet JSON");
         assert_eq!(json.get("missions").and_then(|m| m.as_array().map(|a| a.len())), Some(2));
     }
 
@@ -557,10 +440,10 @@ mod tests {
         .expect("valid script");
         let serve = ServeConfig { workers: 1, ..cfg() };
         let out = run_fleet(&script, &serve);
-        assert_eq!(out.missions.len(), 3);
+        assert_eq!(out.rows.len(), 3);
         assert!(out.rejected.is_empty(), "feasible-later missions queue: {:?}", out.rejected);
         let start_of =
-            |name: &str| out.missions.iter().find(|m| m.name == name).map(|m| m.start).expect(name);
+            |name: &str| out.rows.iter().find(|m| m.name == name).map(|m| m.start).expect(name);
         assert!(
             start_of("high") < start_of("first") && start_of("first") < start_of("low"),
             "dispatch order must be high, first, low (high={}, first={}, low={})",
@@ -568,7 +451,7 @@ mod tests {
             start_of("first"),
             start_of("low")
         );
-        let waited = out.missions.iter().filter(|m| m.queue_wait > 0.0).count();
+        let waited = out.rows.iter().filter(|m| m.queue_wait > 0.0).count();
         assert!(waited >= 2, "serialized missions report queue wait");
     }
 
@@ -579,15 +462,15 @@ mod tests {
         )
         .expect("valid script");
         let out = run_fleet(&script, &cfg());
-        assert_eq!(out.missions.len(), 1, "{:?}", out.missions);
-        let m = &out.missions[0];
+        assert_eq!(out.rows.len(), 1, "{:?}", out.rows);
+        let m = &out.rows[0];
         assert_eq!(m.outcome, MissionOutcome::Completed, "{:?}", m.outcome);
         assert!(
             m.staging_peak >= 1 && m.staging_peak <= 2,
             "peak bounded by ring depth, got {}",
             m.staging_peak
         );
-        let json = stap_trace::json::parse(&out.fleet_json()).expect("valid fleet JSON");
+        let json = stap_trace::json::parse(&out.to_json()).expect("valid fleet JSON");
         let missions = json.get("missions").and_then(|m| m.as_array()).expect("missions");
         assert!(missions[0].get("staging_peak").and_then(|v| v.as_f64()).expect("peak") >= 1.0);
     }
@@ -604,8 +487,8 @@ mod tests {
                 .expect("valid script");
         let serve = ServeConfig { fault: Some(FleetFault { server: 0, at_cpi: 1 }), ..cfg() };
         let out = run_fleet(&script, &serve);
-        assert_eq!(out.missions.len(), 1, "{:?}", out.missions);
-        let m = &out.missions[0];
+        assert_eq!(out.rows.len(), 1, "{:?}", out.rows);
+        let m = &out.rows[0];
         assert_eq!(m.outcome, MissionOutcome::Completed, "failover, not abort: {:?}", m.outcome);
         let note = m.failover.as_ref().expect("failover recorded");
         assert!(note.contains("stripe server 0"), "{note}");
@@ -625,10 +508,62 @@ mod tests {
         );
         let trace = out.chrome_trace();
         assert!(trace.contains("\"failover\""), "typed failover span in the Chrome trace");
-        let json = stap_trace::json::parse(&out.fleet_json()).expect("valid fleet JSON");
+        let json = stap_trace::json::parse(&out.to_json()).expect("valid fleet JSON");
         assert_eq!(json.get("failovers").and_then(|v| v.as_f64()), Some(1.0));
         let missions = json.get("missions").and_then(|m| m.as_array()).expect("missions");
         assert!(missions[0].get("failover").and_then(|f| f.as_str()).is_some());
+    }
+
+    #[test]
+    fn fleet_reports_share_one_schema() {
+        use crate::sim::{simulate_fleet, ReadModel, SimConfig};
+        use stap_trace::json::Json;
+        let mission_keys = |json: &str| -> Vec<Vec<String>> {
+            let doc = stap_trace::json::parse(json).expect("fleet JSON parses");
+            let missions = doc.get("missions").and_then(|m| m.as_array()).expect("missions");
+            missions
+                .iter()
+                .map(|m| match m {
+                    Json::Obj(fields) => fields.keys().cloned().collect(),
+                    other => panic!("a mission is not an object: {other:?}"),
+                })
+                .collect()
+        };
+        // The label before the first `:` of each makespan, SLA and
+        // failover line, sorted (rows come in completion order when
+        // simulated).
+        let footer_labels = |text: &str| -> Vec<String> {
+            let mut labels: Vec<String> = text
+                .lines()
+                .filter(|l| {
+                    ["makespan", "SLA hit-rate", "failover "].iter().any(|p| l.starts_with(p))
+                })
+                .filter_map(|l| l.split_once(':').map(|(label, _)| label.trim_end().to_string()))
+                .collect();
+            labels.sort();
+            labels
+        };
+        // Both missions reach the loss at CPI 1; one carries an SLA, so the
+        // footers hold a hit-rate, its counterfactual and two failover notes.
+        let script = WorkloadScript::parse(
+            "at 0 submit name=a nodes=25 cpis=3 max-latency=120\n\
+             at 0 submit name=b nodes=25 cpis=3\n",
+        )
+        .expect("valid script");
+        let serve = ServeConfig { fault: Some(FleetFault { server: 0, at_cpi: 1 }), ..cfg() };
+        let exec = run_fleet(&script, &serve);
+        let sim = simulate_fleet(&script, &SimConfig { serve, read_model: ReadModel::Planned });
+
+        let keys: Vec<Vec<String>> =
+            [exec.to_json(), sim.to_json()].iter().flat_map(|j| mission_keys(j)).collect();
+        assert_eq!(keys.len(), 4, "two missions in each document");
+        assert!(keys.iter().all(|k| *k == keys[0]), "mission keys differ across modes: {keys:?}");
+
+        let (exec_text, sim_text) = (exec.render_text(), sim.render_text());
+        let want =
+            ["SLA hit-rate", "SLA hit-rate (no failover)", "failover a", "failover b", "makespan"];
+        assert_eq!(footer_labels(&exec_text), want, "executed footers:\n{exec_text}");
+        assert_eq!(footer_labels(&sim_text), want, "simulated footers:\n{sim_text}");
     }
 
     #[test]
@@ -642,8 +577,8 @@ mod tests {
             .expect("valid script");
         let serve = ServeConfig { fault: Some(FleetFault { server: 0, at_cpi: 1 }), ..cfg() };
         let out = run_fleet(&script, &serve);
-        assert_eq!(out.missions.len(), 1, "{:?}", out.missions);
-        let m = &out.missions[0];
+        assert_eq!(out.rows.len(), 1, "{:?}", out.rows);
+        let m = &out.rows[0];
         assert_eq!(m.outcome, MissionOutcome::Completed, "failover, not abort: {:?}", m.outcome);
         assert_eq!(m.plan.io, stap_core::IoStrategy::Cached { mb: 8 }, "{}", m.plan.summary());
         let note = m.failover.as_ref().expect("failover recorded");
@@ -671,7 +606,7 @@ mod tests {
         let serve = ServeConfig { workers: 1, ..cfg() };
         let out = run_fleet(&script, &serve);
         assert_eq!(out.cancelled, vec!["doomed".to_string()]);
-        assert_eq!(out.missions.len(), 1, "only runner executes");
+        assert_eq!(out.rows.len(), 1, "only runner executes");
         assert_eq!(out.counters.cancelled, 1);
     }
 
@@ -689,7 +624,7 @@ mod tests {
         let serve = ServeConfig { workers: 1, ..cfg() };
         let out = run_fleet(&script, &serve);
         assert_eq!(out.cancelled, vec!["doomed".to_string()]);
-        assert_eq!(out.missions.len(), 1);
+        assert_eq!(out.rows.len(), 1);
         assert_eq!(out.counters.cancelled, 1);
     }
 }

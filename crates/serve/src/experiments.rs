@@ -9,9 +9,10 @@
 //! concurrency at two stripe factors in DES capacity mode and renders the
 //! comparison.
 
+use crate::mission::{FleetReport, MissionReport};
 use crate::scheduler::ServeConfig;
 use crate::script::WorkloadScript;
-use crate::sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport};
+use crate::sim::{simulate_fleet, ReadModel, SimConfig};
 use std::fmt::Write as _;
 
 /// One cell of the sweep.
@@ -47,15 +48,16 @@ fn cell(concurrency: usize, machine: &str, cpis: u64) -> Cell {
     summarize(&r, cpis)
 }
 
-fn summarize(r: &SimFleetReport, cpis: u64) -> Cell {
+fn summarize(r: &FleetReport, cpis: u64) -> Cell {
     let delivered = (r.rows.len() as u64 * cpis) as f64;
     let makespan = r.makespan.max(1e-12);
     let mean_slowdown = if r.rows.is_empty() {
         0.0
     } else {
-        r.rows.iter().map(|x| x.slowdown).sum::<f64>() / r.rows.len() as f64
+        r.rows.iter().filter_map(MissionReport::slowdown).sum::<f64>() / r.rows.len() as f64
     };
-    Cell { fleet_throughput: delivered / makespan, mean_slowdown, utilization: r.fleet_utilization }
+    let utilization = r.fleet_utilization.unwrap_or_default();
+    Cell { fleet_throughput: delivered / makespan, mean_slowdown, utilization }
 }
 
 /// Renders the contention sweep: fleet throughput and mean slowdown vs

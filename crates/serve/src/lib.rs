@@ -6,7 +6,9 @@
 //! adds that serving layer on top of the existing stack:
 //!
 //! - [`mission`] — mission specs (file- or stream-fed), typed admission
-//!   errors, per-mission reports, and the fleet table.
+//!   errors, and the one [`FleetReport`] of [`MissionReport`] rows that
+//!   both the executor and the simulator return (one JSON document, one
+//!   text table with its footers).
 //! - [`script`] — timed workload scripts (`at <secs> submit …`) driving both
 //!   real and simulated fleets.
 //! - [`arrivals`] — elastic mission arrivals (Poisson, bursty MMPP-2,
@@ -38,12 +40,12 @@ pub mod script;
 pub mod sim;
 
 pub use arrivals::{generate_script, ArrivalSpec};
-pub use executor::{run_fleet, FleetOutcome};
+pub use executor::run_fleet;
 pub use mission::{
-    fleet_table, machine_profile, AdmissionError, MissionOutcome, MissionReport, MissionSource,
+    machine_profile, AdmissionError, FleetReport, MissionOutcome, MissionReport, MissionSource,
     MissionSpec, PlanChoice, SlaVerdict,
 };
 pub use placement::{NodePool, StripeLoadTracker};
 pub use scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
 pub use script::{ScriptAction, ScriptError, ScriptEvent, WorkloadScript};
-pub use sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport, SimMissionRow};
+pub use sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport};

@@ -1,10 +1,12 @@
 //! Missions: what a client submits, why admission can refuse one, and what
 //! the fleet reports when it is done.
 
+use crate::scheduler::{Counters, Dispatch};
 use stap_core::{IoStrategy, SourceSpec, TailStructure};
 use stap_ingest::BackpressurePolicy;
 use stap_model::machines::MachineModel;
 use stap_trace::chrome::escape;
+use stap_trace::{fleet_chrome_trace, FleetTrack};
 
 /// Where a mission's CPI cubes come from.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -268,25 +270,6 @@ impl SlaVerdict {
     }
 }
 
-/// Fraction of SLA-bounded missions that met their bound, over one
-/// `(verdict, failed over)` pair per completed mission (`None` when no
-/// mission carried an SLA). With `credit_failover` off it is the
-/// counterfactual without the failover machinery: a mission that needed
-/// failover would have aborted at the fleet fault, so every bounded
-/// failed-over mission counts as a miss.
-pub(crate) fn sla_hit_rate(
-    grades: impl Iterator<Item = (SlaVerdict, bool)>,
-    credit_failover: bool,
-) -> Option<f64> {
-    let graded: Vec<bool> = grades
-        .filter_map(|(sla, failed_over)| sla.hit().map(|h| h && (credit_failover || !failed_over)))
-        .collect();
-    if graded.is_empty() {
-        return None;
-    }
-    Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
-}
-
 /// How a mission's execution ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MissionOutcome {
@@ -310,9 +293,9 @@ impl MissionOutcome {
     }
 }
 
-/// Per-mission entry of the machine-readable fleet run report: when the
-/// mission waited, ran, what plan it ran under, what it delivered, and how
-/// it scored against its SLA.
+/// One row of the fleet report, executed or simulated: when the mission
+/// waited, ran, what plan it ran under, what it delivered, and how it
+/// scored against its SLA.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissionReport {
     /// Scheduler-assigned mission id (also the Chrome-trace process tag).
@@ -355,11 +338,45 @@ pub struct MissionReport {
     /// fault-free run). A failed-over mission completes *degraded*, not
     /// aborted — its metrics are from the re-run on the surviving store.
     pub failover: Option<String>,
+    /// Simulation only: seconds the mission would take alone on an idle
+    /// store (`None` for an executed mission).
+    pub nominal_runtime: Option<f64>,
 }
 
 impl MissionReport {
-    /// The mission entry of the machine-readable run-report schema, as one
-    /// JSON object.
+    /// The row of dispatch `d` ending at `end`, before its run's own
+    /// figures are in: nothing delivered, dropped or retried, no SLA graded.
+    pub(crate) fn new(d: &Dispatch, end: f64, failover: Option<String>) -> Self {
+        Self {
+            id: d.id,
+            name: d.spec.name.clone(),
+            priority: d.spec.priority,
+            requested_nodes: d.spec.nodes,
+            plan: d.plan.clone(),
+            submit: d.submit,
+            start: d.start,
+            end,
+            queue_wait: d.start - d.submit,
+            read_contention: d.read_contention,
+            throughput: 0.0,
+            latency: 0.0,
+            drops: 0,
+            retries: 0,
+            staging_peak: 0,
+            sla: SlaVerdict::Unbounded,
+            outcome: MissionOutcome::Completed,
+            failover,
+            nominal_runtime: None,
+        }
+    }
+
+    /// The contention stretch `runtime / nominal_runtime` of a simulated
+    /// mission (`None` when executed).
+    pub fn slowdown(&self) -> Option<f64> {
+        self.nominal_runtime.map(|nominal| (self.end - self.start).max(1e-12) / nominal.max(1e-12))
+    }
+
+    /// The mission's object in the fleet report's `missions` array.
     pub fn to_json(&self) -> String {
         let sla = match self.sla {
             SlaVerdict::Unbounded => "null".to_string(),
@@ -403,50 +420,191 @@ impl MissionReport {
     }
 }
 
-/// Renders the per-mission fleet table (the human side of the fleet run
-/// report).
-pub fn fleet_table(reports: &[MissionReport]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<4}{:<12}{:>4}{:>7}  {:<34}{:>9}{:>9}{:>9}{:>7}{:>6}  {:<9}",
-        "id",
-        "mission",
-        "pri",
-        "nodes",
-        "plan",
-        "wait(s)",
-        "run(s)",
-        "CPI/s",
-        "drops",
-        "sla",
-        "outcome"
-    );
-    for r in reports {
-        let _ = writeln!(
-            out,
-            "{:<4}{:<12}{:>4}{:>7}  {:<34}{:>9.3}{:>9.3}{:>9.3}{:>7}{:>6}  {:<9}",
-            r.id,
-            truncate(&r.name, 11),
-            r.priority,
-            r.requested_nodes,
-            truncate(&r.plan.summary(), 33),
-            r.queue_wait,
-            r.end - r.start,
-            r.throughput,
-            r.drops,
-            r.sla.label(),
-            r.outcome.label(),
-        );
-    }
-    out
+/// A fleet's report, executed ([`run_fleet`](crate::run_fleet)) or
+/// simulated ([`simulate_fleet`](crate::simulate_fleet)): one row per
+/// finished mission, the missions that never ran, and the fleet figures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetReport {
+    /// Finished missions: by id when executed, in completion order when
+    /// simulated.
+    pub rows: Vec<MissionReport>,
+    /// `(name, typed reason)` for rejected submissions.
+    pub rejected: Vec<(String, String)>,
+    /// Names of missions cancelled while queued.
+    pub cancelled: Vec<String>,
+    /// Mission-conservation counters.
+    pub counters: Counters,
+    /// Seconds from the fleet epoch to the last completion.
+    pub makespan: f64,
+    /// Simulation only: mean utilization of the shared stripe store over
+    /// the makespan (`None` for an executed fleet).
+    pub fleet_utilization: Option<f64>,
+    /// Stripe-unit read jobs the simulated store served (`0` when executed).
+    pub store_jobs: u64,
+    /// Execution only: one mission-tagged trace track per finished mission.
+    pub(crate) tracks: Vec<FleetTrack>,
 }
 
-/// The first `n` characters of `s` (mission names are unvalidated text, so
-/// the cut must land on a char boundary).
-fn truncate(s: &str, n: usize) -> &str {
-    s.char_indices().nth(n).map_or(s, |(i, _)| &s[..i])
+impl FleetReport {
+    /// The merged Chrome trace of an executed fleet: one process track per
+    /// mission, tagged `mission <id> · <name>`.
+    pub fn chrome_trace(&self) -> String {
+        fleet_chrome_trace(&self.tracks)
+    }
+
+    /// Fraction of SLA-bounded missions that met their bound (`None` when
+    /// no mission carried an SLA).
+    pub fn sla_hit_rate(&self) -> Option<f64> {
+        self.hit_rate(true)
+    }
+
+    /// The counterfactual SLA hit-rate without the failover machinery: a
+    /// mission that needed failover would have aborted at the fleet fault,
+    /// so every bounded failed-over mission counts as a miss. The spread
+    /// between this and [`Self::sla_hit_rate`] is what redundancy bought.
+    pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
+        self.hit_rate(false)
+    }
+
+    fn hit_rate(&self, credit_failover: bool) -> Option<f64> {
+        let graded: Vec<bool> = self
+            .rows
+            .iter()
+            .filter_map(|r| r.sla.hit().map(|h| h && (credit_failover || r.failover.is_none())))
+            .collect();
+        if graded.is_empty() {
+            return None;
+        }
+        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
+    }
+
+    /// Missions that survived a fleet fault by failing over.
+    pub fn failovers(&self) -> usize {
+        self.rows.iter().filter(|r| r.failover.is_some()).count()
+    }
+
+    fn mean_queue_wait(&self) -> f64 {
+        if self.rows.is_empty() {
+            return 0.0;
+        }
+        self.rows.iter().map(|r| r.queue_wait).sum::<f64>() / self.rows.len() as f64
+    }
+
+    /// The human-readable report: the mission table, the failover,
+    /// rejection and cancellation notes, and the fleet footers.
+    pub fn render_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:<4}{:<12}{:>4}{:>7}  {:<34}{:>9}{:>9}{:>11}{:>9}{:>7}{:>6}  {:<9}",
+            "id",
+            "mission",
+            "pri",
+            "nodes",
+            "plan",
+            "wait(s)",
+            "run(s)",
+            "CPI/s",
+            "slowdown",
+            "drops",
+            "sla",
+            "outcome"
+        );
+        for r in &self.rows {
+            let slowdown = r.slowdown().map_or("-".to_string(), |s| format!("{s:.3}"));
+            // Precision counts chars, so a cut never splits a multi-byte one.
+            let _ = writeln!(
+                out,
+                "{:<4}{:<12.11}{:>4}{:>7}  {:<34.33}{:>9.3}{:>9.3}{:>11.3}{:>9}{:>7}{:>6}  {:<9}",
+                r.id,
+                r.name,
+                r.priority,
+                r.requested_nodes,
+                r.plan.summary(),
+                r.queue_wait,
+                r.end - r.start,
+                r.throughput,
+                slowdown,
+                r.drops,
+                r.sla.label(),
+                r.outcome.label(),
+            );
+        }
+        for (name, why) in &self.rejected {
+            let _ = writeln!(out, "rejected {name}: {why}");
+        }
+        for name in &self.cancelled {
+            let _ = writeln!(out, "cancelled {name} while queued");
+        }
+        for r in &self.rows {
+            if let Some(note) = &r.failover {
+                let _ = writeln!(out, "failover {}: {note}", r.name);
+            }
+        }
+        let _ = writeln!(out, "makespan       : {:>9.3} s", self.makespan);
+        if let Some(util) = self.fleet_utilization {
+            let _ = writeln!(out, "mean queue wait: {:>9.3} s", self.mean_queue_wait());
+            let _ = writeln!(
+                out,
+                "store util     : {:>8.1}% over {} read jobs",
+                util * 100.0,
+                self.store_jobs
+            );
+        }
+        match self.sla_hit_rate() {
+            Some(rate) => {
+                let _ = writeln!(out, "SLA hit-rate   : {:>8.0}%", rate * 100.0);
+            }
+            None => {
+                let _ = writeln!(out, "SLA hit-rate   : n/a (no bounded missions)");
+            }
+        }
+        if let Some(rate) = self.sla_hit_rate_no_failover().filter(|_| self.failovers() > 0) {
+            let _ =
+                writeln!(out, "SLA hit-rate (no failover) : {:>8.0}% counterfactual", rate * 100.0);
+        }
+        out
+    }
+
+    /// The machine-readable report: fleet figures and a root `missions`
+    /// array. A simulated fleet adds its store usage and mean queue wait;
+    /// an executed one its failed-mission count.
+    pub fn to_json(&self) -> String {
+        let rate = |r: Option<f64>| r.map_or("null".to_string(), |r| format!("{r:.4}"));
+        let (mode, store, jobs, failed) = match self.fleet_utilization {
+            Some(util) => (
+                "sim",
+                format!(
+                    ", \"fleet_utilization\": {util:.6}, \"mean_queue_wait\": {:.9}",
+                    self.mean_queue_wait()
+                ),
+                format!(", \"store_jobs\": {}", self.store_jobs),
+                String::new(),
+            ),
+            None => (
+                "serve",
+                String::new(),
+                String::new(),
+                format!(", \"failed\": {}", self.counters.failed),
+            ),
+        };
+        let missions: Vec<String> = self.rows.iter().map(MissionReport::to_json).collect();
+        format!(
+            "{{\"mode\": \"{mode}\", \"makespan\": {:.9}{store}, \"sla_hit_rate\": {}, \
+             \"sla_hit_rate_no_failover\": {}, \"failovers\": {}{jobs}, \"submitted\": {}, \
+             \"rejected\": {}, \"cancelled\": {}, \"completed\": {}{failed}, \"missions\": [{}]}}",
+            self.makespan,
+            rate(self.sla_hit_rate()),
+            rate(self.sla_hit_rate_no_failover()),
+            self.failovers(),
+            self.counters.submitted,
+            self.counters.rejected,
+            self.counters.cancelled,
+            self.counters.completed,
+            missions.join(", ")
+        )
+    }
 }
 
 #[cfg(test)]
@@ -481,6 +639,20 @@ mod tests {
             sla: SlaVerdict::grade(Some(0.6), 0.55),
             outcome: MissionOutcome::Completed,
             failover: None,
+            nominal_runtime: None,
+        }
+    }
+
+    fn fleet(rows: Vec<MissionReport>, fleet_utilization: Option<f64>) -> FleetReport {
+        FleetReport {
+            rows,
+            rejected: vec![("big".into(), "pool exceeded".into())],
+            cancelled: vec!["late".into()],
+            counters: Counters::default(),
+            makespan: 5.0,
+            fleet_utilization,
+            store_jobs: 12,
+            tracks: Vec::new(),
         }
     }
 
@@ -508,14 +680,41 @@ mod tests {
     }
 
     #[test]
-    fn fleet_table_lists_every_mission() {
-        let t = fleet_table(&[report()]);
+    fn fleet_text_lists_every_mission_and_note() {
+        let t = fleet(vec![report()], None).render_text();
         assert!(t.contains("alpha"));
         assert!(t.contains("met"));
         assert!(t.contains("done"));
+        assert!(t.contains("rejected big: pool exceeded") && t.contains("cancelled late"), "{t}");
+        assert!(!t.contains("store util"), "an executed fleet has no store figures: {t}");
         // The 11th byte of this name falls inside the two-byte 'é'.
         let wide = MissionReport { name: "radar-siteé-north".into(), ..report() };
-        assert!(fleet_table(&[wide]).contains("radar-siteé "));
+        assert!(fleet(vec![wide], None).render_text().contains("radar-siteé "));
+    }
+
+    #[test]
+    fn slowdown_is_runtime_over_nominal_in_simulation_only() {
+        assert_eq!(report().slowdown(), None);
+        let sim = MissionReport { nominal_runtime: Some(2.0), ..report() };
+        assert_eq!(sim.slowdown(), Some(1.25));
+        let t = fleet(vec![sim], Some(0.25)).render_text();
+        assert!(t.contains("1.250") && t.contains("store util     :     25.0% over 12"), "{t}");
+    }
+
+    #[test]
+    fn fleet_report_keys_follow_the_mode() {
+        let keys = |f: &FleetReport| match stap_trace::json::parse(&f.to_json()) {
+            Ok(stap_trace::json::Json::Obj(m)) => m.into_keys().collect::<Vec<_>>(),
+            other => panic!("not a JSON object: {other:?}"),
+        };
+        let executed = keys(&fleet(vec![report()], None));
+        let simulated = keys(&fleet(vec![report()], Some(0.5)));
+        assert!(executed.contains(&"failed".to_string()), "{executed:?}");
+        assert!(!executed.contains(&"store_jobs".to_string()), "{executed:?}");
+        for k in ["fleet_utilization", "mean_queue_wait", "store_jobs"] {
+            assert!(simulated.contains(&k.to_string()), "{k}: {simulated:?}");
+        }
+        assert!(!simulated.contains(&"failed".to_string()), "{simulated:?}");
     }
 
     #[test]

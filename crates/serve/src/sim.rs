@@ -21,12 +21,8 @@
 //! (used by the serve-conformance suite to compare prediction against
 //! execution on the same footing).
 
-use crate::mission::{
-    sla_hit_rate, MissionOutcome, MissionReport, MissionSource, PlanChoice, SlaVerdict,
-};
-use crate::scheduler::{
-    Counters, Dispatch, FleetFault, PlanCost, ReadBatch, Scheduler, ServeConfig,
-};
+use crate::mission::{FleetReport, MissionReport, MissionSource, PlanChoice, SlaVerdict};
+use crate::scheduler::{Dispatch, FleetFault, PlanCost, ReadBatch, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::desmodel::read_step;
 use stap_des::{Engine, FcfsResource, SimTime, StagingModel, StagingPolicy};
@@ -66,225 +62,9 @@ impl Default for SimConfig {
     }
 }
 
-/// One simulated mission's predicted service record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimMissionRow {
-    /// Scheduler-assigned mission id.
-    pub id: u64,
-    /// Mission name.
-    pub name: String,
-    /// Scheduling priority.
-    pub priority: u8,
-    /// Compute nodes requested.
-    pub requested_nodes: usize,
-    /// The admitted plan.
-    pub plan: PlanChoice,
-    /// Submission time, seconds.
-    pub submit: f64,
-    /// Dispatch time, seconds.
-    pub start: f64,
-    /// Completion time, seconds.
-    pub end: f64,
-    /// Predicted queue wait, seconds.
-    pub queue_wait: f64,
-    /// Uncontended runtime the mission would take alone, seconds.
-    pub nominal_runtime: f64,
-    /// `actual_runtime / nominal_runtime` — the contention stretch.
-    pub slowdown: f64,
-    /// Predicted delivered throughput, CPIs/s.
-    pub throughput: f64,
-    /// Predicted per-CPI latency including contention stretch, seconds.
-    pub latency: f64,
-    /// Missions sharing the busiest stripe server at dispatch.
-    pub read_contention: f64,
-    /// Predicted peak staging-ring occupancy, cubes (`0` for file-fed).
-    pub staging_peak: u64,
-    /// SLA verdict on the predicted latency.
-    pub sla: SlaVerdict,
-    /// When the mission survived a simulated fleet fault, what happened
-    /// (`None` for a fault-free prediction). Mirrors the executor's
-    /// [`MissionReport::failover`].
-    pub failover: Option<String>,
-}
-
-impl SimMissionRow {
-    /// Converts the row to the shared mission-report schema (drops and
-    /// retries are always zero in simulation).
-    pub fn to_report(&self) -> MissionReport {
-        MissionReport {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            requested_nodes: self.requested_nodes,
-            plan: self.plan.clone(),
-            submit: self.submit,
-            start: self.start,
-            end: self.end,
-            queue_wait: self.queue_wait,
-            read_contention: self.read_contention,
-            throughput: self.throughput,
-            latency: self.latency,
-            drops: 0,
-            retries: 0,
-            staging_peak: self.staging_peak,
-            sla: self.sla,
-            outcome: MissionOutcome::Completed,
-            failover: self.failover.clone(),
-        }
-    }
-}
-
-/// The simulated fleet's report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimFleetReport {
-    /// Completed missions in completion order.
-    pub rows: Vec<SimMissionRow>,
-    /// `(name, typed reason)` for rejected submissions.
-    pub rejected: Vec<(String, String)>,
-    /// Names of missions cancelled while queued.
-    pub cancelled: Vec<String>,
-    /// Mission-conservation counters.
-    pub counters: Counters,
-    /// Last completion time, seconds.
-    pub makespan: f64,
-    /// Mean utilization of the shared stripe store over the makespan.
-    pub fleet_utilization: f64,
-    /// Stripe-unit read jobs the store served.
-    pub store_jobs: u64,
-}
-
-impl SimFleetReport {
-    /// One `(SLA verdict, failed over)` pair per mission.
-    fn grades(&self) -> impl Iterator<Item = (SlaVerdict, bool)> + '_ {
-        self.rows.iter().map(|r| (r.sla, r.failover.is_some()))
-    }
-
-    /// Fraction of SLA-bounded missions predicted to meet their bound
-    /// (`None` when no mission carried an SLA).
-    pub fn sla_hit_rate(&self) -> Option<f64> {
-        sla_hit_rate(self.grades(), true)
-    }
-
-    /// The counterfactual SLA hit-rate without the failover machinery.
-    /// Mirrors
-    /// [`FleetOutcome::sla_hit_rate_no_failover`](crate::executor::FleetOutcome::sla_hit_rate_no_failover).
-    pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
-        sla_hit_rate(self.grades(), false)
-    }
-
-    /// Missions predicted to survive a fleet fault by failing over.
-    pub fn failovers(&self) -> usize {
-        self.grades().filter(|&(_, failed_over)| failed_over).count()
-    }
-
-    /// Mean predicted queue wait over completed missions, seconds.
-    pub fn mean_queue_wait(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| r.queue_wait).sum::<f64>() / self.rows.len() as f64
-    }
-
-    /// Human-readable capacity report.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<4}{:<12}{:>4}{:>7}{:>9}{:>9}{:>9}{:>10}{:>9}{:>6}  {:<24}",
-            "id",
-            "mission",
-            "pri",
-            "nodes",
-            "wait(s)",
-            "run(s)",
-            "nominal",
-            "slowdown",
-            "CPI/s",
-            "sla",
-            "plan"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<4}{:<12}{:>4}{:>7}{:>9.3}{:>9.3}{:>9.3}{:>10.3}{:>9.3}{:>6}  {:<24}",
-                r.id,
-                r.name,
-                r.priority,
-                r.requested_nodes,
-                r.queue_wait,
-                r.end - r.start,
-                r.nominal_runtime,
-                r.slowdown,
-                r.throughput,
-                r.sla.label(),
-                r.plan.summary(),
-            );
-        }
-        for r in &self.rows {
-            if let Some(f) = &r.failover {
-                let _ = writeln!(out, "failover {}: {f}", r.name);
-            }
-        }
-        for (name, why) in &self.rejected {
-            let _ = writeln!(out, "rejected {name}: {why}");
-        }
-        for name in &self.cancelled {
-            let _ = writeln!(out, "cancelled {name} while queued");
-        }
-        let _ = writeln!(out, "makespan            {:.3} s", self.makespan);
-        let _ = writeln!(out, "mean queue wait     {:.3} s", self.mean_queue_wait());
-        let _ = writeln!(
-            out,
-            "fleet store util    {:.1}% over {} read jobs",
-            self.fleet_utilization * 100.0,
-            self.store_jobs
-        );
-        match self.sla_hit_rate() {
-            Some(rate) => {
-                let _ = writeln!(out, "SLA hit-rate        {:.0}%", rate * 100.0);
-            }
-            None => {
-                let _ = writeln!(out, "SLA hit-rate        n/a (no bounded missions)");
-            }
-        }
-        if self.failovers() > 0 {
-            if let Some(bare) = self.sla_hit_rate_no_failover() {
-                let _ =
-                    writeln!(out, "SLA hit-rate (no failover) {:.0}% counterfactual", bare * 100.0);
-            }
-        }
-        out
-    }
-
-    /// Machine-readable fleet report: the shared run-report schema with a
-    /// root `missions` array.
-    pub fn to_json(&self) -> String {
-        let missions: Vec<String> = self.rows.iter().map(|r| r.to_report().to_json()).collect();
-        let sla = self.sla_hit_rate().map_or("null".to_string(), |r| format!("{r:.4}"));
-        let sla_bare =
-            self.sla_hit_rate_no_failover().map_or("null".to_string(), |r| format!("{r:.4}"));
-        format!(
-            "{{\"mode\": \"sim\", \"makespan\": {:.9}, \"fleet_utilization\": {:.6}, \
-             \"mean_queue_wait\": {:.9}, \"sla_hit_rate\": {}, \
-             \"sla_hit_rate_no_failover\": {}, \"failovers\": {}, \"store_jobs\": {}, \
-             \"submitted\": {}, \"rejected\": {}, \"cancelled\": {}, \"completed\": {}, \
-             \"missions\": [{}]}}",
-            self.makespan,
-            self.fleet_utilization,
-            self.mean_queue_wait(),
-            sla,
-            sla_bare,
-            self.failovers(),
-            self.store_jobs,
-            self.counters.submitted,
-            self.counters.rejected,
-            self.counters.cancelled,
-            self.counters.completed,
-            missions.join(", ")
-        )
-    }
-}
+/// The simulated fleet's report: the one [`FleetReport`] both modes
+/// return, with the store usage filled in.
+pub type SimFleetReport = FleetReport;
 
 /// One CPI of a mission as the fold runs it.
 struct CpiFold {
@@ -405,14 +185,14 @@ struct FleetState {
     store: FcfsResource,
     model: ReadModel,
     active: Vec<Option<Active>>,
-    rows: Vec<SimMissionRow>,
+    rows: Vec<MissionReport>,
     rejected: Vec<(String, String)>,
     cancelled: Vec<String>,
 }
 
 /// Replays a workload script in virtual time and reports the predicted
 /// per-mission service and fleet capacity figures.
-pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetReport {
+pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> FleetReport {
     let stripe_servers = cfg.serve.stripe_servers.max(1);
     let mut state = FleetState {
         sched: Scheduler::new(cfg.serve.clone()),
@@ -448,14 +228,15 @@ pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetRepor
     let end = eng.run(&mut state);
     let makespan = state.rows.iter().map(|r| r.end).fold(end.as_secs_f64(), f64::max);
     let fleet_utilization = state.store.utilization(SimTime::from_secs_f64(makespan));
-    SimFleetReport {
+    FleetReport {
         rows: state.rows,
         rejected: state.rejected,
         cancelled: state.cancelled,
         counters: state.sched.counters(),
         makespan,
-        fleet_utilization,
+        fleet_utilization: Some(fleet_utilization),
         store_jobs: state.store.jobs(),
+        tracks: Vec::new(),
     }
 }
 
@@ -565,29 +346,17 @@ fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     let end = eng.now().as_secs_f64();
     st.sched.complete(id, false);
     let runtime = (end - a.d.start).max(1e-12);
-    let slowdown = runtime / a.nominal_runtime.max(1e-12);
     // Contention stretches every CPI cycle; the achieved latency is the
     // plan's pipeline latency plus the per-CPI stretch.
     let stretch = (runtime - a.nominal_runtime).max(0.0) / a.cpis as f64;
     let latency = a.d.plan.latency + stretch;
-    st.rows.push(SimMissionRow {
-        id,
-        name: a.d.spec.name.clone(),
-        priority: a.d.spec.priority,
-        requested_nodes: a.d.spec.nodes,
-        plan: a.d.plan.clone(),
-        submit: a.d.submit,
-        start: a.d.start,
-        end,
-        queue_wait: a.d.start - a.d.submit,
-        nominal_runtime: a.nominal_runtime,
-        slowdown,
+    st.rows.push(MissionReport {
         throughput: a.cpis as f64 / runtime,
         latency,
-        read_contention: a.d.read_contention,
         staging_peak: a.staging.as_ref().map_or(0, |s| s.counters().peak),
         sla: SlaVerdict::grade(a.d.spec.max_latency, latency),
-        failover: a.failover.clone(),
+        nominal_runtime: Some(a.nominal_runtime),
+        ..MissionReport::new(&a.d, end, a.failover)
     });
     pump(eng, st);
 }
@@ -613,6 +382,10 @@ mod tests {
         WorkloadScript::parse(text).expect("valid script")
     }
 
+    fn slowdown(row: &MissionReport) -> f64 {
+        row.slowdown().expect("a simulated row carries its nominal runtime")
+    }
+
     #[test]
     fn lone_mission_has_no_queue_wait_and_unit_slowdown() {
         let s = script("at 0 submit name=solo nodes=25 cpis=8\n");
@@ -621,9 +394,9 @@ mod tests {
         let row = &r.rows[0];
         assert_eq!(row.queue_wait, 0.0);
         assert!(
-            (row.slowdown - 1.0).abs() < 1e-6,
+            (slowdown(row) - 1.0).abs() < 1e-6,
             "uncontended mission runs at nominal speed, got {}",
-            row.slowdown
+            slowdown(row)
         );
         assert!(r.counters.completed == 1 && r.sched_conserved());
     }
@@ -648,7 +421,7 @@ mod tests {
                     let (short, long) = (run(8), run(16));
                     let at = format!("{machine} {io} {tail}");
                     for row in [&short, &long] {
-                        assert!((row.slowdown - 1.0).abs() < 1e-6, "{at}: {}", row.slowdown);
+                        assert!((slowdown(row) - 1.0).abs() < 1e-6, "{at}: {}", slowdown(row));
                     }
                     let cycle = ((long.end - long.start) - (short.end - short.start)) / 8.0;
                     let period = 1.0 / short.plan.throughput;
@@ -671,12 +444,13 @@ mod tests {
         let cube = ShapeParams::paper_default().cube_bytes();
         let units = extent_service(&stap_pfs::FsConfig::piofs(), 0, cube, stap_pfs::OpenMode::Unix);
         let want = cpis as f64 * units.iter().map(|&(_, svc)| svc).sum::<f64>();
-        let busy = r.fleet_utilization * r.makespan * c.serve.stripe_servers as f64;
+        let busy =
+            r.fleet_utilization.expect("simulated") * r.makespan * c.serve.stripe_servers as f64;
         assert!((busy / want - 1.0).abs() < 1e-6, "store busy {busy} s, PIOFS reads {want} s");
         assert_eq!(r.store_jobs, cpis * units.len() as u64);
     }
 
-    impl SimFleetReport {
+    impl FleetReport {
         fn sched_conserved(&self) -> bool {
             let c = self.counters;
             c.submitted == c.rejected + c.cancelled + c.completed + c.failed
@@ -698,9 +472,9 @@ mod tests {
         let r = simulate_fleet(&s, &c);
         assert_eq!(r.rows.len(), 4);
         assert!(
-            r.rows.iter().any(|row| row.slowdown > 1.2),
+            r.rows.iter().any(|row| slowdown(row) > 1.2),
             "sharing stripe servers must stretch the fleet: {:?}",
-            r.rows.iter().map(|x| x.slowdown).collect::<Vec<_>>()
+            r.rows.iter().map(slowdown).collect::<Vec<_>>()
         );
     }
 
@@ -726,7 +500,7 @@ mod tests {
         );
         let r = simulate_fleet(&s, &cfg(1));
         let order: Vec<&str> = {
-            let mut rows: Vec<&SimMissionRow> = r.rows.iter().collect();
+            let mut rows: Vec<&MissionReport> = r.rows.iter().collect();
             rows.sort_by(|x, y| x.start.total_cmp(&y.start));
             rows.iter().map(|x| x.name.as_str()).collect()
         };
@@ -770,7 +544,7 @@ mod tests {
         };
         let r = simulate_fleet(&s, &c);
         let row = &r.rows[0];
-        assert!((row.nominal_runtime - 5.0).abs() < 1e-9);
+        assert!((row.nominal_runtime.expect("simulated") - 5.0).abs() < 1e-9);
         assert!((row.end - row.start - 5.0).abs() < 1e-6, "uncontended = nominal");
     }
 
@@ -784,7 +558,7 @@ mod tests {
         let text = r.render_text();
         assert!(text.contains("slowdown"));
         assert!(text.contains("SLA hit-rate"));
-        assert!(text.contains("fleet store util"));
+        assert!(text.contains("store util"));
         let v = stap_trace::json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(v.get("mode").unwrap().as_str(), Some("sim"));
         let missions = v.get("missions").unwrap().as_array().unwrap();
@@ -803,7 +577,7 @@ mod tests {
         assert!(row.end - row.start >= 3.4, "8 cubes at 2/s pace the run: {}", row.end);
         assert!(row.staging_peak >= 1);
         assert_eq!(r.store_jobs, 0, "stream missions bypass the striped store");
-        assert!(row.slowdown >= 1.0);
+        assert!(slowdown(row) >= 1.0);
 
         // An unpaced frontend fills the ring instead: peak hits the depth
         // and the mission runs at compute speed.
@@ -829,7 +603,11 @@ mod tests {
         assert!(r.rows.iter().all(|row| row.failover.is_some()), "{:?}", r.rows);
         assert_eq!(r.failovers(), 2);
         let a = r.rows.iter().find(|x| x.name == "a").expect("a completes");
-        assert!(a.slowdown > 1.0, "lost work plus degraded reads stretch the run: {}", a.slowdown);
+        assert!(
+            slowdown(a) > 1.0,
+            "lost work plus degraded reads stretch the run: {}",
+            slowdown(a)
+        );
         // Failover re-plans onto the survivors, as the executor does.
         assert_eq!(a.plan.stripe_factor, 63, "{}", a.plan.summary());
         let note = a.failover.as_deref().expect("failover recorded");
@@ -896,7 +674,8 @@ mod tests {
     fn store_utilization_is_positive_and_bounded() {
         let s = script("at 0 submit name=a nodes=25 cpis=4\n");
         let r = simulate_fleet(&s, &cfg(2));
-        assert!(r.fleet_utilization > 0.0 && r.fleet_utilization <= 1.0);
+        let util = r.fleet_utilization.expect("a simulated fleet reports store use");
+        assert!(util > 0.0 && util <= 1.0);
         assert!(r.store_jobs > 0);
     }
 }

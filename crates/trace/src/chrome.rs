@@ -138,7 +138,7 @@ pub fn chrome_trace(stage_names: &[String], spans: &[Span]) -> String {
 
 /// One mission's track group in a fleet trace: the mission identity plus
 /// the phase spans its pipeline recorded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTrack {
     /// Scheduler-assigned mission id (becomes the Chrome process id + 1,
     /// and is echoed in the process name so tracks are mission-tagged).
@@ -223,6 +223,7 @@ mod tests {
     fn escapes_hostile_names() {
         let s = escape("a\"b\\c\nd");
         assert_eq!(s, "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\rb\tc\u{1}d"), "a\\rb\\tc\\u0001d");
     }
 
     #[test]

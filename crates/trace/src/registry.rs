@@ -133,35 +133,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as a JSON array (the run report's `phases`
-    /// section): one object per (stage, phase) with spans.
-    pub fn to_json(&self) -> String {
-        let mut items = Vec::new();
-        for (i, sm) in self.stages.iter().enumerate() {
-            for p in Phase::ALL {
-                let Some(st) = &sm.phases[p.index()] else { continue };
-                items.push(format!(
-                    concat!(
-                        "{{\"stage\":{},\"task\":\"{}\",\"nodes\":{},\"phase\":\"{}\",",
-                        "\"count\":{},\"sum\":{:.9},\"min\":{:.9},\"max\":{:.9},",
-                        "\"p50\":{:.9},\"p99\":{:.9}}}"
-                    ),
-                    i,
-                    crate::chrome::escape(&sm.name),
-                    sm.nodes,
-                    p.label(),
-                    st.count,
-                    st.sum,
-                    st.min,
-                    st.max,
-                    st.p50,
-                    st.p99
-                ));
-            }
-        }
-        format!("[{}]", items.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -215,16 +186,5 @@ mod tests {
         assert!(front < tail);
         // read precedes compute within a stage (canonical phase order).
         assert!(a.find("read").unwrap() < a.find("compute").unwrap());
-    }
-
-    #[test]
-    fn json_section_parses() {
-        let spans = vec![span(0, 0, Phase::Read, 0.0, 1.0)];
-        let reg = MetricsRegistry::from_spans(&["parallel read".into()], &spans);
-        let parsed = crate::json::parse(&reg.to_json()).unwrap();
-        let arr = parsed.as_array().unwrap();
-        assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].get("phase").unwrap().as_str().unwrap(), "read");
-        assert_eq!(arr[0].get("count").unwrap().as_f64().unwrap(), 1.0);
     }
 }

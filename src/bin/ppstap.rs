@@ -288,54 +288,28 @@ fn serve_cmd(a: ServeArgs) {
         }
     };
     let cfg = serve_config_from(&a);
-    if a.sim {
+    let report = if a.sim {
         let sim = ppstap::serve::sim::SimConfig {
             serve: cfg,
             read_model: ppstap::serve::sim::ReadModel::Planned,
         };
-        let report = ppstap::serve::simulate_fleet(&script, &sim);
-        if a.json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_text());
-        }
-        return;
-    }
-    let out = ppstap::serve::run_fleet(&script, &cfg);
-    if a.json {
-        println!("{}", out.fleet_json());
+        ppstap::serve::simulate_fleet(&script, &sim)
     } else {
-        print!("{}", out.fleet_table());
-        for (name, why) in &out.rejected {
-            println!("rejected {name}: {why}");
-        }
-        for name in &out.cancelled {
-            println!("cancelled {name} while queued");
-        }
-        for m in &out.missions {
-            if let Some(note) = &m.failover {
-                println!("failover {}: {note}", m.name);
-            }
-        }
-        println!("makespan       : {:>9.3} s", out.makespan);
-        match out.sla_hit_rate() {
-            Some(rate) => println!("SLA hit-rate   : {:>8.0}%", rate * 100.0),
-            None => println!("SLA hit-rate   : n/a (no bounded missions)"),
-        }
-        if out.failovers() > 0 {
-            if let Some(rate) = out.sla_hit_rate_no_failover() {
-                println!("SLA hit-rate (no failover) : {:>8.0}% counterfactual", rate * 100.0);
-            }
-        }
+        ppstap::serve::run_fleet(&script, &cfg)
+    };
+    if a.json {
+        println!("{}", report.to_json());
+    } else {
+        print!("{}", report.render_text());
     }
     if let Some(path) = &a.trace {
-        if let Err(e) = std::fs::write(path, out.chrome_trace()) {
+        if let Err(e) = std::fs::write(path, report.chrome_trace()) {
             eprintln!("error: writing trace to {path}: {e}");
             std::process::exit(1);
         }
         println!("fleet trace written to {path} (one mission-tagged track per mission)");
     }
-    if out.missions.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
+    if report.counters.failed > 0 {
         std::process::exit(1);
     }
 }
@@ -354,14 +328,12 @@ fn submit_cmd(a: SubmitArgs) {
         std::process::exit(1);
     }
     if a.json {
-        match out.missions.first() {
-            Some(m) => println!("{}", m.to_json()),
-            None => println!("{}", out.fleet_json()),
-        }
+        let mission = out.rows.first().map(ppstap::serve::MissionReport::to_json);
+        println!("{}", mission.unwrap_or_else(|| out.to_json()));
     } else {
-        print!("{}", out.fleet_table());
+        print!("{}", out.render_text());
     }
-    if out.missions.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
+    if out.counters.failed > 0 {
         std::process::exit(1);
     }
 }
@@ -401,17 +373,7 @@ fn verify_cmd(a: VerifyArgs) {
         };
         let passed = points.iter().all(|p| p.report.passed());
         if a.json {
-            let body: Vec<String> = points
-                .iter()
-                .map(|p| format!("{{\"value\": {}, \"report\": {}}}", p.value, p.report.to_json()))
-                .collect();
-            println!(
-                "{{\"scenario\": \"{}\", \"axis\": \"{}\", \"passed\": {passed}, \
-                 \"points\": [{}]}}",
-                scenario.name,
-                sweep.axis.name(),
-                body.join(", ")
-            );
+            println!("{}", sc::sweep::to_json(&scenario.name, sweep, &points));
         } else {
             print!("{}", sc::sweep::table(&scenario.name, sweep, &points));
         }

@@ -7,7 +7,9 @@
 //! positions, splicing in grammar fragments (keywords, separators, boundary
 //! numbers, a multi-byte character) and arbitrary bytes, so most cases sit
 //! one or two edits from valid; a panic in any parser fails the case.
-//! `cli::parse` itself is held to the same property in `src/cli.rs`.
+//! `cli::parse` itself is held to the same property in `src/cli.rs`. The
+//! same edits to the requirement and sweep sentences must never yield an
+//! accepted non-finite number.
 
 use ppstap::core::{FailurePolicy, IoStrategy, SourceSpec};
 use ppstap::pfs::FaultPlan;
@@ -48,6 +50,23 @@ const SEEDS: [&str; 14] = [
     "min_pd = 0.9\nmax_pfa = 1e-3 # design point\nmax_sinr_loss_db = 3\npfa_within_sigmas = 4\n",
 ];
 
+/// `edits` applied to seed sentence `seed` (the empty text past the last
+/// one): each deletes up to three characters at a position and splices in
+/// a fragment or, past the fragment list, arbitrary bytes.
+fn mutate(seed: usize, edits: Vec<(usize, usize, usize, Vec<u8>)>) -> String {
+    let mut text: Vec<char> = SEEDS.get(seed).copied().unwrap_or("").chars().collect();
+    for (at, delete, pick, bytes) in edits {
+        let at = at % (text.len() + 1);
+        let end = (at + delete).min(text.len());
+        let insert = match FRAGMENTS.get(pick) {
+            Some(fragment) => (*fragment).to_string(),
+            None => String::from_utf8_lossy(&bytes).into_owned(),
+        };
+        text.splice(at..end, insert.chars());
+    }
+    text.into_iter().collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -59,17 +78,7 @@ proptest! {
             0..6,
         ),
     ) {
-        let mut text: Vec<char> = SEEDS.get(seed).copied().unwrap_or("").chars().collect();
-        for (at, delete, pick, bytes) in edits {
-            let at = at % (text.len() + 1);
-            let end = (at + delete).min(text.len());
-            let insert = match FRAGMENTS.get(pick) {
-                Some(fragment) => (*fragment).to_string(),
-                None => String::from_utf8_lossy(&bytes).into_owned(),
-            };
-            text.splice(at..end, insert.chars());
-        }
-        let text: String = text.into_iter().collect();
+        let text = mutate(seed, edits);
         let _ = WorkloadScript::parse(&text);
         let _ = FaultPlan::parse(&text, 7);
         let _ = FleetFault::parse(&text);
@@ -80,5 +89,26 @@ proptest! {
         let _ = FailurePolicy::parse(&text);
         let _ = Sweep::parse(&text);
         let _ = Requirement::parse(&text);
+    }
+
+    /// A bound or sweep value of `nan` or `inf` would fail every check and
+    /// print as bare `NaN` in `verify --json`: the grammars refuse them, so
+    /// whatever they accept holds finite numbers only.
+    #[test]
+    fn accepted_requirements_and_sweeps_hold_finite_numbers(
+        seed in 12usize..14,
+        edits in proptest::collection::vec(
+            (0usize..4096, 0usize..4, 0usize..80, proptest::collection::vec(any::<u8>(), 0..6)),
+            0..6,
+        ),
+    ) {
+        let text = mutate(seed, edits);
+        if let Ok(sweep) = Sweep::parse(&text) {
+            prop_assert!(sweep.values.iter().all(|v| v.is_finite()), "{text:?}: {sweep:?}");
+        }
+        if let Ok(req) = Requirement::parse(&text) {
+            let bounds = [req.min_pd, req.max_pfa, req.max_sinr_loss_db, req.pfa_within_sigmas];
+            prop_assert!(bounds.iter().flatten().all(|v| v.is_finite()), "{text:?}: {req:?}");
+        }
     }
 }

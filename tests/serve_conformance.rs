@@ -156,9 +156,9 @@ fn median_secs_per_cpi(cpis: u64, concurrent: usize) -> f64 {
     let mut samples: Vec<f64> = Vec::new();
     for _ in 0..CALIBRATION_ROUNDS {
         let out = run_fleet(&script, &cfg);
-        assert_eq!(out.missions.len(), concurrent, "calibration missions must complete");
-        assert!(out.missions.iter().all(|m| m.throughput > 0.0), "calibration missions must run");
-        samples.extend(out.missions.iter().map(|m| 1.0 / m.throughput));
+        assert_eq!(out.rows.len(), concurrent, "calibration missions must complete");
+        assert!(out.rows.iter().all(|m| m.throughput > 0.0), "calibration missions must run");
+        samples.extend(out.rows.iter().map(|m| 1.0 / m.throughput));
     }
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
@@ -208,15 +208,14 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
     let exec = run_fleet(&script, &fleet_config());
     let sim = simulate_fleet(&script, &SimConfig { serve: fleet_config(), read_model: model });
 
-    assert_eq!(exec.missions.len(), 6, "all six executed missions complete");
+    assert_eq!(exec.rows.len(), 6, "all six executed missions complete");
     assert_eq!(sim.rows.len(), 6, "all six simulated missions complete");
     assert!(exec.rejected.is_empty() && sim.rejected.is_empty());
 
     // Scheduling conformance: identical dispatch order (priorities beat
     // arrival order for the queued tail).
-    let exec_order = start_order(
-        &mut exec.missions.iter().map(|m| (m.start, m.name.clone())).collect::<Vec<_>>(),
-    );
+    let exec_order =
+        start_order(&mut exec.rows.iter().map(|m| (m.start, m.name.clone())).collect::<Vec<_>>());
     let sim_order =
         start_order(&mut sim.rows.iter().map(|r| (r.start, r.name.clone())).collect::<Vec<_>>());
     let expected = ["m0", "m1", "m4", "m5", "m2", "m3"];
@@ -225,7 +224,7 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
 
     // Timing conformance, normalized per mode (see tolerance docs above).
     let exec_mean_rt =
-        exec.missions.iter().map(|m| m.end - m.start).sum::<f64>() / exec.missions.len() as f64;
+        exec.rows.iter().map(|m| m.end - m.start).sum::<f64>() / exec.rows.len() as f64;
     let sim_mean_rt = sim.rows.iter().map(|r| r.end - r.start).sum::<f64>() / sim.rows.len() as f64;
     assert!(exec_mean_rt > 0.0 && sim_mean_rt > 0.0);
 
@@ -242,7 +241,7 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
         ),
     ];
     let (mut worst_qw, mut worst_ratio) = (0.0f64, 1.0f64);
-    for m in &exec.missions {
+    for m in &exec.rows {
         let r = sim.rows.iter().find(|r| r.name == m.name).expect("mission simulated");
         let qw_diff = (m.queue_wait / exec_mean_rt - r.queue_wait / sim_mean_rt).abs();
         let ratio = r.throughput / m.throughput;
@@ -305,7 +304,7 @@ at 0.030 submit name=s2 nodes=25 cpis=4 source=stream staging=2 backpressure=blo
         &script,
         &SimConfig { serve: fleet_config(), read_model: ReadModel::Planned },
     );
-    assert_eq!(exec.missions.len(), 3, "all streamed missions execute to completion");
+    assert_eq!(exec.rows.len(), 3, "all streamed missions execute to completion");
     assert_eq!(sim.rows.len(), 3, "all streamed missions simulate to completion");
 
     let mut lines = vec![
@@ -315,7 +314,7 @@ at 0.030 submit name=s2 nodes=25 cpis=4 source=stream staging=2 backpressure=blo
     ];
     let depths = [("s0", 4u64), ("s1", 3), ("s2", 2)];
     for (name, depth) in depths {
-        let m = exec.missions.iter().find(|m| m.name == name).expect("executed mission");
+        let m = exec.rows.iter().find(|m| m.name == name).expect("executed mission");
         let r = sim.rows.iter().find(|r| r.name == name).expect("simulated mission");
         lines.push(format!("{:<8} {:>9} {:>8} {:>8}", name, depth, m.staging_peak, r.staging_peak));
         assert!(m.staging_peak >= 1 && m.staging_peak <= depth, "{name}: executed peak in ring");
@@ -367,12 +366,12 @@ at 0.030 submit name=f2 nodes=25 cpis=2 max-latency=120\n";
     let exec = run_fleet(&script, &cfg);
     let sim = simulate_fleet(&script, &SimConfig { serve: cfg, read_model: ReadModel::Planned });
 
-    assert_eq!(exec.missions.len(), 3, "all executed missions survive the loss");
+    assert_eq!(exec.rows.len(), 3, "all executed missions survive the loss");
     assert_eq!(sim.rows.len(), 3, "all simulated missions survive the loss");
 
     // Failover conformance: the same missions fail over in both modes.
     let mut exec_fo: Vec<&str> =
-        exec.missions.iter().filter(|m| m.failover.is_some()).map(|m| m.name.as_str()).collect();
+        exec.rows.iter().filter(|m| m.failover.is_some()).map(|m| m.name.as_str()).collect();
     let mut sim_fo: Vec<&str> =
         sim.rows.iter().filter(|r| r.failover.is_some()).map(|r| r.name.as_str()).collect();
     exec_fo.sort_unstable();
@@ -387,7 +386,7 @@ at 0.030 submit name=f2 nodes=25 cpis=2 max-latency=120\n";
     let exec_cf = exec.sla_hit_rate_no_failover().expect("counterfactual graded");
     let sim_cf = sim.sla_hit_rate_no_failover().expect("counterfactual graded");
     let lines = vec![
-        format!("fault: server-loss:0@3 over {} missions", exec.missions.len()),
+        format!("fault: server-loss:0@3 over {} missions", exec.rows.len()),
         format!("failover set (both modes): {}", exec_fo.join(" ")),
         format!(
             "SLA hit-rate: exec={:.0}% sim={:.0}% (tol {FAULT_SLA_RATE_TOL})",
@@ -535,7 +534,8 @@ proptest! {
             prop_assert!(row.queue_wait >= -1e-9, "{}: negative queue wait", row.name);
             prop_assert!((row.queue_wait - (row.start - row.submit)).abs() < 1e-6);
             prop_assert!(row.end <= report.makespan + 1e-9);
-            prop_assert!(row.slowdown >= 1.0 - 1e-9, "{}: runtime below nominal", row.name);
+            let slowdown = row.slowdown().expect("a simulated row carries its nominal runtime");
+            prop_assert!(slowdown >= 1.0 - 1e-9, "{}: runtime below nominal", row.name);
             if let Some(note) = &row.failover {
                 prop_assert!(
                     note.contains("stripe server"),

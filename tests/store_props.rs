@@ -216,3 +216,78 @@ fn read_cache_holds_its_laws_under_eight_threads() {
         cache.capacity()
     );
 }
+
+/// Eight readers fetch through a warm store while the backing files are
+/// restriped twice under them (sf 4 → 16 → 8). Every fetch returns the
+/// staged bytes, and every fetch is counted once, as a hit or a miss.
+#[test]
+fn restripe_live_serves_staged_bytes_to_eight_readers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const READERS: u64 = 8;
+    const MIN_FETCHES: u64 = 200;
+    const FANOUT: usize = 2;
+    // Eight 64 KiB stripe units per file, so each restripe takes a while.
+    const CUBE: usize = 512 * 1024;
+    const WINDOW: usize = 256;
+    let (_fs, files, cubes) = staged(FANOUT, CUBE, 29);
+    let cfg = StoreConfig {
+        cache_bytes: 4 << 20,
+        readahead_depth: 0,
+        access: CubeAccess::Resident,
+        footprint_bound: u64::MAX,
+        row_bytes: 1,
+    };
+    let src = StoreSource::new(files, cfg);
+    // Warm: every whole cube is cached before the readers start.
+    for cpi in 0..FANOUT as u64 {
+        assert_eq!(src.fetch(cpi, 0, CUBE).unwrap(), cubes[cpi as usize]);
+    }
+    let warm = FANOUT as u64;
+    let restriped = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(READERS as usize + 1);
+    let fetches: u64 = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|t| {
+                let (src, cubes, restriped, start) = (&src, &cubes, &restriped, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut state = 0x2545_F491_4F6C_DD1Du64 ^ t;
+                    let mut issued = 0u64;
+                    // Keep reading until both restripes are done, so fetches
+                    // overlap the copy-then-swap of every stripe unit.
+                    while issued < MIN_FETCHES || !restriped.load(Ordering::Acquire) {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let cpi = (state >> 33) % 16;
+                        // Whole cubes hit the warm cache; small windows at
+                        // scattered offsets miss and read the live layout.
+                        let (off, len) = match (state >> 20) % 2 {
+                            0 => (0, CUBE),
+                            _ => (((state >> 40) as usize % (CUBE / WINDOW)) * WINDOW, WINDOW),
+                        };
+                        let got = src.fetch(cpi, off as u64, len).expect("fetch during restripe");
+                        let want = &cubes[(cpi % FANOUT as u64) as usize][off..off + len];
+                        assert_eq!(&got[..], want, "reader {t}: cpi {cpi} window ({off}, {len})");
+                        issued += 1;
+                    }
+                    issued
+                })
+            })
+            .collect();
+        start.wait();
+        for sf in [16, 8] {
+            let dst = Pfs::mount(FsConfig::paragon_pfs(sf));
+            let reports = src.restripe_to(&dst).expect("restripe under readers");
+            assert_eq!(reports.len(), FANOUT);
+            assert!(reports.iter().all(|r| r.to_sf == sf && r.bytes == CUBE as u64));
+        }
+        restriped.store(true, Ordering::Release);
+        readers.into_iter().map(|r| r.join().expect("reader panicked")).sum()
+    });
+    let (hits, misses, inserts, evictions, _) = src.stats().snapshot();
+    assert_eq!(hits + misses, warm + fetches, "every fetch is exactly one hit or one miss");
+    assert!(hits > 0 && misses > warm, "both paths ran: {hits} hits, {misses} misses");
+    assert!(evictions <= inserts);
+}

@@ -1,7 +1,7 @@
 //! End-to-end acceptance tests for the smart storage tier: routing a real
 //! pipeline run through the server cache or through bounded out-of-core
 //! chunks must be invisible to the detections — bit-for-bit — while the
-//! run report gains the tier's counters.
+//! run output gains the tier's counters.
 
 use ppstap::core::config::StapConfig;
 use ppstap::core::{IoStrategy, StapRunOutput, StapSystem};
@@ -59,14 +59,10 @@ fn out_of_core_detections_are_bit_identical_on_catalog_scenarios() {
 fn cached_run_matches_plain_run_and_reports_the_tier() {
     let plain = run(StapConfig::default());
     assert!(plain.store.is_none(), "plain resident run must not report a storage tier");
-    assert!(!plain.run_report_json().contains("\"store\""));
 
     let cached = run(StapConfig { io: IoStrategy::Cached { mb: 8 }, ..StapConfig::default() });
     assert_eq!(keys(&plain), keys(&cached), "the server cache changed detections");
     let st = cached.store.expect("cached run reports tier counters");
     assert!(st.hits > 0, "8 MiB over a 1 MiB working set must produce repeat hits");
     assert_eq!(st.footprint, None, "resident access needs no scratch meter");
-    let json = cached.run_report_json();
-    assert!(json.contains("\"store\""), "run report gains the store section:\n{json}");
-    assert!(json.contains("\"cache_hits\""), "store section carries counters:\n{json}");
 }
