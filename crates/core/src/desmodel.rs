@@ -32,6 +32,7 @@ use stap_model::machines::MachineModel;
 use stap_model::tasktable::{task_table, ReadTerm};
 use stap_model::tasktime::TaskCosts;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
+use stap_pfs::fault::splitmix64;
 use stap_pfs::timing::extent_service;
 use stap_pfs::FaultWindow;
 use std::collections::HashMap;
@@ -135,46 +136,16 @@ pub enum FaultSource {
 
 impl FaultSource {
     /// Deterministic verdict: is CPI `cpi` faulted?
-    fn faulted(&self, cpi: u64) -> bool {
+    pub fn faulted(&self, cpi: u64) -> bool {
         match self {
             FaultSource::Random { rate, seed } => {
                 // splitmix64 of (seed, cpi) → uniform in [0, 1).
-                let mut z = seed
-                    .wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
+                let z = splitmix64(seed.wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
                 ((z >> 11) as f64 / (1u64 << 53) as f64) < *rate
             }
             FaultSource::Windows(ws) => ws.iter().any(|w| w.contains(cpi)),
         }
     }
-}
-
-/// A permanent fleet-level event applied in virtual time, mirroring the
-/// real file system's `server-loss:IDX@T` / `node:IDX@A..B` fault specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetEvent {
-    /// Stripe server `server` is permanently lost from CPI `from` onward:
-    /// the surviving servers absorb its share of every later read.
-    ServerLoss {
-        /// Index of the lost stripe server.
-        server: usize,
-        /// First CPI whose read observes the loss.
-        from: u64,
-    },
-    /// The compute node hosting a pipeline stage crashes while CPI `at`
-    /// is in flight. What happens next depends on the provisioned
-    /// [`Redundancy`]: replica promotion, checkpoint replay, or — bare —
-    /// the pipeline instance dies and every later CPI is lost.
-    NodeCrash {
-        /// Index of the crashed node (identity only; the consequence is
-        /// the same whichever stage the node hosted).
-        node: usize,
-        /// CPI in flight when the node died.
-        at: u64,
-    },
 }
 
 /// Redundancy provisioned against fleet-level node crashes — the thing
@@ -226,9 +197,9 @@ impl Redundancy {
 /// read proceeds, otherwise the CPI is dropped and every downstream task
 /// merely forwards the gap bubble at a small fraction of its nominal time.
 ///
-/// On top of the transient model, `fleet` schedules permanent
-/// infrastructure losses and `redundancy` decides whether the pipeline
-/// survives them — see [`FleetEvent`] and [`Redundancy`].
+/// On top of the transient model, `crashes` schedules permanent node
+/// losses and `redundancy` decides whether the pipeline survives them —
+/// see [`Redundancy`].
 #[derive(Debug, Clone)]
 pub struct DesFaultModel {
     /// Which CPIs fault.
@@ -242,19 +213,17 @@ pub struct DesFaultModel {
     pub retry_attempts: u32,
     /// Base backoff seconds before the first retry; doubles per retry.
     pub backoff: f64,
-    /// Permanent fleet-level events applied on top of the transient model.
-    pub fleet: Vec<FleetEvent>,
-    /// Redundancy provisioned against [`FleetEvent::NodeCrash`].
+    /// CPIs in flight when a compute node crashes. What happens next
+    /// depends on `redundancy`: replica promotion, checkpoint replay, or —
+    /// bare — the pipeline instance dies and every later CPI is lost. The
+    /// consequence is the same whichever node crashed.
+    pub crashes: Vec<u64>,
+    /// Redundancy provisioned against the node crashes.
     pub redundancy: Redundancy,
 }
 
 /// Fraction of a task's nominal time charged to forward a gap bubble.
 const GAP_FORWARD_FRACTION: f64 = 0.05;
-
-/// Detection multiplier for a permanent server loss: noticing that a
-/// stripe server is gone (vs one failed attempt) costs this many `detect`
-/// periods before reads re-route to the survivors.
-const SERVER_FAILOVER_DETECT_FACTOR: f64 = 5.0;
 
 /// Promoting a warm replica after a node crash costs this many nominal
 /// source-task periods (state transfer + pipeline re-entry). Public so the
@@ -283,7 +252,7 @@ struct CpiFault {
 }
 
 impl DesFaultModel {
-    /// A purely transient model: no fleet-level events, no redundancy.
+    /// A purely transient model: no node crashes, no redundancy.
     pub fn transient(
         source: FaultSource,
         fail_attempts: u32,
@@ -297,37 +266,26 @@ impl DesFaultModel {
             detect,
             retry_attempts,
             backoff,
-            fleet: Vec::new(),
+            crashes: Vec::new(),
             redundancy: Redundancy::None,
         }
     }
 
     /// Whether the model carries anything beyond per-CPI transients.
     fn has_fleet_consequences(&self) -> bool {
-        !self.fleet.is_empty() || matches!(self.redundancy, Redundancy::Checkpointed { .. })
+        !self.crashes.is_empty() || matches!(self.redundancy, Redundancy::Checkpointed { .. })
     }
 
-    /// Applies fleet-level events (and the steady checkpoint tax) on top
-    /// of the per-CPI transient consequences.
-    ///
-    /// - `ServerLoss` charges a one-off failover stall at its onset CPI
-    ///   and scales every later read by `sf / (sf - lost)`: the surviving
-    ///   stripe servers absorb the dead server's share of each cube.
-    /// - `NodeCrash` consults the provisioned redundancy: a spare is
-    ///   promoted ([`REPLICA_PROMOTE_PERIODS`]), a checkpoint is restored
-    ///   and up to `interval` CPIs replayed, or — bare — every CPI from
-    ///   the crash onward is dropped (the pipeline instance is dead).
+    /// Applies the node crashes (and the steady checkpoint tax) on top of
+    /// the per-CPI transient consequences. Each crash consults the
+    /// provisioned redundancy: a spare is promoted
+    /// ([`REPLICA_PROMOTE_PERIODS`]), a checkpoint is restored and up to
+    /// `interval` CPIs replayed, or — bare — every CPI from the crash
+    /// onward is dropped (the pipeline instance is dead).
     ///
     /// `nominal` is the source task's nominal per-CPI time, the unit that
     /// prices promotion, restore, and replay.
-    fn apply_fleet(
-        &self,
-        cpis: u64,
-        stripe_factor: usize,
-        nominal: f64,
-        faults: &mut [CpiFault],
-        read_scale: &mut [f64],
-    ) {
+    fn apply_fleet(&self, cpis: u64, nominal: f64, faults: &mut [CpiFault]) {
         // Steady checkpoint tax, paid at every checkpoint CPI.
         if let Redundancy::Checkpointed { interval } = self.redundancy {
             let k = interval.max(1);
@@ -337,36 +295,8 @@ impl DesFaultModel {
                 j += k;
             }
         }
-        // Server losses: failover stall at onset, degraded reads after.
-        let mut losses: Vec<u64> = self
-            .fleet
-            .iter()
-            .filter_map(|e| match e {
-                FleetEvent::ServerLoss { from, .. } => Some(*from),
-                FleetEvent::NodeCrash { .. } => None,
-            })
-            .collect();
-        losses.sort_unstable();
-        for (nth, &from) in losses.iter().enumerate() {
-            if from < cpis {
-                faults[from as usize].extra += SERVER_FAILOVER_DETECT_FACTOR * self.detect;
-            }
-            // Never scale past "one server left".
-            let lost = (nth + 1).min(stripe_factor.saturating_sub(1));
-            let scale = stripe_factor as f64 / (stripe_factor - lost) as f64;
-            for s in read_scale.iter_mut().skip(from as usize) {
-                *s = scale;
-            }
-        }
-        // Node crashes, in CPI order so spares deplete chronologically.
-        let mut crashes: Vec<u64> = self
-            .fleet
-            .iter()
-            .filter_map(|e| match e {
-                FleetEvent::NodeCrash { at, .. } => Some(*at),
-                FleetEvent::ServerLoss { .. } => None,
-            })
-            .collect();
+        // In CPI order, so spares deplete chronologically.
+        let mut crashes = self.crashes.clone();
         crashes.sort_unstable();
         let mut spares_left = match self.redundancy {
             Redundancy::Replicated { spares } => spares,
@@ -572,10 +502,6 @@ struct SimState {
     trace: Option<Vec<TraceEntry>>,
     /// Precomputed per-CPI fault consequences (empty = fault-free).
     faults: Vec<CpiFault>,
-    /// Per-CPI read service-time multiplier (empty = all 1.0): after a
-    /// permanent server loss the survivors absorb the dead server's share,
-    /// so every later read is scaled by `sf / (sf - lost)`.
-    read_scale: Vec<f64>,
 }
 
 impl SimState {
@@ -584,14 +510,12 @@ impl SimState {
         t.spatial_preds.len() + if j > 0 { t.temporal_preds.len() } else { 0 }
     }
 
-    /// Posts the whole-file read of CPI `j` at `post` and returns its
-    /// completion time. `read_scale` stretches the service after a
-    /// permanent server loss.
-    fn read_done(&mut self, post: SimTime, j: u64) -> SimTime {
-        let scale = self.read_scale.get(j as usize).copied().unwrap_or(1.0);
+    /// Posts one whole-file CPI read at `post` and returns its completion
+    /// time.
+    fn read_done(&mut self, post: SimTime) -> SimTime {
         let mut done = post;
         for &(server, service) in &self.reads {
-            let (_, d) = self.io.submit_to(server, post, SimTime::from_secs_f64(scale * service));
+            let (_, d) = self.io.submit_to(server, post, SimTime::from_secs_f64(service));
             done = done.max(d);
         }
         done
@@ -612,9 +536,7 @@ impl SimState {
         let (costs, prev_start) = (self.tasks[i].costs, self.prev_start[i]);
         let base = match self.tasks[i].read {
             None => SimTime::from_secs_f64(costs.total()),
-            Some(read) => {
-                read_step(&costs, &read, j, t0, prev_start, |post| self.read_done(post, j))
-            }
+            Some(read) => read_step(&costs, &read, j, t0, prev_start, |post| self.read_done(post)),
         };
         if i == self.source_idx && fault.extra > 0.0 {
             // Transient fault cleared within the retry budget: the read
@@ -767,21 +689,11 @@ impl DesExperiment {
             Some(model) => (0..self.cpis).map(|j| model.consequence(j)).collect(),
             None => Vec::new(),
         };
-        let mut read_scale = Vec::new();
-        if let Some(model) = &self.faults {
-            if model.has_fleet_consequences() {
-                read_scale = vec![1.0f64; self.cpis as usize];
-                // The source task's nominal per-CPI time prices promotion,
-                // restore, and replay in units the pipeline understands.
-                let nominal = tasks[source_idx].phases.total();
-                model.apply_fleet(
-                    self.cpis,
-                    fs.stripe_factor,
-                    nominal,
-                    &mut faults,
-                    &mut read_scale,
-                );
-            }
+        if let Some(model) = self.faults.as_ref().filter(|m| m.has_fleet_consequences()) {
+            // The source task's nominal per-CPI time prices promotion,
+            // restore, and replay in units the pipeline understands.
+            let nominal = tasks[source_idx].phases.total();
+            model.apply_fleet(self.cpis, nominal, &mut faults);
         }
         let mut st = SimState {
             remaining: HashMap::new(),
@@ -801,7 +713,6 @@ impl DesExperiment {
             sink_idx,
             trace: traced.then(Vec::new),
             faults,
-            read_scale,
             tasks,
         };
         let mut eng = Engine::new();
@@ -1274,7 +1185,7 @@ mod tests {
         assert!(heavy.dropped.len() > light.dropped.len());
     }
 
-    fn fleet_cell(fleet: Vec<FleetEvent>, redundancy: Redundancy) -> DesResult {
+    fn fleet_cell(crashes: Vec<u64>, redundancy: Redundancy) -> DesResult {
         let mut exp = DesExperiment::new(
             MachineModel::paragon(64),
             IoStrategy::Embedded,
@@ -1282,7 +1193,7 @@ mod tests {
             50,
         );
         let mut model = skip_model(FaultSource::Random { rate: 0.0, seed: 7 });
-        model.fleet = fleet;
+        model.crashes = crashes;
         model.redundancy = redundancy;
         exp.faults = Some(model);
         exp.run()
@@ -1291,7 +1202,7 @@ mod tests {
     #[test]
     fn bare_node_crash_truncates_the_run() {
         let clean = fleet_cell(vec![], Redundancy::None);
-        let crashed = fleet_cell(vec![FleetEvent::NodeCrash { node: 3, at: 32 }], Redundancy::None);
+        let crashed = fleet_cell(vec![32], Redundancy::None);
         // Every CPI from the crash onward is lost. Delivered throughput
         // only shrinks (gap bubbles forward faster than real CPIs, so the
         // raw slot rate rises — the surviving fraction must still win).
@@ -1302,29 +1213,25 @@ mod tests {
     #[test]
     fn replica_promotion_survives_the_crash() {
         let clean = fleet_cell(vec![], Redundancy::None);
-        let crash = vec![FleetEvent::NodeCrash { node: 3, at: 32 }];
+        let crash = vec![32];
         let promoted = fleet_cell(crash.clone(), Redundancy::Replicated { spares: 1 });
         // Nothing dropped: the spare absorbed the crash at a bounded cost.
         assert!(promoted.dropped.is_empty());
         assert!(promoted.delivered_throughput > 0.8 * clean.delivered_throughput);
         // A second crash with only one spare is fatal again.
-        let double = vec![
-            FleetEvent::NodeCrash { node: 3, at: 20 },
-            FleetEvent::NodeCrash { node: 9, at: 40 },
-        ];
-        let exhausted = fleet_cell(double, Redundancy::Replicated { spares: 1 });
+        let exhausted = fleet_cell(vec![40, 20], Redundancy::Replicated { spares: 1 });
         assert_eq!(exhausted.dropped.first(), Some(&40));
     }
 
     #[test]
     fn checkpoint_replay_is_bounded_by_the_interval() {
-        let crash = vec![FleetEvent::NodeCrash { node: 3, at: 33 }];
+        let crash = vec![33];
         let tight = fleet_cell(crash.clone(), Redundancy::Checkpointed { interval: 4 });
         let loose = fleet_cell(crash, Redundancy::Checkpointed { interval: 32 });
         assert!(tight.dropped.is_empty() && loose.dropped.is_empty());
         // CPI 33 replays 1 CPI under interval 4 but 1 CPI under interval 32
         // too (33 % 32 = 1); distinguish via a crash deep into the window.
-        let deep = vec![FleetEvent::NodeCrash { node: 3, at: 31 }];
+        let deep = vec![31];
         let tight_deep = fleet_cell(deep.clone(), Redundancy::Checkpointed { interval: 4 });
         let loose_deep = fleet_cell(deep, Redundancy::Checkpointed { interval: 32 });
         // 31 % 4 = 3 replayed vs 31 % 32 = 31 replayed: the loose interval
@@ -1333,27 +1240,8 @@ mod tests {
     }
 
     #[test]
-    fn server_loss_degrades_reads_without_dropping_cpis() {
-        let clean = fleet_cell(vec![], Redundancy::None);
-        let lost =
-            fleet_cell(vec![FleetEvent::ServerLoss { server: 5, from: 16 }], Redundancy::None);
-        assert!(lost.dropped.is_empty());
-        // Post-loss reads are served by sf-1 servers: strictly slower.
-        assert!(lost.throughput <= clean.throughput);
-        assert!(lost.latency >= clean.latency);
-    }
-
-    #[test]
     fn fleet_runs_are_deterministic() {
-        let run = || {
-            fleet_cell(
-                vec![
-                    FleetEvent::ServerLoss { server: 2, from: 10 },
-                    FleetEvent::NodeCrash { node: 1, at: 30 },
-                ],
-                Redundancy::Checkpointed { interval: 8 },
-            )
-        };
+        let run = || fleet_cell(vec![10, 30], Redundancy::Checkpointed { interval: 8 });
         let (a, b) = (run(), run());
         assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.latency, b.latency);

@@ -36,7 +36,7 @@ pub mod system;
 pub use config::{
     FailurePolicy, RetryPolicy, SourceSpec, StapConfig, StreamSettings, WatchdogPolicy,
 };
-pub use desmodel::{DesExperiment, DesFaultModel, DesResult, FaultSource, FleetEvent, Redundancy};
+pub use desmodel::{DesExperiment, DesFaultModel, DesResult, FaultSource, Redundancy};
 pub use io_strategy::{IoStrategy, TailStructure};
 pub use messages::{Gap, Payload};
 pub use stages::QualityTap;

@@ -181,8 +181,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// splitmix64 finalizer: decorrelates the combined key bits.
-fn mix(mut z: u64) -> u64 {
+/// splitmix64: the seeded draw behind the deterministic fault, crash and
+/// arrival generators. Decorrelates the bits of `z`.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -224,8 +225,9 @@ impl FaultPlan {
         if p >= 1.0 {
             return true;
         }
-        let key =
-            mix(self.seed ^ fnv1a(file.as_bytes()) ^ cpi.rotate_left(17) ^ (attempt as u64) << 1);
+        let key = splitmix64(
+            self.seed ^ fnv1a(file.as_bytes()) ^ cpi.rotate_left(17) ^ (attempt as u64) << 1,
+        );
         (key >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 
@@ -420,6 +422,13 @@ mod tests {
 
     fn fail(d: &ReadDecision) -> bool {
         matches!(d, ReadDecision::Fail { .. })
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first two outputs of Vigna's splitmix64 seeded with 0.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9e37_79b9_7f4a_7c15), 0x6e78_9e6a_a1b9_65f4);
     }
 
     #[test]

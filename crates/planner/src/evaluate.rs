@@ -262,7 +262,7 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
             if let Some(ctx) = &cfg.fault {
                 let mut model =
                     DesFaultModel::transient(FaultSource::Windows(Vec::new()), 0, 0.002, 0, 0.002);
-                model.fleet = crash_schedule(ctx, plans[i].total_nodes, cfg.des_cpis);
+                model.crashes = crash_schedule(ctx, plans[i].total_nodes, cfg.des_cpis);
                 model.redundancy = plans[i].redundancy;
                 exp.faults = Some(model);
             }
@@ -651,7 +651,7 @@ mod tests {
         exp.assignment_override = Some(bare.assignment.clone());
         let mut model =
             DesFaultModel::transient(FaultSource::Windows(Vec::new()), 0, 0.002, 0, 0.002);
-        model.fleet = crash_schedule(&ctx, bare.total_nodes, cfg.des_cpis);
+        model.crashes = crash_schedule(&ctx, bare.total_nodes, cfg.des_cpis);
         model.redundancy = Redundancy::None;
         exp.faults = Some(model);
         let bare_delivered = exp.run().delivered_throughput;

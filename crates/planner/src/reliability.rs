@@ -28,7 +28,7 @@
 //! is so high that spares run out.
 
 use stap_core::desmodel::{
-    FleetEvent, Redundancy, CHECKPOINT_COST_FRACTION, CHECKPOINT_RESTORE_PERIODS,
+    FaultSource, Redundancy, CHECKPOINT_COST_FRACTION, CHECKPOINT_RESTORE_PERIODS,
     REPLICA_PROMOTE_PERIODS,
 };
 
@@ -128,24 +128,13 @@ pub fn redundancy_options() -> Vec<Redundancy> {
 }
 
 /// A representative deterministic crash schedule for fault-aware DES
-/// validation: each CPI crashes some node with probability `λ·N`
-/// (splitmix64 of `(seed, cpi)`, the same generator the DES fault source
-/// uses), so every plan is judged against the same draw.
-pub fn crash_schedule(ctx: &FaultContext, nodes: usize, cpis: u64) -> Vec<FleetEvent> {
-    let p = (ctx.fault_rate * nodes as f64).min(1.0);
-    (0..cpis)
-        .filter(|&cpi| {
-            let mut z = ctx
-                .seed
-                .wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            ((z >> 11) as f64 / (1u64 << 53) as f64) < p
-        })
-        .map(|cpi| FleetEvent::NodeCrash { node: (cpi % nodes.max(1) as u64) as usize, at: cpi })
-        .collect()
+/// validation: the CPIs at which some node crashes, each with probability
+/// `λ·N` (the DES's own [`FaultSource::Random`] draw), so every plan is
+/// judged against the same draw.
+pub fn crash_schedule(ctx: &FaultContext, nodes: usize, cpis: u64) -> Vec<u64> {
+    let draw =
+        FaultSource::Random { rate: (ctx.fault_rate * nodes as f64).min(1.0), seed: ctx.seed };
+    (0..cpis).filter(|&cpi| draw.faulted(cpi)).collect()
 }
 
 /// The redundancy-cost vs survival-probability sweep behind
@@ -263,14 +252,7 @@ mod tests {
         assert_eq!(a, b);
         let heavier = crash_schedule(&FaultContext::new(5e-3), 50, 256);
         assert!(heavier.len() > a.len());
-        for e in &heavier {
-            match e {
-                FleetEvent::NodeCrash { node, at } => {
-                    assert!(*node < 50 && *at < 256);
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
+        assert!(heavier.iter().all(|&at| at < 256), "{heavier:?}");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::mission::MissionSpec;
 use crate::script::{ScriptAction, ScriptEvent, WorkloadScript};
+use stap_pfs::fault::splitmix64;
 
 /// An arrival process over a bounded horizon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,18 +96,16 @@ impl ArrivalSpec {
     }
 }
 
-/// Deterministic splitmix64 stream (the same generator the rest of the
-/// repository uses for seed-stable draws).
+/// Deterministic stream of [`splitmix64`] draws over a counter stepped by
+/// the golden-ratio increment.
 #[derive(Debug, Clone)]
 struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform draw in `(0, 1]` — never zero, so `ln` is finite.

@@ -4,8 +4,9 @@
 //! `ppstap serve --script FILE` feeds a workload script through the same
 //! [`Scheduler`] the simulator uses, but each dispatched mission becomes a
 //! real pipeline run (threads, staged CPI files, watchdogs) on this
-//! machine. The scheduler's plan still governs admission, placement, and
-//! the file-system stripe factor; the workstation run itself uses the
+//! machine. The mission's machine profile supplies the file system, and
+//! the scheduler's plan its stripe factor, I/O strategy and tail; the
+//! workstation run itself uses the
 //! repository's small fixed node set (as `ppstap run` does), since one
 //! laptop cannot fan out to 25 Paragon nodes.
 //!
@@ -16,14 +17,15 @@
 //! one Chrome trace — open it and see the whole fleet on a shared timeline.
 
 use crate::mission::{
-    FleetReport, MissionOutcome, MissionReport, MissionSource, MissionSpec, PlanChoice, SlaVerdict,
+    machine_profile, FleetReport, MissionOutcome, MissionReport, MissionSource, MissionSpec,
+    PlanChoice, SlaVerdict,
 };
 use crate::scheduler::{Dispatch, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::{SourceSpec, StapConfig, StapSystem, StreamSettings, WatchdogPolicy};
 use stap_ingest::{CpiRing, Frontend, FrontendConfig};
 use stap_kernels::CubeDims;
-use stap_pfs::{FsConfig, Pfs};
+use stap_pfs::Pfs;
 use stap_pipeline::PipelineError;
 use stap_store::CubeAccess;
 use stap_trace::{ClockSpec, FleetTrack};
@@ -54,20 +56,26 @@ struct Failover {
 
 /// The pipeline configuration a mission executes with: the repository's
 /// small real-mode cube (seconds per mission on a workstation), the plan's
-/// I/O strategy, tail structure, and stripe factor, and a default watchdog.
-fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> StapConfig {
+/// I/O strategy and tail structure, the file system of the mission's own
+/// machine restriped to the plan's stripe factor, and a default watchdog.
+/// A machine that does not resolve fails the mission.
+fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> Result<StapConfig, PipelineError> {
+    let machine = machine_profile(&spec.machine).map_err(|e| PipelineError::Stage {
+        stage: "config".to_string(),
+        message: e.to_string(),
+    })?;
     let cpis = spec.cpis.max(2);
-    StapConfig {
+    Ok(StapConfig {
         dims: CubeDims::new(16, 4, 64),
         fanout: 2,
         cpis,
         warmup: (cpis / 3).max(1),
         io: plan.io,
         tail: plan.tail,
-        fs: FsConfig::paragon_pfs(plan.stripe_factor),
+        fs: machine.fs.with_stripe_factor(plan.stripe_factor),
         watchdog: Some(WatchdogPolicy::default()),
         ..StapConfig::default()
-    }
+    })
 }
 
 /// A degraded re-run's outcome, paired with the `(stripe units, bytes)`
@@ -95,7 +103,7 @@ fn run_degraded(config: StapConfig, from_sf: usize) -> DegradedRun {
         return (result, None);
     }
     let degraded_fs = config.fs.clone();
-    let staged = StapConfig { fs: FsConfig::paragon_pfs(from_sf), ..config };
+    let staged = StapConfig { fs: degraded_fs.with_stripe_factor(from_sf), ..config };
     let mut restriped = None;
     let result = StapSystem::prepare(staged)
         .and_then(|sys| {
@@ -221,7 +229,13 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
         // Dispatch whatever fits the worker pool and the free nodes.
         while let Some(d) = sched.next_ready(epoch.elapsed().as_secs_f64()) {
             let tx = tx.clone();
-            let mut config = mission_config(&d.spec, &d.plan);
+            let mut config = match mission_config(&d.spec, &d.plan) {
+                Ok(config) => config,
+                Err(e) => {
+                    let _ = tx.send(WorkerDone { d, restriped: None, result: Err(e) });
+                    continue;
+                }
+            };
             // A configured fleet fault is observed by every file-fed
             // mission: reads of the lost server's stripe units fail
             // permanently from `at_cpi` on, surfacing as a typed
@@ -273,21 +287,21 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
         let id = done.d.id;
         let infra_loss = done.result.as_ref().is_err_and(PipelineError::is_infrastructure_loss);
         if let (true, Some(f), false) = (infra_loss, cfg.fault, failovers.contains_key(&id)) {
-            // Fleet fault observed mid-mission: mark the store degraded
-            // (survivors absorb the lost directory), re-plan inside the
-            // nodes the mission already holds, and restart it on the
-            // surviving stripe directories instead of failing it.
-            sched.mark_server_lost(f.server);
+            // Fleet fault observed mid-mission: re-plan inside the nodes
+            // the mission already holds, and restart it on the surviving
+            // stripe directories instead of failing it.
             let (plan, cost) = sched.degraded_plan(id);
             let from_sf = done.d.plan.stripe_factor;
             let restart = epoch.elapsed().as_secs_f64();
             failovers
                 .insert(id, Failover { fault: f, fail_time: end, restart_time: restart, from_sf });
-            let config = mission_config(&done.d.spec, &plan);
             let d = Dispatch { plan, cost, ..done.d };
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let (result, restriped) = run_degraded(config, from_sf);
+                let (result, restriped) = match mission_config(&d.spec, &d.plan) {
+                    Ok(config) => run_degraded(config, from_sf),
+                    Err(e) => (Err(e), None),
+                };
                 let _ = tx.send(WorkerDone { d, restriped, result });
             });
             continue;
@@ -396,6 +410,37 @@ mod tests {
             stripe_servers: 64,
             ..ServeConfig::default()
         }
+    }
+
+    /// The config a lone `machine` mission dispatches with, and its plan.
+    fn dispatched_config(machine: &str) -> (StapConfig, PlanChoice) {
+        let mut s = Scheduler::new(cfg());
+        let spec =
+            MissionSpec { machine: machine.into(), nodes: 25, cpis: 3, ..MissionSpec::new("m") };
+        s.submit(spec, 0.0).expect("admitted");
+        let d = s.next_ready(0.0).expect("dispatched");
+        (mission_config(&d.spec, &d.plan).expect("the machine resolves"), d.plan)
+    }
+
+    #[test]
+    fn an_sp_mission_executes_on_piofs_without_async_reads() {
+        let (config, plan) = dispatched_config("sp");
+        assert_eq!(plan.stripe_factor, 80);
+        assert_eq!(config.fs, stap_model::machines::MachineModel::sp().fs);
+        let out = StapSystem::prepare(config)
+            .and_then(|sys| sys.run_with_clock(ClockSpec::Wall))
+            .expect("the sp mission runs");
+        assert!(out.io.cpi_reads > 0);
+        assert_eq!(out.io.async_posts, 0, "PIOFS has no iread");
+    }
+
+    #[test]
+    fn a_paragon_mission_keeps_paragon_pfs_at_its_stripe_factor() {
+        let (config, plan) = dispatched_config("paragon64");
+        assert_eq!(plan.stripe_factor, 64);
+        assert_eq!(config.fs, stap_pfs::FsConfig::paragon_pfs(64));
+        let unknown = MissionSpec { machine: "cray".into(), ..MissionSpec::new("m") };
+        assert!(mission_config(&unknown, &plan).is_err(), "an unknown machine fails the mission");
     }
 
     #[test]

@@ -34,7 +34,14 @@ fn cell(concurrency: usize, machine: &str, cpis: u64) -> Cell {
         let _ = writeln!(text, "at 0 submit name=m{i} machine={machine} nodes=25 cpis={cpis}");
     }
     let script = WorkloadScript::parse(&text).expect("generated script is valid");
-    let cfg = SimConfig {
+    let r = simulate_fleet(&script, &fleet_config(concurrency));
+    summarize(&r, cpis)
+}
+
+/// The study's fleet: room for `concurrency` missions to run at once on
+/// one 128-directory store.
+pub(crate) fn fleet_config(concurrency: usize) -> SimConfig {
+    SimConfig {
         serve: ServeConfig {
             pool_nodes: 64 * concurrency.max(1),
             workers: concurrency.max(1),
@@ -43,9 +50,7 @@ fn cell(concurrency: usize, machine: &str, cpis: u64) -> Cell {
             ..ServeConfig::default()
         },
         read_model: ReadModel::Planned,
-    };
-    let r = simulate_fleet(&script, &cfg);
-    summarize(&r, cpis)
+    }
 }
 
 fn summarize(r: &FleetReport, cpis: u64) -> Cell {

@@ -13,11 +13,9 @@
 //!   real and simulated fleets.
 //! - [`arrivals`] — elastic mission arrivals (Poisson, bursty MMPP-2,
 //!   diurnal) generating workload scripts deterministically from a seed.
-//! - [`placement`] — node-pool accounting and per-stripe-server load, the
-//!   contention-adjusted read estimates.
 //! - [`scheduler`] — planner-backed admission ([`stap_planner`] searched
-//!   inside the currently-free budget), a bounded priority queue with
-//!   backpressure, and mission-conservation counters.
+//!   inside the currently-free budget), node-pool accounting, a bounded
+//!   priority queue with backpressure, and mission-conservation counters.
 //! - [`executor`] — a real bounded worker pool running missions as
 //!   [`stap_core`] pipelines under watchdogs, merging their phase spans into
 //!   one mission-tagged Chrome trace.
@@ -34,7 +32,6 @@ pub mod arrivals;
 pub mod executor;
 pub mod experiments;
 pub mod mission;
-pub mod placement;
 pub mod scheduler;
 pub mod script;
 pub mod sim;
@@ -45,7 +42,6 @@ pub use mission::{
     machine_profile, AdmissionError, FleetReport, MissionOutcome, MissionReport, MissionSource,
     MissionSpec, PlanChoice, SlaVerdict,
 };
-pub use placement::{NodePool, StripeLoadTracker};
 pub use scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
 pub use script::{ScriptAction, ScriptError, ScriptEvent, WorkloadScript};
 pub use sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport};

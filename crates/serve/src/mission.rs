@@ -187,7 +187,7 @@ impl std::fmt::Display for AdmissionError {
 impl std::error::Error for AdmissionError {}
 
 /// The plan admission chose for a mission: the planner's winning
-/// configuration condensed to what placement and reporting need.
+/// configuration condensed to what dispatch and reporting need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanChoice {
     /// Stripe factor of the plan's file-system layout.
@@ -316,9 +316,6 @@ pub struct MissionReport {
     pub end: f64,
     /// `start - submit`: time spent queued behind other missions.
     pub queue_wait: f64,
-    /// Contention-adjusted read-time multiplier at dispatch: how many
-    /// missions (including this one) shared its busiest stripe server.
-    pub read_contention: f64,
     /// Measured (or simulated) steady-state throughput, CPIs/s.
     pub throughput: f64,
     /// Measured (or simulated) end-to-end latency, seconds.
@@ -357,7 +354,6 @@ impl MissionReport {
             start: d.start,
             end,
             queue_wait: d.start - d.submit,
-            read_contention: d.read_contention,
             throughput: 0.0,
             latency: 0.0,
             drops: 0,
@@ -391,11 +387,12 @@ impl MissionReport {
             None => "null".to_string(),
             Some(f) => format!("\"{}\"", escape(f)),
         };
+        let slowdown = self.slowdown().map_or("null".to_string(), |s| format!("{s:.9}"));
         format!(
             "{{\"mission\": {}, \"name\": \"{}\", \"priority\": {}, \
              \"requested_nodes\": {}, \"plan\": \"{}\", \"submit\": {:.9}, \
              \"start\": {:.9}, \"end\": {:.9}, \"queue_wait\": {:.9}, \
-             \"read_contention\": {:.3}, \"throughput\": {:.9}, \"latency\": {:.9}, \
+             \"slowdown\": {}, \"throughput\": {:.9}, \"latency\": {:.9}, \
              \"drops\": {}, \"retries\": {}, \"staging_peak\": {}, \"sla\": {}, \
              \"failover\": {}, \"outcome\": \"{}\"}}",
             self.id,
@@ -407,7 +404,7 @@ impl MissionReport {
             self.start,
             self.end,
             self.queue_wait,
-            self.read_contention,
+            slowdown,
             self.throughput,
             self.latency,
             self.drops,
@@ -630,7 +627,6 @@ mod tests {
             start: 2.5,
             end: 5.0,
             queue_wait: 1.5,
-            read_contention: 2.0,
             throughput: 1.9,
             latency: 0.55,
             drops: 1,
@@ -665,6 +661,7 @@ mod tests {
         assert_eq!(v.get("staging_peak").unwrap().as_f64(), Some(3.0));
         assert_eq!(v.get("outcome").unwrap().as_str(), Some("done"));
         assert!(matches!(v.get("failover"), Some(stap_trace::json::Json::Null)));
+        assert!(matches!(v.get("slowdown"), Some(stap_trace::json::Json::Null)), "executed");
         let sla = v.get("sla").unwrap();
         assert!(matches!(sla.get("met"), Some(stap_trace::json::Json::Bool(true))));
         assert!(v.get("plan").unwrap().as_str().unwrap().contains("sf=64"));
@@ -697,6 +694,8 @@ mod tests {
         assert_eq!(report().slowdown(), None);
         let sim = MissionReport { nominal_runtime: Some(2.0), ..report() };
         assert_eq!(sim.slowdown(), Some(1.25));
+        let v = stap_trace::json::parse(&sim.to_json()).expect("valid JSON");
+        assert_eq!(v.get("slowdown").and_then(|s| s.as_f64()), Some(1.25));
         let t = fleet(vec![sim], Some(0.25)).render_text();
         assert!(t.contains("1.250") && t.contains("store util     :     25.0% over 12"), "{t}");
     }

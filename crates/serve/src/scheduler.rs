@@ -1,5 +1,5 @@
 //! The mission scheduler: planner-backed admission control, a bounded
-//! priority submission queue, and node/stripe accounting.
+//! priority submission queue, and node and staging accounting.
 //!
 //! The scheduler is a pure state machine over virtual or wall-clock
 //! seconds; the real executor and the DES capacity mode both drive this
@@ -8,7 +8,6 @@
 //! serve-conformance suite pins down.
 
 use crate::mission::{machine_profile, AdmissionError, MissionSpec, PlanChoice};
-use crate::placement::{NodePool, StripeLoadTracker};
 use stap_des::SimTime;
 use stap_model::assignment::Assignment;
 use stap_model::machines::MachineModel;
@@ -28,7 +27,8 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity (backpressure: submissions beyond
     /// it are rejected with [`AdmissionError::QueueFull`]).
     pub queue_capacity: usize,
-    /// Stripe directories of the shared store tracked for contention.
+    /// Stripe directories of the simulated shared store: the FCFS servers
+    /// the capacity model queues every mission's reads on.
     pub stripe_servers: usize,
     /// Total staging-tier capacity in cubes, shared by all concurrently
     /// running stream missions' rings. A stream mission asking for a deeper
@@ -163,7 +163,7 @@ impl PlanCost {
 type Priced = (PlanChoice, Arc<PlanCost>);
 
 /// An admitted mission: queued until it dispatches, then running (and
-/// holding its plan's nodes and stripes) until it completes.
+/// holding its plan's nodes) until it completes.
 #[derive(Debug, Clone)]
 struct Admitted {
     id: u64,
@@ -189,17 +189,12 @@ pub struct Dispatch {
     pub submit: f64,
     /// Dispatch time (fleet-epoch seconds).
     pub start: f64,
-    /// Contention-adjusted read-time multiplier at dispatch: missions
-    /// (including this one) sharing its busiest stripe server.
-    pub read_contention: f64,
 }
 
 /// The fleet scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
     cfg: ServeConfig,
-    pool: NodePool,
-    stripes: StripeLoadTracker,
     workload: StapWorkload,
     queue: Vec<Admitted>,
     running: Vec<Admitted>,
@@ -228,12 +223,8 @@ struct PlanKey {
 impl Scheduler {
     /// A scheduler over an idle pool.
     pub fn new(cfg: ServeConfig) -> Self {
-        let pool = NodePool::new(cfg.pool_nodes);
-        let stripes = StripeLoadTracker::new(cfg.stripe_servers);
         Self {
             cfg,
-            pool,
-            stripes,
             workload: StapWorkload::derive(ShapeParams::paper_default()),
             queue: Vec::new(),
             running: Vec::new(),
@@ -283,7 +274,8 @@ impl Scheduler {
         let machine = machine_profile(&spec.machine)?;
         // The pool guard: more nodes than the pool (or the machine profile
         // itself) owns can never be satisfied — reject, don't queue.
-        let owned = machine.pool_size().map_or(self.pool.total(), |p| p.min(self.pool.total()));
+        let pool = self.cfg.pool_nodes;
+        let owned = machine.pool_size().map_or(pool, |p| p.min(pool));
         if spec.nodes > owned {
             return Err(AdmissionError::PoolExceeded { requested: spec.nodes, pool: owned });
         }
@@ -368,12 +360,12 @@ impl Scheduler {
 
     /// Dispatches the next runnable mission at time `now`, if a worker and
     /// the plan's nodes are free: highest priority first, FIFO within a
-    /// priority. Reserves its nodes and stripe servers.
+    /// priority. Reserves its nodes.
     pub fn next_ready(&mut self, now: f64) -> Option<Dispatch> {
         if self.running.len() >= self.cfg.workers {
             return None;
         }
-        let free = self.pool.free();
+        let free = self.free_nodes();
         let staging_free = self.free_staging();
         let idx = self
             .queue
@@ -387,12 +379,8 @@ impl Scheduler {
             })
             .map(|(i, _)| i)?;
         let q = self.queue.remove(idx);
-        let took = self.pool.reserve(q.plan.total_nodes).expect("guarded at admission");
-        debug_assert!(took, "filtered on free nodes");
-        self.stripes.acquire(q.plan.stripe_factor);
         self.running.push(q.clone());
         self.counters.started += 1;
-        let read_contention = self.stripes.contended_read_estimate(1.0, q.plan.stripe_factor);
         Some(Dispatch {
             id: q.id,
             spec: q.spec,
@@ -400,7 +388,6 @@ impl Scheduler {
             cost: q.cost,
             submit: q.submit,
             start: now,
-            read_contention,
         })
     }
 
@@ -408,9 +395,7 @@ impl Scheduler {
     /// whether the pipeline erred rather than completing.
     pub fn complete(&mut self, id: u64, failed: bool) {
         if let Some(i) = self.running.iter().position(|r| r.id == id) {
-            let r = self.running.remove(i);
-            self.pool.release(r.plan.total_nodes);
-            self.stripes.release(r.plan.stripe_factor);
+            self.running.remove(i);
             if failed {
                 self.counters.failed += 1;
             } else {
@@ -419,24 +404,17 @@ impl Scheduler {
         }
     }
 
-    /// Records a fleet fault: stripe directory `server` of the shared store
-    /// is permanently gone. The contention tracker stops counting it
-    /// (survivors absorb its share — see
-    /// [`StripeLoadTracker::contended_read_estimate`]). Admission plans are
-    /// kept: a fleet fault strikes each file-fed mission's store at the
-    /// mission's own CPI `at_cpi`, so a mission admitted after the loss
-    /// still starts on the healthy stripe factor and fails over itself.
-    /// Planning against the degraded store is [`Scheduler::degraded_plan`].
-    pub fn mark_server_lost(&mut self, server: usize) {
-        self.stripes.mark_lost(server);
-    }
-
     /// Re-plans running mission `id` for its store after a fleet fault:
     /// the admission search on the machine profile re-striped over the
     /// `sf - 1` surviving directories, capped to the nodes the mission
     /// already holds (failover must not grow the reservation). When no
     /// front plan fits, the admitted assignment runs on the survivors.
     /// Both the executor and the capacity model fail over through here.
+    ///
+    /// Admission plans are unaffected: a fleet fault strikes each file-fed
+    /// mission's store at the mission's own CPI `at_cpi`, so a mission
+    /// admitted after the loss still starts on the healthy stripe factor
+    /// and fails over itself.
     ///
     /// # Panics
     /// Panics when mission `id` is not running.
@@ -474,6 +452,13 @@ impl Scheduler {
     /// Missions currently holding workers.
     pub fn running(&self) -> usize {
         self.running.len()
+    }
+
+    /// Free nodes in the pool (its size minus the nodes running missions'
+    /// plans reserve).
+    fn free_nodes(&self) -> usize {
+        let used: usize = self.running.iter().map(|r| r.plan.total_nodes).sum();
+        self.cfg.pool_nodes.saturating_sub(used)
     }
 
     /// Free cubes in the shared staging tier (capacity minus the ring
@@ -558,9 +543,13 @@ mod tests {
         let mut s = Scheduler::new(ServeConfig { pool_nodes: 30, workers: 4, ..small_cfg() });
         s.submit(spec("a", 25, 0), 0.0).unwrap();
         s.submit(spec("b", 25, 0), 0.0).unwrap();
-        let _running = s.next_ready(0.0).expect("a runs");
+        let running = s.next_ready(0.0).expect("a runs");
+        assert_eq!(s.free_nodes(), 30 - running.plan.total_nodes);
         assert!(s.next_ready(0.0).is_none(), "b waits for nodes");
         assert_eq!(s.queued(), 1, "feasible-later missions queue");
+        s.complete(running.id, false);
+        s.complete(running.id, false);
+        assert_eq!(s.free_nodes(), 30, "a second release of one mission frees nothing");
     }
 
     #[test]
@@ -648,17 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn contention_rises_with_co_located_dispatches() {
-        let mut s = Scheduler::new(small_cfg());
-        s.submit(spec("a", 25, 0), 0.0).unwrap();
-        s.submit(spec("b", 25, 0), 0.0).unwrap();
-        let d1 = s.next_ready(0.0).unwrap();
-        let d2 = s.next_ready(0.0).unwrap();
-        assert_eq!(d1.read_contention, 1.0);
-        assert!(d2.read_contention >= 2.0, "co-located mission sees the first one");
-    }
-
-    #[test]
     fn fleet_fault_grammar_round_trips_and_rejects_mission_faults() {
         assert_eq!(FleetFault::parse("server-loss:3@2"), Ok(FleetFault { server: 3, at_cpi: 2 }));
         assert!(FleetFault::parse("node:1@0..4").is_err(), "node crashes are per-mission");
@@ -669,17 +647,14 @@ mod tests {
     fn a_lost_server_keeps_admission_plans_that_do_not_depend_on_it() {
         let mut s = Scheduler::new(small_cfg());
         s.submit(spec("a", 25, 0), 0.0).unwrap();
-        let before = s.next_ready(0.0).expect("a dispatches").plan;
-        let healthy = s.stripes.contended_read_estimate(1.0, 64);
-        s.mark_server_lost(0);
-        assert!(
-            s.stripes.contended_read_estimate(1.0, 64) > healthy,
-            "survivors absorb the lost directory's share of reads"
-        );
+        let a = s.next_ready(0.0).expect("a dispatches");
+        // The loss reaches a: it fails over onto the survivors.
+        let (degraded, _) = s.degraded_plan(a.id);
+        assert_eq!(degraded.stripe_factor, a.plan.stripe_factor - 1);
         s.submit(spec("b", 25, 0), 1.0).unwrap();
         let after = s.next_ready(1.0).expect("b dispatches").plan;
-        assert_eq!(before, after, "the loss changes no input of the admission search");
-        assert_eq!(s.plan_cache.len(), 1, "one search serves both sides of the fault");
+        assert_eq!(a.plan, after, "the loss changes no input of the admission search");
+        assert_eq!(s.plan_cache.len(), 2, "one admission search serves both sides of the fault");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! - [`core`] — the paper's STAP pipeline system and experiment drivers;
 //! - [`planner`] — bi-criteria configuration search over node assignments,
 //!   I/O strategies, and task combining (`ppstap plan`);
-//! - [`serve`] — multi-tenant mission scheduler: admission, placement, and
+//! - [`serve`] — multi-tenant mission scheduler: admission, node accounting, and
 //!   execution of concurrent pipelines over a shared pool (`ppstap serve`);
 //! - [`scenario`] — the scenario catalog and requirements-driven
 //!   detection-quality verification (`ppstap verify`).
