@@ -128,7 +128,7 @@ pub struct StreamSettings {
     /// `FailurePolicy` retry/skip machinery on stream stalls).
     pub strict_lag: bool,
     /// An externally owned staging ring to consume instead of spawning a
-    /// run-local frontend (`stap-serve` attaches mission rings here; the
+    /// run-local frontend (the benchmark attaches its own ring here; the
     /// attaching owner produces into and closes the ring).
     pub attach: Option<Arc<CpiRing>>,
 }

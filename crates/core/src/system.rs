@@ -6,7 +6,7 @@
 //! discipline). [`StapSystem::run`] then launches the pipeline — one thread
 //! per node — and returns measured timings plus the detection reports.
 
-use crate::config::{SourceSpec, StapConfig, StreamSettings, WatchdogPolicy};
+use crate::config::{SourceSpec, StapConfig, WatchdogPolicy};
 use crate::messages::Gap;
 use crate::stages::adaptive::{BeamformStage, WeightStage};
 use crate::stages::front::{DopplerStage, ReadStage};
@@ -39,8 +39,8 @@ pub struct IngestReport {
     pub policy: BackpressurePolicy,
     /// Staging-ring counters (conservation-checked).
     pub ring: RingStats,
-    /// The run-local frontend's report (None when the ring was attached
-    /// by an external owner such as `stap-serve`).
+    /// The run-local frontend's report (None when an external owner such
+    /// as the benchmark attached the ring; only such an owner does).
     pub frontend: Option<FrontendReport>,
 }
 
@@ -120,14 +120,16 @@ impl StapRunOutput {
 }
 
 /// Streaming runtime state of a stream-fed system: the staging ring, the
-/// concrete source (for per-run resets), and whether this system owns the
-/// producer side (spawning a frontend per run) or consumes an externally
-/// attached ring.
+/// concrete source (for per-run resets), and the producer side.
 struct StreamRuntime {
     ring: Arc<CpiRing>,
     source: Arc<StreamSource>,
-    settings: StreamSettings,
-    owned: bool,
+    /// The frontend's delivery rate in cubes/second (0 = unpaced).
+    rate: f64,
+    /// The staged cubes a run-local frontend pushes, spawned per run;
+    /// `None` when an external owner attached the ring and produces into
+    /// it.
+    staged: Option<Vec<Arc<Vec<u8>>>>,
 }
 
 /// A prepared STAP pipeline system.
@@ -149,19 +151,26 @@ impl StapSystem {
         let fs = Pfs::mount(config.fs.clone());
 
         // Radar side: synthesize one cube per round-robin slot and write it
-        // range-major (each reader's slab is then one contiguous extent).
+        // range-major (each reader's slab is then one contiguous extent). A
+        // run-local frontend pushes these same bytes, so an owned stream
+        // keeps them.
         let mut generator =
             CubeGenerator::new(config.dims, config.scene.clone(), config.waveform_len, config.seed)
                 .with_motion(config.motion.clone());
+        let owned_stream = matches!(&config.source, SourceSpec::Stream(s) if s.attach.is_none());
         let mut files = Vec::with_capacity(config.fanout);
+        let mut staged = Vec::new();
         for slot in 0..config.fanout {
             let f = fs.gopen(&StapConfig::file_name(slot), OpenMode::Async);
-            let cube = generator.next_cube();
-            f.write_at(0, &cube.to_range_major_bytes()).map_err(|e| PipelineError::Stage {
+            let bytes = generator.next_cube().to_range_major_bytes();
+            f.write_at(0, &bytes).map_err(|e| PipelineError::Stage {
                 stage: "prepare".into(),
                 message: format!("staging write of {}: {e}", StapConfig::file_name(slot)),
             })?;
             files.push(f);
+            if owned_stream {
+                staged.push(Arc::new(bytes));
+            }
         }
         let waveform = generator.waveform().to_vec();
 
@@ -254,17 +263,20 @@ impl StapSystem {
             }
             SourceSpec::File => Arc::new(FileSource::new(files.clone())),
             SourceSpec::Stream(settings) => {
-                let (ring, owned) = match &settings.attach {
-                    Some(ring) => (Arc::clone(ring), false),
-                    None => (Arc::new(CpiRing::new("run", settings.depth, settings.policy)), true),
+                let (ring, staged) = match &settings.attach {
+                    Some(ring) => (Arc::clone(ring), None),
+                    None => (
+                        Arc::new(CpiRing::new("run", settings.depth, settings.policy)),
+                        Some(std::mem::take(&mut staged)),
+                    ),
                 };
                 let src =
                     Arc::new(StreamSource::new(Arc::clone(&ring), readers, settings.strict_lag));
                 stream = Some(StreamRuntime {
                     ring,
                     source: Arc::clone(&src),
-                    settings: settings.clone(),
-                    owned,
+                    rate: settings.rate,
+                    staged,
                 });
                 src
             }
@@ -408,29 +420,18 @@ impl StapSystem {
         self.fs.reset_io_counters();
         let cfg = &self.plan.config;
 
-        // Stream-fed and system-owned: reset the staging tier and spawn
-        // the radar frontend for exactly this run's CPIs. An attached
-        // ring is produced into (and closed) by its external owner.
-        let frontend = match &self.stream {
-            Some(sr) if sr.owned => {
-                sr.ring.reopen();
-                sr.source.reset();
-                Some(Frontend::spawn(
-                    Arc::clone(&sr.ring),
-                    FrontendConfig {
-                        dims: cfg.dims,
-                        scene: cfg.scene.clone(),
-                        motion: cfg.motion.clone(),
-                        waveform_len: cfg.waveform_len,
-                        seed: cfg.seed,
-                        fanout: cfg.fanout,
-                        count: cfg.cpis,
-                        rate: sr.settings.rate,
-                    },
-                ))
-            }
-            _ => None,
-        };
+        // Stream-fed and system-owned: reset the staging tier and start
+        // the radar frontend on the staged cubes for exactly this run's
+        // CPIs; the cubes due at start are in the ring before the pipeline
+        // can pop. An attached ring is produced into (and closed) by its
+        // external owner.
+        let frontend = self.stream.as_ref().and_then(|sr| {
+            let cubes = sr.staged.clone()?;
+            sr.ring.reopen();
+            sr.source.reset();
+            let fe = FrontendConfig { cubes, count: cfg.cpis, rate: sr.rate };
+            Some(Frontend::spawn(Arc::clone(&sr.ring), fe))
+        });
 
         // Cache counters accumulate for the life of the tier (the cache
         // itself stays warm across runs); report this run's delta.
@@ -443,7 +444,7 @@ impl StapSystem {
         // closing the ring is what unblocks a producer parked on a full
         // ring, so a failed run never leaks a stuck frontend thread.
         let ingest = self.stream.as_ref().map(|sr| {
-            if sr.owned {
+            if sr.staged.is_some() {
                 sr.ring.close();
             }
             // Join before snapshotting so the counters are final.
@@ -492,6 +493,7 @@ impl StapSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StreamSettings;
 
     fn tiny_config() -> StapConfig {
         StapConfig { cpis: 3, warmup: 1, ..StapConfig::default() }

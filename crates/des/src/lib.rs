@@ -39,12 +39,10 @@
 
 pub mod engine;
 pub mod resource;
-pub mod staging;
 pub mod stats;
 pub mod time;
 
 pub use engine::Engine;
 pub use resource::FcfsResource;
-pub use staging::{StagingCounters, StagingModel, StagingPolicy};
 pub use stats::Tally;
 pub use time::SimTime;

@@ -1,35 +1,21 @@
-//! Synthetic radar frontends: seeded deterministic producers pushing CPI
-//! cubes into a staging ring.
+//! Radar frontends: producers pushing staged CPI cubes into a staging
+//! ring.
 
 use crate::ring::{CpiRing, StampedCube};
-use stap_kernels::cube::CubeDims;
-use stap_radar::{CubeGenerator, Motion, Scene};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What a frontend produces and how fast.
+/// What a frontend pushes and how fast.
 ///
-/// The generated cube sequence is exactly the one file staging writes:
-/// `fanout` cubes synthesized from the seeded generator, cycled — cube
-/// `seq % fanout` for sequence number `seq` — so a stream-fed run is
-/// bit-identical to a file-fed run of the same configuration.
+/// The frontend synthesizes nothing: it cycles the cubes it is handed —
+/// cube `seq % cubes.len()` for sequence number `seq` — so handed the
+/// range-major bytes file staging wrote, a stream-fed run is bit-identical
+/// to a file-fed run of the same configuration.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// CPI cube geometry.
-    pub dims: CubeDims,
-    /// Radar scenario generating the cubes.
-    pub scene: Scene,
-    /// Scene kinematics (target/jammer motion between CPIs). The motion
-    /// plays out across the `fanout` pre-synthesized cubes, mirroring what
-    /// file staging writes.
-    pub motion: Motion,
-    /// Pulse-compression waveform length (range samples).
-    pub waveform_len: usize,
-    /// Generator seed (the run configuration's seed).
-    pub seed: u64,
-    /// Distinct cubes synthesized and cycled (the file-staging fanout).
-    pub fanout: usize,
+    /// The distinct cubes, range-major (the staging-file byte layout).
+    pub cubes: Vec<Arc<Vec<u8>>>,
     /// Cubes to push before closing the ring.
     pub count: u64,
     /// Delivery rate in cubes/second (0 = unpaced, push as fast as the
@@ -38,7 +24,7 @@ pub struct FrontendConfig {
 }
 
 /// What a finished (or cancelled) frontend did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendReport {
     /// Cubes the ring accepted.
     pub pushed: u64,
@@ -49,37 +35,49 @@ pub struct FrontendReport {
     pub closed_early: bool,
 }
 
-/// A running synthetic radar frontend (one producer thread).
+impl FrontendReport {
+    /// Offers cube `seq` to `ring`; false once the ring has closed.
+    fn offer(&mut self, ring: &CpiRing, cubes: &[Arc<Vec<u8>>], seq: u64) -> bool {
+        let bytes = Arc::clone(&cubes[(seq % cubes.len() as u64) as usize]);
+        match ring.push(StampedCube { seq, bytes }) {
+            Ok(()) => self.pushed += 1,
+            Err(e) if e.is_transient() => self.rejected += 1,
+            Err(_) => self.closed_early = true,
+        }
+        !self.closed_early
+    }
+}
+
+/// A running radar frontend (one producer thread).
 pub struct Frontend {
     handle: JoinHandle<FrontendReport>,
 }
 
 impl Frontend {
-    /// Spawns the producer thread pushing `cfg.count` cubes into `ring`.
+    /// Starts pushing `cfg.count` cubes into `ring`.
     ///
-    /// The cubes are synthesized up front (they cycle with period
-    /// `fanout`), so the steady-state loop only clones `Arc`s and paces.
+    /// The offers due at start — every cube when unpaced, cube 0 when
+    /// paced — are pushed on the calling thread, as many as the ring has
+    /// free slots, so they are staged before the consumer's first pop. A
+    /// producer thread pushes the rest and then closes the ring.
+    ///
+    /// # Panics
+    /// When `cfg.count > 0` and `cfg.cubes` is empty.
     pub fn spawn(ring: Arc<CpiRing>, cfg: FrontendConfig) -> Self {
+        assert!(cfg.count == 0 || !cfg.cubes.is_empty(), "a frontend needs cubes to push");
+        let period = (cfg.rate > 0.0).then(|| Duration::from_secs_f64(1.0 / cfg.rate));
+        let due = if period.is_some() { 1 } else { cfg.count };
+        let free = ring.capacity().saturating_sub(ring.len()) as u64;
+        let staged = due.min(free).min(cfg.count);
+        let mut report = FrontendReport::default();
+        let open = (0..staged).all(|seq| report.offer(&ring, &cfg.cubes, seq));
         let handle = std::thread::spawn(move || {
-            let mut generator =
-                CubeGenerator::new(cfg.dims, cfg.scene.clone(), cfg.waveform_len, cfg.seed)
-                    .with_motion(cfg.motion.clone());
-            let cubes: Vec<Arc<Vec<u8>>> = (0..cfg.fanout.max(1))
-                .map(|_| Arc::new(generator.next_cube().to_range_major_bytes()))
-                .collect();
-            let period =
-                if cfg.rate > 0.0 { Some(Duration::from_secs_f64(1.0 / cfg.rate)) } else { None };
-            let mut report = FrontendReport { pushed: 0, rejected: 0, closed_early: false };
-            for seq in 0..cfg.count {
-                if let (Some(p), true) = (period, seq > 0) {
-                    std::thread::sleep(p);
-                }
-                let bytes = Arc::clone(&cubes[(seq % cfg.fanout.max(1) as u64) as usize]);
-                match ring.push(StampedCube { seq, bytes }) {
-                    Ok(()) => report.pushed += 1,
-                    Err(e) if e.is_transient() => report.rejected += 1,
-                    Err(_) => {
-                        report.closed_early = true;
+            if open {
+                for seq in staged..cfg.count {
+                    if let (Some(p), true) = (period, seq > 0) {
+                        std::thread::sleep(p);
+                    }
+                    if !report.offer(&ring, &cfg.cubes, seq) {
                         break;
                     }
                 }
@@ -97,11 +95,6 @@ impl Frontend {
     pub fn join(self) -> FrontendReport {
         self.handle.join().unwrap_or(FrontendReport { pushed: 0, rejected: 0, closed_early: true })
     }
-
-    /// Whether the producer thread has exited.
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 impl std::fmt::Debug for Frontend {
@@ -115,36 +108,23 @@ mod tests {
     use super::*;
     use crate::ring::BackpressurePolicy;
 
-    fn cfg(count: u64) -> FrontendConfig {
-        FrontendConfig {
-            dims: CubeDims::new(8, 2, 16),
-            scene: Scene::benchmark_small(),
-            motion: Motion::default(),
-            waveform_len: 4,
-            seed: 7,
-            fanout: 2,
-            count,
-            rate: 0.0,
-        }
+    fn cfg(count: u64, rate: f64) -> FrontendConfig {
+        let cubes = vec![Arc::new(vec![1u8; 16]), Arc::new(vec![2u8; 16])];
+        FrontendConfig { cubes, count, rate }
     }
 
     #[test]
-    fn pushes_count_cubes_cycling_fanout() {
+    fn pushes_count_cubes_cycling_the_staged_ones() {
         let ring = Arc::new(CpiRing::new("m", 8, BackpressurePolicy::Block));
-        let fe = Frontend::spawn(Arc::clone(&ring), cfg(5));
+        let config = cfg(5, 0.0);
+        let staged = config.cubes.clone();
+        let fe = Frontend::spawn(Arc::clone(&ring), config);
         let mut seqs = Vec::new();
-        let mut first_two = Vec::new();
         for _ in 0..5 {
             let (c, _) = ring.pop().unwrap();
+            // Cube `seq` is staged cube `seq % 2`, shared, not copied.
+            assert!(Arc::ptr_eq(&c.bytes, &staged[(c.seq % 2) as usize]));
             seqs.push(c.seq);
-            if c.seq < 2 {
-                first_two.push(Arc::clone(&c.bytes));
-            }
-            if c.seq == 2 {
-                // Cube 2 cycles back to cube 0's bytes (fanout 2).
-                assert_eq!(*c.bytes, *first_two[0]);
-                assert_ne!(*c.bytes, *first_two[1]);
-            }
         }
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         let report = fe.join();
@@ -153,25 +133,28 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_replays_bit_identically() {
-        let grab = || {
-            let ring = Arc::new(CpiRing::new("m", 8, BackpressurePolicy::Block));
-            let fe = Frontend::spawn(Arc::clone(&ring), cfg(4));
-            let cubes: Vec<Vec<u8>> =
-                (0..4).map(|_| ring.pop().unwrap().0.bytes.to_vec()).collect();
-            fe.join();
-            cubes
-        };
-        assert_eq!(grab(), grab());
+    fn offers_due_at_start_are_staged_before_spawn_returns() {
+        // Unpaced: the ring fills to its depth on the calling thread.
+        let ring = Arc::new(CpiRing::new("m", 3, BackpressurePolicy::Block));
+        let fe = Frontend::spawn(Arc::clone(&ring), cfg(8, 0.0));
+        assert_eq!(ring.stats().accepted, 3, "min(depth, count) staged at start");
+        while ring.pop().is_ok() {}
+        assert_eq!(ring.stats().peak_depth, 3);
+        assert_eq!(fe.join().pushed, 8);
+
+        // Paced: only cube 0 is due at start.
+        let ring = Arc::new(CpiRing::new("m", 3, BackpressurePolicy::Block));
+        let fe = Frontend::spawn(Arc::clone(&ring), cfg(2, 1000.0));
+        assert_eq!(ring.stats().accepted, 1, "cube 0 staged at start");
+        while ring.pop().is_ok() {}
+        assert_eq!(fe.join().pushed, 2);
     }
 
     #[test]
     fn closing_the_ring_stops_a_blocked_producer() {
         let ring = Arc::new(CpiRing::new("m", 1, BackpressurePolicy::Block));
-        let fe = Frontend::spawn(Arc::clone(&ring), cfg(100));
-        while ring.is_empty() {
-            std::thread::yield_now();
-        }
+        let fe = Frontend::spawn(Arc::clone(&ring), cfg(100, 0.0));
+        assert!(!ring.is_empty(), "cube 0 is staged at start");
         ring.close();
         let report = fe.join();
         assert!(report.closed_early);

@@ -23,14 +23,12 @@ use crate::mission::{
 use crate::scheduler::{Dispatch, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::{SourceSpec, StapConfig, StapSystem, StreamSettings, WatchdogPolicy};
-use stap_ingest::{CpiRing, Frontend, FrontendConfig};
 use stap_kernels::CubeDims;
 use stap_pfs::Pfs;
 use stap_pipeline::PipelineError;
 use stap_store::CubeAccess;
 use stap_trace::{ClockSpec, FleetTrack};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one worker thread sends back when its mission ends.
@@ -58,13 +56,25 @@ struct Failover {
 /// small real-mode cube (seconds per mission on a workstation), the plan's
 /// I/O strategy and tail structure, the file system of the mission's own
 /// machine restriped to the plan's stripe factor, and a default watchdog.
-/// A machine that does not resolve fails the mission.
+/// A stream mission's ring and radar frontend are the run's own: they
+/// exist while its run does, so the radar starts when the mission
+/// dispatches. A machine that does not resolve fails the mission.
 fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> Result<StapConfig, PipelineError> {
     let machine = machine_profile(&spec.machine).map_err(|e| PipelineError::Stage {
         stage: "config".to_string(),
         message: e.to_string(),
     })?;
     let cpis = spec.cpis.max(2);
+    let source = match spec.source {
+        MissionSource::File => SourceSpec::File,
+        MissionSource::Stream { depth, policy, rate } => SourceSpec::Stream(StreamSettings {
+            depth,
+            policy,
+            rate,
+            strict_lag: false,
+            attach: None,
+        }),
+    };
     Ok(StapConfig {
         dims: CubeDims::new(16, 4, 64),
         fanout: 2,
@@ -74,6 +84,7 @@ fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> Result<StapConfig, P
         tail: plan.tail,
         fs: machine.fs.with_stripe_factor(plan.stripe_factor),
         watchdog: Some(WatchdogPolicy::default()),
+        source,
         ..StapConfig::default()
     })
 }
@@ -123,44 +134,6 @@ fn run_degraded(config: StapConfig, from_sf: usize) -> DegradedRun {
     (result, restriped)
 }
 
-/// A stream mission's staging ring and radar frontend. Created at
-/// admission (the radar starts transmitting as soon as the mission is
-/// accepted, whether or not compute has dispatched yet) and torn down on
-/// completion, failure, or cancellation.
-struct StreamFeed {
-    ring: Arc<CpiRing>,
-    frontend: Option<Frontend>,
-}
-
-impl StreamFeed {
-    /// Closes the ring (unblocking a parked producer), joins the producer
-    /// thread, and returns the ring's peak occupancy.
-    fn drain(mut self) -> u64 {
-        self.ring.close();
-        if let Some(fe) = self.frontend.take() {
-            fe.join();
-        }
-        self.ring.stats().peak_depth as u64
-    }
-}
-
-/// The producer configuration for a stream mission. Mirrors
-/// [`mission_config`]'s cube parameters exactly, so a stream mission's
-/// cubes are bit-identical to the ones file staging would write.
-fn frontend_config(spec: &MissionSpec, rate: f64) -> FrontendConfig {
-    let base = StapConfig::default();
-    FrontendConfig {
-        dims: CubeDims::new(16, 4, 64),
-        scene: base.scene,
-        motion: base.motion,
-        waveform_len: base.waveform_len,
-        seed: base.seed,
-        fanout: 2,
-        count: spec.cpis.max(2),
-        rate,
-    }
-}
-
 /// Replays a workload script against a real worker pool and returns the
 /// executed fleet. Blocks until every admitted mission has completed (or
 /// failed under its watchdog); never hangs — admission guarantees every
@@ -174,7 +147,6 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
     let mut cancelled: Vec<String> = Vec::new();
     let mut rows: Vec<MissionReport> = Vec::new();
     let mut tracks: Vec<FleetTrack> = Vec::new();
-    let mut feeds: HashMap<u64, StreamFeed> = HashMap::new();
     let mut failovers: HashMap<u64, Failover> = HashMap::new();
     let mut makespan = 0.0f64;
 
@@ -191,35 +163,13 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
                 match script.events[next_event].action.clone() {
                     ScriptAction::Submit(spec) => {
                         let name = spec.name.clone();
-                        let source = spec.source;
-                        match sched.submit(spec.clone(), at) {
-                            Ok(id) => {
-                                // Admitted stream missions start receiving
-                                // data immediately: the radar does not wait
-                                // for the scheduler to find compute.
-                                if let MissionSource::Stream { depth, policy, rate } = source {
-                                    let ring = Arc::new(CpiRing::new(&name, depth, policy));
-                                    let frontend = Frontend::spawn(
-                                        Arc::clone(&ring),
-                                        frontend_config(&spec, rate),
-                                    );
-                                    feeds.insert(id, StreamFeed { ring, frontend: Some(frontend) });
-                                }
-                            }
-                            Err(e) => rejected.push((name, e.to_string())),
+                        if let Err(e) = sched.submit(spec, at) {
+                            rejected.push((name, e.to_string()));
                         }
                     }
                     ScriptAction::Cancel { name } => {
-                        if let Some(id) = sched.cancel(&name) {
+                        if sched.cancel(&name).is_some() {
                             cancelled.push(name);
-                            // Drain the cancelled mission's stream: closing
-                            // the ring is what unblocks a producer parked on
-                            // a full ring — without it the frontend thread
-                            // would hang forever, since no consumer will
-                            // ever attach.
-                            if let Some(feed) = feeds.remove(&id) {
-                                feed.drain();
-                            }
                         }
                     }
                 }
@@ -246,19 +196,6 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
                     stap_pfs::FaultPlan::new(0)
                         .with(stap_pfs::Fault::ServerLoss { server: f.server, from: f.at_cpi }),
                 );
-            }
-            if let MissionSource::Stream { depth, policy, rate } = d.spec.source {
-                let ring = feeds
-                    .get(&d.id)
-                    .map(|f| Arc::clone(&f.ring))
-                    .expect("stream feeds are created at admission");
-                config.source = SourceSpec::Stream(StreamSettings {
-                    depth,
-                    policy,
-                    rate,
-                    strict_lag: false,
-                    attach: Some(ring),
-                });
             }
             std::thread::spawn(move || {
                 let result = StapSystem::prepare(config)
@@ -307,16 +244,8 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
             continue;
         }
         sched.complete(id, done.result.is_err());
-        // Tear the mission's stream down (a failed run may leave the
-        // producer parked) and keep its peak occupancy.
-        let staging_peak = feeds.remove(&id).map_or(0, StreamFeed::drain);
         let failover = failovers.remove(&id);
-        rows.push(finish(done, end, staging_peak, failover, &mut tracks));
-    }
-    // Whatever streams are still attached (none, unless a mission slipped
-    // through every path above) must not leak producer threads.
-    for (_, feed) in feeds.drain() {
-        feed.drain();
+        rows.push(finish(done, end, failover, &mut tracks));
     }
     rows.sort_by_key(|m| m.id);
     tracks.sort_by_key(|t| t.mission_id);
@@ -340,7 +269,6 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
 fn finish(
     done: WorkerDone,
     end: f64,
-    staging_peak: u64,
     failover: Option<Failover>,
     tracks: &mut Vec<FleetTrack>,
 ) -> MissionReport {
@@ -351,7 +279,7 @@ fn finish(
         });
         f.fault.failover_note(f.from_sf, &d.plan) + &migrated
     });
-    let base = MissionReport { staging_peak, ..MissionReport::new(d, end, note) };
+    let base = MissionReport::new(d, end, note);
     match done.result {
         Ok(out) => {
             // Spans are on the mission's own run epoch; shift them onto the
@@ -390,6 +318,7 @@ fn finish(
                 latency: out.latency(),
                 drops: out.dropped.len() as u64,
                 retries: out.retries,
+                staging_peak: out.ingest.map_or(0, |i| i.ring.peak_depth as u64),
                 sla: SlaVerdict::grade(d.spec.max_latency, out.latency()),
                 ..base
             }
@@ -510,14 +439,12 @@ mod tests {
         assert_eq!(out.rows.len(), 1, "{:?}", out.rows);
         let m = &out.rows[0];
         assert_eq!(m.outcome, MissionOutcome::Completed, "{:?}", m.outcome);
-        assert!(
-            m.staging_peak >= 1 && m.staging_peak <= 2,
-            "peak bounded by ring depth, got {}",
-            m.staging_peak
-        );
+        // The unpaced frontend stages min(depth, cpis) cubes before the
+        // pipeline can pop.
+        assert_eq!(m.staging_peak, 2, "peak is the ring depth");
         let json = stap_trace::json::parse(&out.to_json()).expect("valid fleet JSON");
         let missions = json.get("missions").and_then(|m| m.as_array()).expect("missions");
-        assert!(missions[0].get("staging_peak").and_then(|v| v.as_f64()).expect("peak") >= 1.0);
+        assert_eq!(missions[0].get("staging_peak").and_then(|v| v.as_f64()), Some(2.0));
     }
 
     #[test]
@@ -637,11 +564,10 @@ mod tests {
 
     #[test]
     fn cancelling_a_queued_stream_mission_unblocks_its_producer() {
-        // Regression: the doomed mission's unpaced producer fills its
-        // 2-slot blocking ring immediately and parks. Cancellation must
-        // close the ring so the producer thread exits — without the drain,
-        // run_fleet would leak a forever-blocked thread and the final feed
-        // sweep would hang this test.
+        // Regression: cancellation never hangs the fleet. A queued stream
+        // mission has no ring and no producer yet — both belong to its run,
+        // which starts at dispatch — so cancelling it leaves no thread
+        // parked on a full ring.
         let script = WorkloadScript::parse(
             "at 0.0 submit name=runner nodes=25 cpis=2\n\
              at 0.0 submit name=doomed nodes=25 cpis=64 source=stream staging=2\n\

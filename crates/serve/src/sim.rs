@@ -25,8 +25,8 @@ use crate::mission::{FleetReport, MissionReport, MissionSource, PlanChoice, SlaV
 use crate::scheduler::{Dispatch, FleetFault, PlanCost, ReadBatch, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::desmodel::read_step;
-use stap_des::{Engine, FcfsResource, SimTime, StagingModel, StagingPolicy};
-use stap_ingest::BackpressurePolicy;
+use stap_des::{Engine, FcfsResource, SimTime};
+use stap_ingest::StagingModel;
 use stap_model::tasktable::ReadTerm;
 use stap_model::tasktime::TaskCosts;
 
@@ -251,12 +251,12 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
             MissionSource::Stream { depth, policy, rate } => {
                 // Stream missions bypass the striped store: the cube
                 // arrives through the staging ring, and compute waits for
-                // it.
+                // it. The radar starts when the mission dispatches.
                 fold.read = ReadTerm { read_time: 0.0, overlap: false, cache: None };
                 fold.batches.clear();
                 let period =
                     if rate > 0.0 { SimTime::from_secs_f64(1.0 / rate) } else { SimTime::ZERO };
-                Some(StagingModel::new(depth, period, cpis, staging_policy(policy)))
+                Some(StagingModel::new(eng.now(), depth, period, cpis, policy))
             }
         };
         // File-fed missions observe a configured fleet fault once they
@@ -282,15 +282,6 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
         }
         st.active[idx] = Some(active);
         step_cpi(eng, st, id);
-    }
-}
-
-/// Maps the real staging tier's backpressure policy onto the DES model's.
-fn staging_policy(p: BackpressurePolicy) -> StagingPolicy {
-    match p {
-        BackpressurePolicy::Block => StagingPolicy::Block,
-        BackpressurePolicy::DropOldest => StagingPolicy::DropOldest,
-        BackpressurePolicy::Reject => StagingPolicy::Reject,
     }
 }
 
@@ -351,7 +342,7 @@ fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     st.rows.push(MissionReport {
         throughput: a.cpis as f64 / runtime,
         latency,
-        staging_peak: a.staging.as_ref().map_or(0, |s| s.counters().peak),
+        staging_peak: a.staging.as_ref().map_or(0, |s| s.stats().peak_depth as u64),
         sla: SlaVerdict::grade(a.d.spec.max_latency, latency),
         nominal_runtime: Some(a.nominal_runtime),
         ..MissionReport::new(&a.d, end, a.failover)
@@ -605,6 +596,21 @@ mod tests {
         let v = stap_trace::json::parse(&r2.to_json()).expect("valid JSON");
         let missions = v.get("missions").unwrap().as_array().unwrap();
         assert!(missions[0].get("staging_peak").unwrap().as_f64().unwrap() >= 1.0);
+    }
+
+    #[test]
+    fn a_late_paced_stream_mission_finds_no_cubes_from_before_dispatch() {
+        // The radar starts at dispatch (t = 10 s): the first pop finds cube
+        // 0 alone, and cubes 1..3 arrive one period (2 s) apart after it.
+        let s = script(
+            "at 10 submit name=late nodes=25 cpis=4 source=stream staging=4 \
+             backpressure=block rate=0.5\n",
+        );
+        let r = simulate_fleet(&s, &cfg(2));
+        let row = &r.rows[0];
+        assert_eq!(row.start, 10.0);
+        assert_eq!(row.staging_peak, 1, "no cube arrived before the mission existed");
+        assert!(row.end - row.start >= 6.0, "(cpis - 1) / rate paces the run: {}", row.end);
     }
 
     #[test]

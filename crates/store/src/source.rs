@@ -183,26 +183,6 @@ impl StoreSource {
         Ok(reports)
     }
 
-    /// Sleeps the modeled cache-copy time scaled by the mount's pacing
-    /// dial, mirroring how `FileHandle` paces real striped reads.
-    fn pace_hit(&self, len: usize) {
-        if self.pace > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(hit_time(len) * self.pace));
-        }
-    }
-
-    /// One demand read against the backing file, honoring the configured
-    /// cube access: resident misses go through `read_at_cpi` (so injected
-    /// fault plans keep their per-attempt determinism); out-of-core misses
-    /// stream through footprint-metered chunks.
-    fn read_direct(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
-        let live = self.slot(cpi);
-        match &self.chunker {
-            None => live.handle().read_at_cpi(cpi, offset, len).map_err(pfs_error),
-            Some(chunker) => chunker.read(&live.handle(), offset, len).map_err(store_error),
-        }
-    }
-
     fn issue_readahead(&self, cpi: u64, offset: u64, len: usize) {
         if self.cache.capacity() == 0 {
             return;
@@ -229,6 +209,31 @@ impl Drop for StoreSource {
     }
 }
 
+/// Sleeps the modeled cache-copy time of `len` bytes scaled by the mount's
+/// pacing dial `pace`, mirroring how `FileHandle` paces real striped reads.
+fn pace_hit(pace: f64, len: usize) {
+    if pace > 0.0 {
+        std::thread::sleep(std::time::Duration::from_secs_f64(hit_time(len) * pace));
+    }
+}
+
+/// One demand-miss read of CPI `cpi`'s extent against its backing file,
+/// honoring the cube access: resident misses go through `read_at_cpi` (so
+/// injected fault plans keep their per-attempt determinism); out-of-core
+/// misses stream through footprint-metered chunks.
+fn miss_read(
+    chunker: Option<&ChunkedCube>,
+    live: &LiveFile,
+    cpi: u64,
+    offset: u64,
+    len: usize,
+) -> Result<Vec<u8>, SourceError> {
+    match chunker {
+        None => live.handle().read_at_cpi(cpi, offset, len).map_err(pfs_error),
+        Some(c) => c.read(&live.handle(), offset, len).map_err(store_error),
+    }
+}
+
 fn fill_cache(cache: &ReadCache, chunker: Option<&ChunkedCube>, key: CacheKey, live: &LiveFile) {
     if cache.peek(&key) {
         return;
@@ -252,15 +257,7 @@ fn worker_loop(rx: mpsc::Receiver<Job>, cache: Arc<ReadCache>, chunker: Option<C
                 let result = match cache.lookup(&key) {
                     Some(bytes) => Ok(bytes.as_ref().clone()),
                     None => {
-                        let read = match &chunker {
-                            None => live
-                                .handle()
-                                .read_at_cpi(cpi, key.offset, key.len)
-                                .map_err(pfs_error),
-                            Some(c) => {
-                                c.read(&live.handle(), key.offset, key.len).map_err(store_error)
-                            }
-                        };
+                        let read = miss_read(chunker.as_ref(), &live, cpi, key.offset, key.len);
                         read.inspect(|bytes| {
                             cache.insert(key, Arc::new(bytes.clone()), false);
                         })
@@ -278,10 +275,10 @@ impl CpiSource for StoreSource {
         let key = self.key(cpi, offset, len);
         self.issue_readahead(cpi, offset, len);
         if let Some(bytes) = self.cache.lookup(&key) {
-            self.pace_hit(len);
+            pace_hit(self.pace, len);
             return Ok(bytes.as_ref().clone());
         }
-        let bytes = self.read_direct(cpi, offset, len)?;
+        let bytes = miss_read(self.chunker.as_ref(), self.slot(cpi), cpi, offset, len)?;
         self.cache.insert(key, Arc::new(bytes.clone()), false);
         Ok(bytes)
     }
@@ -306,11 +303,7 @@ impl CpiSource for StoreSource {
                 .map_err(|_| SourceError::permanent("store prefetch worker died"))??;
             // Mirror the demand path's hit pacing: the cube still crosses
             // the cache copy on its way to the node.
-            if pace > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    hit_time(result.len()) * pace,
-                ));
-            }
+            pace_hit(pace, result.len());
             Ok(result)
         })))
     }

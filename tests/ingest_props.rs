@@ -19,25 +19,17 @@ use std::time::Duration;
 /// round-robin file count in spirit: a small set of distinct cubes).
 const FANOUT: usize = 2;
 
-fn frontend_cfg(count: u64, rate: f64) -> FrontendConfig {
-    FrontendConfig {
-        dims: CubeDims::new(8, 2, 16),
-        scene: Scene::benchmark_small(),
-        motion: Default::default(),
-        waveform_len: 4,
-        seed: 11,
-        fanout: FANOUT,
-        count,
-        rate,
-    }
+/// The cube bytes file staging writes: `FANOUT` cubes of the seeded
+/// generator, range-major.
+fn expected_cubes() -> Vec<Vec<u8>> {
+    let mut generator =
+        CubeGenerator::new(CubeDims::new(8, 2, 16), Scene::benchmark_small(), 4, 11);
+    (0..FANOUT).map(|_| generator.next_cube().to_range_major_bytes()).collect()
 }
 
-/// The cube bytes file staging would serve: cube `seq % FANOUT` of the
-/// seeded generator.
-fn expected_cubes() -> Vec<Vec<u8>> {
-    let cfg = frontend_cfg(0, 0.0);
-    let mut generator = CubeGenerator::new(cfg.dims, cfg.scene, cfg.waveform_len, cfg.seed);
-    (0..FANOUT).map(|_| generator.next_cube().to_range_major_bytes()).collect()
+/// A frontend pushing the staged cubes: cube `seq % FANOUT` for `seq`.
+fn frontend_cfg(count: u64, rate: f64) -> FrontendConfig {
+    FrontendConfig { cubes: expected_cubes().into_iter().map(Arc::new).collect(), count, rate }
 }
 
 /// Pops until the ring closes and empties, pausing `pause` between pops

@@ -30,10 +30,9 @@ static REPORT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Serializes the tests of this binary, which otherwise run on parallel
 /// threads: every test takes this lock for its whole body. An executed
-/// fleet's wall-clock outcomes (runtimes — one of them calibrates the
-/// simulator — and the race between a stream producer and its pipeline)
-/// must not include a sibling test's pipelines or planner searches
-/// competing for the same cores.
+/// fleet's wall-clock outcomes (runtimes, one of which calibrates the
+/// simulator) must not include a sibling test's pipelines or planner
+/// searches competing for the same cores.
 static HOST_LOCK: Mutex<()> = Mutex::new(());
 
 fn host_exclusive() -> std::sync::MutexGuard<'static, ()> {
@@ -279,12 +278,6 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
     );
 }
 
-/// Executed-vs-simulated staging-occupancy tolerance, cubes. With an
-/// unpaced frontend both modes fill each mission's ring toward its
-/// depth; the executed peak can sit one cube under the depth when the
-/// consumer's first pop interleaves with the producer's burst, so exact
-/// equality is not guaranteed — one cube of slack is.
-const STAGING_PEAK_TOL: u64 = 1;
 /// Executed-vs-simulated SLA hit-rate tolerance. The streamed script's
 /// bounds are orders of magnitude above either mode's latency, so the
 /// graded sets must agree exactly; any disagreement is a verdict bug,
@@ -319,11 +312,12 @@ at 0.030 submit name=s2 nodes=25 cpis=4 source=stream staging=2 backpressure=blo
         lines.push(format!("{:<8} {:>9} {:>8} {:>8}", name, depth, m.staging_peak, r.staging_peak));
         assert!(m.staging_peak >= 1 && m.staging_peak <= depth, "{name}: executed peak in ring");
         assert!(r.staging_peak >= 1 && r.staging_peak <= depth, "{name}: simulated peak in ring");
-        assert!(
-            m.staging_peak.abs_diff(r.staging_peak) <= STAGING_PEAK_TOL,
-            "{name}: staging occupancy disagrees — exec {} vs sim {} (tol {STAGING_PEAK_TOL})",
-            m.staging_peak,
-            r.staging_peak
+        // An unpaced frontend stages min(depth, cpis) cubes before the
+        // pipeline can pop, in both modes: the peaks agree exactly.
+        assert_eq!(
+            m.staging_peak, r.staging_peak,
+            "{name}: staging occupancy disagrees — exec {} vs sim {}",
+            m.staging_peak, r.staging_peak
         );
     }
     let exec_sla = exec.sla_hit_rate().expect("two bounded missions executed");
