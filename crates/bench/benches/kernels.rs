@@ -121,6 +121,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // Covariance for one hard bin at the benchmark geometry (2 staggers ×
+    // 16 channels = DoF 32, 512 gates at stride 4 = 128 snapshots).
+    let hard32 = noise_doppler(2, 2, 16, 512);
+    g.bench_function("covariance_dof32_128snap", |b| {
+        b.iter(|| estimate_covariance(&hard32, 1, TrainingConfig::default()))
+    });
+
     // Covariance + weights for one hard bin (DoF 64).
     let hard = noise_doppler(2, 2, 32, 512);
     g.bench_function("covariance_dof64_128snap", |b| {

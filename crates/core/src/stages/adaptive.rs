@@ -99,7 +99,7 @@ impl Stage for WeightStage {
             let positional: Vec<usize> = (0..my_bins.len()).collect();
             let mut ws = self
                 .computer
-                .compute(&cube, &positional)
+                .compute_with(&cube, &positional, self.plan.kernel_path())
                 .map_err(|e| ctx.fail(format!("weight solve: {e}")))?;
             ws.bins = my_bins;
             self.last_good = Some(ws.clone());

@@ -9,7 +9,7 @@
 //! tasks.
 
 use crate::cube::{DataCube, DopplerCube};
-use crate::path::KernelPath;
+use crate::path::{KernelPath, SimdLevel};
 use stap_math::fft::next_pow2;
 use stap_math::window::Window;
 use stap_math::{FftPlan, C32};
@@ -235,13 +235,14 @@ impl DopplerFilter {
         mut dst: BinRows<'_>,
     ) {
         let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(gates.max(1))];
+        let level = SimdLevel::detect();
         let mut b0 = 0;
         while b0 < gates {
             let lanes = RANGE_BLOCK.min(gates - b0);
             let panel = &mut panel[..self.fft_len * lanes];
             for c in 0..channels {
                 for (stagger, &start) in starts.iter().enumerate() {
-                    src.gather(panel, lanes, self.pulses, (start, c, b0), window);
+                    src.gather(panel, lanes, self.pulses, (start, c, b0), window, level);
                     panel[window.len() * lanes..].fill(C32::zero());
                     self.plan.forward_multi(panel, lanes);
                     // Scatter: output rows at fixed (bin, c) are contiguous.
@@ -333,7 +334,9 @@ impl Samples<'_> {
     }
 
     /// Fills panel rows `0..window.len()` (lane-minor) with the windowed
-    /// pulses `start..` of channel `c`, range gates `b0..b0 + lanes`.
+    /// pulses `start..` of channel `c`, range gates `b0..b0 + lanes`. The
+    /// wire gather transposes in registers at `level`'s tier (AVX); every
+    /// tier writes the same bits.
     fn gather(
         &self,
         panel: &mut [C32],
@@ -341,6 +344,7 @@ impl Samples<'_> {
         pulses: usize,
         (start, c, b0): (usize, usize, usize),
         window: &[f32],
+        level: SimdLevel,
     ) {
         match *self {
             // Cube rows at fixed (p, c) are contiguous in range, so each
@@ -358,8 +362,26 @@ impl Samples<'_> {
             // Wire pulse trains at fixed (r, c) are contiguous, so each lane
             // is one streaming read transposed into the L1-resident panel.
             Samples::Wire { bytes, channels } => {
-                for l in 0..lanes {
-                    let base = (((b0 + l) * channels + c) * pulses + start) * 8;
+                assert!(level <= SimdLevel::detect(), "this CPU cannot run {level:?}");
+                let gate_bytes = channels * pulses * 8;
+                let first = ((b0 * channels + c) * pulses + start) * 8;
+                assert!(
+                    lanes == 0
+                        || first + (lanes - 1) * gate_bytes + window.len() * 8 <= bytes.len(),
+                    "wire bytes end inside a gathered pulse train"
+                );
+                assert!(panel.len() >= window.len() * lanes, "panel too short for the window");
+                let done = match level {
+                    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+                    // SAFETY: the dispatch tier is one this CPU runs, and
+                    // both asserts above bound every access.
+                    SimdLevel::Avx => unsafe {
+                        x86::gather_wire_avx(panel, lanes, &bytes[first..], gate_bytes, window)
+                    },
+                    _ => 0,
+                };
+                for l in done..lanes {
+                    let base = first + l * gate_bytes;
                     let train = bytes[base..base + window.len() * 8].chunks_exact(8);
                     for (k, (z, &w)) in train.zip(window).enumerate() {
                         panel[k * lanes + l] = wire_sample(z).scale(w);
@@ -377,6 +399,75 @@ fn wire_sample(z: &[u8]) -> C32 {
         f32::from_le_bytes([z[0], z[1], z[2], z[3]]),
         f32::from_le_bytes([z[4], z[5], z[6], z[7]]),
     )
+}
+
+#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+mod x86 {
+    //! The AVX wire gather: 4 consecutive pulses of each of 4 gates load as
+    //! four 256-bit vectors of 64-bit `(re, im)` elements, transpose as a
+    //! 4×4 block (`unpacklo/hi_pd` + `permute2f128_pd`, pure data
+    //! movement), and each row — one pulse of 4 gates — is multiplied by
+    //! its broadcast window tap in `f32` (`re·w`, `im·w`, exactly
+    //! `Complex::scale`) and stored as 4 panel lanes.
+    use super::{wire_sample, C32};
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Gathers panel lanes `0..lanes / 4 · 4` (the lane tail is the
+    /// caller's) from `bytes`, where lane `l`'s pulse train starts at byte
+    /// `l · gate_bytes`; returns the lanes written.
+    ///
+    /// # Safety
+    /// The CPU must support AVX; `bytes` must hold `window.len()` samples
+    /// from every gathered lane's start, and `panel` `window.len() · lanes`
+    /// samples.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gather_wire_avx(
+        panel: &mut [C32],
+        lanes: usize,
+        bytes: &[u8],
+        gate_bytes: usize,
+        window: &[f32],
+    ) -> usize {
+        let quads = lanes / 4;
+        let taps = window.len() / 4 * 4;
+        let src = bytes.as_ptr();
+        let dst = panel.as_mut_ptr() as *mut f32;
+        for q in 0..quads {
+            let l = 4 * q;
+            let gate = |j: usize| src.add((l + j) * gate_bytes) as *const f64;
+            for k in (0..taps).step_by(4) {
+                let v0 = _mm256_loadu_pd(gate(0).add(k));
+                let v1 = _mm256_loadu_pd(gate(1).add(k));
+                let v2 = _mm256_loadu_pd(gate(2).add(k));
+                let v3 = _mm256_loadu_pd(gate(3).add(k));
+                let t0 = _mm256_unpacklo_pd(v0, v1);
+                let t1 = _mm256_unpackhi_pd(v0, v1);
+                let t2 = _mm256_unpacklo_pd(v2, v3);
+                let t3 = _mm256_unpackhi_pd(v2, v3);
+                let rows = [
+                    _mm256_permute2f128_pd(t0, t2, 0x20),
+                    _mm256_permute2f128_pd(t1, t3, 0x20),
+                    _mm256_permute2f128_pd(t0, t2, 0x31),
+                    _mm256_permute2f128_pd(t1, t3, 0x31),
+                ];
+                for (i, row) in rows.into_iter().enumerate() {
+                    let w = _mm256_set1_ps(window[k + i]);
+                    let scaled = _mm256_mul_ps(_mm256_castpd_ps(row), w);
+                    _mm256_storeu_ps(dst.add(((k + i) * lanes + l) * 2), scaled);
+                }
+            }
+            for (k, &w) in window.iter().enumerate().skip(taps) {
+                for j in 0..4 {
+                    let z = &bytes[(l + j) * gate_bytes + k * 8..][..8];
+                    panel[k * lanes + l + j] = wire_sample(z).scale(w);
+                }
+            }
+        }
+        quads * 4
+    }
 }
 
 /// Where a filter pass scatters its output: one `row_len`-gate row per
@@ -582,6 +673,39 @@ mod tests {
                 assert!(got.iter().zip(want).all(|(g, w)| {
                     g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
                 }));
+            }
+        }
+    }
+
+    #[test]
+    fn wire_gather_is_bit_identical_at_every_simd_level() {
+        // 64 pulses: the full 64-tap window and the 63-tap staggered one
+        // (a 3-tap tail past the 4×4 blocks) at both starts; lane counts
+        // 1..=32 cover every `lanes % 4` tail and a gate offset `b0 > 0`.
+        let dims = CubeDims::new(64, 3, 41);
+        let wire = noise_cube(dims, 0xFEED).to_range_major_bytes();
+        let df = DopplerFilter::new(64, DopplerConfig::default());
+        let src = Samples::Wire { bytes: &wire, channels: 3 };
+        for (window, start) in [(&df.window_full, 0), (&df.window_seg, 0), (&df.window_seg, 1)] {
+            for lanes in 1..=32 {
+                for (c, b0) in [(0, 0), (2, 41 - lanes)] {
+                    let at = (start, c, b0);
+                    let mut want = vec![C32::zero(); 64 * lanes];
+                    src.gather(&mut want, lanes, 64, at, window, SimdLevel::None);
+                    for &level in SimdLevel::available() {
+                        let mut got = vec![C32::new(7.0, -7.0); 64 * lanes];
+                        src.gather(&mut got, lanes, 64, at, window, level);
+                        let n = window.len() * lanes;
+                        assert!(
+                            got[..n].iter().zip(&want[..n]).all(|(g, w)| {
+                                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
+                            }),
+                            "{level:?}: {} taps from pulse {start}, {lanes} lanes at {at:?}",
+                            window.len()
+                        );
+                        assert!(got[n..].iter().all(|&z| z == C32::new(7.0, -7.0)));
+                    }
+                }
             }
         }
     }

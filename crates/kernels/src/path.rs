@@ -1,12 +1,14 @@
 //! Kernel implementation selection: the scalar reference (the differential
-//! oracle) or the one fast path — cache-blocked panels whose beamforming
-//! inner loop uses the widest `std::arch` tier the CPU reports at runtime.
+//! oracle) or the one fast path — cache-blocked panels whose inner loops
+//! (FFT butterflies, beamforming, the wire gather, the covariance sums) use
+//! the widest `std::arch` tier the CPU reports at runtime.
 //!
 //! The fast path is constructed to be **bit-identical** to the scalar
 //! reference: blocking and SIMD vectorize across *independent outputs*
-//! (range gates), never inside a reduction, so each output element sees the
-//! exact floating-point operation sequence of the reference loop. The
-//! differential suite in `tests/kernel_props.rs` pins this down to 0 ULP.
+//! (range gates, covariance entries), never inside a reduction, so each
+//! output element sees the exact floating-point operation sequence of the
+//! reference loop. The differential suite in `tests/kernel_props.rs` pins
+//! this down to 0 ULP.
 
 use std::fmt;
 
@@ -15,9 +17,10 @@ use std::fmt;
 pub enum KernelPath {
     /// The naive scalar loops — always compiled, the correctness oracle.
     Reference,
-    /// Cache-blocked panels with lane-inner loops; beamforming accumulates
-    /// through [`SimdLevel::detect`]'s `std::arch` tier (scalar lanes when
-    /// the CPU has none, or off x86).
+    /// Cache-blocked panels with lane-inner loops at
+    /// [`SimdLevel::detect`]'s `std::arch` tier (scalar lanes when the CPU
+    /// has none, or off x86; the AVX-only wire gather and covariance run
+    /// the oracle's loops below AVX).
     #[default]
     Fast,
 }

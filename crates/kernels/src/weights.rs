@@ -6,8 +6,9 @@
 //! degrees of freedom; the *hard* task uses the two-stagger space-time
 //! snapshot with a Doppler-shifted steering vector.
 
-use crate::covariance::{estimate_covariance, TrainingConfig};
+use crate::covariance::{estimate_covariance_with, TrainingConfig};
 use crate::cube::DopplerCube;
+use crate::path::KernelPath;
 use stap_math::matrix::dot_h;
 use stap_math::{CMat, CholeskyFactor, Eigh, MathError, C32, C64};
 
@@ -175,10 +176,21 @@ impl WeightComputer {
     /// Computes weights for the given bins of `cube` (which is the Doppler
     /// output of the **previous** CPI — the temporal dependency).
     pub fn compute(&self, cube: &DopplerCube, bins: &[usize]) -> Result<WeightSet, MathError> {
+        self.compute_with(cube, bins, KernelPath::default())
+    }
+
+    /// [`WeightComputer::compute`] with an explicit kernel path for the
+    /// covariance estimate (the solve has one implementation).
+    pub fn compute_with(
+        &self,
+        cube: &DopplerCube,
+        bins: &[usize],
+        path: KernelPath,
+    ) -> Result<WeightSet, MathError> {
         let dof = cube.dof();
         let mut all = Vec::with_capacity(bins.len());
         for &bin in bins {
-            let r = estimate_covariance(cube, bin, self.training);
+            let r = estimate_covariance_with(cube, bin, self.training, path);
             let solver = MethodSolver::build(self.method, &r, self.training)?;
             let mut per_beam = Vec::with_capacity(self.beams.len());
             for beam in 0..self.beams.len() {

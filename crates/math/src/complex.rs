@@ -107,8 +107,12 @@ impl<T: Scalar> Complex<T> {
         Self::new(self.re * s, self.im * s)
     }
 
-    /// Fused multiply-add: `self + a * b`, written out so the compiler can
-    /// keep everything in registers in the hot beamforming loops.
+    /// Multiply-accumulate `self + a * b`, unfused and evaluated left to
+    /// right: `re = (self.re + a.re·b.re) − a.im·b.im` and
+    /// `im = (self.im + a.re·b.im) + a.im·b.re`, each product and sum
+    /// rounded on its own. The vector kernels (beamforming, covariance)
+    /// spell out exactly this sequence per lane; their bit parity with the
+    /// scalar oracles depends on it, so it must not be reordered or fused.
     #[inline]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         Self::new(self.re + a.re * b.re - a.im * b.im, self.im + a.re * b.im + a.im * b.re)

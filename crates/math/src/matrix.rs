@@ -131,6 +131,13 @@ impl<T: Scalar> CMat<T> {
     /// Adds `alpha · x xᴴ` to the matrix — the rank-1 update used when
     /// accumulating sample covariance matrices.
     ///
+    /// Entry `(r, c)` becomes `acc.mul_add(x_r·alpha, conj(x_c))`
+    /// ([`Complex::mul_add`]'s unfused order), every entry computed on its
+    /// own: the conjugate pair `(c, r)` is *not* the exact conjugate of
+    /// `(r, c)` after several updates, because the imaginary parts round
+    /// in different orders. Covariance kernels that vectorise across
+    /// entries are held bit for bit to a loop of these calls.
+    ///
     /// # Panics
     /// Panics when `x.len()` differs from the matrix order or the matrix is
     /// not square.

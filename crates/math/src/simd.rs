@@ -1,18 +1,23 @@
 //! Runtime SIMD tier detection shared by every `std::arch` inner loop in the
-//! workspace: the lane-wide FFT butterfly here and the beamforming
-//! accumulator in `stap-kernels` dispatch on the one cached probe.
+//! workspace: the lane-wide FFT butterfly here, and the beamforming
+//! accumulator, the wire gather and the covariance accumulation in
+//! `stap-kernels`, dispatch on the one cached probe.
 
 use std::sync::OnceLock;
 
 /// Widest usable x86 SIMD tier for the complex inner loops, narrowest
 /// first so tiers compare by width.
+///
+/// The `f32` loops (FFT, beamforming, wire gather) use every tier. The
+/// `f64` covariance accumulation has only an AVX tier (4 `f64` column
+/// lanes per vector); below AVX it runs its scalar oracle loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// No usable SIMD — scalar lane loops only.
     None,
     /// 4 f32 lanes (2 complex) per vector; needs SSE3 for `addsub`.
     Sse3,
-    /// 8 f32 lanes (4 complex) per vector.
+    /// 8 f32 lanes (4 complex) per vector, or 4 f64 lanes.
     Avx,
 }
 

@@ -18,6 +18,9 @@ use ppstap::core::config::StapConfig;
 use ppstap::core::messages::BinSlab;
 use ppstap::core::StapSystem;
 use ppstap::kernels::beamform::Beamformer;
+use ppstap::kernels::covariance::{
+    estimate_covariance_at, estimate_covariance_with, TrainingConfig,
+};
 use ppstap::kernels::cube::{CubeDims, DataCube, DopplerCube};
 use ppstap::kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
@@ -291,6 +294,57 @@ proptest! {
                         "{} n={} lanes={} {:?}: lane {} sample {}: {:?} vs {:?}",
                         dir, n, lanes, level, i % lanes, i / lanes, g, w
                     );
+                }
+            }
+        }
+    }
+
+    /// Covariance: every SIMD tier this CPU has is bit-identical, entry by
+    /// entry, to the oracle's one rank-one update per snapshot — one and
+    /// two staggers, odd DoF and DoF off the 4- and 8-column blocks, range
+    /// counts the stride does not divide, signed zeros among the samples,
+    /// and the all-zero cube that takes the unity-loading fallback.
+    #[test]
+    fn covariance_paths_are_bit_identical(
+        seed in 0u64..u64::MAX,
+        staggers in 1usize..3,
+        channels in 1usize..21,
+        ranges in 1usize..71,
+        stride in 1usize..6,
+        nbins in 1usize..4,
+    ) {
+        let mut d = Draws::new(seed);
+        // Exponents spread over 2^±20 so that products and sums round: at
+        // one scale, products of 24-bit draws sum exactly in f64 and any
+        // order would pass.
+        let part = |d: &mut Draws| {
+            let x = d.f32();
+            match mix(d.state ^ 0x5A) % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => x * 2f32.powi((mix(d.state) % 41) as i32 - 20),
+            }
+        };
+        let mut noise = DopplerCube::zeros(staggers, nbins, channels, ranges);
+        for v in noise.as_mut_slice() {
+            *v = C32::new(part(&mut d), part(&mut d));
+        }
+        let zero = DopplerCube::zeros(staggers, nbins, channels, ranges);
+        let cfg = TrainingConfig { range_stride: stride, loading: 0.05 };
+        for (what, cube) in [("noise", &noise), ("zero", &zero)] {
+            for bin in 0..nbins {
+                let oracle = estimate_covariance_with(cube, bin, cfg, KernelPath::Reference);
+                let n = cube.dof();
+                for &level in SimdLevel::available() {
+                    let got = estimate_covariance_at(cube, bin, cfg, level);
+                    for (r, c) in (0..n).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                        let (g, w) = (got[(r, c)], oracle[(r, c)]);
+                        prop_assert!(
+                            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                            "{} {:?} dof={} stride={} ranges={} bin {} ({}, {}): {:?} vs {:?}",
+                            what, level, n, stride, ranges, bin, r, c, g, w
+                        );
+                    }
                 }
             }
         }
