@@ -1,56 +1,41 @@
-//! Per-rank communication endpoint with MPI-style selective receive.
+//! Per-rank communication endpoint: tagged point-to-point sends, selective
+//! receive, and the world abort that wakes blocked receivers.
 
 use crate::error::CommError;
 use crate::message::{Envelope, Tag};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How often a blocked receive re-checks the world abort flag.
-const ABORT_POLL: Duration = Duration::from_millis(10);
 
 /// One rank's endpoint: a mailbox plus senders to every peer.
 ///
 /// Not `Clone`: exactly one thread owns each endpoint, like a rank in MPI.
 pub struct Endpoint {
     rank: usize,
-    peers: Vec<Sender<Envelope>>,
+    /// Senders into every inbox of the world, plus its abort.
+    world: AbortHandle,
     inbox: Receiver<Envelope>,
-    abort: Arc<AtomicBool>,
     /// Unexpected-message queue: arrived envelopes that did not match a
     /// pending selective receive.
     pending: VecDeque<Envelope>,
 }
 
 impl Endpoint {
-    pub(crate) fn new(
-        rank: usize,
-        peers: Vec<Sender<Envelope>>,
-        inbox: Receiver<Envelope>,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        Self { rank, peers, inbox, abort, pending: VecDeque::new() }
+    pub(crate) fn new(rank: usize, world: AbortHandle, inbox: Receiver<Envelope>) -> Self {
+        Self { rank, world, inbox, pending: VecDeque::new() }
     }
 
-    /// Raises the world-wide abort flag: every endpoint currently blocked
-    /// in (or later entering) a receive returns [`CommError::Aborted`].
-    /// Used to tear down the whole node set when one node hits a fatal
-    /// error, instead of leaving its peers blocked forever.
-    pub fn trigger_abort(&self) {
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// True once any endpoint of this world has triggered an abort.
+    /// True once the world has been aborted.
     pub fn aborted(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
+        self.world.is_aborted()
     }
 
-    /// A cloneable handle onto this world's abort flag, usable from
-    /// threads that do not own an endpoint (e.g. a watchdog monitor).
+    /// A cloneable handle that aborts this endpoint's world, usable from
+    /// threads that do not own an endpoint (a failing node's runner, a
+    /// watchdog monitor).
     pub fn abort_handle(&self) -> AbortHandle {
-        AbortHandle { abort: Arc::clone(&self.abort) }
+        self.world.clone()
     }
 
     /// This endpoint's rank.
@@ -59,37 +44,31 @@ impl Endpoint {
         self.rank
     }
 
-    /// World size.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Sends `value` to rank `dst` with `tag`. Buffered: never blocks on the
-    /// receiver (the NX `csend`-to-ready-receiver fast path).
+    /// receiver (the NX `csend`-to-ready-receiver fast path). Once the
+    /// world is aborted every send fails with [`CommError::Aborted`], so a
+    /// node that only sends stops at its next send.
     pub fn send<T: Send + 'static>(
         &mut self,
         dst: usize,
         tag: Tag,
         value: T,
     ) -> Result<(), CommError> {
-        let sender = self
-            .peers
-            .get(dst)
-            .ok_or(CommError::InvalidRank { rank: dst, size: self.peers.len() })?;
-        sender.send(Envelope::new(self.rank, tag, value)).map_err(|_| {
-            // A peer that vanished during a world abort is teardown fallout,
-            // not a root cause.
-            if self.aborted() {
-                CommError::Aborted
-            } else {
-                CommError::Disconnected { peer: dst }
-            }
-        })
+        if self.aborted() {
+            return Err(CommError::Aborted);
+        }
+        let inboxes = &self.world.inboxes;
+        let inbox =
+            inboxes.get(dst).ok_or(CommError::InvalidRank { rank: dst, size: inboxes.len() })?;
+        inbox
+            .send(Envelope::new(self.rank, tag, value))
+            .map_err(|_| CommError::Disconnected { peer: dst })
     }
 
     /// Blocking selective receive: waits for a message matching the
-    /// optional source and tag selectors and downcasts it to `T`.
+    /// optional source and tag selectors and downcasts it to `T`. Returns
+    /// [`CommError::Aborted`] once the world is aborted, whether the abort
+    /// came before the call or while it was blocked.
     pub fn recv<T: 'static>(
         &mut self,
         src: Option<usize>,
@@ -104,88 +83,16 @@ impl Endpoint {
             if self.aborted() {
                 return Err(CommError::Aborted);
             }
-            match self.inbox.recv_timeout(ABORT_POLL) {
-                Ok(env) if env.matches(src, tag) => return Self::downcast(env),
-                Ok(env) => self.pending.push_back(env),
-                Err(RecvTimeoutError::Timeout) => {} // re-check the abort flag
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { peer: usize::MAX })
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive; `Ok(None)` when no matching message is queued.
-    pub fn try_recv<T: 'static>(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<Option<T>, CommError> {
-        if let Some(pos) = self.pending.iter().position(|e| e.matches(src, tag)) {
-            let env = self.pending.remove(pos).expect("position just found");
-            return Self::downcast(env).map(Some);
-        }
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) if env.matches(src, tag) => return Self::downcast(env).map(Some),
-                Ok(env) => self.pending.push_back(env),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
-                    return Err(CommError::Disconnected { peer: usize::MAX })
-                }
-            }
-        }
-    }
-
-    /// Receive with a deadline.
-    pub fn recv_timeout<T: 'static>(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<T, CommError> {
-        let deadline = Instant::now() + timeout;
-        if let Some(pos) = self.pending.iter().position(|e| e.matches(src, tag)) {
-            let env = self.pending.remove(pos).expect("position just found");
-            return Self::downcast(env);
-        }
-        loop {
+            // The abort raises its flag before it posts the wake envelope,
+            // so whatever this wait returns, the flag check above sees it.
+            let env = self.inbox.recv().map_err(|_| CommError::Disconnected { peer: self.rank })?;
             if self.aborted() {
                 return Err(CommError::Aborted);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout);
+            if env.matches(src, tag) {
+                return Self::downcast(env);
             }
-            let tick = (deadline - now).min(ABORT_POLL);
-            match self.inbox.recv_timeout(tick) {
-                Ok(env) if env.matches(src, tag) => return Self::downcast(env),
-                Ok(env) => self.pending.push_back(env),
-                Err(RecvTimeoutError::Timeout) => {} // re-check flag/deadline
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { peer: usize::MAX })
-                }
-            }
-        }
-    }
-
-    /// True when a matching message is available without blocking
-    /// (MPI `Iprobe`).
-    pub fn probe(&mut self, src: Option<usize>, tag: Option<Tag>) -> bool {
-        if self.pending.iter().any(|e| e.matches(src, tag)) {
-            return true;
-        }
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) => {
-                    let hit = env.matches(src, tag);
-                    self.pending.push_back(env);
-                    if hit {
-                        return true;
-                    }
-                }
-                Err(_) => return false,
-            }
+            self.pending.push_back(env);
         }
     }
 
@@ -196,23 +103,34 @@ impl Endpoint {
     }
 }
 
-/// A clone of the world-wide abort flag, detached from any endpoint. Lets
-/// an external observer (a stage watchdog, a signal handler) tear the
-/// world down exactly as [`Endpoint::trigger_abort`] would.
+/// The world abort, detached from any endpoint: the shared flag plus a
+/// sender into every inbox.
 #[derive(Debug, Clone)]
 pub struct AbortHandle {
-    abort: Arc<AtomicBool>,
+    flag: Arc<AtomicBool>,
+    inboxes: Vec<Sender<Envelope>>,
 }
 
 impl AbortHandle {
-    /// Raises the world-wide abort flag.
+    pub(crate) fn new(inboxes: Vec<Sender<Envelope>>) -> Self {
+        Self { flag: Arc::new(AtomicBool::new(false)), inboxes }
+    }
+
+    /// Aborts the world: raises the flag, then posts one wake envelope to
+    /// every inbox, so each receive blocked in the world returns
+    /// [`CommError::Aborted`]. Idempotent: only the first call posts.
     pub fn trigger(&self) {
-        self.abort.store(true, Ordering::SeqCst);
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            for inbox in &self.inboxes {
+                // An inbox whose endpoint is gone has no receive to wake.
+                let _ = inbox.send(Envelope::new(usize::MAX, 0, ()));
+            }
+        }
     }
 
     /// True once the world is aborting.
     pub fn is_aborted(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -220,7 +138,7 @@ impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
             .field("rank", &self.rank)
-            .field("size", &self.peers.len())
+            .field("size", &self.world.inboxes.len())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -230,7 +148,6 @@ impl std::fmt::Debug for Endpoint {
 mod tests {
     use crate::world::CommWorld;
     use crate::CommError;
-    use std::time::Duration;
 
     #[test]
     fn point_to_point_round_trip() {
@@ -270,35 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_returns_none_when_empty() {
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        assert_eq!(e1.try_recv::<u32>(None, None).unwrap(), None);
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        let err = e1.recv_timeout::<u32>(None, None, Duration::from_millis(20)).unwrap_err();
-        assert_eq!(err, CommError::Timeout);
-    }
-
-    #[test]
-    fn probe_sees_buffered_and_queued() {
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        assert!(!e1.probe(Some(0), Some(9)));
-        e0.send(1, 9, ()).unwrap();
-        // May need a moment for the channel, but crossbeam delivery into an
-        // unbounded channel is immediate once send returns.
-        assert!(e1.probe(Some(0), Some(9)));
-        // Probing must not consume.
-        let _: () = e1.recv(Some(0), Some(9)).unwrap();
-    }
-
-    #[test]
     fn type_mismatch_is_reported() {
         let mut eps = CommWorld::create(2);
         let mut e1 = eps.pop().unwrap();
@@ -325,32 +213,30 @@ mod tests {
     }
 
     #[test]
-    fn probed_envelopes_are_delivered_once_in_order() {
-        let mut eps = CommWorld::create(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        e0.send(1, 7, 1u32).unwrap();
-        e0.send(1, 7, 2u32).unwrap();
-        // Probing parks the envelope in the pending queue without
-        // delivering it.
-        while !e1.probe(Some(0), Some(7)) {
-            std::thread::yield_now();
-        }
-        assert_eq!(e1.recv::<u32>(Some(0), Some(7)).unwrap(), 1);
-        assert_eq!(e1.recv::<u32>(Some(0), Some(7)).unwrap(), 2);
-        assert_eq!(e1.try_recv::<u32>(None, None).unwrap(), None, "inbox drained");
-    }
-
-    #[test]
     fn abort_unblocks_a_blocked_receive() {
         let mut eps = CommWorld::create(2);
         let mut e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         let t = std::thread::spawn(move || e1.recv::<u32>(Some(0), Some(1)));
-        std::thread::sleep(Duration::from_millis(30));
-        e0.trigger_abort();
+        e0.abort_handle().trigger();
         assert_eq!(t.join().unwrap().unwrap_err(), CommError::Aborted);
         assert!(e0.aborted());
+    }
+
+    #[test]
+    fn after_an_abort_sends_and_receives_fail_and_the_wake_is_never_delivered() {
+        let mut eps = CommWorld::create(2);
+        let mut e1 = eps.pop().unwrap();
+        let mut e0 = eps.pop().unwrap();
+        e0.send(1, 2, 7u32).unwrap();
+        let abort = e0.abort_handle();
+        abort.trigger();
+        abort.trigger();
+        assert_eq!(e0.send(1, 2, 8u32).unwrap_err(), CommError::Aborted);
+        // Neither the queued message nor the wake envelope surfaces, on a
+        // selective or a wildcard receive.
+        assert_eq!(e1.recv::<u32>(Some(0), Some(2)).unwrap_err(), CommError::Aborted);
+        assert_eq!(e1.recv::<()>(None, None).unwrap_err(), CommError::Aborted);
     }
 
     #[test]

@@ -18,16 +18,15 @@ pub enum CommError {
         /// Tag of the mismatching message.
         tag: u32,
     },
-    /// A timed receive expired before a matching message arrived.
-    Timeout,
-    /// The world was aborted (a peer hit a fatal error and triggered the
-    /// world-wide abort flag); blocked receives unblock with this error.
+    /// The world was aborted (a node failed or a watchdog fired); blocked
+    /// receives wake with this error and later sends and receives fail
+    /// with it.
     Aborted,
-    /// Rank argument out of range for the world/group.
+    /// Rank argument out of range for the world.
     InvalidRank {
         /// The offending rank.
         rank: usize,
-        /// World or group size.
+        /// World size.
         size: usize,
     },
 }
@@ -39,7 +38,6 @@ impl fmt::Display for CommError {
             CommError::TypeMismatch { src, tag } => {
                 write!(f, "payload type mismatch on message from {src} tag {tag}")
             }
-            CommError::Timeout => write!(f, "receive timed out"),
             CommError::Aborted => write!(f, "world aborted by a peer"),
             CommError::InvalidRank { rank, size } => {
                 write!(f, "rank {rank} out of range for size {size}")
@@ -57,7 +55,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(format!("{}", CommError::Disconnected { peer: 3 }).contains('3'));
-        assert!(format!("{}", CommError::Timeout).contains("timed out"));
+        assert!(format!("{}", CommError::Aborted).contains("aborted"));
         assert!(format!("{}", CommError::InvalidRank { rank: 9, size: 4 }).contains('9'));
     }
 }

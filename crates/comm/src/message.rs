@@ -2,12 +2,8 @@
 
 use std::any::Any;
 
-/// Message tag. User tags must keep the top bit clear; the collectives use
-/// the [`COLLECTIVE_BIT`] range internally.
+/// Message tag; every value is free for user traffic.
 pub type Tag = u32;
-
-/// Tag bit reserved for internal collective traffic.
-pub const COLLECTIVE_BIT: Tag = 0x8000_0000;
 
 /// A message in flight: source, tag, and a type-erased `Send` payload.
 pub struct Envelope {
@@ -70,10 +66,5 @@ mod tests {
         let e = e.downcast::<u32>().unwrap_err(); // wrong type: envelope back
         assert_eq!(e.src, 0);
         assert_eq!(e.downcast::<String>().unwrap(), "hi");
-    }
-
-    #[test]
-    fn collective_bit_is_top_bit() {
-        assert_eq!(COLLECTIVE_BIT, 1 << 31);
     }
 }

@@ -1,54 +1,29 @@
-//! World construction: wiring `n` endpoints together, and a scoped-thread
-//! runner that plays the role of the machine's node allocator.
+//! World construction: wiring `n` endpoints together.
 
-use crate::endpoint::Endpoint;
+use crate::endpoint::{AbortHandle, Endpoint};
 use crate::message::Envelope;
 use crossbeam::channel::unbounded;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 /// Factory for fully-connected endpoint sets.
 pub struct CommWorld;
 
 impl CommWorld {
-    /// Creates `n` endpoints, each able to reach every other (and itself).
+    /// Creates `n` endpoints, each able to reach every other (and itself),
+    /// sharing one world abort.
     ///
     /// # Panics
     /// Panics when `n == 0`.
     pub fn create(n: usize) -> Vec<Endpoint> {
         assert!(n > 0, "world size must be positive");
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let abort = Arc::new(AtomicBool::new(false));
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| unbounded::<Envelope>()).unzip();
+        let world = AbortHandle::new(senders);
         receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| Endpoint::new(rank, senders.clone(), rx, Arc::clone(&abort)))
+            .map(|(rank, rx)| Endpoint::new(rank, world.clone(), rx))
             .collect()
     }
-}
-
-/// Runs `f(endpoint)` on one thread per rank and returns the per-rank
-/// results in rank order — the in-process analogue of launching the job on
-/// `n` nodes.
-///
-/// Panics in any rank propagate after all threads complete or unwind.
-pub fn spawn_world<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Endpoint) -> R + Sync,
-{
-    let endpoints = CommWorld::create(n);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints.into_iter().map(|ep| scope.spawn(move || f(ep))).collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-    })
 }
 
 #[cfg(test)]
@@ -60,33 +35,14 @@ mod tests {
         let eps = CommWorld::create(4);
         for (i, e) in eps.iter().enumerate() {
             assert_eq!(e.rank(), i);
-            assert_eq!(e.size(), 4);
         }
+        eps[3].abort_handle().trigger();
+        assert!(eps.iter().all(Endpoint::aborted));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_world_rejected() {
         CommWorld::create(0);
-    }
-
-    #[test]
-    fn spawn_world_returns_rank_ordered_results() {
-        let results = spawn_world(6, |ep| ep.rank() * 10);
-        assert_eq!(results, vec![0, 10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn spawn_world_ring_pass() {
-        // Each rank sends its rank to the next; sum of received == sum 0..n.
-        let n = 5;
-        let results = spawn_world(n, |mut ep| {
-            let next = (ep.rank() + 1) % ep.size();
-            ep.send(next, 1, ep.rank()).unwrap();
-            let got: usize = ep.recv(None, Some(1)).unwrap();
-            got
-        });
-        let total: usize = results.into_iter().sum();
-        assert_eq!(total, (0..n).sum());
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::messages::{BinSlab, Gap, Payload, RawSlab};
 use crate::stages::{broadcast_gap, port, StapPlan};
+use stap_comm::CommError;
 use stap_kernels::cube::{CubeDims, DataCube};
 use stap_kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use stap_pipeline::schedule::block_range;
@@ -71,6 +72,10 @@ fn read_with_policy(
     loop {
         match last {
             Ok(bytes) => return Ok(ReadOutcome::Data(bytes)),
+            // A fetch that fails once the world is aborting (the abort
+            // closed the staging ring under it) is teardown fallout, not a
+            // root cause.
+            Err(_) if ctx.ep.aborted() => return Err(CommError::Aborted.into()),
             // Fleet-level infrastructure loss (a stripe server or compute
             // node gone for good) also aborts on the first observation —
             // retrying against dead hardware burns the backoff budget for

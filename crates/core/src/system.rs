@@ -330,7 +330,13 @@ impl StapSystem {
             })
             .collect();
 
-        let pipeline = Pipeline::new(topo, factories);
+        let mut pipeline = Pipeline::new(topo, factories);
+        // An aborting run closes the staging ring: a front node parked on
+        // an empty ring is a wait no message can wake.
+        if let Some(sr) = &stream {
+            let ring = Arc::clone(&sr.ring);
+            pipeline.on_abort(move || ring.close());
+        }
         Ok(Self { plan, pipeline, sink_stage, source_stage, reports, fs, stream, store })
     }
 

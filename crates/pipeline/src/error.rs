@@ -29,7 +29,7 @@ pub enum PipelineError {
     Topology(String),
     /// A stage watchdog expired: the stage made no progress within its
     /// deadline (a hung read or receive), and the run was torn down via
-    /// the world abort flag.
+    /// the world abort.
     Timeout {
         /// Stage whose deadline expired first.
         stage: String,
@@ -77,9 +77,9 @@ mod tests {
 
     #[test]
     fn comm_errors_convert() {
-        let e: PipelineError = CommError::Timeout.into();
-        assert_eq!(e, PipelineError::Comm(CommError::Timeout));
-        assert!(format!("{e}").contains("timed out"));
+        let e: PipelineError = CommError::Aborted.into();
+        assert_eq!(e, PipelineError::Comm(CommError::Aborted));
+        assert!(format!("{e}").contains("aborted"));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! throughput, the spatial path determines latency.
 //!
 //! - [`topology`] describes the stage graph and maps stages to contiguous
-//!   node groups;
+//!   world-rank ranges;
 //! - [`stage`] defines the per-node behavior trait and its context
-//!   (endpoint, groups, per-phase timing);
+//!   (endpoint, topology, per-phase timing);
 //! - [`tags`] encodes (CPI, port) into message tags;
 //! - [`runner`] launches one thread per node via `stap-comm`, binds each
 //!   to a CPU (`placement`) and drives the CPIs;

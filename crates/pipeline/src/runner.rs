@@ -7,9 +7,8 @@ use crate::placement::Placement;
 use crate::stage::{Stage, StageCtx};
 use crate::timing::{PipelineReport, StageTracer};
 use crate::topology::Topology;
-use crate::watchdog::{monitor, Expiry, Heartbeats, WatchdogSpec};
-use parking_lot::Mutex;
-use stap_comm::CommWorld;
+use crate::watchdog::{monitor, Heartbeats, WatchdogSpec};
+use stap_comm::{CommError, CommWorld};
 use stap_trace::ClockSpec;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -18,13 +17,11 @@ use std::time::Instant;
 /// with the node's local index.
 pub type StageFactory = Box<dyn Fn(usize) -> Box<dyn Stage> + Send + Sync>;
 
-/// Collective tag of the end-of-run drain barrier.
-const DRAIN_BARRIER_TAG: u32 = 0x7FFF_FFFF;
-
 /// A runnable pipeline: topology + one factory per stage.
 pub struct Pipeline {
     topology: Topology,
     factories: Vec<StageFactory>,
+    on_abort: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl Pipeline {
@@ -34,7 +31,14 @@ impl Pipeline {
     /// Panics when the factory count differs from the stage count.
     pub fn new(topology: Topology, factories: Vec<StageFactory>) -> Self {
         assert_eq!(factories.len(), topology.stage_count(), "one factory per stage required");
-        Self { topology, factories }
+        Self { topology, factories, on_abort: None }
+    }
+
+    /// Sets a hook the runner calls beside every world abort (a node
+    /// failed or a watchdog fired). It ends the waits no message can wake,
+    /// such as a front node parked on an empty staging ring.
+    pub fn on_abort(&mut self, hook: impl Fn() + Send + Sync + 'static) {
+        self.on_abort = Some(Box::new(hook));
     }
 
     /// The topology.
@@ -86,10 +90,11 @@ impl Pipeline {
         let factories = &self.factories;
         let n = topology.total_nodes();
 
-        let endpoints = CommWorld::create(n);
+        // The endpoints live until every node has joined, so a trailing
+        // send (the weight tasks' last, never-consumed sets) always lands.
+        let mut endpoints = CommWorld::create(n);
         let placement = Placement::for_run(n);
         let beats = Heartbeats::new(n);
-        let expiry: Mutex<Option<Expiry>> = Mutex::new(None);
         let monitor_stop = AtomicBool::new(false);
         let stage_of: Vec<(String, usize)> = (0..n)
             .map(|rank| {
@@ -97,24 +102,26 @@ impl Pipeline {
                 (topology.stage(stage).name.clone(), stage.0)
             })
             .collect();
-        let abort_handle = endpoints[0].abort_handle();
+        let abort = endpoints[0].abort_handle();
+        let raise = || {
+            abort.trigger();
+            if let Some(hook) = &self.on_abort {
+                hook();
+            }
+        };
 
         type NodeTiming = (Vec<crate::timing::CpiRecord>, Vec<crate::timing::Span>);
+        let mut fired = None;
         let results: Vec<Result<NodeTiming, PipelineError>> = std::thread::scope(|scope| {
             let monitor_handle = watchdog.map(|spec| {
-                let beats = &beats;
-                let stage_of = &stage_of;
-                let abort = &abort_handle;
-                let stop = &monitor_stop;
-                let expiry = &expiry;
-                scope.spawn(move || monitor(spec, beats, stage_of, abort, stop, expiry))
+                let (beats, stage_of, stop, raise) = (&beats, &stage_of, &monitor_stop, &raise);
+                scope.spawn(move || monitor(spec, beats, stage_of, stop, raise))
             });
 
             let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|mut ep| {
-                    let beats = &beats;
-                    let placement = &placement;
+                .iter_mut()
+                .map(|ep| {
+                    let (beats, placement, raise) = (&beats, &placement, &raise);
                     scope.spawn(move || {
                         let rank = ep.rank();
                         placement.bind(rank);
@@ -128,7 +135,7 @@ impl Pipeline {
                             beats.beat(rank);
                             clock.start_cpi(cpi);
                             let mut ctx = StageCtx {
-                                ep: &mut ep,
+                                ep: &mut *ep,
                                 topology,
                                 stage,
                                 local,
@@ -145,37 +152,26 @@ impl Pipeline {
                         // it finished or failed — either way it is no
                         // longer "hung".
                         beats.mark_done(rank);
-                        // A failing node raises the world abort flag so
-                        // peers blocked in receives unblock with
-                        // `Aborted` instead of hanging forever.
-                        if outcome.is_err() {
-                            ep.trigger_abort();
+                        match outcome {
+                            // A failing node aborts the world, so peers
+                            // blocked in receives wake with `Aborted`
+                            // instead of hanging forever.
+                            Err(e) => {
+                                raise();
+                                Err(e)
+                            }
+                            // Finishing inside an aborted world is
+                            // teardown fallout too.
+                            Ok(()) if ep.aborted() => Err(CommError::Aborted.into()),
+                            Ok(()) => Ok(clock.finish()),
                         }
-                        // Drain barrier: no endpoint may drop until every
-                        // node has finished (or failed) its last
-                        // iteration, so trailing sends (e.g. the weight
-                        // tasks' final, never-consumed weight sets)
-                        // always find a live receiver. Skipped once the
-                        // world is aborting — everyone is exiting anyway.
-                        let barrier_outcome = if ep.aborted() {
-                            Err(stap_comm::CommError::Aborted.into())
-                        } else {
-                            let world = stap_comm::Group::contiguous(0, n);
-                            stap_comm::collective::barrier(&mut ep, &world, DRAIN_BARRIER_TAG)
-                                .map_err(PipelineError::from)
-                        };
-                        outcome?;
-                        barrier_outcome?;
-                        Ok(clock.finish())
                     })
                 })
                 .collect();
             let results =
                 handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect();
             monitor_stop.store(true, Ordering::Release);
-            if let Some(m) = monitor_handle {
-                m.join().expect("watchdog monitor panicked");
-            }
+            fired = monitor_handle.and_then(|m| m.join().expect("watchdog monitor panicked"));
             results
         });
 
@@ -186,15 +182,14 @@ impl Pipeline {
             PipelineError::Stage { .. }
             | PipelineError::InfrastructureLoss { .. }
             | PipelineError::Topology(_) => 0,
-            PipelineError::Comm(c) if *c != stap_comm::CommError::Aborted => 1,
+            PipelineError::Comm(c) if *c != CommError::Aborted => 1,
             PipelineError::Timeout { .. } => 2,
             PipelineError::Comm(_) => 3,
         };
-        let fired = expiry.into_inner();
         if let Some(err) = results.iter().filter_map(|r| r.as_ref().err()).min_by_key(|e| rank(e)) {
             // Everything failing with bare `Aborted` while the watchdog
             // fired means the expiry *is* the root cause.
-            if let (PipelineError::Comm(stap_comm::CommError::Aborted), Some(exp)) = (err, &fired) {
+            if let (PipelineError::Comm(CommError::Aborted), Some(exp)) = (err, &fired) {
                 return Err(PipelineError::Timeout {
                     stage: exp.stage.clone(),
                     deadline_ms: exp.deadline_ms,
@@ -221,6 +216,7 @@ mod tests {
     use super::*;
     use crate::timing::Phase;
     use crate::topology::StageId;
+    use std::sync::Mutex;
 
     /// A trivial 3-stage pipeline: source generates `cpi*10 + local`,
     /// middle doubles, sink sums across middle nodes.
@@ -312,7 +308,7 @@ mod tests {
     #[test]
     fn mid_pipeline_failure_does_not_hang_downstream() {
         // Source feeds a sink; the source dies on CPI 1 while the sink is
-        // blocked waiting for its input. The abort flag must unblock the
+        // blocked waiting for its input. The world abort must wake the
         // sink and surface the root-cause stage error.
         let mut t = Topology::new();
         let src = t.add_stage("src", 1);
@@ -458,13 +454,13 @@ mod tests {
         let f: StageFactory = Box::new(move |_| {
             let seen = Arc::clone(&seen2);
             Box::new(move |_ctx: &mut StageCtx<'_>| {
-                seen.lock().push(allowed_cpus());
+                seen.lock().unwrap().push(allowed_cpus());
                 Ok(())
             })
         });
         Pipeline::new(t, vec![f]).run(1, 0).unwrap();
         assert_eq!(allowed_cpus(), before, "a run leaves its caller's CPU set alone");
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 2);
         if before.len() >= 2 {
             // One CPU each, out of the launcher's set, and not the same one.
@@ -473,6 +469,48 @@ mod tests {
         } else {
             assert!(seen.iter().all(|s| *s == before), "{seen:?}");
         }
+    }
+
+    #[test]
+    fn a_send_made_after_its_receiver_finished_still_lands() {
+        use std::sync::mpsc::{channel, Sender};
+        use std::sync::Arc;
+        use std::time::Duration;
+        // The sink's stage value drops once the node has run its final CPI:
+        // that is the handshake telling the source the sink is done.
+        struct Sink(Sender<()>);
+        impl Stage for Sink {
+            fn run_cpi(&mut self, ctx: &mut StageCtx<'_>) -> Result<(), PipelineError> {
+                ctx.recv_from::<u64>(StageId(0), 0, 0).map(drop)
+            }
+        }
+        impl Drop for Sink {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let mut t = Topology::new();
+        let src = t.add_stage("src", 1);
+        let snk = t.add_stage("snk", 1);
+        t.add_edge(src, snk);
+        let (done_tx, done_rx) = channel();
+        let done_rx = Arc::new(Mutex::new(done_rx));
+        let f_src: StageFactory = Box::new(move |_| {
+            let done = Arc::clone(&done_rx);
+            Box::new(move |ctx: &mut StageCtx<'_>| {
+                ctx.send_to(StageId(1), 0, 0, ctx.cpi)?;
+                if ctx.cpi == 2 {
+                    // A trailing send nobody receives, like a weight task's
+                    // last set, made only once the sink has finished.
+                    let done = done.lock().unwrap().recv_timeout(Duration::from_secs(60));
+                    done.expect("the sink finishes its last CPI");
+                    ctx.send_to(StageId(1), 0, 1, ctx.cpi)?;
+                }
+                Ok(())
+            })
+        });
+        let f_snk: StageFactory = Box::new(move |_| Box::new(Sink(done_tx.clone())));
+        Pipeline::new(t, vec![f_src, f_snk]).run(3, 0).unwrap();
     }
 
     #[test]

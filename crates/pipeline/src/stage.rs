@@ -4,7 +4,7 @@ use crate::error::PipelineError;
 use crate::tags::tag_for;
 use crate::timing::{Phase, StageTracer};
 use crate::topology::{StageId, Topology};
-use stap_comm::{Endpoint, Group};
+use stap_comm::Endpoint;
 
 /// Everything a stage node needs during one CPI iteration.
 pub struct StageCtx<'a> {
@@ -14,7 +14,7 @@ pub struct StageCtx<'a> {
     pub topology: &'a Topology,
     /// The stage this node belongs to.
     pub stage: StageId,
-    /// Local index within the stage group (0..P_i).
+    /// Local index within the stage (0..P_i).
     pub local: usize,
     /// Current CPI sequence number.
     pub cpi: u64,
@@ -22,16 +22,6 @@ pub struct StageCtx<'a> {
 }
 
 impl<'a> StageCtx<'a> {
-    /// This stage's node group.
-    pub fn group(&self) -> Group {
-        self.topology.group(self.stage)
-    }
-
-    /// Another stage's node group.
-    pub fn group_of(&self, s: StageId) -> Group {
-        self.topology.group(s)
-    }
-
     /// Enters a timing phase; the previous phase closes automatically on
     /// the same clock observation, so consecutive phases tile the
     /// interval with no gap.
@@ -66,7 +56,7 @@ impl<'a> StageCtx<'a> {
         port: u8,
         value: T,
     ) -> Result<(), PipelineError> {
-        let world = self.group_of(dst).world_rank(dst_local)?;
+        let world = self.topology.world_rank(dst, dst_local)?;
         let tag = self.tag(port);
         self.ep.send(world, tag, value)?;
         Ok(())
@@ -80,7 +70,7 @@ impl<'a> StageCtx<'a> {
         src_local: usize,
         port: u8,
     ) -> Result<T, PipelineError> {
-        let world = self.group_of(src).world_rank(src_local)?;
+        let world = self.topology.world_rank(src, src_local)?;
         let tag = self.tag(port);
         Ok(self.ep.recv(Some(world), Some(tag))?)
     }
@@ -94,7 +84,7 @@ impl<'a> StageCtx<'a> {
         port: u8,
         cpi: u64,
     ) -> Result<T, PipelineError> {
-        let world = self.group_of(src).world_rank(src_local)?;
+        let world = self.topology.world_rank(src, src_local)?;
         let tag = self.tag_at(cpi, port);
         Ok(self.ep.recv(Some(world), Some(tag))?)
     }

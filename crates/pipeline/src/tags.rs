@@ -2,15 +2,14 @@
 //!
 //! A stage may exchange several logical streams per CPI (e.g. the Doppler
 //! task sends filtered data to both beamformers *and* both weight tasks);
-//! ports keep them apart, the CPI number keeps iterations apart. The top
-//! bit stays clear — it belongs to the collectives.
+//! ports keep them apart, the CPI number keeps iterations apart.
 
 use stap_comm::Tag;
 
 /// Bits reserved for the port.
 const PORT_BITS: u32 = 6;
 /// Bits for the CPI counter (wraps; in-flight window is tiny).
-const CPI_BITS: u32 = 31 - PORT_BITS;
+const CPI_BITS: u32 = Tag::BITS - PORT_BITS;
 const CPI_MASK: u64 = (1u64 << CPI_BITS) - 1;
 
 /// Maximum port value (exclusive).
@@ -22,7 +21,7 @@ pub const MAX_PORT: u8 = 1 << PORT_BITS;
 /// Panics when `port >= MAX_PORT`.
 pub fn tag_for(cpi: u64, port: u8) -> Tag {
     assert!(port < MAX_PORT, "port {port} out of range");
-    (((port as u32) << CPI_BITS) | ((cpi & CPI_MASK) as u32)) & 0x7FFF_FFFF
+    ((port as u32) << CPI_BITS) | ((cpi & CPI_MASK) as u32)
 }
 
 #[cfg(test)]
@@ -43,11 +42,6 @@ mod tests {
     fn distinct_ports_distinct_tags() {
         assert_ne!(tag_for(3, 0), tag_for(3, 1));
         assert_ne!(tag_for(3, 0), tag_for(4, 0));
-    }
-
-    #[test]
-    fn top_bit_clear() {
-        assert_eq!(tag_for(u64::MAX, MAX_PORT - 1) & 0x8000_0000, 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Pipeline structure: stages, node counts, spatial/temporal edges, and the
-//! mapping from stages to contiguous world-rank groups.
+//! mapping from stages to contiguous world-rank ranges.
 
 use crate::error::PipelineError;
-use stap_comm::Group;
 
 /// Index of a stage within a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,9 +92,16 @@ impl Topology {
         self.stages[..id.0].iter().map(|s| s.nodes).sum()
     }
 
-    /// The world-rank group of a stage.
-    pub fn group(&self, id: StageId) -> Group {
-        Group::contiguous(self.first_rank(id), self.stages[id.0].nodes)
+    /// World rank of the `local`-th node of a stage.
+    pub fn world_rank(&self, id: StageId, local: usize) -> Result<usize, PipelineError> {
+        let stage = &self.stages[id.0];
+        if local >= stage.nodes {
+            return Err(PipelineError::Topology(format!(
+                "stage '{}' has {} nodes, no node {local}",
+                stage.name, stage.nodes
+            )));
+        }
+        Ok(self.first_rank(id) + local)
     }
 
     /// Which stage a world rank belongs to, with its local index.
@@ -194,11 +200,16 @@ mod tests {
         assert_eq!(t.first_rank(StageId(0)), 0);
         assert_eq!(t.first_rank(StageId(1)), 2);
         assert_eq!(t.first_rank(StageId(2)), 5);
-        assert_eq!(t.group(StageId(1)).ranks(), &[2, 3, 4]);
+        let ranks: Vec<usize> = (0..3).map(|i| t.world_rank(StageId(1), i).unwrap()).collect();
+        assert_eq!(ranks, [2, 3, 4]);
+        match t.world_rank(StageId(1), 3) {
+            Err(PipelineError::Topology(m)) => assert!(m.contains("'b'"), "{m}"),
+            other => panic!("expected a topology error naming the stage, got {other:?}"),
+        }
     }
 
     #[test]
-    fn locate_inverts_group_assignment() {
+    fn locate_inverts_rank_assignment() {
         let t = linear3();
         assert_eq!(t.locate(0), Some((StageId(0), 0)));
         assert_eq!(t.locate(4), Some((StageId(1), 2)));

@@ -1,16 +1,16 @@
 //! Stage watchdogs: per-stage progress deadlines enforced by a monitor
-//! thread over the world abort flag.
+//! thread through the world abort.
 //!
 //! Every node heartbeats at each CPI boundary. A monitor thread checks
 //! each live rank's time-since-last-beat against its stage's deadline;
-//! the first expiry records the stage and raises the abort flag, which
-//! unblocks every receive in the world. The runner then surfaces
+//! the first expiry records the stage and raises the run's abort, which
+//! wakes every receive in the world and, through the pipeline's abort
+//! hook, a front node parked on a staging ring. The runner then surfaces
 //! [`crate::error::PipelineError::Timeout`] naming the hung stage instead
 //! of the bare `Aborted` teardown fallout — a hung read or receive can
 //! stall a run for at most one deadline, never forever.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-stage progress deadlines (one per stage, full-iteration bound: a
@@ -68,36 +68,41 @@ pub(crate) struct Expiry {
 /// How often the monitor re-checks deadlines and the stop flag.
 const MONITOR_TICK: Duration = Duration::from_millis(5);
 
-/// Monitor loop body: runs until `stop` is set or a deadline expires.
-/// `stage_of` maps a rank to its `(stage name, stage index)`.
+/// One monitor pass at `now_ms`: the first live rank, in rank order, whose
+/// last beat is older than its stage's deadline. `stage_of` maps a rank to
+/// its `(stage name, stage index)`; `beats` holds each rank's last beat.
+fn expired(
+    spec: &WatchdogSpec,
+    stage_of: &[(String, usize)],
+    beats: &[u64],
+    now_ms: u64,
+) -> Option<Expiry> {
+    stage_of.iter().zip(beats).find_map(|((stage_name, stage_idx), &beat)| {
+        let deadline_ms = spec.deadlines[*stage_idx].as_millis() as u64;
+        (beat != DONE && now_ms.saturating_sub(beat) > deadline_ms)
+            .then(|| Expiry { stage: stage_name.clone(), deadline_ms })
+    })
+}
+
+/// Monitor loop: runs until `stop` is set or a deadline expires; on expiry
+/// it calls `raise` (the world abort) and returns what expired.
 pub(crate) fn monitor(
     spec: &WatchdogSpec,
     beats: &Heartbeats,
     stage_of: &[(String, usize)],
-    abort: &stap_comm::AbortHandle,
-    stop: &std::sync::atomic::AtomicBool,
-    expiry: &Mutex<Option<Expiry>>,
-) {
+    stop: &AtomicBool,
+    raise: impl Fn(),
+) -> Option<Expiry> {
     while !stop.load(Ordering::Acquire) {
         let now = beats.now_ms();
-        for (rank, (stage_name, stage_idx)) in stage_of.iter().enumerate() {
-            let beat = beats.beats[rank].load(Ordering::Acquire);
-            if beat == DONE {
-                continue;
-            }
-            let deadline = spec.deadlines[*stage_idx];
-            let deadline_ms = deadline.as_millis() as u64;
-            if now.saturating_sub(beat) > deadline_ms {
-                let mut slot = expiry.lock();
-                if slot.is_none() {
-                    *slot = Some(Expiry { stage: stage_name.clone(), deadline_ms });
-                }
-                abort.trigger();
-                return;
-            }
+        let last: Vec<u64> = beats.beats.iter().map(|b| b.load(Ordering::Acquire)).collect();
+        if let Some(fired) = expired(spec, stage_of, &last, now) {
+            raise();
+            return Some(fired);
         }
         std::thread::sleep(MONITOR_TICK);
     }
+    None
 }
 
 #[cfg(test)]
@@ -113,38 +118,21 @@ mod tests {
 
     #[test]
     fn done_ranks_are_ignored() {
-        let beats = Heartbeats::new(2);
-        beats.mark_done(0);
-        beats.mark_done(1);
         let spec = WatchdogSpec::uniform(1, Duration::from_millis(0));
         let stage_of = vec![("s".to_string(), 0), ("s".to_string(), 0)];
-        let eps = stap_comm::CommWorld::create(1);
-        let abort = eps[0].abort_handle();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let expiry = Mutex::new(None);
-        std::thread::sleep(Duration::from_millis(5));
-        // Stop immediately after one pass: no expiry may fire for done ranks.
-        stop.store(true, Ordering::Release);
-        monitor(&spec, &beats, &stage_of, &abort, &stop, &expiry);
-        assert!(expiry.lock().is_none());
-        assert!(!abort.is_aborted());
+        assert_eq!(expired(&spec, &stage_of, &[DONE, DONE], 1_000), None);
+        assert!(expired(&spec, &stage_of, &[DONE, 0], 1_000).is_some(), "a live rank expires");
     }
 
     #[test]
     fn stale_rank_trips_the_watchdog() {
-        let beats = Heartbeats::new(1);
-        beats.beat(0);
-        std::thread::sleep(Duration::from_millis(30));
-        let spec = WatchdogSpec::uniform(1, Duration::from_millis(10));
-        let stage_of = vec![("reader".to_string(), 0)];
-        let eps = stap_comm::CommWorld::create(1);
-        let abort = eps[0].abort_handle();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let expiry = Mutex::new(None);
-        monitor(&spec, &beats, &stage_of, &abort, &stop, &expiry);
-        let fired = expiry.lock().clone().expect("watchdog must fire");
-        assert_eq!(fired.stage, "reader");
-        assert_eq!(fired.deadline_ms, 10);
-        assert!(abort.is_aborted());
+        let spec =
+            WatchdogSpec { deadlines: vec![Duration::from_secs(1), Duration::from_millis(10)] };
+        let stage_of = vec![("front".to_string(), 0), ("reader".to_string(), 1)];
+        // Rank 1 beat at 20 ms: on time through 30 ms, late at 31 ms; rank 0
+        // is done and never expires.
+        assert_eq!(expired(&spec, &stage_of, &[DONE, 20], 30), None);
+        let fired = expired(&spec, &stage_of, &[DONE, 20], 31).expect("watchdog must fire");
+        assert_eq!(fired, Expiry { stage: "reader".into(), deadline_ms: 10 });
     }
 }

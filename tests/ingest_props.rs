@@ -264,3 +264,37 @@ fn ring_survives_many_producers_and_consumers() {
         }
     }
 }
+
+/// A front node parked on an empty staging ring is freed by a watchdog
+/// expiry: the run's abort closes the ring, so the run ends in the typed
+/// timeout naming the Doppler stage instead of blocking forever.
+#[test]
+fn a_watchdog_expiry_frees_a_node_parked_on_a_staging_ring() {
+    use ppstap::core::config::StapConfig;
+    use ppstap::core::{SourceSpec, StapSystem, StreamSettings, WatchdogPolicy};
+    use ppstap::pipeline::PipelineError;
+
+    // An attached ring holding one cube that nothing else produces into.
+    let ring = Arc::new(CpiRing::new("quiet", 4, BackpressurePolicy::Block));
+    let settings = StreamSettings { attach: Some(Arc::clone(&ring)), ..StreamSettings::default() };
+    let cfg = StapConfig {
+        cpis: 3,
+        warmup: 1,
+        source: SourceSpec::Stream(settings),
+        watchdog: Some(WatchdogPolicy { factor: 1.0, floor: Duration::from_millis(200) }),
+        ..StapConfig::default()
+    };
+    let sys = StapSystem::prepare(cfg).unwrap();
+    let cube = sys.plan().files[0].read_at(0, sys.plan().config.dims.bytes()).unwrap();
+    ring.push(StampedCube { seq: 0, bytes: Arc::new(cube) }).unwrap();
+    // Every stage gets the 200 ms floor, so the rank with the oldest beat
+    // expires first. The Doppler nodes park in `pop` right after sending
+    // CPI 0; every other node starts CPI 1 only after those sends.
+    match within(Duration::from_secs(60), &ring, move || sys.run().map(|_| ())) {
+        Err(PipelineError::Timeout { stage, deadline_ms }) => {
+            assert_eq!(stage, "Doppler filter");
+            assert_eq!(deadline_ms, 200);
+        }
+        other => panic!("expected the Doppler stage's watchdog timeout, got {other:?}"),
+    }
+}

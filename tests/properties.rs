@@ -244,7 +244,11 @@ proptest! {
                 prop_assert_eq!((st, sk), (t, k));
             }
         }
-        prop_assert_eq!(rx.try_recv::<(usize, usize)>(None, None).unwrap(), None);
+        // Nothing was delivered twice: a sentinel sent last on a fresh tag
+        // is the next message a wildcard receive sees.
+        tx.send(1, streams as u32, (usize::MAX, usize::MAX)).unwrap();
+        let next: (usize, usize) = rx.recv(None, None).unwrap();
+        prop_assert_eq!(next, (usize::MAX, usize::MAX));
     }
 
     /// Detection reports survive binary serialization for arbitrary content.
