@@ -244,6 +244,11 @@ impl<T: Poison> PoolVec<T> {
         Self { buf: vec, pool: Weak::new() }
     }
 
+    /// Whether the storage returns to a live pool on drop.
+    pub fn is_pooled(&self) -> bool {
+        self.pool.strong_count() > 0
+    }
+
     /// Freezes into a refcounted, cheaply clonable read-only slab; the
     /// buffer recycles when the last clone drops.
     pub fn freeze(self) -> SharedSlab<T> {

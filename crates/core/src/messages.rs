@@ -3,9 +3,9 @@
 //! Stages exchange typed values through `stap-comm`; these are the payload
 //! types with their (re)assembly logic. The bin-slab type carries
 //! Doppler-filtered data for a set of bins over one node's range interval;
-//! receivers stitch slabs from every sender into a full-range cube for
-//! their bins. The row-batch type carries beamformed (bin, beam) range rows
-//! between the tail tasks.
+//! receivers read the slabs of every sender where they lie, through one
+//! full-range view of their own bins ([`bin_view`]). The row-batch type
+//! carries beamformed (bin, beam) range rows between the tail tasks.
 //!
 //! Every payload's sample/byte storage is a [`PoolVec`] (frozen into a
 //! [`SharedSlab`] where one buffer fans out to many receivers) so the data
@@ -14,7 +14,7 @@
 //! buffers instead.
 
 use stap_comm::{PoolVec, SharedSlab, SlabPool};
-use stap_kernels::cube::DopplerCube;
+use stap_kernels::cube::{DopplerCube, GatePiece, GateTiles};
 use stap_math::C32;
 
 /// A dropped CPI, flowing through the pipeline in place of real data.
@@ -52,7 +52,7 @@ pub enum Payload<T> {
 /// The samples are a frozen [`SharedSlab`]: a Doppler node filters all
 /// easy (or hard) bins into one buffer and fans it out by refcount
 /// ([`BinSlab::share`]); each receiver picks the bins it owns in
-/// [`assemble_bins`]. `Clone` is the deep copy the `copy_comm` oracle
+/// [`bin_view`]. `Clone` is the deep copy the `copy_comm` oracle
 /// plane makes at its send boundary.
 #[derive(Debug)]
 pub struct BinSlab {
@@ -123,7 +123,7 @@ impl BinSlab {
     }
 }
 
-/// Why a set of slabs could not be stitched into a [`DopplerCube`].
+/// Why a set of slabs does not form a full-range view of the requested bins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AssemblyError {
     /// No slabs were provided at all.
@@ -171,23 +171,25 @@ impl std::fmt::Display for AssemblyError {
 
 impl std::error::Error for AssemblyError {}
 
-/// Assembles a full-range [`DopplerCube`] covering exactly `bins` from
-/// slabs that tile the range axis `[0, ranges)`.
+/// Reads the slabs where they lie as a [`GateTiles`] view over exactly
+/// `bins` and the whole range axis `[0, ranges)` — what the weight and
+/// beamforming nodes compute on.
 ///
-/// The returned cube's bin axis is *compacted*: cube bin index `i`
-/// corresponds to `bins[i]`.
+/// The view's bin axis is *compacted*: view bin `i` is `bins[i]`. Where
+/// slabs overlap, the one that starts first supplies the shared gates.
 ///
 /// # Errors
 /// Returns an [`AssemblyError`] when the slabs are inconsistent, miss a
 /// requested bin, or do not cover every gate of the range axis.
-pub fn assemble_bins(
+pub fn bin_view<'a>(
     bins: &[usize],
     ranges: usize,
-    slabs: &[BinSlab],
-) -> Result<DopplerCube, AssemblyError> {
+    slabs: &'a [BinSlab],
+) -> Result<GateTiles<'a>, AssemblyError> {
     let first = slabs.first().ok_or(AssemblyError::NoSlabs)?;
     let (staggers, channels) = (first.staggers, first.channels);
-    // Per slab, where each requested bin sits among the bins it carries.
+    // Per slab, the row of (stagger 0, channel 0) of each requested bin
+    // among the bins it carries.
     let mut parts = Vec::with_capacity(slabs.len());
     for slab in slabs {
         if slab.staggers != staggers {
@@ -202,39 +204,50 @@ pub fn assemble_bins(
                 found: slab.channels,
             });
         }
-        let at = |&b| slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b));
-        parts.push((slab, bins.iter().map(at).collect::<Result<Vec<usize>, _>>()?));
+        let row = |&b| {
+            let at = slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b));
+            at.map(|i| i * staggers * channels)
+        };
+        parts.push((slab, bins.iter().map(row).collect::<Result<Vec<usize>, _>>()?));
     }
     // Walk the slabs in gate order: each contributes the gates nothing
     // before it covered, and together they must reach `ranges`.
     parts.sort_by_key(|(slab, _)| slab.r0);
     let mut pieces = Vec::with_capacity(parts.len());
     let mut gate = 0;
-    for (slab, at) in &parts {
+    for (slab, bin_rows) in parts {
         if slab.r0 > gate || gate >= ranges {
             break;
         }
         if slab.r1 > gate {
-            pieces.push((*slab, at, gate - slab.r0..slab.r1.min(ranges) - slab.r0));
+            pieces.push(GatePiece {
+                data: &slab.data,
+                row_len: slab.r1 - slab.r0,
+                bin_rows,
+                stagger_rows: channels,
+                local: gate - slab.r0..slab.r1.min(ranges) - slab.r0,
+            });
             gate = slab.r1;
         }
     }
     if gate < ranges {
         return Err(AssemblyError::RangeGap { gate });
     }
-    // Coverage holds, so every output row is appended whole, piece by
-    // piece — no zero-fill to overwrite.
-    let mut data = Vec::with_capacity(staggers * bins.len() * channels * ranges);
-    for s in 0..staggers {
-        for i in 0..bins.len() {
-            for c in 0..channels {
-                for (slab, at, gates) in &pieces {
-                    data.extend_from_slice(&slab.row(at[i], s, c)[gates.clone()]);
-                }
-            }
-        }
-    }
-    Ok(DopplerCube::from_data(staggers, bins.len(), channels, ranges, data))
+    Ok(GateTiles::new(staggers, bins.len(), channels, pieces))
+}
+
+/// Stitches the slabs into one full-range [`DopplerCube`] covering exactly
+/// `bins`: [`bin_view`]'s rows, copied. No stage stitches any more; this is
+/// the differential oracle for the kernels that read the view in place.
+///
+/// # Errors
+/// As [`bin_view`].
+pub fn assemble_bins(
+    bins: &[usize],
+    ranges: usize,
+    slabs: &[BinSlab],
+) -> Result<DopplerCube, AssemblyError> {
+    bin_view(bins, ranges, slabs).map(|view| DopplerCube::from_rows(&view))
 }
 
 /// Raw on-disk bytes for range gates `[r0, r1)` — what the separate read
@@ -247,14 +260,6 @@ pub struct RawSlab {
     pub r1: usize,
     /// Range-major bytes (`(r1-r0)·channels·pulses·8`).
     pub bytes: PoolVec<u8>,
-}
-
-impl RawSlab {
-    /// A slab over a detached byte buffer (tests and
-    /// `StapConfig::copy_comm`).
-    pub fn new(r0: usize, r1: usize, bytes: Vec<u8>) -> Self {
-        Self { r0, r1, bytes: PoolVec::detached(bytes) }
-    }
 }
 
 /// Beamformed range rows for a set of (bin, beam) pairs.
@@ -275,8 +280,12 @@ impl RowBatch {
     }
 
     /// An empty batch whose sample buffer comes from `pool` with room for
-    /// `capacity_rows` rows — the zero-copy path's constructor.
+    /// `capacity_rows` rows — the zero-copy path's constructor. A batch of
+    /// no rows takes no buffer.
     pub fn pooled(ranges: usize, capacity_rows: usize, pool: &SlabPool<C32>) -> Self {
+        if capacity_rows == 0 {
+            return Self::new(ranges);
+        }
         Self {
             rows: Vec::with_capacity(capacity_rows),
             ranges,
@@ -287,11 +296,23 @@ impl RowBatch {
     /// Appends a row.
     ///
     /// # Panics
-    /// Panics when the row length differs from `ranges`.
+    /// Panics when the row length differs from `ranges`, and in debug
+    /// builds when a pooled buffer would have to grow: it would park in a
+    /// larger size class, and the next take of its own class would
+    /// allocate.
     pub fn push(&mut self, bin: usize, beam: usize, row: &[C32]) {
         assert_eq!(row.len(), self.ranges, "row length mismatch");
+        self.check_room(row.len());
         self.rows.push((bin, beam));
         self.data.extend_from_slice(row);
+    }
+
+    fn check_room(&self, samples: usize) {
+        debug_assert!(
+            !self.data.is_pooled() || self.data.len() + samples <= self.data.capacity(),
+            "a pooled row batch of {} samples cannot take {samples} more",
+            self.data.capacity()
+        );
     }
 
     /// Number of rows.
@@ -318,6 +339,7 @@ impl RowBatch {
     /// its pool on return).
     pub fn extend(&mut self, other: RowBatch) {
         assert_eq!(self.ranges, other.ranges, "range extent mismatch");
+        self.check_room(other.data.len());
         self.rows.extend(other.rows);
         self.data.extend_from_slice(&other.data);
     }
@@ -446,6 +468,16 @@ mod tests {
         b.extend(c);
         assert_eq!(b.len(), 3);
         assert_eq!(b.rows[2], (9, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cannot take")]
+    fn a_pooled_batch_never_grows() {
+        let pool = SlabPool::new();
+        let mut b = RowBatch::pooled(16, 1, &pool);
+        b.push(0, 0, &[C32::one(); 16]);
+        b.push(0, 1, &[C32::one(); 16]);
     }
 
     #[test]

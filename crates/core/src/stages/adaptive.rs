@@ -1,11 +1,11 @@
 //! The adaptive middle of the pipeline: weight computation (temporal) and
 //! beamforming, in easy and hard variants.
 
-use crate::messages::{assemble_bins, BinSlab, Gap, Payload, RowBatch};
+use crate::messages::{bin_view, BinSlab, Gap, Payload, RowBatch};
 use crate::stages::{broadcast_gap, port, StapPlan};
-use stap_kernels::beamform::BeamCube;
+use stap_kernels::beamform::{BeamCube, Beamformer};
 use stap_kernels::covariance::TrainingConfig;
-use stap_kernels::weights::{WeightComputer, WeightSet};
+use stap_kernels::weights::{WeightComputer, WeightScratch, WeightSet};
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
 use stap_pipeline::PipelineError;
@@ -33,13 +33,16 @@ pub struct WeightStage {
     /// CPI's training data is a gap bubble (stale weights still beamform;
     /// the temporal dependency makes this the natural degraded mode).
     last_good: Option<WeightSet>,
+    /// Covariance, snapshot panel and Cholesky factor, reused every CPI.
+    scratch: WeightScratch,
 }
 
 impl WeightStage {
     /// One node of a weight task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, hard: bool) -> Self {
         let computer = weight_computer(&plan);
-        Self { plan, local, nodes, hard, computer, last_good: None }
+        let scratch = WeightScratch::default();
+        Self { plan, local, nodes, hard, computer, last_good: None, scratch }
     }
 }
 
@@ -81,30 +84,29 @@ impl Stage for WeightStage {
                 ),
             }
         } else {
-            // The slab handoff — stitching the received per-node slabs into
-            // one contiguous cube — is communication, not math. It lives in
-            // the Send phase so the zero-copy data plane's savings show up
-            // in the phase report instead of vanishing into Compute.
+            // The slab handoff — checking that the received per-node slabs
+            // tile our bins' range axis and mapping them into one view —
+            // is communication, not math, so it stays in the Send phase.
             ctx.phase(Phase::Send);
             let ranges = self.plan.config.dims.ranges;
-            let cube = assemble_bins(&my_bins, ranges, &slabs)
+            let view = bin_view(&my_bins, ranges, &slabs)
                 .map_err(|e| ctx.fail(format!("doppler assembly: {e}")))?;
-            // The slabs are shared with every other consumer of this CPI:
-            // let go now so the buffers recycle without waiting on the solve.
-            drop(slabs);
             ctx.phase(Phase::Compute);
-            // The assembled cube's bin axis is positional; compute against
+            // The view's bin axis is positional; compute against
             // positional indices, then relabel to absolute bins for
             // shipping.
             let positional: Vec<usize> = (0..my_bins.len()).collect();
             let mut ws = self
                 .computer
-                .compute_with(&cube, &positional, self.plan.kernel_path())
+                .compute_in(&view, &positional, self.plan.kernel_path(), &mut self.scratch)
                 .map_err(|e| ctx.fail(format!("weight solve: {e}")))?;
             ws.bins = my_bins;
             self.last_good = Some(ws.clone());
             ws
         };
+        // The slabs are shared with every other consumer of this CPI: let
+        // go before the sends so the buffers recycle sooner.
+        drop(slabs);
 
         if let Some(tap) = &self.plan.tap {
             tap.record_weights(ctx.cpi, self.hard, &ws);
@@ -135,13 +137,16 @@ pub struct BeamformStage {
     computer: WeightComputer,
     /// Weights received for the previous CPI, merged across weight nodes.
     staged_weights: Option<WeightSet>,
+    /// The beamformed rows, reused every CPI.
+    beams: BeamCube,
 }
 
 impl BeamformStage {
     /// One node of a beamforming task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, hard: bool) -> Self {
         let computer = weight_computer(&plan);
-        Self { plan, local, nodes, hard, computer, staged_weights: None }
+        let beams = BeamCube::zeros(Vec::new(), 0, 0);
+        Self { plan, local, nodes, hard, computer, staged_weights: None, beams }
     }
 
     /// Weight set restricted to `bins` (positional order), relabeled to the
@@ -219,33 +224,33 @@ impl Stage for BeamformStage {
             return Ok(());
         }
 
-        // The slab handoff stitch is communication time (see WeightStage).
+        // The slab handoff is communication time (see WeightStage).
         ctx.phase(Phase::Send);
-        let cube = assemble_bins(&my_bins, ranges, &slabs)
+        let view = bin_view(&my_bins, ranges, &slabs)
             .map_err(|e| ctx.fail(format!("beamform assembly: {e}")))?;
-        drop(slabs);
         ctx.phase(Phase::Compute);
         let ws = self
             .select_weights(&weights_full, &my_bins)
             .map_err(|b| ctx.fail(format!("weight set missing bin {b}")))?;
-        let bc: BeamCube =
-            stap_kernels::beamform::Beamformer.apply_with(&cube, &ws, self.plan.kernel_path());
+        Beamformer.apply_into(&view, &ws, self.plan.kernel_path(), &mut self.beams);
+        drop(view);
+        // The slabs are shared with every other consumer of this CPI: let
+        // go now so the buffers recycle without waiting on the sends.
+        drop(slabs);
 
         ctx.phase(Phase::Send);
         // Partition rows by owning pulse-compression node. BeamCube rows
         // are contiguous, so each row ships as one slice copy into an
-        // arena-backed batch (no per-row gather allocation).
+        // arena-backed batch sized to exactly the rows its node owns.
         let pc = roles.pulse;
         let pc_nodes = ctx.topology.stage(pc).nodes;
         let row_port = if self.hard { port::HARD_ROWS } else { port::EASY_ROWS };
-        let est_rows = my_bins.len() * self.plan.beams() / pc_nodes.max(1) + 1;
-        let mut batches: Vec<RowBatch> =
-            (0..pc_nodes).map(|_| self.plan.row_batch(ranges, est_rows)).collect();
-        for (i, &bin) in my_bins.iter().enumerate() {
-            for beam in 0..self.plan.beams() {
-                let owner = self.plan.row_owner(bin, beam, pc_nodes);
-                batches[owner].push(bin, beam, bc.row(beam, i));
-            }
+        let beams = self.plan.beams();
+        let rows = || my_bins.iter().flat_map(|&bin| (0..beams).map(move |beam| (bin, beam)));
+        let mut batches = self.plan.owned_row_batches(ranges, pc_nodes, rows());
+        for (n, (bin, beam)) in rows().enumerate() {
+            let owner = self.plan.row_owner(bin, beam, pc_nodes);
+            batches[owner].push(bin, beam, self.beams.row(beam, n / beams));
         }
         for (n, batch) in batches.into_iter().enumerate() {
             ctx.send_to(pc, n, row_port, self.plan.for_send(Payload::Data(batch)))?;

@@ -12,10 +12,11 @@ use crate::stages::{broadcast_gap, port, StapPlan};
 use stap_comm::CommError;
 use stap_kernels::cube::{CubeDims, DataCube};
 use stap_kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
+use stap_math::C32;
 use stap_pipeline::schedule::block_range;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
-use stap_pipeline::{PendingFetch, PipelineError};
+use stap_pipeline::{PendingFetch, PipelineError, SharedExtent};
 use std::sync::Arc;
 
 /// Byte extent (offset, length) of range gates `[r0, r1)` in a CPI file.
@@ -28,7 +29,7 @@ fn slab_extent(dims: CubeDims, r0: usize, r1: usize) -> (u64, usize) {
 /// What a policy-governed read produced.
 enum ReadOutcome {
     /// The bytes arrived (possibly after retries).
-    Data(Vec<u8>),
+    Data(SharedExtent),
     /// The retry budget ran out under `SkipCpi`; the CPI is dropped.
     Dropped(String),
 }
@@ -65,8 +66,8 @@ fn read_with_policy(
     let phase0 = if source.cached(ctx.cpi, off, len) { Phase::CacheHit } else { wait_phase };
     ctx.phase_attempt(phase0, 0);
     let mut last = match pending {
-        Some(fetch) => fetch(),
-        None => source.fetch(ctx.cpi, off, len),
+        Some(fetch) => fetch().map(SharedExtent::owned),
+        None => source.fetch_shared(ctx.cpi, off, len),
     };
     let mut attempt = 0u32;
     loop {
@@ -101,7 +102,7 @@ fn read_with_policy(
                     }
                     attempt += 1;
                     ctx.phase_attempt(wait_phase, attempt);
-                    last = source.fetch(ctx.cpi, off, len);
+                    last = source.fetch_shared(ctx.cpi, off, len);
                 } else if policy.skips() {
                     return Ok(ReadOutcome::Dropped(format!("{label}: {e}")));
                 } else {
@@ -169,7 +170,7 @@ impl Stage for ReadStage {
             ReadOutcome::Dropped(reason) => {
                 self.consecutive_drops += 1;
                 check_consecutive(&self.plan, ctx, self.consecutive_drops)?;
-                (Vec::new(), Some(gap_here(ctx, reason)))
+                (SharedExtent::owned(Vec::new()), Some(gap_here(ctx, reason)))
             }
         };
         for d in 0..df_nodes {
@@ -195,9 +196,28 @@ impl Stage for ReadStage {
     }
 }
 
-/// This node's range-major wire bytes for the current CPI — the fetched
-/// extent, or one slab per overlapping reader — or the gap displacing them.
-type Acquired = Result<Vec<RawSlab>, Gap>;
+/// This node's range-major wire bytes for the current CPI, or the gap
+/// displacing them.
+type Acquired = Result<Wire, Gap>;
+
+/// Where a Doppler node's wire bytes lie.
+enum Wire {
+    /// The extent it fetched, shared with the source (embedded I/O).
+    Fetched(SharedExtent),
+    /// One slab per overlapping reader (separate I/O task).
+    Received(Vec<RawSlab>),
+}
+
+impl Wire {
+    /// `(first gate, end gate, bytes)` of each piece, in arrival order;
+    /// the fetched extent covers the node's gates `[r0, r1)`.
+    fn pieces(&self, (r0, r1): (usize, usize)) -> Vec<(usize, usize, &[u8])> {
+        match self {
+            Wire::Fetched(extent) => vec![(r0, r1, &extent[..])],
+            Wire::Received(slabs) => slabs.iter().map(|s| (s.r0, s.r1, &s.bytes[..])).collect(),
+        }
+    }
+}
 
 /// The Doppler filter task. Three phases when I/O is embedded — "reading
 /// data from files, computation, and sending" — with asynchronous reads
@@ -211,6 +231,8 @@ pub struct DopplerStage {
     /// Posted fetch for the *next* CPI (async embedded mode).
     pending: Option<(u64, PendingFetch)>,
     consecutive_drops: u32,
+    /// The filter's FFT panel, reused every CPI.
+    panel: Vec<C32>,
 }
 
 impl DopplerStage {
@@ -218,7 +240,7 @@ impl DopplerStage {
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize) -> Self {
         let cfg: DopplerConfig = plan.config.doppler.clone();
         let filter = DopplerFilter::new(plan.config.dims.pulses, cfg);
-        Self { plan, local, nodes, filter, pending: None, consecutive_drops: 0 }
+        Self { plan, local, nodes, filter, pending: None, consecutive_drops: 0, panel: Vec::new() }
     }
 
     fn my_ranges(&self) -> (usize, usize) {
@@ -255,7 +277,7 @@ impl DopplerStage {
             }
         }
         Ok(match outcome {
-            ReadOutcome::Data(bytes) => Ok(vec![RawSlab::new(r0, r1, bytes)]),
+            ReadOutcome::Data(extent) => Ok(Wire::Fetched(extent)),
             ReadOutcome::Dropped(reason) => Err(gap_here(ctx, reason)),
         })
     }
@@ -278,40 +300,39 @@ impl DopplerStage {
                 Payload::Gap(g) => gap = Some(g),
             }
         }
-        Ok(gap.map_or(Ok(slabs), Err))
+        Ok(gap.map_or(Ok(Wire::Received(slabs)), Err))
     }
 
-    /// Doppler-filters the wire bytes straight into the two outgoing
-    /// buffers — every easy bin x 1 stagger, every hard bin x 2 — with no
-    /// cube in between; each raw slab lands at its own gate offset.
+    /// Doppler-filters the wire bytes where they lie straight into the two
+    /// outgoing buffers — every easy bin x 1 stagger, every hard bin x 2 —
+    /// with no cube in between; each piece lands at its own gate offset.
     ///
     /// # Errors
-    /// A slab that does not continue where the previous one ended, or whose
-    /// byte length does not match its gate interval, is a stage error, as
-    /// is a set of slabs that stops short of the node's gates.
+    /// A piece that does not continue where the previous one ended, or
+    /// whose byte length does not match its gate interval, is a stage
+    /// error, as is a set of pieces that stops short of the node's gates.
     fn filter_wire(
-        &self,
+        &mut self,
         ctx: &StageCtx<'_>,
-        raw: Vec<RawSlab>,
+        wire: &Wire,
     ) -> Result<[BinSlab; 2], PipelineError> {
         let dims = self.plan.config.dims;
         let (r0, r1) = self.my_ranges();
         let (n, gate_bytes) = (r1 - r0, dims.channels * dims.pulses * 8);
         let fail = |what: String| ctx.fail(format!("node {} CPI {}: {what}", self.local, ctx.cpi));
-        // The slabs must tile [r0, r1) in order: the filter below writes
+        // The pieces must tile [r0, r1) in order: the filter below writes
         // exactly the gates they cover into buffers nobody zero-fills.
+        let raw = wire.pieces((r0, r1));
         let mut next = r0;
-        for s in &raw {
-            let fits = s.r0 == next && s.r0 <= s.r1 && s.r1 <= r1;
-            if !fits || s.bytes.len() != (s.r1 - s.r0) * gate_bytes {
+        for &(s0, s1, bytes) in &raw {
+            let fits = s0 == next && s0 <= s1 && s1 <= r1;
+            if !fits || bytes.len() != (s1 - s0) * gate_bytes {
                 return Err(fail(format!(
-                    "raw slab for gates [{}, {}) after [{r0}, {next}) of [{r0}, {r1}) carries {} bytes, not {gate_bytes} per gate",
-                    s.r0,
-                    s.r1,
-                    s.bytes.len()
+                    "raw slab for gates [{s0}, {s1}) after [{r0}, {next}) of [{r0}, {r1}) carries {} bytes, not {gate_bytes} per gate",
+                    bytes.len()
                 )));
             }
-            next = s.r1;
+            next = s1;
         }
         if next != r1 {
             return Err(fail(format!("raw slabs covered {} of {n} gates", next - r0)));
@@ -321,12 +342,13 @@ impl DopplerStage {
             let staggers = if hard { 2 } else { 1 };
             let len = bins.len() * staggers * dims.channels * n;
             // Every (bin, stagger, channel) row is written in full below:
-            // the slabs were checked to tile the node's gates.
+            // the pieces were checked to tile the node's gates.
             let mut data = self.plan.sample_buf_len(len);
-            for s in &raw {
-                let src = Samples::Wire { bytes: &s.bytes, channels: dims.channels };
-                let rows = BinRows::slab(bins, staggers, dims.channels, (n, s.r0 - r0), &mut data);
-                self.filter.filter_into(src, hard, rows, self.plan.kernel_path());
+            for &(s0, _, bytes) in &raw {
+                let src = Samples::Wire { bytes, channels: dims.channels };
+                let rows = BinRows::slab(bins, staggers, dims.channels, (n, s0 - r0), &mut data);
+                let path = self.plan.kernel_path();
+                self.filter.filter_into_with_panel(src, hard, rows, path, &mut self.panel);
             }
             let (bins, channels, data) = (bins.clone(), dims.channels, data.freeze());
             BinSlab { bins, staggers, channels, r0, r1, data }
@@ -354,10 +376,10 @@ impl Stage for DopplerStage {
             (roles.hard_weight, true, port::HARD_TRAIN),
         ];
 
-        let raw = match outcome {
-            Ok(raw) => {
+        let wire = match outcome {
+            Ok(wire) => {
                 self.consecutive_drops = 0;
-                raw
+                wire
             }
             Err(g) => {
                 // Drops originate here only in embedded mode; in separate
@@ -377,7 +399,8 @@ impl Stage for DopplerStage {
         // Phase 2: Doppler filtering, easy (full CPI) + hard (staggered),
         // wire bytes in, outgoing bin slabs out.
         ctx.phase(Phase::Compute);
-        let slabs = self.filter_wire(ctx, raw)?;
+        let slabs = self.filter_wire(ctx, &wire)?;
+        drop(wire);
 
         // Phase 3: fan each slab out to the beamformers (spatial) and the
         // weight tasks (temporal consumers of this CPI's data). Zero-copy

@@ -312,6 +312,23 @@ impl StapPlan {
             crate::messages::RowBatch::pooled(ranges, capacity_rows, &self.pools.samples)
         }
     }
+
+    /// One row batch per node of a stage with `nodes` nodes, each with room
+    /// for exactly the `(bin, beam)` rows of `rows` that node owns
+    /// ([`StapPlan::row_owner`] need not spread rows evenly).
+    pub fn owned_row_batches(
+        &self,
+        ranges: usize,
+        nodes: usize,
+        rows: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<crate::messages::RowBatch> {
+        let mut counts = vec![0; nodes];
+        for (bin, beam) in rows {
+            counts[self.row_owner(bin, beam, nodes)] += 1;
+        }
+        counts.into_iter().map(|n| self.row_batch(ranges, n)).collect()
+    }
+
     /// Total Doppler bins.
     pub fn nbins(&self) -> usize {
         self.config.nbins()
@@ -359,6 +376,7 @@ impl StapPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::RowBatch;
     use crate::system::StapSystem;
 
     #[test]
@@ -422,6 +440,33 @@ mod tests {
         assert_eq!(keys, vec![(0, 1), (4, 0)]);
         tap.reset();
         assert!(tap.map_cpis().is_empty() && tap.latest_weight_cpi().is_none());
+    }
+
+    #[test]
+    fn row_batches_hold_exactly_the_rows_their_owner_gets() {
+        // Bins of one parity with 2 beams over 4 nodes: row ids `2·bin +
+        // beam` are 0 or 1 mod 4, so every row lands on node 0 or 1 — twice
+        // what an even split reserves.
+        let sys = StapSystem::prepare(StapConfig::default()).unwrap();
+        let plan = sys.plan();
+        assert_eq!(plan.beams(), 2);
+        let (ranges, nodes) = (plan.config.dims.ranges, 4);
+        let rows: Vec<(usize, usize)> =
+            (0..plan.nbins()).step_by(2).flat_map(|bin| [(bin, 0), (bin, 1)]).collect();
+        let before = plan.pools.samples.stats().takes;
+        let mut batches = plan.owned_row_batches(ranges, nodes, rows.iter().copied());
+        let room: Vec<usize> = batches.iter().map(|b| b.data.capacity()).collect();
+        for &(bin, beam) in &rows {
+            let owner = plan.row_owner(bin, beam, nodes);
+            batches[owner].push(bin, beam, &vec![stap_math::C32::zero(); ranges]);
+        }
+        let held: Vec<usize> = batches.iter().map(RowBatch::len).collect();
+        assert_eq!(held, [rows.len() / 2, rows.len() / 2, 0, 0]);
+        for (batch, room) in batches.iter().zip(room) {
+            assert_eq!(batch.data.capacity(), room, "a pooled batch regrew");
+        }
+        // The two empty batches take no buffer.
+        assert_eq!(plan.pools.samples.stats().takes - before, 2);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use parking_lot::Mutex;
 use stap_kernels::cfar::{cfar_row, CfarError, Detection};
 use stap_kernels::pulse::PulseCompressor;
 use stap_kernels::report::DetectionReport;
+use stap_math::C32;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
 use stap_pipeline::PipelineError;
@@ -42,15 +43,21 @@ fn recv_rows(
 }
 
 /// Runs CFAR over a batch and labels detections with bin/beam identity.
+/// `powers` is the node's power row, reused every CPI.
 ///
 /// # Errors
 /// [`CfarError::DegenerateWindow`] when the configured window can never
 /// see a training cell in rows of this length — previously a silent empty
 /// detection list indistinguishable from a quiet scene.
-fn detect_batch(plan: &StapPlan, cpi: u64, batch: &RowBatch) -> Result<Vec<Detection>, CfarError> {
+fn detect_batch(
+    plan: &StapPlan,
+    cpi: u64,
+    batch: &RowBatch,
+    powers: &mut Vec<f64>,
+) -> Result<Vec<Detection>, CfarError> {
     plan.config.cfar.validate(batch.ranges)?;
     let mut dets = Vec::new();
-    let mut powers = vec![0.0f64; batch.ranges];
+    powers.resize(batch.ranges, 0.0);
     for i in 0..batch.len() {
         let (bin, beam) = batch.rows[i];
         for (o, z) in powers.iter_mut().zip(batch.row(i)) {
@@ -59,7 +66,7 @@ fn detect_batch(plan: &StapPlan, cpi: u64, batch: &RowBatch) -> Result<Vec<Detec
         if let Some(tap) = &plan.tap {
             tap.record_row(cpi, bin, beam, powers.iter().sum());
         }
-        for (range, power, noise) in cfar_row(&powers, plan.config.cfar) {
+        for (range, power, noise) in cfar_row(powers, plan.config.cfar) {
             dets.push(Detection {
                 beam,
                 bin,
@@ -128,13 +135,15 @@ fn publish_report(
 pub struct PulseStage {
     plan: Arc<StapPlan>,
     compressor: PulseCompressor,
+    /// The compressor's FFT panel, reused every CPI.
+    panel: Vec<C32>,
 }
 
 impl PulseStage {
     /// One node of the pulse-compression task.
     pub fn new(plan: Arc<StapPlan>) -> Self {
         let compressor = PulseCompressor::new(plan.config.dims.ranges, &plan.waveform);
-        Self { plan, compressor }
+        Self { plan, compressor, panel: Vec::new() }
     }
 }
 
@@ -155,12 +164,12 @@ impl Stage for PulseStage {
         };
 
         ctx.phase(Phase::Compute);
-        self.compressor.compress_rows(&mut batch.data, ranges, self.plan.kernel_path());
+        let path = self.plan.kernel_path();
+        self.compressor.compress_rows_with_panel(&mut batch.data, ranges, path, &mut self.panel);
 
         ctx.phase(Phase::Send);
-        let est_rows = batch.len() / cfar_nodes.max(1) + 1;
-        let mut outgoing: Vec<RowBatch> =
-            (0..cfar_nodes).map(|_| self.plan.row_batch(ranges, est_rows)).collect();
+        let mut outgoing =
+            self.plan.owned_row_batches(ranges, cfar_nodes, batch.rows.iter().copied());
         for i in 0..batch.len() {
             let (bin, beam) = batch.rows[i];
             let owner = self.plan.row_owner(bin, beam, cfar_nodes);
@@ -179,12 +188,14 @@ pub struct CfarStage {
     local: usize,
     nodes: usize,
     sink: ReportSink,
+    /// The detector's power row, reused every CPI.
+    powers: Vec<f64>,
 }
 
 impl CfarStage {
     /// One node of the CFAR task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, sink: ReportSink) -> Self {
-        Self { plan, local, nodes, sink }
+        Self { plan, local, nodes, sink, powers: Vec::new() }
     }
 }
 
@@ -209,7 +220,7 @@ impl Stage for CfarStage {
         }
 
         ctx.phase(Phase::Compute);
-        let dets = detect_batch(&self.plan, ctx.cpi, &batch)
+        let dets = detect_batch(&self.plan, ctx.cpi, &batch, &mut self.powers)
             .map_err(|e| ctx.fail(format!("cfar: {e}")))?;
 
         ctx.phase(Phase::Send);
@@ -225,13 +236,17 @@ pub struct CombinedTailStage {
     nodes: usize,
     compressor: PulseCompressor,
     sink: ReportSink,
+    /// The compressor's FFT panel and the detector's power row, reused
+    /// every CPI.
+    panel: Vec<C32>,
+    powers: Vec<f64>,
 }
 
 impl CombinedTailStage {
     /// One node of the combined task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, sink: ReportSink) -> Self {
         let compressor = PulseCompressor::new(plan.config.dims.ranges, &plan.waveform);
-        Self { plan, local, nodes, compressor, sink }
+        Self { plan, local, nodes, compressor, sink, panel: Vec::new(), powers: Vec::new() }
     }
 }
 
@@ -249,9 +264,10 @@ impl Stage for CombinedTailStage {
 
         // One Compute span per kernel: pulse compression, then CFAR.
         ctx.phase(Phase::Compute);
-        self.compressor.compress_rows(&mut batch.data, ranges, self.plan.kernel_path());
+        let path = self.plan.kernel_path();
+        self.compressor.compress_rows_with_panel(&mut batch.data, ranges, path, &mut self.panel);
         ctx.phase(Phase::Compute);
-        let dets = detect_batch(&self.plan, ctx.cpi, &batch)
+        let dets = detect_batch(&self.plan, ctx.cpi, &batch, &mut self.powers)
             .map_err(|e| ctx.fail(format!("cfar: {e}")))?;
 
         ctx.phase(Phase::Send);

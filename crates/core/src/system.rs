@@ -414,7 +414,12 @@ impl StapSystem {
     /// bit-reproducible trace output (timestamps count clock observations,
     /// not elapsed seconds).
     pub fn run_with_clock(&self, clocks: ClockSpec) -> Result<StapRunOutput, PipelineError> {
-        self.reports.lock().clear();
+        let cfg = &self.plan.config;
+        // One report per CPI: sized once, so the sink never regrows mid-run.
+        let mut sink = self.reports.lock();
+        sink.clear();
+        sink.reserve(cfg.cpis as usize);
+        drop(sink);
         self.plan.stats.reset();
         if let Some(tap) = &self.plan.tap {
             tap.reset();
@@ -424,7 +429,6 @@ impl StapSystem {
         // counters cover exactly this run.
         self.fs.reset_fault_attempts();
         self.fs.reset_io_counters();
-        let cfg = &self.plan.config;
 
         // Stream-fed and system-owned: reset the staging tier and start
         // the radar frontend on the staged cubes for exactly this run's

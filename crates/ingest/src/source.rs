@@ -4,7 +4,7 @@
 use crate::error::IngestError;
 use crate::ring::CpiRing;
 use stap_pfs::{FileHandle, PfsError};
-use stap_pipeline::{CpiSource, PendingFetch, Phase, SourceError};
+use stap_pipeline::{CpiSource, PendingFetch, Phase, SharedExtent, SourceError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -125,7 +125,8 @@ impl StreamSource {
         st.pending_lag = 0;
     }
 
-    fn slice(bytes: &Arc<Vec<u8>>, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
+    /// A share of `bytes[offset..offset + len]` — a refcount, not a copy.
+    fn slice(bytes: Arc<Vec<u8>>, offset: u64, len: usize) -> Result<SharedExtent, SourceError> {
         let off = offset as usize;
         if off + len > bytes.len() {
             return Err(SourceError::permanent(format!(
@@ -133,7 +134,7 @@ impl StreamSource {
                 bytes.len()
             )));
         }
-        Ok(bytes[off..off + len].to_vec())
+        Ok(SharedExtent { bytes, range: off..off + len })
     }
 }
 
@@ -149,6 +150,12 @@ impl std::fmt::Debug for StreamSource {
 
 impl CpiSource for StreamSource {
     fn fetch(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
+        self.fetch_shared(cpi, offset, len).map(|extent| extent.to_vec())
+    }
+
+    /// The extent as a share of the popped cube the ring already holds
+    /// behind an `Arc`: no per-node copy.
+    fn fetch_shared(&self, cpi: u64, offset: u64, len: usize) -> Result<SharedExtent, SourceError> {
         loop {
             {
                 let mut st = self.state.lock().expect("stream source lock poisoned");
@@ -166,7 +173,7 @@ impl CpiSource for StreamSource {
                     if entry.remaining == 0 {
                         st.cache.remove(&cpi);
                     }
-                    return Self::slice(&bytes, offset, len);
+                    return Self::slice(bytes, offset, len);
                 }
                 if cpi < st.next_delivery {
                     return Err(SourceError::permanent(format!(
@@ -218,6 +225,19 @@ mod tests {
         assert_eq!(src.fetch(0, 2, 2).unwrap(), vec![3, 4]);
         assert_eq!(src.fetch(1, 0, 4).unwrap(), vec![5, 6, 7, 8]);
         assert_eq!(src.wait_phase(), Phase::Ingest);
+    }
+
+    #[test]
+    fn shared_fetch_hands_out_the_popped_cube_without_a_copy() {
+        let ring = ring_with(&[&[1, 2, 3, 4]], BackpressurePolicy::Block);
+        let src = StreamSource::new(ring, 2, false);
+        let (a, b) = (src.fetch_shared(0, 0, 2).unwrap(), src.fetch_shared(0, 2, 2).unwrap());
+        assert!(Arc::ptr_eq(&a.bytes, &b.bytes), "both extents share the popped cube");
+        assert_eq!((&*a, &*b), (&[1, 2][..], &[3, 4][..]));
+        let e = StreamSource::new(ring_with(&[&[1]], BackpressurePolicy::Block), 1, false)
+            .fetch_shared(0, 0, 2)
+            .unwrap_err();
+        assert!(e.detail.contains("outside the 1-byte cube"), "{e}");
     }
 
     #[test]

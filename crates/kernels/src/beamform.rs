@@ -4,7 +4,7 @@
 //! per-beam weight vectors: `y[beam][bin][range] = wᴴ x`. This is the hot
 //! inner loop of the pipeline's middle tasks.
 
-use crate::cube::DopplerCube;
+use crate::cube::DopplerRows;
 use crate::path::{KernelPath, SimdLevel};
 use crate::weights::WeightSet;
 use stap_math::C32;
@@ -32,6 +32,15 @@ impl BeamCube {
     pub fn zeros(bins: Vec<usize>, beams: usize, ranges: usize) -> Self {
         let n = bins.len();
         Self { bins, beams, ranges, data: vec![C32::zero(); beams * n * ranges] }
+    }
+
+    /// Reshapes to `bins × beams × ranges` for a kernel that overwrites
+    /// every sample, reusing the storage (samples are left as they were).
+    pub fn reset(&mut self, bins: &[usize], beams: usize, ranges: usize) {
+        self.bins.clear();
+        self.bins.extend_from_slice(bins);
+        (self.beams, self.ranges) = (beams, ranges);
+        self.data.resize(beams * bins.len() * ranges, C32::zero());
     }
 
     #[inline]
@@ -109,75 +118,108 @@ impl Beamformer {
     ///
     /// # Panics
     /// Panics when the weight DoF does not match the cube DoF.
-    pub fn apply(&self, cube: &DopplerCube, weights: &WeightSet) -> BeamCube {
+    pub fn apply<V: DopplerRows + ?Sized>(&self, cube: &V, weights: &WeightSet) -> BeamCube {
         self.apply_with(cube, weights, KernelPath::Fast)
     }
 
     /// [`Beamformer::apply`] with an explicit kernel path.
-    pub fn apply_with(
+    pub fn apply_with<V: DopplerRows + ?Sized>(
         &self,
-        cube: &DopplerCube,
+        cube: &V,
         weights: &WeightSet,
         path: KernelPath,
     ) -> BeamCube {
-        assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
-        let beams = weights.weights.first().map_or(0, |w| w.len());
-        let mut out = BeamCube::zeros(weights.bins.clone(), beams, cube.ranges());
-        match path {
-            KernelPath::Reference => Self::apply_ref(cube, weights, &mut out),
-            KernelPath::Fast => Self::apply_fast(cube, weights, &mut out, SimdLevel::detect()),
-        }
+        let mut out = BeamCube::zeros(Vec::new(), 0, 0);
+        self.apply_into(cube, weights, path, &mut out);
         out
     }
 
+    /// [`Beamformer::apply_with`] into `out`, reusing its storage.
+    ///
+    /// # Panics
+    /// As [`Beamformer::apply`].
+    pub fn apply_into<V: DopplerRows + ?Sized>(
+        &self,
+        cube: &V,
+        weights: &WeightSet,
+        path: KernelPath,
+        out: &mut BeamCube,
+    ) {
+        assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
+        let beams = weights.weights.first().map_or(0, |w| w.len());
+        out.reset(&weights.bins, beams, cube.ranges());
+        match path {
+            KernelPath::Reference => Self::apply_ref(cube, weights, out),
+            KernelPath::Fast => Self::apply_fast(cube, weights, out, SimdLevel::detect()),
+        }
+    }
+
     /// Blocked beamforming: [`RANGE_BLOCK`]-gate accumulator rows, each
-    /// updated through `level`'s [`accum_row`] tier.
-    fn apply_fast(cube: &DopplerCube, weights: &WeightSet, out: &mut BeamCube, level: SimdLevel) {
-        let ranges = cube.ranges();
+    /// updated through `level`'s [`accum_row`] tier. A block never spans
+    /// two gate pieces; lanes are independent gates, so where a block
+    /// ends changes no lane.
+    fn apply_fast<V: DopplerRows + ?Sized>(
+        cube: &V,
+        weights: &WeightSet,
+        out: &mut BeamCube,
+        level: SimdLevel,
+    ) {
         let beams = out.beams;
         let channels = cube.channels();
         let mut acc = [C32::zero(); RANGE_BLOCK];
         for (bi, &bin) in weights.bins.iter().enumerate() {
-            let mut b0 = 0;
-            while b0 < ranges {
-                let lanes = RANGE_BLOCK.min(ranges - b0);
-                for beam in 0..beams {
-                    let w = &weights.weights[bi][beam];
-                    let acc = &mut acc[..lanes];
-                    acc.fill(C32::zero());
-                    // DoF index k maps to (stagger, channel) exactly as the
-                    // reference snapshot concatenates them, so the per-gate
-                    // accumulation order is identical to the scalar loop;
-                    // lanes are independent gates.
-                    for (k, wk) in w.iter().enumerate() {
-                        let wc = wk.conj();
-                        let row = cube.row(k / channels, bin, k % channels);
-                        accum_row(acc, &row[b0..b0 + lanes], wc, level);
+            for p in 0..cube.pieces() {
+                let gates = cube.piece_gates(p);
+                let mut b0 = gates.start;
+                while b0 < gates.end {
+                    let lanes = RANGE_BLOCK.min(gates.end - b0);
+                    let local = b0 - gates.start..b0 - gates.start + lanes;
+                    for beam in 0..beams {
+                        let w = &weights.weights[bi][beam];
+                        let acc = &mut acc[..lanes];
+                        acc.fill(C32::zero());
+                        // DoF index k maps to (stagger, channel) exactly as
+                        // the reference snapshot concatenates them, so the
+                        // per-gate accumulation order is identical to the
+                        // scalar loop.
+                        for (k, wk) in w.iter().enumerate() {
+                            let row = cube.piece_row(p, k / channels, bin, k % channels);
+                            accum_row(acc, &row[local.clone()], wk.conj(), level);
+                        }
+                        let start = out.idx(beam, bi, b0);
+                        out.data[start..start + lanes].copy_from_slice(acc);
                     }
-                    let start = out.idx(beam, bi, b0);
-                    out.data[start..start + lanes].copy_from_slice(acc);
+                    b0 += lanes;
                 }
-                b0 += lanes;
             }
         }
     }
 
     /// Scalar reference: per-(bin, gate) snapshot gather + per-beam dot,
     /// the original naive loop kept as correctness and bench baseline.
-    fn apply_ref(cube: &DopplerCube, weights: &WeightSet, out: &mut BeamCube) {
+    fn apply_ref<V: DopplerRows + ?Sized>(cube: &V, weights: &WeightSet, out: &mut BeamCube) {
         let beams = weights.weights.first().map_or(0, |w| w.len());
+        let (staggers, channels) = (cube.staggers(), cube.channels());
         let mut snap = Vec::with_capacity(cube.dof());
         for (bi, &bin) in weights.bins.iter().enumerate() {
-            for r in 0..cube.ranges() {
-                cube.snapshot(bin, r, &mut snap);
-                for beam in 0..beams {
-                    let w = &weights.weights[bi][beam];
-                    let mut acc = C32::zero();
-                    for (wk, xk) in w.iter().zip(snap.iter()) {
-                        acc = acc.mul_add(wk.conj(), *xk);
+            for p in 0..cube.pieces() {
+                let gates = cube.piece_gates(p);
+                for r in gates.clone() {
+                    snap.clear();
+                    for s in 0..staggers {
+                        for c in 0..channels {
+                            snap.push(cube.piece_row(p, s, bin, c)[r - gates.start]);
+                        }
                     }
-                    let i = out.idx(beam, bi, r);
-                    out.data[i] = acc;
+                    for beam in 0..beams {
+                        let w = &weights.weights[bi][beam];
+                        let mut acc = C32::zero();
+                        for (wk, xk) in w.iter().zip(snap.iter()) {
+                            acc = acc.mul_add(wk.conj(), *xk);
+                        }
+                        let i = out.idx(beam, bi, r);
+                        out.data[i] = acc;
+                    }
                 }
             }
         }
@@ -270,6 +312,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::{DopplerCube, GatePiece, GateTiles};
     use crate::weights::{BeamSet, WeightComputer};
 
     fn cube_with_signal(channels: usize, ranges: usize, fs: f32, gate: usize) -> DopplerCube {
@@ -370,6 +413,33 @@ mod tests {
         for &level in SimdLevel::available() {
             let mut out = BeamCube::zeros(ws.bins.clone(), reference.beams, 39);
             Beamformer::apply_fast(&dc, &ws, &mut out, level);
+            assert_beams_bit_equal(&reference, &out);
+        }
+    }
+
+    #[test]
+    fn tiled_view_beamforms_bit_identically_at_every_simd_level() {
+        // The cube's rows read in three gate pieces, none a multiple of
+        // the 32-gate block: a block never spans a piece boundary, and
+        // where it ends changes no lane.
+        let dc = noise_doppler(2, 4, 3, 39);
+        let ws = WeightComputer::default().compute(&dc, &[0, 3]).unwrap();
+        let reference = Beamformer.apply_with(&dc, &ws, KernelPath::Reference);
+        let piece = |local: std::ops::Range<usize>| GatePiece {
+            data: dc.as_slice(),
+            row_len: 39,
+            bin_rows: (0..4).map(|b| b * 3).collect(),
+            stagger_rows: 4 * 3,
+            local,
+        };
+        let view = GateTiles::new(2, 4, 3, vec![piece(0..5), piece(5..38), piece(38..39)]);
+        assert_beams_bit_equal(
+            &reference,
+            &Beamformer.apply_with(&view, &ws, KernelPath::Reference),
+        );
+        for &level in SimdLevel::available() {
+            let mut out = BeamCube::zeros(ws.bins.clone(), reference.beams, 39);
+            Beamformer::apply_fast(&view, &ws, &mut out, level);
             assert_beams_bit_equal(&reference, &out);
         }
     }

@@ -5,9 +5,11 @@
 //! (the paper's temporal data dependency). The estimate is diagonally loaded
 //! to guarantee positive definiteness even with few training snapshots.
 
-use crate::cube::DopplerCube;
+use crate::cube::DopplerRows;
 use crate::path::{KernelPath, SimdLevel};
 use stap_math::{CMat, C64};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Training configuration for covariance estimation.
 #[derive(Debug, Clone, Copy)]
@@ -32,24 +34,24 @@ impl Default for TrainingConfig {
 ///
 /// # Panics
 /// Panics when `bin` is out of range or the stride is zero.
-pub fn estimate_covariance(cube: &DopplerCube, bin: usize, cfg: TrainingConfig) -> CMat<f64> {
+pub fn estimate_covariance<V: DopplerRows + ?Sized>(
+    cube: &V,
+    bin: usize,
+    cfg: TrainingConfig,
+) -> CMat<f64> {
     estimate_covariance_with(cube, bin, cfg, KernelPath::default())
 }
 
 /// [`estimate_covariance`] with an explicit kernel path: `Reference` runs
 /// the oracle's one rank-one update per snapshot, `Fast` the snapshot
 /// panel at [`SimdLevel::detect`]'s tier. The two are bit-identical.
-pub fn estimate_covariance_with(
-    cube: &DopplerCube,
+pub fn estimate_covariance_with<V: DopplerRows + ?Sized>(
+    cube: &V,
     bin: usize,
     cfg: TrainingConfig,
     path: KernelPath,
 ) -> CMat<f64> {
-    let level = match path {
-        KernelPath::Reference => SimdLevel::None,
-        KernelPath::Fast => SimdLevel::detect(),
-    };
-    estimate_covariance_at(cube, bin, cfg, level)
+    estimate_covariance_at(cube, bin, cfg, path.level())
 }
 
 /// [`estimate_covariance`] at an explicit tier, for the differential tests
@@ -59,25 +61,47 @@ pub fn estimate_covariance_with(
 ///
 /// # Panics
 /// As [`estimate_covariance`], and when this CPU cannot run `level`.
-pub fn estimate_covariance_at(
-    cube: &DopplerCube,
+pub fn estimate_covariance_at<V: DopplerRows + ?Sized>(
+    cube: &V,
     bin: usize,
     cfg: TrainingConfig,
     level: SimdLevel,
 ) -> CMat<f64> {
+    let mut r = CMat::zeros(0, 0);
+    estimate_covariance_into(cube, bin, cfg, level, &mut SnapshotPanel::default(), &mut r);
+    r
+}
+
+/// [`estimate_covariance_at`] into `r`, reusing `r`'s storage and the
+/// snapshot `panel` — a weight node's steady state allocates neither.
+///
+/// # Panics
+/// As [`estimate_covariance_at`].
+pub fn estimate_covariance_into<V: DopplerRows + ?Sized>(
+    cube: &V,
+    bin: usize,
+    cfg: TrainingConfig,
+    level: SimdLevel,
+    panel: &mut SnapshotPanel,
+    r: &mut CMat<f64>,
+) {
     assert!(bin < cube.bins(), "bin {bin} out of range {}", cube.bins());
     assert!(cfg.range_stride > 0, "range stride must be positive");
     assert!(level <= SimdLevel::detect(), "this CPU cannot run the {} tier", level.label());
     let dof = cube.dof();
     let count = training_count(cube.ranges(), cfg);
-    let mut r = match level {
+    r.reset_zeros(dof, dof);
+    match level {
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `level <= detect()` was asserted, so AVX is present.
-        SimdLevel::Avx => unsafe { x86::accumulate_avx(cube, bin, cfg.range_stride) },
-        _ => accumulate_rank1(cube, bin, cfg.range_stride),
-    };
+        SimdLevel::Avx => {
+            panel.gather(cube, bin, cfg.range_stride);
+            // SAFETY: `level <= detect()` was asserted, so AVX is present.
+            unsafe { x86::accumulate_avx(panel, r) }
+        }
+        _ => accumulate_rank1(cube, bin, cfg.range_stride, r),
+    }
     if count > 0 {
-        r = r.scale(1.0 / count as f64);
+        r.scale_in_place(1.0 / count as f64);
     }
     // Diagonal loading proportional to the mean diagonal power; falls back
     // to unity loading when the training data is all-zero so the factor
@@ -85,23 +109,83 @@ pub fn estimate_covariance_at(
     let trace: f64 = (0..dof).map(|i| r[(i, i)].re).sum();
     let load = if trace > 0.0 { cfg.loading * trace / dof as f64 } else { 1.0 };
     r.load_diagonal(load);
-    r
+}
+
+/// The training gates of `cube`, piece by piece in ascending order: piece
+/// `p`'s training samples, and the snapshot index of the first of them.
+fn training_pieces<V: DopplerRows + ?Sized>(
+    cube: &V,
+    stride: usize,
+) -> impl Iterator<Item = (usize, StepBy<Range<usize>>, usize)> + '_ {
+    (0..cube.pieces()).map(move |p| {
+        let gates = cube.piece_gates(p);
+        let first = (gates.start.div_ceil(stride) * stride).min(gates.end);
+        (p, (first - gates.start..gates.end - gates.start).step_by(stride), first / stride)
+    })
 }
 
 /// The oracle: one [`CMat::rank1_update`] per training gate, in gate order.
-fn accumulate_rank1(cube: &DopplerCube, bin: usize, stride: usize) -> CMat<f64> {
-    let dof = cube.dof();
-    let mut r = CMat::<f64>::zeros(dof, dof);
-    let mut snap32 = Vec::with_capacity(dof);
-    let mut snap = vec![C64::zero(); dof];
-    for gate in (0..cube.ranges()).step_by(stride) {
-        cube.snapshot(bin, gate, &mut snap32);
-        for (d, s) in snap.iter_mut().zip(snap32.iter()) {
-            *d = s.cast();
+fn accumulate_rank1<V: DopplerRows + ?Sized>(
+    cube: &V,
+    bin: usize,
+    stride: usize,
+    r: &mut CMat<f64>,
+) {
+    let (staggers, channels) = (cube.staggers(), cube.channels());
+    let mut snap = vec![C64::zero(); cube.dof()];
+    for (p, samples, _) in training_pieces(cube, stride) {
+        for local in samples {
+            for s in 0..staggers {
+                for c in 0..channels {
+                    snap[s * channels + c] = cube.piece_row(p, s, bin, c)[local].cast();
+                }
+            }
+            r.rank1_update(&snap, 1.0);
         }
-        r.rank1_update(&snap, 1.0);
     }
-    r
+}
+
+/// One bin's training snapshots in `f64`, snapshot-major: `re[k·dof + d]`
+/// and `im[k·dof + d]` are DoF `d` of the `k`-th training gate, so a
+/// snapshot's DoF run contiguously for the AVX column lanes. Reused from
+/// bin to bin and CPI to CPI.
+#[derive(Debug, Default)]
+pub struct SnapshotPanel {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    dof: usize,
+    snapshots: usize,
+}
+
+impl SnapshotPanel {
+    /// Reads every `stride`-th gate of each (stagger, channel) row of
+    /// `bin` once, piece by piece. DoF `d = s·channels + c`
+    /// ([`crate::cube::DopplerCube::dof`]).
+    #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "x86")), allow(dead_code))]
+    fn gather<V: DopplerRows + ?Sized>(&mut self, cube: &V, bin: usize, stride: usize) {
+        let (dof, channels) = (cube.dof(), cube.channels());
+        self.dof = dof;
+        self.snapshots = cube.ranges().div_ceil(stride);
+        // Every entry is written below: the training gates of the pieces
+        // are exactly `0..snapshots` once each.
+        self.re.resize(self.snapshots * dof, 0.0);
+        self.im.resize(self.snapshots * dof, 0.0);
+        for d in 0..dof {
+            for (p, samples, first) in training_pieces(cube, stride) {
+                let row = cube.piece_row(p, d / channels, bin, d % channels);
+                for (k, local) in (first..).zip(samples) {
+                    self.re[k * dof + d] = f64::from(row[local].re);
+                    self.im[k * dof + d] = f64::from(row[local].im);
+                }
+            }
+        }
+    }
+
+    /// DoF `d` of snapshot `k`.
+    #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "x86")), allow(dead_code))]
+    fn at(&self, k: usize, d: usize) -> C64 {
+        C64::new(self.re[k * self.dof + d], self.im[k * self.dof + d])
+    }
 }
 
 /// Number of training snapshots the configuration extracts from `ranges`
@@ -125,47 +209,12 @@ mod x86 {
     //! `re = (acc.re + xr.re·xc.re) − xr.im·(−xc.im)` and
     //! `im = (acc.im + xr.re·(−xc.im)) + xr.im·xc.re` — never fused, never
     //! reassociated, so every entry is bit-identical to the oracle's.
-    use crate::cube::DopplerCube;
+    use super::SnapshotPanel;
     use stap_math::{CMat, C64};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    /// One bin's training snapshots in `f64`, snapshot-major: `re[k·dof + d]`
-    /// and `im[k·dof + d]` are DoF `d` of the `k`-th training gate, so a
-    /// snapshot's DoF run contiguously for the column lanes.
-    struct SnapshotPanel {
-        re: Vec<f64>,
-        im: Vec<f64>,
-        dof: usize,
-        snapshots: usize,
-    }
-
-    impl SnapshotPanel {
-        /// Reads every `stride`-th gate of each contiguous (stagger, channel)
-        /// row of `bin` once. DoF `d = s·channels + c`, as
-        /// [`DopplerCube::snapshot`] concatenates them.
-        fn gather(cube: &DopplerCube, bin: usize, stride: usize) -> Self {
-            let (dof, channels) = (cube.dof(), cube.channels());
-            let snapshots = cube.ranges().div_ceil(stride);
-            let mut re = vec![0.0; snapshots * dof];
-            let mut im = vec![0.0; snapshots * dof];
-            for d in 0..dof {
-                let row = cube.row(d / channels, bin, d % channels);
-                for (k, z) in row.iter().step_by(stride).enumerate() {
-                    re[k * dof + d] = f64::from(z.re);
-                    im[k * dof + d] = f64::from(z.im);
-                }
-            }
-            Self { re, im, dof, snapshots }
-        }
-
-        /// DoF `d` of snapshot `k`.
-        fn at(&self, k: usize, d: usize) -> C64 {
-            C64::new(self.re[k * self.dof + d], self.im[k * self.dof + d])
-        }
-    }
 
     /// `acc.mul_add(xr, xc.conj())` over every snapshot in order: the
     /// oracle's per-entry sequence, for the entries the vector blocks leave
@@ -174,30 +223,30 @@ mod x86 {
         (0..p.snapshots).fold(C64::zero(), |acc, k| acc.mul_add(p.at(k, r), p.at(k, c).conj()))
     }
 
-    /// `Σ_k x_k x_kᴴ` over every `stride`-th gate of `bin`.
+    /// `Σ_k x_k x_kᴴ` over the gathered snapshots, into the `dof × dof`
+    /// matrix `out`.
     ///
     /// # Safety
     /// The CPU must support AVX.
     #[target_feature(enable = "avx")]
-    pub unsafe fn accumulate_avx(cube: &DopplerCube, bin: usize, stride: usize) -> CMat<f64> {
-        let p = &SnapshotPanel::gather(cube, bin, stride);
+    pub unsafe fn accumulate_avx(p: &SnapshotPanel, out: &mut CMat<f64>) {
         let n = p.dof;
-        let mut out = CMat::zeros(n, n);
+        debug_assert_eq!((out.rows(), out.cols()), (n, n));
         let mut r0 = 0;
         while r0 < n {
             let rows = (n - r0).min(2);
             let mut c0 = 0;
             while c0 + 8 <= n {
                 match rows {
-                    2 => block::<2, 2>(p, r0, c0, &mut out),
-                    _ => block::<1, 2>(p, r0, c0, &mut out),
+                    2 => block::<2, 2>(p, r0, c0, out),
+                    _ => block::<1, 2>(p, r0, c0, out),
                 }
                 c0 += 8;
             }
             if c0 + 4 <= n {
                 match rows {
-                    2 => block::<2, 1>(p, r0, c0, &mut out),
-                    _ => block::<1, 1>(p, r0, c0, &mut out),
+                    2 => block::<2, 1>(p, r0, c0, out),
+                    _ => block::<1, 1>(p, r0, c0, out),
                 }
                 c0 += 4;
             }
@@ -208,7 +257,6 @@ mod x86 {
             }
             r0 += rows;
         }
-        out
     }
 
     /// Rows `r0..r0 + R`, columns `c0..c0 + 4·V`, all snapshots.

@@ -8,6 +8,7 @@
 //! the paper's I/O task pulls per CPI.
 
 use stap_math::C32;
+use std::ops::Range;
 
 /// Dimensions of a raw CPI cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,22 +316,177 @@ impl DopplerCube {
         &mut self.data[start..start + self.ranges]
     }
 
-    /// The space(-time) snapshot for (bin, range): channel samples of every
-    /// stagger concatenated — the adaptive degrees of freedom vector.
-    pub fn snapshot(&self, b: usize, r: usize, out: &mut Vec<C32>) {
-        out.clear();
-        out.reserve(self.staggers * self.channels);
-        for s in 0..self.staggers {
-            for c in 0..self.channels {
-                out.push(self.get(s, b, c, r));
-            }
-        }
-    }
-
-    /// Degrees of freedom per snapshot (`staggers × channels`).
+    /// Degrees of freedom per snapshot (`staggers × channels`): a
+    /// (bin, range) snapshot is the channel samples of every stagger
+    /// concatenated, DoF `s·channels + c`.
     #[inline]
     pub fn dof(&self) -> usize {
         self.staggers * self.channels
+    }
+
+    /// Copies every row of `rows` into one contiguous cube — the stitch the
+    /// adaptive kernels no longer need, kept as their differential oracle.
+    pub fn from_rows<V: DopplerRows + ?Sized>(rows: &V) -> Self {
+        let (staggers, bins, channels) = (rows.staggers(), rows.bins(), rows.channels());
+        let mut data = Vec::with_capacity(staggers * bins * channels * rows.ranges());
+        for s in 0..staggers {
+            for b in 0..bins {
+                for c in 0..channels {
+                    for p in 0..rows.pieces() {
+                        data.extend_from_slice(rows.piece_row(p, s, b, c));
+                    }
+                }
+            }
+        }
+        Self::from_data(staggers, bins, channels, rows.ranges(), data)
+    }
+}
+
+/// Read access to Doppler-filtered `(stagger, bin, channel)` range rows
+/// whose range axis is split into gate pieces — what the adaptive kernels
+/// (covariance, weights, beamforming) read through.
+///
+/// Every row is split at the same gates: piece `p` covers the absolute
+/// gates [`DopplerRows::piece_gates`], the pieces ascend and tile
+/// `[0, ranges)`. A [`DopplerCube`] is the one-piece case; a
+/// [`GateTiles`] reads the received slabs of several senders where they
+/// lie, without stitching them into a cube first.
+pub trait DopplerRows {
+    /// Number of staggered segments (1 = easy, 2 = hard).
+    fn staggers(&self) -> usize;
+    /// Number of Doppler bins.
+    fn bins(&self) -> usize;
+    /// Number of channels.
+    fn channels(&self) -> usize;
+    /// Number of range gates.
+    fn ranges(&self) -> usize;
+    /// Number of gate pieces.
+    fn pieces(&self) -> usize;
+    /// The absolute gates piece `p` covers.
+    fn piece_gates(&self, p: usize) -> Range<usize>;
+    /// Row `(s, b, c)` restricted to piece `p`'s gates.
+    fn piece_row(&self, p: usize, s: usize, b: usize, c: usize) -> &[C32];
+
+    /// Degrees of freedom per snapshot (`staggers × channels`).
+    fn dof(&self) -> usize {
+        self.staggers() * self.channels()
+    }
+}
+
+impl DopplerRows for DopplerCube {
+    fn staggers(&self) -> usize {
+        self.staggers
+    }
+
+    fn bins(&self) -> usize {
+        self.bins
+    }
+
+    fn channels(&self) -> usize {
+        self.channels
+    }
+
+    fn ranges(&self) -> usize {
+        self.ranges
+    }
+
+    fn pieces(&self) -> usize {
+        1
+    }
+
+    fn piece_gates(&self, _p: usize) -> Range<usize> {
+        0..self.ranges
+    }
+
+    #[inline]
+    fn piece_row(&self, _p: usize, s: usize, b: usize, c: usize) -> &[C32] {
+        self.row(s, b, c)
+    }
+}
+
+/// One gate piece of a [`GateTiles`] view: some gates of every row, read
+/// from a buffer of `row_len`-sample rows where they lie.
+#[derive(Debug, Clone)]
+pub struct GatePiece<'a> {
+    /// The rows, back to back.
+    pub data: &'a [C32],
+    /// Samples per stored row.
+    pub row_len: usize,
+    /// Stored row of `(stagger 0, view bin b, channel 0)`, per view bin.
+    pub bin_rows: Vec<usize>,
+    /// Stored rows between the staggers of one bin.
+    pub stagger_rows: usize,
+    /// The samples of each stored row this piece reads.
+    pub local: Range<usize>,
+}
+
+/// A read-only [`DopplerRows`] view over gate pieces that lie in other
+/// buffers: piece `p` holds the next `local.len()` gates after piece
+/// `p - 1`'s.
+#[derive(Debug, Clone)]
+pub struct GateTiles<'a> {
+    staggers: usize,
+    bins: usize,
+    channels: usize,
+    /// `starts[p]..starts[p + 1]` are piece `p`'s absolute gates.
+    starts: Vec<usize>,
+    pieces: Vec<GatePiece<'a>>,
+}
+
+impl<'a> GateTiles<'a> {
+    /// The view over `pieces`, in gate order.
+    ///
+    /// # Panics
+    /// Panics when a piece maps a different number of bins, or addresses
+    /// a sample outside its buffer.
+    pub fn new(staggers: usize, bins: usize, channels: usize, pieces: Vec<GatePiece<'a>>) -> Self {
+        let mut starts = Vec::with_capacity(pieces.len() + 1);
+        starts.push(0);
+        for piece in &pieces {
+            assert_eq!(piece.bin_rows.len(), bins, "piece maps {} bins", piece.bin_rows.len());
+            assert!(piece.local.start <= piece.local.end && piece.local.end <= piece.row_len);
+            let last_row = piece
+                .bin_rows
+                .iter()
+                .max()
+                .map_or(0, |&r| r + staggers.saturating_sub(1) * piece.stagger_rows + channels);
+            assert!(last_row * piece.row_len <= piece.data.len(), "piece rows overrun its buffer");
+            starts.push(starts[starts.len() - 1] + piece.local.len());
+        }
+        Self { staggers, bins, channels, starts, pieces }
+    }
+}
+
+impl DopplerRows for GateTiles<'_> {
+    fn staggers(&self) -> usize {
+        self.staggers
+    }
+
+    fn bins(&self) -> usize {
+        self.bins
+    }
+
+    fn channels(&self) -> usize {
+        self.channels
+    }
+
+    fn ranges(&self) -> usize {
+        self.starts[self.pieces.len()]
+    }
+
+    fn pieces(&self) -> usize {
+        self.pieces.len()
+    }
+
+    fn piece_gates(&self, p: usize) -> Range<usize> {
+        self.starts[p]..self.starts[p + 1]
+    }
+
+    #[inline]
+    fn piece_row(&self, p: usize, s: usize, b: usize, c: usize) -> &[C32] {
+        let piece = &self.pieces[p];
+        let row = piece.bin_rows[b] + s * piece.stagger_rows + c;
+        &piece.data[row * piece.row_len..][piece.local.clone()]
     }
 }
 
@@ -394,22 +550,6 @@ mod tests {
     #[should_panic(expected = "zero parts")]
     fn partition_zero_parts_panics() {
         partition_even(4, 0);
-    }
-
-    #[test]
-    fn doppler_cube_snapshot_concatenates_staggers() {
-        let mut dc = DopplerCube::zeros(2, 3, 2, 4);
-        *dc.get_mut(0, 1, 0, 2) = C32::new(1.0, 0.0);
-        *dc.get_mut(0, 1, 1, 2) = C32::new(2.0, 0.0);
-        *dc.get_mut(1, 1, 0, 2) = C32::new(3.0, 0.0);
-        *dc.get_mut(1, 1, 1, 2) = C32::new(4.0, 0.0);
-        let mut snap = Vec::new();
-        dc.snapshot(1, 2, &mut snap);
-        assert_eq!(
-            snap,
-            vec![C32::new(1.0, 0.0), C32::new(2.0, 0.0), C32::new(3.0, 0.0), C32::new(4.0, 0.0)]
-        );
-        assert_eq!(dc.dof(), 4);
     }
 
     #[test]

@@ -206,6 +206,19 @@ impl DopplerFilter {
         dst: BinRows<'_>,
         path: KernelPath,
     ) {
+        self.filter_into_with_panel(src, staggered, dst, path, &mut Vec::new());
+    }
+
+    /// [`DopplerFilter::filter_into`] with the fast path's FFT panel in
+    /// `panel`, grown once and reused from call to call by a Doppler node.
+    pub fn filter_into_with_panel(
+        &self,
+        src: Samples<'_>,
+        staggered: bool,
+        dst: BinRows<'_>,
+        path: KernelPath,
+        panel: &mut Vec<C32>,
+    ) {
         let (channels, gates) = src.shape(self.pulses);
         assert!(dst.bins.iter().all(|&b| b < self.fft_len), "selected bin beyond the FFT length");
         assert!(dst.r_off + gates <= dst.row_len, "gates overrun the output rows");
@@ -217,7 +230,15 @@ impl DopplerFilter {
         };
         match path {
             KernelPath::Reference => self.run_reference(src, channels, gates, window, starts, dst),
-            KernelPath::Fast => self.run_panels(src, channels, gates, window, starts, dst),
+            KernelPath::Fast => {
+                // Every panel entry the FFT reads is written first: the
+                // window rows by the gather, the rest with zeros.
+                let need = self.fft_len * RANGE_BLOCK.min(gates.max(1));
+                if panel.len() < need {
+                    panel.resize(need, C32::zero());
+                }
+                self.run_panels(src, (channels, gates), window, starts, dst, panel);
+            }
         }
     }
 
@@ -228,13 +249,12 @@ impl DopplerFilter {
     fn run_panels(
         &self,
         src: Samples<'_>,
-        channels: usize,
-        gates: usize,
+        (channels, gates): (usize, usize),
         window: &[f32],
         starts: &[usize],
         mut dst: BinRows<'_>,
+        panel: &mut [C32],
     ) {
-        let mut panel = vec![C32::zero(); self.fft_len * RANGE_BLOCK.min(gates.max(1))];
         let level = SimdLevel::detect();
         let mut b0 = 0;
         while b0 < gates {

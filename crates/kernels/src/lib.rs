@@ -34,11 +34,11 @@ pub mod weights;
 
 pub use beamform::Beamformer;
 pub use cfar::{CfarConfig, CfarError, CfarKind, Detection, OsRank};
-pub use covariance::estimate_covariance;
-pub use cube::{CubeDims, DataCube, DopplerCube};
+pub use covariance::{estimate_covariance, SnapshotPanel};
+pub use cube::{CubeDims, DataCube, DopplerCube, DopplerRows, GatePiece, GateTiles};
 pub use doppler::{BinClass, DopplerConfig, DopplerFilter};
 pub use path::{KernelPath, SimdLevel};
 pub use pulse::{lfm_chirp, PulseCompressor};
 pub use report::DetectionReport;
 pub use truth::{TruthError, TruthGate, TruthScore};
-pub use weights::{mdl_rank, WeightComputer, WeightMethod, WeightSet};
+pub use weights::{mdl_rank, WeightComputer, WeightMethod, WeightScratch, WeightSet};

@@ -34,6 +34,17 @@ impl fmt::Display for KernelPath {
     }
 }
 
+impl KernelPath {
+    /// The `std::arch` tier this path runs: none for the oracle, the
+    /// detected one for the fast path.
+    pub fn level(self) -> SimdLevel {
+        match self {
+            KernelPath::Reference => SimdLevel::None,
+            KernelPath::Fast => SimdLevel::detect(),
+        }
+    }
+}
+
 pub use stap_math::SimdLevel;
 
 #[cfg(test)]

@@ -102,6 +102,18 @@ impl PulseCompressor {
     /// Panics when `data.len()` is not a multiple of `row_len`, or the rows
     /// exceed the planned FFT length.
     pub fn compress_rows(&self, data: &mut [C32], row_len: usize, path: KernelPath) {
+        self.compress_rows_with_panel(data, row_len, path, &mut Vec::new());
+    }
+
+    /// [`PulseCompressor::compress_rows`] with the fast path's panel in
+    /// `panel`, grown once and reused from call to call by a pulse node.
+    pub fn compress_rows_with_panel(
+        &self,
+        data: &mut [C32],
+        row_len: usize,
+        path: KernelPath,
+        panel: &mut Vec<C32>,
+    ) {
         if data.is_empty() {
             return;
         }
@@ -116,14 +128,15 @@ impl PulseCompressor {
                 }
             }
             KernelPath::Fast => {
-                let mut panel = vec![C32::zero(); self.fft_len * ROW_BLOCK];
-                let mut rows = data.chunks_mut(row_len).collect::<Vec<_>>();
-                for batch in rows.chunks_mut(ROW_BLOCK) {
-                    let lanes = batch.len();
+                if panel.len() < self.fft_len * ROW_BLOCK {
+                    panel.resize(self.fft_len * ROW_BLOCK, C32::zero());
+                }
+                for batch in data.chunks_mut(row_len * ROW_BLOCK) {
+                    let lanes = batch.len() / row_len;
                     let panel = &mut panel[..self.fft_len * lanes];
                     panel.fill(C32::zero());
                     // Transpose rows into the lane-minor panel.
-                    for (l, row) in batch.iter().enumerate() {
+                    for (l, row) in batch.chunks(row_len).enumerate() {
                         for (k, &v) in row.iter().enumerate() {
                             panel[k * lanes + l] = v;
                         }
@@ -135,7 +148,7 @@ impl PulseCompressor {
                         }
                     }
                     self.plan.inverse_multi(panel, lanes);
-                    for (l, row) in batch.iter_mut().enumerate() {
+                    for (l, row) in batch.chunks_mut(row_len).enumerate() {
                         for (k, v) in row.iter_mut().enumerate() {
                             *v = panel[k * lanes + l];
                         }

@@ -6,8 +6,8 @@
 //! degrees of freedom; the *hard* task uses the two-stagger space-time
 //! snapshot with a Doppler-shifted steering vector.
 
-use crate::covariance::{estimate_covariance_with, TrainingConfig};
-use crate::cube::DopplerCube;
+use crate::covariance::{estimate_covariance_into, SnapshotPanel, TrainingConfig};
+use crate::cube::DopplerRows;
 use crate::path::KernelPath;
 use stap_math::matrix::dot_h;
 use stap_math::{CMat, CholeskyFactor, Eigh, MathError, C32, C64};
@@ -175,23 +175,40 @@ pub fn mdl_rank(eigenvalues_ascending: &[f64], snapshots: usize) -> usize {
 impl WeightComputer {
     /// Computes weights for the given bins of `cube` (which is the Doppler
     /// output of the **previous** CPI — the temporal dependency).
-    pub fn compute(&self, cube: &DopplerCube, bins: &[usize]) -> Result<WeightSet, MathError> {
+    pub fn compute<V: DopplerRows + ?Sized>(
+        &self,
+        cube: &V,
+        bins: &[usize],
+    ) -> Result<WeightSet, MathError> {
         self.compute_with(cube, bins, KernelPath::default())
     }
 
     /// [`WeightComputer::compute`] with an explicit kernel path for the
     /// covariance estimate (the solve has one implementation).
-    pub fn compute_with(
+    pub fn compute_with<V: DopplerRows + ?Sized>(
         &self,
-        cube: &DopplerCube,
+        cube: &V,
         bins: &[usize],
         path: KernelPath,
     ) -> Result<WeightSet, MathError> {
+        self.compute_in(cube, bins, path, &mut WeightScratch::default())
+    }
+
+    /// [`WeightComputer::compute_with`] reusing `scratch`'s covariance,
+    /// snapshot panel and Cholesky factor from bin to bin and call to call.
+    pub fn compute_in<V: DopplerRows + ?Sized>(
+        &self,
+        cube: &V,
+        bins: &[usize],
+        path: KernelPath,
+        scratch: &mut WeightScratch,
+    ) -> Result<WeightSet, MathError> {
         let dof = cube.dof();
+        let WeightScratch { panel, covariance, factor } = scratch;
         let mut all = Vec::with_capacity(bins.len());
         for &bin in bins {
-            let r = estimate_covariance_with(cube, bin, self.training, path);
-            let solver = MethodSolver::build(self.method, &r, self.training)?;
+            estimate_covariance_into(cube, bin, self.training, path.level(), panel, covariance);
+            let solver = MethodSolver::build(self.method, covariance, self.training, factor)?;
             let mut per_beam = Vec::with_capacity(self.beams.len());
             for beam in 0..self.beams.len() {
                 let v = self.beams.space_time_steering(
@@ -241,23 +258,47 @@ impl WeightComputer {
     }
 }
 
+/// The per-bin buffers of a weight computation, reused across bins and
+/// CPIs by a weight node: the covariance estimate, its snapshot panel and
+/// its Cholesky factor.
+#[derive(Debug)]
+pub struct WeightScratch {
+    panel: SnapshotPanel,
+    covariance: CMat<f64>,
+    factor: CholeskyFactor<f64>,
+}
+
+impl Default for WeightScratch {
+    fn default() -> Self {
+        Self {
+            panel: SnapshotPanel::default(),
+            covariance: CMat::zeros(0, 0),
+            factor: CholeskyFactor::new(&CMat::zeros(0, 0)).expect("the empty matrix factors"),
+        }
+    }
+}
+
 /// Per-bin solver prepared once, applied per beam.
-enum MethodSolver {
-    Mvdr(CholeskyFactor<f64>),
+enum MethodSolver<'f> {
+    Mvdr(&'f CholeskyFactor<f64>),
     Eigencanceler {
         /// Dominant-subspace eigenvectors (columns, descending eigenvalue).
         basis: Vec<Vec<C64>>,
     },
 }
 
-impl MethodSolver {
+impl<'f> MethodSolver<'f> {
     fn build(
         method: WeightMethod,
         r: &CMat<f64>,
         training: TrainingConfig,
+        factor: &'f mut CholeskyFactor<f64>,
     ) -> Result<Self, MathError> {
         match method {
-            WeightMethod::Mvdr => Ok(MethodSolver::Mvdr(CholeskyFactor::new(r)?)),
+            WeightMethod::Mvdr => {
+                factor.refactor(r)?;
+                Ok(MethodSolver::Mvdr(factor))
+            }
             WeightMethod::Eigencanceler { rank } => {
                 let e = Eigh::new(r)?;
                 let n = e.values.len();
@@ -308,6 +349,7 @@ impl MethodSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::DopplerCube;
     use stap_math::matrix::dot_h;
 
     fn noise_cube(staggers: usize, bins: usize, channels: usize, ranges: usize) -> DopplerCube {

@@ -24,6 +24,14 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// non-positive, which for a sample covariance matrix signals too few
     /// training snapshots or missing diagonal loading.
     pub fn new(a: &CMat<T>) -> Result<Self, MathError> {
+        let mut f = Self { l: CMat::zeros(0, 0) };
+        f.refactor(a)?;
+        Ok(f)
+    }
+
+    /// Factorizes `a` into this factor's storage, as [`CholeskyFactor::new`]
+    /// does into fresh storage. After an error the factor holds garbage.
+    pub fn refactor(&mut self, a: &CMat<T>) -> Result<(), MathError> {
         let n = a.rows();
         if a.cols() != n {
             return Err(MathError::DimensionMismatch {
@@ -31,7 +39,8 @@ impl<T: Scalar> CholeskyFactor<T> {
                 expected: (n, n),
             });
         }
-        let mut l = CMat::zeros(n, n);
+        let l = &mut self.l;
+        l.reset_zeros(n, n);
         for j in 0..n {
             // Diagonal pivot: A[j,j] - Σ |L[j,k]|².
             let mut d = a[(j, j)].re;
@@ -51,7 +60,7 @@ impl<T: Scalar> CholeskyFactor<T> {
                 l[(i, j)] = s / dj;
             }
         }
-        Ok(Self { l })
+        Ok(())
     }
 
     /// The lower-triangular factor `L`.

@@ -191,6 +191,21 @@ impl<T: Scalar> CMat<T> {
         Ok(Self { rows: self.rows, cols: self.cols, data })
     }
 
+    /// Reshapes to `rows × cols` of zeros, reusing the storage.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, Complex::zero());
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// Scales every element by a real factor in place: [`CMat::scale`]
+    /// without the new matrix.
+    pub fn scale_in_place(&mut self, s: T) {
+        for z in &mut self.data {
+            *z = z.scale(s);
+        }
+    }
+
     /// Scales every element by a real factor.
     pub fn scale(&self, s: T) -> Self {
         Self {

@@ -198,7 +198,8 @@ impl Pipeline {
             return Err(err.clone());
         }
         let mut per_node = Vec::with_capacity(results.len());
-        let mut spans = Vec::new();
+        let total: usize = results.iter().flatten().map(|(_, node_spans)| node_spans.len()).sum();
+        let mut spans = Vec::with_capacity(total);
         for r in results {
             let (records, node_spans) = r.expect("errors handled above");
             per_node.push(records);

@@ -8,6 +8,8 @@
 //! length) and time the wait under whatever [`Phase`] the source reports.
 
 use stap_trace::Phase;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Why a fetch from a CPI source failed.
 ///
@@ -64,6 +66,30 @@ impl std::error::Error for SourceError {}
 /// sources without an async path simply never hand one out.
 pub type PendingFetch = Box<dyn FnOnce() -> Result<Vec<u8>, SourceError> + Send>;
 
+/// A fetched extent that may share its bytes with the source: the
+/// extent is `bytes[range]`, with no copy made to hand it out.
+#[derive(Debug, Clone)]
+pub struct SharedExtent {
+    /// The buffer holding the extent (a whole cube, for the stream source).
+    pub bytes: Arc<Vec<u8>>,
+    /// Where the extent lies in `bytes`.
+    pub range: Range<usize>,
+}
+
+impl SharedExtent {
+    /// An extent that owns all of `bytes`.
+    pub fn owned(bytes: Vec<u8>) -> Self {
+        Self { range: 0..bytes.len(), bytes: Arc::new(bytes) }
+    }
+}
+
+impl std::ops::Deref for SharedExtent {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[self.range.clone()]
+    }
+}
+
 /// Where the front of the pipeline gets CPI cube bytes.
 ///
 /// Implementations must be safe to share across the front-stage node
@@ -73,6 +99,13 @@ pub trait CpiSource: Send + Sync + std::fmt::Debug {
     /// Fetches `len` bytes at `offset` of the cube for `cpi`, blocking
     /// until they are available.
     fn fetch(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError>;
+
+    /// [`Self::fetch`] for a reader that only reads the bytes: a source
+    /// that already holds the extent in memory hands out a share of it
+    /// instead of a copy. The default wraps [`Self::fetch`].
+    fn fetch_shared(&self, cpi: u64, offset: u64, len: usize) -> Result<SharedExtent, SourceError> {
+        self.fetch(cpi, offset, len).map(SharedExtent::owned)
+    }
 
     /// Posts an asynchronous fetch for the extent, if this source has an
     /// async path. `Ok(None)` means "no async support — fall back to
@@ -126,6 +159,7 @@ mod tests {
         assert!(s.prefetch(0, 0, 2).unwrap().is_none());
         assert_eq!(s.wait_phase(), Phase::Read);
         assert_eq!(s.fetch(0, 1, 2).unwrap(), vec![2, 3]);
+        assert_eq!(&*s.fetch_shared(0, 1, 2).unwrap(), &[2, 3]);
         let e = s.fetch(0, 3, 4).unwrap_err();
         assert!(!e.is_transient());
         assert!(e.to_string().contains("out of range"));

@@ -9,13 +9,18 @@
 //! element sees the exact FP operation sequence of the reference loop.
 //! These tests are the contract that keeps that true.
 //!
+//! The adaptive kernels read the Doppler slabs a node receives in place,
+//! through `bin_view`; the slab-view section holds them, at every tier, to
+//! the same kernels run on the cube `assemble_bins` stitches from those
+//! slabs, and the view's errors to the stitch's.
+//!
 //! On top of the kernel-level differentials, the scenario section pins
 //! detection-set bit-parity end to end: the full pipeline's detection
 //! reports are byte-identical across kernel paths on the catalog's
 //! `two-target` and `noise-only` scenarios.
 
 use ppstap::core::config::StapConfig;
-use ppstap::core::messages::BinSlab;
+use ppstap::core::messages::{assemble_bins, bin_view, AssemblyError, BinSlab};
 use ppstap::core::StapSystem;
 use ppstap::kernels::beamform::Beamformer;
 use ppstap::kernels::covariance::{
@@ -24,7 +29,7 @@ use ppstap::kernels::covariance::{
 use ppstap::kernels::cube::{CubeDims, DataCube, DopplerCube};
 use ppstap::kernels::doppler::{BinRows, DopplerConfig, DopplerFilter, Samples};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
-use ppstap::kernels::weights::WeightSet;
+use ppstap::kernels::weights::{WeightComputer, WeightSet};
 use ppstap::kernels::KernelPath;
 use ppstap::math::{FftPlan, SimdLevel, C32};
 use ppstap::scenario::find;
@@ -347,6 +352,174 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A random Doppler cube of `bins` bins, and the slabs a receiver gets
+/// from it: every bin, cut at random gates into pieces that need not align
+/// with the kernels' 32-gate blocks, each slab reaching up to `overlap`
+/// gates into the next one's, in a random arrival order.
+fn tiled_slabs(
+    d: &mut Draws,
+    (staggers, bins, channels, ranges): (usize, usize, usize, usize),
+    cuts: usize,
+    overlap: usize,
+) -> (DopplerCube, Vec<BinSlab>) {
+    let mut full = DopplerCube::zeros(staggers, bins, channels, ranges);
+    for v in full.as_mut_slice() {
+        *v = d.c32();
+    }
+    let mut bounds: Vec<usize> = (0..cuts)
+        .map(|_| {
+            d.f32();
+            (d.state >> 11) as usize % ranges
+        })
+        .collect();
+    bounds.extend([0, ranges]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let carried: Vec<usize> = (0..bins).collect();
+    let mut slabs: Vec<BinSlab> = bounds
+        .windows(2)
+        .map(|w| {
+            let (r0, r1) = (w[0], (w[1] + overlap).min(ranges));
+            let mut part = DopplerCube::zeros(staggers, bins, channels, r1 - r0);
+            for (s, b, c) in (0..staggers)
+                .flat_map(|s| (0..bins).flat_map(move |b| (0..channels).map(move |c| (s, b, c))))
+            {
+                part.row_mut(s, b, c).copy_from_slice(&full.row(s, b, c)[r0..r1]);
+            }
+            BinSlab::from_cube(&part, &carried, r0)
+        })
+        .collect();
+    let turn = (mix(d.state) as usize) % slabs.len();
+    slabs.rotate_left(turn);
+    (full, slabs)
+}
+
+fn same_bits(a: C32, b: C32) -> bool {
+    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Covariance, weights and beamforming computed on a receiver's slabs
+    /// in place equal the same kernels on the cube `assemble_bins`
+    /// stitches from them: 0 ULP, at every tier (covariance) and on both
+    /// paths (weights, beamforming), for random gate tilings, overlapping
+    /// slabs and bins picked in any order.
+    #[test]
+    fn slab_view_kernels_match_the_stitched_cube(
+        seed in 0u64..u64::MAX,
+        staggers in 1usize..3,
+        channels in 1usize..6,
+        ranges in 1usize..90,
+        bins in 1usize..5,
+        cuts in 0usize..5,
+        overlap in 0usize..4,
+        stride in 1usize..5,
+    ) {
+        let mut d = Draws::new(seed);
+        let (full, slabs) =
+            tiled_slabs(&mut d, (staggers, bins + 1, channels, ranges), cuts, overlap);
+        // The receiver owns every bin but one, in a rotated order.
+        let mut mine: Vec<usize> = (0..bins).collect();
+        mine.rotate_left(seed as usize % bins);
+        let view = bin_view(&mine, ranges, &slabs).unwrap();
+        let cube = assemble_bins(&mine, ranges, &slabs).unwrap();
+        // The stitch copies the view's rows: both read exactly the cube the
+        // slabs were cut from.
+        for (s, (i, &b), c) in (0..staggers)
+            .flat_map(|s| mine.iter().enumerate().flat_map(move |ib| (0..channels).map(move |c| (s, ib, c))))
+        {
+            prop_assert_eq!(cube.row(s, i, c), full.row(s, b, c));
+        }
+
+        let cfg = TrainingConfig { range_stride: stride, loading: 0.05 };
+        let n = cube.dof();
+        for bin in 0..mine.len() {
+            for &level in SimdLevel::available() {
+                let (got, want) = (
+                    estimate_covariance_at(&view, bin, cfg, level),
+                    estimate_covariance_at(&cube, bin, cfg, level),
+                );
+                for (r, c) in (0..n).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                    let (g, w) = (got[(r, c)], want[(r, c)]);
+                    prop_assert!(
+                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                        "{:?} bin {} ({}, {}): {:?} vs {:?}", level, bin, r, c, g, w
+                    );
+                }
+            }
+        }
+
+        let positional: Vec<usize> = (0..mine.len()).collect();
+        let wc = WeightComputer { training: cfg, ..WeightComputer::default() };
+        let weights: Vec<Vec<Vec<C32>>> = positional
+            .iter()
+            .map(|_| (0..2).map(|_| (0..n).map(|_| d.c32()).collect()).collect())
+            .collect();
+        let ws = WeightSet { bins: positional.clone(), weights, dof: n };
+        for path in [KernelPath::Reference, KernelPath::Fast] {
+            let (got, want) =
+                (wc.compute_with(&view, &positional, path), wc.compute_with(&cube, &positional, path));
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    let flat = |w: &WeightSet| w.weights.iter().flatten().flatten().copied().collect::<Vec<C32>>();
+                    prop_assert!(flat(&got).into_iter().zip(flat(&want)).all(|(g, w)| same_bits(g, w)), "{} weights differ", path);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+            let (got, want) = (Beamformer.apply_with(&view, &ws, path), Beamformer.apply_with(&cube, &ws, path));
+            for (beam, bin) in (0..2).flat_map(|beam| (0..mine.len()).map(move |bin| (beam, bin))) {
+                prop_assert!(
+                    got.row(beam, bin).iter().zip(want.row(beam, bin)).all(|(g, w)| same_bits(*g, *w)),
+                    "{} beam {} bin {} differs", path, beam, bin
+                );
+            }
+        }
+    }
+
+    /// Every malformed set of slabs is refused by the view with the error
+    /// the stitch returns: no slabs, a stagger or channel mismatch, a bin
+    /// no slab carries, a gate no slab covers.
+    #[test]
+    fn slab_view_refuses_what_the_stitch_refuses(
+        seed in 0u64..u64::MAX,
+        ranges in 2usize..70,
+        cuts in 1usize..5,
+        overlap in 0usize..3,
+        fault in 0usize..6,
+    ) {
+        let mut d = Draws::new(seed);
+        let (_, mut slabs) = tiled_slabs(&mut d, (1, 3, 2, ranges), cuts, overlap);
+        let mut mine = vec![2, 0];
+        let odd = |staggers, channels| {
+            BinSlab::from_cube(&DopplerCube::zeros(staggers, 3, channels, 1), &[0, 1, 2], 0)
+        };
+        let at = seed as usize % (slabs.len() + 1);
+        match fault {
+            0 => slabs.clear(),
+            1 => slabs.insert(at, odd(2, 2)),
+            2 => slabs.insert(at, odd(1, 3)),
+            3 => mine.push(7),
+            4 => {
+                let dropped = at % slabs.len();
+                slabs.remove(dropped);
+            }
+            _ => {} // well formed, unless the tiling left nothing to drop
+        }
+        let want = assemble_bins(&mine, ranges, &slabs).err();
+        prop_assert_eq!(bin_view(&mine, ranges, &slabs).err(), want.clone());
+        match fault {
+            0 => prop_assert_eq!(want, Some(AssemblyError::NoSlabs)),
+            1 => prop_assert_eq!(want, Some(AssemblyError::StaggerMismatch { expected: slabs[0].staggers, found: 3 - slabs[0].staggers })),
+            2 => prop_assert!(matches!(want, Some(AssemblyError::ChannelMismatch { .. }))),
+            3 => prop_assert_eq!(want, Some(AssemblyError::MissingBin(7))),
+            4 => prop_assert!(slabs.is_empty() || matches!(want, None | Some(AssemblyError::RangeGap { .. }))),
+            _ => prop_assert_eq!(want, None),
         }
     }
 }
