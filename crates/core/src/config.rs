@@ -36,10 +36,17 @@ impl RetryPolicy {
         Self { attempts, backoff }
     }
 
-    /// Pause before retry number `attempt` (0-based): exponential backoff
-    /// with the doubling capped so pathological budgets stay bounded.
+    /// Pause before retry number `attempt` (0-based): exponential backoff,
+    /// `backoff · 2^attempt` with the doubling capped at `2^6`.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
-        self.backoff.saturating_mul(1u32 << attempt.min(6))
+        self.backoff.saturating_mul(Self::backoff_factor(attempt))
+    }
+
+    /// Base pauses before retry `attempt`, the one doubling rule the
+    /// pipeline and the DES share: `2^attempt`, capped at `2^6` so
+    /// pathological budgets stay bounded.
+    pub(crate) fn backoff_factor(attempt: u32) -> u32 {
+        1 << attempt.min(6)
     }
 }
 

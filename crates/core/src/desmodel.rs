@@ -23,6 +23,7 @@
 //! fault does to a CPI — in [`read_step`] (which the fleet simulator in
 //! `stap-serve` calls too) and `SimState::duration`.
 
+use crate::config::RetryPolicy;
 use crate::io_strategy::{IoStrategy, TailStructure};
 use stap_des::{Engine, FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
@@ -327,10 +328,10 @@ impl DesFaultModel {
         }
     }
 
-    /// Exponential backoff before retry `attempt`, capped like the real
-    /// pipeline's `RetryPolicy`.
+    /// Exponential backoff before retry `attempt`, by the real pipeline's
+    /// [`RetryPolicy::backoff_factor`].
     fn backoff_for(&self, attempt: u32) -> f64 {
-        self.backoff * f64::from(1u32 << attempt.min(6))
+        self.backoff * f64::from(RetryPolicy::backoff_factor(attempt))
     }
 
     /// The consequence for CPI `cpi`.

@@ -241,9 +241,12 @@ impl StapSystem {
             {
                 let cube_bytes = config.dims.bytes();
                 let row_bytes = config.dims.channels * config.dims.pulses * 8;
-                // Each front node streams at most one chunk of scratch at a
-                // time, plus one for the background fill worker — that is
-                // the provable peak the meter enforces.
+                // The tier runs every read, read-ahead included, inside a
+                // post, and posts are served one at a time, so one chunk of
+                // scratch is live at once. The bound the meter enforces
+                // stays one chunk per reading node plus one: a ceiling that
+                // holds however posts are scheduled, and the figure
+                // `results/store_cache.txt` prints.
                 let chunk_rows = match config.access {
                     CubeAccess::OutOfCore { chunk_rows } => chunk_rows,
                     CubeAccess::Resident => config.dims.ranges.max(1),

@@ -191,23 +191,6 @@ impl DataCube {
     }
 }
 
-/// Evenly partitions `total` items into `parts` contiguous intervals
-/// (the paper's "evenly partitioning its work load among P_i nodes").
-/// Earlier parts get the remainder, so sizes differ by at most one.
-pub fn partition_even(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts > 0, "cannot partition into zero parts");
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 /// A Doppler-filtered cube: `staggers × bins × channels × ranges`.
 ///
 /// The easy path has one stagger; the hard (PRI-staggered) path has two.
@@ -533,23 +516,6 @@ mod tests {
         assert_eq!(slab.dims(), CubeDims::new(2, 2, 3));
         assert_eq!(slab.get(1, 0, 0), C32::new(2.0, 0.0));
         assert_eq!(slab.get(1, 0, 2), C32::new(4.0, 0.0));
-    }
-
-    #[test]
-    fn partition_even_covers_and_balances() {
-        let parts = partition_even(10, 3);
-        assert_eq!(parts, vec![(0, 4), (4, 7), (7, 10)]);
-        let parts = partition_even(8, 4);
-        assert!(parts.iter().all(|(a, b)| b - a == 2));
-        let parts = partition_even(2, 5);
-        assert_eq!(parts.iter().map(|(a, b)| b - a).sum::<usize>(), 2);
-        assert_eq!(parts.last().unwrap().1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero parts")]
-    fn partition_zero_parts_panics() {
-        partition_even(4, 0);
     }
 
     #[test]

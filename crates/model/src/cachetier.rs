@@ -17,7 +17,11 @@
 //! - A **miss** still pays the striped read, but the server-side
 //!   prefetcher overlaps it with the previous CPI's compute regardless of
 //!   whether the *client* file system supports `iread` — the read-ahead
-//!   is issued by the I/O servers, not the compute nodes.
+//!   is issued by the I/O servers, not the compute nodes. In executed
+//!   runs the tier posts every read (client fetch, posted fetch and
+//!   read-ahead alike) onto one first-come-first-served clock of its own
+//!   and enters the extent in the cache with the instant the read
+//!   completes; a hit on a read still in flight waits for that instant.
 
 /// Memory-to-memory copy bandwidth of one I/O server cache (bytes/s),
 /// calibrated against the Paragon's node memory bus: serving a cached

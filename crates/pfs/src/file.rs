@@ -238,8 +238,10 @@ impl FileHandle {
     /// the fault plan, checks bounds and gathers the extent from the stripe
     /// servers. It never sleeps; it returns the outcome and the pause the
     /// read still owes — a slow fault's delay plus, on success,
-    /// [`Self::paced_pause`]. An injected failure owes nothing.
-    pub(crate) fn read_body(
+    /// [`Self::paced_pause`]. An injected failure owes nothing. A caller
+    /// that keeps its own service clock (the storage tier) queues the
+    /// pause there instead of sleeping it.
+    pub fn read_body(
         &self,
         cpi: Option<u64>,
         offset: u64,

@@ -171,7 +171,12 @@ impl Pipeline {
             let results =
                 handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect();
             monitor_stop.store(true, Ordering::Release);
-            fired = monitor_handle.and_then(|m| m.join().expect("watchdog monitor panicked"));
+            fired = monitor_handle.and_then(|m| {
+                // The monitor parks until the next possible expiry; wake it
+                // to see the stop flag.
+                m.thread().unpark();
+                m.join().expect("watchdog monitor panicked")
+            });
             results
         });
 

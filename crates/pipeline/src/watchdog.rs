@@ -2,13 +2,15 @@
 //! thread through the world abort.
 //!
 //! Every node heartbeats at each CPI boundary. A monitor thread checks
-//! each live rank's time-since-last-beat against its stage's deadline;
-//! the first expiry records the stage and raises the run's abort, which
-//! wakes every receive in the world and, through the pipeline's abort
-//! hook, a front node parked on a staging ring. The runner then surfaces
-//! [`crate::error::PipelineError::Timeout`] naming the hung stage instead
-//! of the bare `Aborted` teardown fallout — a hung read or receive can
-//! stall a run for at most one deadline, never forever.
+//! each live rank's time-since-last-beat against its stage's deadline,
+//! parking in between until the earliest instant one could expire (no
+//! polling tick); the first expiry records the stage and raises the run's
+//! abort, which wakes every receive in the world and, through the
+//! pipeline's abort hook, a front node parked on a staging ring. The
+//! runner then surfaces [`crate::error::PipelineError::Timeout`] naming
+//! the hung stage instead of the bare `Aborted` teardown fallout — a hung
+//! read or receive can stall a run for at most one deadline, never
+//! forever.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -65,9 +67,6 @@ pub(crate) struct Expiry {
     pub(crate) deadline_ms: u64,
 }
 
-/// How often the monitor re-checks deadlines and the stop flag.
-const MONITOR_TICK: Duration = Duration::from_millis(5);
-
 /// One monitor pass at `now_ms`: the first live rank, in rank order, whose
 /// last beat is older than its stage's deadline. `stage_of` maps a rank to
 /// its `(stage name, stage index)`; `beats` holds each rank's last beat.
@@ -84,8 +83,25 @@ fn expired(
     })
 }
 
+/// The earliest instant (milliseconds since the run epoch) at which any
+/// live rank could expire: the minimum over live ranks of last beat plus
+/// deadline, plus the one millisecond `expired` needs to see it late.
+/// `None` when every rank is done.
+fn next_expiry(spec: &WatchdogSpec, stage_of: &[(String, usize)], beats: &[u64]) -> Option<u64> {
+    stage_of
+        .iter()
+        .zip(beats)
+        .filter(|(_, &beat)| beat != DONE)
+        .map(|((_, stage_idx), &beat)| {
+            beat.saturating_add(spec.deadlines[*stage_idx].as_millis() as u64).saturating_add(1)
+        })
+        .min()
+}
+
 /// Monitor loop: runs until `stop` is set or a deadline expires; on expiry
-/// it calls `raise` (the world abort) and returns what expired.
+/// it calls `raise` (the world abort) and returns what expired. Between
+/// checks it parks until the earliest possible expiry — a beat only moves
+/// that later — and whoever sets `stop` unparks it.
 pub(crate) fn monitor(
     spec: &WatchdogSpec,
     beats: &Heartbeats,
@@ -100,7 +116,10 @@ pub(crate) fn monitor(
             raise();
             return Some(fired);
         }
-        std::thread::sleep(MONITOR_TICK);
+        match next_expiry(spec, stage_of, &last) {
+            Some(at) => std::thread::park_timeout(Duration::from_millis(at.saturating_sub(now))),
+            None => std::thread::park(),
+        }
     }
     None
 }
@@ -134,5 +153,17 @@ mod tests {
         assert_eq!(expired(&spec, &stage_of, &[DONE, 20], 30), None);
         let fired = expired(&spec, &stage_of, &[DONE, 20], 31).expect("watchdog must fire");
         assert_eq!(fired, Expiry { stage: "reader".into(), deadline_ms: 10 });
+    }
+
+    #[test]
+    fn the_monitor_parks_until_the_earliest_live_expiry() {
+        let spec =
+            WatchdogSpec { deadlines: vec![Duration::from_secs(1), Duration::from_millis(10)] };
+        let stage_of = vec![("front".to_string(), 0), ("reader".to_string(), 1)];
+        // 20 + 10 ms is on time; the first late millisecond is 31.
+        assert_eq!(next_expiry(&spec, &stage_of, &[500, 20]), Some(31));
+        assert_eq!(expired(&spec, &stage_of, &[500, 20], 31).map(|e| e.deadline_ms), Some(10));
+        assert_eq!(next_expiry(&spec, &stage_of, &[5, DONE]), Some(1006));
+        assert_eq!(next_expiry(&spec, &stage_of, &[DONE, DONE]), None, "nothing left to watch");
     }
 }

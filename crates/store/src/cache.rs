@@ -1,11 +1,14 @@
 //! Size-bounded LRU read cache with atomic statistics — the I/O servers'
 //! memory tier. Hits are served at copy bandwidth and never touch the
-//! stripe-server queues ([`stap_model::cachetier`] prices them).
+//! stripe-server queues ([`stap_model::cachetier`] prices them). An extent
+//! enters the cache when its read is posted, stamped with the instant that
+//! read completes, so a reader of a still-running read waits for it.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Cache key: one cached byte extent of one staging file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +68,8 @@ impl CacheStats {
 
 struct Entry {
     data: Arc<Vec<u8>>,
+    /// When the read that brought the extent in completes.
+    ready_at: Instant,
     /// LRU stamp: larger = more recently used.
     stamp: u64,
 }
@@ -128,8 +133,9 @@ impl ReadCache {
         self.len() == 0
     }
 
-    /// Looks `key` up, counting a hit or a miss and refreshing recency.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
+    /// Looks `key` up, counting a hit or a miss and refreshing recency; a
+    /// hit comes with the instant its bytes are ready.
+    pub fn lookup(&self, key: &CacheKey) -> Option<(Arc<Vec<u8>>, Instant)> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -138,7 +144,7 @@ impl ReadCache {
                 e.stamp = tick;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.hit_bytes.fetch_add(e.data.len() as u64, Ordering::Relaxed);
-                Some(Arc::clone(&e.data))
+                Some((Arc::clone(&e.data), e.ready_at))
             }
             None => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -147,16 +153,17 @@ impl ReadCache {
         }
     }
 
-    /// Whether `key` is resident, without touching statistics or recency
-    /// (the tracer's span-attribution probe).
-    pub fn peek(&self, key: &CacheKey) -> bool {
-        self.inner.lock().map.contains_key(key)
+    /// When `key`'s bytes are ready, if it is resident, without touching
+    /// statistics or recency (the tracer's span-attribution probe).
+    pub fn peek(&self, key: &CacheKey) -> Option<Instant> {
+        self.inner.lock().map.get(key).map(|e| e.ready_at)
     }
 
-    /// Inserts an extent, evicting least-recently-used entries as needed
-    /// to stay under the byte budget. Extents larger than the whole budget
-    /// are not cached. `readahead` marks prefetcher fills in the stats.
-    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, readahead: bool) {
+    /// Inserts an extent whose read completes at `ready_at`, evicting
+    /// least-recently-used entries as needed to stay under the byte budget.
+    /// Extents larger than the whole budget are not cached. `readahead`
+    /// marks prefetcher fills in the stats.
+    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, ready_at: Instant, readahead: bool) {
         if data.len() > self.capacity {
             return;
         }
@@ -164,7 +171,7 @@ impl ReadCache {
         inner.tick += 1;
         let tick = inner.tick;
         let added = data.len();
-        if let Some(old) = inner.map.insert(key, Entry { data, stamp: tick }) {
+        if let Some(old) = inner.map.insert(key, Entry { data, ready_at, stamp: tick }) {
             // Overwrite: same key, possibly different bytes resident.
             inner.bytes -= old.data.len();
         }
@@ -198,15 +205,15 @@ mod tests {
     }
 
     fn put(c: &ReadCache, k: CacheKey, bytes: usize) {
-        c.insert(k, Arc::new(vec![0u8; bytes]), false);
+        c.insert(k, Arc::new(vec![0u8; bytes]), Instant::now(), false);
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let c = ReadCache::new(64);
         assert!(c.lookup(&key(0, 0)).is_none());
-        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), false);
-        assert_eq!(c.lookup(&key(0, 0)).unwrap().as_slice(), &[1, 2, 3]);
+        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), Instant::now(), false);
+        assert_eq!(c.lookup(&key(0, 0)).unwrap().0.as_slice(), &[1, 2, 3]);
         let (h, m, i, e, r) = c.stats().snapshot();
         assert_eq!((h, m, i, e, r), (1, 1, 1, 0, 0));
     }
@@ -220,8 +227,8 @@ mod tests {
         // Touch slot 0 so slot 1 is coldest, then overflow.
         assert!(c.lookup(&key(0, 0)).is_some());
         put(&c, key(3, 0), 4);
-        assert!(c.peek(&key(0, 0)), "recently used survives");
-        assert!(!c.peek(&key(1, 0)), "coldest evicted");
+        assert!(c.peek(&key(0, 0)).is_some(), "recently used survives");
+        assert!(c.peek(&key(1, 0)).is_none(), "coldest evicted");
         assert!(c.bytes() <= 12);
         assert_eq!(c.stats().evictions.load(Ordering::Relaxed), 1);
     }
@@ -247,8 +254,8 @@ mod tests {
     fn peek_does_not_count() {
         let c = ReadCache::new(64);
         put(&c, key(0, 0), 4);
-        assert!(c.peek(&key(0, 0)));
-        assert!(!c.peek(&key(1, 0)));
+        assert!(c.peek(&key(0, 0)).is_some());
+        assert!(c.peek(&key(1, 0)).is_none());
         let (h, m, ..) = c.stats().snapshot();
         assert_eq!((h, m), (0, 0));
     }

@@ -14,6 +14,7 @@ use crate::error::StoreError;
 use stap_pfs::FileHandle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// How a reader materializes CPI cubes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,20 +156,30 @@ impl ChunkedCube {
 
     /// Reads `[offset, offset+len)` of `file` chunk by chunk, assembling
     /// the result. Peak scratch is one chunk per concurrent call — every
-    /// chunk buffer is charged to the meter while live.
-    pub fn read(&self, file: &FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-        let mut out = Vec::with_capacity(len);
-        let mut done = 0usize;
-        while done < len {
-            let piece = self.chunk_bytes.min(len - done);
-            let _grant = self.meter.try_alloc(piece as u64)?;
-            let chunk = file.read_at(offset + done as u64, piece)?;
-            out.extend_from_slice(&chunk);
-            done += piece;
-            // `_grant` drops here: the chunk scratch is released once its
-            // bytes have been appended to the caller's buffer.
-        }
-        Ok(out)
+    /// chunk buffer is charged to the meter while live. Like
+    /// [`FileHandle::read_body`] it never sleeps: it returns the outcome
+    /// and the paced pause the chunks owe between them.
+    pub fn read(
+        &self,
+        file: &FileHandle,
+        offset: u64,
+        len: usize,
+    ) -> (Result<Vec<u8>, StoreError>, Duration) {
+        let mut owed = Duration::ZERO;
+        let mut gather = || -> Result<Vec<u8>, StoreError> {
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                let piece = self.chunk_bytes.min(len - out.len());
+                // The grant drops at the end of the iteration: the chunk
+                // scratch is released once its bytes are appended.
+                let _grant = self.meter.try_alloc(piece as u64)?;
+                let (chunk, pause) = file.read_body(None, offset + out.len() as u64, piece);
+                owed += pause;
+                out.extend_from_slice(&chunk?);
+            }
+            Ok(out)
+        };
+        (gather(), owed)
     }
 
     /// Writes `data` to `[offset, offset+len)` of `file` chunk by chunk
@@ -235,7 +246,7 @@ mod tests {
         f.write_at(0, &data).unwrap();
         let meter = FootprintMeter::new(1 << 20);
         let cube = ChunkedCube::new(3, 257, Arc::clone(&meter));
-        let got = cube.read(&f, 0, data.len()).unwrap();
+        let got = cube.read(&f, 0, data.len()).0.unwrap();
         assert_eq!(got, f.read_at(0, data.len()).unwrap());
         assert_eq!(meter.in_use(), 0, "all scratch released");
         assert_eq!(meter.peak(), 3 * 257, "peak is one chunk");
@@ -259,7 +270,7 @@ mod tests {
         f.write_at(0, &[0u8; 2048]).unwrap();
         let meter = FootprintMeter::new(100);
         let cube = ChunkedCube::new(1, 512, meter);
-        let err = cube.read(&f, 0, 2048).unwrap_err();
+        let err = cube.read(&f, 0, 2048).0.unwrap_err();
         assert!(err.to_string().contains("footprint"));
     }
 }

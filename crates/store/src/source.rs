@@ -7,24 +7,35 @@
 //!    cost [`stap_model::cachetier::hit_time`], mirrored here as paced
 //!    sleep so wall-clock runs agree with the DES);
 //! 2. a server-side [`Prefetcher`] that watches the demand CPI stream and
-//!    stages the next cubes into the cache from a background worker —
-//!    read-ahead works even when the *client* file system has no `iread`;
-//! 3. optional out-of-core access ([`CubeAccess::OutOfCore`]): demand
-//!    misses stream through bounded [`ChunkedCube`] chunks charged to a
+//!    posts reads of the next cubes into the cache — read-ahead works
+//!    even when the *client* file system has no `iread`;
+//! 3. optional out-of-core access ([`CubeAccess::OutOfCore`]): misses
+//!    stream through bounded [`ChunkedCube`] chunks charged to a
 //!    [`FootprintMeter`], so peak memory is provable, not hoped for;
 //! 4. [`LiveFile`] handles, so online restriping can swap the backing
 //!    layout underneath running readers.
+//!
+//! The tier owns its queue and clients only post (ViPIOS). `fetch`,
+//! `prefetch` and every read-ahead go through one post path: it looks the
+//! extent up, runs a miss's read body at once (it never sleeps), queues
+//! the pause the read owes on the tier's first-come-first-served clock
+//! (`start = max(now, free_at)`, `free_at = start + pause`) and enters the
+//! extent in the cache with the instant its read completes. Posts are
+//! serialised on that clock, so every lookup sees the cache state a single
+//! FIFO server would have shown it. A caller sleeps until its read's
+//! instant, plus the cache copy on a hit.
 
 use crate::cache::{CacheKey, CacheStats, ReadCache};
 use crate::chunked::{ChunkedCube, CubeAccess, FootprintMeter};
 use crate::prefetch::Prefetcher;
 use crate::restripe::{restripe_live, LiveFile, RestripeReport};
 use crate::StoreError;
+use parking_lot::Mutex;
 use stap_model::cachetier::hit_time;
 use stap_pfs::{FileHandle, Pfs, PfsError};
 use stap_pipeline::{CpiSource, PendingFetch, Phase, SourceError};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn pfs_error(e: PfsError) -> SourceError {
     SourceError {
@@ -50,7 +61,7 @@ pub struct StoreConfig {
     pub cache_bytes: usize,
     /// Read-ahead depth in cubes (0 disables the prefetcher).
     pub readahead_depth: u32,
-    /// Whether demand misses materialize cubes resident or out-of-core.
+    /// Whether misses materialize cubes resident or out-of-core.
     pub access: CubeAccess,
     /// Peak scratch bound for out-of-core chunking (ignored when
     /// `access` is [`CubeAccess::Resident`]).
@@ -72,37 +83,26 @@ impl StoreConfig {
     }
 }
 
-enum Job {
-    /// Stage an extent into the cache ahead of demand (advisory: errors
-    /// are dropped, the demand path will refetch).
-    Fill {
-        key: CacheKey,
-        live: Arc<LiveFile>,
-    },
-    /// A client-posted asynchronous fetch; the reply channel is the
-    /// [`PendingFetch`] rendezvous.
-    Client {
-        key: CacheKey,
-        cpi: u64,
-        live: Arc<LiveFile>,
-        reply: mpsc::Sender<Result<Vec<u8>, SourceError>>,
-    },
-    Shutdown,
-}
-
 /// The smart storage tier as a [`CpiSource`]: cache + prefetch +
 /// out-of-core streaming + live-restripable files, in front of the
 /// striped PFS.
 pub struct StoreSource {
     files: Vec<Arc<LiveFile>>,
-    cache: Arc<ReadCache>,
+    cache: ReadCache,
     prefetcher: Prefetcher,
     chunker: Option<ChunkedCube>,
     /// Wall-clock pacing scale, mirrored from the mount's `pace_reads` so
     /// cache hits are paced by the same dial as real reads.
     pace: f64,
-    jobs: mpsc::Sender<Job>,
-    worker: Option<JoinHandle<()>>,
+    /// The tier's FCFS clock: when the last posted read completes. Held
+    /// for the whole of a post, so posts are served one at a time.
+    free_at: Mutex<Instant>,
+    /// Extents of posted client reads that missed and have not been
+    /// waited on: their bytes are in the cache, but the wait ahead of
+    /// their poster is a striped read, not a cache copy. A fetch dropped
+    /// unwaited keeps its claim, which only makes [`CpiSource::cached`]
+    /// answer false for that extent.
+    claims: Arc<Mutex<Vec<CacheKey>>>,
 }
 
 impl std::fmt::Debug for StoreSource {
@@ -116,14 +116,34 @@ impl std::fmt::Debug for StoreSource {
     }
 }
 
+/// What a posted read delivers, and when.
+struct Posted {
+    result: Result<Arc<Vec<u8>>, SourceError>,
+    /// When the read completes on the tier's clock.
+    ready_at: Instant,
+    /// Whether the cache served it.
+    hit: bool,
+}
+
+impl Posted {
+    /// Sleeps until the read completes, plus the modeled cache copy on a
+    /// hit, and hands the bytes out.
+    fn wait(self, pace: f64) -> Result<Vec<u8>, SourceError> {
+        std::thread::sleep(self.ready_at.saturating_duration_since(Instant::now()));
+        let bytes = self.result?;
+        if self.hit && pace > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(hit_time(bytes.len()) * pace));
+        }
+        Ok(Arc::try_unwrap(bytes).unwrap_or_else(|shared| shared.as_ref().clone()))
+    }
+}
+
 impl StoreSource {
     /// Builds the tier over the open round-robin CPI files
     /// (slot = `cpi % files.len()`).
     pub fn new(files: Vec<FileHandle>, cfg: StoreConfig) -> Self {
         assert!(!files.is_empty(), "store source needs at least one CPI file");
         let pace = files[0].fs().config().pace_reads;
-        let files: Vec<Arc<LiveFile>> = files.into_iter().map(LiveFile::new).collect();
-        let cache = Arc::new(ReadCache::new(cfg.cache_bytes));
         let chunker = match cfg.access {
             CubeAccess::Resident => None,
             CubeAccess::OutOfCore { chunk_rows } => Some(ChunkedCube::new(
@@ -132,28 +152,15 @@ impl StoreSource {
                 FootprintMeter::new(cfg.footprint_bound),
             )),
         };
-        let (tx, rx) = mpsc::channel();
-        let worker = {
-            let cache = Arc::clone(&cache);
-            let chunker = chunker.clone();
-            std::thread::Builder::new()
-                .name("stap-store-worker".to_string())
-                .spawn(move || worker_loop(rx, cache, chunker))
-                .expect("spawning the store worker thread")
-        };
         Self {
-            files,
-            cache,
+            files: files.into_iter().map(LiveFile::new).collect(),
+            cache: ReadCache::new(cfg.cache_bytes),
             prefetcher: Prefetcher::new(cfg.readahead_depth),
             chunker,
             pace,
-            jobs: tx,
-            worker: Some(worker),
+            free_at: Mutex::new(Instant::now()),
+            claims: Arc::default(),
         }
-    }
-
-    fn slot(&self, cpi: u64) -> &Arc<LiveFile> {
-        &self.files[(cpi % self.files.len() as u64) as usize]
     }
 
     fn key(&self, cpi: u64, offset: u64, len: usize) -> CacheKey {
@@ -183,104 +190,62 @@ impl StoreSource {
         Ok(reports)
     }
 
+    /// The one read path. A client read (`cpi` given) looks the extent up,
+    /// counting a hit or a miss; a read-ahead (`cpi` is `None`) counts
+    /// nothing. A miss runs the read body at once — a resident client read
+    /// consults an installed fault plan, a read-ahead must not consume its
+    /// deterministic per-(cpi, offset) attempt counters, and out-of-core
+    /// reads stream through metered chunks — then queues the pause it owes
+    /// on the tier's clock and enters the cache with its completion.
+    fn post(&self, key: CacheKey, cpi: Option<u64>) -> Posted {
+        let mut free_at = self.free_at.lock();
+        if cpi.is_some() {
+            if let Some((bytes, ready_at)) = self.cache.lookup(&key) {
+                return Posted { result: Ok(bytes), ready_at, hit: true };
+            }
+        }
+        let file = self.files[key.slot].handle();
+        let (result, pause) = match &self.chunker {
+            None => {
+                let (read, pause) = file.read_body(cpi, key.offset, key.len);
+                (read.map_err(pfs_error), pause)
+            }
+            Some(c) => {
+                let (read, pause) = c.read(&file, key.offset, key.len);
+                (read.map_err(store_error), pause)
+            }
+        };
+        *free_at = (*free_at).max(Instant::now()) + pause;
+        let result = result.map(Arc::new);
+        if let Ok(bytes) = &result {
+            self.cache.insert(key, Arc::clone(bytes), *free_at, cpi.is_none());
+        }
+        Posted { result, ready_at: *free_at, hit: false }
+    }
+
+    /// Posts a read of every predicted CPI the cache does not already
+    /// hold. Advisory: a failed read-ahead is dropped, and the client
+    /// read refetches.
     fn issue_readahead(&self, cpi: u64, offset: u64, len: usize) {
         if self.cache.capacity() == 0 {
             return;
         }
-        // Stage every predicted CPI the cache does not already hold; the
-        // fill worker reads it in the background.
         for ra in self.prefetcher.observe(cpi, offset, len) {
             let key = self.key(ra.cpi, ra.offset, ra.len);
-            if self.cache.peek(&key) {
-                continue;
+            if self.cache.peek(&key).is_none() {
+                self.post(key, None);
             }
-            let live = Arc::clone(self.slot(ra.cpi));
-            let _ = self.jobs.send(Job::Fill { key, live });
-        }
-    }
-}
-
-impl Drop for StoreSource {
-    fn drop(&mut self) {
-        let _ = self.jobs.send(Job::Shutdown);
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Sleeps the modeled cache-copy time of `len` bytes scaled by the mount's
-/// pacing dial `pace`, mirroring how `FileHandle` paces real striped reads.
-fn pace_hit(pace: f64, len: usize) {
-    if pace > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(hit_time(len) * pace));
-    }
-}
-
-/// One demand-miss read of CPI `cpi`'s extent against its backing file,
-/// honoring the cube access: resident misses go through `read_at_cpi` (so
-/// injected fault plans keep their per-attempt determinism); out-of-core
-/// misses stream through footprint-metered chunks.
-fn miss_read(
-    chunker: Option<&ChunkedCube>,
-    live: &LiveFile,
-    cpi: u64,
-    offset: u64,
-    len: usize,
-) -> Result<Vec<u8>, SourceError> {
-    match chunker {
-        None => live.handle().read_at_cpi(cpi, offset, len).map_err(pfs_error),
-        Some(c) => c.read(&live.handle(), offset, len).map_err(store_error),
-    }
-}
-
-fn fill_cache(cache: &ReadCache, chunker: Option<&ChunkedCube>, key: CacheKey, live: &LiveFile) {
-    if cache.peek(&key) {
-        return;
-    }
-    // Plain `read_at`: read-ahead must not consume the deterministic
-    // per-(cpi, offset) attempt counters of an installed fault plan.
-    let read = match chunker {
-        None => live.handle().read_at(key.offset, key.len).map_err(StoreError::Pfs),
-        Some(c) => c.read(&live.handle(), key.offset, key.len),
-    };
-    if let Ok(bytes) = read {
-        cache.insert(key, Arc::new(bytes), true);
-    }
-}
-
-fn worker_loop(rx: mpsc::Receiver<Job>, cache: Arc<ReadCache>, chunker: Option<ChunkedCube>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Fill { key, live } => fill_cache(&cache, chunker.as_ref(), key, &live),
-            Job::Client { key, cpi, live, reply } => {
-                let result = match cache.lookup(&key) {
-                    Some(bytes) => Ok(bytes.as_ref().clone()),
-                    None => {
-                        let read = miss_read(chunker.as_ref(), &live, cpi, key.offset, key.len);
-                        read.inspect(|bytes| {
-                            cache.insert(key, Arc::new(bytes.clone()), false);
-                        })
-                    }
-                };
-                let _ = reply.send(result);
-            }
-            Job::Shutdown => break,
         }
     }
 }
 
 impl CpiSource for StoreSource {
     fn fetch(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
-        let key = self.key(cpi, offset, len);
+        // The caller's own read is posted ahead of the read-ahead it
+        // triggers, so a demand read never waits behind its own staging.
+        let posted = self.post(self.key(cpi, offset, len), Some(cpi));
         self.issue_readahead(cpi, offset, len);
-        if let Some(bytes) = self.cache.lookup(&key) {
-            pace_hit(self.pace, len);
-            return Ok(bytes.as_ref().clone());
-        }
-        let bytes = miss_read(self.chunker.as_ref(), self.slot(cpi), cpi, offset, len)?;
-        self.cache.insert(key, Arc::new(bytes.clone()), false);
-        Ok(bytes)
+        posted.wait(self.pace)
     }
 
     fn prefetch(
@@ -289,27 +254,33 @@ impl CpiSource for StoreSource {
         offset: u64,
         len: usize,
     ) -> Result<Option<PendingFetch>, SourceError> {
-        let key = self.key(cpi, offset, len);
+        // Read-ahead first: a posted fetch queues behind the staging it
+        // triggers, as a client request queues at a FIFO server.
         self.issue_readahead(cpi, offset, len);
-        let live = Arc::clone(self.slot(cpi));
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.jobs.send(Job::Client { key, cpi, live, reply: reply_tx }).is_err() {
-            return Ok(None); // worker gone — fall back to synchronous fetch
-        }
+        let key = self.key(cpi, offset, len);
+        let posted = self.post(key, Some(cpi));
+        let claims = (!posted.hit).then(|| {
+            self.claims.lock().push(key);
+            Arc::clone(&self.claims)
+        });
         let pace = self.pace;
         Ok(Some(Box::new(move || {
-            let result = reply_rx
-                .recv()
-                .map_err(|_| SourceError::permanent("store prefetch worker died"))??;
-            // Mirror the demand path's hit pacing: the cube still crosses
-            // the cache copy on its way to the node.
-            pace_hit(pace, result.len());
-            Ok(result)
+            if let Some(claims) = claims {
+                let mut claims = claims.lock();
+                if let Some(i) = claims.iter().position(|k| *k == key) {
+                    claims.swap_remove(i);
+                }
+            }
+            posted.wait(pace)
         })))
     }
 
+    /// True once the extent's read has completed, unless the extent is a
+    /// posted client read that missed and is still waiting for its poster.
     fn cached(&self, cpi: u64, offset: u64, len: usize) -> bool {
-        self.cache.peek(&self.key(cpi, offset, len))
+        let key = self.key(cpi, offset, len);
+        !self.claims.lock().contains(&key)
+            && self.cache.peek(&key).is_some_and(|ready_at| ready_at <= Instant::now())
     }
 
     fn wait_phase(&self) -> Phase {
@@ -382,19 +353,60 @@ mod tests {
         let src = StoreSource::new(files, cfg_cached(1 << 20, 2));
         src.fetch(0, 0, 1024).unwrap();
         src.fetch(1, 0, 1024).unwrap();
-        // A run of two consecutive CPIs arms the detector; CPIs 2 and 3
-        // should be staged by the worker.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while !(src.cached(2, 0, 1024) && src.cached(3, 0, 1024)) {
-            assert!(std::time::Instant::now() < deadline, "readahead never landed");
-            std::thread::yield_now();
-        }
+        // A run of two consecutive CPIs arms the detector: the second
+        // fetch posts CPIs 2 and 3, which an unpaced mount completes at
+        // once.
+        assert!(src.cached(2, 0, 1024) && src.cached(3, 0, 1024));
         let before = src.stats().snapshot();
-        assert!(before.4 >= 2, "readahead inserts counted");
+        assert_eq!(before.4, 2, "readahead inserts counted");
         let (h0, ..) = before;
         src.fetch(2, 0, 1024).unwrap();
         let (h1, ..) = src.stats().snapshot();
         assert_eq!(h1, h0 + 1, "the staged cube is a hit");
+    }
+
+    #[test]
+    fn posted_misses_queue_on_the_tier_clock_in_post_order() {
+        // Two 1000-byte cubes, one stripe unit each on one server: 2 ms of
+        // modelled service per read, paced 50x.
+        let cfg = FsConfig {
+            name: "paced".into(),
+            stripe_unit: 1000,
+            stripe_factor: 1,
+            server_bandwidth: 1e6,
+            request_latency: Duration::from_millis(1),
+            unix_mode_penalty: Duration::ZERO,
+            supports_async: true,
+            pace_reads: 50.0,
+        };
+        let service = Duration::from_secs_f64(
+            stap_pfs::timing::extent_read_time(&cfg, 0, 1000, OpenMode::Async) * 50.0,
+        );
+        let fs = Pfs::mount(cfg);
+        let files: Vec<FileHandle> = (0..2u8)
+            .map(|slot| {
+                let f = fs.gopen(&format!("cpi_{slot}.dat"), OpenMode::Async);
+                f.write_at(0, &[slot; 1000]).unwrap();
+                f
+            })
+            .collect();
+        let src = StoreSource::new(files, cfg_cached(1 << 20, 0));
+        let posted = Instant::now();
+        let first = src.prefetch(0, 0, 1000).unwrap().expect("the tier always posts");
+        let second = src.prefetch(1, 0, 1000).unwrap().expect("the tier always posts");
+        // Both bytes are in the cache at post time, stamped one service
+        // time apart in post order; neither is a cache hit for its poster.
+        let done = |cpi: u64| src.cache.peek(&src.key(cpi, 0, 1000)).expect("entered at post");
+        assert!(done(0) >= posted + service);
+        assert!(done(1) >= done(0) + service, "the second read queues behind the first");
+        assert!(!src.cached(0, 0, 1000) && !src.cached(1, 0, 1000));
+        assert_eq!(first().unwrap(), vec![0u8; 1000]);
+        assert!(Instant::now() >= done(0));
+        assert!(src.cached(0, 0, 1000), "a waited read is cached once complete");
+        assert!(!src.cached(1, 0, 1000), "the second read is still its poster's");
+        assert_eq!(second().unwrap(), vec![1u8; 1000]);
+        assert!(posted.elapsed() >= 2 * service);
+        assert!(src.cached(1, 0, 1000));
     }
 
     #[test]

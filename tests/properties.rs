@@ -1,13 +1,14 @@
 //! Cross-crate property-based tests (proptest) on the system's invariants.
 
 use proptest::prelude::*;
-use stap_kernels::cube::{partition_even, CubeDims, DataCube};
+use stap_kernels::cube::{CubeDims, DataCube};
 use stap_math::fft::{dft_naive, FftPlan};
 use stap_math::{CMat, CholeskyFactor, C64};
 use stap_model::machines::MachineModel;
 use stap_model::tasktime::{combined_task_time, task_time};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::{FsConfig, OpenMode, Pfs, StripeLayout};
+use stap_pipeline::schedule::block_range;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -123,7 +124,7 @@ proptest! {
             *z = stap_math::C32::new((state as f32 / u32::MAX as f32).fract(), -((state >> 32) as f32 / u32::MAX as f32).fract());
         }
         let disk = cube.to_range_major_bytes();
-        for (r0, r1) in partition_even(ranges, parts) {
+        for (r0, r1) in (0..parts).map(|p| block_range(ranges, parts, p)) {
             if r0 == r1 { continue; }
             let off = DataCube::range_major_offset(dims, r0) as usize;
             let end = DataCube::range_major_offset(dims, r1) as usize;
@@ -132,10 +133,11 @@ proptest! {
         }
     }
 
-    /// partition_even always covers [0, total) with parts differing by ≤1.
+    /// `block_range`, the front stages' partition, always covers
+    /// [0, total) in order with parts differing by ≤1.
     #[test]
-    fn partition_even_properties(total in 0usize..10_000, parts in 1usize..64) {
-        let ps = partition_even(total, parts);
+    fn block_range_properties(total in 0usize..10_000, parts in 1usize..64) {
+        let ps: Vec<(usize, usize)> = (0..parts).map(|p| block_range(total, parts, p)).collect();
         prop_assert_eq!(ps.len(), parts);
         let mut cursor = 0;
         for &(a, b) in &ps {

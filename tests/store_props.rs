@@ -83,8 +83,9 @@ proptest! {
             cache_bytes: [0, cube_bytes + 64, 1 << 20][cache_sel],
             readahead_depth: depth,
             access,
-            // Demand reader + background worker: at most two chunks of
-            // scratch are ever live, so four is a roomy provable bound.
+            // Every read runs inside its post, one post at a time: one
+            // chunk of scratch is ever live, so four is a roomy provable
+            // bound.
             footprint_bound: 4 * chunk_bytes as u64,
             row_bytes,
         };
@@ -113,7 +114,7 @@ proptest! {
         if cfg.cache_bytes == 0 {
             prop_assert_eq!(hits, 0, "no budget, no hits");
         }
-        drop(src); // joins the worker: all scratch grants are released
+        // Reads run inside their posts, so every grant is already back.
         if let Some(meter) = meter {
             prop_assert!(
                 meter.peak() <= meter.bound(),
@@ -193,10 +194,13 @@ fn read_cache_holds_its_laws_under_eight_threads() {
                         let key = CacheKey { slot, offset: 0, len: EXTENT };
                         issued += 1;
                         match cache.lookup(&key) {
-                            Some(hit) => {
+                            Some((hit, _)) => {
                                 assert_eq!(*hit, bytes_of(slot), "slot {slot} served foreign bytes")
                             }
-                            None => cache.insert(key, Arc::new(bytes_of(slot)), false),
+                            None => {
+                                let ready = std::time::Instant::now();
+                                cache.insert(key, Arc::new(bytes_of(slot)), ready, false)
+                            }
                         }
                     }
                     issued

@@ -5,9 +5,11 @@
 
 use ppstap::core::config::StapConfig;
 use ppstap::core::{IoStrategy, StapRunOutput, StapSystem};
+use ppstap::kernels::cube::CubeDims;
 use ppstap::pipeline::ClockSpec;
 use ppstap::scenario::find;
 use ppstap::store::CubeAccess;
+use ppstap::trace::Phase;
 
 /// Runs a configuration to completion under the virtual clock.
 fn run(cfg: StapConfig) -> StapRunOutput {
@@ -65,4 +67,27 @@ fn cached_run_matches_plain_run_and_reports_the_tier() {
     let st = cached.store.expect("cached run reports tier counters");
     assert!(st.hits > 0, "8 MiB over a 1 MiB working set must produce repeat hits");
     assert_eq!(st.footprint, None, "resident access needs no scratch meter");
+}
+
+#[test]
+fn a_thrashing_cache_charges_no_more_cachehit_spans_than_hits() {
+    // Two CPIs' extents of cache (1 MiB over 512 KiB cubes) against the
+    // four-file working set, one cube of read-ahead, paced reads: the
+    // cyclic stream evicts each read-ahead before the client read for its
+    // CPI looks it up, so a wait charged to `cachehit` would be a striped
+    // read misattributed.
+    let cfg = StapConfig {
+        dims: CubeDims::new(32, 8, 256),
+        io: IoStrategy::Cached { mb: 1 },
+        cpis: 12,
+        ..StapConfig::default()
+    }
+    .with_read_pacing(0.05);
+    assert_eq!(cfg.io.cache_bytes(cfg.dims.bytes()), 2 * cfg.dims.bytes());
+    assert_eq!(cfg.io.readahead_depth(), 1);
+    let out = run(cfg);
+    let st = out.store.expect("cached run reports tier counters");
+    assert!(st.evictions > 0, "the working set must thrash the cache");
+    let spans = out.timing.spans.iter().filter(|s| s.phase == Phase::CacheHit).count() as u64;
+    assert!(spans <= st.hits, "{spans} cachehit spans for {} cache hits", st.hits);
 }
