@@ -77,6 +77,41 @@ pub fn read_step(
     work.saturating_sub(t0) + SimTime::from_secs_f64(send + overhead)
 }
 
+/// `(stripe directory, total service, stripe-unit reads)`: what one CPI asks
+/// of one directory. The units of a CPI all arrive together and a directory
+/// serves them back to back, so their sum is posted as one job.
+pub type ReadBatch = (usize, SimTime, u64);
+
+/// Sums `units` (`(directory, service seconds)`, as
+/// [`extent_service`] returns them) per directory, each rounded to the
+/// simulator's clock on its own first: the integer sum is then exactly the
+/// time the directory would spend on them one by one.
+pub fn batch_reads(units: &[(usize, f64)]) -> Vec<ReadBatch> {
+    let dirs = units.iter().map(|&(dir, _)| dir + 1).max().unwrap_or(0);
+    let mut batches: Vec<ReadBatch> = (0..dirs).map(|dir| (dir, SimTime::ZERO, 0)).collect();
+    for &(dir, svc) in units {
+        batches[dir].1 += SimTime::from_secs_f64(svc);
+        batches[dir].2 += 1;
+    }
+    batches.retain(|b| b.2 > 0);
+    batches
+}
+
+/// Posts one CPI's `batches` to `store` at `at`, directory `dir` on server
+/// `(dir + rotate) % servers`; returns when the last one completes. The
+/// DES and the fleet simulator post every CPI read through here.
+pub fn post_reads(
+    store: &mut FcfsResource,
+    batches: &[ReadBatch],
+    rotate: usize,
+    at: SimTime,
+) -> SimTime {
+    let servers = store.servers();
+    batches.iter().fold(at, |done, &(dir, total, units)| {
+        done.max(store.submit_batch_to((dir + rotate) % servers, at, total, units).1)
+    })
+}
+
 /// Predicted per-phase seconds of one task instance, in pipeline order
 /// (read, receive, compute, send). Parallelization overhead is folded into
 /// `compute` — the simulator has no separate phase for it and the real
@@ -491,8 +526,8 @@ struct SimState {
     /// Next instance index allowed to start per task.
     next_cpi: Vec<u64>,
     io: FcfsResource,
-    /// `(stripe server, service seconds)` of one whole-file CPI read.
-    reads: Vec<(usize, f64)>,
+    /// One whole-file CPI read, batched per stripe server.
+    reads: Vec<ReadBatch>,
     cpis: u64,
     warmup: u64,
     durations: Vec<Tally>,
@@ -511,17 +546,6 @@ impl SimState {
         t.spatial_preds.len() + if j > 0 { t.temporal_preds.len() } else { 0 }
     }
 
-    /// Posts one whole-file CPI read at `post` and returns its completion
-    /// time.
-    fn read_done(&mut self, post: SimTime) -> SimTime {
-        let mut done = post;
-        for &(server, service) in &self.reads {
-            let (_, d) = self.io.submit_to(server, post, SimTime::from_secs_f64(service));
-            done = done.max(d);
-        }
-        done
-    }
-
     /// Duration of instance `(i, j)` starting at `t0`.
     fn duration(&mut self, i: usize, j: u64, t0: SimTime) -> SimTime {
         let fault = self.faults.get(j as usize).copied().unwrap_or_default();
@@ -537,7 +561,9 @@ impl SimState {
         let (costs, prev_start) = (self.tasks[i].costs, self.prev_start[i]);
         let base = match self.tasks[i].read {
             None => SimTime::from_secs_f64(costs.total()),
-            Some(read) => read_step(&costs, &read, j, t0, prev_start, |post| self.read_done(post)),
+            Some(read) => read_step(&costs, &read, j, t0, prev_start, |post| {
+                post_reads(&mut self.io, &self.reads, 0, post)
+            }),
         };
         if i == self.source_idx && fault.extra > 0.0 {
             // Transient fault cleared within the retry budget: the read
@@ -704,7 +730,12 @@ impl DesExperiment {
             prev_start: vec![None; n],
             next_cpi: vec![0; n],
             io: FcfsResource::new("stripe servers", fs.stripe_factor),
-            reads: extent_service(fs, 0, self.shape.cube_bytes(), self.machine.open_mode),
+            reads: batch_reads(&extent_service(
+                fs,
+                0,
+                self.shape.cube_bytes(),
+                self.machine.open_mode,
+            )),
             cpis: self.cpis,
             warmup: self.warmup,
             durations: (0..n).map(|_| Tally::new()).collect(),
@@ -725,15 +756,21 @@ impl DesExperiment {
         });
         let horizon = eng.run(&mut st);
 
-        // Steady-state metrics.
-        let w0 = self.warmup as usize;
-        let last = self.cpis as usize - 1;
-        let tput =
-            (last - w0) as f64 / (st.sink_end[last].as_secs_f64() - st.sink_end[w0].as_secs_f64());
-        let lat = (w0..=last)
+        // Steady-state metrics, by the executed report's rule: no
+        // throughput without two steady CPIs, and the mean latency of the
+        // steady CPIs there are (0 without any).
+        let steady = (self.warmup as usize).min(st.sink_end.len())..st.sink_end.len();
+        let tput = if steady.len() < 2 {
+            0.0
+        } else {
+            let (w0, last) = (steady.start, steady.end - 1);
+            (last - w0) as f64 / (st.sink_end[last].as_secs_f64() - st.sink_end[w0].as_secs_f64())
+        };
+        let lat = steady
+            .clone()
             .map(|j| st.sink_end[j].as_secs_f64() - st.source_start[j].as_secs_f64())
             .sum::<f64>()
-            / (last - w0 + 1) as f64;
+            / steady.len().max(1) as f64;
         let rows: Vec<TaskRow> = st
             .tasks
             .iter()
@@ -1104,6 +1141,31 @@ mod tests {
         let b = cell(MachineModel::sp(), IoStrategy::Embedded, TailStructure::Split, 25);
         assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.latency, b.latency);
+    }
+
+    #[test]
+    fn a_run_without_a_steady_window_reports_zero_throughput() {
+        let run = |cpis: u64, warmup: u64| {
+            let mut exp = DesExperiment::new(
+                MachineModel::paragon(64),
+                IoStrategy::Embedded,
+                TailStructure::Split,
+                25,
+            );
+            (exp.cpis, exp.warmup) = (cpis, warmup);
+            exp.run()
+        };
+        for (cpis, warmup) in [(0, 0), (4, 8), (8, 8)] {
+            let r = run(cpis, warmup);
+            assert_eq!((r.throughput, r.latency), (0.0, 0.0), "cpis={cpis} warmup={warmup}");
+            assert_eq!(r.delivered_throughput, 0.0);
+        }
+        // One steady CPI: no rate yet, but its latency is known.
+        let one = run(9, 8);
+        assert_eq!(one.throughput, 0.0);
+        assert!(one.latency > 0.0 && one.latency.is_finite());
+        let two = run(10, 8);
+        assert!(two.throughput > 0.0 && two.throughput.is_finite());
     }
 
     fn skip_model(source: FaultSource) -> DesFaultModel {

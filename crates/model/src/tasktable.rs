@@ -9,10 +9,13 @@
 //! in the dependency graph, and — on the one row that absorbs the file read
 //! — the read term. The closed-form prediction folds the rows through
 //! Eqs. 1–4, the DES maps each row to a simulated task, and the planner's
-//! bounds share [`front_body`]; none of them unrolls the pipeline itself.
+//! DP walks [`task_slots`] and prices each slot with [`slot_bound`], the
+//! same Eq. 6/7 costs relaxed to an admissible bound; none of them unrolls
+//! the pipeline itself.
 //!
 //! Adding an I/O strategy means giving it a row here (which row reads, and
-//! its [`ReadTerm`]) and an event behaviour in the DES's `duration`.
+//! its [`ReadTerm`]) and an event behaviour in the DES's `duration`; the
+//! planner searches it with no edit.
 
 use crate::assignment::{Assignment, SEPARATE_IO_NODES};
 use crate::cachetier::CacheTierModel;
@@ -47,6 +50,13 @@ impl TaskSlot {
     /// The task ids running on this slot's nodes.
     pub fn members(&self) -> impl Iterator<Item = TaskId> {
         std::iter::once(self.id).chain(self.merged)
+    }
+
+    /// The capacity of a slot whose nodes sit outside the compute-node
+    /// budget: the separate read task always runs on [`SEPARATE_IO_NODES`]
+    /// base-class nodes. `None` for a slot the assignment sizes.
+    pub fn fixed_capacity(&self) -> Option<StageCapacity> {
+        (self.id == TaskId::Read).then(|| StageCapacity::homogeneous(SEPARATE_IO_NODES))
     }
 }
 
@@ -103,6 +113,17 @@ pub struct ReadTerm {
     pub cache: Option<CacheTierModel>,
 }
 
+impl ReadTerm {
+    /// What `io` pays for one CPI file of `shape` on `m`.
+    pub fn new(m: &MachineModel, shape: ShapeParams, io: IoStrategy) -> Self {
+        ReadTerm {
+            read_time: steady_read_time(m, shape),
+            overlap: m.can_overlap_io(),
+            cache: io.cache_tier(shape.cube_bytes()),
+        }
+    }
+}
+
 /// One row of the task table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRow {
@@ -154,11 +175,58 @@ pub fn steady_read_time(m: &MachineModel, shape: ShapeParams) -> f64 {
     extent_read_time(&m.fs, 0, shape.cube_bytes(), m.open_mode)
 }
 
+/// Eq. 6 costs of `slot` on a group of capacity `cap` exchanging with
+/// `pred_nodes` predecessor and `succ_nodes` successor nodes; Eq. 7 for a
+/// slot with a merged task.
+fn slot_costs(
+    m: &MachineModel,
+    w: &StapWorkload,
+    slot: &TaskSlot,
+    cap: StageCapacity,
+    pred_nodes: usize,
+    succ_nodes: usize,
+) -> TaskCosts {
+    match slot.merged {
+        Some(second) => combined_task_time_cap(m, w, slot.id, second, cap, pred_nodes, succ_nodes),
+        None => task_time_cap(m, w, slot.id, cap, pred_nodes, succ_nodes),
+    }
+}
+
+/// Admissible lower bound on `slot`'s `T_i` on `q` nodes, whichever `q`
+/// nodes they are and whatever its neighbours get: the row [`task_table`]
+/// would build, with the capacity relaxed to the best any `q` nodes of the
+/// pool have and each communication direction relaxed to one peer (one
+/// predecessor when the slot has spatial predecessors, one successor).
+/// A [fixed-capacity](TaskSlot::fixed_capacity) slot ignores `q`. On the
+/// read-bearing slot the relaxed core enters [`front_body`] as one term,
+/// `read + (compute + send)`: the plan report prints these bounds to the
+/// last bit.
+pub fn slot_bound(
+    m: &MachineModel,
+    w: &StapWorkload,
+    slot: &TaskSlot,
+    q: usize,
+    read: &ReadTerm,
+) -> f64 {
+    let cap = slot.fixed_capacity().unwrap_or_else(|| StageCapacity {
+        nodes: q,
+        compute: m.best_compute_capacity(q),
+        net: m.best_net_capacity(q),
+    });
+    let c = slot_costs(m, w, slot, cap, usize::from(!slot.spatial_preds.is_empty()), 1);
+    if slot.reads {
+        front_body(read.read_time, c.compute + c.send, 0.0, read.overlap, read.cache) + c.overhead
+    } else {
+        c.total()
+    }
+}
+
 /// Builds the task table: one row per pipeline task, in pipeline order.
 ///
 /// `a` must assign every one of [`TaskId::SEVEN`]; a combined tail runs on
-/// the PC and CFAR entries' nodes together. The separate read task always
-/// gets [`SEPARATE_IO_NODES`] base-class nodes outside the assignment.
+/// the PC and CFAR entries' nodes together. A
+/// [fixed-capacity](TaskSlot::fixed_capacity) slot gets its nodes outside
+/// the assignment.
 ///
 /// # Panics
 /// Panics if any of the seven compute tasks is missing from `a`.
@@ -176,20 +244,15 @@ pub fn task_table(
     let caps: Vec<StageCapacity> = slots
         .iter()
         .map(|s| {
-            s.members()
-                .map(|t| match t {
-                    TaskId::Read => StageCapacity::homogeneous(SEPARATE_IO_NODES),
-                    t => a.capacity_for(t, &m.classes).expect("task assigned"),
-                })
-                .reduce(StageCapacity::merge)
-                .expect("a slot has at least one member")
+            s.fixed_capacity().unwrap_or_else(|| {
+                s.members()
+                    .map(|t| a.capacity_for(t, &m.classes).expect("task assigned"))
+                    .reduce(StageCapacity::merge)
+                    .expect("a slot has at least one member")
+            })
         })
         .collect();
-    let read = ReadTerm {
-        read_time: steady_read_time(m, shape),
-        overlap: m.can_overlap_io(),
-        cache: io.cache_tier(shape.cube_bytes()),
-    };
+    let read = ReadTerm::new(m, shape, io);
     let costs: Vec<TaskCosts> = slots
         .iter()
         .enumerate()
@@ -205,12 +268,7 @@ pub fn task_table(
                 .map(|(_, c)| c.nodes)
                 .sum::<usize>()
                 .max(1);
-            match s.merged {
-                Some(second) => {
-                    combined_task_time_cap(m, &w, s.id, second, caps[i], pred_nodes, succ_nodes)
-                }
-                None => task_time_cap(m, &w, s.id, caps[i], pred_nodes, succ_nodes),
-            }
+            slot_costs(m, &w, s, caps[i], pred_nodes, succ_nodes)
         })
         .collect();
     slots
@@ -229,7 +287,7 @@ pub fn task_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::assign_nodes;
+    use crate::assignment::{assign_nodes, pack_classes};
 
     fn table(io: IoStrategy, tail: TailStructure) -> Vec<TaskRow> {
         let shape = ShapeParams::paper_default();
@@ -282,5 +340,57 @@ mod tests {
         assert_eq!(front_body(0.2, 0.05, 0.01, false, None), 0.2 + 0.05 + 0.01);
         let warm = CacheTierModel { hit_time: 0.04, warm: true };
         assert_eq!(front_body(0.2, 0.05, 0.01, false, Some(warm)), warm.front_body(0.2, 0.06));
+    }
+
+    #[test]
+    fn slot_bound_never_exceeds_the_row_it_relaxes() {
+        let shape = ShapeParams::paper_default();
+        let w = StapWorkload::derive(shape);
+        let ios = [
+            IoStrategy::Embedded,
+            IoStrategy::SeparateTask,
+            IoStrategy::Cached { mb: 32 },
+            IoStrategy::Prefetch { depth: 2 },
+        ];
+        let mut exact = 0;
+        for key in MachineModel::KEYS.split('|') {
+            let m = MachineModel::by_key(key).unwrap();
+            for io in ios {
+                let read = ReadTerm::new(&m, shape, io);
+                for tail in [TailStructure::Split, TailStructure::Combined] {
+                    for total in [7, 12, 40] {
+                        let a =
+                            pack_classes(&w, &assign_nodes(&w, &TaskId::SEVEN, total), &m.classes);
+                        let rows = task_table(&m, shape, io, tail, &a);
+                        for (i, row) in rows.iter().enumerate() {
+                            let bound = slot_bound(&m, &w, &row.slot, row.nodes, &read);
+                            let time = row.time();
+                            let at = format!("{key} {io:?} {tail:?} n={total} {}", row.slot.label);
+                            assert!(bound <= time * (1.0 + 1e-12), "{at}: {bound} > {time}");
+                            // Where the relaxations give nothing away, the
+                            // bound is the row.
+                            let preds: usize =
+                                row.slot.spatial_preds.iter().map(|&p| rows[p].nodes).sum();
+                            let succs: usize = rows
+                                .iter()
+                                .filter(|r| {
+                                    r.slot.spatial_preds.contains(&i)
+                                        || r.slot.temporal_preds.contains(&i)
+                                })
+                                .map(|r| r.nodes)
+                                .sum();
+                            if m.pool_size().is_none() && preds <= 1 && succs <= 1 {
+                                assert!(
+                                    (bound - time).abs() <= 1e-12 * time,
+                                    "{at}: {bound} vs {time}"
+                                );
+                                exact += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(exact > 0, "some slot has one-node neighbours");
     }
 }

@@ -17,9 +17,10 @@ use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContex
 use crate::search::search_structure;
 use stap_core::desmodel::{DesExperiment, DesFaultModel, FaultSource, Redundancy};
 use stap_core::io_strategy::{IoStrategy, TailStructure};
-use stap_model::assignment::{assign_nodes, pack_classes, SEPARATE_IO_NODES};
+use stap_model::assignment::{assign_nodes, pack_classes};
 use stap_model::machines::MachineModel;
 use stap_model::prediction::predict_with_assignment;
+use stap_model::tasktable::{task_slots, TaskSlot};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 
 /// A candidate entering exact evaluation: its assignment, chosen stripe
@@ -138,6 +139,13 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
         for &io in &cfg.ios {
             for &tail in &cfg.tails {
                 stats.structures += 1;
+                // Nodes outside the compute budget: the separate read
+                // task's readers.
+                let readers: usize = task_slots(io, tail)
+                    .iter()
+                    .filter_map(TaskSlot::fixed_capacity)
+                    .map(|c| c.nodes)
+                    .sum();
                 let out = search_structure(
                     m,
                     cfg.shape,
@@ -191,14 +199,13 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                         m.with_stripe_factor(sf)
                     };
                     let a = pack_classes(&w, &a, &m.classes);
-                    // The exact score prices the strategy's read through the
-                    // same `front_body` and cache tier the DP bounds used,
-                    // so the bounds stay admissible against it.
+                    // The exact score is the task table the DP bounds relax
+                    // (`tasktable::slot_bound`): the same rows, Eq. 6/7
+                    // costs and read term, at the packed capacity and the
+                    // real peer counts, so the bounds stay admissible.
                     let pred = predict_with_assignment(&msf, cfg.shape, io, tail, &a);
                     stats.exact_evals += 1;
                     let compute_nodes = a.total();
-                    let readers =
-                        if io == IoStrategy::SeparateTask { SEPARATE_IO_NODES } else { 0 };
                     for &redundancy in &redundancies {
                         let analytic = match &cfg.fault {
                             Some(ctx) => {

@@ -1,19 +1,21 @@
 //! Bounded bi-criteria DP over per-task node assignments × stripe factors.
 //!
 //! For one (machine, I/O design, tail structure) the search walks the
-//! pipeline stage by stage, extending partial assignments ("labels") with
-//! every feasible node count for the next stage. The stripe factor is a
-//! first-class axis: each label carries one of the machine's candidate
-//! factors, whose steady-state read time enters the first stage's bound
-//! (embedded Doppler) or the separate read task's base label, so the DP
+//! task table's slots ([`task_slots`]) stage by stage, extending partial
+//! assignments ("labels") with every feasible node count for the next
+//! stage. The stripe factor is a first-class axis: each label carries one
+//! of the machine's candidate factors, whose steady-state read time enters
+//! the read-bearing slot's bound (a budgeted stage, or the base label when
+//! that slot has fixed capacity, as the separate read task does), so the DP
 //! trades read bandwidth against node allocation instead of being told the
 //! layout. Each label carries two admissible lower bounds — the running
 //! bottleneck `max_i T_i` (throughput is its inverse, Eq. 1/3) and the
-//! running latency-path sum (Eq. 2/4) — computed from the analytic
-//! task-time model with the communication peer count relaxed to its minimum
-//! and, on heterogeneous pools, node capacity relaxed to the `q` fastest
-//! nodes. Both relaxations only ever under-estimate, so a label's bounds
-//! never exceed the exact analytic cost of any completion.
+//! running latency-path sum (Eq. 2/4) — and every stage prices its slot
+//! with [`slot_bound`], the task table's own Eq. 6/7 costs with the
+//! communication peer count relaxed to one and, on heterogeneous pools,
+//! node capacity relaxed to the `q` fastest nodes. Both relaxations only
+//! ever under-estimate, so a label's bounds never exceed the exact analytic
+//! cost of any completion.
 //!
 //! Pruning must stay *sound*: bounds are relaxed, so label A bound-dominating
 //! label B does **not** imply every completion of A beats the same completion
@@ -33,19 +35,19 @@
 //!   along their bottleneck/latency trade-off curve. This trim is the one
 //!   heuristic cut; the soundness tests below disable it with a huge beam.
 //!
-//! The easy/hard beamforming pair and the combined PC+CFAR tail are folded
-//! into single DP stages: both metrics depend on the pair only through
-//! `max(T_easy, T_hard)` (resp. `T_{5+6}`), and the relaxed peer terms are
-//! identical for the easy and hard branches (same predecessor and successor
-//! groups), so the per-total argmin split is exactly optimal. This
-//! collapses the state space from `O(N^7)` assignments to `O(stages · N ·
-//! beam · |sfs|)` labels.
+//! A merged slot (the combined PC+CFAR tail, Eq. 7) is one stage on the
+//! union of its nodes. Two adjacent latency-path slots with the same
+//! spatial predecessors (the easy and hard beamformers) fold into one pair
+//! stage: both metrics depend on the pair only through `max(T_a, T_b)`, and
+//! the relaxed peer terms are identical for the two branches, so the
+//! per-total argmin split is exactly optimal. This collapses the state
+//! space from `O(N^7)` assignments to `O(stages · N · beam · |sfs|)`
+//! labels, and a new slot in the task table needs no edit here.
 
 use stap_core::io_strategy::{IoStrategy, TailStructure};
-use stap_model::assignment::{Assignment, SEPARATE_IO_NODES};
-use stap_model::cachetier::CacheTierModel;
+use stap_model::assignment::Assignment;
 use stap_model::machines::MachineModel;
-use stap_model::tasktable::{front_body, steady_read_time};
+use stap_model::tasktable::{slot_bound, task_slots, ReadTerm, TaskSlot};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 
 /// A candidate assignment surviving the DP, with its admissible bounds.
@@ -68,84 +70,30 @@ pub(crate) struct SearchOutcome {
     pub labels_pruned: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    Single(TaskId),
-    /// Easy+hard beamforming, folded: contributes `max(T_easy, T_hard)`.
-    BfPair,
-    /// Combined PC+CFAR running on the union of their nodes (Eq. 7).
-    CombinedTail,
-}
-
+/// One DP stage: one budgeted slot, or a folded pair of them.
 struct Stage {
-    kind: StageKind,
+    /// The tasks the stage's nodes are dealt to, in pipeline order.
+    tasks: Vec<TaskId>,
     /// Whether the stage is on the latency path (weight tasks are not).
     counts_latency: bool,
-    min_nodes: usize,
     /// Stage-time bound rows: one row shared by every stripe factor, or
-    /// (for the read-absorbing stage) one row per candidate factor.
-    /// `row[q - min_nodes]` = admissible stage-time bound on `q` nodes.
+    /// (for the read-bearing stage) one row per candidate factor.
+    /// `row[q - min_nodes()]` = admissible stage-time bound on `q` nodes.
     times: Vec<Vec<f64>>,
-    /// For pair kinds: the node split behind each `q`.
+    /// For two-task stages: the node split behind each `q`.
     split: Vec<(usize, usize)>,
 }
 
 impl Stage {
+    /// One node per task.
+    fn min_nodes(&self) -> usize {
+        self.tasks.len()
+    }
+
     fn t(&self, sfi: usize, q: usize) -> f64 {
         let row = if self.times.len() == 1 { &self.times[0] } else { &self.times[sfi] };
-        row[q - self.min_nodes]
+        row[q - self.min_nodes()]
     }
-}
-
-/// Admissible communication bound: one peer message's latency plus the
-/// bandwidth term at the best net capacity any `nodes`-node group can have
-/// (the exact model pays `net_latency × peers`, peers ≥ 1, at the packed
-/// group's real capacity ≤ the best).
-fn lb_comm(m: &MachineModel, bytes: usize, nodes: usize) -> f64 {
-    if bytes == 0 {
-        return 0.0;
-    }
-    m.net_latency + bytes as f64 / (m.best_net_capacity(nodes) * m.net_bandwidth)
-}
-
-/// Admissible bound on a single compute task's `T_i` (Eq. 6) on `p` nodes.
-/// `cache` carries the storage-tier cost model for `cached:{MB}` /
-/// `prefetch:{D}` strategies; [`front_body`] is monotone in the core time,
-/// so feeding it the lower-bounded core keeps the bound admissible (the
-/// exact evaluation applies the same function to the exact core).
-fn single_lb(
-    m: &MachineModel,
-    w: &StapWorkload,
-    t: TaskId,
-    p: usize,
-    io: IoStrategy,
-    read_time: f64,
-    cache: Option<CacheTierModel>,
-) -> f64 {
-    let compute = m.compute_time_cap(w.flops(t), m.best_compute_capacity(p));
-    let send = lb_comm(m, w.output_bytes(t), p);
-    if t == TaskId::Doppler && io != IoStrategy::SeparateTask {
-        // Embedded-shaped designs: the file read folds into Doppler; no
-        // receive. The storage tier, when present, reprices the read. The
-        // relaxed core enters as one term, `read + (compute + send)`: the
-        // plan report prints these bounds to the last bit.
-        let core = compute + send;
-        return front_body(read_time, core, 0.0, m.can_overlap_io(), cache) + m.overhead(p);
-    }
-    let recv = lb_comm(m, w.input_bytes(t), p);
-    compute + recv + send + m.overhead(p)
-}
-
-/// Admissible bound on the fixed-size separate read task's `T_read`. The
-/// reader nodes sit outside the heterogeneous pool, so base capacity.
-fn read_task_lb(m: &MachineModel, w: &StapWorkload, read_time: f64) -> f64 {
-    let send = if w.output_bytes(TaskId::Read) == 0 {
-        0.0
-    } else {
-        m.net_latency
-            + w.output_bytes(TaskId::Read) as f64 / (SEPARATE_IO_NODES as f64 * m.net_bandwidth)
-    };
-    front_body(read_time, 0.0, send, m.can_overlap_io(), None) + m.overhead(SEPARATE_IO_NODES)
 }
 
 /// Best split of `q` nodes between two tasks whose joint cost is the max of
@@ -169,92 +117,84 @@ fn fold_pair(ta: &[f64], tb: &[f64], qmax: usize) -> (Vec<f64>, Vec<(usize, usiz
     (time, split)
 }
 
+/// Whether slot `b` folds into the stage of the slot `a` before it: two
+/// single-task latency-path slots that read nothing and share their
+/// spatial predecessors (the easy and hard beamformers).
+fn folds(a: &TaskSlot, b: &TaskSlot) -> bool {
+    let lone = |s: &TaskSlot| s.on_latency_path && s.merged.is_none() && !s.reads;
+    lone(a) && lone(b) && a.spatial_preds == b.spatial_preds
+}
+
+/// The DP stages of `slots` under a `budget` of nodes: every slot the
+/// assignment sizes, in pipeline order, with each foldable pair as one
+/// stage. `reads` holds one read term per candidate stripe factor.
 fn build_stages(
     m: &MachineModel,
     w: &StapWorkload,
-    io: IoStrategy,
-    tail: TailStructure,
+    slots: &[TaskSlot],
     budget: usize,
-    read_times: &[f64],
-    cache: Option<CacheTierModel>,
+    reads: &[ReadTerm],
 ) -> Vec<Stage> {
-    // Seven compute tasks → 6 DP stages (BF pair folded), or 5 with the
-    // combined tail. Minimum nodes: 1 per single, 2 per folded pair.
-    let single = |t: TaskId, counts_latency: bool, pmax: usize| -> Stage {
-        // Only the read-bearing Doppler bound depends on the read time, so
-        // only that stage gets one row per stripe factor.
-        let rows: &[f64] = if t == TaskId::Doppler && io != IoStrategy::SeparateTask {
-            read_times
-        } else {
-            &read_times[..1]
-        };
-        let times: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|&rt| (1..=pmax).map(|p| single_lb(m, w, t, p, io, rt, cache)).collect())
-            .collect();
-        Stage { kind: StageKind::Single(t), counts_latency, min_nodes: 1, times, split: vec![] }
-    };
-    let n_stages_min = match tail {
-        TailStructure::Split => 7,    // 5 singles + pair(2)
-        TailStructure::Combined => 7, // 3 singles + pair(2) + combined(2)
-    };
-    let pmax_single = budget + 1 - n_stages_min;
-    let pmax_pair = budget + 2 - n_stages_min;
-
-    let rt0 = read_times[0];
-    let ebf: Vec<f64> =
-        (1..pmax_pair).map(|p| single_lb(m, w, TaskId::EasyBeamform, p, io, rt0, cache)).collect();
-    let hbf: Vec<f64> =
-        (1..pmax_pair).map(|p| single_lb(m, w, TaskId::HardBeamform, p, io, rt0, cache)).collect();
-    let (bf_time, bf_split) = fold_pair(&ebf, &hbf, pmax_pair);
-
-    let mut stages = vec![
-        single(TaskId::Doppler, true, pmax_single),
-        single(TaskId::EasyWeight, false, pmax_single),
-        single(TaskId::HardWeight, false, pmax_single),
-        Stage {
-            kind: StageKind::BfPair,
-            counts_latency: true,
-            min_nodes: 2,
-            times: vec![bf_time],
-            split: bf_split,
-        },
-    ];
-    match tail {
-        TailStructure::Split => {
-            stages.push(single(TaskId::PulseCompression, true, pmax_single));
-            stages.push(single(TaskId::Cfar, true, pmax_single));
-        }
-        TailStructure::Combined => {
-            // Joint PC+CFAR on q nodes (Eq. 7): compute on the union, the
-            // internal edge gone, overhead paid once. Split q between the
-            // two task ids proportionally to workload for bookkeeping; the
-            // model only ever sees the sum.
-            let w5 = w.flops(TaskId::PulseCompression).max(1.0);
-            let w6 = w.flops(TaskId::Cfar).max(1.0);
-            let mut time = Vec::with_capacity(pmax_pair.saturating_sub(1));
-            let mut split = Vec::with_capacity(pmax_pair.saturating_sub(1));
-            for q in 2..=pmax_pair {
-                let compute = m.compute_time_cap(w5 + w6, m.best_compute_capacity(q));
-                let recv = lb_comm(m, w.input_bytes(TaskId::PulseCompression), q);
-                let send = lb_comm(m, w.output_bytes(TaskId::Cfar), q);
-                time.push(compute + recv + send + m.overhead(q));
-                let p5 = ((q as f64 * w5 / (w5 + w6)).round() as usize).clamp(1, q - 1);
-                split.push((p5, q - p5));
-            }
-            stages.push(Stage {
-                kind: StageKind::CombinedTail,
-                counts_latency: true,
-                min_nodes: 2,
-                times: vec![time],
-                split,
-            });
+    let mut groups: Vec<Vec<&TaskSlot>> = Vec::new();
+    for s in slots.iter().filter(|s| s.fixed_capacity().is_none()) {
+        match groups.last_mut() {
+            Some(g) if g.len() == 1 && folds(g[0], s) => g.push(s),
+            _ => groups.push(vec![s]),
         }
     }
-    stages
+    let members = |g: &[&TaskSlot]| -> Vec<TaskId> { g.iter().flat_map(|s| s.members()).collect() };
+    let need: usize = groups.iter().map(|g| members(g).len()).sum();
+    assert!(budget >= need, "need at least one node per compute task ({need}), got {budget}");
+    assert!(groups.len() <= MAX_STAGES, "{} DP stages exceed MAX_STAGES", groups.len());
+    let bound = |s: &TaskSlot, q: usize, r: &ReadTerm| slot_bound(m, w, s, q, r);
+    groups
+        .iter()
+        .map(|g| {
+            let tasks = members(g);
+            let min_nodes = tasks.len();
+            // Every other stage holds its minimum, so this one gets the rest.
+            let pmax = budget + min_nodes - need;
+            let (times, split) = match g[..] {
+                // Both metrics see a folded pair only through
+                // `max(T_a, T_b)`, and the relaxed peer terms are the same
+                // for both, so the per-total argmin split is exactly optimal.
+                [a, b] => {
+                    let ta: Vec<f64> = (1..pmax).map(|p| bound(a, p, &reads[0])).collect();
+                    let tb: Vec<f64> = (1..pmax).map(|p| bound(b, p, &reads[0])).collect();
+                    let (time, split) = fold_pair(&ta, &tb, pmax);
+                    (vec![time], split)
+                }
+                // Only the read-bearing bound depends on the read time, so
+                // only that stage gets one row per stripe factor. A merged
+                // slot (Eq. 7) splits its nodes in proportion to workload
+                // for bookkeeping; the model only ever sees the sum.
+                _ => {
+                    let s = g[0];
+                    let rows = if s.reads { reads } else { &reads[..1] };
+                    let times =
+                        rows.iter().map(|r| (min_nodes..=pmax).map(|q| bound(s, q, r)).collect());
+                    let split = s.merged.map_or(vec![], |second| {
+                        let w1 = w.flops(s.id).max(1.0);
+                        let w2 = w.flops(second).max(1.0);
+                        (min_nodes..=pmax)
+                            .map(|q| {
+                                let p1 =
+                                    ((q as f64 * w1 / (w1 + w2)).round() as usize).clamp(1, q - 1);
+                                (p1, q - p1)
+                            })
+                            .collect()
+                    });
+                    (times.collect(), split)
+                }
+            };
+            Stage { tasks, counts_latency: g[0].on_latency_path, times, split }
+        })
+        .collect()
 }
 
-/// DP stages per structure at most (five singles and the folded BF pair).
+/// DP stages per structure at most: the most [`task_slots`] yields (five
+/// single stages and the folded pair). Each one widens every label, which
+/// the DP copies and sorts millions of times.
 const MAX_STAGES: usize = 6;
 
 #[derive(Debug, Clone, Copy)]
@@ -270,17 +210,23 @@ struct Label {
 }
 
 impl Label {
-    fn base(t: f64, sfi: usize) -> Self {
-        Label { maxt: t, lat: t, picks: [0; MAX_STAGES], stages: 0, sfi: sfi as u16 }
+    fn base(sfi: usize) -> Self {
+        Label { maxt: 0.0, lat: 0.0, picks: [0; MAX_STAGES], stages: 0, sfi: sfi as u16 }
+    }
+
+    /// This label charged with a task whose bound is `t`.
+    fn charged(mut self, t: f64, counts_latency: bool) -> Self {
+        self.maxt = self.maxt.max(t);
+        self.lat += if counts_latency { t } else { 0.0 };
+        self
     }
 
     /// This label with `q` nodes on the next stage, whose bound is `t`.
-    fn extended(mut self, q: usize, t: f64, counts_latency: bool) -> Self {
-        self.maxt = self.maxt.max(t);
-        self.lat += if counts_latency { t } else { 0.0 };
-        self.picks[self.stages as usize] = q as u16;
-        self.stages += 1;
-        self
+    fn extended(self, q: usize, t: f64, counts_latency: bool) -> Self {
+        let mut l = self.charged(t, counts_latency);
+        l.picks[l.stages as usize] = q as u16;
+        l.stages += 1;
+        l
     }
 }
 
@@ -298,10 +244,10 @@ struct Slack {
 }
 
 impl Slack {
-    fn for_run(m: &MachineModel, stages: &[Stage], io: IoStrategy, budget: usize) -> Self {
+    /// The slack of a run with `latency_stages` latency-path stages, fixed
+    /// slots included.
+    fn for_run(m: &MachineModel, latency_stages: usize, budget: usize) -> Self {
         let per_task = 2.0 * m.net_latency * budget.saturating_sub(1) as f64;
-        let latency_stages = stages.iter().filter(|s| s.counts_latency).count()
-            + usize::from(io == IoStrategy::SeparateTask);
         Slack { bot: per_task, lat: per_task * latency_stages as f64 }
     }
 
@@ -418,21 +364,23 @@ pub(crate) fn search_structure(
     beam_width: usize,
     max_candidates: usize,
 ) -> SearchOutcome {
-    assert!(budget >= 7, "need at least one node per compute task (7), got {budget}");
     assert!(!sfs.is_empty(), "need at least one candidate stripe factor");
     if let Some(pool) = m.pool_size() {
         assert!(budget <= pool, "budget {budget} exceeds the {pool}-node pool");
     }
     let w = StapWorkload::derive(shape);
-    let read_times: Vec<f64> =
-        sfs.iter().map(|&sf| steady_read_time(&m.with_stripe_factor(sf), shape)).collect();
-    let cache = io.cache_tier(shape.cube_bytes());
-    let stages = build_stages(m, &w, io, tail, budget, &read_times, cache);
-    let slack = Slack::for_run(m, &stages, io, budget);
+    let reads: Vec<ReadTerm> =
+        sfs.iter().map(|&sf| ReadTerm::new(&m.with_stripe_factor(sf), shape, io)).collect();
+    let slots = task_slots(io, tail);
+    let stages = build_stages(m, &w, &slots, budget, &reads);
+    let fixed: Vec<&TaskSlot> = slots.iter().filter(|s| s.fixed_capacity().is_some()).collect();
+    let latency_stages = stages.iter().filter(|s| s.counts_latency).count()
+        + fixed.iter().filter(|s| s.on_latency_path).count();
+    let slack = Slack::for_run(m, latency_stages, budget);
     let suffix_min: Vec<usize> = {
         let mut v = vec![0usize; stages.len() + 1];
         for i in (0..stages.len()).rev() {
-            v[i] = v[i + 1] + stages[i].min_nodes;
+            v[i] = v[i + 1] + stages[i].min_nodes();
         }
         v
     };
@@ -440,14 +388,16 @@ pub(crate) fn search_structure(
     let mut labels_created: u64 = 0;
     let mut labels_pruned: u64 = 0;
 
-    // One base label per stripe factor. The separate-I/O read task is
-    // outside the node budget (fixed 4 reader nodes) but contributes to
-    // both bounds; embedded designs (including the storage-tier strategies)
-    // pay the read inside the first stage.
+    // One base label per stripe factor. A fixed-capacity slot (the
+    // separate read task's reader nodes) sits outside the node budget but
+    // enters both bounds; a read-bearing budgeted slot pays the read in
+    // its own stage.
     let mut cells: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
-    for (sfi, &rt) in read_times.iter().enumerate() {
-        let t = if io == IoStrategy::SeparateTask { read_task_lb(m, &w, rt) } else { 0.0 };
-        cells[0].push(Label::base(t, sfi));
+    for (sfi, r) in reads.iter().enumerate() {
+        let base = fixed.iter().fold(Label::base(sfi), |l, s| {
+            l.charged(slot_bound(m, &w, s, 0, r), s.on_latency_path)
+        });
+        cells[0].push(base);
     }
 
     // Each stage is built one target cell (`used + q` nodes) at a time, in
@@ -465,10 +415,10 @@ pub(crate) fn search_structure(
         let top = budget - suffix_min[si + 1];
         for (target, cell) in next.iter_mut().enumerate() {
             cell.clear();
-            if target < stage.min_nodes || target > top {
+            if target < stage.min_nodes() || target > top {
                 continue;
             }
-            for (used, parents) in cells[..=target - stage.min_nodes].iter().enumerate() {
+            for (used, parents) in cells[..=target - stage.min_nodes()].iter().enumerate() {
                 let q = target - used;
                 for label in parents {
                     let t = stage.t(label.sfi as usize, q);
@@ -511,31 +461,17 @@ pub(crate) fn search_structure(
     SearchOutcome { candidates, labels_created, labels_pruned }
 }
 
-/// Expands a DP pick vector back into a full seven-task [`Assignment`].
+/// Expands a DP pick vector back into the assignment of every task the
+/// stages deal nodes to, in pipeline order.
 fn picks_to_assignment(stages: &[Stage], picks: &[u16]) -> Assignment {
     let mut tasks: Vec<TaskId> = Vec::with_capacity(7);
     let mut nodes: Vec<usize> = Vec::with_capacity(7);
     for (stage, &qu) in stages.iter().zip(picks) {
         let q = qu as usize;
-        match stage.kind {
-            StageKind::Single(t) => {
-                tasks.push(t);
-                nodes.push(q);
-            }
-            StageKind::BfPair => {
-                let (pe, ph) = stage.split[q - stage.min_nodes];
-                tasks.push(TaskId::EasyBeamform);
-                nodes.push(pe);
-                tasks.push(TaskId::HardBeamform);
-                nodes.push(ph);
-            }
-            StageKind::CombinedTail => {
-                let (p5, p6) = stage.split[q - stage.min_nodes];
-                tasks.push(TaskId::PulseCompression);
-                nodes.push(p5);
-                tasks.push(TaskId::Cfar);
-                nodes.push(p6);
-            }
+        tasks.extend(&stage.tasks);
+        match stage.split.get(q - stage.min_nodes()) {
+            Some(&(pa, pb)) => nodes.extend([pa, pb]),
+            None => nodes.push(q),
         }
     }
     Assignment::new(tasks, nodes)
@@ -586,11 +522,12 @@ mod tests {
     fn bound_front_is_sorted_and_slack_incomparable() {
         let out = run(IoStrategy::Embedded, TailStructure::Split, 50);
         let m = paragon64();
-        let w = StapWorkload::derive(ShapeParams::paper_default());
-        let read_times = [steady_read_time(&m, ShapeParams::paper_default())];
-        let stages =
-            build_stages(&m, &w, IoStrategy::Embedded, TailStructure::Split, 50, &read_times, None);
-        let slack = Slack::for_run(&m, &stages, IoStrategy::Embedded, 50);
+        let shape = ShapeParams::paper_default();
+        let w = StapWorkload::derive(shape);
+        let slots = task_slots(IoStrategy::Embedded, TailStructure::Split);
+        let reads = [ReadTerm::new(&m, shape, IoStrategy::Embedded)];
+        let stages = build_stages(&m, &w, &slots, 50, &reads);
+        let slack = Slack::for_run(&m, stages.iter().filter(|s| s.counts_latency).count(), 50);
         for pair in out.candidates.windows(2) {
             assert!(pair[0].bound_bottleneck <= pair[1].bound_bottleneck);
         }
@@ -620,14 +557,15 @@ mod tests {
         let m = paragon64();
         let shape = ShapeParams::paper_default();
         let w = StapWorkload::derive(shape);
-        let read_time = steady_read_time(&m, shape);
+        let slots = task_slots(IoStrategy::Embedded, TailStructure::Split);
+        let read = ReadTerm::new(&m, shape, IoStrategy::Embedded);
         for budget in [25usize, 50, 100] {
             let heur = assign_nodes(&w, &TaskId::SEVEN, budget);
-            let heur_bottleneck = heur
-                .tasks
+            assert_eq!(heur.tasks, slots.iter().map(|s| s.id).collect::<Vec<_>>());
+            let heur_bottleneck = slots
                 .iter()
                 .zip(&heur.nodes)
-                .map(|(&t, &p)| single_lb(&m, &w, t, p, IoStrategy::Embedded, read_time, None))
+                .map(|(s, &p)| slot_bound(&m, &w, s, p, &read))
                 .fold(0.0f64, f64::max);
             let out = search_structure(
                 &m,
@@ -672,6 +610,51 @@ mod tests {
         let (time, split) = fold_pair(&t, &t, 10);
         assert_eq!(split[10 - 2], (5, 5));
         assert!((time[10 - 2] - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stages_come_from_the_slots_alone() {
+        // A hand-built slot list, not a `task_slots` shape: a fixed reader,
+        // a read-fed head, a foldable pair and a merged tail. The planner
+        // needs no edit to search it.
+        let slot = |id: TaskId, preds: &[usize]| TaskSlot {
+            id,
+            merged: None,
+            label: id.label(),
+            reads: false,
+            spatial_preds: preds.to_vec(),
+            temporal_preds: vec![],
+            on_latency_path: true,
+        };
+        let slots = vec![
+            TaskSlot { reads: true, ..slot(TaskId::Read, &[]) },
+            slot(TaskId::Doppler, &[0]),
+            slot(TaskId::EasyBeamform, &[1]),
+            slot(TaskId::HardBeamform, &[1]),
+            TaskSlot { merged: Some(TaskId::Cfar), ..slot(TaskId::PulseCompression, &[2, 3]) },
+        ];
+        let m = paragon64();
+        let shape = ShapeParams::paper_default();
+        let w = StapWorkload::derive(shape);
+        let reads = [ReadTerm::new(&m, shape, IoStrategy::SeparateTask)];
+        let stages = build_stages(&m, &w, &slots, 12, &reads);
+        assert_eq!(stages.len(), 3, "the reader is fixed and the beamformers fold");
+        assert_eq!(stages.iter().map(|s| s.min_nodes()).collect::<Vec<_>>(), vec![1, 2, 2]);
+        let a = picks_to_assignment(&stages, &[3, 4, 5]);
+        assert_eq!(
+            a.tasks,
+            vec![
+                TaskId::Doppler,
+                TaskId::EasyBeamform,
+                TaskId::HardBeamform,
+                TaskId::PulseCompression,
+                TaskId::Cfar
+            ]
+        );
+        assert_eq!(a.nodes[0], 3);
+        assert_eq!(a.nodes[1] + a.nodes[2], 4);
+        assert_eq!(a.nodes[3] + a.nodes[4], 5);
+        assert!(a.nodes.iter().all(|&n| n >= 1));
     }
 
     #[test]

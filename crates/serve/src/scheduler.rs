@@ -8,7 +8,7 @@
 //! serve-conformance suite pins down.
 
 use crate::mission::{machine_profile, AdmissionError, MissionSpec, PlanChoice};
-use stap_des::SimTime;
+use stap_core::desmodel::{batch_reads, ReadBatch};
 use stap_model::assignment::Assignment;
 use stap_model::machines::MachineModel;
 use stap_model::tasktable::{task_table, TaskRow};
@@ -112,25 +112,6 @@ pub struct Counters {
     pub completed: u64,
     /// Missions whose pipeline erred (watchdog timeouts included).
     pub failed: u64,
-}
-
-/// `(stripe directory, total service, stripe-unit reads)`: what one CPI asks
-/// of one directory. The units of a CPI all arrive together and a directory
-/// serves them back to back, so the simulator posts their sum as one job.
-pub(crate) type ReadBatch = (usize, SimTime, u64);
-
-/// Sums `units` per directory, each rounded to the simulator's clock on its
-/// own first: the integer sum is then exactly the time the directory would
-/// spend on them one by one.
-fn batch_reads(units: &[(usize, f64)]) -> Vec<ReadBatch> {
-    let dirs = units.iter().map(|&(dir, _)| dir + 1).max().unwrap_or(0);
-    let mut batches: Vec<ReadBatch> = (0..dirs).map(|dir| (dir, SimTime::ZERO, 0)).collect();
-    for &(dir, svc) in units {
-        batches[dir].1 += SimTime::from_secs_f64(svc);
-        batches[dir].2 += 1;
-    }
-    batches.retain(|b| b.2 > 0);
-    batches
 }
 
 /// One CPI of a plan, priced once per plan-cache entry for the capacity

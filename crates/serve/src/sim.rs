@@ -22,9 +22,9 @@
 //! execution on the same footing).
 
 use crate::mission::{FleetReport, MissionReport, MissionSource, PlanChoice, SlaVerdict};
-use crate::scheduler::{Dispatch, FleetFault, PlanCost, ReadBatch, Scheduler, ServeConfig};
+use crate::scheduler::{Dispatch, FleetFault, PlanCost, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
-use stap_core::desmodel::read_step;
+use stap_core::desmodel::{post_reads, read_step, ReadBatch};
 use stap_des::{Engine, FcfsResource, SimTime};
 use stap_ingest::StagingModel;
 use stap_model::tasktable::ReadTerm;
@@ -119,11 +119,7 @@ impl CpiFold {
     /// Posts CPI `cpi`'s reads to `store` at `at`; returns when the last
     /// one completes.
     fn post(&self, store: &mut FcfsResource, cpi: u64, at: SimTime) -> SimTime {
-        let servers = store.servers();
-        let rotate = cpi as usize % self.rotation;
-        self.batches.iter().fold(at, |done, &(dir, total, units)| {
-            done.max(store.submit_batch_to((dir + rotate) % servers, at, total, units).1)
-        })
+        post_reads(store, &self.batches, cpi as usize % self.rotation, at)
     }
 
     /// End of CPI `cpi` started at `t0`: the read-bearing row's event step,
