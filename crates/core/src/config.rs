@@ -184,6 +184,14 @@ impl SourceSpec {
         matches!(self, SourceSpec::Stream(_))
     }
 
+    /// Staging-ring depth this source occupies (`0` for file-fed).
+    pub fn staging_depth(&self) -> usize {
+        match self {
+            SourceSpec::File => 0,
+            SourceSpec::Stream(s) => s.depth,
+        }
+    }
+
     /// Parses the CLI grammar: `file`, `stream`, or
     /// `stream:depth=N,policy=block|drop-oldest|reject,rate=R,strict-lag`
     /// (options comma-separated, any subset).
@@ -516,6 +524,9 @@ mod tests {
     #[test]
     fn source_spec_grammar_round_trips() {
         assert!(matches!(SourceSpec::parse("file").unwrap(), SourceSpec::File));
+        assert_eq!(SourceSpec::default(), SourceSpec::File);
+        assert_eq!(SourceSpec::File.staging_depth(), 0);
+        assert_eq!(SourceSpec::parse("stream").unwrap().staging_depth(), 4);
         let SourceSpec::Stream(s) = SourceSpec::parse("stream").unwrap() else {
             panic!("expected stream")
         };

@@ -1,13 +1,17 @@
 //! Virtual-time simulation of the STAP pipeline on the calibrated machine
 //! models — the engine behind every reproduced table and figure.
 //!
-//! Each task instance `(task, cpi)` is an event-driven activity: it starts
-//! once all its inputs have arrived (spatial inputs from the same CPI,
-//! temporal inputs from the previous one) and its own previous instance has
-//! finished; it completes after its modeled execution time. File reads go
-//! through a per-server FCFS resource ([`stap_des::FcfsResource`]) with one
-//! server per stripe directory, so I/O contention — the paper's central
-//! subject — emerges from queueing rather than being assumed.
+//! The simulation is a recurrence over the task table. Instance `(i, j)`
+//! (task `i`, CPI `j`) starts when its last gate opens: the end of each
+//! spatial predecessor's instance `j`, the end of each temporal
+//! predecessor's and its own instance `j-1`, and the start of each spatial
+//! consumer's instance `j-1` (the rendezvous of blocking large-message
+//! sends, which bounds run-ahead to one CPI). Slot order is topological for
+//! the spatial edges and every other gate looks one CPI back, so the
+//! instances are computed CPI by CPI in slot order. File reads go through a
+//! per-server FCFS resource ([`stap_des::FcfsResource`]) with one server
+//! per stripe directory, so I/O contention — the paper's central subject —
+//! emerges from queueing rather than being assumed.
 //!
 //! Asynchronous reads (Paragon PFS, `M_ASYNC` + `iread`) are posted when
 //! the *previous* Doppler instance starts, overlapping the read with a full
@@ -19,24 +23,23 @@
 //! dependency edges and the read term come from the shared task table
 //! ([`stap_model::tasktable`]), and each stripe-unit request's service time
 //! from [`stap_pfs::timing::extent_service`]. What lives here is the
-//! event-level behaviour — when a read is posted, what it overlaps, what a
-//! fault does to a CPI — in [`read_step`] (which the fleet simulator in
-//! `stap-serve` calls too) and `SimState::duration`.
+//! instance-level behaviour — when a read is posted, what it overlaps, what
+//! a fault does to a CPI — in [`read_step`] (which the fleet simulator in
+//! `stap-serve` calls too) and `duration`.
 
 use crate::config::RetryPolicy;
 use crate::io_strategy::{IoStrategy, TailStructure};
-use stap_des::{Engine, FcfsResource, SimTime, Tally};
+use stap_des::{FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
 use stap_model::assignment::assign_nodes;
 use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
-use stap_model::tasktable::{task_table, ReadTerm};
+use stap_model::tasktable::{self, task_table, ReadTerm};
 use stap_model::tasktime::TaskCosts;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::fault::splitmix64;
 use stap_pfs::timing::extent_service;
 use stap_pfs::FaultWindow;
-use std::collections::HashMap;
 
 /// Duration of the read-bearing task's instance for CPI `cpi`, starting at
 /// `t0`: read plus compute, send and overhead from `costs` (its receive
@@ -129,30 +132,22 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// The steady-state, fault-free split of one instance of `row`: the
+    /// read phase charges the hit time once the cache is warm, the striped
+    /// read otherwise.
+    fn of(row: &tasktable::TaskRow) -> Self {
+        let c = row.costs;
+        let read = row.read.map_or(0.0, |r| match r.cache {
+            Some(tier) if tier.warm => tier.hit_time,
+            _ => r.read_time,
+        });
+        PhaseBreakdown { read, recv: c.recv, compute: c.compute + c.overhead, send: c.send }
+    }
+
     /// Sum of the four phases.
     pub fn total(&self) -> f64 {
         self.read + self.recv + self.compute + self.send
     }
-}
-
-/// One simulated task.
-#[derive(Debug, Clone)]
-struct SimTask {
-    label: String,
-    /// `TaskId` used for the analytic latency/throughput cross-check
-    /// (combined tail reports as `PulseCompression`).
-    id: TaskId,
-    nodes: usize,
-    /// Eq. 6 costs: a task without a read term runs for their total `T_i`.
-    costs: TaskCosts,
-    /// The read term of the read-bearing task, run through [`read_step`].
-    read: Option<ReadTerm>,
-    /// Predicted phase split of one instance (steady state, fault-free).
-    phases: PhaseBreakdown,
-    /// Spatial predecessors (same CPI), indices into the task vector.
-    spatial_preds: Vec<usize>,
-    /// Temporal predecessors (previous CPI).
-    temporal_preds: Vec<usize>,
 }
 
 /// Which simulated CPIs suffer a read fault.
@@ -510,191 +505,44 @@ impl DesResult {
     }
 }
 
-struct SimState {
-    tasks: Vec<SimTask>,
-    /// Remaining unsatisfied inputs per (task, cpi).
-    remaining: HashMap<(usize, u64), usize>,
-    /// Latest input arrival per (task, cpi).
-    arrival: HashMap<(usize, u64), SimTime>,
-    /// End of the previous instance per task (None before cpi 0 completes).
-    prev_end: Vec<Option<SimTime>>,
-    /// Number of completed instances per task (instance `j` may only start
-    /// once `completed == j`, keeping a task's instances strictly serial).
-    completed: Vec<u64>,
-    /// Start of the previous instance per task (for async read posting).
-    prev_start: Vec<Option<SimTime>>,
-    /// Next instance index allowed to start per task.
-    next_cpi: Vec<u64>,
-    io: FcfsResource,
-    /// One whole-file CPI read, batched per stripe server.
-    reads: Vec<ReadBatch>,
-    cpis: u64,
-    warmup: u64,
-    durations: Vec<Tally>,
-    source_start: Vec<SimTime>,
-    sink_end: Vec<SimTime>,
-    source_idx: usize,
-    sink_idx: usize,
-    trace: Option<Vec<TraceEntry>>,
-    /// Precomputed per-CPI fault consequences (empty = fault-free).
-    faults: Vec<CpiFault>,
-}
-
-impl SimState {
-    fn deps_count(&self, i: usize, j: u64) -> usize {
-        let t = &self.tasks[i];
-        t.spatial_preds.len() + if j > 0 { t.temporal_preds.len() } else { 0 }
-    }
-
-    /// Duration of instance `(i, j)` starting at `t0`.
-    fn duration(&mut self, i: usize, j: u64, t0: SimTime) -> SimTime {
-        let fault = self.faults.get(j as usize).copied().unwrap_or_default();
-        if fault.dropped {
-            // The read-bearing task burns its retry budget (detection +
-            // backoff) and gives up; everyone downstream merely forwards
-            // the gap bubble at a small fraction of nominal time.
-            if i == self.source_idx {
-                return SimTime::from_secs_f64(fault.extra);
-            }
-            return SimTime::from_secs_f64(GAP_FORWARD_FRACTION * self.tasks[i].costs.total());
-        }
-        let (costs, prev_start) = (self.tasks[i].costs, self.prev_start[i]);
-        let base = match self.tasks[i].read {
-            None => SimTime::from_secs_f64(costs.total()),
-            Some(read) => read_step(&costs, &read, j, t0, prev_start, |post| {
-                post_reads(&mut self.io, &self.reads, 0, post)
-            }),
-        };
-        if i == self.source_idx && fault.extra > 0.0 {
-            // Transient fault cleared within the retry budget: the read
-            // succeeds after charging detection time and backoff.
-            base + SimTime::from_secs_f64(fault.extra)
-        } else {
-            base
+/// Duration of CPI `cpi`'s instance of `row`, starting at `t0`; `prev_start`
+/// is when the row's previous instance started and `post` posts the CPI's
+/// read (see [`read_step`]). On a dropped CPI the read-bearing row burns
+/// its retry budget (detection + backoff) and gives up, and every other row
+/// merely forwards the gap bubble at a small fraction of nominal time. A
+/// fault cleared within the retry budget charges its detection time and
+/// backoff on top of the read.
+fn duration(
+    row: &tasktable::TaskRow,
+    fault: CpiFault,
+    cpi: u64,
+    t0: SimTime,
+    prev_start: Option<SimTime>,
+    post: impl FnOnce(SimTime) -> SimTime,
+) -> SimTime {
+    match (row.read, fault.dropped) {
+        (Some(_), true) => SimTime::from_secs_f64(fault.extra),
+        (None, true) => SimTime::from_secs_f64(GAP_FORWARD_FRACTION * row.costs.total()),
+        (None, false) => SimTime::from_secs_f64(row.costs.total()),
+        (Some(read), false) => {
+            read_step(&row.costs, &read, cpi, t0, prev_start, post)
+                + SimTime::from_secs_f64(fault.extra)
         }
     }
-}
-
-fn try_start(eng: &mut Engine<SimState>, st: &mut SimState, i: usize, j: u64) {
-    if j >= st.cpis || st.next_cpi[i] != j {
-        return;
-    }
-    // Rendezvous backpressure: a producer's send for instance j-1 completes
-    // only when the consumer posts its receive (i.e. starts j-1), so the
-    // producer may begin instance j only once every spatial consumer has
-    // started instance j-1. This bounds run-ahead to one CPI, like the
-    // blocking large-message sends of NX/MPL.
-    for k in 0..st.tasks.len() {
-        if st.tasks[k].spatial_preds.contains(&i) && st.next_cpi[k] < j {
-            return;
-        }
-    }
-    if st.remaining.get(&(i, j)).copied().unwrap_or_else(|| st.deps_count(i, j)) > 0 {
-        return;
-    }
-    let input_ready = st.arrival.get(&(i, j)).copied().unwrap_or(SimTime::ZERO);
-    if st.completed[i] != j {
-        return; // previous instance still running
-    }
-    let own_ready = if j == 0 {
-        SimTime::ZERO
-    } else {
-        st.prev_end[i].expect("completed == j > 0 implies a recorded end")
-    };
-    let t0 = input_ready.max(own_ready).max(eng.now());
-    let dur = st.duration(i, j, t0);
-    let end = t0 + dur;
-    st.next_cpi[i] = j + 1;
-    st.prev_start[i] = Some(t0);
-    if j >= st.warmup {
-        st.durations[i].record(dur.as_secs_f64());
-    }
-    if i == st.source_idx {
-        st.source_start[j as usize] = t0;
-    }
-    if let Some(trace) = st.trace.as_mut() {
-        trace.push(TraceEntry { task: i, cpi: j, start: t0.as_secs_f64(), end: end.as_secs_f64() });
-    }
-    eng.schedule_at(end, move |eng, st| on_complete(eng, st, i, j));
-    // Starting this instance releases the rendezvous hold on our producers.
-    let preds = st.tasks[i].spatial_preds.clone();
-    for p in preds {
-        let next = st.next_cpi[p];
-        try_start(eng, st, p, next);
-    }
-}
-
-fn on_complete(eng: &mut Engine<SimState>, st: &mut SimState, i: usize, j: u64) {
-    let now = eng.now();
-    st.prev_end[i] = Some(now);
-    st.completed[i] = j + 1;
-    if i == st.sink_idx {
-        st.sink_end[j as usize] = now;
-    }
-    // Notify consumers: spatial successors at the same CPI, temporal
-    // successors at the next CPI; also our own next instance.
-    let n = st.tasks.len();
-    for k in 0..n {
-        if st.tasks[k].spatial_preds.contains(&i) {
-            deliver(eng, st, k, j, now);
-        }
-        if st.tasks[k].temporal_preds.contains(&i) && j + 1 < st.cpis {
-            deliver(eng, st, k, j + 1, now);
-        }
-    }
-    try_start(eng, st, i, j + 1);
-}
-
-fn deliver(eng: &mut Engine<SimState>, st: &mut SimState, k: usize, j: u64, at: SimTime) {
-    let rem = st.remaining.entry((k, j)).or_insert_with(|| {
-        let t = &st.tasks[k];
-        t.spatial_preds.len() + if j > 0 { t.temporal_preds.len() } else { 0 }
-    });
-    *rem = rem.saturating_sub(1);
-    let a = st.arrival.entry((k, j)).or_insert(SimTime::ZERO);
-    *a = (*a).max(at);
-    try_start(eng, st, k, j);
 }
 
 impl DesExperiment {
-    /// Maps the shared task table onto simulated tasks: a row without a
-    /// read term runs for its constant `T_i`, the read-bearing row gets the
-    /// event-driven read.
-    fn build_tasks(&self) -> Vec<SimTask> {
+    /// The shared task table under this cell's assignment (proportional to
+    /// workload unless overridden).
+    fn rows(&self) -> Vec<tasktable::TaskRow> {
         let a = self.assignment_override.clone().unwrap_or_else(|| {
             assign_nodes(&StapWorkload::derive(self.shape), &TaskId::SEVEN, self.compute_nodes)
         });
         task_table(&self.machine, self.shape, self.io, self.tail, &a)
-            .into_iter()
-            .map(|row| {
-                let c = row.costs;
-                // The phase split charges the steady-state read: the hit
-                // time once the cache is warm, the striped read otherwise.
-                let read = row.read.map_or(0.0, |r| match r.cache {
-                    Some(tier) if tier.warm => tier.hit_time,
-                    _ => r.read_time,
-                });
-                SimTask {
-                    label: row.slot.label.into(),
-                    id: row.slot.id,
-                    nodes: row.nodes,
-                    costs: c,
-                    read: row.read,
-                    phases: PhaseBreakdown {
-                        read,
-                        recv: c.recv,
-                        compute: c.compute + c.overhead,
-                        send: c.send,
-                    },
-                    spatial_preds: row.slot.spatial_preds,
-                    temporal_preds: row.slot.temporal_preds,
-                }
-            })
-            .collect()
     }
 
     /// Runs the experiment cell and also returns the per-instance
-    /// execution trace (for Gantt-style visualization).
+    /// execution trace (for Gantt-style visualization), CPI by CPI.
     pub fn run_traced(&self) -> (DesResult, Vec<TraceEntry>) {
         self.run_inner(true)
     }
@@ -705,13 +553,14 @@ impl DesExperiment {
     }
 
     fn run_inner(&self, traced: bool) -> (DesResult, Vec<TraceEntry>) {
-        let tasks = self.build_tasks();
-        let n = tasks.len();
+        let rows = self.rows();
+        let n = rows.len();
         let read_nodes: usize =
-            tasks.iter().filter(|t| t.id == TaskId::Read).map(|t| t.nodes).sum();
+            rows.iter().filter(|r| r.slot.id == TaskId::Read).map(|r| r.nodes).sum();
         let fs = &self.machine.fs;
-        let source_idx = 0usize; // read task when present, else Doppler
-        let sink_idx = n - 1;
+        // The source is the reading slot (the first); the sink is the last.
+        let source = rows.iter().position(|r| r.read.is_some()).expect("one slot reads");
+        let sink = n - 1;
         let mut faults: Vec<CpiFault> = match &self.faults {
             Some(model) => (0..self.cpis).map(|j| model.consequence(j)).collect(),
             None => Vec::new(),
@@ -719,76 +568,86 @@ impl DesExperiment {
         if let Some(model) = self.faults.as_ref().filter(|m| m.has_fleet_consequences()) {
             // The source task's nominal per-CPI time prices promotion,
             // restore, and replay in units the pipeline understands.
-            let nominal = tasks[source_idx].phases.total();
+            let nominal = PhaseBreakdown::of(&rows[source]).total();
             model.apply_fleet(self.cpis, nominal, &mut faults);
         }
-        let mut st = SimState {
-            remaining: HashMap::new(),
-            arrival: HashMap::new(),
-            prev_end: vec![None; n],
-            completed: vec![0; n],
-            prev_start: vec![None; n],
-            next_cpi: vec![0; n],
-            io: FcfsResource::new("stripe servers", fs.stripe_factor),
-            reads: batch_reads(&extent_service(
-                fs,
-                0,
-                self.shape.cube_bytes(),
-                self.machine.open_mode,
-            )),
-            cpis: self.cpis,
-            warmup: self.warmup,
-            durations: (0..n).map(|_| Tally::new()).collect(),
-            source_start: vec![SimTime::ZERO; self.cpis as usize],
-            sink_end: vec![SimTime::ZERO; self.cpis as usize],
-            source_idx,
-            sink_idx,
-            trace: traced.then(Vec::new),
-            faults,
-            tasks,
-        };
-        let mut eng = Engine::new();
-        // Kick off every task's first instance (those with deps wait).
-        eng.schedule_at(SimTime::ZERO, move |eng, st: &mut SimState| {
-            for i in 0..st.tasks.len() {
-                try_start(eng, st, i, 0);
+        let mut consumers = vec![Vec::new(); n];
+        for (k, row) in rows.iter().enumerate() {
+            for &p in &row.slot.spatial_preds {
+                consumers[p].push(k);
             }
-        });
-        let horizon = eng.run(&mut st);
+        }
+        let mut io = FcfsResource::new("stripe servers", fs.stripe_factor);
+        // One whole-file CPI read, batched per stripe server.
+        let reads =
+            batch_reads(&extent_service(fs, 0, self.shape.cube_bytes(), self.machine.open_mode));
+        let mut durations: Vec<Tally> = (0..n).map(|_| Tally::new()).collect();
+        let mut trace = Vec::new();
+        // start[j][i] / end[j][i]: instance (i, j)'s virtual interval.
+        let cpis = self.cpis as usize;
+        let mut start = vec![vec![SimTime::ZERO; n]; cpis];
+        let mut end = start.clone();
+        for j in 0..cpis {
+            for (i, row) in rows.iter().enumerate() {
+                // The instance starts when its last gate opens: its spatial
+                // inputs of this CPI, then — one CPI back — its temporal
+                // inputs, its own previous instance and the rendezvous with
+                // each spatial consumer.
+                let inputs = row.slot.spatial_preds.iter().map(|&p| end[j][p]);
+                let prev = j.checked_sub(1);
+                let t0 = match prev {
+                    None => inputs.max().unwrap_or(SimTime::ZERO),
+                    Some(prev) => inputs
+                        .chain(row.slot.temporal_preds.iter().map(|&p| end[prev][p]))
+                        .chain(consumers[i].iter().map(|&k| start[prev][k]))
+                        .fold(end[prev][i], SimTime::max),
+                };
+                let fault = faults.get(j).copied().unwrap_or_default();
+                let prev_start = prev.map(|prev| start[prev][i]);
+                let dur = duration(row, fault, j as u64, t0, prev_start, |at| {
+                    post_reads(&mut io, &reads, 0, at)
+                });
+                (start[j][i], end[j][i]) = (t0, t0 + dur);
+                if j as u64 >= self.warmup {
+                    durations[i].record(dur.as_secs_f64());
+                }
+                if traced {
+                    let (t0, t1) = (t0.as_secs_f64(), end[j][i].as_secs_f64());
+                    trace.push(TraceEntry { task: i, cpi: j as u64, start: t0, end: t1 });
+                }
+            }
+        }
+        let horizon = end.iter().flatten().copied().max().unwrap_or(SimTime::ZERO);
 
         // Steady-state metrics, by the executed report's rule: no
         // throughput without two steady CPIs, and the mean latency of the
         // steady CPIs there are (0 without any).
-        let steady = (self.warmup as usize).min(st.sink_end.len())..st.sink_end.len();
+        let sink_end = |j: usize| end[j][sink].as_secs_f64();
+        let steady = (self.warmup as usize).min(cpis)..cpis;
         let tput = if steady.len() < 2 {
             0.0
         } else {
             let (w0, last) = (steady.start, steady.end - 1);
-            (last - w0) as f64 / (st.sink_end[last].as_secs_f64() - st.sink_end[w0].as_secs_f64())
+            (last - w0) as f64 / (sink_end(last) - sink_end(w0))
         };
-        let lat = steady
-            .clone()
-            .map(|j| st.sink_end[j].as_secs_f64() - st.source_start[j].as_secs_f64())
-            .sum::<f64>()
+        let lat = steady.clone().map(|j| sink_end(j) - start[j][source].as_secs_f64()).sum::<f64>()
             / steady.len().max(1) as f64;
-        let rows: Vec<TaskRow> = st
-            .tasks
+        let tasks: Vec<TaskRow> = rows
             .iter()
-            .zip(&st.durations)
-            .map(|(t, d)| TaskRow {
-                label: t.label.clone(),
-                id: t.id,
-                nodes: t.nodes,
+            .zip(&durations)
+            .map(|(row, d)| TaskRow {
+                label: row.slot.label.into(),
+                id: row.slot.id,
+                nodes: row.nodes,
                 time: d.mean(),
-                phases: t.phases,
+                phases: PhaseBreakdown::of(row),
             })
             .collect();
         // Fault accounting: dropped CPIs, retries charged, and the
         // delivered (surviving) steady-state throughput.
-        let dropped: Vec<u64> = (0..self.cpis)
-            .filter(|&j| st.faults.get(j as usize).is_some_and(|f| f.dropped))
-            .collect();
-        let retries: u64 = st.faults.iter().map(|f| f.retries).sum();
+        let dropped: Vec<u64> =
+            (0..self.cpis).filter(|&j| faults.get(j as usize).is_some_and(|f| f.dropped)).collect();
+        let retries: u64 = faults.iter().map(|f| f.retries).sum();
         let steady = self.cpis.saturating_sub(self.warmup);
         let dropped_steady = dropped.iter().filter(|&&j| j >= self.warmup).count() as u64;
         let delivered = if steady > 0 {
@@ -799,15 +658,15 @@ impl DesExperiment {
         let result = DesResult {
             machine: self.machine.name.clone(),
             total_nodes: self.compute_nodes + read_nodes,
-            tasks: rows,
+            tasks,
             throughput: tput,
             latency: lat,
-            io_utilization: st.io.utilization(horizon),
+            io_utilization: io.utilization(horizon),
             dropped,
             retries,
             delivered_throughput: delivered,
         };
-        (result, st.trace.take().unwrap_or_default())
+        (result, trace)
     }
 }
 
@@ -1079,25 +938,54 @@ mod tests {
 
     #[test]
     fn trace_intervals_are_serial_per_task_and_complete() {
-        let exp = DesExperiment::new(
-            MachineModel::paragon(64),
-            IoStrategy::Embedded,
-            TailStructure::Split,
-            25,
-        );
-        let (result, trace) = exp.run_traced();
-        assert_eq!(trace.len() as u64, 7 * exp.cpis, "one entry per instance");
-        for task in 0..7 {
-            let mut intervals: Vec<_> = trace.iter().filter(|e| e.task == task).collect();
-            intervals.sort_by_key(|e| e.cpi);
-            for w in intervals.windows(2) {
-                assert!(w[0].cpi + 1 == w[1].cpi);
-                assert!(w[1].start >= w[0].end - 1e-12, "task {task} instances overlap: {w:?}");
+        // One entry per instance, and every instance starts exactly when
+        // its last gate opens (at 0 when it has none): its spatial inputs
+        // of the same CPI and — one CPI back — its own previous instance,
+        // its temporal inputs and the start of each spatial consumer.
+        for key in MachineModel::KEYS.split('|') {
+            for io in
+                [IoStrategy::Embedded, IoStrategy::SeparateTask, IoStrategy::Cached { mb: 32 }]
+            {
+                for tail in [TailStructure::Split, TailStructure::Combined] {
+                    let m = MachineModel::by_key(key).expect("a listed key");
+                    let exp = DesExperiment::new(m, io, tail, 25);
+                    let (result, trace) = exp.run_traced();
+                    let slots = tasktable::task_slots(io, tail);
+                    let at = format!("{key} {io:?} {tail:?}");
+                    let (n, cpis) = (slots.len(), exp.cpis as usize);
+                    assert_eq!(trace.len(), n * cpis, "{at}: one entry per instance");
+                    let mut grid = vec![vec![None; n]; cpis];
+                    for e in &trace {
+                        assert!(grid[e.cpi as usize][e.task].replace(*e).is_none(), "{at}: {e:?}");
+                    }
+                    let grid: Vec<Vec<TraceEntry>> =
+                        grid.into_iter().map(|row| row.into_iter().flatten().collect()).collect();
+                    for (j, row) in grid.iter().enumerate() {
+                        for (i, e) in row.iter().enumerate() {
+                            let mut gates: Vec<f64> =
+                                slots[i].spatial_preds.iter().map(|&p| row[p].end).collect();
+                            if let Some(prev) = j.checked_sub(1).map(|p| &grid[p]) {
+                                assert!(e.start >= prev[i].end, "{at}: task {i} overlaps: {e:?}");
+                                gates.push(prev[i].end);
+                                gates.extend(slots[i].temporal_preds.iter().map(|&p| prev[p].end));
+                                gates.extend(
+                                    (0..n)
+                                        .filter(|&k| slots[k].spatial_preds.contains(&i))
+                                        .map(|k| prev[k].start),
+                                );
+                            }
+                            assert!(gates.iter().all(|&g| e.start >= g), "{at}: gate open: {e:?}");
+                            let last = gates.iter().copied().fold(0.0, f64::max);
+                            assert_eq!(e.start, last, "{at}: {e:?} waits past its last gate");
+                            assert!(e.end >= e.start, "{at}: {e:?}");
+                        }
+                    }
+                    let g = render_gantt(&result, &trace, 3.0);
+                    assert!(g.contains("Doppler filter"), "{at}");
+                    assert!(g.lines().count() > n, "{at}");
+                }
             }
         }
-        let g = render_gantt(&result, &trace, 3.0);
-        assert!(g.contains("Doppler filter"));
-        assert!(g.lines().count() >= 8);
     }
 
     #[test]

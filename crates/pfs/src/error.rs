@@ -19,9 +19,6 @@ pub enum PfsError {
     /// Asynchronous I/O requested on a file system without async support
     /// (the PIOFS personality).
     AsyncUnsupported,
-    /// The file has an injected read fault (testing facility, dm-flakey
-    /// style): reads fail until the fault is cleared.
-    Faulted(String),
     /// A scheduled fault from the mounted [`crate::fault::FaultPlan`]
     /// failed this read attempt.
     Injected {
@@ -59,7 +56,7 @@ impl PfsError {
     /// conditions), false for permanent errors (missing file, bad extent,
     /// unsupported operation) where retrying is futile.
     pub fn is_transient(&self) -> bool {
-        matches!(self, PfsError::Faulted(_) | PfsError::Injected { .. })
+        matches!(self, PfsError::Injected { .. })
     }
 
     /// True for permanent fleet-level infrastructure loss
@@ -82,7 +79,6 @@ impl fmt::Display for PfsError {
             PfsError::AsyncUnsupported => {
                 write!(f, "asynchronous I/O not supported by this file system")
             }
-            PfsError::Faulted(name) => write!(f, "injected read fault on file: {name}"),
             PfsError::Injected { file, cpi, attempt, detail } => {
                 write!(f, "injected fault reading {file} (CPI {cpi}, attempt {attempt}): {detail}")
             }
@@ -122,7 +118,6 @@ mod tests {
 
     #[test]
     fn transience_classification() {
-        assert!(PfsError::Faulted("a".into()).is_transient());
         assert!(PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: String::new() }
             .is_transient());
         assert!(!PfsError::NoSuchFile("a".into()).is_transient());
@@ -137,7 +132,9 @@ mod tests {
         // Terminal: a retry policy must not burn backoff budget on these.
         assert!(!s.is_transient() && !n.is_transient());
         assert!(s.is_infrastructure_loss() && n.is_infrastructure_loss());
-        assert!(!PfsError::Faulted("a".into()).is_infrastructure_loss());
+        let injected =
+            PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: "x".into() };
+        assert!(!injected.is_infrastructure_loss());
         assert!(!PfsError::NoSuchFile("a".into()).is_infrastructure_loss());
         let sd = format!("{s}");
         assert!(sd.contains("server 3") && sd.contains("permanently lost"), "{sd}");

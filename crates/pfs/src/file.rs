@@ -16,8 +16,6 @@ use std::time::Duration;
 struct FileMeta {
     id: FileId,
     size: AtomicU64,
-    /// Injected read-fault flag: reads fail while set (testing facility).
-    faulted: std::sync::atomic::AtomicBool,
 }
 
 struct Inner {
@@ -90,7 +88,6 @@ impl Pfs {
                 Arc::new(FileMeta {
                     id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
                     size: AtomicU64::new(0),
-                    faulted: std::sync::atomic::AtomicBool::new(false),
                 })
             }))
         };
@@ -115,25 +112,6 @@ impl Pfs {
     /// Total stripe units resident on each server — layout diagnostics.
     pub fn server_unit_counts(&self) -> Vec<usize> {
         self.inner.servers.iter().map(|s| s.unit_count()).collect()
-    }
-
-    /// Injects a read fault on `name` (dm-flakey style testing facility):
-    /// every read — including through already-open handles — fails with
-    /// [`PfsError::Faulted`] until [`Pfs::clear_read_fault`] is called.
-    pub fn inject_read_fault(&self, name: &str) -> Result<(), PfsError> {
-        self.set_fault(name, true)
-    }
-
-    /// Clears an injected read fault.
-    pub fn clear_read_fault(&self, name: &str) -> Result<(), PfsError> {
-        self.set_fault(name, false)
-    }
-
-    fn set_fault(&self, name: &str, value: bool) -> Result<(), PfsError> {
-        let names = self.inner.names.read();
-        let meta = names.get(name).ok_or_else(|| PfsError::NoSuchFile(name.to_string()))?;
-        meta.faulted.store(value, Ordering::SeqCst);
-        Ok(())
     }
 
     /// Installs a seeded fault schedule. CPI-addressed reads
@@ -234,13 +212,12 @@ impl FileHandle {
     }
 
     /// The one read body behind every read, synchronous or posted: counts
-    /// the read, applies the faulted flag and (for a CPI-addressed read)
-    /// the fault plan, checks bounds and gathers the extent from the stripe
-    /// servers. It never sleeps; it returns the outcome and the pause the
-    /// read still owes — a slow fault's delay plus, on success,
-    /// [`Self::paced_pause`]. An injected failure owes nothing. A caller
-    /// that keeps its own service clock (the storage tier) queues the
-    /// pause there instead of sleeping it.
+    /// the read, applies the fault plan (to a CPI-addressed read), checks
+    /// bounds and gathers the extent from the stripe servers. It never
+    /// sleeps; it returns the outcome and the pause the read still owes — a
+    /// slow fault's delay plus, on success, `paced_pause`. An injected
+    /// failure owes nothing. A caller that keeps its own service clock (the
+    /// storage tier) queues the pause there instead of sleeping it.
     pub fn read_body(
         &self,
         cpi: Option<u64>,
@@ -251,9 +228,6 @@ impl FileHandle {
         match cpi {
             Some(_) => inner.stats.count_cpi_read(),
             None => inner.stats.count_sync_read(),
-        }
-        if self.meta.faulted.load(Ordering::SeqCst) {
-            return (Err(PfsError::Faulted(self.name.clone())), Duration::ZERO);
         }
         let delay = match (cpi, self.fs.fault_plan()) {
             (Some(cpi), Some(plan)) => match self.decide(&plan, cpi, offset, len) {
@@ -413,20 +387,6 @@ mod tests {
         let back = f.read_at(0, 104).unwrap();
         assert!(back[..100].iter().all(|&b| b == 0));
         assert_eq!(&back[100..], &[3u8; 4]);
-    }
-
-    #[test]
-    fn injected_fault_fails_reads_until_cleared() {
-        let fs = small_fs(2);
-        let f = fs.gopen("a", OpenMode::Async);
-        f.write_at(0, &[1u8; 32]).unwrap();
-        fs.inject_read_fault("a").unwrap();
-        assert!(matches!(f.read_at(0, 8), Err(PfsError::Faulted(_))));
-        // Writes still work while faulted (read-side fault only).
-        f.write_at(0, &[2u8; 4]).unwrap();
-        fs.clear_read_fault("a").unwrap();
-        assert_eq!(f.read_at(0, 4).unwrap(), vec![2u8; 4]);
-        assert!(fs.inject_read_fault("missing").is_err());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! one Chrome trace — open it and see the whole fleet on a shared timeline.
 
 use crate::mission::{
-    machine_profile, FleetReport, MissionOutcome, MissionReport, MissionSource, MissionSpec,
-    PlanChoice, SlaVerdict,
+    machine_profile, FleetReport, MissionOutcome, MissionReport, MissionSpec, PlanChoice,
+    SlaVerdict,
 };
 use crate::scheduler::{Dispatch, FleetFault, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
@@ -65,15 +65,12 @@ fn mission_config(spec: &MissionSpec, plan: &PlanChoice) -> Result<StapConfig, P
         message: e.to_string(),
     })?;
     let cpis = spec.cpis.max(2);
-    let source = match spec.source {
-        MissionSource::File => SourceSpec::File,
-        MissionSource::Stream { depth, policy, rate } => SourceSpec::Stream(StreamSettings {
-            depth,
-            policy,
-            rate,
-            strict_lag: false,
-            attach: None,
-        }),
+    // The run owns its ring and never surfaces producer lag as a failure.
+    let source = match &spec.source {
+        SourceSpec::File => SourceSpec::File,
+        SourceSpec::Stream(s) => {
+            SourceSpec::Stream(StreamSettings { strict_lag: false, attach: None, ..s.clone() })
+        }
     };
     Ok(StapConfig {
         dims: CubeDims::new(16, 4, 64),
@@ -191,7 +188,7 @@ pub fn run_fleet(script: &WorkloadScript, cfg: &ServeConfig) -> FleetReport {
             // permanently from `at_cpi` on, surfacing as a typed
             // infrastructure loss the collect loop fails over. Stream
             // missions bypass the striped store and never see it.
-            if let (Some(f), MissionSource::File) = (&cfg.fault, &d.spec.source) {
+            if let (Some(f), SourceSpec::File) = (&cfg.fault, &d.spec.source) {
                 config.fault_plan = Some(
                     stap_pfs::FaultPlan::new(0)
                         .with(stap_pfs::Fault::ServerLoss { server: f.server, from: f.at_cpi }),

@@ -39,8 +39,8 @@ pub mod sim;
 pub use arrivals::{generate_script, ArrivalSpec};
 pub use executor::run_fleet;
 pub use mission::{
-    machine_profile, AdmissionError, FleetReport, MissionOutcome, MissionReport, MissionSource,
-    MissionSpec, PlanChoice, SlaVerdict,
+    machine_profile, AdmissionError, FleetReport, MissionOutcome, MissionReport, MissionSpec,
+    PlanChoice, SlaVerdict,
 };
 pub use scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
 pub use script::{ScriptAction, ScriptError, ScriptEvent, WorkloadScript};

@@ -3,60 +3,9 @@
 
 use crate::scheduler::{Counters, Dispatch};
 use stap_core::{IoStrategy, SourceSpec, TailStructure};
-use stap_ingest::BackpressurePolicy;
 use stap_model::machines::MachineModel;
 use stap_trace::chrome::escape;
 use stap_trace::{fleet_chrome_trace, FleetTrack};
-
-/// Where a mission's CPI cubes come from.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum MissionSource {
-    /// Pre-staged files on the shared striped store (the paper's setting).
-    #[default]
-    File,
-    /// A live radar frontend pushing cubes into a bounded staging ring.
-    Stream {
-        /// Staging-ring capacity in cubes.
-        depth: usize,
-        /// What the producer does when the ring is full.
-        policy: BackpressurePolicy,
-        /// Cube arrival rate in cubes/s (`0` = as fast as possible).
-        rate: f64,
-    },
-}
-
-impl MissionSource {
-    /// The stream defaults: a 4-cube ring, blocking producer, unpaced.
-    pub fn stream_default() -> Self {
-        MissionSource::Stream { depth: 4, policy: BackpressurePolicy::Block, rate: 0.0 }
-    }
-
-    /// True for stream-fed missions.
-    pub fn is_stream(&self) -> bool {
-        matches!(self, MissionSource::Stream { .. })
-    }
-
-    /// Staging-ring depth this mission would occupy (`0` for file-fed).
-    pub fn staging_depth(&self) -> usize {
-        match self {
-            MissionSource::File => 0,
-            MissionSource::Stream { depth, .. } => *depth,
-        }
-    }
-}
-
-impl From<SourceSpec> for MissionSource {
-    /// The mission-script view of a `--source` spec (a mission's ring is
-    /// attached by the scheduler, so only depth, policy and rate carry).
-    fn from(spec: SourceSpec) -> Self {
-        match spec {
-            SourceSpec::File => MissionSource::File,
-            SourceSpec::Stream(s) => {
-                MissionSource::Stream { depth: s.depth, policy: s.policy, rate: s.rate }
-            }
-        }
-    }
-}
 
 /// One client request: run a STAP pipeline of `cpis` coherent processing
 /// intervals on a given machine profile, within an optional latency SLA,
@@ -87,7 +36,7 @@ pub struct MissionSpec {
     pub tail: Option<TailStructure>,
     /// Where the mission's CPI cubes come from (staged files or a live
     /// stream through the staging tier).
-    pub source: MissionSource,
+    pub source: SourceSpec,
 }
 
 impl MissionSpec {
@@ -103,7 +52,7 @@ impl MissionSpec {
             max_latency: None,
             io: None,
             tail: None,
-            source: MissionSource::File,
+            source: SourceSpec::File,
         }
     }
 }
@@ -730,15 +679,5 @@ mod tests {
         assert!(AdmissionError::QueueFull { capacity: 4 }.to_string().contains("full"));
         let e = AdmissionError::StagingExceeded { requested: 512, capacity: 256 };
         assert!(e.to_string().contains("512") && e.to_string().contains("staging"));
-    }
-
-    #[test]
-    fn mission_source_defaults_and_depths() {
-        assert_eq!(MissionSource::default(), MissionSource::File);
-        assert!(!MissionSource::File.is_stream());
-        assert_eq!(MissionSource::File.staging_depth(), 0);
-        let s = MissionSource::stream_default();
-        assert!(s.is_stream());
-        assert_eq!(s.staging_depth(), 4);
     }
 }

@@ -590,15 +590,13 @@ mod tests {
 
     #[test]
     fn staging_tier_guards_and_serializes_stream_missions() {
-        use crate::mission::MissionSource;
         let cfg = ServeConfig { staging_capacity: 8, workers: 4, ..small_cfg() };
         let mut s = Scheduler::new(cfg);
         let stream = |name: &str, depth: usize| MissionSpec {
-            source: MissionSource::Stream {
+            source: stap_core::SourceSpec::Stream(stap_core::StreamSettings {
                 depth,
-                policy: stap_ingest::BackpressurePolicy::Block,
-                rate: 0.0,
-            },
+                ..Default::default()
+            }),
             ..spec(name, 25, 0)
         };
         // Deeper than the whole tier: typed rejection, never queued.

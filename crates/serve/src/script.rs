@@ -18,8 +18,8 @@
 //! and the DES capacity mode (`ppstap serve --sim`), so a workload can be
 //! capacity-planned analytically and then replayed for conformance.
 
-use crate::mission::{MissionSource, MissionSpec};
-use stap_core::{IoStrategy, TailStructure};
+use crate::mission::MissionSpec;
+use stap_core::{IoStrategy, SourceSpec, StreamSettings, TailStructure};
 use stap_ingest::BackpressurePolicy;
 
 /// A script action at one instant.
@@ -222,15 +222,13 @@ fn parse_submit<'a>(
         return Err(err(lineno, "submit needs name=<id>"));
     }
     if stream {
-        let MissionSource::Stream { depth, policy, rate: r } = MissionSource::stream_default()
-        else {
-            unreachable!("stream_default is a stream")
-        };
-        spec.source = MissionSource::Stream {
-            depth: staging.unwrap_or(depth),
-            policy: backpressure.unwrap_or(policy),
-            rate: rate.unwrap_or(r),
-        };
+        let d = StreamSettings::default();
+        spec.source = SourceSpec::Stream(StreamSettings {
+            depth: staging.unwrap_or(d.depth),
+            policy: backpressure.unwrap_or(d.policy),
+            rate: rate.unwrap_or(d.rate),
+            ..d
+        });
     } else if staging.is_some() || backpressure.is_some() || rate.is_some() {
         return Err(err(
             lineno,
@@ -326,15 +324,20 @@ mod tests {
         let ScriptAction::Submit(live) = &s.events[0].action else { panic!("submit") };
         assert_eq!(
             live.source,
-            MissionSource::Stream { depth: 8, policy: BackpressurePolicy::DropOldest, rate: 12.5 }
+            SourceSpec::Stream(StreamSettings {
+                depth: 8,
+                policy: BackpressurePolicy::DropOldest,
+                rate: 12.5,
+                ..StreamSettings::default()
+            })
         );
         let ScriptAction::Submit(plain) = &s.events[1].action else { panic!("submit") };
-        assert_eq!(plain.source, MissionSource::File);
+        assert_eq!(plain.source, SourceSpec::File);
 
         // Defaults fill unspecified stream settings.
         let s = WorkloadScript::parse("at 0 submit name=d source=stream\n").unwrap();
         let ScriptAction::Submit(d) = &s.events[0].action else { panic!("submit") };
-        assert_eq!(d.source, MissionSource::stream_default());
+        assert_eq!(d.source, SourceSpec::Stream(StreamSettings::default()));
 
         let bad = |text: &str| WorkloadScript::parse(text).unwrap_err().0;
         assert!(bad("at 0 submit name=a staging=8").contains("source=stream"));

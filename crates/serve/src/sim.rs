@@ -21,10 +21,11 @@
 //! (used by the serve-conformance suite to compare prediction against
 //! execution on the same footing).
 
-use crate::mission::{FleetReport, MissionReport, MissionSource, PlanChoice, SlaVerdict};
+use crate::mission::{FleetReport, MissionReport, PlanChoice, SlaVerdict};
 use crate::scheduler::{Dispatch, FleetFault, PlanCost, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
 use stap_core::desmodel::{post_reads, read_step, ReadBatch};
+use stap_core::SourceSpec;
 use stap_des::{Engine, FcfsResource, SimTime};
 use stap_ingest::StagingModel;
 use stap_model::tasktable::ReadTerm;
@@ -242,17 +243,17 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
         let id = d.id;
         let cpis = d.spec.cpis.max(2);
         let mut fold = CpiFold::new(&st.model, &d.plan, &d.cost);
-        let staging = match d.spec.source {
-            MissionSource::File => None,
-            MissionSource::Stream { depth, policy, rate } => {
+        let staging = match &d.spec.source {
+            SourceSpec::File => None,
+            SourceSpec::Stream(s) => {
                 // Stream missions bypass the striped store: the cube
                 // arrives through the staging ring, and compute waits for
                 // it. The radar starts when the mission dispatches.
                 fold.read = ReadTerm { read_time: 0.0, overlap: false, cache: None };
                 fold.batches.clear();
                 let period =
-                    if rate > 0.0 { SimTime::from_secs_f64(1.0 / rate) } else { SimTime::ZERO };
-                Some(StagingModel::new(eng.now(), depth, period, cpis, policy))
+                    if s.rate > 0.0 { SimTime::from_secs_f64(1.0 / s.rate) } else { SimTime::ZERO };
+                Some(StagingModel::new(eng.now(), s.depth, period, cpis, s.policy))
             }
         };
         // File-fed missions observe a configured fleet fault once they

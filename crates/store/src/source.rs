@@ -291,7 +291,7 @@ impl CpiSource for StoreSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stap_pfs::{FsConfig, OpenMode};
+    use stap_pfs::{FsConfig, OpenMode, StripeConfig};
 
     fn staged(fanout: usize, cube_bytes: usize) -> (Pfs, Vec<FileHandle>, Vec<Vec<u8>>) {
         let fs = Pfs::mount(FsConfig::paragon_pfs(4));
@@ -367,18 +367,10 @@ mod tests {
 
     #[test]
     fn posted_misses_queue_on_the_tier_clock_in_post_order() {
-        // Two 1000-byte cubes, one stripe unit each on one server: 2 ms of
-        // modelled service per read, paced 50x.
-        let cfg = FsConfig {
-            name: "paced".into(),
-            stripe_unit: 1000,
-            stripe_factor: 1,
-            server_bandwidth: 1e6,
-            request_latency: Duration::from_millis(1),
-            unix_mode_penalty: Duration::ZERO,
-            supports_async: true,
-            pace_reads: 50.0,
-        };
+        // Two 1000-byte cubes, one stripe unit each on one Paragon PFS
+        // server, paced 50x.
+        let cfg =
+            FsConfig::paragon_pfs(1).with_stripe(StripeConfig::new(1000, 1)).with_read_pacing(50.0);
         let service = Duration::from_secs_f64(
             stap_pfs::timing::extent_read_time(&cfg, 0, 1000, OpenMode::Async) * 50.0,
         );

@@ -261,7 +261,7 @@ fn serve_config_from(a: &ServeArgs) -> ppstap::serve::ServeConfig {
 fn serve_cmd(a: ServeArgs) {
     let script = if let Some(spec) = &a.arrivals {
         let mut template = ppstap::serve::MissionSpec::new("template");
-        template.source = a.source;
+        template.source = a.source.clone();
         let script = ppstap::serve::generate_script(spec, a.duration, a.arrival_seed, &template);
         eprintln!(
             "arrivals {}: {} missions over {} s (seed {})",

@@ -11,7 +11,7 @@ use stap_core::{FailurePolicy, IoStrategy, SourceSpec, TailStructure};
 use stap_model::machines::MachineModel;
 use stap_pfs::{FaultPlan, FsConfig};
 use stap_scenario::{Scenario, Sweep};
-use stap_serve::{ArrivalSpec, FleetFault, MissionSource, WorkloadScript};
+use stap_serve::{ArrivalSpec, FleetFault, WorkloadScript};
 use stap_store::CubeAccess;
 
 /// Parsed command.
@@ -78,7 +78,7 @@ pub struct ServeArgs {
     pub arrival_seed: u64,
     /// Source of every generated mission (`file` or `stream[:opts]`, the
     /// `ppstap run --source` grammar).
-    pub source: MissionSource,
+    pub source: SourceSpec,
     /// Staging-tier capacity in cubes shared by all stream missions.
     pub staging: usize,
     /// Predict in DES capacity mode instead of executing pipelines.
@@ -105,7 +105,7 @@ impl Default for ServeArgs {
             arrivals: None,
             duration: 10.0,
             arrival_seed: 7,
-            source: MissionSource::File,
+            source: SourceSpec::File,
             staging: 256,
             sim: false,
             workers: 2,
@@ -756,7 +756,7 @@ static SERVE: Spec<ServeArgs> = Spec {
         ("--duration", "S", "arrival window in seconds", |a, v| set(&mut a.duration, positive_secs("--duration", v)?)),
         ("--arrival-seed", "N", "seed of the arrival draw",
             |a, v| set(&mut a.arrival_seed, number("--arrival-seed", v, "a number")?)),
-        ("--source", "SPEC", "source of every generated mission", |a, v| set(&mut a.source, parse_source(v)?.into())),
+        ("--source", "SPEC", "source of every generated mission", |a, v| set(&mut a.source, parse_source(v)?)),
         ("--fault-plan", "server-loss:IDX@T", "fleet-level fault",
             |a, v| set(&mut a.fault, Some(FleetFault::parse(v).map_err(ParseError)?))),
         ("--json", "", "emit the machine-readable fleet report", |a, _| set(&mut a.json, true)),
@@ -1266,7 +1266,7 @@ mod tests {
                 arrivals: Some(ArrivalSpec::Poisson { rate: 2.0 }),
                 duration: 30.0,
                 arrival_seed: 11,
-                source: MissionSource::stream_default(),
+                source: SourceSpec::parse("stream").unwrap(),
                 staging: 64,
                 ..ServeArgs::default()
             })

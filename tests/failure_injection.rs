@@ -4,8 +4,23 @@
 
 use stap_core::config::StapConfig;
 use stap_core::{IoStrategy, StapSystem};
+use stap_pfs::{Fault, FaultPlan, FaultWindow};
 use stap_pipeline::PipelineError;
 use stap_radar::{Scene, Target};
+
+/// The radar's disk develops a fault on slot `slot`: every CPI read of its
+/// file fails, through handles already open too.
+fn fail_slot(sys: &StapSystem, slot: usize) {
+    let file = StapConfig::file_name(slot);
+    sys.fs().install_fault_plan(
+        FaultPlan::new(0).with(Fault::FileUnavailable { file, window: FaultWindow::always() }),
+    );
+}
+
+/// The radar repairs the disk: an empty plan replaces the outage.
+fn repair(sys: &StapSystem) {
+    sys.fs().install_fault_plan(FaultPlan::new(0));
+}
 
 fn scene() -> Scene {
     Scene {
@@ -21,7 +36,7 @@ fn missing_cpi_file_fails_cleanly_embedded() {
     let cfg = StapConfig { scene: scene(), cpis: 5, warmup: 1, ..StapConfig::default() };
     let sys = StapSystem::prepare(cfg).unwrap();
     // The radar's disk develops a fault on slot 2: reads of CPI 2 fail.
-    sys.fs().inject_read_fault(&StapConfig::file_name(2)).unwrap();
+    fail_slot(&sys, 2);
     let err = sys.run().unwrap_err();
     match err {
         PipelineError::Stage { stage, message } => {
@@ -48,7 +63,7 @@ fn missing_cpi_file_fails_cleanly_separate_task() {
         ..StapConfig::default()
     };
     let sys = StapSystem::prepare(cfg).unwrap();
-    sys.fs().inject_read_fault(&StapConfig::file_name(1)).unwrap();
+    fail_slot(&sys, 1);
     let err = sys.run().unwrap_err();
     match err {
         PipelineError::Stage { stage, .. } => assert_eq!(stage, "parallel read"),
@@ -73,7 +88,7 @@ fn separate_io_mid_run_fault_fails_cleanly_and_recovers() {
     }
     .with_stripe(stap_pfs::StripeConfig::new(base.fs.stripe_unit, base.fs.stripe_factor * 4));
     let sys = StapSystem::prepare(cfg).unwrap();
-    sys.fs().inject_read_fault(&StapConfig::file_name(3)).unwrap();
+    fail_slot(&sys, 3);
     let err = sys.run().unwrap_err();
     match err {
         PipelineError::Stage { stage, message } => {
@@ -83,7 +98,7 @@ fn separate_io_mid_run_fault_fails_cleanly_and_recovers() {
         other => panic!("unexpected error {other:?}"),
     }
 
-    sys.fs().clear_read_fault(&StapConfig::file_name(3)).unwrap();
+    repair(&sys);
     let out = sys.run().unwrap();
     assert_eq!(out.reports.len(), 5);
 }
@@ -94,11 +109,11 @@ fn system_recovers_after_restaging() {
     // system and pipeline wiring hold no poisoned state.
     let cfg = StapConfig { scene: scene(), cpis: 5, warmup: 1, ..StapConfig::default() };
     let sys = StapSystem::prepare(cfg).unwrap();
-    sys.fs().inject_read_fault(&StapConfig::file_name(3)).unwrap();
+    fail_slot(&sys, 3);
     assert!(sys.run().is_err());
 
     // The radar "repairs" the disk.
-    sys.fs().clear_read_fault(&StapConfig::file_name(3)).unwrap();
+    repair(&sys);
 
     // The SAME system must now succeed: the communication world is built
     // fresh per run (a new abort flag), and the file system holds no
