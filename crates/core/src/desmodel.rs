@@ -7,25 +7,27 @@
 //! predecessor's and its own instance `j-1`, and the start of each spatial
 //! consumer's instance `j-1` (the rendezvous of blocking large-message
 //! sends, which bounds run-ahead to one CPI). Slot order is topological for
-//! the spatial edges and every other gate looks one CPI back, so the
-//! instances are computed CPI by CPI in slot order. File reads go through a
-//! per-server FCFS resource ([`stap_des::FcfsResource`]) with one server
-//! per stripe directory, so I/O contention — the paper's central subject —
-//! emerges from queueing rather than being assumed.
+//! the spatial edges and every other gate looks one CPI back, so
+//! [`Recurrence::step`] computes a CPI's instances in slot order from the
+//! CPI before it. [`DesExperiment::run`] is the loop over that step; the
+//! fleet simulator in `stap-serve` steps each mission through it too. File
+//! reads go through a per-server FCFS resource ([`stap_des::FcfsResource`])
+//! with one server per stripe directory, so I/O contention — the paper's
+//! central subject — emerges from queueing rather than being assumed.
 //!
 //! Asynchronous reads (Paragon PFS, `M_ASYNC` + `iread`) are posted when
 //! the *previous* Doppler instance starts, overlapping the read with a full
 //! iteration of compute+send; synchronous reads (SP PIOFS) serialize with
 //! the computation, exactly as in the paper's discussion of why the SP
-//! scales poorly.
+//! scales poorly. [`Recurrence::posts_at`] says when that is, so a caller
+//! with other clients on the same store can step the CPI at that instant.
 //!
 //! The simulator prices nothing itself: the tasks, their Eq. 6 costs, their
 //! dependency edges and the read term come from the shared task table
 //! ([`stap_model::tasktable`]), and each stripe-unit request's service time
 //! from [`stap_pfs::timing::extent_service`]. What lives here is the
 //! instance-level behaviour — when a read is posted, what it overlaps, what
-//! a fault does to a CPI — in [`read_step`] (which the fleet simulator in
-//! `stap-serve` calls too) and `duration`.
+//! a fault does to a CPI — in `read_step` and `duration`, behind the step.
 
 use crate::config::RetryPolicy;
 use crate::io_strategy::{IoStrategy, TailStructure};
@@ -56,28 +58,32 @@ use stap_pfs::FaultWindow;
 /// - Without a tier, `iread` posts at the previous start too and overlaps
 ///   the read with compute; a synchronous read is posted at `t0` and
 ///   compute waits for it.
-pub fn read_step(
+fn read_step(
     costs: &TaskCosts,
     read: &ReadTerm,
     cpi: u64,
     t0: SimTime,
-    prev_start: Option<SimTime>,
+    prev_start: SimTime,
     post: impl FnOnce(SimTime) -> SimTime,
 ) -> SimTime {
     let TaskCosts { compute, send, overhead, .. } = *costs;
-    let work = match read.cache {
-        Some(c) if c.warm && cpi >= STAGING_FANOUT as u64 => {
-            return SimTime::from_secs_f64(c.hit_time + compute + send + overhead);
-        }
-        Some(c) => {
-            post(prev_start.unwrap_or(t0)).max(t0 + SimTime::from_secs_f64(c.hit_time + compute))
-        }
-        None if read.overlap => {
-            post(prev_start.unwrap_or(t0)).max(t0 + SimTime::from_secs_f64(compute))
-        }
-        None => post(t0).max(t0) + SimTime::from_secs_f64(compute),
+    if let Some(c) = read.cache.filter(|c| c.warm && cpi >= STAGING_FANOUT as u64) {
+        return SimTime::from_secs_f64(c.hit_time + compute + send + overhead);
+    }
+    let work = if posts_early(read) {
+        let copy = read.cache.map_or(0.0, |c| c.hit_time);
+        post(prev_start).max(t0 + SimTime::from_secs_f64(copy + compute))
+    } else {
+        post(t0).max(t0) + SimTime::from_secs_f64(compute)
     };
     work.saturating_sub(t0) + SimTime::from_secs_f64(send + overhead)
+}
+
+/// Whether a CPI's read is posted when the read-bearing task's previous
+/// instance started (`iread`, or a tier's server-side prefetch) rather
+/// than when its own instance starts.
+fn posts_early(read: &ReadTerm) -> bool {
+    read.overlap || read.cache.is_some()
 }
 
 /// `(stripe directory, total service, stripe-unit reads)`: what one CPI asks
@@ -517,7 +523,7 @@ fn duration(
     fault: CpiFault,
     cpi: u64,
     t0: SimTime,
-    prev_start: Option<SimTime>,
+    prev_start: SimTime,
     post: impl FnOnce(SimTime) -> SimTime,
 ) -> SimTime {
     match (row.read, fault.dropped) {
@@ -528,6 +534,112 @@ fn duration(
             read_step(&row.costs, &read, cpi, t0, prev_start, post)
                 + SimTime::from_secs_f64(fault.extra)
         }
+    }
+}
+
+/// One CPI of the recurrence: slot `i`'s instance runs from `start[i]` to
+/// `end[i]`.
+#[derive(Debug, Clone, Default)]
+pub struct CpiRows {
+    /// When each slot's instance starts, slot order.
+    pub start: Vec<SimTime>,
+    /// When each slot's instance ends, slot order.
+    pub end: Vec<SimTime>,
+}
+
+/// The task table's recurrence, stepped one CPI at a time: the rows, and
+/// each slot's spatial consumers (whose previous starts gate it), built
+/// once per table.
+#[derive(Debug)]
+pub struct Recurrence {
+    rows: Vec<tasktable::TaskRow>,
+    consumers: Vec<Vec<usize>>,
+    /// The reading slot, the pipeline's source.
+    source: usize,
+    /// The DES's fault consequence per CPI (none past the end).
+    faults: Vec<CpiFault>,
+}
+
+impl Recurrence {
+    /// The recurrence of `rows`, one of which carries the file read.
+    ///
+    /// # Panics
+    /// Panics when no row reads, or the reading row has spatial inputs.
+    pub fn new(rows: Vec<tasktable::TaskRow>) -> Self {
+        let source = rows.iter().position(|r| r.read.is_some()).expect("one slot reads");
+        assert!(rows[source].slot.spatial_preds.is_empty(), "the reading slot is a source");
+        let mut consumers = vec![Vec::new(); rows.len()];
+        for (k, row) in rows.iter().enumerate() {
+            for &p in &row.slot.spatial_preds {
+                consumers[p].push(k);
+            }
+        }
+        Self { rows, consumers, source, faults: Vec::new() }
+    }
+
+    /// The table's rows, slot order.
+    pub fn rows(&self) -> &[tasktable::TaskRow] {
+        &self.rows
+    }
+
+    /// The rows a run starting at `origin` steps its first CPI from: every
+    /// instance of a CPI before it started and ended then.
+    pub fn origin(&self, origin: SimTime) -> CpiRows {
+        CpiRows { start: vec![origin; self.rows.len()], end: vec![origin; self.rows.len()] }
+    }
+
+    /// When slot `i`'s instance may start: the latest of its spatial
+    /// inputs' ends this CPI (`end`, filled for the slots before `i`) and —
+    /// one CPI back (`prev`) — its own end, its temporal inputs' ends and
+    /// its spatial consumers' starts.
+    fn gate(&self, i: usize, end: &[SimTime], prev: &CpiRows) -> SimTime {
+        let slot = &self.rows[i].slot;
+        slot.spatial_preds
+            .iter()
+            .map(|&p| end[p])
+            .chain(slot.temporal_preds.iter().map(|&p| prev.end[p]))
+            .chain(self.consumers[i].iter().map(|&k| prev.start[k]))
+            .fold(prev.end[i], SimTime::max)
+    }
+
+    /// When the CPI after `prev` posts its read, by `read_step`'s rule:
+    /// when the source's previous instance started, or when its gate opens.
+    /// Both are known before the CPI is stepped, because the source has no
+    /// spatial inputs.
+    pub fn posts_at(&self, prev: &CpiRows) -> SimTime {
+        let src = self.source;
+        if self.rows[src].read.as_ref().is_some_and(posts_early) {
+            prev.start[src]
+        } else {
+            self.gate(src, &[], prev)
+        }
+    }
+
+    /// Steps CPI `cpi` into `out` from the CPI before it, `prev`: each slot
+    /// in order starts when its last gate opens, and the source posts the
+    /// CPI's read through `post(at)`, which returns when the read
+    /// completes.
+    pub fn step(
+        &self,
+        cpi: u64,
+        prev: &CpiRows,
+        mut post: impl FnMut(SimTime) -> SimTime,
+        out: &mut CpiRows,
+    ) {
+        let fault = self.faults.get(cpi as usize).copied().unwrap_or_default();
+        out.start.resize(self.rows.len(), SimTime::ZERO);
+        out.end.resize(self.rows.len(), SimTime::ZERO);
+        for (i, row) in self.rows.iter().enumerate() {
+            let t0 = self.gate(i, &out.end, prev);
+            let dur = duration(row, fault, cpi, t0, prev.start[i], &mut post);
+            (out.start[i], out.end[i]) = (t0, t0 + dur);
+        }
+    }
+
+    /// The CPI's end-to-end latency: the sink's end less the source's
+    /// start, in seconds.
+    pub fn latency(&self, cpi: &CpiRows) -> f64 {
+        cpi.end[self.rows.len() - 1].as_secs_f64() - cpi.start[self.source].as_secs_f64()
     }
 }
 
@@ -553,29 +665,19 @@ impl DesExperiment {
     }
 
     fn run_inner(&self, traced: bool) -> (DesResult, Vec<TraceEntry>) {
-        let rows = self.rows();
-        let n = rows.len();
+        let mut rec = Recurrence::new(self.rows());
+        let n = rec.rows.len();
         let read_nodes: usize =
-            rows.iter().filter(|r| r.slot.id == TaskId::Read).map(|r| r.nodes).sum();
+            rec.rows.iter().filter(|r| r.slot.id == TaskId::Read).map(|r| r.nodes).sum();
         let fs = &self.machine.fs;
-        // The source is the reading slot (the first); the sink is the last.
-        let source = rows.iter().position(|r| r.read.is_some()).expect("one slot reads");
-        let sink = n - 1;
-        let mut faults: Vec<CpiFault> = match &self.faults {
-            Some(model) => (0..self.cpis).map(|j| model.consequence(j)).collect(),
-            None => Vec::new(),
-        };
+        if let Some(model) = &self.faults {
+            rec.faults = (0..self.cpis).map(|j| model.consequence(j)).collect();
+        }
         if let Some(model) = self.faults.as_ref().filter(|m| m.has_fleet_consequences()) {
             // The source task's nominal per-CPI time prices promotion,
             // restore, and replay in units the pipeline understands.
-            let nominal = PhaseBreakdown::of(&rows[source]).total();
-            model.apply_fleet(self.cpis, nominal, &mut faults);
-        }
-        let mut consumers = vec![Vec::new(); n];
-        for (k, row) in rows.iter().enumerate() {
-            for &p in &row.slot.spatial_preds {
-                consumers[p].push(k);
-            }
+            let nominal = PhaseBreakdown::of(&rec.rows[rec.source]).total();
+            model.apply_fleet(self.cpis, nominal, &mut rec.faults);
         }
         let mut io = FcfsResource::new("stripe servers", fs.stripe_factor);
         // One whole-file CPI read, batched per stripe server.
@@ -583,46 +685,29 @@ impl DesExperiment {
             batch_reads(&extent_service(fs, 0, self.shape.cube_bytes(), self.machine.open_mode));
         let mut durations: Vec<Tally> = (0..n).map(|_| Tally::new()).collect();
         let mut trace = Vec::new();
-        // start[j][i] / end[j][i]: instance (i, j)'s virtual interval.
         let cpis = self.cpis as usize;
-        let mut start = vec![vec![SimTime::ZERO; n]; cpis];
-        let mut end = start.clone();
+        let origin = rec.origin(SimTime::ZERO);
+        let mut run = vec![CpiRows::default(); cpis];
         for j in 0..cpis {
-            for (i, row) in rows.iter().enumerate() {
-                // The instance starts when its last gate opens: its spatial
-                // inputs of this CPI, then — one CPI back — its temporal
-                // inputs, its own previous instance and the rendezvous with
-                // each spatial consumer.
-                let inputs = row.slot.spatial_preds.iter().map(|&p| end[j][p]);
-                let prev = j.checked_sub(1);
-                let t0 = match prev {
-                    None => inputs.max().unwrap_or(SimTime::ZERO),
-                    Some(prev) => inputs
-                        .chain(row.slot.temporal_preds.iter().map(|&p| end[prev][p]))
-                        .chain(consumers[i].iter().map(|&k| start[prev][k]))
-                        .fold(end[prev][i], SimTime::max),
-                };
-                let fault = faults.get(j).copied().unwrap_or_default();
-                let prev_start = prev.map(|prev| start[prev][i]);
-                let dur = duration(row, fault, j as u64, t0, prev_start, |at| {
-                    post_reads(&mut io, &reads, 0, at)
-                });
-                (start[j][i], end[j][i]) = (t0, t0 + dur);
+            let (done, rest) = run.split_at_mut(j);
+            let post = |at| post_reads(&mut io, &reads, 0, at);
+            rec.step(j as u64, done.last().unwrap_or(&origin), post, &mut rest[0]);
+            for (i, (&t0, &t1)) in rest[0].start.iter().zip(&rest[0].end).enumerate() {
                 if j as u64 >= self.warmup {
-                    durations[i].record(dur.as_secs_f64());
+                    durations[i].record(t1.saturating_sub(t0).as_secs_f64());
                 }
                 if traced {
-                    let (t0, t1) = (t0.as_secs_f64(), end[j][i].as_secs_f64());
-                    trace.push(TraceEntry { task: i, cpi: j as u64, start: t0, end: t1 });
+                    let (start, end) = (t0.as_secs_f64(), t1.as_secs_f64());
+                    trace.push(TraceEntry { task: i, cpi: j as u64, start, end });
                 }
             }
         }
-        let horizon = end.iter().flatten().copied().max().unwrap_or(SimTime::ZERO);
+        let horizon = run.iter().flat_map(|c| &c.end).copied().max().unwrap_or(SimTime::ZERO);
 
         // Steady-state metrics, by the executed report's rule: no
         // throughput without two steady CPIs, and the mean latency of the
         // steady CPIs there are (0 without any).
-        let sink_end = |j: usize| end[j][sink].as_secs_f64();
+        let sink_end = |j: usize| run[j].end[n - 1].as_secs_f64();
         let steady = (self.warmup as usize).min(cpis)..cpis;
         let tput = if steady.len() < 2 {
             0.0
@@ -630,9 +715,10 @@ impl DesExperiment {
             let (w0, last) = (steady.start, steady.end - 1);
             (last - w0) as f64 / (sink_end(last) - sink_end(w0))
         };
-        let lat = steady.clone().map(|j| sink_end(j) - start[j][source].as_secs_f64()).sum::<f64>()
-            / steady.len().max(1) as f64;
-        let tasks: Vec<TaskRow> = rows
+        let lat =
+            steady.clone().map(|j| rec.latency(&run[j])).sum::<f64>() / steady.len().max(1) as f64;
+        let tasks: Vec<TaskRow> = rec
+            .rows
             .iter()
             .zip(&durations)
             .map(|(row, d)| TaskRow {
@@ -645,6 +731,7 @@ impl DesExperiment {
             .collect();
         // Fault accounting: dropped CPIs, retries charged, and the
         // delivered (surviving) steady-state throughput.
+        let faults = &rec.faults;
         let dropped: Vec<u64> =
             (0..self.cpis).filter(|&j| faults.get(j as usize).is_some_and(|f| f.dropped)).collect();
         let retries: u64 = faults.iter().map(|f| f.retries).sum();

@@ -11,8 +11,8 @@
 //! - [`time`] — nanosecond-resolution virtual time ([`SimTime`]);
 //! - [`engine`] — an event heap executing `FnOnce(&mut Engine, &mut S)`
 //!   callbacks in (time, insertion) order over caller-owned state `S`;
-//! - [`resource`] — multi-server FCFS resources in virtual time (CPU nodes,
-//!   I/O servers, network links);
+//! - [`resource`] — multi-server FCFS resources in virtual time (the stripe
+//!   directories of a file system), each server fed in arrival order;
 //! - [`stats`] — tallies and counters for the experiment reports.
 //!
 //! Determinism is load-bearing: two runs of the same model produce
@@ -23,11 +23,12 @@
 //! ```
 //! use stap_des::{Engine, FcfsResource, SimTime};
 //!
-//! // Two jobs on one server queue FCFS.
-//! let mut disk = FcfsResource::new("disk", 1);
-//! let (_, d1) = disk.submit(SimTime::ZERO, SimTime::from_millis(10));
-//! let (s2, _) = disk.submit(SimTime::ZERO, SimTime::from_millis(10));
+//! // Two jobs on one server queue FCFS; another server runs in parallel.
+//! let mut disk = FcfsResource::new("disk", 2);
+//! let (_, d1) = disk.submit_to(0, SimTime::ZERO, SimTime::from_millis(10));
+//! let (s2, _) = disk.submit_to(0, SimTime::ZERO, SimTime::from_millis(10));
 //! assert_eq!(s2, d1); // second job waits for the first
+//! assert_eq!(disk.submit_to(1, SimTime::ZERO, SimTime::from_millis(10)).0, SimTime::ZERO);
 //!
 //! // Event-driven counting.
 //! let mut engine = Engine::<u32>::new();

@@ -1,18 +1,21 @@
 //! Multi-server FCFS resources in virtual time.
 //!
-//! A resource models a pool of identical servers (CPU nodes of a task, I/O
-//! servers of a stripe directory, network links). Work is submitted with an
-//! arrival time and a service duration; the resource assigns the earliest
-//! available server and returns the (start, completion) pair. This closed
-//! form is exactly FCFS queueing, without needing engine callbacks.
+//! A resource models a pool of servers (the stripe directories of a file
+//! system). Work is submitted to one server with an arrival time and a
+//! service duration, and the resource returns the (start, completion)
+//! pair: `start = max(arrival, previous completion)`. This closed form is
+//! exactly FCFS queueing, without needing engine callbacks, as long as each
+//! server sees its arrivals in time order — which debug builds assert.
 
 use crate::stats::Tally;
 use crate::time::SimTime;
 
-/// A pool of `n` identical FCFS servers.
+/// A pool of `n` FCFS servers.
 #[derive(Debug, Clone)]
 pub struct FcfsResource {
     free_at: Vec<SimTime>,
+    /// Each server's latest arrival: FCFS is exact only in arrival order.
+    last_arrival: Vec<SimTime>,
     busy: Tally,
     jobs: u64,
     name: String,
@@ -27,6 +30,7 @@ impl FcfsResource {
         assert!(servers > 0, "resource needs at least one server");
         Self {
             free_at: vec![SimTime::ZERO; servers],
+            last_arrival: vec![SimTime::ZERO; servers],
             busy: Tally::new(),
             jobs: 0,
             name: name.into(),
@@ -41,25 +45,6 @@ impl FcfsResource {
     /// Number of servers.
     pub fn servers(&self) -> usize {
         self.free_at.len()
-    }
-
-    /// Submits a job arriving at `arrival` needing `service` time on any one
-    /// server; returns `(start, completion)`.
-    pub fn submit(&mut self, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
-        // Earliest-free server; ties resolve to the lowest index for
-        // determinism.
-        let (idx, &free) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("at least one server");
-        let start = arrival.max(free);
-        let done = start + service;
-        self.free_at[idx] = done;
-        self.busy.record(service.as_secs_f64());
-        self.jobs += 1;
-        (start, done)
     }
 
     /// Submits a job that must run on a *specific* server (e.g. a stripe
@@ -79,6 +64,9 @@ impl FcfsResource {
     /// server's clock, [`jobs`](Self::jobs) and the busy time end where
     /// `jobs` calls of [`submit_to`](Self::submit_to) would leave them;
     /// returns `(start of the first, completion of the last)`.
+    ///
+    /// A server's arrivals must not decrease: a job posted with an earlier
+    /// arrival than one already queued would be served after it.
     pub fn submit_batch_to(
         &mut self,
         server: usize,
@@ -86,6 +74,13 @@ impl FcfsResource {
         total: SimTime,
         jobs: u64,
     ) -> (SimTime, SimTime) {
+        debug_assert!(
+            arrival >= self.last_arrival[server],
+            "{} server {server}: arrival {arrival} precedes the queued arrival {}",
+            self.name,
+            self.last_arrival[server]
+        );
+        self.last_arrival[server] = arrival;
         let start = arrival.max(self.free_at[server]);
         let done = start + total;
         self.free_at[server] = done;
@@ -94,9 +89,14 @@ impl FcfsResource {
         (start, done)
     }
 
-    /// When every server is idle.
-    pub fn all_idle_at(&self) -> SimTime {
-        self.free_at.iter().copied().fold(SimTime::ZERO, SimTime::max)
+    /// When `server` finishes the work queued on it.
+    pub fn free_at(&self, server: usize) -> SimTime {
+        self.free_at[server]
+    }
+
+    /// When the latest job queued on `server` arrived.
+    pub fn last_arrival(&self, server: usize) -> SimTime {
+        self.last_arrival[server]
     }
 
     /// Jobs served.
@@ -117,13 +117,6 @@ impl FcfsResource {
         }
         self.total_busy_secs() / (h * self.servers() as f64)
     }
-
-    /// Resets all servers to idle at time zero.
-    pub fn reset(&mut self) {
-        self.free_at.fill(SimTime::ZERO);
-        self.busy = Tally::new();
-        self.jobs = 0;
-    }
 }
 
 #[cfg(test)]
@@ -132,34 +125,6 @@ mod tests {
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
-    }
-
-    #[test]
-    fn single_server_serializes() {
-        let mut r = FcfsResource::new("disk", 1);
-        let (s1, d1) = r.submit(ms(0), ms(10));
-        let (s2, d2) = r.submit(ms(0), ms(10));
-        assert_eq!((s1, d1), (ms(0), ms(10)));
-        assert_eq!((s2, d2), (ms(10), ms(20)));
-    }
-
-    #[test]
-    fn multi_server_parallelizes() {
-        let mut r = FcfsResource::new("cpu", 3);
-        for _ in 0..3 {
-            let (s, d) = r.submit(ms(0), ms(5));
-            assert_eq!((s, d), (ms(0), ms(5)));
-        }
-        let (s, d) = r.submit(ms(0), ms(5));
-        assert_eq!((s, d), (ms(5), ms(10)));
-    }
-
-    #[test]
-    fn late_arrival_starts_on_arrival() {
-        let mut r = FcfsResource::new("x", 1);
-        r.submit(ms(0), ms(2));
-        let (s, _) = r.submit(ms(100), ms(2));
-        assert_eq!(s, ms(100));
     }
 
     #[test]
@@ -201,20 +166,11 @@ mod tests {
     #[test]
     fn utilization_accounts_busy_time() {
         let mut r = FcfsResource::new("x", 2);
-        r.submit(ms(0), ms(10));
-        r.submit(ms(0), ms(10));
+        r.submit_to(0, ms(0), ms(10));
+        r.submit_to(1, ms(0), ms(10));
         assert!((r.utilization(ms(10)) - 1.0).abs() < 1e-12);
         assert!((r.utilization(ms(20)) - 0.5).abs() < 1e-12);
         assert_eq!(r.jobs(), 2);
-    }
-
-    #[test]
-    fn reset_returns_to_idle() {
-        let mut r = FcfsResource::new("x", 1);
-        r.submit(ms(0), ms(10));
-        r.reset();
-        assert_eq!(r.all_idle_at(), SimTime::ZERO);
-        assert_eq!(r.jobs(), 0);
     }
 
     #[test]

@@ -47,6 +47,20 @@ pub struct TaskSlot {
 }
 
 impl TaskSlot {
+    /// The slot of task `id` alone on its nodes, after its `spatial` (same
+    /// CPI) and `temporal` (previous CPI) predecessors; it reads no file.
+    pub fn new(id: TaskId, spatial: &[usize], temporal: &[usize]) -> Self {
+        Self {
+            id,
+            merged: None,
+            label: id.label(),
+            reads: false,
+            spatial_preds: spatial.to_vec(),
+            temporal_preds: temporal.to_vec(),
+            on_latency_path: !id.is_temporal(),
+        }
+    }
+
     /// The task ids running on this slot's nodes.
     pub fn members(&self) -> impl Iterator<Item = TaskId> {
         std::iter::once(self.id).chain(self.merged)
@@ -63,15 +77,7 @@ impl TaskSlot {
 /// The pipeline structure the I/O design and tail choice yield: 7 tasks,
 /// 8 with a separate read task, one fewer with PC+CFAR combined.
 pub fn task_slots(io: IoStrategy, tail: TailStructure) -> Vec<TaskSlot> {
-    let slot = |id: TaskId, spatial: &[usize], temporal: &[usize]| TaskSlot {
-        id,
-        merged: None,
-        label: id.label(),
-        reads: false,
-        spatial_preds: spatial.to_vec(),
-        temporal_preds: temporal.to_vec(),
-        on_latency_path: !id.is_temporal(),
-    };
+    let slot = TaskSlot::new;
     let mut slots = Vec::with_capacity(io.task_count());
     if io == IoStrategy::SeparateTask {
         slots.push(TaskSlot { reads: true, ..slot(TaskId::Read, &[], &[]) });

@@ -267,7 +267,9 @@ pub struct MissionReport {
     pub queue_wait: f64,
     /// Measured (or simulated) steady-state throughput, CPIs/s.
     pub throughput: f64,
-    /// Measured (or simulated) end-to-end latency, seconds.
+    /// Measured end-to-end latency, seconds. A simulated row reports the
+    /// recurrence's: the mean over its final attempt's CPIs of the sink's
+    /// end less the source's start, the DES's rule at warm-up 0.
     pub latency: f64,
     /// CPIs dropped under a skip policy.
     pub drops: u64,

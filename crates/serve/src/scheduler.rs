@@ -8,10 +8,11 @@
 //! serve-conformance suite pins down.
 
 use crate::mission::{machine_profile, AdmissionError, MissionSpec, PlanChoice};
-use stap_core::desmodel::{batch_reads, ReadBatch};
+use crate::sim::Run;
+use stap_core::desmodel::batch_reads;
 use stap_model::assignment::Assignment;
 use stap_model::machines::MachineModel;
-use stap_model::tasktable::{task_table, TaskRow};
+use stap_model::tasktable::task_table;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::timing::extent_service;
 use stap_planner::PlannerConfig;
@@ -63,7 +64,10 @@ impl Default for ServeConfig {
 pub struct FleetFault {
     /// Stripe-directory index of the lost server.
     pub server: usize,
-    /// First CPI whose reads observe the loss.
+    /// First CPI whose reads observe the loss. Each file-fed mission meets
+    /// it when it posts that CPI's read: the executed read fails then, and
+    /// a simulated mission restarts its recurrence on the degraded plan at
+    /// that instant.
     pub at_cpi: u64,
 }
 
@@ -115,28 +119,24 @@ pub struct Counters {
 }
 
 /// One CPI of a plan, priced once per plan-cache entry for the capacity
-/// model: the plan's task-table rows and one CPI file's stripe-unit reads,
-/// both on the mission's machine restriped to the plan's stripe factor.
-#[derive(Debug, Clone, PartialEq)]
+/// model on the mission's machine restriped to the plan's stripe factor.
+#[derive(Debug)]
 pub struct PlanCost {
-    /// The plan's task-table rows, pipeline order.
-    pub(crate) rows: Vec<TaskRow>,
-    /// One CPI file's stripe-unit requests in the machine's open mode,
-    /// batched per directory.
-    pub(crate) reads: Vec<ReadBatch>,
+    /// What a file-fed and a stream-fed mission on the plan run: the plan's
+    /// task-table rows, and one CPI file's stripe-unit requests in the
+    /// machine's open mode, batched per directory.
+    pub(crate) runs: [Arc<Run>; 2],
     /// The per-task assignment the rows were priced with.
-    assignment: Assignment,
+    pub(crate) assignment: Assignment,
 }
 
 impl PlanCost {
     fn price(machine: &MachineModel, plan: &PlanChoice, assignment: Assignment) -> Self {
         let m = machine.with_stripe_factor(plan.stripe_factor);
         let shape = ShapeParams::paper_default();
-        Self {
-            rows: task_table(&m, shape, plan.io, plan.tail, &assignment),
-            reads: batch_reads(&extent_service(&m.fs, 0, shape.cube_bytes(), m.open_mode)),
-            assignment,
-        }
+        let rows = task_table(&m, shape, plan.io, plan.tail, &assignment);
+        let reads = batch_reads(&extent_service(&m.fs, 0, shape.cube_bytes(), m.open_mode));
+        Self { runs: Run::both(rows, reads), assignment }
     }
 }
 
@@ -644,12 +644,12 @@ mod tests {
         let (p, cost) = s.degraded_plan(d.id);
         assert!(p.total_nodes <= d.plan.total_nodes, "failover must not grow the reservation");
         assert_eq!(p.stripe_factor, d.plan.stripe_factor - 1);
-        let dirs = cost.reads.iter().map(|&(dir, ..)| dir + 1).max();
+        let dirs = cost.runs[0].reads.iter().map(|&(dir, ..)| dir + 1).max();
         assert_eq!(dirs, Some(p.stripe_factor), "re-priced on the survivors only");
         // One search per distinct key: a second failover of the same shape
         // recalls the first.
         let again = s.degraded_plan(d.id);
-        assert_eq!((again.0, &*again.1), (p, &*cost));
+        assert!(again.0 == p && Arc::ptr_eq(&again.1, &cost), "the same plan-cache entry");
         assert_eq!(s.plan_cache.len(), 2, "admission and degraded keys differ by stripe factor");
     }
 
@@ -661,8 +661,8 @@ mod tests {
         let d = s.next_ready(0.0).expect("dispatch");
         let cube = ShapeParams::paper_default().cube_bytes();
         let piofs = extent_service(&stap_pfs::FsConfig::piofs(), 0, cube, stap_pfs::OpenMode::Unix);
-        assert_eq!(d.cost.reads, batch_reads(&piofs));
-        assert_eq!(d.cost.rows.iter().filter(|r| r.read.is_some()).count(), 1);
+        assert_eq!(d.cost.runs[0].reads, batch_reads(&piofs));
+        assert_eq!(d.cost.runs[0].rec.rows().iter().filter(|r| r.read.is_some()).count(), 1);
     }
 
     #[test]

@@ -2,39 +2,45 @@
 //!
 //! `ppstap serve --sim` replays a workload script against the *same*
 //! [`Scheduler`] the real executor uses, but executes missions as
-//! discrete-event processes. A mission's CPI is a fold of its plan's task
-//! table: the read-bearing row runs the DES's own event step
-//! ([`stap_core::desmodel::read_step`]), posting the CPI's stripe-unit
-//! reads to one shared multi-server FCFS store ([`stap_des::FcfsResource`])
-//! — overlapped with compute under `iread`, before it without, or behind a
-//! cache tier — and the CPI ends when that row or the slowest other row is
-//! done. Co-located missions queue behind each other on the stripe
-//! directories they share, so the simulation reports contention-stretched
-//! runtimes (slowdown), queue waits, SLA hit-rate, and fleet store
-//! utilization — the capacity-planning questions — in milliseconds of wall
-//! time. A fleet fault fails a mission over through
-//! [`Scheduler::degraded_plan`], as the executor does.
+//! discrete-event processes. Each mission runs the DES's own recurrence over
+//! its plan's task table ([`stap_core::desmodel::Recurrence`]), one step per
+//! CPI. The engine steps CPI `j` at the instant its read is posted: when the
+//! source's previous instance started for an overlapped read (`iread`, or
+//! behind a cache tier), when the source's gate opens for a synchronous one.
+//! Every read therefore reaches the one shared multi-server FCFS store
+//! ([`stap_des::FcfsResource`]) at the engine's `now`, and each stripe
+//! directory serves its arrivals in order. Co-located missions queue behind
+//! each other on the directories they share, so the simulation reports
+//! contention-stretched runtimes (slowdown against the same recurrence on an
+//! idle store), per-CPI latency (sink end less source start, the DES's
+//! rule), queue waits, SLA hit-rate, and fleet store utilization — the
+//! capacity-planning questions — in milliseconds of wall time. A fleet fault
+//! fires when a mission posts the faulted CPI's read and fails it over
+//! through [`Scheduler::degraded_plan`], as the executor does: the
+//! recurrence restarts on the degraded plan.
 //!
-//! Two read models are available: [`ReadModel::Planned`] folds the rows the
+//! Two read models are available: [`ReadModel::Planned`] steps the rows the
 //! scheduler priced for the admitted plan (pure prediction), while
-//! [`ReadModel::Measured`] is calibrated from an uncontended executed run
-//! (used by the serve-conformance suite to compare prediction against
-//! execution on the same footing).
+//! [`ReadModel::Measured`] is a one-slot table calibrated from an
+//! uncontended executed run (used by the serve-conformance suite to compare
+//! prediction against execution on the same footing).
 
 use crate::mission::{FleetReport, MissionReport, PlanChoice, SlaVerdict};
 use crate::scheduler::{Dispatch, FleetFault, PlanCost, Scheduler, ServeConfig};
 use crate::script::{ScriptAction, WorkloadScript};
-use stap_core::desmodel::{post_reads, read_step, ReadBatch};
+use stap_core::desmodel::{post_reads, CpiRows, ReadBatch, Recurrence};
 use stap_core::SourceSpec;
 use stap_des::{Engine, FcfsResource, SimTime};
 use stap_ingest::StagingModel;
-use stap_model::tasktable::ReadTerm;
+use stap_model::tasktable::{ReadTerm, TaskRow, TaskSlot};
 use stap_model::tasktime::TaskCosts;
+use stap_model::workload::TaskId;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the simulator prices a mission's CPI.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReadModel {
-    /// Fold the plan's task-table rows, priced on the mission's machine
+    /// Step the plan's task-table rows, priced on the mission's machine
     /// (prediction from first principles).
     Planned,
     /// Calibrated against an executed uncontended run: each CPI costs
@@ -67,89 +73,72 @@ impl Default for SimConfig {
 /// return, with the store usage filled in.
 pub type SimFleetReport = FleetReport;
 
-/// One CPI of a mission as the fold runs it.
-struct CpiFold {
-    /// The read-bearing row's Eq. 6 costs.
-    front: TaskCosts,
-    /// The read-bearing row's read term.
-    read: ReadTerm,
-    /// The slowest other row's `T_i`.
-    others: SimTime,
-    /// What each CPI posts to the store.
-    batches: Vec<ReadBatch>,
-    /// Directories the batches rotate over from CPI to CPI (1 = pinned).
-    rotation: usize,
+/// What a mission runs: the recurrence it steps, what each CPI posts to
+/// the store, and the seconds it takes alone, memoized by CPI count.
+#[derive(Debug)]
+pub(crate) struct Run {
+    pub(crate) rec: Recurrence,
+    pub(crate) reads: Vec<ReadBatch>,
+    alone: Mutex<Vec<(u64, f64)>>,
 }
 
-impl CpiFold {
-    /// One CPI of `plan`, priced as `cost`, under `model`.
-    fn new(model: &ReadModel, plan: &PlanChoice, cost: &PlanCost) -> Self {
-        match *model {
-            ReadModel::Planned => {
-                let rows = &cost.rows;
-                let (front, read) = rows
-                    .iter()
-                    .find_map(|r| r.read.map(|read| (r.costs, read)))
-                    .expect("one row carries the file read");
-                let others = rows.iter().filter(|r| r.read.is_none()).map(|r| r.time());
-                Self {
-                    front,
-                    read,
-                    others: SimTime::from_secs_f64(others.fold(0.0, f64::max)),
-                    batches: cost.reads.clone(),
-                    rotation: 1,
-                }
-            }
-            // One aggregate synchronous read, then compute. The read
-            // rotates over the plan's directories so co-located missions
-            // still collide on shared servers.
-            ReadModel::Measured { runtime_per_cpi, read_fraction } => {
-                let read = runtime_per_cpi * read_fraction.clamp(0.0, 1.0);
-                let compute = runtime_per_cpi - read;
-                Self {
-                    front: TaskCosts { compute, recv: 0.0, send: 0.0, overhead: 0.0 },
-                    read: ReadTerm { read_time: read, overlap: false, cache: None },
-                    others: SimTime::ZERO,
-                    batches: vec![(0, SimTime::from_secs_f64(read), 1)],
-                    rotation: plan.stripe_factor.max(1),
-                }
-            }
+impl Run {
+    /// The file-fed run of `rows`, posting `reads` each CPI, and the
+    /// stream-fed one. A streamed cube bypasses the striped store: it
+    /// arrives through the staging ring, and the source waits for it before
+    /// computing.
+    pub(crate) fn both(rows: Vec<TaskRow>, reads: Vec<ReadBatch>) -> [Arc<Run>; 2] {
+        let mut streamed = rows.clone();
+        for read in streamed.iter_mut().filter_map(|r| r.read.as_mut()) {
+            *read = ReadTerm { read_time: 0.0, overlap: false, cache: None };
         }
+        let run = |rows, reads| {
+            Arc::new(Run { rec: Recurrence::new(rows), reads, alone: Mutex::default() })
+        };
+        [run(rows, reads), run(streamed, Vec::new())]
     }
 
-    /// Posts CPI `cpi`'s reads to `store` at `at`; returns when the last
-    /// one completes.
-    fn post(&self, store: &mut FcfsResource, cpi: u64, at: SimTime) -> SimTime {
-        post_reads(store, &self.batches, cpi as usize % self.rotation, at)
-    }
-
-    /// End of CPI `cpi` started at `t0`: the read-bearing row's event step,
-    /// reading through `post`, or the slowest other row if that is longer.
-    fn cpi_end(
-        &self,
-        cpi: u64,
-        t0: SimTime,
-        prev_start: Option<SimTime>,
-        post: impl FnOnce(SimTime) -> SimTime,
-    ) -> SimTime {
-        t0 + read_step(&self.front, &self.read, cpi, t0, prev_start, post).max(self.others)
-    }
-
-    /// Seconds `cpis` CPIs take alone: the same fold on an idle store. With
-    /// one client, whose every CPI posts the same batches at one instant, an
-    /// idle store finishes a CPI's read exactly when its slowest directory
-    /// would alone, so that directory stands in for the store.
-    fn nominal(&self, cpis: u64) -> f64 {
-        let slowest = self.batches.iter().map(|&(_, total, _)| total).max().unwrap_or_default();
-        let (mut t0, mut prev_start, mut free) = (SimTime::ZERO, None, SimTime::ZERO);
+    /// Seconds `cpis` CPIs take alone: the same recurrence on an idle
+    /// store. With one client, whose every CPI posts the same batches at one
+    /// instant and in time order, an idle store finishes a CPI's read exactly
+    /// when its slowest directory would alone, so that directory stands in for
+    /// the store.
+    fn alone(&self, cpis: u64) -> f64 {
+        let mut memo = self.alone.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, secs)) = memo.iter().find(|m| m.0 == cpis) {
+            return secs;
+        }
+        let slowest = self.reads.iter().map(|b| b.1).max().unwrap_or_default();
+        let (mut prev, mut cur, mut free) =
+            (self.rec.origin(SimTime::ZERO), CpiRows::default(), SimTime::ZERO);
         for cpi in 0..cpis {
-            let end = self.cpi_end(cpi, t0, prev_start, |at| {
+            let post = |at: SimTime| {
                 free = at.max(free) + slowest;
                 free
-            });
-            (t0, prev_start) = (end, Some(t0));
+            };
+            self.rec.step(cpi, &prev, post, &mut cur);
+            std::mem::swap(&mut prev, &mut cur);
         }
-        t0.as_secs_f64()
+        let secs = prev.end.iter().copied().max().unwrap_or_default().as_secs_f64();
+        memo.push((cpis, secs));
+        secs
+    }
+}
+
+/// What a mission on `plan`, priced as `cost`, runs — the plan's own run,
+/// or the fleet's `measured` one — and how many directories its reads
+/// rotate over from CPI to CPI (1 = pinned). A calibrated read rotates over
+/// the plan's directories so co-located missions still collide on shared
+/// servers.
+fn run_of(
+    measured: &Option<[Arc<Run>; 2]>,
+    plan: &PlanChoice,
+    cost: &PlanCost,
+    streamed: bool,
+) -> (Arc<Run>, usize) {
+    match measured {
+        None => (Arc::clone(&cost.runs[streamed as usize]), 1),
+        Some(runs) => (Arc::clone(&runs[streamed as usize]), plan.stripe_factor.max(1)),
     }
 }
 
@@ -159,13 +148,19 @@ struct Active {
     /// failover.
     d: Dispatch,
     cpis: u64,
-    cpis_done: u64,
     nominal_runtime: f64,
-    /// One CPI of the plan the mission runs.
-    fold: CpiFold,
-    /// Start of the previous CPI, when an overlapped read of this one is
-    /// posted.
-    prev_start: Option<SimTime>,
+    /// What the mission runs.
+    run: Arc<Run>,
+    /// Directories the reads rotate over from CPI to CPI (1 = pinned).
+    rotation: usize,
+    /// The next CPI to step, counted within the current attempt.
+    next: u64,
+    /// The last CPI stepped (the attempt's origin before the first).
+    prev: CpiRows,
+    /// The buffer the next CPI is stepped into.
+    cur: CpiRows,
+    /// Sum of the current attempt's per-CPI latencies (seconds).
+    latency_sum: f64,
     /// Virtual staging ring gating each CPI of a stream-fed mission
     /// (file-fed missions: `None`).
     staging: Option<StagingModel>,
@@ -180,7 +175,9 @@ struct Active {
 struct FleetState {
     sched: Scheduler,
     store: FcfsResource,
-    model: ReadModel,
+    /// Under [`ReadModel::Measured`], the calibrated file-fed and
+    /// stream-fed runs every mission steps; `None` steps each plan's own.
+    measured: Option<[Arc<Run>; 2]>,
     active: Vec<Option<Active>>,
     rows: Vec<MissionReport>,
     rejected: Vec<(String, String)>,
@@ -190,11 +187,40 @@ struct FleetState {
 /// Replays a workload script in virtual time and reports the predicted
 /// per-mission service and fleet capacity figures.
 pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> FleetReport {
-    let stripe_servers = cfg.serve.stripe_servers.max(1);
-    let mut state = FleetState {
+    let (mut eng, mut state) = fleet(script, cfg);
+    let end = eng.run(&mut state);
+    let makespan = state.rows.iter().map(|r| r.end).fold(end.as_secs_f64(), f64::max);
+    let fleet_utilization = state.store.utilization(SimTime::from_secs_f64(makespan));
+    FleetReport {
+        rows: state.rows,
+        rejected: state.rejected,
+        cancelled: state.cancelled,
+        counters: state.sched.counters(),
+        makespan,
+        fleet_utilization: Some(fleet_utilization),
+        store_jobs: state.store.jobs(),
+        tracks: Vec::new(),
+    }
+}
+
+/// An idle fleet under `cfg` and an engine holding `script`'s events.
+fn fleet(script: &WorkloadScript, cfg: &SimConfig) -> (Engine<FleetState>, FleetState) {
+    let state = FleetState {
         sched: Scheduler::new(cfg.serve.clone()),
-        store: FcfsResource::new("stripe-store", stripe_servers),
-        model: cfg.read_model.clone(),
+        store: FcfsResource::new("stripe-store", cfg.serve.stripe_servers.max(1)),
+        measured: match cfg.read_model {
+            ReadModel::Planned => None,
+            // One synchronous read, then compute: a lone reading task.
+            ReadModel::Measured { runtime_per_cpi, read_fraction } => {
+                let read = runtime_per_cpi * read_fraction.clamp(0.0, 1.0);
+                let compute = runtime_per_cpi - read;
+                let costs = TaskCosts { compute, recv: 0.0, send: 0.0, overhead: 0.0 };
+                let slot = TaskSlot { reads: true, ..TaskSlot::new(TaskId::Read, &[], &[]) };
+                let term = ReadTerm { read_time: read, overlap: false, cache: None };
+                let row = TaskRow { slot, nodes: 1, costs, read: Some(term) };
+                Some(Run::both(vec![row], vec![(0, SimTime::from_secs_f64(read), 1)]))
+            }
+        },
         active: Vec::new(),
         rows: Vec::new(),
         rejected: Vec::new(),
@@ -222,40 +248,25 @@ pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> FleetReport {
             }
         }
     }
-    let end = eng.run(&mut state);
-    let makespan = state.rows.iter().map(|r| r.end).fold(end.as_secs_f64(), f64::max);
-    let fleet_utilization = state.store.utilization(SimTime::from_secs_f64(makespan));
-    FleetReport {
-        rows: state.rows,
-        rejected: state.rejected,
-        cancelled: state.cancelled,
-        counters: state.sched.counters(),
-        makespan,
-        fleet_utilization: Some(fleet_utilization),
-        store_jobs: state.store.jobs(),
-        tracks: Vec::new(),
-    }
+    (eng, state)
 }
 
-/// Dispatches every currently-runnable mission and starts its CPI loop.
+/// Dispatches every currently-runnable mission and steps its first CPI,
+/// whose read is posted the moment the mission starts.
 fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
     while let Some(d) = st.sched.next_ready(eng.now().as_secs_f64()) {
         let id = d.id;
         let cpis = d.spec.cpis.max(2);
-        let mut fold = CpiFold::new(&st.model, &d.plan, &d.cost);
         let staging = match &d.spec.source {
             SourceSpec::File => None,
+            // The radar starts when the mission dispatches.
             SourceSpec::Stream(s) => {
-                // Stream missions bypass the striped store: the cube
-                // arrives through the staging ring, and compute waits for
-                // it. The radar starts when the mission dispatches.
-                fold.read = ReadTerm { read_time: 0.0, overlap: false, cache: None };
-                fold.batches.clear();
                 let period =
                     if s.rate > 0.0 { SimTime::from_secs_f64(1.0 / s.rate) } else { SimTime::ZERO };
                 Some(StagingModel::new(eng.now(), s.depth, period, cpis, s.policy))
             }
         };
+        let (run, rotation) = run_of(&st.measured, &d.plan, &d.cost, staging.is_some());
         // File-fed missions observe a configured fleet fault once they
         // reach its CPI; stream missions bypass the striped store.
         let fault = match (st.sched.config().fault, &staging) {
@@ -265,10 +276,13 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
         let active = Active {
             d,
             cpis,
-            cpis_done: 0,
-            nominal_runtime: fold.nominal(cpis),
-            fold,
-            prev_start: None,
+            nominal_runtime: run.alone(cpis),
+            prev: run.rec.origin(eng.now()),
+            run,
+            rotation,
+            next: 0,
+            cur: CpiRows::default(),
+            latency_sum: 0.0,
             staging,
             fault,
             failover: None,
@@ -282,45 +296,48 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState) {
     }
 }
 
-/// Runs one CPI of mission `id` through its fold on the shared store and
-/// schedules the next CPI (or completion) at its end.
+/// Steps mission `id`'s next CPI, whose read is posted now, on the shared
+/// store; schedules the CPI after it at the instant that one posts (or
+/// completion at the CPI's last end).
 fn step_cpi(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     let now = eng.now();
     let Some(a) = st.active.get_mut(id as usize).and_then(|a| a.as_mut()) else {
         return;
     };
-    // The fleet fault fires the moment the mission reaches its CPI: the
-    // attempt so far is discarded (the executor's first pipeline dies on
-    // the infrastructure-loss error), and the mission restarts on the plan
-    // re-planned for the surviving directories — failover, not abort.
-    if let Some(f) = a.fault.filter(|f| a.cpis_done >= f.at_cpi) {
+    // The fleet fault fires when the mission posts its CPI's read, which is
+    // when the executed read fails: the attempt so far is discarded (the
+    // executor's first pipeline dies on the infrastructure-loss error), and
+    // the mission restarts now on the plan re-planned for the surviving
+    // directories — failover, not abort.
+    if let Some(f) = a.fault.filter(|f| a.next >= f.at_cpi) {
         a.fault = None;
-        a.cpis_done = 0;
-        a.prev_start = None;
         let (plan, cost) = st.sched.degraded_plan(id);
-        a.fold = CpiFold::new(&st.model, &plan, &cost);
+        (a.run, a.rotation) = run_of(&st.measured, &plan, &cost, false);
         a.failover = Some(f.failover_note(a.d.plan.stripe_factor, &plan));
-        a.d.plan = plan;
+        (a.d.plan, a.prev, a.next, a.latency_sum) = (plan, a.run.rec.origin(now), 0, 0.0);
     }
-    let cpi = a.cpis_done;
-    let (fold, staging, store) = (&a.fold, &mut a.staging, &mut st.store);
-    let end = fold.cpi_end(cpi, now, a.prev_start, |at| {
-        let done = fold.post(store, cpi, at);
+    let cpi = a.next;
+    let (batches, rotate, staging) = (&a.run.reads, cpi as usize % a.rotation, &mut a.staging);
+    let store = &mut st.store;
+    let post = |at: SimTime| {
+        debug_assert_eq!(at, now, "a mission's read is posted when the engine steps its CPI");
+        let done = post_reads(store, batches, rotate, at);
         // Stream missions gate on the staging ring instead: the CPI reads
         // its cube when it has arrived (a lossy ring delivers what
         // survives; an exhausted one stops gating).
         staging.as_mut().and_then(|s| s.pop(at)).map_or(done, |ready| done.max(ready))
-    });
-    a.prev_start = Some(now);
-    a.cpis_done += 1;
-    let finished = a.cpis_done >= a.cpis;
-    eng.schedule_at(end, move |e, s| {
-        if finished {
-            finish_mission(e, s, id);
-        } else {
-            step_cpi(e, s, id);
-        }
-    });
+    };
+    a.run.rec.step(cpi, &a.prev, post, &mut a.cur);
+    a.latency_sum += a.run.rec.latency(&a.cur);
+    std::mem::swap(&mut a.prev, &mut a.cur);
+    a.next += 1;
+    if a.next < a.cpis {
+        let at = a.run.rec.posts_at(&a.prev);
+        eng.schedule_at(at, move |e, s| step_cpi(e, s, id));
+    } else {
+        let end = a.prev.end.iter().copied().fold(now, SimTime::max);
+        eng.schedule_at(end, move |e, s| finish_mission(e, s, id));
+    }
 }
 
 /// Completes mission `id`: frees its resources, records its row, and pumps
@@ -332,10 +349,9 @@ fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64) {
     let end = eng.now().as_secs_f64();
     st.sched.complete(id, false);
     let runtime = (end - a.d.start).max(1e-12);
-    // Contention stretches every CPI cycle; the achieved latency is the
-    // plan's pipeline latency plus the per-CPI stretch.
-    let stretch = (runtime - a.nominal_runtime).max(0.0) / a.cpis as f64;
-    let latency = a.d.plan.latency + stretch;
+    // The mean over the final attempt's CPIs of sink end less source start:
+    // the DES's latency at warm-up 0.
+    let latency = a.latency_sum / a.cpis as f64;
     st.rows.push(MissionReport {
         throughput: a.cpis as f64 / runtime,
         latency,
@@ -408,11 +424,15 @@ mod tests {
 
     #[test]
     fn a_lone_mission_runs_its_plan_on_every_machine_io_and_tail() {
-        // Nominal is the same fold on an idle store, so a lone mission's
-        // slowdown is 1 by construction; and with no cache to warm up
-        // (`cached:32` never holds the staging working set) its steady
-        // cycle is the plan's `1 / max T_i`, to the clock's nanosecond.
-        for machine in stap_model::machines::MachineModel::KEYS.split('|') {
+        // Nominal is the same recurrence on an idle store, so a lone
+        // mission's slowdown is 1 by construction; with no cache to warm up
+        // (`cached:32` never holds the staging working set) its steady cycle
+        // is the plan's `1 / max T_i`, to the clock's nanosecond; and its
+        // latency is the DES's for the same plan (assignment and stripe
+        // factor, warm-up 0).
+        use stap_core::DesExperiment;
+        use stap_model::machines::MachineModel;
+        for machine in MachineModel::KEYS.split('|') {
             for io in ["embedded", "separate", "cached:32"] {
                 for tail in ["split", "combined"] {
                     let run = |cpis: u64| {
@@ -421,9 +441,9 @@ mod tests {
                              io={io} tail={tail}\n"
                         ));
                         let r = simulate_fleet(&s, &SimConfig::default());
-                        r.rows[0].clone()
+                        (r.rows[0].clone(), s)
                     };
-                    let (short, long) = (run(8), run(16));
+                    let ((short, s), (long, _)) = (run(8), run(16));
                     let at = format!("{machine} {io} {tail}");
                     for row in [&short, &long] {
                         assert!((slowdown(row) - 1.0).abs() < 1e-6, "{at}: {}", slowdown(row));
@@ -431,9 +451,78 @@ mod tests {
                     let cycle = ((long.end - long.start) - (short.end - short.start)) / 8.0;
                     let period = 1.0 / short.plan.throughput;
                     assert!((cycle / period - 1.0).abs() < 1e-6, "{at}: {cycle} vs {period}");
+
+                    let mut sched = Scheduler::new(ServeConfig::default());
+                    let ScriptAction::Submit(spec) = s.events[0].action.clone() else {
+                        panic!("a submission")
+                    };
+                    sched.submit(spec, 0.0).expect("admitted");
+                    let d = sched.next_ready(0.0).expect("dispatched");
+                    assert_eq!(d.plan, short.plan, "{at}");
+                    let m = MachineModel::by_key(machine).expect("a machine");
+                    let (plan, n) = (&d.plan, d.plan.total_nodes);
+                    let mut des = DesExperiment::new(
+                        m.with_stripe_factor(plan.stripe_factor),
+                        plan.io,
+                        plan.tail,
+                        n,
+                    );
+                    (des.cpis, des.warmup) = (8, 0);
+                    des.assignment_override = Some(d.cost.assignment.clone());
+                    let want = des.run().latency;
+                    assert!(
+                        (short.latency / want - 1.0).abs() < 1e-12,
+                        "{at}: latency {} vs the DES's {want}",
+                        short.latency
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn staggered_missions_post_every_read_when_it_arrives() {
+        // Two missions on the narrow-stripe machine, dispatched 0.3 s apart,
+        // share its 16 directories. Each read is posted at the engine's
+        // `now`, so every server's arrivals are non-decreasing, and each read
+        // starts at max(arrival, the server's previous completion).
+        use stap_core::desmodel::batch_reads;
+        use stap_model::machines::MachineModel;
+        use stap_pfs::timing::extent_service;
+        let s = script(
+            "at 0 submit name=a machine=paragon16 nodes=16 cpis=6\n\
+             at 0.3 submit name=b machine=paragon16 nodes=16 cpis=6\n",
+        );
+        let m = MachineModel::by_key("paragon16").expect("a machine");
+        let cube = stap_model::workload::ShapeParams::paper_default().cube_bytes();
+        let batches = batch_reads(&extent_service(&m.fs, 0, cube, m.open_mode));
+        let (mut eng, mut st) = fleet(&s, &SimConfig::default());
+        let mut posts = 0;
+        loop {
+            let before = st.store.clone();
+            if !eng.step(&mut st) {
+                break;
+            }
+            let now = eng.now();
+            for &(server, service, _) in &batches {
+                if st.store.free_at(server) == before.free_at(server) {
+                    continue;
+                }
+                posts += 1;
+                let arrival = st.store.last_arrival(server);
+                assert_eq!(arrival, now, "server {server}: a read posted at {arrival}, at {now}");
+                assert!(before.last_arrival(server) <= arrival, "server {server} at {now}");
+                let start = arrival.max(before.free_at(server));
+                assert_eq!(st.store.free_at(server), start + service, "server {server} at {now}");
+            }
+        }
+        assert_eq!(
+            posts,
+            2 * 6 * batches.len(),
+            "every CPI of both missions reads every directory"
+        );
+        assert_eq!(st.rows.len(), 2);
+        assert!(st.rows.iter().all(|r| r.plan.stripe_factor == 16), "{:?}", st.rows);
     }
 
     #[test]
@@ -467,7 +556,7 @@ mod tests {
         // Four tenants on the narrow-stripe machine, in the contention
         // study's fleet: their reads pile onto the same 16 directories, so
         // everyone's cycles stretch, and the JSON reports that measured
-        // stretch (the study's 16-CPI cell reads a mean of 1.53).
+        // stretch (the study's 16-CPI cell reads a mean of 1.49).
         let s = script(
             "at 0 submit name=a machine=paragon16 nodes=25 cpis=8\n\
              at 0 submit name=b machine=paragon16 nodes=25 cpis=8\n\
@@ -646,8 +735,8 @@ mod tests {
     fn fault_script_report_matches_the_pinned_bytes() {
         // 40 bursty arrivals over four machines, three budgets and two I/O
         // pins under a server loss every eight-CPI mission meets. The golden
-        // was last written when a mission's CPI became a fold of its plan's
-        // task table and a failover became a re-plan.
+        // was last written when each mission became a run of the DES's
+        // recurrence, posting every read when it arrives.
         use crate::arrivals::{generate_script, ArrivalSpec};
         use crate::mission::MissionSpec;
         let arrivals = ArrivalSpec::Bursty { lo: 0.4, hi: 1.6, dwell: 4.0 };

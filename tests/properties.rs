@@ -204,25 +204,30 @@ proptest! {
     }
 
     /// FCFS resources conserve work: total busy time never exceeds
-    /// servers × horizon, and jobs never start before arrival.
+    /// servers × horizon, and jobs never start before arrival. Each job is
+    /// pinned to its server, and each server's jobs arrive in time order.
     #[test]
     fn fcfs_resource_conservation(
         servers in 1usize..8,
-        jobs in proptest::collection::vec((0u64..1000, 1u64..200), 1..40),
+        jobs in proptest::collection::vec((0u64..1000, 1u64..200, 0usize..8), 1..40),
     ) {
         use stap_des::{FcfsResource, SimTime};
         let mut r = FcfsResource::new("prop", servers);
         let mut sorted = jobs.clone();
         sorted.sort();
-        for &(arrive, service) in &sorted {
-            let (start, done) = r.submit(SimTime::from_millis(arrive), SimTime::from_millis(service));
+        let mut horizon = SimTime::ZERO;
+        for &(arrive, service, server) in &sorted {
+            let server = server % servers;
+            let (start, done) =
+                r.submit_to(server, SimTime::from_millis(arrive), SimTime::from_millis(service));
             prop_assert!(start >= SimTime::from_millis(arrive));
             prop_assert_eq!(done, start + SimTime::from_millis(service));
+            horizon = horizon.max(done);
         }
-        let horizon = r.all_idle_at();
-        let total_service: u64 = sorted.iter().map(|&(_, s)| s).sum();
+        let total_service: u64 = sorted.iter().map(|&(_, s, _)| s).sum();
         prop_assert!((r.total_busy_secs() - total_service as f64 / 1000.0).abs() < 1e-9);
         prop_assert!(r.total_busy_secs() <= horizon.as_secs_f64() * servers as f64 + 1e-9);
+        prop_assert_eq!(r.jobs(), sorted.len() as u64);
     }
 
     /// Message delivery: every (src, tag) stream arrives exactly once and
