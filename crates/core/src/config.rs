@@ -42,10 +42,9 @@ impl RetryPolicy {
         self.backoff.saturating_mul(Self::backoff_factor(attempt))
     }
 
-    /// Base pauses before retry `attempt`, the one doubling rule the
-    /// pipeline and the DES share: `2^attempt`, capped at `2^6` so
+    /// Base pauses before retry `attempt`: `2^attempt`, capped at `2^6` so
     /// pathological budgets stay bounded.
-    pub(crate) fn backoff_factor(attempt: u32) -> u32 {
+    fn backoff_factor(attempt: u32) -> u32 {
         1 << attempt.min(6)
     }
 }
@@ -179,11 +178,6 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
-    /// True for the streaming path.
-    pub fn is_stream(&self) -> bool {
-        matches!(self, SourceSpec::Stream(_))
-    }
-
     /// Staging-ring depth this source occupies (`0` for file-fed).
     pub fn staging_depth(&self) -> usize {
         match self {

@@ -29,7 +29,7 @@
 //! instance-level behaviour — when a read is posted, what it overlaps, what
 //! a fault does to a CPI — in `read_step` and `duration`, behind the step.
 
-use crate::config::RetryPolicy;
+use crate::config::{FailurePolicy, StapConfig};
 use crate::io_strategy::{IoStrategy, TailStructure};
 use stap_des::{FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
@@ -39,9 +39,8 @@ use stap_model::machines::MachineModel;
 use stap_model::tasktable::{self, task_table, ReadTerm};
 use stap_model::tasktime::TaskCosts;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
-use stap_pfs::fault::splitmix64;
+use stap_pfs::fault::{FaultPlan, ReadDecision};
 use stap_pfs::timing::extent_service;
-use stap_pfs::FaultWindow;
 
 /// Duration of the read-bearing task's instance for CPI `cpi`, starting at
 /// `t0`: read plus compute, send and overhead from `costs` (its receive
@@ -156,35 +155,6 @@ impl PhaseBreakdown {
     }
 }
 
-/// Which simulated CPIs suffer a read fault.
-#[derive(Debug, Clone)]
-pub enum FaultSource {
-    /// Each CPI's read fails independently with probability `rate`,
-    /// deterministically derived from `seed` (same draw every run).
-    Random {
-        /// Per-CPI fault probability in `[0, 1]`.
-        rate: f64,
-        /// Seed of the deterministic per-CPI draw.
-        seed: u64,
-    },
-    /// Reads fail during these CPI windows.
-    Windows(Vec<FaultWindow>),
-}
-
-impl FaultSource {
-    /// Deterministic verdict: is CPI `cpi` faulted?
-    pub fn faulted(&self, cpi: u64) -> bool {
-        match self {
-            FaultSource::Random { rate, seed } => {
-                // splitmix64 of (seed, cpi) → uniform in [0, 1).
-                let z = splitmix64(seed.wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-                ((z >> 11) as f64 / (1u64 << 53) as f64) < *rate
-            }
-            FaultSource::Windows(ws) => ws.iter().any(|w| w.contains(cpi)),
-        }
-    }
-}
-
 /// Redundancy provisioned against fleet-level node crashes — the thing
 /// the tri-criteria planner spends nodes or time on to buy survival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,29 +197,32 @@ impl Redundancy {
     }
 }
 
-/// Fault injection for the simulated read path, mirroring the real
-/// pipeline's `SkipCpi` failure policy in virtual time: a faulted CPI's
-/// read fails `fail_attempts` times (each failure costs `detect` seconds
-/// plus exponential backoff); if the retry budget clears the fault the
-/// read proceeds, otherwise the CPI is dropped and every downstream task
-/// merely forwards the gap bubble at a small fraction of its nominal time.
+/// Fault injection for the simulated read path: the executed run's own
+/// [`FaultPlan`] under its own [`FailurePolicy`]. CPI `j`'s read asks the
+/// plan about the staging file it reads (`StapConfig::file_name(j %
+/// fanout)`) and the stripe directories its extent touches, attempt by
+/// attempt as the pipeline's read path does, so both timelines fault the
+/// same CPIs. A failed attempt costs `detect` seconds, plus the policy's
+/// backoff while retries remain; a read out of retries drops the CPI under
+/// `SkipCpi`, and every downstream task merely forwards the gap bubble at a
+/// small fraction of its nominal time. A slow read's delay is added to the
+/// read. What ends the executed run — `Abort`, an exhausted `Retry`, a
+/// `SkipCpi` run longer than `max_consecutive`, or a lost server or node —
+/// is a crash at that CPI here.
 ///
-/// On top of the transient model, `crashes` schedules permanent node
-/// losses and `redundancy` decides whether the pipeline survives them —
-/// see [`Redundancy`].
+/// On top of the read faults, `crashes` schedules permanent node losses
+/// and `redundancy` decides whether the pipeline survives them — see
+/// [`Redundancy`].
 #[derive(Debug, Clone)]
 pub struct DesFaultModel {
-    /// Which CPIs fault.
-    pub source: FaultSource,
-    /// Failed attempts before a faulted CPI's read would succeed
-    /// (`u32::MAX` = never within any realistic budget).
-    pub fail_attempts: u32,
+    /// The read-fault schedule, as the executed run installs it.
+    pub plan: FaultPlan,
+    /// What a failing read does, as the executed run's policy says.
+    pub policy: FailurePolicy,
+    /// Staging files the CPIs read round-robin.
+    pub fanout: usize,
     /// Seconds to notice one failed attempt.
     pub detect: f64,
-    /// Retry budget after the first failure (the `SkipCpi` retry knob).
-    pub retry_attempts: u32,
-    /// Base backoff seconds before the first retry; doubles per retry.
-    pub backoff: f64,
     /// CPIs in flight when a compute node crashes. What happens next
     /// depends on `redundancy`: replica promotion, checkpoint replay, or —
     /// bare — the pipeline instance dies and every later CPI is lost. The
@@ -282,6 +255,8 @@ pub const CHECKPOINT_COST_FRACTION: f64 = 0.25;
 struct CpiFault {
     /// Extra seconds charged at the read-bearing task (detection+backoff).
     extra: f64,
+    /// Slow-read seconds added to the read itself.
+    delay: f64,
     /// The CPI is dropped: downstream tasks only forward the bubble.
     dropped: bool,
     /// Retries consumed on this CPI.
@@ -289,40 +264,78 @@ struct CpiFault {
 }
 
 impl DesFaultModel {
-    /// A purely transient model: no node crashes, no redundancy.
-    pub fn transient(
-        source: FaultSource,
-        fail_attempts: u32,
-        detect: f64,
-        retry_attempts: u32,
-        backoff: f64,
-    ) -> Self {
-        Self {
-            source,
-            fail_attempts,
-            detect,
-            retry_attempts,
-            backoff,
-            crashes: Vec::new(),
-            redundancy: Redundancy::None,
+    /// Read faults from `plan` under `policy`: no node crashes, no
+    /// redundancy.
+    pub fn new(plan: FaultPlan, policy: FailurePolicy, fanout: usize, detect: f64) -> Self {
+        Self { plan, policy, fanout, detect, crashes: Vec::new(), redundancy: Redundancy::None }
+    }
+
+    /// Node `crashes` under `redundancy`, and no read faults.
+    pub fn crash_only(crashes: Vec<u64>, redundancy: Redundancy) -> Self {
+        let plan = FaultPlan::default();
+        Self { crashes, redundancy, ..Self::new(plan, FailurePolicy::Abort, STAGING_FANOUT, 0.0) }
+    }
+
+    /// Every CPI's consequence: the read faults, then the node crashes
+    /// (and the steady checkpoint tax). `servers` are the stripe
+    /// directories a CPI's read touches; `nominal` is the source task's
+    /// nominal per-CPI time, the unit that prices promotion, restore and
+    /// replay.
+    fn consequences(&self, cpis: u64, servers: &[usize], nominal: f64) -> Vec<CpiFault> {
+        let mut faults = vec![CpiFault::default(); cpis as usize];
+        let mut crashes = self.crashes.clone();
+        if !self.plan.is_empty() {
+            let files: Vec<String> = (0..self.fanout).map(StapConfig::file_name).collect();
+            let mut run = 0;
+            for (j, slot) in faults.iter_mut().enumerate() {
+                let (fault, ends) = self.read_fault(&files[j % files.len()], j as u64, servers);
+                run = if fault.dropped { run + 1 } else { 0 };
+                if ends || self.policy.max_consecutive().is_some_and(|max| run > max) {
+                    crashes.push(j as u64);
+                }
+                *slot = fault;
+            }
+        }
+        self.apply_fleet(nominal, &mut faults, crashes);
+        faults
+    }
+
+    /// Walks CPI `cpi`'s read of `file` attempt by attempt, as
+    /// `read_with_policy` retries it: its consequence, and whether the
+    /// executed run would end there.
+    fn read_fault(&self, file: &str, cpi: u64, servers: &[usize]) -> (CpiFault, bool) {
+        let retry = self.policy.retry();
+        let mut fault = CpiFault::default();
+        let mut attempt = 0;
+        loop {
+            match self.plan.read_decision(file, cpi, attempt, servers) {
+                ReadDecision::Proceed { delay } => {
+                    fault.delay = delay.as_secs_f64();
+                    return (fault, false);
+                }
+                ReadDecision::Lost { .. } => return (fault, true),
+                ReadDecision::Fail { .. } if attempt == retry.attempts => {
+                    fault.extra += self.detect;
+                    fault.dropped = true;
+                    return (fault, !self.policy.skips());
+                }
+                ReadDecision::Fail { .. } => {
+                    fault.extra += self.detect + retry.backoff_for(attempt).as_secs_f64();
+                    fault.retries += 1;
+                    attempt += 1;
+                }
+            }
         }
     }
 
-    /// Whether the model carries anything beyond per-CPI transients.
-    fn has_fleet_consequences(&self) -> bool {
-        !self.crashes.is_empty() || matches!(self.redundancy, Redundancy::Checkpointed { .. })
-    }
-
-    /// Applies the node crashes (and the steady checkpoint tax) on top of
-    /// the per-CPI transient consequences. Each crash consults the
-    /// provisioned redundancy: a spare is promoted
-    /// ([`REPLICA_PROMOTE_PERIODS`]), a checkpoint is restored and up to
-    /// `interval` CPIs replayed, or — bare — every CPI from the crash
-    /// onward is dropped (the pipeline instance is dead).
-    ///
-    /// `nominal` is the source task's nominal per-CPI time, the unit that
-    /// prices promotion, restore, and replay.
-    fn apply_fleet(&self, cpis: u64, nominal: f64, faults: &mut [CpiFault]) {
+    /// Applies the node `crashes` (and the steady checkpoint tax) on top of
+    /// the per-CPI read consequences. Each crash consults the provisioned
+    /// redundancy: a spare is promoted ([`REPLICA_PROMOTE_PERIODS`]), a
+    /// checkpoint is restored and up to `interval` CPIs replayed, or — bare
+    /// — every CPI from the crash onward is dropped (the pipeline instance
+    /// is dead).
+    fn apply_fleet(&self, nominal: f64, faults: &mut [CpiFault], mut crashes: Vec<u64>) {
+        let cpis = faults.len() as u64;
         // Steady checkpoint tax, paid at every checkpoint CPI.
         if let Redundancy::Checkpointed { interval } = self.redundancy {
             let k = interval.max(1);
@@ -333,7 +346,6 @@ impl DesFaultModel {
             }
         }
         // In CPI order, so spares deplete chronologically.
-        let mut crashes = self.crashes.clone();
         crashes.sort_unstable();
         let mut spares_left = match self.redundancy {
             Redundancy::Replicated { spares } => spares,
@@ -363,33 +375,6 @@ impl DesFaultModel {
             }
         }
     }
-
-    /// Exponential backoff before retry `attempt`, by the real pipeline's
-    /// [`RetryPolicy::backoff_factor`].
-    fn backoff_for(&self, attempt: u32) -> f64 {
-        self.backoff * f64::from(RetryPolicy::backoff_factor(attempt))
-    }
-
-    /// The consequence for CPI `cpi`.
-    fn consequence(&self, cpi: u64) -> CpiFault {
-        if !self.source.faulted(cpi) {
-            return CpiFault::default();
-        }
-        let budget = self.retry_attempts;
-        if self.fail_attempts <= budget {
-            // The retry budget clears the fault: charge the failed
-            // attempts and their backoffs, then the read proceeds.
-            let failing = self.fail_attempts;
-            let extra = f64::from(failing) * self.detect
-                + (0..failing).map(|k| self.backoff_for(k)).sum::<f64>();
-            CpiFault { extra, dropped: false, retries: u64::from(failing) }
-        } else {
-            // Budget exhausted: every attempt failed, the CPI is dropped.
-            let extra = f64::from(budget + 1) * self.detect
-                + (0..budget).map(|k| self.backoff_for(k)).sum::<f64>();
-            CpiFault { extra, dropped: true, retries: u64::from(budget) }
-        }
-    }
 }
 
 /// Configuration of one virtual-time experiment cell.
@@ -417,7 +402,8 @@ pub struct DesExperiment {
     /// under non-proportional assignments where a tail task paces the
     /// pipeline.
     pub assignment_override: Option<stap_model::assignment::Assignment>,
-    /// Transient read faults applied in virtual time (None = fault-free).
+    /// Read faults (the executed run's plan and policy) and node crashes
+    /// applied in virtual time (None = fault-free).
     pub faults: Option<DesFaultModel>,
 }
 
@@ -531,7 +517,8 @@ fn duration(
         (None, true) => SimTime::from_secs_f64(GAP_FORWARD_FRACTION * row.costs.total()),
         (None, false) => SimTime::from_secs_f64(row.costs.total()),
         (Some(read), false) => {
-            read_step(&row.costs, &read, cpi, t0, prev_start, post)
+            let delay = SimTime::from_secs_f64(fault.delay);
+            read_step(&row.costs, &read, cpi, t0, prev_start, |at| post(at) + delay)
                 + SimTime::from_secs_f64(fault.extra)
         }
     }
@@ -670,19 +657,17 @@ impl DesExperiment {
         let read_nodes: usize =
             rec.rows.iter().filter(|r| r.slot.id == TaskId::Read).map(|r| r.nodes).sum();
         let fs = &self.machine.fs;
-        if let Some(model) = &self.faults {
-            rec.faults = (0..self.cpis).map(|j| model.consequence(j)).collect();
-        }
-        if let Some(model) = self.faults.as_ref().filter(|m| m.has_fleet_consequences()) {
-            // The source task's nominal per-CPI time prices promotion,
-            // restore, and replay in units the pipeline understands.
-            let nominal = PhaseBreakdown::of(&rec.rows[rec.source]).total();
-            model.apply_fleet(self.cpis, nominal, &mut rec.faults);
-        }
         let mut io = FcfsResource::new("stripe servers", fs.stripe_factor);
         // One whole-file CPI read, batched per stripe server.
         let reads =
             batch_reads(&extent_service(fs, 0, self.shape.cube_bytes(), self.machine.open_mode));
+        if let Some(model) = &self.faults {
+            let servers: Vec<usize> = reads.iter().map(|b| b.0).collect();
+            // The source task's nominal per-CPI time prices promotion,
+            // restore, and replay in units the pipeline understands.
+            let nominal = PhaseBreakdown::of(&rec.rows[rec.source]).total();
+            rec.faults = model.consequences(self.cpis, &servers, nominal);
+        }
         let mut durations: Vec<Tally> = (0..n).map(|_| Tally::new()).collect();
         let mut trace = Vec::new();
         let cpis = self.cpis as usize;
@@ -788,6 +773,8 @@ pub fn render_gantt(result: &DesResult, trace: &[TraceEntry], max_time: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RetryPolicy;
+    use stap_pfs::Fault;
 
     fn cell(machine: MachineModel, io: IoStrategy, tail: TailStructure, nodes: usize) -> DesResult {
         DesExperiment::new(machine, io, tail, nodes).run()
@@ -1143,8 +1130,15 @@ mod tests {
         assert!(two.throughput > 0.0 && two.throughput.is_finite());
     }
 
-    fn skip_model(source: FaultSource) -> DesFaultModel {
-        DesFaultModel::transient(source, u32::MAX, 0.001, 2, 0.001)
+    /// Two retries 1 ms apart, then the CPI is dropped.
+    fn skip_model(plan: FaultPlan) -> DesFaultModel {
+        let retry = RetryPolicy::new(2, std::time::Duration::from_millis(1));
+        let policy = FailurePolicy::SkipCpi { retry, max_consecutive: u32::MAX };
+        DesFaultModel::new(plan, policy, STAGING_FANOUT, 0.001)
+    }
+
+    fn flaky(rate: f64, seed: u64) -> FaultPlan {
+        crate::experiments::degradation::flaky_reads(rate, seed, STAGING_FANOUT).0
     }
 
     #[test]
@@ -1156,7 +1150,7 @@ mod tests {
             50,
         );
         let clean = exp.run();
-        exp.faults = Some(skip_model(FaultSource::Random { rate: 0.0, seed: 7 }));
+        exp.faults = Some(skip_model(flaky(0.0, 7)));
         let faulted = exp.run();
         assert_eq!(clean.throughput, faulted.throughput);
         assert_eq!(clean.latency, faulted.latency);
@@ -1173,10 +1167,12 @@ mod tests {
             TailStructure::Split,
             50,
         );
-        exp.faults = Some(skip_model(FaultSource::Windows(vec![
-            FaultWindow::new(12, 13),
-            FaultWindow::new(40, 41),
-        ])));
+        // Every CPI's whole-file read touches stripe server 0.
+        let down = |from, until| Fault::ServerUnavailable {
+            server: 0,
+            window: stap_pfs::FaultWindow::new(from, until),
+        };
+        exp.faults = Some(skip_model(FaultPlan::new(0).with(down(12, 13)).with(down(40, 41))));
         let r = exp.run();
         assert_eq!(r.dropped, vec![12, 40]);
         // Each drop burns the full retry budget.
@@ -1192,9 +1188,12 @@ mod tests {
             TailStructure::Split,
             50,
         );
-        let mut model = skip_model(FaultSource::Windows(vec![FaultWindow::new(20, 21)]));
-        model.fail_attempts = 1; // one failure, then the retry succeeds
-        exp.faults = Some(model);
+        // One failure on CPI 20's file, then the retry succeeds.
+        exp.faults = Some(skip_model(FaultPlan::new(0).with(Fault::Transient {
+            file: StapConfig::file_name(20 % STAGING_FANOUT),
+            fail_attempts: 1,
+            window: stap_pfs::FaultWindow::new(20, 21),
+        })));
         let r = exp.run();
         assert!(r.dropped.is_empty());
         assert_eq!(r.retries, 1);
@@ -1212,7 +1211,8 @@ mod tests {
             );
             exp.cpis = 256;
             exp.warmup = 16;
-            exp.faults = Some(skip_model(FaultSource::Random { rate, seed: 42 }));
+            let (plan, policy) = crate::experiments::degradation::flaky_reads(rate, 42, 4);
+            exp.faults = Some(DesFaultModel::new(plan, policy, 4, 0.001));
             exp.run()
         };
         let clean = run_at(0.0);
@@ -1230,10 +1230,7 @@ mod tests {
             TailStructure::Split,
             50,
         );
-        let mut model = skip_model(FaultSource::Random { rate: 0.0, seed: 7 });
-        model.crashes = crashes;
-        model.redundancy = redundancy;
-        exp.faults = Some(model);
+        exp.faults = Some(DesFaultModel::crash_only(crashes, redundancy));
         exp.run()
     }
 
@@ -1295,7 +1292,7 @@ mod tests {
                 TailStructure::Split,
                 50,
             );
-            exp.faults = Some(skip_model(FaultSource::Random { rate: 0.1, seed: 99 }));
+            exp.faults = Some(skip_model(flaky(0.1, 99)));
             exp.run()
         };
         let (a, b) = (run(), run());

@@ -3,30 +3,51 @@
 //! the real pipeline and predicted by the fault-aware DES.
 //!
 //! Two claims are exercised. First, under *unrecoverable* per-CPI faults
-//! the delivered throughput falls with the surviving-CPI fraction — the
-//! real pipeline (flaky reads, `SkipCpi` policy) and the DES (random
-//! per-CPI faults at the same rate) must agree on that fraction within the
-//! documented tolerance band ([`TOLERANCE`]), since both draw faults
-//! independently per CPI from their own seeded streams. Second, under
-//! *recoverable* faults (cleared within the retry budget) the separate-I/O
-//! design degrades more gracefully: its retries burn time on the dedicated
-//! read task, where `iread` overlap hides them from the pipeline's critical
-//! path, while the embedded design pays them inside the Doppler task.
+//! the delivered throughput falls with the surviving-CPI fraction. The real
+//! pipeline and the DES run the same fault plan and policy
+//! ([`flaky_reads`]) over the same CPIs, so they drop the same CPIs and
+//! agree within the documented band ([`TOLERANCE`]), which covers timing
+//! only. Second, under *recoverable* faults (mostly cleared within the
+//! retry budget) the separate-I/O design degrades more gracefully: its
+//! retries burn time on the dedicated read task, where `iread` overlap
+//! hides them from the pipeline's critical path, while the embedded design
+//! pays them inside the Doppler task.
 
 use crate::config::{FailurePolicy, RetryPolicy, StapConfig};
-use crate::desmodel::{DesExperiment, DesFaultModel, FaultSource};
+use crate::desmodel::{DesExperiment, DesFaultModel, DesResult};
 use crate::io_strategy::{IoStrategy, TailStructure};
-use crate::system::StapSystem;
+use crate::system::{StapRunOutput, StapSystem};
 use stap_kernels::cube::CubeDims;
 use stap_model::machines::MachineModel;
 use stap_pfs::{Fault, FaultPlan, FaultWindow};
 
-/// Documented tolerance band on the delivered-throughput fraction: the
-/// real run and the DES draw per-CPI faults from different seeded streams,
-/// so their surviving fractions differ by binomial noise — at 32 CPIs and
-/// rates up to 0.3 the standard deviation is below 0.09, and the suite
-/// asserts agreement within this band.
-pub const TOLERANCE: f64 = 0.18;
+/// Documented tolerance band on the delivered-throughput fraction. The
+/// real run and the DES drop the same CPIs, so the band covers timing
+/// only: how far the DES's slot rate moves when a dropped CPI's detection
+/// time and gap bubbles replace its work. The worst cell of
+/// `results/fault_degradation.txt` differs by 0.025 (embedded, rate 0.1).
+pub const TOLERANCE: f64 = 0.03;
+
+/// CPIs per unrecoverable cell, in both timelines.
+const CPIS: u64 = 32;
+/// Leading CPIs excluded from the delivered fraction, in both timelines.
+const WARMUP: u64 = 2;
+/// Seed of every cell's fault plan.
+const SEED: u64 = 1801;
+/// Staging files the cells' CPIs read round-robin.
+const FANOUT: usize = 2;
+
+/// Flaky reads of each of the `fanout` staging files, each attempt failing
+/// with probability `rate` (seeded by `seed`), under `SkipCpi` with no
+/// retries: a faulted CPI is dropped. The executed and DES cells and
+/// `ppstap sim --fault-rate` inject faults through this pair.
+pub fn flaky_reads(rate: f64, seed: u64, fanout: usize) -> (FaultPlan, FailurePolicy) {
+    let plan = (0..fanout).fold(FaultPlan::new(seed), |plan, slot| {
+        let file = StapConfig::file_name(slot);
+        plan.with(Fault::Flaky { file, p: rate, window: FaultWindow::always() })
+    });
+    (plan, FailurePolicy::SkipCpi { retry: RetryPolicy::none(), max_consecutive: u32::MAX })
+}
 
 /// One rate point of the degradation curve.
 #[derive(Debug, Clone)]
@@ -57,102 +78,86 @@ pub struct RecoverableRow {
     pub separate: f64,
 }
 
-/// The small real-mode configuration used for all degradation cells.
-fn real_config(io: IoStrategy, cpis: u64) -> StapConfig {
-    StapConfig {
+/// The executed cell at `rate`: the small real-mode configuration with
+/// [`flaky_reads`] installed (nothing at rate 0).
+pub fn executed_cell(io: IoStrategy, rate: f64) -> StapRunOutput {
+    let mut cfg = StapConfig {
         dims: CubeDims::new(16, 4, 64),
         io,
-        cpis,
-        warmup: 2,
-        fanout: 2,
+        cpis: CPIS,
+        warmup: WARMUP,
+        fanout: FANOUT,
         ..StapConfig::default()
+    };
+    if rate > 0.0 {
+        let (plan, policy) = flaky_reads(rate, SEED, FANOUT);
+        (cfg.fault_plan, cfg.failure_policy) = (Some(plan), policy);
     }
+    StapSystem::prepare(cfg).expect("prepare").run().expect("degraded run")
 }
 
-/// Measures the real pipeline's delivered fraction at `rate`: flaky reads
-/// on every CPI file, single attempt (no retries), `SkipCpi` drops.
-fn real_fraction(io: IoStrategy, rate: f64, cpis: u64, seed: u64) -> f64 {
-    let mut cfg = real_config(io, cpis);
-    if rate > 0.0 {
-        let mut plan = FaultPlan::new(seed);
-        for slot in 0..cfg.fanout {
-            plan = plan.with(Fault::Flaky {
-                file: StapConfig::file_name(slot),
-                p: rate,
-                window: FaultWindow::always(),
-            });
-        }
-        cfg.fault_plan = Some(plan);
-        cfg.failure_policy =
-            FailurePolicy::SkipCpi { retry: RetryPolicy::none(), max_consecutive: cpis as u32 };
-    }
-    let out = StapSystem::prepare(cfg).expect("prepare").run().expect("degraded run");
-    let steady = cpis - out.warmup;
+/// The executed cell's delivered fraction: surviving steady CPIs.
+fn real_fraction(io: IoStrategy, rate: f64) -> f64 {
+    let out = executed_cell(io, rate);
+    let steady = out.cpis - out.warmup;
     let dropped = out.dropped.iter().filter(|g| g.cpi >= out.warmup).count() as u64;
     (steady - dropped.min(steady)) as f64 / steady as f64
 }
 
-/// DES cell at paper scale with the given fault model (None = fault-free).
-fn des_cell(io: IoStrategy, faults: Option<DesFaultModel>) -> crate::desmodel::DesResult {
+/// A DES cell at paper scale (Paragon sf=64, 50 nodes, split tail).
+fn des_cell(io: IoStrategy, faults: Option<DesFaultModel>) -> DesExperiment {
     let mut exp = DesExperiment::new(MachineModel::paragon(64), io, TailStructure::Split, 50);
     exp.faults = faults;
+    exp
+}
+
+/// The DES counterpart of [`executed_cell`]: the same CPIs, warm-up and
+/// fault pair, at paper scale (nothing at rate 0).
+pub fn des_counterpart(io: IoStrategy, rate: f64) -> DesResult {
+    let faults = (rate > 0.0).then(|| {
+        let (plan, policy) = flaky_reads(rate, SEED, FANOUT);
+        DesFaultModel::new(plan, policy, FANOUT, 0.002)
+    });
+    let mut exp = des_cell(io, faults);
+    (exp.cpis, exp.warmup) = (CPIS, WARMUP);
     exp.run()
 }
 
 /// DES delivered fraction at `rate` under unrecoverable per-CPI faults.
-fn des_fraction(io: IoStrategy, rate: f64, seed: u64) -> f64 {
+fn des_fraction(io: IoStrategy, rate: f64) -> f64 {
     if rate <= 0.0 {
         return 1.0;
     }
-    let clean = des_cell(io, None);
-    let faulted = des_cell(
-        io,
-        Some(DesFaultModel::transient(
-            FaultSource::Random { rate, seed },
-            u32::MAX,
-            0.002,
-            1,
-            0.002,
-        )),
-    );
-    faulted.delivered_throughput / clean.delivered_throughput
+    des_counterpart(io, rate).delivered_throughput / des_counterpart(io, 0.0).delivered_throughput
 }
 
 /// The degradation curve over `rates` (each in `[0, 1]`).
 pub fn fault_degradation(rates: &[f64]) -> Vec<DegradationRow> {
-    const CPIS: u64 = 32;
-    const SEED: u64 = 1801;
     rates
         .iter()
         .map(|&rate| DegradationRow {
             rate,
-            real_embedded: real_fraction(IoStrategy::Embedded, rate, CPIS, SEED),
-            real_separate: real_fraction(IoStrategy::SeparateTask, rate, CPIS, SEED),
-            des_embedded: des_fraction(IoStrategy::Embedded, rate, SEED),
-            des_separate: des_fraction(IoStrategy::SeparateTask, rate, SEED),
+            real_embedded: real_fraction(IoStrategy::Embedded, rate),
+            real_separate: real_fraction(IoStrategy::SeparateTask, rate),
+            des_embedded: des_fraction(IoStrategy::Embedded, rate),
+            des_separate: des_fraction(IoStrategy::SeparateTask, rate),
         })
         .collect()
 }
 
-/// DES slot-throughput ratios under *recoverable* faults: every faulted
-/// CPI fails once, then the retry succeeds.
+/// DES slot-throughput ratios under *recoverable* faults: [`flaky_reads`]
+/// with two retries 10 ms apart, so a faulted CPI is dropped only when
+/// all three attempts fail.
 pub fn recoverable_degradation(rates: &[f64]) -> Vec<RecoverableRow> {
     let cell = |io: IoStrategy, rate: f64| -> f64 {
         if rate <= 0.0 {
             return 1.0;
         }
-        let clean = des_cell(io, None);
-        let faulted = des_cell(
-            io,
-            Some(DesFaultModel::transient(
-                FaultSource::Random { rate, seed: 1801 },
-                1,
-                0.01,
-                2,
-                0.01,
-            )),
-        );
-        faulted.throughput / clean.throughput
+        let (plan, _) = flaky_reads(rate, SEED, FANOUT);
+        let retry = RetryPolicy::new(2, std::time::Duration::from_millis(10));
+        let policy = FailurePolicy::SkipCpi { retry, max_consecutive: u32::MAX };
+        let faulted = des_cell(io, Some(DesFaultModel::new(plan, policy, FANOUT, 0.01)));
+        faulted.run().throughput / des_cell(io, None).run().throughput
     };
     rates
         .iter()
@@ -173,7 +178,7 @@ pub fn render_degradation(rows: &[DegradationRow], recoverable: &[RecoverableRow
     let _ = writeln!(s);
     let _ = writeln!(s, "Unrecoverable per-CPI faults, SkipCpi policy:");
     let _ = writeln!(s, "  real pipeline: flaky reads at p = rate, single attempt, drops recorded");
-    let _ = writeln!(s, "  DES (Paragon sf=64, 50 nodes): random per-CPI faults at the same rate");
+    let _ = writeln!(s, "  DES (Paragon sf=64, 50 nodes): the same fault plan, CPIs and warm-up");
     let _ = writeln!(s);
     let _ = writeln!(
         s,
@@ -190,10 +195,10 @@ pub fn render_degradation(rows: &[DegradationRow], recoverable: &[RecoverableRow
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "Tolerance band: |real - DES| <= {TOLERANCE} per cell (independent seeded draws)."
+        "Tolerance band: |real - DES| <= {TOLERANCE} per cell (same dropped CPIs; timing only)."
     );
     let _ = writeln!(s);
-    let _ = writeln!(s, "Recoverable faults (cleared within the retry budget), DES prediction:");
+    let _ = writeln!(s, "Recoverable faults (the same flaky reads, two retries), DES prediction:");
     let _ = writeln!(s, "  retry time is paid on the read-bearing task; the separate-I/O design");
     let _ = writeln!(s, "  hides it behind iread overlap, the embedded design pays it in Doppler.");
     let _ = writeln!(s);
@@ -214,8 +219,8 @@ mod tests {
         // real pipeline's measured degradation, per strategy and rate.
         for rate in [0.1, 0.3] {
             for io in [IoStrategy::Embedded, IoStrategy::SeparateTask] {
-                let real = real_fraction(io, rate, 32, 1801);
-                let des = des_fraction(io, rate, 1801);
+                let real = real_fraction(io, rate);
+                let des = des_fraction(io, rate);
                 assert!(
                     (real - des).abs() <= TOLERANCE,
                     "{io:?} rate {rate}: real {real:.3} vs DES {des:.3} outside band {TOLERANCE}"

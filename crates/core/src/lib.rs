@@ -36,9 +36,11 @@ pub mod system;
 pub use config::{
     FailurePolicy, RetryPolicy, SourceSpec, StapConfig, StreamSettings, WatchdogPolicy,
 };
-pub use desmodel::{DesExperiment, DesFaultModel, DesResult, FaultSource, Redundancy};
+pub use desmodel::{DesExperiment, DesFaultModel, DesResult, Redundancy};
 pub use io_strategy::{IoStrategy, TailStructure};
 pub use messages::{Gap, Payload};
 pub use stages::QualityTap;
 pub use stap_kernels::KernelPath;
+/// The seeded draw behind the planner's representative crash schedule.
+pub use stap_pfs::fault::splitmix64;
 pub use system::{IngestReport, StapRunOutput, StapSystem};

@@ -37,11 +37,6 @@ impl FcfsResource {
         }
     }
 
-    /// Resource name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of servers.
     pub fn servers(&self) -> usize {
         self.free_at.len()

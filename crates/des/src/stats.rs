@@ -5,29 +5,18 @@
 pub struct Tally {
     count: u64,
     sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Tally {
     /// An empty tally.
     pub fn new() -> Self {
-        Self { count: 0, sum: 0.0, sum_sq: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self::default()
     }
 
     /// Records one observation.
     pub fn record(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
-        self.sum_sq += v * v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Sum of observations.
@@ -43,34 +32,6 @@ impl Tally {
             self.sum / self.count as f64
         }
     }
-
-    /// Population variance (0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        (self.sum_sq / self.count as f64 - m * m).max(0.0)
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &Tally) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -83,32 +44,13 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             t.record(v);
         }
-        assert_eq!(t.count(), 4);
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
-        assert!((t.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(t.min(), Some(1.0));
-        assert_eq!(t.max(), Some(4.0));
     }
 
     #[test]
     fn empty_tally_is_safe() {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.variance(), 0.0);
-        assert_eq!(t.min(), None);
-        assert_eq!(t.max(), None);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Tally::new();
-        a.record(1.0);
-        let mut b = Tally::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-        assert_eq!(a.max(), Some(3.0));
     }
 }

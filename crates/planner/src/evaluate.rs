@@ -15,7 +15,7 @@ use crate::plan::{
 };
 use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContext};
 use crate::search::search_structure;
-use stap_core::desmodel::{DesExperiment, DesFaultModel, FaultSource, Redundancy};
+use stap_core::desmodel::{DesExperiment, DesFaultModel, Redundancy};
 use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_model::assignment::{assign_nodes, pack_classes};
 use stap_model::machines::MachineModel;
@@ -267,11 +267,8 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
             // representative crash schedule; only its redundancy differs,
             // so delivered throughput isolates the redundancy choice.
             if let Some(ctx) = &cfg.fault {
-                let mut model =
-                    DesFaultModel::transient(FaultSource::Windows(Vec::new()), 0, 0.002, 0, 0.002);
-                model.crashes = crash_schedule(ctx, plans[i].total_nodes, cfg.des_cpis);
-                model.redundancy = plans[i].redundancy;
-                exp.faults = Some(model);
+                let crashes = crash_schedule(ctx, plans[i].total_nodes, cfg.des_cpis);
+                exp.faults = Some(DesFaultModel::crash_only(crashes, plans[i].redundancy));
             }
             let r = exp.run();
             stats.des_evals += 1;
@@ -656,11 +653,8 @@ mod tests {
         exp.cpis = cfg.des_cpis;
         exp.warmup = cfg.des_warmup;
         exp.assignment_override = Some(bare.assignment.clone());
-        let mut model =
-            DesFaultModel::transient(FaultSource::Windows(Vec::new()), 0, 0.002, 0, 0.002);
-        model.crashes = crash_schedule(&ctx, bare.total_nodes, cfg.des_cpis);
-        model.redundancy = Redundancy::None;
-        exp.faults = Some(model);
+        let crashes = crash_schedule(&ctx, bare.total_nodes, cfg.des_cpis);
+        exp.faults = Some(DesFaultModel::crash_only(crashes, Redundancy::None));
         let bare_delivered = exp.run().delivered_throughput;
         assert!(
             best_redundant > bare_delivered,

@@ -28,9 +28,9 @@
 //! is so high that spares run out.
 
 use stap_core::desmodel::{
-    FaultSource, Redundancy, CHECKPOINT_COST_FRACTION, CHECKPOINT_RESTORE_PERIODS,
-    REPLICA_PROMOTE_PERIODS,
+    Redundancy, CHECKPOINT_COST_FRACTION, CHECKPOINT_RESTORE_PERIODS, REPLICA_PROMOTE_PERIODS,
 };
+use stap_core::splitmix64;
 
 /// The fault environment the planner scores candidates under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,12 +129,15 @@ pub fn redundancy_options() -> Vec<Redundancy> {
 
 /// A representative deterministic crash schedule for fault-aware DES
 /// validation: the CPIs at which some node crashes, each with probability
-/// `λ·N` (the DES's own [`FaultSource::Random`] draw), so every plan is
-/// judged against the same draw.
+/// `λ·N` by a splitmix64 draw over `(seed, CPI)`, so every plan is judged
+/// against the same draw.
 pub fn crash_schedule(ctx: &FaultContext, nodes: usize, cpis: u64) -> Vec<u64> {
-    let draw =
-        FaultSource::Random { rate: (ctx.fault_rate * nodes as f64).min(1.0), seed: ctx.seed };
-    (0..cpis).filter(|&cpi| draw.faulted(cpi)).collect()
+    let rate = (ctx.fault_rate * nodes as f64).min(1.0);
+    let uniform = |cpi: u64| {
+        let z = splitmix64(ctx.seed.wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..cpis).filter(|&cpi| uniform(cpi) < rate).collect()
 }
 
 /// The redundancy-cost vs survival-probability sweep behind

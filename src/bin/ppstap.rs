@@ -10,6 +10,7 @@ use ppstap::cli::{
 use ppstap::core::config::StapConfig;
 use ppstap::core::desmodel::{render_gantt, DesExperiment};
 use ppstap::core::experiments::ablation::sweep_stripe_factor;
+use ppstap::core::experiments::degradation::flaky_reads;
 use ppstap::core::StapSystem;
 use ppstap::pipeline::timing::Phase;
 use ppstap::pipeline::topology::StageId;
@@ -152,13 +153,9 @@ fn run(a: RunArgs) {
 fn sim(a: SimArgs) {
     let mut exp = DesExperiment::new(a.machine, a.io, a.tail, a.nodes);
     if a.fault_rate > 0.0 {
-        exp.faults = Some(ppstap::core::DesFaultModel::transient(
-            ppstap::core::FaultSource::Random { rate: a.fault_rate, seed: a.fault_seed },
-            u32::MAX,
-            0.002,
-            2,
-            0.002,
-        ));
+        let fanout = StapConfig::default().fanout;
+        let (plan, policy) = flaky_reads(a.fault_rate, a.fault_seed, fanout);
+        exp.faults = Some(ppstap::core::DesFaultModel::new(plan, policy, fanout, 0.002));
     }
     if a.trace {
         exp.cpis = 24;

@@ -259,7 +259,7 @@ pub struct SimArgs {
     /// Per-CPI read-fault probability for the virtual-time fault model
     /// (0 = fault-free).
     pub fault_rate: f64,
-    /// Seed of the deterministic per-CPI fault draw.
+    /// Seed of the fault plan's flaky draw.
     pub fault_seed: u64,
 }
 

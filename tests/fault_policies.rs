@@ -201,3 +201,19 @@ fn same_seed_reproduces_the_same_degraded_run() {
     let bytes = |o: &StapRunOutput| o.reports.iter().map(|r| r.to_bytes()).collect::<Vec<_>>();
     assert_eq!(bytes(&a), bytes(&b), "same seed replays byte-for-byte");
 }
+
+/// The DES asks the executed run's own fault plan and failure policy, so
+/// at every rate of `results/fault_degradation.txt` and in both I/O
+/// designs the two timelines drop exactly the same CPIs.
+#[test]
+fn des_drops_exactly_the_executed_runs_cpis() {
+    use stap_core::experiments::degradation::{des_counterpart, executed_cell};
+    for rate in [0.05, 0.1, 0.2, 0.3] {
+        for io in [IoStrategy::Embedded, IoStrategy::SeparateTask] {
+            let out = executed_cell(io, rate);
+            let executed: Vec<u64> = out.dropped.iter().map(|g| g.cpi).collect();
+            assert!(!executed.is_empty(), "{io:?} rate {rate}: the plan drops some CPI");
+            assert_eq!(des_counterpart(io, rate).dropped, executed, "{io:?} rate {rate}");
+        }
+    }
+}
