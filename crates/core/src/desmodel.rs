@@ -2,7 +2,8 @@
 //! models — the engine behind every reproduced table and figure.
 //!
 //! The simulation is a recurrence over the task table. Instance `(i, j)`
-//! (task `i`, CPI `j`) starts when its last gate opens: the end of each
+//! (task `i`, CPI `j`) starts when the last of its gates opens, and the
+//! gates come from the table ([`tasktable::gates`]): the end of each
 //! spatial predecessor's instance `j`, the end of each temporal
 //! predecessor's and its own instance `j-1`, and the start of each spatial
 //! consumer's instance `j-1` (the rendezvous of blocking large-message
@@ -36,7 +37,7 @@ use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, T
 use stap_model::assignment::assign_nodes;
 use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
-use stap_model::tasktable::{self, task_table, ReadTerm};
+use stap_model::tasktable::{self, task_table, Gate, GateKind, ReadTerm};
 use stap_model::tasktime::TaskCosts;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::fault::{FaultPlan, ReadDecision};
@@ -208,11 +209,10 @@ impl Redundancy {
 /// small fraction of its nominal time. A slow read's delay is added to the
 /// read. What ends the executed run — `Abort`, an exhausted `Retry`, a
 /// `SkipCpi` run longer than `max_consecutive`, or a lost server or node —
-/// is a crash at that CPI here.
-///
-/// On top of the read faults, `crashes` schedules permanent node losses
-/// and `redundancy` decides whether the pipeline survives them — see
-/// [`Redundancy`].
+/// is a crash at that CPI here, and `redundancy` decides whether the
+/// pipeline survives it — see [`Redundancy`]. The planner's node crashes
+/// are such faults: one [`Fault::NodeCrash`](stap_pfs::Fault::NodeCrash)
+/// window per crashed CPI.
 #[derive(Debug, Clone)]
 pub struct DesFaultModel {
     /// The read-fault schedule, as the executed run installs it.
@@ -223,12 +223,10 @@ pub struct DesFaultModel {
     pub fanout: usize,
     /// Seconds to notice one failed attempt.
     pub detect: f64,
-    /// CPIs in flight when a compute node crashes. What happens next
-    /// depends on `redundancy`: replica promotion, checkpoint replay, or —
-    /// bare — the pipeline instance dies and every later CPI is lost. The
-    /// consequence is the same whichever node crashed.
-    pub crashes: Vec<u64>,
-    /// Redundancy provisioned against the node crashes.
+    /// Redundancy provisioned against crashes: replica promotion,
+    /// checkpoint replay, or — bare — the pipeline instance dies and every
+    /// later CPI is lost. The consequence is the same whichever node
+    /// crashed.
     pub redundancy: Redundancy,
 }
 
@@ -264,39 +262,30 @@ struct CpiFault {
 }
 
 impl DesFaultModel {
-    /// Read faults from `plan` under `policy`: no node crashes, no
-    /// redundancy.
+    /// Faults from `plan` under `policy`, with no redundancy.
     pub fn new(plan: FaultPlan, policy: FailurePolicy, fanout: usize, detect: f64) -> Self {
-        Self { plan, policy, fanout, detect, crashes: Vec::new(), redundancy: Redundancy::None }
+        Self { plan, policy, fanout, detect, redundancy: Redundancy::None }
     }
 
-    /// Node `crashes` under `redundancy`, and no read faults.
-    pub fn crash_only(crashes: Vec<u64>, redundancy: Redundancy) -> Self {
-        let plan = FaultPlan::default();
-        Self { crashes, redundancy, ..Self::new(plan, FailurePolicy::Abort, STAGING_FANOUT, 0.0) }
-    }
-
-    /// Every CPI's consequence: the read faults, then the node crashes
-    /// (and the steady checkpoint tax). `servers` are the stripe
+    /// Every CPI's consequence: the read faults, then the crashes they end
+    /// in (and the steady checkpoint tax). `servers` are the stripe
     /// directories a CPI's read touches; `nominal` is the source task's
     /// nominal per-CPI time, the unit that prices promotion, restore and
     /// replay.
     fn consequences(&self, cpis: u64, servers: &[usize], nominal: f64) -> Vec<CpiFault> {
         let mut faults = vec![CpiFault::default(); cpis as usize];
-        let mut crashes = self.crashes.clone();
-        if !self.plan.is_empty() {
-            let files: Vec<String> = (0..self.fanout).map(StapConfig::file_name).collect();
-            let mut run = 0;
-            for (j, slot) in faults.iter_mut().enumerate() {
-                let (fault, ends) = self.read_fault(&files[j % files.len()], j as u64, servers);
-                run = if fault.dropped { run + 1 } else { 0 };
-                if ends || self.policy.max_consecutive().is_some_and(|max| run > max) {
-                    crashes.push(j as u64);
-                }
-                *slot = fault;
+        let mut crashes = Vec::new();
+        let files: Vec<String> = (0..self.fanout).map(StapConfig::file_name).collect();
+        let mut run = 0;
+        for (j, slot) in faults.iter_mut().enumerate() {
+            let (fault, ends) = self.read_fault(&files[j % files.len()], j as u64, servers);
+            run = if fault.dropped { run + 1 } else { 0 };
+            if ends || self.policy.max_consecutive().is_some_and(|max| run > max) {
+                crashes.push(j as u64);
             }
+            *slot = fault;
         }
-        self.apply_fleet(nominal, &mut faults, crashes);
+        self.apply_fleet(nominal, &mut faults, &crashes);
         faults
     }
 
@@ -328,33 +317,22 @@ impl DesFaultModel {
         }
     }
 
-    /// Applies the node `crashes` (and the steady checkpoint tax) on top of
-    /// the per-CPI read consequences. Each crash consults the provisioned
-    /// redundancy: a spare is promoted ([`REPLICA_PROMOTE_PERIODS`]), a
-    /// checkpoint is restored and up to `interval` CPIs replayed, or — bare
-    /// — every CPI from the crash onward is dropped (the pipeline instance
-    /// is dead).
-    fn apply_fleet(&self, nominal: f64, faults: &mut [CpiFault], mut crashes: Vec<u64>) {
-        let cpis = faults.len() as u64;
+    /// Applies the `crashes` (ascending CPIs of the run, so spares deplete
+    /// chronologically) and the steady checkpoint tax on top of the per-CPI
+    /// read consequences. Each crash consults the provisioned redundancy: a
+    /// spare is promoted ([`REPLICA_PROMOTE_PERIODS`]), a checkpoint is
+    /// restored and up to `interval` CPIs replayed, or — bare — every CPI
+    /// from the crash onward is dropped (the pipeline instance is dead).
+    fn apply_fleet(&self, nominal: f64, faults: &mut [CpiFault], crashes: &[u64]) {
         // Steady checkpoint tax, paid at every checkpoint CPI.
         if let Redundancy::Checkpointed { interval } = self.redundancy {
-            let k = interval.max(1);
-            let mut j = k - 1;
-            while j < cpis {
-                faults[j as usize].extra += CHECKPOINT_COST_FRACTION * nominal;
-                j += k;
+            let k = interval.max(1) as usize;
+            for f in faults.iter_mut().skip(k - 1).step_by(k) {
+                f.extra += CHECKPOINT_COST_FRACTION * nominal;
             }
         }
-        // In CPI order, so spares deplete chronologically.
-        crashes.sort_unstable();
-        let mut spares_left = match self.redundancy {
-            Redundancy::Replicated { spares } => spares,
-            _ => 0,
-        };
-        for at in crashes {
-            if at >= cpis {
-                continue;
-            }
+        let mut spares_left = self.redundancy.spare_nodes();
+        for &at in crashes {
             match self.redundancy {
                 Redundancy::Replicated { .. } if spares_left > 0 => {
                     spares_left -= 1;
@@ -534,13 +512,12 @@ pub struct CpiRows {
     pub end: Vec<SimTime>,
 }
 
-/// The task table's recurrence, stepped one CPI at a time: the rows, and
-/// each slot's spatial consumers (whose previous starts gate it), built
-/// once per table.
+/// The task table's recurrence, stepped one CPI at a time: the rows and
+/// their [gates](tasktable::gates), built once per table.
 #[derive(Debug)]
 pub struct Recurrence {
     rows: Vec<tasktable::TaskRow>,
-    consumers: Vec<Vec<usize>>,
+    gates: Vec<Vec<Gate>>,
     /// The reading slot, the pipeline's source.
     source: usize,
     /// The DES's fault consequence per CPI (none past the end).
@@ -554,14 +531,9 @@ impl Recurrence {
     /// Panics when no row reads, or the reading row has spatial inputs.
     pub fn new(rows: Vec<tasktable::TaskRow>) -> Self {
         let source = rows.iter().position(|r| r.read.is_some()).expect("one slot reads");
-        assert!(rows[source].slot.spatial_preds.is_empty(), "the reading slot is a source");
-        let mut consumers = vec![Vec::new(); rows.len()];
-        for (k, row) in rows.iter().enumerate() {
-            for &p in &row.slot.spatial_preds {
-                consumers[p].push(k);
-            }
-        }
-        Self { rows, consumers, source, faults: Vec::new() }
+        let gates = tasktable::gates(&rows.iter().map(|r| r.slot.clone()).collect::<Vec<_>>());
+        assert!(gates[source].iter().all(|g| g.kind.lag() > 0), "the reading slot is a source");
+        Self { rows, gates, source, faults: Vec::new() }
     }
 
     /// The table's rows, slot order.
@@ -575,18 +547,17 @@ impl Recurrence {
         CpiRows { start: vec![origin; self.rows.len()], end: vec![origin; self.rows.len()] }
     }
 
-    /// When slot `i`'s instance may start: the latest of its spatial
-    /// inputs' ends this CPI (`end`, filled for the slots before `i`) and —
-    /// one CPI back (`prev`) — its own end, its temporal inputs' ends and
-    /// its spatial consumers' starts.
+    /// When slot `i`'s instance may start: when the last of its gates
+    /// opens, reading this CPI's ends (`end`, filled for the slots before
+    /// `i`) and the CPI before it (`prev`).
     fn gate(&self, i: usize, end: &[SimTime], prev: &CpiRows) -> SimTime {
-        let slot = &self.rows[i].slot;
-        slot.spatial_preds
-            .iter()
-            .map(|&p| end[p])
-            .chain(slot.temporal_preds.iter().map(|&p| prev.end[p]))
-            .chain(self.consumers[i].iter().map(|&k| prev.start[k]))
-            .fold(prev.end[i], SimTime::max)
+        self.gates[i].iter().fold(SimTime::ZERO, |t, g| {
+            t.max(match g.kind {
+                GateKind::Spatial => end[g.from],
+                GateKind::Own | GateKind::Temporal => prev.end[g.from],
+                GateKind::Rendezvous => prev.start[g.from],
+            })
+        })
     }
 
     /// When the CPI after `prev` posts its read, by `read_step`'s rule:
@@ -1013,9 +984,10 @@ mod tests {
     #[test]
     fn trace_intervals_are_serial_per_task_and_complete() {
         // One entry per instance, and every instance starts exactly when
-        // its last gate opens (at 0 when it has none): its spatial inputs
-        // of the same CPI and — one CPI back — its own previous instance,
-        // its temporal inputs and the start of each spatial consumer.
+        // the last of the table's gates opens (at 0 when none has an
+        // instance yet): its spatial inputs of the same CPI and — one CPI
+        // back — its own previous instance, its temporal inputs and the
+        // start of each spatial consumer.
         for key in MachineModel::KEYS.split('|') {
             for io in
                 [IoStrategy::Embedded, IoStrategy::SeparateTask, IoStrategy::Cached { mb: 32 }]
@@ -1024,9 +996,9 @@ mod tests {
                     let m = MachineModel::by_key(key).expect("a listed key");
                     let exp = DesExperiment::new(m, io, tail, 25);
                     let (result, trace) = exp.run_traced();
-                    let slots = tasktable::task_slots(io, tail);
+                    let gates = tasktable::gates(&tasktable::task_slots(io, tail));
                     let at = format!("{key} {io:?} {tail:?}");
-                    let (n, cpis) = (slots.len(), exp.cpis as usize);
+                    let (n, cpis) = (gates.len(), exp.cpis as usize);
                     assert_eq!(trace.len(), n * cpis, "{at}: one entry per instance");
                     let mut grid = vec![vec![None; n]; cpis];
                     for e in &trace {
@@ -1036,20 +1008,22 @@ mod tests {
                         grid.into_iter().map(|row| row.into_iter().flatten().collect()).collect();
                     for (j, row) in grid.iter().enumerate() {
                         for (i, e) in row.iter().enumerate() {
-                            let mut gates: Vec<f64> =
-                                slots[i].spatial_preds.iter().map(|&p| row[p].end).collect();
                             if let Some(prev) = j.checked_sub(1).map(|p| &grid[p]) {
                                 assert!(e.start >= prev[i].end, "{at}: task {i} overlaps: {e:?}");
-                                gates.push(prev[i].end);
-                                gates.extend(slots[i].temporal_preds.iter().map(|&p| prev[p].end));
-                                gates.extend(
-                                    (0..n)
-                                        .filter(|&k| slots[k].spatial_preds.contains(&i))
-                                        .map(|k| prev[k].start),
-                                );
                             }
-                            assert!(gates.iter().all(|&g| e.start >= g), "{at}: gate open: {e:?}");
-                            let last = gates.iter().copied().fold(0.0, f64::max);
+                            // A gate that looks before CPI 0 is open from 0.
+                            let open: Vec<f64> = gates[i]
+                                .iter()
+                                .filter_map(|g| {
+                                    let from = grid.get(j.checked_sub(g.kind.lag())?)?[g.from];
+                                    Some(match g.kind {
+                                        GateKind::Rendezvous => from.start,
+                                        _ => from.end,
+                                    })
+                                })
+                                .collect();
+                            assert!(open.iter().all(|&g| e.start >= g), "{at}: gate open: {e:?}");
+                            let last = open.iter().copied().fold(0.0, f64::max);
                             assert_eq!(e.start, last, "{at}: {e:?} waits past its last gate");
                             assert!(e.end >= e.start, "{at}: {e:?}");
                         }
@@ -1230,7 +1204,11 @@ mod tests {
             TailStructure::Split,
             50,
         );
-        exp.faults = Some(DesFaultModel::crash_only(crashes, redundancy));
+        let plan = crashes.into_iter().fold(FaultPlan::new(0), |plan, at| {
+            plan.with(Fault::NodeCrash { node: 0, window: stap_pfs::FaultWindow::new(at, at + 1) })
+        });
+        let model = DesFaultModel::new(plan, FailurePolicy::Abort, STAGING_FANOUT, 0.0);
+        exp.faults = Some(DesFaultModel { redundancy, ..model });
         exp.run()
     }
 

@@ -41,6 +41,7 @@ pub use io_strategy::{IoStrategy, TailStructure};
 pub use messages::{Gap, Payload};
 pub use stages::QualityTap;
 pub use stap_kernels::KernelPath;
-/// The seeded draw behind the planner's representative crash schedule.
-pub use stap_pfs::fault::splitmix64;
+/// The executed run's fault plan, and the seeded draw behind the planner's
+/// representative crash schedule (a plan of node-crash windows).
+pub use stap_pfs::fault::{splitmix64, Fault, FaultPlan, FaultWindow};
 pub use system::{IngestReport, StapRunOutput, StapSystem};

@@ -18,7 +18,7 @@ use stap_ingest::{
     StreamSource,
 };
 use stap_kernels::report::DetectionReport;
-use stap_model::tasktable::task_slots;
+use stap_model::tasktable::{gates, task_slots, Gate, GateKind};
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::{IoCounters, OpenMode, Pfs};
 use stap_pipeline::runner::{Pipeline, StageFactory};
@@ -189,19 +189,21 @@ impl StapSystem {
 
         // The pipeline structure is the task table's: one stage per slot,
         // in slot order (so stage ids are slot indices and world ranks
-        // follow the table), edges from the slots' predecessors.
+        // follow the table), an edge per spatial or temporal gate. The
+        // serial stage loop and blocking sends enforce the other gates.
         let slots = task_slots(config.io, config.tail);
         let sizes: Vec<usize> = slots.iter().map(|slot| config.nodes.of_slot(slot)).collect();
         let mut topo = Topology::new();
         for (slot, &nodes) in slots.iter().zip(&sizes) {
             topo.add_stage(slot.label, nodes);
         }
-        for (to, slot) in slots.iter().enumerate() {
-            for &from in &slot.spatial_preds {
-                topo.add_edge(StageId(from), StageId(to));
-            }
-            for &from in &slot.temporal_preds {
-                topo.add_temporal_edge(StageId(from), StageId(to));
+        for (to, gates) in gates(&slots).into_iter().enumerate() {
+            for Gate { from, kind } in gates {
+                match kind {
+                    GateKind::Spatial => topo.add_edge(StageId(from), StageId(to)),
+                    GateKind::Temporal => topo.add_temporal_edge(StageId(from), StageId(to)),
+                    GateKind::Own | GateKind::Rendezvous => {}
+                }
             }
         }
         topo.validate()?;
@@ -606,6 +608,7 @@ mod tests {
         {
             let sys = StapSystem::prepare(StapConfig { io, tail, nodes, ..tiny_config() }).unwrap();
             let (topo, slots) = (sys.topology(), task_slots(io, tail));
+            let table = gates(&slots);
             // The stage list the system used to wire by hand, in rank order.
             let mut want = Vec::new();
             if io == IoStrategy::SeparateTask {
@@ -627,19 +630,24 @@ mod tests {
             for (i, slot) in slots.iter().enumerate() {
                 assert_eq!(topo.stage(StageId(i)).name, slot.label);
                 assert_eq!(topo.stage(StageId(i)).nodes, nodes.of_slot(slot));
-                let preds = |temporal: bool| -> Vec<usize> {
+                // One edge per spatial or temporal gate, in the table's order.
+                let edges = |temporal: bool| -> Vec<usize> {
                     let edges =
                         topo.edges().iter().filter(|e| e.to.0 == i && e.temporal == temporal);
-                    let mut from: Vec<usize> = edges.map(|e| e.from.0).collect();
-                    from.sort_unstable();
-                    from
+                    edges.map(|e| e.from.0).collect()
                 };
-                assert_eq!(preds(false), slot.spatial_preds, "{io:?} {tail:?} {}", slot.label);
-                assert_eq!(preds(true), slot.temporal_preds, "{io:?} {tail:?} {}", slot.label);
+                let from = |kind: GateKind| -> Vec<usize> {
+                    table[i].iter().filter(|g| g.kind == kind).map(|g| g.from).collect()
+                };
+                let at = format!("{io:?} {tail:?} {}", slot.label);
+                assert_eq!(edges(false), from(GateKind::Spatial), "{at}");
+                assert_eq!(edges(true), from(GateKind::Temporal), "{at}");
             }
-            let edges: usize =
-                slots.iter().map(|s| s.spatial_preds.len() + s.temporal_preds.len()).sum();
-            assert_eq!(topo.edges().len(), edges, "no edge the table does not name");
+            let wired = table
+                .iter()
+                .flatten()
+                .filter(|g| matches!(g.kind, GateKind::Spatial | GateKind::Temporal));
+            assert_eq!(topo.edges().len(), wired.count(), "no edge the table does not name");
 
             let roles = sys.plan().roles;
             let task = |s: StageId| (slots[s.0].id, slots[s.0].merged);

@@ -8,10 +8,11 @@
 //! assignment): rows in pipeline order, each with its Eq. 6 costs, its place
 //! in the dependency graph, and — on the one row that absorbs the file read
 //! — the read term. The closed-form prediction folds the rows through
-//! Eqs. 1–4, the DES maps each row to a simulated task, and the planner's
-//! DP walks [`task_slots`] and prices each slot with [`slot_bound`], the
-//! same Eq. 6/7 costs relaxed to an admissible bound; none of them unrolls
-//! the pipeline itself.
+//! Eqs. 1–4, the DES starts each row's instance when the last of its
+//! [`gates`] opens (the executed pipeline is wired from the same gates),
+//! and the planner's DP walks [`task_slots`] and prices each slot with
+//! [`slot_bound`], the same Eq. 6/7 costs relaxed to an admissible bound;
+//! none of them unrolls the pipeline itself.
 //!
 //! Adding an I/O strategy means giving it a row here (which row reads, and
 //! its [`ReadTerm`]) and an event behaviour in the DES's `duration`; the
@@ -41,9 +42,6 @@ pub struct TaskSlot {
     pub spatial_preds: Vec<usize>,
     /// Temporal predecessors (previous CPI).
     pub temporal_preds: Vec<usize>,
-    /// Whether the task's time counts toward latency (weight tasks do not:
-    /// "the temporal data dependency does not affect the latency").
-    pub on_latency_path: bool,
 }
 
 impl TaskSlot {
@@ -57,8 +55,13 @@ impl TaskSlot {
             reads: false,
             spatial_preds: spatial.to_vec(),
             temporal_preds: temporal.to_vec(),
-            on_latency_path: !id.is_temporal(),
         }
+    }
+
+    /// Whether the task's time counts toward latency (weight tasks do not:
+    /// "the temporal data dependency does not affect the latency").
+    pub fn on_latency_path(&self) -> bool {
+        !self.id.is_temporal()
     }
 
     /// The task ids running on this slot's nodes.
@@ -105,6 +108,58 @@ pub fn task_slots(io: IoStrategy, tail: TailStructure) -> Vec<TaskSlot> {
         }
     }
     slots
+}
+
+/// What opens a gate into instance `(i, j)` (slot `i`, CPI `j`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateKind {
+    /// A spatial predecessor's instance `j` ends: its data arrives.
+    Spatial,
+    /// The slot's own instance `j-1` ends: a task runs one CPI at a time.
+    Own,
+    /// A temporal predecessor's instance `j-1` ends: last CPI's weights.
+    Temporal,
+    /// A spatial consumer's instance `j-1` starts: a blocking send of the
+    /// CPI's output rendezvous with it, which bounds run-ahead to one CPI.
+    Rendezvous,
+}
+
+impl GateKind {
+    /// How many CPIs back the gate looks.
+    pub fn lag(self) -> usize {
+        usize::from(self != GateKind::Spatial)
+    }
+}
+
+/// One gate into a slot's instances: the slot `from` whose instance opens
+/// it, and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    /// The slot whose instance opens the gate.
+    pub from: usize,
+    /// Which event of that instance, and how many CPIs back.
+    pub kind: GateKind,
+}
+
+/// The pipeline's timing structure: for each slot, the gates whose last
+/// opening starts its instance — its spatial inputs, its own previous
+/// instance, its temporal inputs and its spatial consumers' previous
+/// starts, in that order. Throughput and latency both follow from this one
+/// table and the row times.
+pub fn gates(slots: &[TaskSlot]) -> Vec<Vec<Gate>> {
+    let of = |kind| move |&from: &usize| Gate { from, kind };
+    let mut table = vec![Vec::new(); slots.len()];
+    for (i, slot) in slots.iter().enumerate() {
+        table[i].extend(slot.spatial_preds.iter().map(of(GateKind::Spatial)));
+        table[i].push(Gate { from: i, kind: GateKind::Own });
+        table[i].extend(slot.temporal_preds.iter().map(of(GateKind::Temporal)));
+        // Spatial edges point forward in slot order, so a consumer's
+        // rendezvous lands after its producer's other gates.
+        for &p in &slot.spatial_preds {
+            table[p].push(Gate { from: i, kind: GateKind::Rendezvous });
+        }
+    }
+    table
 }
 
 /// What the read-bearing task pays for one CPI file.
@@ -320,9 +375,58 @@ mod tests {
         // Beamformers take the previous CPI's weights.
         assert_eq!(sep[4].slot.temporal_preds, vec![2]);
         assert_eq!(sep[5].slot.temporal_preds, vec![3]);
-        for r in &sep {
-            assert_eq!(r.slot.on_latency_path, !r.slot.id.is_temporal());
+        let off: Vec<TaskId> =
+            sep.iter().filter(|r| !r.slot.on_latency_path()).map(|r| r.slot.id).collect();
+        assert_eq!(off, [TaskId::EasyWeight, TaskId::HardWeight], "weights are off the path");
+    }
+
+    #[test]
+    fn gates_are_the_slots_edges_and_their_rendezvous() {
+        // The whole `--io auto` menu, both tails.
+        let ios = [
+            IoStrategy::Embedded,
+            IoStrategy::SeparateTask,
+            IoStrategy::Cached { mb: 32 },
+            IoStrategy::Cached { mb: 64 },
+            IoStrategy::Cached { mb: 128 },
+            IoStrategy::Prefetch { depth: 2 },
+            IoStrategy::Prefetch { depth: 4 },
+        ];
+        for io in ios {
+            for tail in [TailStructure::Split, TailStructure::Combined] {
+                let slots = task_slots(io, tail);
+                let table = gates(&slots);
+                assert_eq!(table.len(), slots.len());
+                for (i, (slot, gs)) in slots.iter().zip(&table).enumerate() {
+                    let at = format!("{io:?} {tail:?} {}", slot.label);
+                    let from = |kind| -> Vec<usize> {
+                        gs.iter().filter(|g| g.kind == kind).map(|g| g.from).collect()
+                    };
+                    assert_eq!(from(GateKind::Own), [i], "{at}: one own gate");
+                    assert_eq!(from(GateKind::Spatial), slot.spatial_preds, "{at}");
+                    assert_eq!(from(GateKind::Temporal), slot.temporal_preds, "{at}");
+                    for (k, consumer) in slots.iter().enumerate() {
+                        let rendezvous = gs.contains(&Gate { from: k, kind: GateKind::Rendezvous });
+                        assert_eq!(rendezvous, consumer.spatial_preds.contains(&i), "{at} <- {k}");
+                    }
+                    if slot.reads {
+                        assert!(from(GateKind::Spatial).is_empty(), "{at}: the reader is a source");
+                    }
+                }
+            }
         }
+        // Embedded, split: Doppler waits on its own previous instance and on
+        // the previous start of each task it feeds.
+        let rendezvous = |from| Gate { from, kind: GateKind::Rendezvous };
+        let doppler = &gates(&task_slots(IoStrategy::Embedded, TailStructure::Split))[0];
+        let own = Gate { from: 0, kind: GateKind::Own };
+        assert_eq!(
+            doppler,
+            &[own, rendezvous(1), rendezvous(2), rendezvous(3), rendezvous(4)],
+            "Doppler's gates"
+        );
+        let kinds = [GateKind::Spatial, GateKind::Own, GateKind::Temporal, GateKind::Rendezvous];
+        assert_eq!(kinds.map(GateKind::lag), [0, 1, 1, 1], "only a spatial gate is this CPI's");
     }
 
     #[test]

@@ -17,7 +17,9 @@ use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContex
 use crate::search::search_structure;
 use stap_core::desmodel::{DesExperiment, DesFaultModel, Redundancy};
 use stap_core::io_strategy::{IoStrategy, TailStructure};
+use stap_core::FailurePolicy;
 use stap_model::assignment::{assign_nodes, pack_classes};
+use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
 use stap_model::prediction::predict_with_assignment;
 use stap_model::tasktable::{task_slots, TaskSlot};
@@ -268,7 +270,8 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
             // so delivered throughput isolates the redundancy choice.
             if let Some(ctx) = &cfg.fault {
                 let crashes = crash_schedule(ctx, plans[i].total_nodes, cfg.des_cpis);
-                exp.faults = Some(DesFaultModel::crash_only(crashes, plans[i].redundancy));
+                let model = DesFaultModel::new(crashes, FailurePolicy::Abort, STAGING_FANOUT, 0.0);
+                exp.faults = Some(DesFaultModel { redundancy: plans[i].redundancy, ..model });
             }
             let r = exp.run();
             stats.des_evals += 1;
@@ -654,7 +657,8 @@ mod tests {
         exp.warmup = cfg.des_warmup;
         exp.assignment_override = Some(bare.assignment.clone());
         let crashes = crash_schedule(&ctx, bare.total_nodes, cfg.des_cpis);
-        exp.faults = Some(DesFaultModel::crash_only(crashes, Redundancy::None));
+        let model = DesFaultModel::new(crashes, FailurePolicy::Abort, STAGING_FANOUT, 0.0);
+        exp.faults = Some(DesFaultModel { redundancy: Redundancy::None, ..model });
         let bare_delivered = exp.run().delivered_throughput;
         assert!(
             best_redundant > bare_delivered,

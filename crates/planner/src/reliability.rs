@@ -30,7 +30,7 @@
 use stap_core::desmodel::{
     Redundancy, CHECKPOINT_COST_FRACTION, CHECKPOINT_RESTORE_PERIODS, REPLICA_PROMOTE_PERIODS,
 };
-use stap_core::splitmix64;
+use stap_core::{splitmix64, Fault, FaultPlan, FaultWindow};
 
 /// The fault environment the planner scores candidates under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,16 +128,19 @@ pub fn redundancy_options() -> Vec<Redundancy> {
 }
 
 /// A representative deterministic crash schedule for fault-aware DES
-/// validation: the CPIs at which some node crashes, each with probability
-/// `λ·N` by a splitmix64 draw over `(seed, CPI)`, so every plan is judged
-/// against the same draw.
-pub fn crash_schedule(ctx: &FaultContext, nodes: usize, cpis: u64) -> Vec<u64> {
+/// validation: a node crash during each CPI drawn with probability `λ·N`
+/// by a splitmix64 draw over `(seed, CPI)`, so every plan is judged against
+/// the same draw. The crashes are a [`FaultPlan`] of one-CPI
+/// [`Fault::NodeCrash`] windows, the fault the executed run would see.
+pub fn crash_schedule(ctx: &FaultContext, nodes: usize, cpis: u64) -> FaultPlan {
     let rate = (ctx.fault_rate * nodes as f64).min(1.0);
     let uniform = |cpi: u64| {
         let z = splitmix64(ctx.seed.wrapping_add(cpi.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
         (z >> 11) as f64 / (1u64 << 53) as f64
     };
-    (0..cpis).filter(|&cpi| uniform(cpi) < rate).collect()
+    (0..cpis).filter(|&cpi| uniform(cpi) < rate).fold(FaultPlan::new(ctx.seed), |plan, cpi| {
+        plan.with(Fault::NodeCrash { node: 0, window: FaultWindow::new(cpi, cpi + 1) })
+    })
 }
 
 /// The redundancy-cost vs survival-probability sweep behind
@@ -252,10 +255,17 @@ mod tests {
         let ctx = FaultContext::new(1e-4);
         let a = crash_schedule(&ctx, 50, 256);
         let b = crash_schedule(&ctx, 50, 256);
-        assert_eq!(a, b);
+        assert_eq!(a.faults(), b.faults());
         let heavier = crash_schedule(&FaultContext::new(5e-3), 50, 256);
-        assert!(heavier.len() > a.len());
-        assert!(heavier.iter().all(|&at| at < 256), "{heavier:?}");
+        assert!(heavier.faults().len() > a.faults().len());
+        // One-CPI windows at distinct, ascending CPIs of the mission.
+        let mut last = None;
+        for f in heavier.faults() {
+            let Fault::NodeCrash { window, .. } = f else { panic!("{f:?}") };
+            assert_eq!(window.until, window.from + 1, "{f:?}");
+            assert!(window.from < 256 && last < Some(window.from), "{heavier:?}");
+            last = Some(window.from);
+        }
     }
 
     #[test]

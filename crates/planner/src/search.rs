@@ -121,7 +121,7 @@ fn fold_pair(ta: &[f64], tb: &[f64], qmax: usize) -> (Vec<f64>, Vec<(usize, usiz
 /// single-task latency-path slots that read nothing and share their
 /// spatial predecessors (the easy and hard beamformers).
 fn folds(a: &TaskSlot, b: &TaskSlot) -> bool {
-    let lone = |s: &TaskSlot| s.on_latency_path && s.merged.is_none() && !s.reads;
+    let lone = |s: &TaskSlot| s.on_latency_path() && s.merged.is_none() && !s.reads;
     lone(a) && lone(b) && a.spatial_preds == b.spatial_preds
 }
 
@@ -187,7 +187,7 @@ fn build_stages(
                     (times.collect(), split)
                 }
             };
-            Stage { tasks, counts_latency: g[0].on_latency_path, times, split }
+            Stage { tasks, counts_latency: g[0].on_latency_path(), times, split }
         })
         .collect()
 }
@@ -375,7 +375,7 @@ pub(crate) fn search_structure(
     let stages = build_stages(m, &w, &slots, budget, &reads);
     let fixed: Vec<&TaskSlot> = slots.iter().filter(|s| s.fixed_capacity().is_some()).collect();
     let latency_stages = stages.iter().filter(|s| s.counts_latency).count()
-        + fixed.iter().filter(|s| s.on_latency_path).count();
+        + fixed.iter().filter(|s| s.on_latency_path()).count();
     let slack = Slack::for_run(m, latency_stages, budget);
     let suffix_min: Vec<usize> = {
         let mut v = vec![0usize; stages.len() + 1];
@@ -395,7 +395,7 @@ pub(crate) fn search_structure(
     let mut cells: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
     for (sfi, r) in reads.iter().enumerate() {
         let base = fixed.iter().fold(Label::base(sfi), |l, s| {
-            l.charged(slot_bound(m, &w, s, 0, r), s.on_latency_path)
+            l.charged(slot_bound(m, &w, s, 0, r), s.on_latency_path())
         });
         cells[0].push(base);
     }
@@ -617,15 +617,7 @@ mod tests {
         // A hand-built slot list, not a `task_slots` shape: a fixed reader,
         // a read-fed head, a foldable pair and a merged tail. The planner
         // needs no edit to search it.
-        let slot = |id: TaskId, preds: &[usize]| TaskSlot {
-            id,
-            merged: None,
-            label: id.label(),
-            reads: false,
-            spatial_preds: preds.to_vec(),
-            temporal_preds: vec![],
-            on_latency_path: true,
-        };
+        let slot = |id: TaskId, preds: &[usize]| TaskSlot::new(id, preds, &[]);
         let slots = vec![
             TaskSlot { reads: true, ..slot(TaskId::Read, &[]) },
             slot(TaskId::Doppler, &[0]),
