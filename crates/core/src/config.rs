@@ -68,27 +68,39 @@ pub enum FailurePolicy {
     },
 }
 
+/// What the read path does after attempt `n` of a read failed with a
+/// retryable fault ([`FailurePolicy::after_failure`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AfterFailure {
+    /// Pause this long, then make attempt `n + 1`.
+    Retry(Duration),
+    /// Out of retries under `SkipCpi`: drop the CPI as a gap bubble.
+    Drop,
+    /// Out of retries otherwise: end the run.
+    Abort,
+}
+
 impl FailurePolicy {
-    /// The retry budget in force (empty for [`FailurePolicy::Abort`]).
-    pub fn retry(&self) -> RetryPolicy {
-        match self {
-            FailurePolicy::Abort => RetryPolicy::none(),
-            FailurePolicy::Retry(r) => *r,
-            FailurePolicy::SkipCpi { retry, .. } => *retry,
+    /// What follows the failure of read attempt `attempt` (0-based): a
+    /// retry after its backoff while the budget lasts, then a drop under
+    /// `SkipCpi` and an abort under the other policies.
+    pub fn after_failure(&self, attempt: u32) -> AfterFailure {
+        let (retry, exhausted) = match self {
+            FailurePolicy::Abort => return AfterFailure::Abort,
+            FailurePolicy::Retry(retry) => (retry, AfterFailure::Abort),
+            FailurePolicy::SkipCpi { retry, .. } => (retry, AfterFailure::Drop),
+        };
+        if attempt < retry.attempts {
+            AfterFailure::Retry(retry.backoff_for(attempt))
+        } else {
+            exhausted
         }
     }
 
-    /// True when exhausted retries drop the CPI instead of aborting.
-    pub fn skips(&self) -> bool {
-        matches!(self, FailurePolicy::SkipCpi { .. })
-    }
-
-    /// The consecutive-drop budget, when one applies.
-    pub fn max_consecutive(&self) -> Option<u32> {
-        match self {
-            FailurePolicy::SkipCpi { max_consecutive, .. } => Some(*max_consecutive),
-            _ => None,
-        }
+    /// True when a run of `run` consecutive dropped CPIs on one node ends
+    /// the run: more than `SkipCpi`'s `max_consecutive`.
+    pub fn drop_run_ends(&self, run: u32) -> bool {
+        matches!(self, FailurePolicy::SkipCpi { max_consecutive, .. } if run > *max_consecutive)
     }
 
     /// Parses the CLI grammar: `abort`, `retry:ATTEMPTS:BACKOFF_MS`, or
@@ -501,18 +513,23 @@ mod tests {
     }
 
     #[test]
-    fn policy_accessors_reflect_the_variant() {
+    fn the_policy_decides_what_follows_a_failure() {
         let abort = FailurePolicy::Abort;
-        assert_eq!(abort.retry().attempts, 0);
-        assert!(!abort.skips());
-        assert_eq!(abort.max_consecutive(), None);
+        assert_eq!(abort.after_failure(0), AfterFailure::Abort);
+        assert!(!abort.drop_run_ends(u32::MAX));
+        let retry = FailurePolicy::Retry(RetryPolicy::new(2, Duration::from_millis(10)));
+        assert_eq!(retry.after_failure(0), AfterFailure::Retry(Duration::from_millis(10)));
+        assert_eq!(retry.after_failure(1), AfterFailure::Retry(Duration::from_millis(20)));
+        assert_eq!(retry.after_failure(2), AfterFailure::Abort);
+        assert!(!retry.drop_run_ends(u32::MAX));
         let skip = FailurePolicy::SkipCpi {
             retry: RetryPolicy::new(1, Duration::ZERO),
             max_consecutive: 2,
         };
-        assert!(skip.skips());
-        assert_eq!(skip.retry().attempts, 1);
-        assert_eq!(skip.max_consecutive(), Some(2));
+        assert_eq!(skip.after_failure(0), AfterFailure::Retry(Duration::ZERO));
+        assert_eq!(skip.after_failure(1), AfterFailure::Drop);
+        assert!(!skip.drop_run_ends(2));
+        assert!(skip.drop_run_ends(3));
     }
 
     #[test]

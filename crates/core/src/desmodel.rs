@@ -30,7 +30,7 @@
 //! instance-level behaviour — when a read is posted, what it overlaps, what
 //! a fault does to a CPI — in `read_step` and `duration`, behind the step.
 
-use crate::config::{FailurePolicy, StapConfig};
+use crate::config::{AfterFailure, FailurePolicy, StapConfig};
 use crate::io_strategy::{IoStrategy, TailStructure};
 use stap_des::{FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
@@ -203,16 +203,16 @@ impl Redundancy {
 /// plan about the staging file it reads (`StapConfig::file_name(j %
 /// fanout)`) and the stripe directories its extent touches, attempt by
 /// attempt as the pipeline's read path does, so both timelines fault the
-/// same CPIs. A failed attempt costs `detect` seconds, plus the policy's
-/// backoff while retries remain; a read out of retries drops the CPI under
-/// `SkipCpi`, and every downstream task merely forwards the gap bubble at a
-/// small fraction of its nominal time. A slow read's delay is added to the
-/// read. What ends the executed run — `Abort`, an exhausted `Retry`, a
-/// `SkipCpi` run longer than `max_consecutive`, or a lost server or node —
-/// is a crash at that CPI here, and `redundancy` decides whether the
-/// pipeline survives it — see [`Redundancy`]. The planner's node crashes
-/// are such faults: one [`Fault::NodeCrash`](stap_pfs::Fault::NodeCrash)
-/// window per crashed CPI.
+/// same CPIs. A failed attempt costs `detect` seconds, and the policy's
+/// [`FailurePolicy::after_failure`] says what follows: a retry after its
+/// backoff, or a dropped CPI, whose every downstream task merely forwards
+/// the gap bubble at a small fraction of its nominal time. A slow read's
+/// delay is added to the read. What ends the executed run — an `Abort`
+/// answer, a run of drops that [`FailurePolicy::drop_run_ends`], or a lost
+/// server or node — is a crash at that CPI here, and `redundancy` decides
+/// whether the pipeline survives it — see [`Redundancy`]. The planner's
+/// node crashes are such faults: one
+/// [`Fault::NodeCrash`](stap_pfs::Fault::NodeCrash) window per crashed CPI.
 #[derive(Debug, Clone)]
 pub struct DesFaultModel {
     /// The read-fault schedule, as the executed run installs it.
@@ -257,8 +257,8 @@ struct CpiFault {
     delay: f64,
     /// The CPI is dropped: downstream tasks only forward the bubble.
     dropped: bool,
-    /// Retries consumed on this CPI.
-    retries: u64,
+    /// Retries consumed on this CPI, which numbers its next read attempt.
+    retries: u32,
 }
 
 impl DesFaultModel {
@@ -280,7 +280,7 @@ impl DesFaultModel {
         for (j, slot) in faults.iter_mut().enumerate() {
             let (fault, ends) = self.read_fault(&files[j % files.len()], j as u64, servers);
             run = if fault.dropped { run + 1 } else { 0 };
-            if ends || self.policy.max_consecutive().is_some_and(|max| run > max) {
+            if ends || self.policy.drop_run_ends(run) {
                 crashes.push(j as u64);
             }
             *slot = fault;
@@ -293,26 +293,25 @@ impl DesFaultModel {
     /// `read_with_policy` retries it: its consequence, and whether the
     /// executed run would end there.
     fn read_fault(&self, file: &str, cpi: u64, servers: &[usize]) -> (CpiFault, bool) {
-        let retry = self.policy.retry();
         let mut fault = CpiFault::default();
-        let mut attempt = 0;
         loop {
-            match self.plan.read_decision(file, cpi, attempt, servers) {
+            match self.plan.read_decision(file, cpi, fault.retries, servers) {
                 ReadDecision::Proceed { delay } => {
                     fault.delay = delay.as_secs_f64();
                     return (fault, false);
                 }
                 ReadDecision::Lost { .. } => return (fault, true),
-                ReadDecision::Fail { .. } if attempt == retry.attempts => {
-                    fault.extra += self.detect;
-                    fault.dropped = true;
-                    return (fault, !self.policy.skips());
-                }
-                ReadDecision::Fail { .. } => {
-                    fault.extra += self.detect + retry.backoff_for(attempt).as_secs_f64();
-                    fault.retries += 1;
-                    attempt += 1;
-                }
+                ReadDecision::Fail { .. } => match self.policy.after_failure(fault.retries) {
+                    AfterFailure::Retry(pause) => {
+                        fault.extra += self.detect + pause.as_secs_f64();
+                        fault.retries += 1;
+                    }
+                    end => {
+                        fault.extra += self.detect;
+                        fault.dropped = true;
+                        return (fault, end == AfterFailure::Abort);
+                    }
+                },
             }
         }
     }
@@ -690,7 +689,7 @@ impl DesExperiment {
         let faults = &rec.faults;
         let dropped: Vec<u64> =
             (0..self.cpis).filter(|&j| faults.get(j as usize).is_some_and(|f| f.dropped)).collect();
-        let retries: u64 = faults.iter().map(|f| f.retries).sum();
+        let retries: u64 = faults.iter().map(|f| u64::from(f.retries)).sum();
         let steady = self.cpis.saturating_sub(self.warmup);
         let dropped_steady = dropped.iter().filter(|&&j| j >= self.warmup).count() as u64;
         let delivered = if steady > 0 {

@@ -3,10 +3,11 @@
 //!
 //! The front is where CPI files meet the pipeline, so it is also where the
 //! failure policy acts: every CPI read goes through `read_with_policy`,
-//! which retries transient faults within the configured budget and — under
-//! `SkipCpi` — converts an exhausted budget into a [`Gap`] bubble instead
-//! of an abort.
+//! which asks `FailurePolicy::after_failure` what follows a failed attempt
+//! (a retry, a [`Gap`] bubble in place of the CPI, or an abort) and counts
+//! the node's consecutive drops for `FailurePolicy::drop_run_ends`.
 
+use crate::config::AfterFailure;
 use crate::messages::{BinSlab, Gap, Payload, RawSlab};
 use crate::stages::{broadcast_gap, port, StapPlan};
 use stap_comm::CommError;
@@ -16,7 +17,7 @@ use stap_math::C32;
 use stap_pipeline::schedule::block_range;
 use stap_pipeline::stage::{Stage, StageCtx};
 use stap_pipeline::timing::Phase;
-use stap_pipeline::{PendingFetch, PipelineError, SharedExtent};
+use stap_pipeline::{FailureClass, PendingFetch, PipelineError, SharedExtent};
 use std::sync::Arc;
 
 /// Byte extent (offset, length) of range gates `[r0, r1)` in a CPI file.
@@ -37,7 +38,9 @@ enum ReadOutcome {
 /// Fetches `len` bytes at `off` of the current CPI's cube from the plan's
 /// [`CpiSource`](stap_pipeline::CpiSource) under the configured failure
 /// policy. A posted asynchronous fetch may be handed in as the first
-/// attempt; retries always re-fetch synchronously.
+/// attempt; retries always re-fetch synchronously. `drops` is the calling
+/// node's run of consecutive dropped CPIs: a read that arrives ends it, a
+/// drop lengthens it, and a run the policy does not tolerate aborts.
 ///
 /// Owns the timing of the acquisition path: every attempt gets its own
 /// attempt-keyed span in the source's wait phase (`Read` for files,
@@ -51,9 +54,9 @@ fn read_with_policy(
     pending: Option<PendingFetch>,
     off: u64,
     len: usize,
+    drops: &mut u32,
 ) -> Result<ReadOutcome, PipelineError> {
     let policy = plan.config.failure_policy;
-    let retry = policy.retry();
     let source = &plan.source;
     let wait_phase = source.wait_phase();
     // A fetch the storage tier will serve out of its read cache never
@@ -71,18 +74,25 @@ fn read_with_policy(
     };
     let mut attempt = 0u32;
     loop {
-        match last {
-            Ok(bytes) => return Ok(ReadOutcome::Data(bytes)),
+        let e = match last {
+            Ok(bytes) => {
+                *drops = 0;
+                return Ok(ReadOutcome::Data(bytes));
+            }
             // A fetch that fails once the world is aborting (the abort
             // closed the staging ring under it) is teardown fallout, not a
             // root cause.
             Err(_) if ctx.ep.aborted() => return Err(CommError::Aborted.into()),
+            Err(e) => e,
+        };
+        match e.class {
+            FailureClass::Retryable => {}
             // Fleet-level infrastructure loss (a stripe server or compute
-            // node gone for good) also aborts on the first observation —
+            // node gone for good) aborts on the first observation —
             // retrying against dead hardware burns the backoff budget for
             // nothing — but as its own typed variant, so a failover layer
             // above the pipeline can re-plan instead of giving up.
-            Err(e) if e.is_infrastructure_loss() => {
+            FailureClass::InfrastructureLoss => {
                 return Err(PipelineError::InfrastructureLoss {
                     stage: ctx.topology.stage(ctx.stage).name.clone(),
                     message: format!("{label}: {e}"),
@@ -91,40 +101,33 @@ fn read_with_policy(
             // Permanent faults (bad extents, missing files, a closed
             // stream) abort under every policy: retrying or skipping
             // would mask a real bug.
-            Err(e) if !e.is_transient() => return Err(ctx.fail(format!("{label}: {e}"))),
-            Err(e) => {
-                if attempt < retry.attempts {
-                    plan.stats.count_retry();
-                    let pause = retry.backoff_for(attempt);
-                    if !pause.is_zero() {
-                        ctx.phase(Phase::Backoff);
-                        std::thread::sleep(pause);
-                    }
-                    attempt += 1;
-                    ctx.phase_attempt(wait_phase, attempt);
-                    last = source.fetch_shared(ctx.cpi, off, len);
-                } else if policy.skips() {
-                    return Ok(ReadOutcome::Dropped(format!("{label}: {e}")));
-                } else {
-                    return Err(ctx.fail(format!("{label}: {e}")));
+            FailureClass::Permanent => return Err(ctx.fail(format!("{label}: {e}"))),
+        }
+        match policy.after_failure(attempt) {
+            AfterFailure::Retry(pause) => {
+                plan.stats.count_retry();
+                if !pause.is_zero() {
+                    ctx.phase(Phase::Backoff);
+                    std::thread::sleep(pause);
                 }
+                attempt += 1;
+                ctx.phase_attempt(wait_phase, attempt);
+                last = source.fetch_shared(ctx.cpi, off, len);
             }
+            AfterFailure::Drop => {
+                *drops += 1;
+                // The first run the policy refuses is one past its budget.
+                if policy.drop_run_ends(*drops) {
+                    let budget = *drops - 1;
+                    return Err(
+                        ctx.fail(format!("{drops} consecutive CPIs dropped (budget {budget})"))
+                    );
+                }
+                return Ok(ReadOutcome::Dropped(format!("{label}: {e}")));
+            }
+            AfterFailure::Abort => return Err(ctx.fail(format!("{label}: {e}"))),
         }
     }
-}
-
-/// Enforces the consecutive-drop budget of `SkipCpi`.
-fn check_consecutive(
-    plan: &StapPlan,
-    ctx: &StageCtx<'_>,
-    consecutive: u32,
-) -> Result<(), PipelineError> {
-    if let Some(max) = plan.config.failure_policy.max_consecutive() {
-        if consecutive > max {
-            return Err(ctx.fail(format!("{consecutive} consecutive CPIs dropped (budget {max})")));
-        }
-    }
-    Ok(())
 }
 
 /// The gap bubble a front node originates when it drops the current CPI.
@@ -154,7 +157,8 @@ impl Stage for ReadStage {
         let (r0, r1) = block_range(dims.ranges, self.nodes, self.local);
 
         let (off, len) = slab_extent(dims, r0, r1);
-        let outcome = read_with_policy(&self.plan, ctx, "read", None, off, len)?;
+        let drops = &mut self.consecutive_drops;
+        let outcome = read_with_policy(&self.plan, ctx, "read", None, off, len, drops)?;
 
         ctx.phase(Phase::Send);
         // Deliver to every Doppler node whose range block intersects ours —
@@ -163,13 +167,8 @@ impl Stage for ReadStage {
         let df_nodes = ctx.topology.stage(df).nodes;
         let gate_bytes = dims.channels * dims.pulses * 8;
         let (bytes, gap) = match outcome {
-            ReadOutcome::Data(bytes) => {
-                self.consecutive_drops = 0;
-                (bytes, None)
-            }
+            ReadOutcome::Data(bytes) => (bytes, None),
             ReadOutcome::Dropped(reason) => {
-                self.consecutive_drops += 1;
-                check_consecutive(&self.plan, ctx, self.consecutive_drops)?;
                 (SharedExtent::owned(Vec::new()), Some(gap_here(ctx, reason)))
             }
         };
@@ -264,7 +263,8 @@ impl DopplerStage {
             _ => None,
         };
         let label = if pending.is_some() { "iread wait" } else { "read" };
-        let outcome = read_with_policy(&self.plan, ctx, label, pending, off, len)?;
+        let drops = &mut self.consecutive_drops;
+        let outcome = read_with_policy(&self.plan, ctx, label, pending, off, len, drops)?;
         let next = ctx.cpi + 1;
         if next < self.plan.config.cpis {
             if let Some(fetch) = self
@@ -377,17 +377,8 @@ impl Stage for DopplerStage {
         ];
 
         let wire = match outcome {
-            Ok(wire) => {
-                self.consecutive_drops = 0;
-                wire
-            }
+            Ok(wire) => wire,
             Err(g) => {
-                // Drops originate here only in embedded mode; in separate
-                // mode the read task already enforced its own budget.
-                if !self.plan.separate_io() {
-                    self.consecutive_drops += 1;
-                    check_consecutive(&self.plan, ctx, self.consecutive_drops)?;
-                }
                 ctx.phase(Phase::Send);
                 for (stage, _is_hard, p) in sends {
                     broadcast_gap::<BinSlab>(ctx, stage, p, &g)?;

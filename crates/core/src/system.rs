@@ -190,7 +190,8 @@ impl StapSystem {
         // The pipeline structure is the task table's: one stage per slot,
         // in slot order (so stage ids are slot indices and world ranks
         // follow the table), an edge per spatial or temporal gate. The
-        // serial stage loop and blocking sends enforce the other gates.
+        // serial stage loop enforces `Own`; the sends never block, so
+        // nothing here enforces `Rendezvous` and a node may run ahead.
         let slots = task_slots(config.io, config.tail);
         let sizes: Vec<usize> = slots.iter().map(|slot| config.nodes.of_slot(slot)).collect();
         let mut topo = Topology::new();

@@ -1,6 +1,6 @@
 //! Typed failures of the streaming staging tier.
 
-use stap_pipeline::SourceError;
+use stap_pipeline::{FailureClass, SourceError};
 
 /// Why a staging-ring operation failed.
 ///
@@ -64,11 +64,9 @@ impl std::error::Error for IngestError {}
 
 impl From<IngestError> for SourceError {
     fn from(e: IngestError) -> Self {
-        SourceError {
-            transient: e.is_transient(),
-            infrastructure_loss: false,
-            detail: e.to_string(),
-        }
+        let class =
+            if e.is_transient() { FailureClass::Retryable } else { FailureClass::Permanent };
+        SourceError { class, detail: e.to_string() }
     }
 }
 
@@ -86,9 +84,9 @@ mod tests {
     #[test]
     fn source_error_conversion_keeps_transience_and_detail() {
         let e: SourceError = IngestError::ProducerLagged { mission: "m".into(), dropped: 3 }.into();
-        assert!(e.is_transient());
+        assert_eq!(e.class, FailureClass::Retryable);
         assert!(e.detail.contains("3 cubes dropped"));
         let e: SourceError = IngestError::Closed { mission: "m".into() }.into();
-        assert!(!e.is_transient());
+        assert_eq!(e.class, FailureClass::Permanent);
     }
 }

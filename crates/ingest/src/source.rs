@@ -4,16 +4,19 @@
 use crate::error::IngestError;
 use crate::ring::CpiRing;
 use stap_pfs::{FileHandle, PfsError};
-use stap_pipeline::{CpiSource, PendingFetch, Phase, SharedExtent, SourceError};
+use stap_pipeline::{CpiSource, FailureClass, PendingFetch, Phase, SharedExtent, SourceError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 fn pfs_error(e: PfsError) -> SourceError {
-    SourceError {
-        transient: e.is_transient(),
-        infrastructure_loss: e.is_infrastructure_loss(),
-        detail: e.to_string(),
-    }
+    let class = if e.is_infrastructure_loss() {
+        FailureClass::InfrastructureLoss
+    } else if e.is_transient() {
+        FailureClass::Retryable
+    } else {
+        FailureClass::Permanent
+    };
+    SourceError { class, detail: e.to_string() }
 }
 
 /// The classic path: CPI cubes read from round-robin staging files on
@@ -246,7 +249,7 @@ mod tests {
         let src = StreamSource::new(ring, 1, false);
         assert_eq!(src.fetch(0, 0, 2).unwrap(), vec![9, 9]);
         let e = src.fetch(0, 0, 2).unwrap_err();
-        assert!(!e.is_transient());
+        assert_eq!(e.class, FailureClass::Permanent);
         assert!(e.detail.contains("already fully consumed"));
     }
 
@@ -256,7 +259,7 @@ mod tests {
         ring.close();
         let src = StreamSource::new(ring, 1, false);
         let e = src.fetch(0, 0, 1).unwrap_err();
-        assert!(!e.is_transient());
+        assert_eq!(e.class, FailureClass::Permanent);
         assert!(e.detail.contains("closed"));
     }
 
@@ -269,7 +272,7 @@ mod tests {
         // Cubes 0 and 1 were evicted; only cube 2 remains.
         let src = StreamSource::new(ring, 1, true);
         let e = src.fetch(0, 0, 1).unwrap_err();
-        assert!(e.is_transient(), "lag is retryable");
+        assert_eq!(e.class, FailureClass::Retryable, "lag is retryable");
         assert!(e.detail.contains("2 cubes dropped"));
         // The retry proceeds: delivery order maps the surviving cube to
         // CPI 0.

@@ -1,5 +1,6 @@
 //! Error type for the parallel file system.
 
+use crate::fault::Fault;
 use std::fmt;
 
 /// File-system operation failure.
@@ -28,8 +29,8 @@ pub enum PfsError {
         cpi: u64,
         /// 0-based attempt number that failed.
         attempt: u32,
-        /// Root-cause description from the plan.
-        detail: String,
+        /// The plan's fault that failed the attempt.
+        fault: Fault,
     },
     /// A stripe server was permanently lost (fleet-level fault): every
     /// future read touching its stripes fails. Terminal — retrying the same
@@ -79,8 +80,8 @@ impl fmt::Display for PfsError {
             PfsError::AsyncUnsupported => {
                 write!(f, "asynchronous I/O not supported by this file system")
             }
-            PfsError::Injected { file, cpi, attempt, detail } => {
-                write!(f, "injected fault reading {file} (CPI {cpi}, attempt {attempt}): {detail}")
+            PfsError::Injected { file, cpi, attempt, fault } => {
+                write!(f, "injected fault reading {file} (CPI {cpi}, attempt {attempt}): {fault}")
             }
             PfsError::ServerLost { server, cpi } => {
                 write!(f, "stripe server {server} permanently lost (observed at CPI {cpi})")
@@ -97,6 +98,11 @@ impl std::error::Error for PfsError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultWindow;
+
+    fn outage(file: &str) -> Fault {
+        Fault::FileUnavailable { file: file.into(), window: FaultWindow::new(3, 5) }
+    }
 
     #[test]
     fn display_mentions_specifics() {
@@ -110,15 +116,16 @@ mod tests {
                 file: "cpi_1.dat".into(),
                 cpi: 3,
                 attempt: 2,
-                detail: "file unavailable".into()
+                fault: outage("cpi_1.dat")
             }
         );
         assert!(i.contains("cpi_1.dat") && i.contains("CPI 3") && i.contains("attempt 2"));
+        assert!(i.ends_with(": file:cpi_1.dat@3..5"), "the fault in the plan grammar: {i}");
     }
 
     #[test]
     fn transience_classification() {
-        assert!(PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: String::new() }
+        assert!(PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, fault: outage("a") }
             .is_transient());
         assert!(!PfsError::NoSuchFile("a".into()).is_transient());
         assert!(!PfsError::OutOfBounds { offset: 0, len: 1, size: 0 }.is_transient());
@@ -133,7 +140,7 @@ mod tests {
         assert!(!s.is_transient() && !n.is_transient());
         assert!(s.is_infrastructure_loss() && n.is_infrastructure_loss());
         let injected =
-            PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, detail: "x".into() };
+            PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, fault: outage("a") };
         assert!(!injected.is_infrastructure_loss());
         assert!(!PfsError::NoSuchFile("a".into()).is_infrastructure_loss());
         let sd = format!("{s}");

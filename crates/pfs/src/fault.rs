@@ -14,6 +14,7 @@
 //! staging, diagnostics) bypass it, like a fault injector keyed on the
 //! application's I/O identifiers rather than raw offsets.
 
+use std::fmt;
 use std::time::Duration;
 
 /// Half-open CPI interval `[from, until)`.
@@ -132,17 +133,49 @@ impl Fault {
     }
 }
 
+/// `A..B` as the `--fault-plan` grammar writes it: an open bound is left
+/// out.
+impl fmt::Display for FaultWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bound = |b: u64, open: u64| if b == open { String::new() } else { b.to_string() };
+        write!(f, "{}..{}", bound(self.from, 0), bound(self.until, u64::MAX))
+    }
+}
+
+/// The fault in the `--fault-plan` grammar ([`FaultPlan::parse`] reads it
+/// back; a slow read's delay prints in whole milliseconds).
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fault::FileUnavailable { file, window } => write!(f, "file:{file}@{window}"),
+            Fault::ServerUnavailable { server, window } => write!(f, "server:{server}@{window}"),
+            Fault::Transient { file, fail_attempts, window } => {
+                write!(f, "transient:{file}:{fail_attempts}@{window}")
+            }
+            Fault::Flaky { file, p, window } => write!(f, "flaky:{file}:{p}@{window}"),
+            Fault::SlowRead { file, delay, window } => {
+                write!(f, "slow:{file}:{}@{window}", delay.as_millis())
+            }
+            Fault::ServerLoss { server, from } => write!(f, "server-loss:{server}@{from}"),
+            Fault::NodeCrash { node, window } => write!(f, "node:{node}@{window}"),
+        }
+    }
+}
+
 /// Which piece of fleet infrastructure a terminal read decision lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Ordered as [`FaultPlan::read_decision`] names one of several: the least
+/// wins, so a node beats a server and a lower index a higher one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LostUnit {
-    /// A stripe server of the shared store.
-    Server(usize),
     /// A compute node of the pool.
     Node(usize),
+    /// A stripe server of the shared store.
+    Server(usize),
 }
 
 /// What the plan decided for one read attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReadDecision {
     /// The read proceeds, after the given injected extra latency.
     Proceed {
@@ -150,10 +183,10 @@ pub enum ReadDecision {
         /// matched).
         delay: Duration,
     },
-    /// The read fails; `detail` names the injected cause.
+    /// The read fails; a retry may clear it.
     Fail {
-        /// Root-cause description (fault kind and window).
-        detail: String,
+        /// A matching fault that failed the attempt.
+        fault: Fault,
     },
     /// The read fails *permanently*: fleet infrastructure is gone and no
     /// retry can clear it. Maps to [`crate::PfsError::ServerLost`] /
@@ -232,7 +265,15 @@ impl FaultPlan {
     }
 
     /// Decides the fate of read `attempt` (0-based) of `file` for `cpi`,
-    /// whose stripe mapping touches `servers`.
+    /// whose stripe mapping touches `servers`, from every fault that
+    /// matches it, so the order of the plan does not matter:
+    ///
+    /// * a lost unit beats a failure, which beats proceeding;
+    /// * of several lost units the least [`LostUnit`] is named: a lost node
+    ///   beats a lost server (a dead reader issues no I/O), and a lower
+    ///   index a higher one;
+    /// * a failure names the first matching failing fault;
+    /// * the delays of all matching slow reads add up.
     pub fn read_decision(
         &self,
         file: &str,
@@ -240,66 +281,45 @@ impl FaultPlan {
         attempt: u32,
         servers: &[usize],
     ) -> ReadDecision {
-        let mut delay = Duration::ZERO;
-        for fault in &self.faults {
-            if !fault.window().contains(cpi) {
-                continue;
-            }
-            match fault {
-                Fault::FileUnavailable { file: f, window } => {
-                    if f == file {
-                        return ReadDecision::Fail {
-                            detail: format!(
-                                "file unavailable for CPIs [{}, {})",
-                                window.from, window.until
-                            ),
-                        };
-                    }
+        let fail = |fault: &Fault| ReadDecision::Fail { fault: fault.clone() };
+        let mut decision = ReadDecision::Proceed { delay: Duration::ZERO };
+        for fault in self.faults.iter().filter(|fault| fault.window().contains(cpi)) {
+            let next = match fault {
+                Fault::FileUnavailable { file: f, .. } if f == file => fail(fault),
+                Fault::ServerUnavailable { server, .. } if servers.contains(server) => fail(fault),
+                Fault::Transient { file: f, fail_attempts, .. }
+                    if f == file && attempt < *fail_attempts =>
+                {
+                    fail(fault)
                 }
-                Fault::ServerUnavailable { server, window } => {
-                    if servers.contains(server) {
-                        return ReadDecision::Fail {
-                            detail: format!(
-                                "stripe server {server} unavailable for CPIs [{}, {})",
-                                window.from, window.until
-                            ),
-                        };
-                    }
+                Fault::Flaky { file: f, p, .. }
+                    if f == file && self.flaky_hit(*p, file, cpi, attempt) =>
+                {
+                    fail(fault)
                 }
-                Fault::Transient { file: f, fail_attempts, .. } => {
-                    if f == file && attempt < *fail_attempts {
-                        return ReadDecision::Fail {
-                            detail: format!(
-                                "transient fault (attempt {} of {} failing)",
-                                attempt + 1,
-                                fail_attempts
-                            ),
-                        };
-                    }
+                Fault::SlowRead { file: f, delay, .. } if f == file => {
+                    ReadDecision::Proceed { delay: *delay }
                 }
-                Fault::Flaky { file: f, p, .. } => {
-                    if f == file && self.flaky_hit(*p, file, cpi, attempt) {
-                        return ReadDecision::Fail {
-                            detail: format!("flaky read (p = {p}, seed {})", self.seed),
-                        };
-                    }
+                Fault::ServerLoss { server, .. } if servers.contains(server) => {
+                    ReadDecision::Lost { unit: LostUnit::Server(*server) }
                 }
-                Fault::SlowRead { file: f, delay: d, .. } => {
-                    if f == file {
-                        delay += *d;
-                    }
+                Fault::NodeCrash { node, .. } => ReadDecision::Lost { unit: LostUnit::Node(*node) },
+                _ => continue,
+            };
+            decision = match (decision, next) {
+                (ReadDecision::Proceed { delay: a }, ReadDecision::Proceed { delay: b }) => {
+                    ReadDecision::Proceed { delay: a + b }
                 }
-                Fault::ServerLoss { server, .. } => {
-                    if servers.contains(server) {
-                        return ReadDecision::Lost { unit: LostUnit::Server(*server) };
-                    }
+                (ReadDecision::Lost { unit: a }, ReadDecision::Lost { unit: b }) => {
+                    ReadDecision::Lost { unit: a.min(b) }
                 }
-                Fault::NodeCrash { node, .. } => {
-                    return ReadDecision::Lost { unit: LostUnit::Node(*node) };
+                (lost @ ReadDecision::Lost { .. }, _) | (_, lost @ ReadDecision::Lost { .. }) => {
+                    lost
                 }
-            }
+                (failed @ ReadDecision::Fail { .. }, _) | (_, failed) => failed,
+            };
         }
-        ReadDecision::Proceed { delay }
+        decision
     }
 
     /// Parses a comma-separated fault spec (the `--fault-plan` grammar):
@@ -582,6 +602,103 @@ mod tests {
         assert!(FaultPlan::parse("server-loss:x@1", 0).unwrap_err().contains("server index"));
         assert!(FaultPlan::parse("server-loss:0@soon", 0).unwrap_err().contains("onset"));
         assert!(FaultPlan::parse("node:x@0..2", 0).unwrap_err().contains("node index"));
+    }
+
+    #[test]
+    fn lost_dominates_fail_whatever_the_order() {
+        for spec in ["flaky:cpi_1.dat:1.0@..,node:0@5..6", "node:0@5..6,flaky:cpi_1.dat:1.0@.."] {
+            let plan = FaultPlan::parse(spec, 1).unwrap();
+            assert_eq!(
+                plan.read_decision("cpi_1.dat", 5, 0, &[0]),
+                ReadDecision::Lost { unit: LostUnit::Node(0) },
+                "{spec}"
+            );
+            assert!(fail(&plan.read_decision("cpi_1.dat", 4, 0, &[0])), "{spec}");
+        }
+        let plan = FaultPlan::parse("server-loss:1@0,node:3@..,node:2@..,slow:a:5@..", 1).unwrap();
+        assert_eq!(
+            plan.read_decision("a", 0, 0, &[1]),
+            ReadDecision::Lost { unit: LostUnit::Node(2) },
+            "a dead reader issues no I/O; the lower node index is named"
+        );
+    }
+
+    /// A fault the grammar can write, from small draws: kind, file or
+    /// unit index, window start and length (0 = open-ended), and the
+    /// kind's parameter.
+    fn drawn_fault((kind, who, from, len, k): (u8, usize, u64, u64, u32)) -> Fault {
+        let file = ["a", "b", "cpi_1.dat"][who % 3].to_string();
+        let window = FaultWindow::new(from, if len == 0 { u64::MAX } else { from + len });
+        match kind {
+            0 => Fault::FileUnavailable { file, window },
+            1 => Fault::ServerUnavailable { server: who, window },
+            2 => Fault::Transient { file, fail_attempts: k, window },
+            3 => Fault::Flaky { file, p: f64::from(k) / 4.0, window },
+            4 => Fault::SlowRead { file, delay: Duration::from_millis(3 * u64::from(k)), window },
+            5 => Fault::ServerLoss { server: who, from },
+            _ => Fault::NodeCrash { node: who, window },
+        }
+    }
+
+    fn permutations(faults: &[Fault]) -> Vec<Vec<Fault>> {
+        if faults.len() <= 1 {
+            return vec![faults.to_vec()];
+        }
+        (0..faults.len())
+            .flat_map(|i| {
+                let mut rest = faults.to_vec();
+                let first = rest.remove(i);
+                permutations(&rest).into_iter().map(move |mut p| {
+                    p.insert(0, first.clone());
+                    p
+                })
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        // Few draws put a lost unit and a failure on one read, so this
+        // runs eight times the default cases.
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_decision_does_not_depend_on_the_plans_order(
+            drawn in proptest::collection::vec((0u8..7, 0usize..4, 0u64..6, 0u64..4, 0u32..5), 1..6),
+            seed in 0u64..1000,
+            file in 0usize..3,
+            cpi in 0u64..10,
+            attempt in 0u32..5,
+            servers in proptest::collection::vec(0usize..4, 0..4),
+        ) {
+            let faults: Vec<Fault> = drawn.into_iter().map(drawn_fault).collect();
+            let file = ["a", "b", "cpi_1.dat"][file];
+            // The variant, the lost unit and the delay must agree; a
+            // failure may name any matching fault of the plan.
+            let decide = |order: Vec<Fault>| {
+                let plan = order.into_iter().fold(FaultPlan::new(seed), FaultPlan::with);
+                match plan.read_decision(file, cpi, attempt, &servers) {
+                    ReadDecision::Fail { fault } => {
+                        proptest::prop_assert!(faults.contains(&fault), "{fault} not in the plan");
+                        None
+                    }
+                    other => Some(other),
+                }
+            };
+            let first = decide(faults.clone());
+            for order in permutations(&faults) {
+                proptest::prop_assert_eq!(decide(order.clone()), first.clone(), "{:?}", order);
+            }
+        }
+
+        #[test]
+        fn a_plan_prints_in_the_grammar_it_parses(
+            drawn in proptest::collection::vec((0u8..7, 0usize..4, 0u64..6, 0u64..4, 0u32..5), 1..6),
+            seed in 0u64..1000,
+        ) {
+            let plan = drawn.into_iter().map(drawn_fault).fold(FaultPlan::new(seed), FaultPlan::with);
+            let faults: Vec<String> = plan.faults().iter().map(Fault::to_string).collect();
+            proptest::prop_assert_eq!(FaultPlan::parse(&faults.join(","), seed), Ok(plan));
+        }
     }
 
     #[test]

@@ -277,8 +277,8 @@ impl FileHandle {
         };
         let err = match plan.read_decision(&self.name, cpi, attempt, &servers) {
             ReadDecision::Proceed { delay } => return Ok(delay),
-            ReadDecision::Fail { detail } => {
-                PfsError::Injected { file: self.name.clone(), cpi, attempt, detail }
+            ReadDecision::Fail { fault } => {
+                PfsError::Injected { file: self.name.clone(), cpi, attempt, fault }
             }
             ReadDecision::Lost { unit: LostUnit::Server(server) } => {
                 PfsError::ServerLost { server, cpi }

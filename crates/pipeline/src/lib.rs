@@ -36,7 +36,7 @@ pub mod watchdog;
 
 pub use error::PipelineError;
 pub use runner::{Pipeline, StageFactory};
-pub use source::{CpiSource, PendingFetch, SharedExtent, SourceError};
+pub use source::{CpiSource, FailureClass, PendingFetch, SharedExtent, SourceError};
 pub use stage::{Stage, StageCtx};
 pub use stap_trace::ClockSpec;
 pub use timing::{Phase, PipelineReport};

@@ -15,40 +15,36 @@ use std::sync::Arc;
 ///
 /// Deliberately minimal: the concrete error taxonomies live with their
 /// sources (`PfsError` for files, `IngestError` for streams); at the
-/// pipeline seam only the message and the retry class survive, so the
+/// pipeline seam only the message and the failure class survive, so the
 /// `FailurePolicy` retry/skip machinery applies to both paths unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceError {
     /// Human-readable description, including the source's own error text.
     pub detail: String,
-    /// Whether a retry could plausibly succeed (mirrors
-    /// `PfsError::is_transient` / `IngestError::is_transient`).
-    pub transient: bool,
-    /// Whether the failure is a permanent fleet-level infrastructure loss
-    /// (mirrors `PfsError::is_infrastructure_loss`: a stripe server or
-    /// compute node is gone for the rest of the run). Terminal like any
-    /// non-transient error, but additionally a signal for the *failover*
-    /// layer above the pipeline: the mission can still complete on a
-    /// degraded pool, so executors should re-plan rather than abort.
-    pub infrastructure_loss: bool,
+    /// What a retry can do about it.
+    pub class: FailureClass,
+}
+
+/// The retry class of a [`SourceError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureClass {
+    /// A retry could plausibly succeed (`PfsError::is_transient`,
+    /// `IngestError::is_transient`).
+    Retryable,
+    /// Retrying is futile: a bad extent, a missing file, a closed stream.
+    Permanent,
+    /// A stripe server or compute node is gone for the rest of the run
+    /// (`PfsError::is_infrastructure_loss`). Permanent, and additionally a
+    /// signal for the failover layer above the pipeline: the mission can
+    /// still complete on a degraded pool, so executors should re-plan
+    /// rather than abort.
+    InfrastructureLoss,
 }
 
 impl SourceError {
-    /// A permanent (non-retryable) failure that is not a fleet-level loss.
+    /// A permanent failure that is not a fleet-level loss.
     pub fn permanent(detail: impl Into<String>) -> Self {
-        SourceError { detail: detail.into(), transient: false, infrastructure_loss: false }
-    }
-
-    /// Whether a retry could plausibly succeed.
-    pub fn is_transient(&self) -> bool {
-        self.transient
-    }
-
-    /// Whether the failure is a permanent fleet-level infrastructure loss
-    /// that a failover layer could survive by re-planning on the degraded
-    /// pool (as opposed to a data error that no re-plan can fix).
-    pub fn is_infrastructure_loss(&self) -> bool {
-        self.infrastructure_loss
+        SourceError { detail: detail.into(), class: FailureClass::Permanent }
     }
 }
 
@@ -161,7 +157,7 @@ mod tests {
         assert_eq!(s.fetch(0, 1, 2).unwrap(), vec![2, 3]);
         assert_eq!(&*s.fetch_shared(0, 1, 2).unwrap(), &[2, 3]);
         let e = s.fetch(0, 3, 4).unwrap_err();
-        assert!(!e.is_transient());
+        assert_eq!(e.class, FailureClass::Permanent);
         assert!(e.to_string().contains("out of range"));
     }
 }

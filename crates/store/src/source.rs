@@ -33,16 +33,19 @@ use crate::StoreError;
 use parking_lot::Mutex;
 use stap_model::cachetier::hit_time;
 use stap_pfs::{FileHandle, Pfs, PfsError};
-use stap_pipeline::{CpiSource, PendingFetch, Phase, SourceError};
+use stap_pipeline::{CpiSource, FailureClass, PendingFetch, Phase, SourceError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn pfs_error(e: PfsError) -> SourceError {
-    SourceError {
-        transient: e.is_transient(),
-        infrastructure_loss: e.is_infrastructure_loss(),
-        detail: e.to_string(),
-    }
+    let class = if e.is_infrastructure_loss() {
+        FailureClass::InfrastructureLoss
+    } else if e.is_transient() {
+        FailureClass::Retryable
+    } else {
+        FailureClass::Permanent
+    };
+    SourceError { class, detail: e.to_string() }
 }
 
 fn store_error(e: StoreError) -> SourceError {
@@ -441,7 +444,7 @@ mod tests {
         let src = StoreSource::new(files, cfg);
         let e = src.fetch(0, 0, 1024).unwrap_err();
         assert!(e.to_string().contains("footprint"), "got {e}");
-        assert!(!e.is_transient());
+        assert_eq!(e.class, FailureClass::Permanent);
     }
 
     #[test]

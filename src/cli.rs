@@ -551,6 +551,10 @@ comma-separated list of:
     transient:NAME:K@A..B   first K attempts of each read fail
     flaky:NAME:P@A..B    each attempt fails with probability P
     slow:NAME:MS@A..B    reads take an extra MS milliseconds
+    server-loss:IDX@T    stripe server IDX lost for good from CPI T
+    node:IDX@A..B        compute node IDX down for the window
+Where faults overlap, a lost node beats a lost server, which beats a
+failed attempt, which beats a read that proceeds; slow delays add up.
 --failure-policy decides what a failed read does: abort the run
 (default), retry A times with exponential backoff from MS ms, or
 skip — retry then drop the CPI as a gap bubble, aborting only
@@ -995,8 +999,7 @@ mod tests {
         assert_eq!(plan.faults().len(), 1);
         assert_eq!(a.fault_seed, 7);
         assert!(a.watchdog);
-        assert!(a.failure_policy.skips());
-        assert_eq!(a.failure_policy.max_consecutive(), Some(3));
+        assert!(matches!(a.failure_policy, FailurePolicy::SkipCpi { max_consecutive: 3, .. }));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! fault-free run.
 
 use stap_core::config::{FailurePolicy, RetryPolicy, StapConfig, WatchdogPolicy};
-use stap_core::{IoStrategy, StapRunOutput, StapSystem};
+use stap_core::{
+    DesExperiment, DesFaultModel, IoStrategy, StapRunOutput, StapSystem, TailStructure,
+};
+use stap_model::machines::MachineModel;
 use stap_pfs::{Fault, FaultPlan, FaultWindow};
 use stap_pipeline::PipelineError;
 use stap_radar::{Scene, Target};
@@ -214,6 +217,33 @@ fn des_drops_exactly_the_executed_runs_cpis() {
             let executed: Vec<u64> = out.dropped.iter().map(|g| g.cpi).collect();
             assert!(!executed.is_empty(), "{io:?} rate {rate}: the plan drops some CPI");
             assert_eq!(des_counterpart(io, rate).dropped, executed, "{io:?} rate {rate}");
+        }
+    }
+    // A terminal fault is not masked by a recoverable one on the same
+    // read, whatever the order of the plan: CPI 5 reads `cpi_1.dat`, whose
+    // every attempt fails, on crashed node 0. Both timelines end there.
+    let policy = FailurePolicy::SkipCpi { retry: RetryPolicy::none(), max_consecutive: u32::MAX };
+    for spec in ["flaky:cpi_1.dat:1.0@..,node:0@5..6", "node:0@5..6,flaky:cpi_1.dat:1.0@.."] {
+        let plan = FaultPlan::parse(spec, 1).unwrap();
+        for io in [IoStrategy::Embedded, IoStrategy::SeparateTask] {
+            let cfg = StapConfig {
+                fanout: 2,
+                failure_policy: policy,
+                fault_plan: Some(plan.clone()),
+                ..base_config(io)
+            };
+            match StapSystem::prepare(cfg).unwrap().run() {
+                Err(PipelineError::InfrastructureLoss { message, .. }) => {
+                    assert!(message.contains("node 0 crashed (CPI 5"), "{spec} {io:?}: {message}")
+                }
+                Err(e) => panic!("{spec} {io:?}: expected the node loss, got {e}"),
+                Ok(out) => panic!("{spec} {io:?}: the run outlived CPI 5: {:?}", out.dropped),
+            }
+            let mut des =
+                DesExperiment::new(MachineModel::paragon(64), io, TailStructure::Split, 50);
+            (des.cpis, des.warmup) = (10, 2);
+            des.faults = Some(DesFaultModel::new(plan.clone(), policy, 2, 0.002));
+            assert_eq!(des.run().dropped, [1, 3, 5, 6, 7, 8, 9], "{spec} {io:?}");
         }
     }
 }
