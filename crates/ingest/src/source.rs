@@ -3,21 +3,10 @@
 
 use crate::error::IngestError;
 use crate::ring::CpiRing;
-use stap_pfs::{FileHandle, PfsError};
-use stap_pipeline::{CpiSource, FailureClass, PendingFetch, Phase, SharedExtent, SourceError};
+use stap_pfs::FileHandle;
+use stap_pipeline::{CpiSource, PendingFetch, Phase, SharedExtent, SourceError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-fn pfs_error(e: PfsError) -> SourceError {
-    let class = if e.is_infrastructure_loss() {
-        FailureClass::InfrastructureLoss
-    } else if e.is_transient() {
-        FailureClass::Retryable
-    } else {
-        FailureClass::Permanent
-    };
-    SourceError { class, detail: e.to_string() }
-}
 
 /// The classic path: CPI cubes read from round-robin staging files on
 /// the parallel file system. Waits are charged to [`Phase::Read`].
@@ -45,7 +34,7 @@ impl std::fmt::Debug for FileSource {
 
 impl CpiSource for FileSource {
     fn fetch(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
-        self.slot(cpi).read_at_cpi(cpi, offset, len).map_err(pfs_error)
+        self.slot(cpi).read_at_cpi(cpi, offset, len).map_err(SourceError::from)
     }
 
     fn prefetch(
@@ -58,8 +47,8 @@ impl CpiSource for FileSource {
         if !file.fs().config().supports_async {
             return Ok(None);
         }
-        let handle = file.read_at_cpi_async(cpi, offset, len).map_err(pfs_error)?;
-        Ok(Some(Box::new(move || handle.wait().map_err(pfs_error))))
+        let handle = file.read_at_cpi_async(cpi, offset, len).map_err(SourceError::from)?;
+        Ok(Some(Box::new(move || handle.wait().map_err(SourceError::from))))
     }
 }
 
@@ -211,6 +200,7 @@ impl CpiSource for StreamSource {
 mod tests {
     use super::*;
     use crate::ring::{BackpressurePolicy, StampedCube};
+    use stap_pipeline::FailureClass;
 
     fn ring_with(cubes: &[&[u8]], policy: BackpressurePolicy) -> Arc<CpiRing> {
         let ring = Arc::new(CpiRing::new("m", cubes.len().max(1), policy));

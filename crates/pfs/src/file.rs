@@ -175,7 +175,7 @@ impl FileHandle {
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), PfsError> {
         self.fs.inner.stats.count_write(data.len());
         let inner = &self.fs.inner;
-        for req in inner.layout.map_extent(offset, data.len()) {
+        for req in inner.layout.requests(offset, data.len()) {
             let start = (req.file_offset - offset) as usize;
             inner.servers[req.server].write(
                 self.meta.id,
@@ -241,7 +241,7 @@ impl FileHandle {
             return (Err(PfsError::OutOfBounds { offset, len, size }), delay);
         }
         let mut out = vec![0u8; len];
-        for req in inner.layout.map_extent(offset, len) {
+        for req in inner.layout.requests(offset, len) {
             let start = (req.file_offset - offset) as usize;
             inner.servers[req.server].read(
                 self.meta.id,
@@ -265,7 +265,7 @@ impl FileHandle {
     ) -> Result<Duration, PfsError> {
         let inner = &self.fs.inner;
         let mut servers: Vec<usize> =
-            inner.layout.map_extent(offset, len).into_iter().map(|req| req.server).collect();
+            inner.layout.requests(offset, len).map(|req| req.server).collect();
         servers.sort_unstable();
         servers.dedup();
         let attempt = {

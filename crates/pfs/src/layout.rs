@@ -46,11 +46,48 @@ impl StripeLayout {
     /// Splits the byte extent `[offset, offset+len)` into per-stripe-unit
     /// requests, in ascending file order.
     pub fn map_extent(&self, offset: u64, len: usize) -> Vec<StripeRequest> {
+        self.requests(offset, len).collect()
+    }
+
+    /// The requests of [`Self::map_extent`], one at a time: one division
+    /// places the extent's first unit, and each later unit starts at offset
+    /// 0 on the next server round-robin.
+    pub fn requests(&self, offset: u64, len: usize) -> impl Iterator<Item = StripeRequest> {
+        let (su, factor, end) = (self.stripe_unit, self.stripe_factor, offset + len as u64);
+        let unit = offset / su as u64;
+        let offset_in_unit = (offset % su as u64) as usize;
+        // Each request of the walk covers the rest of its unit; the last one
+        // is cut to the extent's end.
+        let first = StripeRequest {
+            server: self.server_of_unit(unit),
+            unit,
+            offset_in_unit,
+            len: su - offset_in_unit,
+            file_offset: offset,
+        };
+        std::iter::successors(Some(first), move |r| {
+            Some(StripeRequest {
+                server: if r.server + 1 == factor { 0 } else { r.server + 1 },
+                unit: r.unit + 1,
+                offset_in_unit: 0,
+                len: su,
+                file_offset: r.file_offset + r.len as u64,
+            })
+        })
+        .take_while(move |r| r.file_offset < end)
+        .map(move |r| StripeRequest { len: r.len.min((end - r.file_offset) as usize), ..r })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The division-per-unit walk [`StripeLayout::requests`] replaced,
+    /// kept as its oracle.
+    fn oracle_map_extent(l: &StripeLayout, offset: u64, len: usize) -> Vec<StripeRequest> {
         let mut out = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        let su = self.stripe_unit as u64;
+        let su = l.stripe_unit as u64;
         let mut cur = offset;
         let end = offset + len as u64;
         while cur < end {
@@ -58,7 +95,7 @@ impl StripeLayout {
             let offset_in_unit = (cur % su) as usize;
             let take = ((su as usize) - offset_in_unit).min((end - cur) as usize);
             out.push(StripeRequest {
-                server: self.server_of_unit(unit),
+                server: l.server_of_unit(unit),
                 unit,
                 offset_in_unit,
                 len: take,
@@ -68,11 +105,19 @@ impl StripeLayout {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest::proptest! {
+        #[test]
+        fn the_incremental_walk_equals_the_division_walk(
+            unit in 1usize..300,
+            factor in 1usize..20,
+            offset in 0u64..5000,
+            len in 0usize..6000,
+        ) {
+            let l = StripeLayout::new(unit, factor);
+            proptest::prop_assert_eq!(l.map_extent(offset, len), oracle_map_extent(&l, offset, len));
+        }
+    }
 
     #[test]
     fn aligned_extent_splits_into_full_units() {

@@ -37,19 +37,19 @@ pub fn extent_service(
     mode: OpenMode,
 ) -> Vec<(usize, f64)> {
     StripeLayout::new(cfg.stripe_unit, cfg.stripe_factor)
-        .map_extent(offset, len)
-        .into_iter()
+        .requests(offset, len)
         .map(|req| (req.server, request_service(cfg, req.len, mode)))
         .collect()
 }
 
 /// Time for idle servers to deliver the byte extent: each server works
 /// through its share of the requests back to back, and the read finishes
-/// when the busiest one drains.
+/// when the busiest one drains. Adds up [`extent_service`]'s terms in its
+/// order, without building its list.
 pub fn extent_read_time(cfg: &FsConfig, offset: u64, len: usize, mode: OpenMode) -> f64 {
     let mut busy = vec![0.0f64; cfg.stripe_factor];
-    for (server, service) in extent_service(cfg, offset, len, mode) {
-        busy[server] += service;
+    for req in StripeLayout::new(cfg.stripe_unit, cfg.stripe_factor).requests(offset, len) {
+        busy[req.server] += request_service(cfg, req.len, mode);
     }
     busy.into_iter().fold(0.0, f64::max)
 }
@@ -69,6 +69,27 @@ mod tests {
             unix_mode_penalty: Duration::from_millis(2),
             supports_async: true,
             pace_reads: 0.0,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_read_time_fold_is_the_extent_service_sum_bit_for_bit(
+            unit in 1usize..3000,
+            factor in 1usize..20,
+            offset in 0u64..20_000,
+            len in 0usize..40_000,
+            unix in 0u8..2,
+        ) {
+            let cfg = FsConfig { stripe_unit: unit, stripe_factor: factor, ..cfg(factor) };
+            let mode = if unix == 1 { OpenMode::Unix } else { OpenMode::Async };
+            let mut busy = vec![0.0f64; factor];
+            for (server, service) in extent_service(&cfg, offset, len, mode) {
+                busy[server] += service;
+            }
+            let want = busy.into_iter().fold(0.0, f64::max);
+            let got = extent_read_time(&cfg, offset, len, mode);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

@@ -132,7 +132,7 @@ impl Pipeline {
                             StageTracer::new(stage.0, local, clocks.clock(epoch), cpis as usize);
                         let mut outcome = Ok(());
                         for cpi in 0..cpis {
-                            beats.beat(rank);
+                            beats.beat(rank, cpi);
                             clock.start_cpi(cpi);
                             let mut ctx = StageCtx {
                                 ep: &mut *ep,
@@ -377,6 +377,44 @@ mod tests {
                 assert_eq!(stage, "snk", "the hung receiver is the root cause");
                 assert_eq!(deadline_ms, 100);
             }
+            other => panic!("expected a watchdog timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn watchdog_blames_the_stalled_source_when_its_consumer_expires_first() {
+        use std::time::Duration;
+        // The source sends CPI 0 and is held 50 ms before it beats CPI 1,
+        // as a descheduled thread would be; the sink beats CPI 1 at once and
+        // waits. The sink's beat is older, so it expires first, but the
+        // source, where CPI 1 stalled, is named.
+        let mut t = Topology::new();
+        let src = t.add_stage("src", 1);
+        let snk = t.add_stage("snk", 1);
+        t.add_edge(src, snk);
+        let f_src: StageFactory = Box::new(|_| {
+            Box::new(|ctx: &mut StageCtx<'_>| {
+                if ctx.cpi == 0 {
+                    ctx.send_to(StageId(1), 0, 0, ctx.cpi)?;
+                    std::thread::sleep(Duration::from_millis(50));
+                    return Ok(());
+                }
+                while !ctx.ep.aborted() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(CommError::Aborted.into())
+            })
+        });
+        let f_snk: StageFactory = Box::new(|_| {
+            Box::new(|ctx: &mut StageCtx<'_>| {
+                let _: u64 = ctx.recv_from(StageId(0), 0, 0)?;
+                Ok(())
+            })
+        });
+        let p = Pipeline::new(t, vec![f_src, f_snk]);
+        let spec = crate::watchdog::WatchdogSpec::uniform(2, Duration::from_millis(100));
+        match p.run_configured(3, 0, Some(&spec), ClockSpec::Wall).unwrap_err() {
+            PipelineError::Timeout { stage, .. } => assert_eq!(stage, "src"),
             other => panic!("expected a watchdog timeout, got {other:?}"),
         }
     }

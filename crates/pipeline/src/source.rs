@@ -7,6 +7,7 @@
 //! them: the read/Doppler stages fetch byte extents by (CPI, offset,
 //! length) and time the wait under whatever [`Phase`] the source reports.
 
+use stap_pfs::PfsError;
 use stap_trace::Phase;
 use std::ops::Range;
 use std::sync::Arc;
@@ -55,6 +56,23 @@ impl std::fmt::Display for SourceError {
 }
 
 impl std::error::Error for SourceError {}
+
+/// The one classification of a file-system error at the seam: a lost
+/// server or node is an [`FailureClass::InfrastructureLoss`], an injected
+/// transient fault is [`FailureClass::Retryable`], anything else is
+/// [`FailureClass::Permanent`].
+impl From<PfsError> for SourceError {
+    fn from(e: PfsError) -> Self {
+        let class = if e.is_infrastructure_loss() {
+            FailureClass::InfrastructureLoss
+        } else if e.is_transient() {
+            FailureClass::Retryable
+        } else {
+            FailureClass::Permanent
+        };
+        SourceError { class, detail: e.to_string() }
+    }
+}
 
 /// A pending asynchronous fetch: call it to block until the bytes land.
 ///
@@ -159,5 +177,25 @@ mod tests {
         let e = s.fetch(0, 3, 4).unwrap_err();
         assert_eq!(e.class, FailureClass::Permanent);
         assert!(e.to_string().contains("out of range"));
+    }
+
+    #[test]
+    fn a_file_system_error_keeps_its_text_and_gets_one_class() {
+        let fault = stap_pfs::FaultPlan::parse("flaky:a:1.0@..", 0).unwrap().faults()[0].clone();
+        let cases = [
+            (
+                PfsError::Injected { file: "a".into(), cpi: 0, attempt: 0, fault },
+                FailureClass::Retryable,
+            ),
+            (PfsError::NoSuchFile("a".into()), FailureClass::Permanent),
+            (PfsError::AsyncUnsupported, FailureClass::Permanent),
+            (PfsError::ServerLost { server: 3, cpi: 2 }, FailureClass::InfrastructureLoss),
+            (PfsError::NodeLost { node: 1, cpi: 2 }, FailureClass::InfrastructureLoss),
+        ];
+        for (pfs, class) in cases {
+            let text = pfs.to_string();
+            let e = SourceError::from(pfs);
+            assert_eq!((e.class, e.detail), (class, text));
+        }
     }
 }

@@ -4,13 +4,13 @@
 //! Every node heartbeats at each CPI boundary. A monitor thread checks
 //! each live rank's time-since-last-beat against its stage's deadline,
 //! parking in between until the earliest instant one could expire (no
-//! polling tick); the first expiry records the stage and raises the run's
-//! abort, which wakes every receive in the world and, through the
-//! pipeline's abort hook, a front node parked on a staging ring. The
-//! runner then surfaces [`crate::error::PipelineError::Timeout`] naming
-//! the hung stage instead of the bare `Aborted` teardown fallout — a hung
-//! read or receive can stall a run for at most one deadline, never
-//! forever.
+//! polling tick). The first expiry records the stage the stall started
+//! from (`culprit`) and raises the run's abort, which wakes every receive
+//! in the world and, through the pipeline's abort hook, a front node
+//! parked on a staging ring. The runner then surfaces
+//! [`crate::error::PipelineError::Timeout`] naming the hung stage instead
+//! of the bare `Aborted` teardown fallout — a hung read or receive can
+//! stall a run for at most one deadline, never forever.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -33,15 +33,18 @@ impl WatchdogSpec {
 /// Sentinel beat value: the rank finished its run loop.
 const DONE: u64 = u64::MAX;
 
-/// Per-rank last-progress timestamps (milliseconds since the run epoch).
+/// Per-rank last-progress timestamps (milliseconds since the run epoch)
+/// and the CPI each rank last started.
 pub(crate) struct Heartbeats {
     epoch: Instant,
     beats: Vec<AtomicU64>,
+    cpis: Vec<AtomicU64>,
 }
 
 impl Heartbeats {
     pub(crate) fn new(ranks: usize) -> Self {
-        Self { epoch: Instant::now(), beats: (0..ranks).map(|_| AtomicU64::new(0)).collect() }
+        let zeros = || (0..ranks).map(|_| AtomicU64::new(0)).collect();
+        Self { epoch: Instant::now(), beats: zeros(), cpis: zeros() }
     }
 
     fn now_ms(&self) -> u64 {
@@ -49,8 +52,9 @@ impl Heartbeats {
         (self.epoch.elapsed().as_millis() as u64).min(DONE - 1)
     }
 
-    /// Records progress for `rank`.
-    pub(crate) fn beat(&self, rank: usize) {
+    /// Records that `rank` starts CPI `cpi`.
+    pub(crate) fn beat(&self, rank: usize, cpi: u64) {
+        self.cpis[rank].store(cpi, Ordering::Release);
         self.beats[rank].store(self.now_ms(), Ordering::Release);
     }
 
@@ -83,6 +87,25 @@ fn expired(
     })
 }
 
+/// Whom an expiry blames: the most upstream live rank of the oldest CPI in
+/// flight. A stall spreads downstream, since every rank behind a stalled
+/// one waits on it. Ranks beat when they start a CPI, which is after their
+/// non-blocking sends, so a stalled rank descheduled between its sends and
+/// its beat looks younger than the ranks waiting on it, and the first rank
+/// to expire need not be the stalled one. World order is stage order, so
+/// the least `(CPI, rank)` over live ranks is the stage the others wait on.
+fn culprit(
+    spec: &WatchdogSpec,
+    stage_of: &[(String, usize)],
+    beats: &[u64],
+    cpis: &[u64],
+) -> Option<Expiry> {
+    let rank = (0..beats.len()).filter(|&r| beats[r] != DONE).min_by_key(|&r| (cpis[r], r))?;
+    let (stage_name, stage_idx) = &stage_of[rank];
+    let deadline_ms = spec.deadlines[*stage_idx].as_millis() as u64;
+    Some(Expiry { stage: stage_name.clone(), deadline_ms })
+}
+
 /// The earliest instant (milliseconds since the run epoch) at which any
 /// live rank could expire: the minimum over live ranks of last beat plus
 /// deadline, plus the one millisecond `expired` needs to see it late.
@@ -99,7 +122,7 @@ fn next_expiry(spec: &WatchdogSpec, stage_of: &[(String, usize)], beats: &[u64])
 }
 
 /// Monitor loop: runs until `stop` is set or a deadline expires; on expiry
-/// it calls `raise` (the world abort) and returns what expired. Between
+/// it calls `raise` (the world abort) and returns the [`culprit`]. Between
 /// checks it parks until the earliest possible expiry — a beat only moves
 /// that later — and whoever sets `stop` unparks it.
 pub(crate) fn monitor(
@@ -112,9 +135,10 @@ pub(crate) fn monitor(
     while !stop.load(Ordering::Acquire) {
         let now = beats.now_ms();
         let last: Vec<u64> = beats.beats.iter().map(|b| b.load(Ordering::Acquire)).collect();
-        if let Some(fired) = expired(spec, stage_of, &last, now) {
+        if let Some(first) = expired(spec, stage_of, &last, now) {
             raise();
-            return Some(fired);
+            let cpis: Vec<u64> = beats.cpis.iter().map(|c| c.load(Ordering::Acquire)).collect();
+            return Some(culprit(spec, stage_of, &last, &cpis).unwrap_or(first));
         }
         match next_expiry(spec, stage_of, &last) {
             Some(at) => std::thread::park_timeout(Duration::from_millis(at.saturating_sub(now))),
@@ -153,6 +177,26 @@ mod tests {
         assert_eq!(expired(&spec, &stage_of, &[DONE, 20], 30), None);
         let fired = expired(&spec, &stage_of, &[DONE, 20], 31).expect("watchdog must fire");
         assert_eq!(fired, Expiry { stage: "reader".into(), deadline_ms: 10 });
+    }
+
+    #[test]
+    fn an_expiry_blames_the_stalled_upstream_rank() {
+        let spec = WatchdogSpec::uniform(3, Duration::from_millis(200));
+        let stage_of =
+            vec![("Doppler".to_string(), 0), ("weight".to_string(), 1), ("cfar".to_string(), 2)];
+        // The weight rank beat CPI 1 at 10 ms, before the Doppler rank that
+        // feeds it (12 ms): the weight rank expires first, the Doppler rank
+        // is blamed.
+        let beats = [12, 10, 11];
+        let first = expired(&spec, &stage_of, &beats, 211).expect("the weight rank is late");
+        assert_eq!(first.stage, "weight");
+        let blamed = culprit(&spec, &stage_of, &beats, &[1, 1, 1]).expect("live ranks");
+        assert_eq!(blamed, Expiry { stage: "Doppler".into(), deadline_ms: 200 });
+        // A rank still on an older CPI is the one the others wait on, and a
+        // finished rank is never blamed.
+        let blamed = culprit(&spec, &stage_of, &[DONE, 10, 11], &[3, 2, 1]).expect("live");
+        assert_eq!(blamed.stage, "cfar");
+        assert_eq!(culprit(&spec, &stage_of, &[DONE; 3], &[0; 3]), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::pareto::pareto_split;
 use crate::plan::{
-    Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats, SlaOutcome,
+    FrontView, Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats,
 };
 use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContext};
 use crate::search::search_structure;
@@ -297,40 +297,8 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
     }
     let front_ids: Vec<usize> = front_local.iter().map(|&k| survivors[k]).collect();
 
-    // SLA stage: filter the front against the latency bound. Filtering the
-    // front alone is sufficient — any feasible off-front plan is dominated
-    // by a front plan with latency no worse, hence also feasible.
     let sla = cfg.max_latency.map(|max_latency| {
-        let feasible_ids: Vec<usize> = front_ids
-            .iter()
-            .copied()
-            .filter(|&i| plans[i].ranked().latency <= max_latency)
-            .collect();
-        let best_id = feasible_ids.first().copied();
-        let infeasible = if best_id.is_some() {
-            None
-        } else {
-            let closest = front_ids
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    plans[a]
-                        .ranked()
-                        .latency
-                        .partial_cmp(&plans[b].ranked().latency)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("front nonempty");
-            let lat = plans[closest].ranked().latency;
-            Some(format!(
-                "no front plan meets the {max_latency:.3} s bound; closest is #{closest} \
-                 ({}, {}) at {lat:.3} s, {:.1}% over",
-                plans[closest].machine,
-                plans[closest].assignment_str(),
-                (lat / max_latency - 1.0) * 100.0
-            ))
-        };
-        SlaOutcome { max_latency, feasible_ids, best_id, infeasible }
+        FrontView { plans: plans.iter().collect(), front: front_ids.clone() }.sla(max_latency)
     });
 
     // Reliability stage: filter the front against the failure-probability
@@ -548,6 +516,51 @@ mod tests {
                 assert!(report.plans[i].ranked().throughput <= best.ranked().throughput + 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn a_pinned_view_of_the_unpinned_search_is_the_pinned_search() {
+        let key = |p: &Plan| {
+            format!(
+                "{} {} {:?} {:?} {:?} {} {} {:?}",
+                p.machine,
+                p.stripe_factor,
+                p.io,
+                p.tail,
+                p.origin,
+                p.assignment_str(),
+                p.total_nodes,
+                p.analytic
+            )
+        };
+        for m in [MachineModel::paragon(16), MachineModel::paragon_tunable()] {
+            let base = PlannerConfig { machines: vec![m], ..small_cfg() }.without_des();
+            let free = plan(&base);
+            for io in [None, Some(IoStrategy::Embedded), Some(IoStrategy::SeparateTask)] {
+                for tail in [None, Some(TailStructure::Split), Some(TailStructure::Combined)] {
+                    let mut cfg = base.clone().with_max_latency(1e-9);
+                    cfg.ios = io.map_or(cfg.ios, |io| vec![io]);
+                    cfg.tails = tail.map_or(cfg.tails, |tail| vec![tail]);
+                    let pinned = plan(&cfg);
+                    let view = free.pinned(io, tail);
+                    let got: Vec<String> = view.plans.iter().map(|p| key(p)).collect();
+                    let want: Vec<String> = pinned.plans.iter().map(key).collect();
+                    assert_eq!(got, want, "{io:?} {tail:?}: the same plans in the same order");
+                    assert_eq!(view.front, pinned.front_ids, "{io:?} {tail:?}");
+                    let why = view.sla(1e-9).infeasible.expect("an unmeetable bound");
+                    assert_eq!(Some(why), pinned.sla.and_then(|s| s.infeasible), "plan ids match");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "analytic")]
+    fn a_des_validated_report_has_no_pinned_view() {
+        let mut cfg = small_cfg();
+        cfg.des_cpis = 12;
+        cfg.des_warmup = 2;
+        plan(&cfg).pinned(Some(IoStrategy::Embedded), None);
     }
 
     #[test]

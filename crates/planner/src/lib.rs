@@ -55,7 +55,8 @@ mod search;
 pub use evaluate::{plan, PlannerConfig};
 pub use pareto::pareto_split;
 pub use plan::{
-    Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats, SlaOutcome,
+    FrontView, Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats,
+    SlaOutcome,
 };
 pub use reliability::FaultContext;
 pub use report::{render_text, to_json};

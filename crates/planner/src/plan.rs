@@ -1,5 +1,6 @@
 //! Plan, metrics, and provenance types — the planner's public vocabulary.
 
+use crate::pareto::pareto_split;
 use stap_core::desmodel::Redundancy;
 use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_model::assignment::Assignment;
@@ -277,6 +278,76 @@ impl SearchReport {
     /// dominated by a front plan at least as reliable.
     pub fn best_surviving(&self) -> Option<&Plan> {
         self.fault.as_ref().and_then(|f| f.best_id).map(|i| &self.plans[i])
+    }
+
+    /// The front a search pinned to I/O design `io` and tail structure
+    /// `tail` (`None` = not pinned) would have returned, answered from this
+    /// report: its plans of those structures, in order, and their Pareto
+    /// front. Each structure's candidates and exact scores do not depend
+    /// on any other structure, so the view equals the pinned search's
+    /// report bit for bit, plan ids included.
+    ///
+    /// # Panics
+    /// Panics on a DES-validated report: which plans a pinned search
+    /// validates depends on the structures it leaves out.
+    pub fn pinned(&self, io: Option<IoStrategy>, tail: Option<TailStructure>) -> FrontView<'_> {
+        assert_eq!(self.stats.des_evals, 0, "a pinned front is re-extracted from analytic metrics");
+        let plans: Vec<&Plan> = self
+            .plans
+            .iter()
+            .filter(|p| io.is_none_or(|io| p.io == io) && tail.is_none_or(|t| p.tail == t))
+            .collect();
+        let (front, _) = pareto_split(&plans.iter().map(|p| p.analytic).collect::<Vec<_>>());
+        FrontView { plans, front }
+    }
+}
+
+/// A Pareto front over some plans, numbered as a search over only those
+/// plans would number them.
+#[derive(Debug, Clone)]
+pub struct FrontView<'a> {
+    /// The plans in view; `plans[k]` is plan `#k` of the view.
+    pub plans: Vec<&'a Plan>,
+    /// Indices into `plans` of the front, best throughput first.
+    pub front: Vec<usize>,
+}
+
+impl FrontView<'_> {
+    /// The front plans, best throughput first.
+    pub fn front(&self) -> impl Iterator<Item = &Plan> + '_ {
+        self.front.iter().map(|&k| self.plans[k])
+    }
+
+    /// The SLA stage: the front plans meeting latency bound `max_latency`,
+    /// or, when none does, which one comes closest. Filtering the front
+    /// alone is sufficient — any feasible off-front plan is dominated by a
+    /// front plan with latency no worse, hence also feasible. Ids are the
+    /// view's own.
+    ///
+    /// # Panics
+    /// Panics on an empty front.
+    pub fn sla(&self, max_latency: f64) -> SlaOutcome {
+        let lat = |k: usize| self.plans[k].ranked().latency;
+        let feasible_ids: Vec<usize> =
+            self.front.iter().copied().filter(|&k| lat(k) <= max_latency).collect();
+        let best_id = feasible_ids.first().copied();
+        let infeasible = best_id.is_none().then(|| {
+            let closest = self
+                .front
+                .iter()
+                .copied()
+                .min_by(|&a, &b| lat(a).partial_cmp(&lat(b)).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("front nonempty");
+            let (p, lat) = (self.plans[closest], lat(closest));
+            format!(
+                "no front plan meets the {max_latency:.3} s bound; closest is #{closest} \
+                 ({}, {}) at {lat:.3} s, {:.1}% over",
+                p.machine,
+                p.assignment_str(),
+                (lat / max_latency - 1.0) * 100.0
+            )
+        });
+        SlaOutcome { max_latency, feasible_ids, best_id, infeasible }
     }
 }
 

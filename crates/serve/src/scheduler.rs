@@ -15,7 +15,7 @@ use stap_model::machines::MachineModel;
 use stap_model::tasktable::task_table;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
 use stap_pfs::timing::extent_service;
-use stap_planner::PlannerConfig;
+use stap_planner::{PlannerConfig, SearchReport};
 use std::sync::Arc;
 
 /// Fleet-level configuration: pool size, worker bound, queue bound.
@@ -118,8 +118,9 @@ pub struct Counters {
     pub failed: u64,
 }
 
-/// One CPI of a plan, priced once per plan-cache entry for the capacity
-/// model on the mission's machine restriped to the plan's stripe factor.
+/// One CPI of a plan, priced once per (search shape, plan id) for the
+/// capacity model on the mission's machine restriped to the plan's stripe
+/// factor: missions whose SLA or pins choose the same plan share it.
 #[derive(Debug)]
 pub struct PlanCost {
     /// What a file-fed and a stream-fed mission on the plan run: the plan's
@@ -182,23 +183,26 @@ pub struct Scheduler {
     counters: Counters,
     next_id: u64,
     next_seq: u64,
-    plan_cache: Vec<(PlanKey, Priced)>,
+    /// The analytic-only report of each search shape met so far.
+    searches: Vec<(SearchShape, SearchReport)>,
+    /// Each chosen plan's price, by (index into `searches`, plan id).
+    prices: Vec<((usize, usize), Arc<PlanCost>)>,
 }
 
-/// Cache key of the admission search (the planner is deterministic, so one
-/// search per distinct request shape, stripe factor and node cap is
-/// enough).
+/// What one admission search reads, and so the key it is cached under:
+/// the machine, the stripe factors it may choose among (the profile's own,
+/// or the surviving directories after a loss), the node budget, and the
+/// I/O designs and tail structures searched. Those are the planner's
+/// default menus unless a spec pins a design outside them. The latency
+/// SLA, the node cap and pins inside the menus only filter the search's
+/// front, so they are not part of the shape.
 #[derive(Debug, Clone, PartialEq)]
-struct PlanKey {
+struct SearchShape {
     machine: String,
-    /// The stripe factors the search may choose among: the profile's own,
-    /// or the surviving directories after a loss.
     stripe_factors: Vec<usize>,
     nodes: usize,
-    cap: usize,
-    max_latency: Option<f64>,
-    io: Option<stap_core::IoStrategy>,
-    tail: Option<stap_core::TailStructure>,
+    ios: Vec<stap_core::IoStrategy>,
+    tails: Vec<stap_core::TailStructure>,
 }
 
 impl Scheduler {
@@ -212,7 +216,8 @@ impl Scheduler {
             counters: Counters::default(),
             next_id: 0,
             next_seq: 0,
-            plan_cache: Vec::new(),
+            searches: Vec::new(),
+            prices: Vec::new(),
         }
     }
 
@@ -276,51 +281,56 @@ impl Scheduler {
         Ok(priced)
     }
 
-    /// The admission search: finds (or recalls) the best feasible plan for
-    /// a spec on `machine` — max analytic throughput over the planner's
-    /// Pareto front, restricted to plans of at most `cap` nodes whose
-    /// latency meets the SLA — and prices it.
+    /// The admission search: the best feasible plan for a spec on
+    /// `machine` — max analytic throughput over the planner's Pareto front,
+    /// restricted to plans of at most `cap` nodes whose latency meets the
+    /// SLA — and its price. The planner runs once per [`SearchShape`]:
+    /// neither the SLA nor the cap changes what it searches, and an I/O or
+    /// tail pin inside its default space is answered from the unpinned
+    /// search's plans of that structure ([`SearchReport::pinned`]). A plan
+    /// is priced once per (shape, plan id), however many specs choose it.
     fn search(
         &mut self,
         spec: &MissionSpec,
         machine: &MachineModel,
         cap: usize,
     ) -> Result<Priced, AdmissionError> {
-        let key = PlanKey {
-            machine: spec.machine.clone(),
-            stripe_factors: machine.stripe_options(),
-            nodes: spec.nodes,
-            cap,
-            max_latency: spec.max_latency,
-            io: spec.io,
-            tail: spec.tail,
-        };
-        if let Some((_, priced)) = self.plan_cache.iter().find(|(k, _)| *k == key) {
-            return Ok(priced.clone());
-        }
         // A trimmed, analytic-only search: admission sits on the submit
         // path, so it trades beam width for latency. The full-width search
         // is still available offline via `ppstap plan`.
-        let mut cfg = PlannerConfig::new(vec![machine.clone()], spec.nodes).without_des();
+        let mut cfg = PlannerConfig::new(Vec::new(), spec.nodes).without_des();
         cfg.beam_width = 12;
         cfg.per_structure = 6;
-        cfg.max_latency = spec.max_latency;
-        if let Some(io) = spec.io {
+        if let Some(io) = spec.io.filter(|io| !cfg.ios.contains(io)) {
             cfg.ios = vec![io];
         }
-        if let Some(tail) = spec.tail {
+        if let Some(tail) = spec.tail.filter(|tail| !cfg.tails.contains(tail)) {
             cfg.tails = vec![tail];
         }
-        let report = stap_planner::plan(&cfg);
-        let best = report
+        let shape = SearchShape {
+            machine: spec.machine.clone(),
+            stripe_factors: machine.stripe_options(),
+            nodes: spec.nodes,
+            ios: cfg.ios.clone(),
+            tails: cfg.tails.clone(),
+        };
+        let s = match self.searches.iter().position(|(k, _)| *k == shape) {
+            Some(s) => s,
+            None => {
+                cfg.machines.push(machine.clone());
+                self.searches.push((shape, stap_planner::plan(&cfg)));
+                self.searches.len() - 1
+            }
+        };
+        let view = self.searches[s].1.pinned(spec.io, spec.tail);
+        let best = view
             .front()
-            .into_iter()
             .filter(|p| p.total_nodes <= cap)
             .filter(|p| spec.max_latency.is_none_or(|sla| p.ranked().latency <= sla))
             .max_by(|a, b| a.ranked().throughput.total_cmp(&b.ranked().throughput));
         let Some(p) = best else {
             let detail =
-                report.sla.as_ref().and_then(|s| s.infeasible.clone()).unwrap_or_else(|| {
+                spec.max_latency.and_then(|sla| view.sla(sla).infeasible).unwrap_or_else(|| {
                     format!("no front plan fits {} nodes within the pool of {cap}", spec.nodes)
                 });
             return Err(AdmissionError::NoFeasiblePlan { detail });
@@ -334,8 +344,15 @@ impl Scheduler {
             throughput: p.ranked().throughput,
             latency: p.ranked().latency,
         };
-        let cost = Arc::new(PlanCost::price(machine, &plan, p.assignment.clone()));
-        self.plan_cache.push((key, (plan.clone(), Arc::clone(&cost))));
+        let key = (s, p.id);
+        let cost = match self.prices.iter().find(|(k, _)| *k == key) {
+            Some((_, cost)) => Arc::clone(cost),
+            None => {
+                let cost = Arc::new(PlanCost::price(machine, &plan, p.assignment.clone()));
+                self.prices.push((key, Arc::clone(&cost)));
+                cost
+            }
+        };
         Ok((plan, cost))
     }
 
@@ -633,7 +650,7 @@ mod tests {
         s.submit(spec("b", 25, 0), 1.0).unwrap();
         let after = s.next_ready(1.0).expect("b dispatches").plan;
         assert_eq!(a.plan, after, "the loss changes no input of the admission search");
-        assert_eq!(s.plan_cache.len(), 2, "one admission search serves both sides of the fault");
+        assert_eq!(s.searches.len(), 2, "one admission search serves both sides of the fault");
     }
 
     #[test]
@@ -649,8 +666,8 @@ mod tests {
         // One search per distinct key: a second failover of the same shape
         // recalls the first.
         let again = s.degraded_plan(d.id);
-        assert!(again.0 == p && Arc::ptr_eq(&again.1, &cost), "the same plan-cache entry");
-        assert_eq!(s.plan_cache.len(), 2, "admission and degraded keys differ by stripe factor");
+        assert!(again.0 == p && Arc::ptr_eq(&again.1, &cost), "the same search and price");
+        assert_eq!(s.searches.len(), 2, "admission and degraded keys differ by stripe factor");
     }
 
     #[test]
@@ -665,11 +682,125 @@ mod tests {
         assert_eq!(d.cost.runs[0].rec.rows().iter().filter(|r| r.read.is_some()).count(), 1);
     }
 
+    /// The admission rule before searches were shared: one planner run
+    /// with the spec's own SLA and pins, filtered by the cap.
+    fn direct_admission(spec: &MissionSpec, cap: usize) -> Result<PlanChoice, String> {
+        let machine = machine_profile(&spec.machine).expect("a known machine");
+        let mut cfg = PlannerConfig::new(vec![machine], spec.nodes).without_des();
+        cfg.beam_width = 12;
+        cfg.per_structure = 6;
+        cfg.max_latency = spec.max_latency;
+        cfg.ios = spec.io.map_or(cfg.ios, |io| vec![io]);
+        cfg.tails = spec.tail.map_or(cfg.tails, |tail| vec![tail]);
+        let report = stap_planner::plan(&cfg);
+        let best = report
+            .front()
+            .into_iter()
+            .filter(|p| p.total_nodes <= cap)
+            .filter(|p| spec.max_latency.is_none_or(|sla| p.ranked().latency <= sla))
+            .max_by(|a, b| a.ranked().throughput.total_cmp(&b.ranked().throughput));
+        match best {
+            Some(p) => Ok(PlanChoice {
+                stripe_factor: p.stripe_factor,
+                io: p.io,
+                tail: p.tail,
+                total_nodes: p.total_nodes,
+                assignment: p.assignment_str(),
+                throughput: p.ranked().throughput,
+                latency: p.ranked().latency,
+            }),
+            None => Err(report.sla.and_then(|s| s.infeasible).unwrap_or_else(|| {
+                format!("no front plan fits {} nodes within the pool of {cap}", spec.nodes)
+            })),
+        }
+    }
+
+    #[test]
+    fn shared_searches_admit_exactly_as_one_search_per_spec() {
+        use stap_core::{IoStrategy, TailStructure};
+        // A 40-node pool: a 40-node separate-I/O plan (44 with its
+        // readers) is cut by the cap.
+        let mut s = Scheduler::new(ServeConfig { pool_nodes: 40, ..small_cfg() });
+        let ios = [
+            None,
+            Some(IoStrategy::Embedded),
+            Some(IoStrategy::SeparateTask),
+            Some(IoStrategy::Cached { mb: 32 }),
+        ];
+        let tails = [None, Some(TailStructure::Split), Some(TailStructure::Combined)];
+        let (mut admitted, mut refused) = (0, 0);
+        for machine in MachineModel::KEYS.split('|') {
+            for nodes in [7, 12, 16, 20, 40] {
+                for io in ios {
+                    for tail in tails {
+                        // Loose cuts part of most fronts; infeasible cuts all.
+                        for max_latency in [None, Some(1.2), Some(1e-9)] {
+                            let spec = MissionSpec {
+                                machine: machine.into(),
+                                nodes,
+                                max_latency,
+                                io,
+                                tail,
+                                ..MissionSpec::new("m")
+                            };
+                            let cap = machine_profile(machine)
+                                .expect("a known machine")
+                                .pool_size()
+                                .map_or(40, |p| p.min(40));
+                            let got = s.admit(&spec).map(|(plan, _)| plan).map_err(|e| match e {
+                                AdmissionError::NoFeasiblePlan { detail } => detail,
+                                other => panic!("{spec:?}: {other}"),
+                            });
+                            assert_eq!(got, direct_admission(&spec, cap), "{spec:?}");
+                            if got.is_ok() {
+                                admitted += 1
+                            } else {
+                                refused += 1
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(admitted > 0 && refused > 4 * 5 * 4 * 3, "{admitted} admitted, {refused} refused");
+        // Per machine and budget: the default menus, and cached:32 alone.
+        assert_eq!(s.searches.len(), 4 * 5 * 2);
+    }
+
+    #[test]
+    fn a_48_key_script_searches_each_shape_once() {
+        let mut s = Scheduler::new(ServeConfig { queue_capacity: 64, ..ServeConfig::default() });
+        let mut keys = 0;
+        for machine in ["paragon16", "paragon64", "sp", "paragon-het"] {
+            for nodes in [12, 16, 20] {
+                for io in [None, Some(stap_core::IoStrategy::Embedded)] {
+                    for max_latency in [None, Some(120.0)] {
+                        let spec = MissionSpec {
+                            machine: machine.into(),
+                            nodes,
+                            max_latency,
+                            io,
+                            ..MissionSpec::new(format!("m{keys}"))
+                        };
+                        s.submit(spec, 0.0).expect("admitted");
+                        keys += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(keys, 48);
+        assert_eq!(s.searches.len(), 12, "one planner run per machine and budget");
+        assert!(s.prices.len() <= 24, "{} prices for 48 keys", s.prices.len());
+        let (a, b) = (&s.queue[0], &s.queue[1]);
+        assert_eq!(a.plan, b.plan, "a 120 s SLA does not change the choice");
+        assert!(Arc::ptr_eq(&a.cost, &b.cost), "the same plan is priced once");
+    }
+
     #[test]
     fn plan_cache_reuses_identical_requests() {
         let mut s = Scheduler::new(small_cfg());
         s.submit(spec("a", 25, 0), 0.0).unwrap();
         s.submit(spec("b", 25, 0), 0.0).unwrap();
-        assert_eq!(s.plan_cache.len(), 1, "second identical spec hits the cache");
+        assert_eq!(s.searches.len(), 1, "second identical spec hits the cache");
     }
 }

@@ -32,26 +32,15 @@ use crate::restripe::{restripe_live, LiveFile, RestripeReport};
 use crate::StoreError;
 use parking_lot::Mutex;
 use stap_model::cachetier::hit_time;
-use stap_pfs::{FileHandle, Pfs, PfsError};
-use stap_pipeline::{CpiSource, FailureClass, PendingFetch, Phase, SourceError};
+use stap_pfs::{FileHandle, Pfs};
+use stap_pipeline::{CpiSource, PendingFetch, Phase, SourceError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn pfs_error(e: PfsError) -> SourceError {
-    let class = if e.is_infrastructure_loss() {
-        FailureClass::InfrastructureLoss
-    } else if e.is_transient() {
-        FailureClass::Retryable
-    } else {
-        FailureClass::Permanent
-    };
-    SourceError { class, detail: e.to_string() }
-}
 
 fn store_error(e: StoreError) -> SourceError {
     match e {
         StoreError::MigrationRead(p) | StoreError::MigrationWrite(p) | StoreError::Pfs(p) => {
-            pfs_error(p)
+            p.into()
         }
         other => SourceError::permanent(other.to_string()),
     }
@@ -211,7 +200,7 @@ impl StoreSource {
         let (result, pause) = match &self.chunker {
             None => {
                 let (read, pause) = file.read_body(cpi, key.offset, key.len);
-                (read.map_err(pfs_error), pause)
+                (read.map_err(SourceError::from), pause)
             }
             Some(c) => {
                 let (read, pause) = c.read(&file, key.offset, key.len);
@@ -295,6 +284,7 @@ impl CpiSource for StoreSource {
 mod tests {
     use super::*;
     use stap_pfs::{FsConfig, OpenMode, StripeConfig};
+    use stap_pipeline::FailureClass;
 
     fn staged(fanout: usize, cube_bytes: usize) -> (Pfs, Vec<FileHandle>, Vec<Vec<u8>>) {
         let fs = Pfs::mount(FsConfig::paragon_pfs(4));

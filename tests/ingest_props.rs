@@ -287,9 +287,10 @@ fn a_watchdog_expiry_frees_a_node_parked_on_a_staging_ring() {
     let sys = StapSystem::prepare(cfg).unwrap();
     let cube = sys.plan().files[0].read_at(0, sys.plan().config.dims.bytes()).unwrap();
     ring.push(StampedCube { seq: 0, bytes: Arc::new(cube) }).unwrap();
-    // Every stage gets the 200 ms floor, so the rank with the oldest beat
-    // expires first. The Doppler nodes park in `pop` right after sending
-    // CPI 0; every other node starts CPI 1 only after those sends.
+    // Every stage gets the 200 ms floor. The Doppler nodes park in `pop` on
+    // CPI 1 and every other node waits on their CPI 1 slabs, so whichever
+    // rank expires first, the watchdog blames the most upstream stage of
+    // the oldest CPI in flight.
     match within(Duration::from_secs(60), &ring, move || sys.run().map(|_| ())) {
         Err(PipelineError::Timeout { stage, deadline_ms }) => {
             assert_eq!(stage, "Doppler filter");
