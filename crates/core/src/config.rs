@@ -329,7 +329,7 @@ impl NodeCounts {
 }
 
 /// Full configuration of a real pipeline run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StapConfig {
     /// CPI cube geometry.
     pub dims: CubeDims,

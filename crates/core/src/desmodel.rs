@@ -213,7 +213,7 @@ impl Redundancy {
 /// whether the pipeline survives it — see [`Redundancy`]. The planner's
 /// node crashes are such faults: one
 /// [`Fault::NodeCrash`](stap_pfs::Fault::NodeCrash) window per crashed CPI.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesFaultModel {
     /// The read-fault schedule, as the executed run installs it.
     pub plan: FaultPlan,
@@ -355,7 +355,7 @@ impl DesFaultModel {
 }
 
 /// Configuration of one virtual-time experiment cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesExperiment {
     /// The machine to run on.
     pub machine: MachineModel,

@@ -28,17 +28,10 @@ use std::fmt::Write as _;
 /// where the stripe servers (not the nodes) are the binding resource.
 const SWEEP_NODES: usize = 100;
 
-/// The strategy menu the sweep scores (the same one `plan --io auto`
-/// searches, minus the separate-I/O design already covered by Table 2).
-fn sweep_ios() -> Vec<IoStrategy> {
-    vec![
-        IoStrategy::Embedded,
-        IoStrategy::Cached { mb: 32 },
-        IoStrategy::Cached { mb: 64 },
-        IoStrategy::Cached { mb: 128 },
-        IoStrategy::Prefetch { depth: 2 },
-        IoStrategy::Prefetch { depth: 4 },
-    ]
+/// The strategy menu the sweep scores: [`IoStrategy::AUTO_MENU`] minus
+/// the separate-I/O design already covered by Table 2.
+fn sweep_ios() -> impl Iterator<Item = IoStrategy> {
+    IoStrategy::AUTO_MENU.into_iter().filter(|&io| io != IoStrategy::SeparateTask)
 }
 
 /// Steady-state cache temperature of a strategy over the paper-default

@@ -31,8 +31,9 @@ fn slab_extent(dims: CubeDims, r0: usize, r1: usize) -> (u64, usize) {
 enum ReadOutcome {
     /// The bytes arrived (possibly after retries).
     Data(SharedExtent),
-    /// The retry budget ran out under `SkipCpi`; the CPI is dropped.
-    Dropped(String),
+    /// The retry budget ran out under `SkipCpi`; the CPI is dropped, and
+    /// the drop is already noted in the plan's fault stats.
+    Dropped(Gap),
 }
 
 /// Fetches `len` bytes at `off` of the current CPI's cube from the plan's
@@ -123,7 +124,9 @@ fn read_with_policy(
                         ctx.fail(format!("{drops} consecutive CPIs dropped (budget {budget})"))
                     );
                 }
-                return Ok(ReadOutcome::Dropped(format!("{label}: {e}")));
+                let gap = gap_here(ctx, format!("{label}: {e}"));
+                plan.stats.note_drop(gap.clone());
+                return Ok(ReadOutcome::Dropped(gap));
             }
             AfterFailure::Abort => return Err(ctx.fail(format!("{label}: {e}"))),
         }
@@ -168,9 +171,7 @@ impl Stage for ReadStage {
         let gate_bytes = dims.channels * dims.pulses * 8;
         let (bytes, gap) = match outcome {
             ReadOutcome::Data(bytes) => (bytes, None),
-            ReadOutcome::Dropped(reason) => {
-                (SharedExtent::owned(Vec::new()), Some(gap_here(ctx, reason)))
-            }
+            ReadOutcome::Dropped(gap) => (SharedExtent::owned(Vec::new()), Some(gap)),
         };
         for d in 0..df_nodes {
             let (d0, d1) = block_range(dims.ranges, df_nodes, d);
@@ -278,7 +279,7 @@ impl DopplerStage {
         }
         Ok(match outcome {
             ReadOutcome::Data(extent) => Ok(Wire::Fetched(extent)),
-            ReadOutcome::Dropped(reason) => Err(gap_here(ctx, reason)),
+            ReadOutcome::Dropped(gap) => Err(gap),
         })
     }
 

@@ -93,9 +93,11 @@ pub(crate) fn broadcast_gap<T: Send + 'static>(
 
 /// Run-wide fault accounting, shared by every stage through the plan.
 ///
-/// Retries are counted wherever they happen; dropped CPIs are recorded
-/// once, at the sink (node 0 of the final task), deduplicated by CPI so a
-/// gap fanning out over many nodes still counts as one drop.
+/// Retries are counted wherever they happen. A dropped CPI is noted where
+/// a front node drops it, so a run that fails later still reports it, and
+/// recorded again at the sink (node 0 of the final task), whose record
+/// replaces the note; both are keyed by CPI so a gap fanning out over many
+/// nodes still counts as one drop.
 #[derive(Debug, Default)]
 pub struct FaultStats {
     retries: AtomicU64,
@@ -119,12 +121,22 @@ impl FaultStats {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Records a dropped CPI (idempotent per CPI).
+    /// Records a dropped CPI as the sink saw it, replacing any note or
+    /// earlier record of the same CPI.
     pub fn record_drop(&self, gap: Gap) {
         let mut dropped = self.dropped.lock();
-        if !dropped.iter().any(|g| g.cpi == gap.cpi) {
-            dropped.push(gap);
-            dropped.sort_by_key(|g| g.cpi);
+        match dropped.binary_search_by_key(&gap.cpi, |g| g.cpi) {
+            Ok(i) => dropped[i] = gap,
+            Err(i) => dropped.insert(i, gap),
+        }
+    }
+
+    /// Notes a dropped CPI where it is dropped, unless the CPI is already
+    /// noted or recorded.
+    pub fn note_drop(&self, gap: Gap) {
+        let mut dropped = self.dropped.lock();
+        if let Err(i) = dropped.binary_search_by_key(&gap.cpi, |g| g.cpi) {
+            dropped.insert(i, gap);
         }
     }
 
@@ -405,6 +417,16 @@ mod tests {
         stats.record_drop(gap(1));
         stats.record_drop(gap(4));
         assert_eq!(stats.dropped().iter().map(|g| g.cpi).collect::<Vec<_>>(), vec![1, 4]);
+        // A front node's note never replaces a record; the sink's record
+        // replaces a note.
+        let at = |origin: &str| Gap { cpi: 2, origin: origin.into(), reason: "x".into() };
+        stats.record_drop(at("sink"));
+        stats.note_drop(at("front"));
+        assert_eq!(stats.dropped()[1], at("sink"));
+        stats.note_drop(Gap { cpi: 3, ..at("front") });
+        stats.record_drop(Gap { cpi: 3, ..at("sink") });
+        assert_eq!(stats.dropped()[2], Gap { cpi: 3, ..at("sink") });
+        assert_eq!(stats.dropped().iter().map(|g| g.cpi).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         stats.count_retry();
         stats.count_retry();
         assert_eq!(stats.retries(), 2);

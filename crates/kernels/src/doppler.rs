@@ -89,7 +89,7 @@ fn ring_size(dist: usize, nbins: usize) -> usize {
 }
 
 /// Configuration of the Doppler filter task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DopplerConfig {
     /// Taper window applied to each pulse train before the FFT.
     pub window: Window,

@@ -31,7 +31,7 @@ pub enum WeightMethod {
 
 /// A set of look directions expressed as normalized spatial frequencies
 /// (`d·sinθ/λ`), one beam per direction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamSet {
     /// Normalized spatial frequencies in `[-0.5, 0.5)`.
     pub spatial_freqs: Vec<f64>,

@@ -34,6 +34,19 @@ pub enum IoStrategy {
 }
 
 impl IoStrategy {
+    /// The strategy menu `plan --io auto` searches: the paper's two
+    /// designs plus the store-tier strategies at a few cache sizes and
+    /// read-ahead depths.
+    pub const AUTO_MENU: [IoStrategy; 7] = [
+        IoStrategy::Embedded,
+        IoStrategy::SeparateTask,
+        IoStrategy::Cached { mb: 32 },
+        IoStrategy::Cached { mb: 64 },
+        IoStrategy::Cached { mb: 128 },
+        IoStrategy::Prefetch { depth: 2 },
+        IoStrategy::Prefetch { depth: 4 },
+    ];
+
     /// Display label used by the tables (the strategy kind; parameters
     /// are carried by [`IoStrategy::describe`]).
     pub fn label(self) -> &'static str {
@@ -155,6 +168,26 @@ impl TailStructure {
             TailStructure::Combined => "PC + CFAR combined",
         }
     }
+
+    /// Compact form, inverse of [`TailStructure::parse`]: `split` or
+    /// `combined`.
+    pub fn key(self) -> &'static str {
+        match self {
+            TailStructure::Split => "split",
+            TailStructure::Combined => "combined",
+        }
+    }
+
+    /// Parses the compact form accepted everywhere a tail is named (CLI
+    /// flags, serve scripts). The error reads `must be split|combined,
+    /// got '…'`, for the caller to prefix with the flag or key.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "split" => Ok(TailStructure::Split),
+            "combined" => Ok(TailStructure::Combined),
+            other => Err(format!("must be split|combined, got '{other}'")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +218,17 @@ mod tests {
         assert!(IoStrategy::parse("prefetch:0").is_err());
         let e = IoStrategy::parse("sideways").unwrap_err();
         assert!(e.contains("embedded|separate"), "{e}");
+    }
+
+    #[test]
+    fn tail_parse_and_key_round_trip() {
+        for tail in [TailStructure::Split, TailStructure::Combined] {
+            assert_eq!(TailStructure::parse(tail.key()), Ok(tail));
+        }
+        assert_eq!(
+            TailStructure::parse("fused").unwrap_err(),
+            "must be split|combined, got 'fused'"
+        );
     }
 
     #[test]

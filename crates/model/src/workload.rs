@@ -64,7 +64,7 @@ impl TaskId {
 }
 
 /// Geometry and algorithm parameters that determine the workloads.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeParams {
     /// Pulses per CPI.
     pub pulses: usize,

@@ -32,7 +32,7 @@ type Candidate = (stap_model::assignment::Assignment, usize, PlanOrigin, Option<
 
 /// Everything the planner needs: the machine/configuration space and the
 /// search knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Machine variants to search over (e.g. Paragon at each stripe factor).
     pub machines: Vec<MachineModel>,

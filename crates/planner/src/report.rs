@@ -45,7 +45,7 @@ pub fn render_text(r: &SearchReport) -> String {
             p.id,
             p.stripe_factor,
             short_io(p),
-            short_tail(p),
+            p.tail.key(),
             p.total_nodes,
             p.assignment_str(),
             fmt_metrics(p, fault_on),
@@ -103,7 +103,7 @@ pub fn render_text(r: &SearchReport) -> String {
             p.id,
             p.stripe_factor,
             short_io(p),
-            short_tail(p),
+            p.tail.key(),
             fmt_metrics(p, fault_on),
             p.outcome.describe(),
         ));
@@ -115,13 +115,6 @@ fn short_io(p: &Plan) -> String {
     // `describe()` yields exactly the old strings for the paper's two
     // designs, so the checked-in golden plans stay byte-identical.
     p.io.describe()
-}
-
-fn short_tail(p: &Plan) -> &'static str {
-    match p.tail {
-        stap_core::io_strategy::TailStructure::Split => "split",
-        stap_core::io_strategy::TailStructure::Combined => "combined",
-    }
 }
 
 fn json_f64(x: f64) -> String {
@@ -197,7 +190,7 @@ fn json_plan(p: &Plan, fault_on: bool) -> String {
         escape(&p.machine),
         p.stripe_factor,
         short_io(p),
-        short_tail(p),
+        p.tail.key(),
         p.origin.label(),
         nodes.join(","),
         p.compute_nodes,

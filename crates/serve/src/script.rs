@@ -174,16 +174,8 @@ fn parse_submit<'a>(
                 spec.io = Some(IoStrategy::parse(v).map_err(|e| err(lineno, format!("io= {e}")))?);
             }
             "tail" => {
-                spec.tail = Some(match v {
-                    "split" => TailStructure::Split,
-                    "combined" => TailStructure::Combined,
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!("tail= must be split|combined, got '{other}'"),
-                        ))
-                    }
-                });
+                spec.tail =
+                    Some(TailStructure::parse(v).map_err(|e| err(lineno, format!("tail= {e}")))?);
             }
             "source" => {
                 stream = match v {

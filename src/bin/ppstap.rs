@@ -1,57 +1,60 @@
 //! `ppstap` — the command-line driver.
 //!
-//! See `ppstap help` (or [`ppstap::cli::help`]) for usage.
+//! See `ppstap help` (or [`ppstap::cli::help`]) for usage. The parser hands
+//! each subcommand the library configuration it runs; a subcommand returns
+//! its exit code or the message of the error that ended it, and `main` is
+//! the one place that prints `error: …` and leaves the process.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use ppstap::cli::{
-    help, parse, Command, PlanArgs, RunArgs, ServeArgs, SimArgs, SubmitArgs, TraceMode, VerifyArgs,
-};
+use ppstap::cli::{help, parse, Command, ServeArgs, SubmitArgs, TraceMode, VerifyArgs};
 use ppstap::core::config::StapConfig;
 use ppstap::core::desmodel::{render_gantt, DesExperiment};
 use ppstap::core::experiments::ablation::sweep_stripe_factor;
-use ppstap::core::experiments::degradation::flaky_reads;
-use ppstap::core::StapSystem;
+use ppstap::core::{Gap, StapSystem};
 use ppstap::pipeline::timing::Phase;
 use ppstap::pipeline::topology::StageId;
 use ppstap::pipeline::ClockSpec;
+use ppstap::planner::PlannerConfig;
+use std::process::ExitCode;
 
-fn main() {
+/// A subcommand's exit code, or the message of the error that ended it.
+type Outcome = Result<ExitCode, String>;
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg_refs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    match parse(&arg_refs) {
-        Ok(Command::Help) => print!("{}", help()),
-        Ok(Command::Run(a)) => run(a),
-        Ok(Command::Sim(a)) => sim(a),
+    let outcome = match parse(&arg_refs) {
+        Ok(Command::Help) => {
+            print!("{}", help());
+            Ok(ExitCode::SUCCESS)
+        }
+        Ok(Command::Run { config, trace, virtual_clock }) => run(config, trace, virtual_clock),
+        Ok(Command::Sim { experiment, gantt }) => sim(experiment, gantt),
         Ok(Command::Tables { out }) => tables(out),
         Ok(Command::Sweep { nodes }) => sweep(nodes),
-        Ok(Command::Plan(a)) => plan_cmd(a),
+        Ok(Command::Plan { config, json }) => plan_cmd(&config, json),
         Ok(Command::Serve(a)) => serve_cmd(a),
         Ok(Command::Submit(a)) => submit_cmd(a),
         Ok(Command::Verify(a)) => verify_cmd(a),
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{}", help());
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
-    }
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn run(a: RunArgs) {
-    let config = StapConfig {
-        io: a.io,
-        access: a.access,
-        tail: a.tail,
-        cpis: a.cpis,
-        warmup: (a.cpis / 3).max(1),
-        fs: a.fs,
-        record_reports: a.record_reports,
-        fault_plan: a.fault_plan.clone(),
-        failure_policy: a.failure_policy,
-        watchdog: a.watchdog.then(ppstap::core::WatchdogPolicy::default),
-        source: a.source,
-        ..StapConfig::default()
-    };
+/// Exit code 1 without an `error:` line: the report printed says why.
+fn failed_if(failed: bool) -> Outcome {
+    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+fn run(config: StapConfig, trace: Option<TraceMode>, virtual_clock: bool) -> Outcome {
     println!("structure : {} / {}", config.io.label(), config.tail.label());
     if config.io.uses_store_tier() || config.access != ppstap::store::CubeAccess::Resident {
         println!("store tier: io={} access={}", config.io.describe(), config.access.label());
@@ -62,19 +65,22 @@ fn run(a: RunArgs) {
         config.dims.bytes() / 1024,
         config.fs.name
     );
-    let system = match StapSystem::prepare(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    let system = StapSystem::prepare(config).map_err(|e| e.to_string())?;
+    let config = &system.plan().config;
+    let faulted = |dropped: &[Gap], retries: u64| {
+        config.fault_plan.is_some() || !dropped.is_empty() || retries > 0
     };
-    let clocks = if a.virtual_clock { ClockSpec::virtual_default() } else { ClockSpec::Wall };
+    let clocks = if virtual_clock { ClockSpec::virtual_default() } else { ClockSpec::Wall };
     let out = match system.run_with_clock(clocks) {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+            // The drops and retries counted before the run failed.
+            let stats = &system.plan().stats;
+            let (dropped, retries) = (stats.dropped(), stats.retries());
+            if faulted(&dropped, retries) {
+                print_faults(&dropped, retries);
+            }
+            return Err(e.to_string());
         }
     };
 
@@ -121,44 +127,42 @@ fn run(a: RunArgs) {
         "latency (p95)  : {:>9.4} s",
         out.timing.latency_percentile(out.source, out.sink, 95.0)
     );
-    if a.fault_plan.is_some() || !out.dropped.is_empty() || out.retries > 0 {
+    if faulted(&out.dropped, out.retries) {
         println!("delivered      : {:>9.2} CPIs/s", out.delivered_throughput());
-        println!("read retries   : {:>9}", out.retries);
-        for g in &out.dropped {
-            println!("dropped CPI {} at {}: {}", g.cpi, g.origin, g.reason);
-        }
+        print_faults(&out.dropped, out.retries);
     }
     for r in &out.reports {
         println!("CPI {}: {} detections", r.cpi, r.cluster(4).len());
     }
-    if a.record_reports {
+    if config.record_reports {
         println!("\nreports written to report_<cpi>.dat on the parallel file system");
     }
-    match &a.trace {
+    match &trace {
         Some(TraceMode::Text) => {
             println!("\nphase statistics (all nodes, all CPIs):");
             print!("{}", out.timing.phase_table_text());
         }
         Some(TraceMode::Chrome(path)) => {
-            if let Err(e) = std::fs::write(path, out.timing.chrome_trace()) {
-                eprintln!("error: writing trace to {path}: {e}");
-                std::process::exit(1);
-            }
+            std::fs::write(path, out.timing.chrome_trace())
+                .map_err(|e| format!("writing trace to {path}: {e}"))?;
             println!("\nChrome trace written to {path} (load in chrome://tracing or Perfetto)");
         }
         None => {}
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn sim(a: SimArgs) {
-    let mut exp = DesExperiment::new(a.machine, a.io, a.tail, a.nodes);
-    if a.fault_rate > 0.0 {
-        let fanout = StapConfig::default().fanout;
-        let (plan, policy) = flaky_reads(a.fault_rate, a.fault_seed, fanout);
-        exp.faults = Some(ppstap::core::DesFaultModel::new(plan, policy, fanout, 0.002));
+/// A faulted run's read retries and dropped CPIs, whether it completed or
+/// failed.
+fn print_faults(dropped: &[Gap], retries: u64) {
+    println!("read retries   : {:>9}", retries);
+    for g in dropped {
+        println!("dropped CPI {} at {}: {}", g.cpi, g.origin, g.reason);
     }
-    if a.trace {
-        exp.cpis = 24;
+}
+
+fn sim(exp: DesExperiment, gantt: bool) -> Outcome {
+    if gantt {
         let (result, trace) = exp.run_traced();
         print_result(&result);
         let horizon = trace
@@ -170,6 +174,7 @@ fn sim(a: SimArgs) {
     } else {
         print_result(&exp.run());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_result(r: &ppstap::core::DesResult) {
@@ -197,11 +202,10 @@ fn print_result(r: &ppstap::core::DesResult) {
     }
 }
 
-fn tables(out: Option<String>) {
-    if let Err(e) = write_tables(out.as_deref()) {
-        eprintln!("error: writing artifacts to {}: {e}", out.unwrap_or_default());
-        std::process::exit(1);
-    }
+fn tables(out: Option<String>) -> Outcome {
+    write_tables(out.as_deref())
+        .map_err(|e| format!("writing artifacts to {}: {e}", out.unwrap_or_default()))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints every artifact and, given a directory, writes `<dir>/<name>.txt`.
@@ -221,41 +225,17 @@ fn write_tables(out: Option<&str>) -> std::io::Result<()> {
     Ok(())
 }
 
-fn plan_cmd(a: PlanArgs) {
-    let mut cfg = ppstap::planner::PlannerConfig::new(a.machines, a.nodes);
-    if let Some(ios) = a.ios {
-        cfg.ios = ios;
-    }
-    if a.no_des {
-        cfg.validate_des = false;
-    }
-    cfg.max_latency = a.max_latency;
-    if let Some(rate) = a.fault_rate {
-        cfg = cfg.with_fault_rate(rate);
-    }
-    if let Some(bound) = a.max_failure_prob {
-        cfg = cfg.with_max_failure_prob(bound);
-    }
-    let report = ppstap::planner::plan(&cfg);
-    if a.json {
+fn plan_cmd(cfg: &PlannerConfig, json: bool) -> Outcome {
+    let report = ppstap::planner::plan(cfg);
+    if json {
         println!("{}", ppstap::planner::to_json(&report));
     } else {
         print!("{}", ppstap::planner::render_text(&report));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn serve_config_from(a: &ServeArgs) -> ppstap::serve::ServeConfig {
-    ppstap::serve::ServeConfig {
-        pool_nodes: a.pool_nodes,
-        workers: a.workers,
-        queue_capacity: a.queue_capacity,
-        staging_capacity: a.staging,
-        fault: a.fault,
-        ..ppstap::serve::ServeConfig::default()
-    }
-}
-
-fn serve_cmd(a: ServeArgs) {
+fn serve_cmd(a: ServeArgs) -> Outcome {
     let script = if let Some(spec) = &a.arrivals {
         let mut template = ppstap::serve::MissionSpec::new("template");
         template.source = a.source.clone();
@@ -269,30 +249,18 @@ fn serve_cmd(a: ServeArgs) {
         );
         script
     } else {
-        let text = match std::fs::read_to_string(&a.script) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {}: {e}", a.script);
-                std::process::exit(1);
-            }
-        };
-        match ppstap::serve::WorkloadScript::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {}: {e}", a.script);
-                std::process::exit(1);
-            }
-        }
+        let text =
+            std::fs::read_to_string(&a.script).map_err(|e| format!("reading {}: {e}", a.script))?;
+        ppstap::serve::WorkloadScript::parse(&text).map_err(|e| format!("{}: {e}", a.script))?
     };
-    let cfg = serve_config_from(&a);
     let report = if a.sim {
         let sim = ppstap::serve::sim::SimConfig {
-            serve: cfg,
+            serve: a.config,
             read_model: ppstap::serve::sim::ReadModel::Planned,
         };
         ppstap::serve::simulate_fleet(&script, &sim)
     } else {
-        ppstap::serve::run_fleet(&script, &cfg)
+        ppstap::serve::run_fleet(&script, &a.config)
     };
     if a.json {
         println!("{}", report.to_json());
@@ -300,29 +268,20 @@ fn serve_cmd(a: ServeArgs) {
         print!("{}", report.render_text());
     }
     if let Some(path) = &a.trace {
-        if let Err(e) = std::fs::write(path, report.chrome_trace()) {
-            eprintln!("error: writing trace to {path}: {e}");
-            std::process::exit(1);
-        }
+        std::fs::write(path, report.chrome_trace())
+            .map_err(|e| format!("writing trace to {path}: {e}"))?;
         println!("fleet trace written to {path} (one mission-tagged track per mission)");
     }
-    if report.counters.failed > 0 {
-        std::process::exit(1);
-    }
+    failed_if(report.counters.failed > 0)
 }
 
-fn submit_cmd(a: SubmitArgs) {
-    let script = match ppstap::serve::WorkloadScript::parse(&a.script_text()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+fn submit_cmd(a: SubmitArgs) -> Outcome {
+    let script =
+        ppstap::serve::WorkloadScript::parse(&a.script_text()).map_err(|e| e.to_string())?;
     let out = ppstap::serve::run_fleet(&script, &ppstap::serve::ServeConfig::default());
     if let Some((name, why)) = out.rejected.first() {
         eprintln!("rejected {name}: {why}");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     if a.json {
         let mission = out.rows.first().map(ppstap::serve::MissionReport::to_json);
@@ -330,62 +289,32 @@ fn submit_cmd(a: SubmitArgs) {
     } else {
         print!("{}", out.render_text());
     }
-    if out.counters.failed > 0 {
-        std::process::exit(1);
-    }
+    failed_if(out.counters.failed > 0)
 }
 
-fn verify_cmd(a: VerifyArgs) {
+fn verify_cmd(a: VerifyArgs) -> Outcome {
     use ppstap::scenario as sc;
     let Some(mut scenario) = a.scenario.filter(|_| !a.list) else {
         println!("{:<14} {:<8} summary", "scenario", "targets");
         for s in sc::catalog() {
             println!("{:<14} {:<8} {}", s.name, s.scene.targets.len(), s.summary);
         }
-        return;
+        return Ok(ExitCode::SUCCESS);
     };
     if let Some(path) = &a.requirements {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match sc::Requirement::parse(&text) {
-            Ok(req) => scenario.requirement = req,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        scenario.requirement = sc::Requirement::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     }
     if let Some(sweep) = &a.sweep {
-        let points = match sc::sweep::run(&scenario, sweep, &a.source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        let passed = points.iter().all(|p| p.report.passed());
+        let points = sc::sweep::run(&scenario, sweep, &a.source).map_err(|e| e.to_string())?;
         if a.json {
             println!("{}", sc::sweep::to_json(&scenario.name, sweep, &points));
         } else {
             print!("{}", sc::sweep::table(&scenario.name, sweep, &points));
         }
-        if !passed {
-            std::process::exit(1);
-        }
-        return;
+        return failed_if(!points.iter().all(|p| p.report.passed()));
     }
-    let evaluation = match sc::evaluate_with_source(&scenario, a.source) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let evaluation = sc::evaluate_with_source(&scenario, a.source).map_err(|e| e.to_string())?;
     let report = sc::check(&scenario.name, &scenario.requirement, &evaluation);
     if a.json {
         println!("{}", report.to_json());
@@ -393,15 +322,14 @@ fn verify_cmd(a: VerifyArgs) {
         println!("{}", evaluation.summary());
         print!("{}", report.table());
     }
-    if !report.passed() {
-        std::process::exit(1);
-    }
+    failed_if(!report.passed())
 }
 
-fn sweep(nodes: usize) {
+fn sweep(nodes: usize) -> Outcome {
     println!("Paragon PFS stripe-factor sweep, {nodes} compute nodes, embedded I/O:\n");
     println!("{:<6}{:>12}{:>12}{:>10}", "sf", "CPI/s", "latency", "io util");
     for (sf, r) in sweep_stripe_factor(&[2, 4, 8, 16, 32, 64, 128], nodes) {
         println!("{:<6}{:>12.3}{:>12.4}{:>10.2}", sf, r.throughput, r.latency, r.io_utilization);
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -3,24 +3,46 @@
 //! One declarative table per subcommand: a `Flag` row per flag carries its
 //! name, value placeholder, one-line help and a typed setter, and one loop
 //! (`Subcommand::parse`) drives every table. `ppstap help` is generated
-//! from the same rows, so a flag cannot be parsed but undocumented. Setters parse, they do not validate: the `*Args` structs
-//! hold resolved models and parsed specs, never the strings that named
-//! them.
+//! from the same rows, so a flag cannot be parsed but undocumented. The
+//! setters write the library configuration a subcommand runs —
+//! [`StapConfig`], [`DesExperiment`], [`PlannerConfig`], [`ServeConfig`] —
+//! starting from that configuration's own defaults, so a [`Command`]
+//! carries the built configuration plus only the choices that belong to
+//! the CLI itself (trace output, clock, JSON, the workload source).
+//! Setters parse, they do not validate.
 
-use stap_core::{FailurePolicy, IoStrategy, SourceSpec, TailStructure};
+use stap_core::experiments::degradation::flaky_reads;
+use stap_core::{
+    DesExperiment, DesFaultModel, FailurePolicy, IoStrategy, SourceSpec, StapConfig, TailStructure,
+    WatchdogPolicy,
+};
 use stap_model::machines::MachineModel;
 use stap_pfs::{FaultPlan, FsConfig};
+use stap_planner::{FaultContext, PlannerConfig};
 use stap_scenario::{Scenario, Sweep};
-use stap_serve::{ArrivalSpec, FleetFault, WorkloadScript};
+use stap_serve::{ArrivalSpec, FleetFault, ServeConfig, WorkloadScript};
 use stap_store::CubeAccess;
 
 /// Parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `ppstap run` — the real threaded pipeline on a small cube.
-    Run(RunArgs),
+    Run {
+        /// The pipeline run.
+        config: StapConfig,
+        /// Structured trace output (`--trace text|chrome:PATH`).
+        trace: Option<TraceMode>,
+        /// Time phases on a deterministic virtual clock (timestamps count
+        /// clock observations), making trace output bit-reproducible.
+        virtual_clock: bool,
+    },
     /// `ppstap sim` — one virtual-time cell on a machine model.
-    Sim(SimArgs),
+    Sim {
+        /// The cell to simulate.
+        experiment: DesExperiment,
+        /// Print the execution Gantt chart (`--trace`).
+        gantt: bool,
+    },
     /// `ppstap tables` — regenerate the full evaluation.
     Tables {
         /// Output directory for `*.txt` artifacts (stdout only when absent).
@@ -32,7 +54,12 @@ pub enum Command {
         nodes: usize,
     },
     /// `ppstap plan` — search configurations for the Pareto front.
-    Plan(PlanArgs),
+    Plan {
+        /// The search.
+        config: PlannerConfig,
+        /// Emit the report as JSON instead of the text table.
+        json: bool,
+    },
     /// `ppstap serve` — run (or simulate) a multi-mission fleet from a
     /// workload script.
     Serve(ServeArgs),
@@ -63,9 +90,12 @@ pub struct VerifyArgs {
     pub json: bool,
 }
 
-/// Arguments of `ppstap serve`.
+/// Arguments of `ppstap serve`: the fleet configuration plus the workload
+/// it runs and how to report it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
+    /// The fleet: pool, workers, queue, staging tier and injected fault.
+    pub config: ServeConfig,
     /// Path of the workload script (`at <secs> submit …` lines). Empty
     /// when the workload comes from `--arrivals` instead.
     pub script: String,
@@ -79,43 +109,12 @@ pub struct ServeArgs {
     /// Source of every generated mission (`file` or `stream[:opts]`, the
     /// `ppstap run --source` grammar).
     pub source: SourceSpec,
-    /// Staging-tier capacity in cubes shared by all stream missions.
-    pub staging: usize,
     /// Predict in DES capacity mode instead of executing pipelines.
     pub sim: bool,
-    /// Concurrent missions the worker pool executes.
-    pub workers: usize,
-    /// Nodes in the shared pool.
-    pub pool_nodes: usize,
-    /// Bounded submission-queue capacity.
-    pub queue_capacity: usize,
     /// Emit the machine-readable fleet report instead of the table.
     pub json: bool,
     /// Write the merged mission-tagged Chrome trace here (real mode only).
     pub trace: Option<String>,
-    /// Injected fleet-level fault (`server-loss:IDX@T`), applied to both
-    /// real execution and `--sim`.
-    pub fault: Option<FleetFault>,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        Self {
-            script: String::new(),
-            arrivals: None,
-            duration: 10.0,
-            arrival_seed: 7,
-            source: SourceSpec::File,
-            staging: 256,
-            sim: false,
-            workers: 2,
-            pool_nodes: 128,
-            queue_capacity: 16,
-            json: false,
-            trace: None,
-            fault: None,
-        }
-    }
 }
 
 /// Arguments of `ppstap submit`.
@@ -135,50 +134,6 @@ impl SubmitArgs {
     }
 }
 
-/// Arguments of `ppstap plan`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanArgs {
-    /// The machine models to search, resolved from `--machine` (a family
-    /// "paragon" or "all", or one machine key) and `--stripe-factor`
-    /// (16, 64, or `auto`: the planner searches the sweep range 8..128 as
-    /// a first-class axis instead of fixing a factor up front).
-    pub machines: Vec<MachineModel>,
-    /// `--io` narrowing: `None` searches the paper's classic pair
-    /// {embedded, separate}; `auto` expands to the full store-tier menu
-    /// ([`auto_io_menu`]); a single strategy pins the axis.
-    pub ios: Option<Vec<IoStrategy>>,
-    /// Compute-node budget for the seven pipeline tasks.
-    pub nodes: usize,
-    /// Emit the report as JSON instead of the text table.
-    pub json: bool,
-    /// Skip stage-2 DES validation (analytic metrics only).
-    pub no_des: bool,
-    /// Latency SLA in seconds: report the max-throughput front plan that
-    /// meets the bound (or why none does).
-    pub max_latency: Option<f64>,
-    /// Per-node per-CPI failure rate enabling tri-criteria (throughput x
-    /// latency x reliability) planning.
-    pub fault_rate: Option<f64>,
-    /// Mission-failure-probability SLA: report the max-delivered-throughput
-    /// front plan whose failure probability meets the bound.
-    pub max_failure_prob: Option<f64>,
-}
-
-impl Default for PlanArgs {
-    fn default() -> Self {
-        Self {
-            machines: vec![MachineModel::paragon(16), MachineModel::paragon(64)],
-            ios: None,
-            nodes: 100,
-            json: false,
-            no_des: false,
-            max_latency: None,
-            fault_rate: None,
-            max_failure_prob: None,
-        }
-    }
-}
-
 /// Where `ppstap run` sends its structured phase trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceMode {
@@ -187,94 +142,6 @@ pub enum TraceMode {
     Chrome(String),
     /// Print the full per-stage phase-statistics table to stdout.
     Text,
-}
-
-/// Arguments of `ppstap run`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
-    /// I/O design.
-    pub io: IoStrategy,
-    /// Cube access mode (`--access resident|ooc:ROWS`): out-of-core
-    /// streams demand reads through footprint-bounded chunks.
-    pub access: CubeAccess,
-    /// Tail structure.
-    pub tail: TailStructure,
-    /// CPIs to execute.
-    pub cpis: u64,
-    /// File-system personality (`--fs pfs16|pfs64|piofs`).
-    pub fs: FsConfig,
-    /// Write detection reports back to the file system.
-    pub record_reports: bool,
-    /// Injected fault schedule (`--fault-plan` grammar; seeded by
-    /// `--fault-seed`).
-    pub fault_plan: Option<FaultPlan>,
-    /// Seed recorded into the fault plan (0 when unset).
-    pub fault_seed: u64,
-    /// How the pipeline reacts to read failures.
-    pub failure_policy: FailurePolicy,
-    /// Enable stage watchdogs (deadline factor over predicted task times).
-    pub watchdog: bool,
-    /// Structured trace output (`--trace text|chrome:PATH`).
-    pub trace: Option<TraceMode>,
-    /// Time phases on a deterministic virtual clock (timestamps count
-    /// clock observations), making trace output bit-reproducible.
-    pub virtual_clock: bool,
-    /// CPI source (`file` or `stream[:opts]`); file staging by default.
-    pub source: SourceSpec,
-}
-
-impl Default for RunArgs {
-    fn default() -> Self {
-        Self {
-            io: IoStrategy::Embedded,
-            access: CubeAccess::Resident,
-            tail: TailStructure::Split,
-            cpis: 6,
-            fs: FsConfig::paragon_pfs(16),
-            record_reports: false,
-            fault_plan: None,
-            fault_seed: 0,
-            failure_policy: FailurePolicy::Abort,
-            watchdog: false,
-            trace: None,
-            virtual_clock: false,
-            source: SourceSpec::File,
-        }
-    }
-}
-
-/// Arguments of `ppstap sim`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimArgs {
-    /// Machine model (`--machine paragon16|paragon64|paragon-het|sp`).
-    pub machine: MachineModel,
-    /// I/O design.
-    pub io: IoStrategy,
-    /// Tail structure.
-    pub tail: TailStructure,
-    /// Compute nodes.
-    pub nodes: usize,
-    /// Print the execution Gantt chart.
-    pub trace: bool,
-    /// Per-CPI read-fault probability for the virtual-time fault model
-    /// (0 = fault-free).
-    pub fault_rate: f64,
-    /// Seed of the fault plan's flaky draw.
-    pub fault_seed: u64,
-}
-
-impl Default for SimArgs {
-    fn default() -> Self {
-        Self {
-            machine: MachineModel::paragon(64),
-            io: IoStrategy::Embedded,
-            tail: TailStructure::Split,
-            nodes: 50,
-            trace: false,
-            fault_rate: 0.0,
-            fault_seed: 0,
-        }
-    }
 }
 
 /// Parse failure with a user-facing message.
@@ -289,19 +156,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The strategy menu `--io auto` hands the planner: the paper's two
-/// designs plus the store-tier strategies at a few cache sizes and
-/// read-ahead depths.
+/// The strategy menu `--io auto` hands the planner:
+/// [`IoStrategy::AUTO_MENU`].
 pub fn auto_io_menu() -> Vec<IoStrategy> {
-    vec![
-        IoStrategy::Embedded,
-        IoStrategy::SeparateTask,
-        IoStrategy::Cached { mb: 32 },
-        IoStrategy::Cached { mb: 64 },
-        IoStrategy::Cached { mb: 128 },
-        IoStrategy::Prefetch { depth: 2 },
-        IoStrategy::Prefetch { depth: 4 },
-    ]
+    IoStrategy::AUTO_MENU.to_vec()
 }
 
 /// Resolves a machine key to its model.
@@ -360,11 +218,7 @@ fn parse_io(v: &str) -> Result<IoStrategy, ParseError> {
 }
 
 fn parse_tail(v: &str) -> Result<TailStructure, ParseError> {
-    match v {
-        "split" => Ok(TailStructure::Split),
-        "combined" => Ok(TailStructure::Combined),
-        other => Err(ParseError(format!("--tail must be split|combined, got '{other}'"))),
-    }
+    TailStructure::parse(v).map_err(|e| ParseError(format!("--tail {e}")))
 }
 
 fn parse_source(v: &str) -> Result<SourceSpec, ParseError> {
@@ -382,6 +236,16 @@ fn parse_trace(v: &str) -> Result<TraceMode, ParseError> {
     Err(ParseError(format!("--trace must be text|chrome:PATH, got '{v}'")))
 }
 
+/// A `--fault-seed` only means something beside the flag that names the
+/// faults it seeds.
+fn fault_seed(seed: Option<u64>, faults: bool, flag: &str) -> Result<u64, ParseError> {
+    ensure(
+        seed.is_none() || faults,
+        format!("--fault-seed needs {flag} to define the faults it seeds"),
+    )?;
+    Ok(seed.unwrap_or(0))
+}
+
 // ---- the table machinery -------------------------------------------------
 
 /// One row of a subcommand's flag table: `(name, value placeholder,
@@ -389,10 +253,13 @@ fn parse_trace(v: &str) -> Result<TraceMode, ParseError> {
 /// setter is handed `""`.
 type Flag<A> = (&'static str, &'static str, &'static str, Setter<A>);
 
-/// One subcommand: its flag table over the draft type `A`, the cross-flag
-/// checks that finish a draft, and its help prose.
+/// One subcommand: its starting draft, its flag table over the draft type
+/// `A`, the cross-flag checks that finish a draft, and its help prose.
 struct Spec<A: 'static> {
     name: &'static str,
+    /// The draft before any flag: the library configuration's defaults
+    /// plus the CLI's own.
+    draft: fn() -> A,
     /// Usage text and handler of non-flag tokens (`submit`'s `key=value`s).
     positional: Option<(&'static str, Setter<A>)>,
     flags: &'static [Flag<A>],
@@ -410,13 +277,13 @@ trait Subcommand: Sync {
     fn flags(&self) -> Vec<(&'static str, bool)>;
 }
 
-impl<A: Default> Subcommand for Spec<A> {
+impl<A> Subcommand for Spec<A> {
     fn name(&self) -> &'static str {
         self.name
     }
 
     fn parse(&self, it: &mut dyn Iterator<Item = &str>) -> Result<Command, ParseError> {
-        let mut draft = A::default();
+        let mut draft = (self.draft)();
         while let Some(token) = it.next() {
             match (self.flags.iter().find(|f| f.0 == token), self.positional) {
                 (Some(&(_, "", _, set)), _) => set(&mut draft, "")?,
@@ -493,47 +360,55 @@ const TAIL: &str = "split|combined";
 /// seed, which may follow it on the command line.
 #[derive(Default)]
 struct RunDraft {
-    run: RunArgs,
+    config: StapConfig,
+    trace: Option<TraceMode>,
+    virtual_clock: bool,
     fault_spec: Option<String>,
+    fault_seed: Option<u64>,
 }
 
 #[rustfmt::skip]
 static RUN: Spec<RunDraft> = Spec {
     name: "run",
+    draft: RunDraft::default,
     positional: None,
     flags: &[
-        ("--io", IO, "I/O design", |d, v| set(&mut d.run.io, parse_io(v)?)),
+        ("--io", IO, "I/O design", |d, v| set(&mut d.config.io, parse_io(v)?)),
         ("--access", "resident|ooc:ROWS", "cube access mode", |d, v| {
             let access = CubeAccess::parse(v).map_err(|e| ParseError(format!("--access: {e}")))?;
-            set(&mut d.run.access, access)
+            set(&mut d.config.access, access)
         }),
-        ("--tail", TAIL, "tail structure", |d, v| set(&mut d.run.tail, parse_tail(v)?)),
+        ("--tail", TAIL, "tail structure", |d, v| set(&mut d.config.tail, parse_tail(v)?)),
         ("--cpis", "N", "CPIs to execute", |d, v| {
-            d.run.cpis = number("--cpis", v, "a number")?;
-            ensure(d.run.cpis >= 2, "--cpis must be at least 2")
+            let cpis: u64 = number("--cpis", v, "a number")?;
+            ensure(cpis >= 2, "--cpis must be at least 2")?;
+            d.config.warmup = (cpis / 3).max(1);
+            set(&mut d.config.cpis, cpis)
         }),
         ("--fs", FsConfig::KEYS, "file-system personality", |d, v| {
             let unknown = || ParseError(format!("--fs must be {}, got '{v}'", FsConfig::KEYS));
-            set(&mut d.run.fs, FsConfig::by_key(v).ok_or_else(unknown)?)
+            set(&mut d.config.fs, FsConfig::by_key(v).ok_or_else(unknown)?)
         }),
-        ("--record-reports", "", "write detection reports back", |d, _| set(&mut d.run.record_reports, true)),
+        ("--record-reports", "", "write detection reports back", |d, _| set(&mut d.config.record_reports, true)),
         ("--fault-plan", "SPEC", "seeded fault schedule", |d, v| set(&mut d.fault_spec, Some(v.to_string()))),
         ("--fault-seed", "N", "seed of the fault plan",
-            |d, v| set(&mut d.run.fault_seed, number("--fault-seed", v, "a number")?)),
-        ("--watchdog", "", "arm per-stage deadlines", |d, _| set(&mut d.run.watchdog, true)),
+            |d, v| set(&mut d.fault_seed, Some(number("--fault-seed", v, "a number")?))),
+        ("--watchdog", "", "arm per-stage deadlines",
+            |d, _| set(&mut d.config.watchdog, Some(WatchdogPolicy::default()))),
         ("--failure-policy", "abort|retry:A:MS|skip:A:MS:MAXC", "what a failed read does",
-            |d, v| set(&mut d.run.failure_policy, FailurePolicy::parse(v).map_err(ParseError)?)),
-        ("--trace", "text|chrome:PATH", "phase trace output", |d, v| set(&mut d.run.trace, Some(parse_trace(v)?))),
-        ("--virtual-clock", "", "deterministic trace clock", |d, _| set(&mut d.run.virtual_clock, true)),
+            |d, v| set(&mut d.config.failure_policy, FailurePolicy::parse(v).map_err(ParseError)?)),
+        ("--trace", "text|chrome:PATH", "phase trace output", |d, v| set(&mut d.trace, Some(parse_trace(v)?))),
+        ("--virtual-clock", "", "deterministic trace clock", |d, _| set(&mut d.virtual_clock, true)),
         ("--source", "file|stream[:depth=N,policy=P,rate=R,strict-lag]", "CPI source",
-            |d, v| set(&mut d.run.source, parse_source(v)?)),
+            |d, v| set(&mut d.config.source, parse_source(v)?)),
     ],
     finish: |d| {
-        let mut run = d.run;
+        let mut config = d.config;
+        let seed = fault_seed(d.fault_seed, d.fault_spec.is_some(), "--fault-plan")?;
         if let Some(spec) = d.fault_spec {
-            run.fault_plan = Some(FaultPlan::parse(&spec, run.fault_seed).map_err(ParseError)?);
+            config.fault_plan = Some(FaultPlan::parse(&spec, seed).map_err(ParseError)?);
         }
-        Ok(Command::Run(run))
+        Ok(Command::Run { config, trace: d.trace, virtual_clock: d.virtual_clock })
     },
     about: "\
 Run the real threaded pipeline on a small cube and print timings,
@@ -577,22 +452,49 @@ detections stay bit-identical to resident access.
 ",
 };
 
+/// `sim` before its flaky-read fault model is built from the rate and the
+/// seed, in either order.
+struct SimDraft {
+    experiment: DesExperiment,
+    gantt: bool,
+    fault_rate: Option<f64>,
+    fault_seed: Option<u64>,
+}
+
 #[rustfmt::skip]
-static SIM: Spec<SimArgs> = Spec {
+static SIM: Spec<SimDraft> = Spec {
     name: "sim",
+    draft: || SimDraft {
+        experiment: DesExperiment::new(MachineModel::paragon(64), IoStrategy::Embedded, TailStructure::Split, 50),
+        gantt: false,
+        fault_rate: None,
+        fault_seed: None,
+    },
     positional: None,
     flags: &[
-        ("--machine", MachineModel::KEYS, "machine model", |a, v| set(&mut a.machine, machine_for(v)?)),
-        ("--io", IO, "I/O design", |a, v| set(&mut a.io, parse_io(v)?)),
-        ("--tail", TAIL, "tail structure", |a, v| set(&mut a.tail, parse_tail(v)?)),
-        ("--nodes", "N", "compute nodes", |a, v| set(&mut a.nodes, node_budget("--nodes", v)?)),
-        ("--trace", "", "print the execution Gantt chart", |a, _| set(&mut a.trace, true)),
+        ("--machine", MachineModel::KEYS, "machine model", |d, v| set(&mut d.experiment.machine, machine_for(v)?)),
+        ("--io", IO, "I/O design", |d, v| set(&mut d.experiment.io, parse_io(v)?)),
+        ("--tail", TAIL, "tail structure", |d, v| set(&mut d.experiment.tail, parse_tail(v)?)),
+        ("--nodes", "N", "compute nodes", |d, v| set(&mut d.experiment.compute_nodes, node_budget("--nodes", v)?)),
+        ("--trace", "", "print the execution Gantt chart", |d, _| {
+            d.experiment.cpis = 24;
+            set(&mut d.gantt, true)
+        }),
         ("--fault-rate", "P", "per-CPI read-fault probability",
-            |a, v| set(&mut a.fault_rate, probability("--fault-rate", v)?)),
+            |d, v| set(&mut d.fault_rate, Some(probability("--fault-rate", v)?))),
         ("--fault-seed", "N", "seed of the fault draw",
-            |a, v| set(&mut a.fault_seed, number("--fault-seed", v, "a number")?)),
+            |d, v| set(&mut d.fault_seed, Some(number("--fault-seed", v, "a number")?))),
     ],
-    finish: |a| Ok(Command::Sim(a)),
+    finish: |d| {
+        let mut experiment = d.experiment;
+        let seed = fault_seed(d.fault_seed, d.fault_rate.is_some(), "--fault-rate")?;
+        if let Some(rate) = d.fault_rate.filter(|&p| p > 0.0) {
+            let fanout = StapConfig::default().fanout;
+            let (plan, policy) = flaky_reads(rate, seed, fanout);
+            experiment.faults = Some(DesFaultModel::new(plan, policy, fanout, 0.002));
+        }
+        Ok(Command::Sim { experiment, gantt: d.gantt })
+    },
     about: "\
 Simulate one paper-scale configuration in virtual time.
 --fault-rate P drops each CPI's read with probability P under the
@@ -604,6 +506,7 @@ reporting dropped CPIs and delivered throughput.
 #[rustfmt::skip]
 static TABLES: Spec<Option<String>> = Spec {
     name: "tables",
+    draft: Option::default,
     positional: None,
     flags: &[("--out", "DIR", "also write DIR/<artifact>.txt", |out, v| set(out, Some(v.to_string())))],
     finish: |out| Ok(Command::Tables { out }),
@@ -614,38 +517,35 @@ validation grid), optionally writing DIR/*.txt.
 };
 
 #[rustfmt::skip]
-static SWEEP: Spec<Option<usize>> = Spec {
+static SWEEP: Spec<usize> = Spec {
     name: "sweep",
+    draft: || 100,
     positional: None,
-    flags: &[("--nodes", "N", "compute nodes", |n, v| set(n, Some(number("--nodes", v, "a number")?)))],
-    finish: |nodes| Ok(Command::Sweep { nodes: nodes.unwrap_or(100) }),
+    flags: &[("--nodes", "N", "compute nodes", |n, v| set(n, number("--nodes", v, "a number")?))],
+    finish: |nodes| Ok(Command::Sweep { nodes }),
     about: "\
 Stripe-factor sweep at N compute nodes.
 ",
 };
 
 /// What `plan --machine` named, before `--stripe-factor` narrows it.
-#[derive(Default)]
 enum Family {
-    #[default]
     Paragon,
     All,
     One(Box<MachineModel>),
 }
 
-#[derive(Default)]
 enum Stripe {
-    #[default]
     Unset,
     Auto,
     Fixed(usize),
 }
 
 /// `plan` before `--machine` and `--stripe-factor` (either order, the last
-/// of each wins) resolve into [`PlanArgs::machines`].
-#[derive(Default)]
+/// of each wins) resolve into [`PlannerConfig::machines`].
 struct PlanDraft {
-    plan: PlanArgs,
+    config: PlannerConfig,
+    json: bool,
     family: Family,
     /// The `--machine` text, for error messages.
     machine: String,
@@ -655,6 +555,13 @@ struct PlanDraft {
 #[rustfmt::skip]
 static PLAN: Spec<PlanDraft> = Spec {
     name: "plan",
+    draft: || PlanDraft {
+        config: PlannerConfig::new(Vec::new(), 100),
+        json: false,
+        family: Family::Paragon,
+        machine: String::new(),
+        stripe: Stripe::Unset,
+    },
     positional: None,
     flags: &[
         ("--machine", "paragon|paragon16|paragon64|paragon-het|sp|all", "machine family or model", |d, v| {
@@ -667,24 +574,24 @@ static PLAN: Spec<PlanDraft> = Spec {
             set(&mut d.machine, v.to_string())
         }),
         ("--io", "embedded|separate|cached:MB|prefetch:D|auto", "I/O strategy axis", |d, v| {
-            set(&mut d.plan.ios, Some(if v == "auto" { auto_io_menu() } else { vec![parse_io(v)?] }))
+            set(&mut d.config.ios, if v == "auto" { auto_io_menu() } else { vec![parse_io(v)?] })
         }),
         ("--stripe-factor", "16|64|auto", "PFS stripe factor", |d, v| set(&mut d.stripe, match v {
             "auto" => Stripe::Auto,
             n => Stripe::Fixed(number("--stripe-factor", n, "a number or 'auto'")?),
         })),
-        ("--nodes", "N", "compute-node budget", |d, v| set(&mut d.plan.nodes, node_budget("--nodes", v)?)),
+        ("--nodes", "N", "compute-node budget", |d, v| set(&mut d.config.compute_nodes, node_budget("--nodes", v)?)),
         ("--max-latency", "S", "latency SLA in seconds",
-            |d, v| set(&mut d.plan.max_latency, Some(positive_secs("--max-latency", v)?))),
+            |d, v| set(&mut d.config.max_latency, Some(positive_secs("--max-latency", v)?))),
         ("--fault-rate", "R", "per-node per-CPI failure rate", |d, v| {
             let r: f64 = number("--fault-rate", v, "a per-node per-CPI rate")?;
             ensure(r > 0.0 && r < 1.0, "--fault-rate must be in (0, 1)")?;
-            set(&mut d.plan.fault_rate, Some(r))
+            set(&mut d.config.fault, Some(FaultContext::new(r)))
         }),
         ("--max-failure-prob", "P", "mission-failure-probability SLA",
-            |d, v| set(&mut d.plan.max_failure_prob, Some(probability("--max-failure-prob", v)?))),
-        ("--json", "", "emit the report as JSON", |d, _| set(&mut d.plan.json, true)),
-        ("--no-des", "", "skip stage-2 DES validation", |d, _| set(&mut d.plan.no_des, true)),
+            |d, v| set(&mut d.config.max_failure_prob, Some(probability("--max-failure-prob", v)?))),
+        ("--json", "", "emit the report as JSON", |d, _| set(&mut d.json, true)),
+        ("--no-des", "", "skip stage-2 DES validation", |d, _| set(&mut d.config.validate_des, false)),
     ],
     finish: finish_plan,
     about: "\
@@ -709,13 +616,15 @@ mission-failure probability meets the bound.
 };
 
 fn finish_plan(d: PlanDraft) -> Result<Command, ParseError> {
-    let mut plan = d.plan;
+    let mut config = d.config;
     ensure(
-        plan.max_failure_prob.is_none() || plan.fault_rate.is_some(),
+        config.max_failure_prob.is_none() || config.fault.is_some(),
         "--max-failure-prob needs --fault-rate to define the fault model",
     )?;
-    plan.machines = match (d.family, d.stripe) {
-        (Family::Paragon, Stripe::Unset) => PlanArgs::default().machines,
+    config.machines = match (d.family, d.stripe) {
+        (Family::Paragon, Stripe::Unset) => {
+            vec![MachineModel::paragon(16), MachineModel::paragon(64)]
+        }
         (Family::Paragon, Stripe::Auto) => vec![MachineModel::paragon_tunable()],
         (Family::Paragon, Stripe::Fixed(sf @ (16 | 64))) => vec![MachineModel::paragon(sf)],
         (Family::Paragon, Stripe::Fixed(sf)) => {
@@ -738,12 +647,23 @@ fn finish_plan(d: PlanDraft) -> Result<Command, ParseError> {
             )))
         }
     };
-    Ok(Command::Plan(plan))
+    Ok(Command::Plan { config, json: d.json })
 }
 
 #[rustfmt::skip]
 static SERVE: Spec<ServeArgs> = Spec {
     name: "serve",
+    draft: || ServeArgs {
+        config: ServeConfig::default(),
+        script: String::new(),
+        arrivals: None,
+        duration: 10.0,
+        arrival_seed: 7,
+        source: SourceSpec::File,
+        sim: false,
+        json: false,
+        trace: None,
+    },
     positional: None,
     flags: &[
         ("--script", "FILE", "workload script to run", |a, v| set(&mut a.script, v.to_string())),
@@ -751,18 +671,19 @@ static SERVE: Spec<ServeArgs> = Spec {
             |a, v| set(&mut a.arrivals, Some(ArrivalSpec::parse(v).map_err(ParseError)?))),
         ("--sim", "", "predict in DES capacity mode", |a, _| set(&mut a.sim, true)),
         ("--workers", "N", "concurrent missions",
-            |a, v| set(&mut a.workers, at_least("--workers", v, "a number", 1, "")?)),
-        ("--pool-nodes", "N", "nodes in the shared pool", |a, v| set(&mut a.pool_nodes, node_budget("--pool-nodes", v)?)),
+            |a, v| set(&mut a.config.workers, at_least("--workers", v, "a number", 1, "")?)),
+        ("--pool-nodes", "N", "nodes in the shared pool",
+            |a, v| set(&mut a.config.pool_nodes, node_budget("--pool-nodes", v)?)),
         ("--queue-capacity", "N", "bounded submission-queue capacity",
-            |a, v| set(&mut a.queue_capacity, at_least("--queue-capacity", v, "a number", 1, "")?)),
+            |a, v| set(&mut a.config.queue_capacity, at_least("--queue-capacity", v, "a number", 1, "")?)),
         ("--staging", "N", "shared staging-tier capacity in cubes",
-            |a, v| set(&mut a.staging, at_least("--staging", v, "a number of cubes", 1, "")?)),
+            |a, v| set(&mut a.config.staging_capacity, at_least("--staging", v, "a number of cubes", 1, "")?)),
         ("--duration", "S", "arrival window in seconds", |a, v| set(&mut a.duration, positive_secs("--duration", v)?)),
         ("--arrival-seed", "N", "seed of the arrival draw",
             |a, v| set(&mut a.arrival_seed, number("--arrival-seed", v, "a number")?)),
         ("--source", "SPEC", "source of every generated mission", |a, v| set(&mut a.source, parse_source(v)?)),
         ("--fault-plan", "server-loss:IDX@T", "fleet-level fault",
-            |a, v| set(&mut a.fault, Some(FleetFault::parse(v).map_err(ParseError)?))),
+            |a, v| set(&mut a.config.fault, Some(FleetFault::parse(v).map_err(ParseError)?))),
         ("--json", "", "emit the machine-readable fleet report", |a, _| set(&mut a.json, true)),
         ("--trace", "chrome:PATH", "merged mission-tagged Chrome trace", |a, v| match parse_trace(v)? {
             TraceMode::Chrome(path) => set(&mut a.trace, Some(path)),
@@ -824,6 +745,7 @@ same fault schedule in capacity mode.
 #[rustfmt::skip]
 static SUBMIT: Spec<SubmitArgs> = Spec {
     name: "submit",
+    draft: SubmitArgs::default,
     positional: Some(("name=<id> [key=value ...]", |a, word| {
         ensure(word.contains('='), format!("submit takes key=value tokens (and --json), got '{word}'"))?;
         a.kvs.push(word.to_string());
@@ -845,6 +767,7 @@ mission report (same key=value grammar as the script's submit).
 #[rustfmt::skip]
 static VERIFY: Spec<VerifyArgs> = Spec {
     name: "verify",
+    draft: VerifyArgs::default,
     positional: None,
     flags: &[
         ("--scenario", "NAME", "catalog scenario to verify", |a, v| {
@@ -888,6 +811,31 @@ readable requirement report.
 mod tests {
     use super::*;
 
+    /// `run` with this configuration and no trace.
+    fn run_with(config: StapConfig) -> Command {
+        Command::Run { config, trace: None, virtual_clock: false }
+    }
+
+    /// The cell `sim` simulates without flags.
+    fn sim_default() -> DesExperiment {
+        DesExperiment::new(
+            MachineModel::paragon(64),
+            IoStrategy::Embedded,
+            TailStructure::Split,
+            50,
+        )
+    }
+
+    /// The search `plan` runs over `machines` at its default 100 nodes.
+    fn plan_with(machines: Vec<MachineModel>) -> PlannerConfig {
+        PlannerConfig::new(machines, 100)
+    }
+
+    /// `serve` with every CLI-only choice at its default.
+    fn serve_default() -> ServeArgs {
+        (SERVE.draft)()
+    }
+
     #[test]
     fn empty_and_help_forms() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
@@ -897,7 +845,7 @@ mod tests {
 
     #[test]
     fn run_defaults_and_flags() {
-        assert_eq!(parse(&["run"]).unwrap(), Command::Run(RunArgs::default()));
+        assert_eq!(parse(&["run"]).unwrap(), run_with(StapConfig::default()));
         let c = parse(&[
             "run",
             "--io",
@@ -913,13 +861,14 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Run(RunArgs {
+            run_with(StapConfig {
                 io: IoStrategy::SeparateTask,
                 tail: TailStructure::Combined,
                 cpis: 9,
+                warmup: 3,
                 fs: FsConfig::piofs(),
                 record_reports: true,
-                ..RunArgs::default()
+                ..StapConfig::default()
             })
         );
     }
@@ -929,19 +878,20 @@ mod tests {
         let c = parse(&["run", "--trace", "text", "--virtual-clock"]).unwrap();
         assert_eq!(
             c,
-            Command::Run(RunArgs {
+            Command::Run {
+                config: StapConfig::default(),
                 trace: Some(TraceMode::Text),
                 virtual_clock: true,
-                ..RunArgs::default()
-            })
+            }
         );
         let c = parse(&["run", "--trace", "chrome:out.json"]).unwrap();
         assert_eq!(
             c,
-            Command::Run(RunArgs {
+            Command::Run {
+                config: StapConfig::default(),
                 trace: Some(TraceMode::Chrome("out.json".into())),
-                ..RunArgs::default()
-            })
+                virtual_clock: false,
+            }
         );
         assert!(parse(&["run", "--trace", "chrome:"]).unwrap_err().0.contains("file path"));
         assert!(parse(&["run", "--trace", "xml"]).unwrap_err().0.contains("text|chrome:PATH"));
@@ -961,12 +911,15 @@ mod tests {
         let c = parse(&["sim", "--machine", "sp", "--nodes", "25", "--trace"]).unwrap();
         assert_eq!(
             c,
-            Command::Sim(SimArgs {
-                machine: MachineModel::sp(),
-                nodes: 25,
-                trace: true,
-                ..SimArgs::default()
-            })
+            Command::Sim {
+                experiment: DesExperiment {
+                    machine: MachineModel::sp(),
+                    compute_nodes: 25,
+                    cpis: 24,
+                    ..sim_default()
+                },
+                gantt: true,
+            }
         );
     }
 
@@ -993,21 +946,28 @@ mod tests {
             "--watchdog",
         ])
         .unwrap();
-        let Command::Run(a) = c else { panic!("expected run") };
+        let Command::Run { config: a, .. } = c else { panic!("expected run") };
         let plan = a.fault_plan.expect("plan parsed");
         assert_eq!(plan.seed(), 7, "seed applies even when given after the plan");
         assert_eq!(plan.faults().len(), 1);
-        assert_eq!(a.fault_seed, 7);
-        assert!(a.watchdog);
+        assert_eq!(a.watchdog, Some(WatchdogPolicy::default()));
         assert!(matches!(a.failure_policy, FailurePolicy::SkipCpi { max_consecutive: 3, .. }));
     }
 
     #[test]
     fn sim_fault_flags() {
         let c = parse(&["sim", "--fault-rate", "0.25", "--fault-seed", "11"]).unwrap();
+        let (plan, policy) = flaky_reads(0.25, 11, 4);
+        let faults = Some(DesFaultModel::new(plan, policy, 4, 0.002));
         assert_eq!(
             c,
-            Command::Sim(SimArgs { fault_rate: 0.25, fault_seed: 11, ..SimArgs::default() })
+            Command::Sim { experiment: DesExperiment { faults, ..sim_default() }, gantt: false }
+        );
+        // The seed may come first; without a rate there is nothing to draw.
+        assert_eq!(parse(&["sim", "--fault-seed", "11", "--fault-rate", "0.25"]).unwrap(), c);
+        assert_eq!(
+            parse(&["sim", "--fault-rate", "0"]).unwrap(),
+            Command::Sim { experiment: sim_default(), gantt: false }
         );
     }
 
@@ -1024,6 +984,15 @@ mod tests {
         assert!(parse(&["run", "--fault-seed", "many"]).unwrap_err().0.contains("number"));
         assert!(parse(&["sim", "--fault-rate", "1.5"]).unwrap_err().0.contains("[0, 1]"));
         assert!(parse(&["sim", "--fault-rate", "often"]).unwrap_err().0.contains("probability"));
+        // A seed with nothing to seed names the flag it needs.
+        assert_eq!(
+            parse(&["run", "--fault-seed", "9"]).unwrap_err().0,
+            "--fault-seed needs --fault-plan to define the faults it seeds"
+        );
+        assert_eq!(
+            parse(&["sim", "--fault-seed", "9"]).unwrap_err().0,
+            "--fault-seed needs --fault-rate to define the faults it seeds"
+        );
     }
 
     #[test]
@@ -1039,7 +1008,8 @@ mod tests {
 
     #[test]
     fn plan_flags() {
-        assert_eq!(parse(&["plan"]).unwrap(), Command::Plan(PlanArgs::default()));
+        let both = plan_with(vec![MachineModel::paragon(16), MachineModel::paragon(64)]);
+        assert_eq!(parse(&["plan"]).unwrap(), Command::Plan { config: both, json: false });
         let c = parse(&[
             "plan",
             "--machine",
@@ -1054,13 +1024,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Plan(PlanArgs {
-                machines: vec![MachineModel::paragon(64)],
-                nodes: 100,
+            Command::Plan {
+                config: PlannerConfig::new(vec![MachineModel::paragon(64)], 100).without_des(),
                 json: true,
-                no_des: true,
-                ..PlanArgs::default()
-            })
+            }
         );
     }
 
@@ -1069,33 +1036,29 @@ mod tests {
         let c = parse(&["plan", "--stripe-factor", "auto", "--max-latency", "0.25"]).unwrap();
         assert_eq!(
             c,
-            Command::Plan(PlanArgs {
-                machines: vec![MachineModel::paragon_tunable()],
-                max_latency: Some(0.25),
-                ..PlanArgs::default()
-            })
+            Command::Plan {
+                config: plan_with(vec![MachineModel::paragon_tunable()]).with_max_latency(0.25),
+                json: false,
+            }
         );
         // A later numeric factor overrides auto (last flag wins).
         let c = parse(&["plan", "--stripe-factor", "auto", "--stripe-factor", "16"]).unwrap();
         assert_eq!(
             c,
-            Command::Plan(PlanArgs {
-                machines: vec![MachineModel::paragon(16)],
-                ..PlanArgs::default()
-            })
+            Command::Plan { config: plan_with(vec![MachineModel::paragon(16)]), json: false }
         );
     }
 
     #[test]
     fn plan_reliability_flags() {
         let c = parse(&["plan", "--fault-rate", "0.0005", "--max-failure-prob", "0.1"]).unwrap();
+        let both = plan_with(vec![MachineModel::paragon(16), MachineModel::paragon(64)]);
         assert_eq!(
             c,
-            Command::Plan(PlanArgs {
-                fault_rate: Some(0.0005),
-                max_failure_prob: Some(0.1),
-                ..PlanArgs::default()
-            })
+            Command::Plan {
+                config: both.with_fault_rate(0.0005).with_max_failure_prob(0.1),
+                json: false,
+            }
         );
         // A failure-probability SLA without a fault model is meaningless.
         assert!(parse(&["plan", "--max-failure-prob", "0.1"])
@@ -1117,9 +1080,12 @@ mod tests {
         assert_eq!(
             c,
             Command::Serve(ServeArgs {
+                config: ServeConfig {
+                    fault: Some(FleetFault { server: 3, at_cpi: 5 }),
+                    ..ServeConfig::default()
+                },
                 script: "f.txt".into(),
-                fault: Some(FleetFault { server: 3, at_cpi: 5 }),
-                ..ServeArgs::default()
+                ..serve_default()
             })
         );
         // The fleet fault applies to --sim capacity predictions too.
@@ -1127,7 +1093,7 @@ mod tests {
             .unwrap();
         let Command::Serve(a) = c else { panic!("expected serve") };
         assert!(a.sim);
-        assert_eq!(a.fault, Some(FleetFault { server: 0, at_cpi: 1 }));
+        assert_eq!(a.config.fault, Some(FleetFault { server: 0, at_cpi: 1 }));
         // Per-mission fault kinds are rejected with a pointer to `run`.
         assert!(parse(&["serve", "--script", "f.txt", "--fault-plan", "node:3@1..4"])
             .unwrap_err()
@@ -1156,7 +1122,7 @@ mod tests {
 
     fn plan_machines(flags: &[&str]) -> Vec<MachineModel> {
         match parse(&[&["plan"][..], flags].concat()) {
-            Ok(Command::Plan(a)) => a.machines,
+            Ok(Command::Plan { config, .. }) => config.machines,
             other => panic!("expected plan, got {other:?}"),
         }
     }
@@ -1212,18 +1178,21 @@ mod tests {
         assert_eq!(
             c,
             Command::Serve(ServeArgs {
+                config: ServeConfig {
+                    workers: 3,
+                    pool_nodes: 200,
+                    queue_capacity: 4,
+                    ..ServeConfig::default()
+                },
                 script: "fleet.txt".into(),
-                workers: 3,
-                pool_nodes: 200,
-                queue_capacity: 4,
                 json: true,
-                ..ServeArgs::default()
+                ..serve_default()
             })
         );
         let c = parse(&["serve", "--script", "f.txt", "--sim"]).unwrap();
         assert_eq!(
             c,
-            Command::Serve(ServeArgs { script: "f.txt".into(), sim: true, ..ServeArgs::default() })
+            Command::Serve(ServeArgs { script: "f.txt".into(), sim: true, ..serve_default() })
         );
         let c = parse(&["serve", "--script", "f.txt", "--trace", "chrome:fleet.json"]).unwrap();
         let Command::Serve(a) = c else { panic!("expected serve") };
@@ -1235,9 +1204,9 @@ mod tests {
         let c = parse(&["run", "--source", "stream:depth=8,policy=drop-oldest,rate=4"]).unwrap();
         assert_eq!(
             c,
-            Command::Run(RunArgs {
+            run_with(StapConfig {
                 source: SourceSpec::parse("stream:depth=8,policy=drop-oldest,rate=4").unwrap(),
-                ..RunArgs::default()
+                ..StapConfig::default()
             })
         );
         assert!(parse(&["run", "--source", "tape"]).unwrap_err().0.contains("file|stream"));
@@ -1266,12 +1235,12 @@ mod tests {
         assert_eq!(
             c,
             Command::Serve(ServeArgs {
+                config: ServeConfig { staging_capacity: 64, ..ServeConfig::default() },
                 arrivals: Some(ArrivalSpec::Poisson { rate: 2.0 }),
                 duration: 30.0,
                 arrival_seed: 11,
                 source: SourceSpec::parse("stream").unwrap(),
-                staging: 64,
-                ..ServeArgs::default()
+                ..serve_default()
             })
         );
         let c = parse(&["serve", "--arrivals", "bursty:0.5:4:5", "--sim"]).unwrap();

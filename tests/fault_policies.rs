@@ -247,3 +247,23 @@ fn des_drops_exactly_the_executed_runs_cpis() {
         }
     }
 }
+
+#[test]
+fn a_failed_run_reports_the_cpis_it_dropped_before_its_error() {
+    // CPI 1's read always fails and is dropped; node 0 then crashes with
+    // CPI 5 in flight. The drop happened before the failure, so the binary
+    // prints it before the error, whether or not CPI 1's gap reached the
+    // sink.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppstap"))
+        .args(["run", "--cpis", "8", "--virtual-clock", "--failure-policy", "skip:0:0:100"])
+        .args(["--fault-plan", "flaky:cpi_1.dat:1.0@..,node:0@5..6"])
+        .output()
+        .expect("run ppstap");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("read retries   :         0\n"), "{stdout}");
+    assert!(stdout.contains("\ndropped CPI 1 at Doppler filter: "), "{stdout}");
+    assert!(stderr.starts_with("error: stage 'Doppler filter': infrastructure loss: "), "{stderr}");
+    assert!(stderr.contains("compute node 0 crashed (CPI 5 in flight)"), "{stderr}");
+}
