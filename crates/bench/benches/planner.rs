@@ -28,6 +28,26 @@ fn bench(c: &mut Criterion) {
             plan(&cfg)
         })
     });
+    // The costliest admission shape a `fleet_whatif` script asks: a mixed
+    // pool, five stripe factors, the default menus.
+    g.bench_function("admission_paragon_het_n20", |b| {
+        b.iter(|| {
+            let mut cfg =
+                PlannerConfig::new(vec![MachineModel::paragon_hetero()], 20).without_des();
+            cfg.beam_width = 12;
+            cfg.per_structure = 6;
+            plan(&cfg)
+        })
+    });
+    // The costliest `fleet_whatif` what-if: 14 structures on the auto I/O
+    // menu, whose store tiers share DP runs, then DES validation.
+    g.bench_function("auto_menu_sp_n50", |b| {
+        b.iter(|| {
+            let mut cfg = PlannerConfig::new(vec![MachineModel::sp()], 50);
+            cfg.ios = IoStrategy::AUTO_MENU.to_vec();
+            plan(&cfg)
+        })
+    });
     // One structure, so the DP (`search::search_structure`, crate-private)
     // is all but the ~25 exact scores of its candidates.
     g.bench_function("search_structure_paragon64_n50", |b| {

@@ -14,7 +14,7 @@ use crate::plan::{
     FrontView, Metrics, Outcome, Plan, PlanOrigin, ReliabilityOutcome, SearchReport, SearchStats,
 };
 use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContext};
-use crate::search::search_structure;
+use crate::search::{SearchMemo, Space};
 use stap_core::desmodel::{DesExperiment, DesFaultModel, Redundancy};
 use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_core::FailurePolicy;
@@ -115,6 +115,22 @@ impl PlannerConfig {
     }
 }
 
+/// `m` restriped to each stripe factor a plan on it can carry: its
+/// candidates and the configured factor the heuristic seed keeps. A
+/// multi-factor machine is always restriped so its display name records
+/// the choice (e.g. "sf=search" becomes "sf=64").
+fn restripe(m: &MachineModel) -> Vec<MachineModel> {
+    let sfs = m.stripe_options();
+    let mut out: Vec<MachineModel> = Vec::new();
+    for sf in sfs.iter().copied().chain([m.fs.stripe_factor]) {
+        if !out.iter().any(|r| r.fs.stripe_factor == sf) {
+            let single = sf == m.fs.stripe_factor && sfs.len() <= 1;
+            out.push(if single { m.clone() } else { m.with_stripe_factor(sf) });
+        }
+    }
+    out
+}
+
 /// Runs the full planner: candidate generation per structure, exact
 /// analytic scoring, cross-structure Pareto pruning, DES validation of the
 /// survivors, and final front extraction.
@@ -129,15 +145,36 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
 
     let mut stats = SearchStats::default();
     let mut plans: Vec<Plan> = Vec::new();
-    // Machine model per plan id, for the DES stage (Plan itself only keeps
-    // the display name).
-    let mut plan_machine: Vec<MachineModel> = Vec::new();
+    // The machine restriped to each factor a plan may carry, once per
+    // machine and factor; `plan_machine[id]` indexes it for the DES stage
+    // (Plan itself only keeps the display name).
+    let mut restriped: Vec<MachineModel> = Vec::new();
+    let mut plan_machine: Vec<usize> = Vec::new();
+    // One DP per distinct input: structures whose DP reads the same bits
+    // share a run (on the auto I/O menu, store tiers whose read bounds
+    // price alike: all five at small budgets).
+    let mut searches = SearchMemo::default();
 
     for m in &cfg.machines {
         // A heterogeneous pool caps the usable budget at its physical size.
         let budget = m.pool_size().map_or(cfg.compute_nodes, |p| p.min(cfg.compute_nodes));
         let heuristic = assign_nodes(&w, &TaskId::SEVEN, budget);
-        let sfs = m.stripe_options();
+        let heur_sf = m.fs.stripe_factor;
+        let first = restriped.len();
+        restriped.extend(restripe(m));
+        let on_sf = |sf: usize| {
+            let at = restriped[first..].iter().position(|r| r.fs.stripe_factor == sf);
+            first + at.expect("every factor a plan carries is restriped")
+        };
+        let space = Space {
+            m,
+            sfs: m.stripe_options(),
+            restriped: &restriped[first..],
+            shape: cfg.shape,
+            budget,
+            beam_width: cfg.beam_width,
+            max_candidates: cfg.per_structure,
+        };
         for &io in &cfg.ios {
             for &tail in &cfg.tails {
                 stats.structures += 1;
@@ -148,16 +185,7 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                     .filter_map(TaskSlot::fixed_capacity)
                     .map(|c| c.nodes)
                     .sum();
-                let out = search_structure(
-                    m,
-                    cfg.shape,
-                    io,
-                    tail,
-                    &sfs,
-                    budget,
-                    cfg.beam_width,
-                    cfg.per_structure,
-                );
+                let out = searches.outcome(space.input(io, tail));
                 stats.labels_created += out.labels_created;
                 stats.labels_pruned += out.labels_pruned;
 
@@ -173,7 +201,6 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                         )
                     })
                     .collect();
-                let heur_sf = m.fs.stripe_factor;
                 if !pool.iter().any(|(a, sf, _, _)| *a == heuristic && *sf == heur_sf) {
                     pool.push((heuristic.clone(), heur_sf, PlanOrigin::Heuristic, None));
                 }
@@ -190,22 +217,15 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                     None => vec![Redundancy::None],
                 };
                 for (a, sf, origin, bound) in pool {
-                    // Materialize the chosen stripe factor and pack the
-                    // assignment onto the machine's node classes before
-                    // exact scoring. A multi-factor machine is always
-                    // restriped so its display name records the choice
-                    // (e.g. "sf=search" becomes "sf=64").
-                    let msf = if sf == m.fs.stripe_factor && sfs.len() <= 1 {
-                        m.clone()
-                    } else {
-                        m.with_stripe_factor(sf)
-                    };
+                    // Score on the chosen stripe factor, with the
+                    // assignment packed onto the machine's node classes.
+                    let msf = on_sf(sf);
                     let a = pack_classes(&w, &a, &m.classes);
                     // The exact score is the task table the DP bounds relax
                     // (`tasktable::slot_bound`): the same rows, Eq. 6/7
                     // costs and read term, at the packed capacity and the
                     // real peer counts, so the bounds stay admissible.
-                    let pred = predict_with_assignment(&msf, cfg.shape, io, tail, &a);
+                    let pred = predict_with_assignment(&restriped[msf], cfg.shape, io, tail, &a);
                     stats.exact_evals += 1;
                     let compute_nodes = a.total();
                     for &redundancy in &redundancies {
@@ -219,7 +239,7 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                         };
                         plans.push(Plan {
                             id: plans.len(),
-                            machine: msf.name.clone(),
+                            machine: restriped[msf].name.clone(),
                             stripe_factor: sf,
                             io,
                             tail,
@@ -235,7 +255,7 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
                             des_error_pct: None,
                             outcome: Outcome::Front, // provisional
                         });
-                        plan_machine.push(msf.clone());
+                        plan_machine.push(msf);
                     }
                 }
             }
@@ -256,7 +276,7 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
     if cfg.validate_des {
         for &i in &survivors {
             let mut exp = DesExperiment::new(
-                plan_machine[i].clone(),
+                restriped[plan_machine[i]].clone(),
                 plans[i].io,
                 plans[i].tail,
                 plans[i].compute_nodes,
@@ -351,6 +371,8 @@ pub fn plan(cfg: &PlannerConfig) -> SearchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{search_structure, SearchOutcome};
+    use stap_model::assignment::Assignment;
 
     fn small_cfg() -> PlannerConfig {
         let mut cfg = PlannerConfig::new(vec![MachineModel::paragon(64)], 25);
@@ -677,6 +699,61 @@ mod tests {
             best_redundant > bare_delivered,
             "redundant {best_redundant} must beat bare {bare_delivered} on delivered throughput"
         );
+    }
+
+    /// What a structure's search hands on, floats by their bits.
+    type Fingerprint = (Vec<(Assignment, usize, u64, u64)>, u64, u64);
+
+    fn fingerprint(out: &SearchOutcome) -> Fingerprint {
+        let candidates = out.candidates.iter().map(|c| {
+            let bounds = (c.bound_bottleneck.to_bits(), c.bound_latency.to_bits());
+            (c.assignment.clone(), c.stripe_factor, bounds.0, bounds.1)
+        });
+        (candidates.collect(), out.labels_created, out.labels_pruned)
+    }
+
+    #[test]
+    fn one_dp_per_distinct_input_hands_each_structure_its_own_search() {
+        let cfg = PlannerConfig::new(Vec::new(), 0);
+        for key in MachineModel::KEYS.split('|') {
+            let m = MachineModel::by_key(key).expect("a listed key");
+            let restriped = restripe(&m);
+            for budget in [7, 9, 12, 16, 20, 25, 50] {
+                let space = Space {
+                    m: &m,
+                    sfs: m.stripe_options(),
+                    restriped: &restriped,
+                    shape: cfg.shape,
+                    budget,
+                    beam_width: cfg.beam_width,
+                    max_candidates: cfg.per_structure,
+                };
+                let mut searches = SearchMemo::default();
+                for io in IoStrategy::AUTO_MENU {
+                    for tail in [TailStructure::Split, TailStructure::Combined] {
+                        let own = search_structure(
+                            &m,
+                            cfg.shape,
+                            io,
+                            tail,
+                            &m.stripe_options(),
+                            budget,
+                            cfg.beam_width,
+                            cfg.per_structure,
+                        );
+                        let grouped = searches.outcome(space.input(io, tail));
+                        assert_eq!(
+                            fingerprint(&grouped),
+                            fingerprint(&own),
+                            "{key} n={budget} {io:?} {tail:?}"
+                        );
+                    }
+                }
+                if (key, budget) == ("paragon64", 50) {
+                    assert_eq!(searches.runs(), 6, "{key} n={budget}: DPs for 14 structures");
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,11 @@
 //! per-total argmin split is exactly optimal. This collapses the state
 //! space from `O(N^7)` assignments to `O(stages · N · beam · |sfs|)`
 //! labels, and a new slot in the task table needs no edit here.
+//!
+//! A structure's DP reads only its [`SearchInput`]: the stage rows, each
+//! stripe factor's fixed-slot charge, the slack and the knobs. Structures
+//! whose inputs are bit-identical (store tiers that price the read alike)
+//! share one run of [`run_dp`] per planner run ([`SearchMemo`]).
 
 use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_model::assignment::Assignment;
@@ -82,6 +87,22 @@ struct Stage {
     times: Vec<Vec<f64>>,
     /// For two-task stages: the node split behind each `q`.
     split: Vec<(usize, usize)>,
+}
+
+/// Bit-for-bit equality: two stages price every node count alike.
+impl PartialEq for Stage {
+    fn eq(&self, o: &Self) -> bool {
+        self.tasks == o.tasks
+            && self.counts_latency == o.counts_latency
+            && self.split == o.split
+            && self.times.len() == o.times.len()
+            && self.times.iter().zip(&o.times).all(|(a, b)| same_bits(a, b))
+    }
+}
+
+/// Whether two float slices hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl Stage {
@@ -262,12 +283,7 @@ impl Slack {
 /// before, so the survivors are compacted to the front of `cell` itself.
 fn prune_cell(cell: &mut Vec<Label>, beam: usize, slack: Slack) -> u64 {
     let before = cell.len();
-    cell.sort_by(|a, b| {
-        a.maxt
-            .partial_cmp(&b.maxt)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.lat.partial_cmp(&b.lat).unwrap_or(std::cmp::Ordering::Equal))
-    });
+    sort_by_bounds(cell);
     // Two-pointer scan: kept labels (`cell[..kept]`) are sorted by maxt, so
     // the potential dominators of `l` are exactly the kept prefix with
     // `maxt + slack.bot ≤ l.maxt`; track that prefix's min latency.
@@ -315,6 +331,25 @@ fn prune_cell(cell: &mut Vec<Label>, beam: usize, slack: Slack) -> u64 {
     (before - cell.len()) as u64
 }
 
+/// Whether `v` is a DP bound: finite, with its sign bit clear (so not
+/// `-0.0`). On such values the bit pattern orders as the number does.
+fn is_bound(v: f64) -> bool {
+    v.is_finite() && v.is_sign_positive()
+}
+
+/// A label's (bottleneck, latency) as integers: on [bounds](is_bound) their
+/// order is the numeric one and they are equal exactly when the numbers
+/// are, so a stable sort by this key is the stable `partial_cmp` sort.
+fn sort_key(l: &Label) -> (u64, u64) {
+    (l.maxt.to_bits(), l.lat.to_bits())
+}
+
+/// Stable-sorts a cell by (bottleneck, latency).
+fn sort_by_bounds(cell: &mut [Label]) {
+    debug_assert!(cell.iter().all(|l| is_bound(l.maxt) && is_bound(l.lat)));
+    cell.sort_by_key(sort_key);
+}
+
 /// The (bottleneck, latency) staircase used for cross-cell dominance:
 /// labels that used *fewer* nodes and are slack-better on both bounds
 /// dominate, because every completion of the bigger label is also open to
@@ -323,36 +358,174 @@ fn prune_cell(cell: &mut Vec<Label>, beam: usize, slack: Slack) -> u64 {
 /// is the last of a prefix.
 struct Accumulator {
     points: Vec<(f64, f64)>,
+    /// The merge's output buffer, swapped with `points` after each cell.
+    merged: Vec<(f64, f64)>,
     slack: Slack,
 }
 
 impl Accumulator {
-    fn dominates(&self, maxt: f64, lat: f64) -> bool {
-        let below = self.points.partition_point(|&(m, _)| m + self.slack.bot <= maxt);
-        self.points[..below].last().is_some_and(|&(m, l)| self.slack.dominates(m, l, maxt, lat))
+    /// How many points lie slack-below bottleneck `maxt`.
+    fn below(&self, maxt: f64) -> usize {
+        self.points.partition_point(|&(m, _)| m + self.slack.bot <= maxt)
     }
 
+    /// [`Self::below`] for a `maxt` no smaller than the one `from` answered.
+    fn below_from(&self, from: usize, maxt: f64) -> usize {
+        let n =
+            self.points[from..].iter().take_while(|&&(m, _)| m + self.slack.bot <= maxt).count();
+        from + n
+    }
+
+    /// Whether the best of the first `below` points, the ones slack-below
+    /// `l` on the bottleneck, slack-dominates `l`.
+    fn shadows(&self, below: usize, l: &Label) -> bool {
+        below.checked_sub(1).is_some_and(|i| {
+            let (m, lat) = self.points[i];
+            self.slack.dominates(m, lat, l.maxt, l.lat)
+        })
+    }
+
+    /// Adds the labels of a cell sorted by [`sort_key`] in one merge.
+    /// Sequential insertion leaves the minimal distinct points of the
+    /// union whatever the order; a merge by (bottleneck, latency) visits
+    /// the union in that order, where a point is minimal exactly when its
+    /// latency is below that of every point before it.
     fn absorb(&mut self, cell: &[Label]) {
-        for l in cell {
-            let at = self.points.partition_point(|&(m, _)| m < l.maxt);
-            // A point plainly dominated by a stored one answers no query
-            // the stored one does not (slack dominance included), and the
-            // points `l` plainly dominates follow `at` contiguously.
-            let shadowed = |&(m, lt): &(f64, f64)| m <= l.maxt && lt <= l.lat;
-            if self.points[..at].last().is_some_and(shadowed)
-                || self.points.get(at).is_some_and(shadowed)
-            {
-                continue;
+        debug_assert!(cell.windows(2).all(|p| sort_key(&p[0]) <= sort_key(&p[1])));
+        self.merged.clear();
+        let mut best_lat = f64::INFINITY;
+        let mut keep = |p: (f64, f64)| {
+            if p.1 < best_lat {
+                best_lat = p.1;
+                self.merged.push(p);
             }
-            let end = at + self.points[at..].partition_point(|&(_, lt)| lt >= l.lat);
-            self.points.splice(at..end, [(l.maxt, l.lat)]);
+        };
+        let mut old = self.points.iter().copied().peekable();
+        for l in cell {
+            let p = (l.maxt, l.lat);
+            while let Some(q) = old.next_if(|&q| q <= p) {
+                keep(q);
+            }
+            keep(p);
         }
+        old.for_each(keep);
+        std::mem::swap(&mut self.points, &mut self.merged);
+    }
+}
+
+/// What every structure searched on one machine shares.
+pub(crate) struct Space<'a> {
+    /// The machine the compute and communication bounds are priced on.
+    pub m: &'a MachineModel,
+    /// The candidate stripe factors.
+    pub sfs: Vec<usize>,
+    /// `m` restriped to each candidate factor: the read bound's machine.
+    pub restriped: &'a [MachineModel],
+    pub shape: ShapeParams,
+    pub budget: usize,
+    pub beam_width: usize,
+    pub max_candidates: usize,
+}
+
+/// Everything one structure's DP reads. Equality is bit for bit, so
+/// structures with equal inputs can share one DP run ([`SearchMemo`]).
+pub(crate) struct SearchInput {
+    stages: Vec<Stage>,
+    /// Each stripe factor's base label `(maxt, lat)`: what the
+    /// fixed-capacity slots charge before any stage.
+    bases: Vec<[f64; 2]>,
+    slack: Slack,
+    sfs: Vec<usize>,
+    budget: usize,
+    beam_width: usize,
+    max_candidates: usize,
+}
+
+impl PartialEq for SearchInput {
+    fn eq(&self, o: &Self) -> bool {
+        self.stages == o.stages
+            && same_bits(self.bases.as_flattened(), o.bases.as_flattened())
+            && same_bits(&[self.slack.bot, self.slack.lat], &[o.slack.bot, o.slack.lat])
+            && self.sfs == o.sfs
+            && (self.budget, self.beam_width, self.max_candidates)
+                == (o.budget, o.beam_width, o.max_candidates)
+    }
+}
+
+impl Space<'_> {
+    /// The DP input of one structure.
+    pub(crate) fn input(&self, io: IoStrategy, tail: TailStructure) -> SearchInput {
+        let (m, budget) = (self.m, self.budget);
+        assert!(!self.sfs.is_empty(), "need at least one candidate stripe factor");
+        if let Some(pool) = m.pool_size() {
+            assert!(budget <= pool, "budget {budget} exceeds the {pool}-node pool");
+        }
+        let w = StapWorkload::derive(self.shape);
+        let on = |sf: usize| {
+            let msf = self.restriped.iter().find(|r| r.fs.stripe_factor == sf);
+            msf.expect("every candidate factor is restriped")
+        };
+        let reads: Vec<ReadTerm> =
+            self.sfs.iter().map(|&sf| ReadTerm::new(on(sf), self.shape, io)).collect();
+        let slots = task_slots(io, tail);
+        let stages = build_stages(m, &w, &slots, budget, &reads);
+        let fixed: Vec<&TaskSlot> = slots.iter().filter(|s| s.fixed_capacity().is_some()).collect();
+        let latency_stages = stages.iter().filter(|s| s.counts_latency).count()
+            + fixed.iter().filter(|s| s.on_latency_path()).count();
+        // A fixed-capacity slot (the separate read task's reader nodes)
+        // sits outside the node budget but enters both bounds; a
+        // read-bearing budgeted slot pays the read in its own stage.
+        let bases = reads
+            .iter()
+            .map(|r| {
+                let l = fixed.iter().fold(Label::base(0), |l, s| {
+                    l.charged(slot_bound(m, &w, s, 0, r), s.on_latency_path())
+                });
+                [l.maxt, l.lat]
+            })
+            .collect();
+        SearchInput {
+            stages,
+            bases,
+            slack: Slack::for_run(m, latency_stages, budget),
+            sfs: self.sfs.clone(),
+            budget,
+            beam_width: self.beam_width,
+            max_candidates: self.max_candidates,
+        }
+    }
+}
+
+/// The DP outcomes of one planner run, one per distinct [`SearchInput`].
+#[derive(Default)]
+pub(crate) struct SearchMemo {
+    runs: Vec<(SearchInput, SearchOutcome)>,
+}
+
+impl SearchMemo {
+    /// The outcome of `input`'s DP, run only when no earlier input was
+    /// bit-identical. The counters are those of the run, so every
+    /// structure reports the work its own search takes.
+    pub(crate) fn outcome(&mut self, input: SearchInput) -> SearchOutcome {
+        if let Some((_, out)) = self.runs.iter().find(|(done, _)| *done == input) {
+            return out.clone();
+        }
+        let out = run_dp(&input);
+        self.runs.push((input, out.clone()));
+        out
+    }
+
+    /// DP runs so far.
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> usize {
+        self.runs.len()
     }
 }
 
 /// Runs the bounded DP for one structure over the given candidate stripe
 /// factors and returns the surviving bound-Pareto candidates (at most
 /// `max_candidates`), ties resolved toward the smallest sufficient factor.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)] // one axis per search dimension
 pub(crate) fn search_structure(
     m: &MachineModel,
@@ -364,19 +537,18 @@ pub(crate) fn search_structure(
     beam_width: usize,
     max_candidates: usize,
 ) -> SearchOutcome {
-    assert!(!sfs.is_empty(), "need at least one candidate stripe factor");
-    if let Some(pool) = m.pool_size() {
-        assert!(budget <= pool, "budget {budget} exceeds the {pool}-node pool");
-    }
-    let w = StapWorkload::derive(shape);
-    let reads: Vec<ReadTerm> =
-        sfs.iter().map(|&sf| ReadTerm::new(&m.with_stripe_factor(sf), shape, io)).collect();
-    let slots = task_slots(io, tail);
-    let stages = build_stages(m, &w, &slots, budget, &reads);
-    let fixed: Vec<&TaskSlot> = slots.iter().filter(|s| s.fixed_capacity().is_some()).collect();
-    let latency_stages = stages.iter().filter(|s| s.counts_latency).count()
-        + fixed.iter().filter(|s| s.on_latency_path()).count();
-    let slack = Slack::for_run(m, latency_stages, budget);
+    let restriped: Vec<MachineModel> = sfs.iter().map(|&sf| m.with_stripe_factor(sf)).collect();
+    let sfs = sfs.to_vec();
+    let space = Space { m, sfs, restriped: &restriped, shape, budget, beam_width, max_candidates };
+    run_dp(&space.input(io, tail))
+}
+
+/// The bounded DP on one input: the surviving bound-Pareto candidates (at
+/// most `max_candidates`), ties resolved toward the smallest sufficient
+/// factor.
+fn run_dp(input: &SearchInput) -> SearchOutcome {
+    let SearchInput { stages, bases, slack, sfs, budget, beam_width, max_candidates } = input;
+    let (slack, budget) = (*slack, *budget);
     let suffix_min: Vec<usize> = {
         let mut v = vec![0usize; stages.len() + 1];
         for i in (0..stages.len()).rev() {
@@ -388,17 +560,13 @@ pub(crate) fn search_structure(
     let mut labels_created: u64 = 0;
     let mut labels_pruned: u64 = 0;
 
-    // One base label per stripe factor. A fixed-capacity slot (the
-    // separate read task's reader nodes) sits outside the node budget but
-    // enters both bounds; a read-bearing budgeted slot pays the read in
-    // its own stage.
+    // One base label per stripe factor.
     let mut cells: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
-    for (sfi, r) in reads.iter().enumerate() {
-        let base = fixed.iter().fold(Label::base(sfi), |l, s| {
-            l.charged(slot_bound(m, &w, s, 0, r), s.on_latency_path())
-        });
-        cells[0].push(base);
-    }
+    cells[0] = bases
+        .iter()
+        .enumerate()
+        .map(|(sfi, &[maxt, lat])| Label { maxt, lat, ..Label::base(sfi) })
+        .collect();
 
     // Each stage is built one target cell (`used + q` nodes) at a time, in
     // ascending order: by then the accumulator holds every smaller cell of
@@ -409,7 +577,7 @@ pub(crate) fn search_structure(
     // read contribution is already materialized (stage 0 pays it), so
     // cross-stripe-factor dominance is sound here.
     let mut next: Vec<Vec<Label>> = vec![Vec::new(); budget + 1];
-    let mut acc = Accumulator { points: Vec::new(), slack };
+    let mut acc = Accumulator { points: Vec::new(), merged: Vec::new(), slack };
     for (si, stage) in stages.iter().enumerate() {
         acc.points.clear();
         let top = budget - suffix_min[si + 1];
@@ -419,19 +587,43 @@ pub(crate) fn search_structure(
                 continue;
             }
             for (used, parents) in cells[..=target - stage.min_nodes()].iter().enumerate() {
+                if parents.is_empty() {
+                    continue;
+                }
                 let q = target - used;
-                for label in parents {
-                    let t = stage.t(label.sfi as usize, q);
-                    let child = label.extended(q, t, stage.counts_latency);
-                    labels_created += 1;
-                    if acc.dominates(child.maxt, child.lat) {
+                labels_created += parents.len() as u64;
+                let mut place = |child: Label, below: usize| {
+                    if acc.shadows(below, &child) {
                         labels_pruned += 1;
                     } else {
                         cell.push(child);
                     }
+                };
+                match &stage.times[..] {
+                    // Past the base cell every parent cell ascends in maxt
+                    // (`prune_cell` sorted it). One time row prices the
+                    // pair once, the children ascend too, and the points
+                    // slack-below each one are a prefix that only grows.
+                    [row] if si > 0 => {
+                        let (t, mut below) = (row[q - stage.min_nodes()], 0);
+                        for label in parents {
+                            let child = label.extended(q, t, stage.counts_latency);
+                            below = acc.below_from(below, child.maxt);
+                            place(child, below);
+                        }
+                    }
+                    // The base cell holds one label per stripe factor, in
+                    // factor order, not sorted.
+                    _ => {
+                        for label in parents {
+                            let t = stage.t(label.sfi as usize, q);
+                            let child = label.extended(q, t, stage.counts_latency);
+                            place(child, acc.below(child.maxt));
+                        }
+                    }
                 }
             }
-            labels_pruned += prune_cell(cell, beam_width, slack);
+            labels_pruned += prune_cell(cell, *beam_width, slack);
             acc.absorb(cell);
         }
         std::mem::swap(&mut cells, &mut next);
@@ -440,19 +632,13 @@ pub(crate) fn search_structure(
     // Gather every complete label, slack-prune on the bounds, cap, and
     // order ties toward the smallest sufficient stripe factor.
     let mut finals: Vec<Label> = cells.into_iter().flatten().collect();
-    labels_pruned += prune_cell(&mut finals, max_candidates, slack);
-    finals.sort_by(|a, b| {
-        a.maxt
-            .partial_cmp(&b.maxt)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.lat.partial_cmp(&b.lat).unwrap_or(std::cmp::Ordering::Equal))
-            .then(sfs[a.sfi as usize].cmp(&sfs[b.sfi as usize]))
-    });
+    labels_pruned += prune_cell(&mut finals, *max_candidates, slack);
+    finals.sort_by_key(|l| (sort_key(l), sfs[l.sfi as usize]));
 
     let candidates = finals
         .into_iter()
         .map(|l| SearchCandidate {
-            assignment: picks_to_assignment(&stages, &l.picks[..l.stages as usize]),
+            assignment: picks_to_assignment(stages, &l.picks[..l.stages as usize]),
             stripe_factor: sfs[l.sfi as usize],
             bound_bottleneck: l.maxt,
             bound_latency: l.lat,
@@ -838,6 +1024,125 @@ mod tests {
                 c.bound_latency,
                 pred.latency
             );
+        }
+    }
+
+    #[test]
+    fn a_base_cell_out_of_factor_order_prunes_as_a_sorted_one() {
+        // The base cell holds one label per stripe factor in factor order,
+        // here with descending bottlenecks (the slow factor's fixed reader
+        // first). On 2 nodes the first child's dominator in the
+        // accumulator lies past the second one's: each child must find its
+        // own prefix, as it does with the factors listed the other way.
+        let stage = |task, row: [f64; 2]| Stage {
+            tasks: vec![task],
+            counts_latency: true,
+            times: vec![row.to_vec()],
+            split: vec![],
+        };
+        let input = |bases: Vec<[f64; 2]>, sfs: Vec<usize>| SearchInput {
+            stages: vec![stage(TaskId::Doppler, [1.0, 2.0]), stage(TaskId::Cfar, [0.5, 0.5])],
+            bases,
+            slack: Slack { bot: 0.0, lat: 0.0 },
+            sfs,
+            budget: 3,
+            beam_width: 64,
+            max_candidates: 64,
+        };
+        for out in [
+            run_dp(&input(vec![[4.0, 1.0], [0.0, 9.0]], vec![8, 16])),
+            run_dp(&input(vec![[0.0, 9.0], [4.0, 1.0]], vec![16, 8])),
+        ] {
+            assert_eq!((out.labels_created, out.labels_pruned), (8, 4));
+            let bounds: Vec<(f64, f64)> =
+                out.candidates.iter().map(|c| (c.bound_bottleneck, c.bound_latency)).collect();
+            assert_eq!(bounds, [(1.0, 10.5), (4.0, 2.5)]);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Oracles: the sort and the staircase update the DP used before the
+    // bit keys and the merge, against which both are checked.
+    // ------------------------------------------------------------------
+
+    /// The `partial_cmp` stable sort.
+    fn partial_cmp_sort(cell: &mut [Label]) {
+        cell.sort_by(|a, b| {
+            a.maxt
+                .partial_cmp(&b.maxt)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.lat.partial_cmp(&b.lat).unwrap_or(std::cmp::Ordering::Equal))
+        });
+    }
+
+    /// Sequential insertion: one binary search and one splice per point.
+    fn sequential_absorb(points: &mut Vec<(f64, f64)>, cell: &[(f64, f64)]) {
+        for &(maxt, lat) in cell {
+            let at = points.partition_point(|&(m, _)| m < maxt);
+            // A point plainly dominated by a stored one answers no query
+            // the stored one does not, and the points it plainly dominates
+            // follow `at` contiguously.
+            let shadowed = |&(m, lt): &(f64, f64)| m <= maxt && lt <= lat;
+            if points[..at].last().is_some_and(shadowed) || points.get(at).is_some_and(shadowed) {
+                continue;
+            }
+            let end = at + points[at..].partition_point(|&(_, lt)| lt >= lat);
+            points.splice(at..end, [(maxt, lat)]);
+        }
+    }
+
+    /// A bound on a coarse grid, so drawn values repeat and tie exactly.
+    fn grid(k: u32) -> f64 {
+        k as f64 * 0.1
+    }
+
+    /// Labels at drawn grid bounds, numbered in `picks[0]` in draw order.
+    fn drawn_labels(drawn: &[(u32, u32)]) -> Vec<Label> {
+        let label = |(i, &(m, l)): (usize, &(u32, u32))| {
+            let mut label = Label { maxt: grid(m), lat: grid(l), ..Label::base(0) };
+            label.picks[0] = i as u16;
+            label
+        };
+        drawn.iter().enumerate().map(label).collect()
+    }
+
+    fn bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        points.iter().map(|&(m, l)| (m.to_bits(), l.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_merged_staircase_is_the_sequential_one(
+            stored in proptest::collection::vec((0u32..12, 0u32..12), 0..24),
+            drawn in proptest::collection::vec((0u32..12, 0u32..12), 0..24),
+        ) {
+            let mut staircase = Vec::new();
+            let stored: Vec<(f64, f64)> = stored.iter().map(|&(m, l)| (grid(m), grid(l))).collect();
+            sequential_absorb(&mut staircase, &stored);
+            let mut cell = drawn_labels(&drawn);
+            sort_by_bounds(&mut cell);
+            let slack = Slack { bot: 0.0, lat: 0.0 };
+            let mut acc = Accumulator { points: staircase.clone(), merged: Vec::new(), slack };
+            acc.absorb(&cell);
+            // In the cell's order and in reverse: insertion leaves the
+            // same minimal points either way.
+            let points: Vec<(f64, f64)> = cell.iter().map(|l| (l.maxt, l.lat)).collect();
+            for order in [points.clone(), points.iter().rev().copied().collect()] {
+                let mut oracle = staircase.clone();
+                sequential_absorb(&mut oracle, &order);
+                proptest::prop_assert_eq!(bits(&acc.points), bits(&oracle));
+            }
+        }
+
+        #[test]
+        fn the_bit_key_sort_is_the_partial_cmp_sort(
+            drawn in proptest::collection::vec((0u32..6, 0u32..6), 0..64),
+        ) {
+            let (mut keyed, mut oracle) = (drawn_labels(&drawn), drawn_labels(&drawn));
+            sort_by_bounds(&mut keyed);
+            partial_cmp_sort(&mut oracle);
+            let order = |cell: &[Label]| cell.iter().map(|l| l.picks[0]).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(order(&keyed), order(&oracle));
         }
     }
 

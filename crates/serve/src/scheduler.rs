@@ -187,6 +187,21 @@ pub struct Scheduler {
     searches: Vec<(SearchShape, SearchReport)>,
     /// Each chosen plan's price, by (index into `searches`, plan id).
     prices: Vec<((usize, usize), Arc<PlanCost>)>,
+    /// Every admission search's answer, by what it reads.
+    answers: Vec<(AnswerKey, Result<Priced, AdmissionError>)>,
+}
+
+/// What an admission search's answer reads beyond its [`SearchShape`]:
+/// the pins that pick a view of the search, the node cap and the latency
+/// SLA (by its bits).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct AnswerKey {
+    /// Index into `Scheduler::searches`.
+    search: usize,
+    io: Option<stap_core::IoStrategy>,
+    tail: Option<stap_core::TailStructure>,
+    cap: usize,
+    sla: Option<u64>,
 }
 
 /// What one admission search reads, and so the key it is cached under:
@@ -218,6 +233,7 @@ impl Scheduler {
             next_seq: 0,
             searches: Vec::new(),
             prices: Vec::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -288,7 +304,8 @@ impl Scheduler {
     /// neither the SLA nor the cap changes what it searches, and an I/O or
     /// tail pin inside its default space is answered from the unpinned
     /// search's plans of that structure ([`SearchReport::pinned`]). A plan
-    /// is priced once per (shape, plan id), however many specs choose it.
+    /// is priced once per (shape, plan id), however many specs choose it,
+    /// and a repeated question is answered from the first answer.
     fn search(
         &mut self,
         spec: &MissionSpec,
@@ -322,6 +339,30 @@ impl Scheduler {
                 self.searches.len() - 1
             }
         };
+        let key = AnswerKey {
+            search: s,
+            io: spec.io,
+            tail: spec.tail,
+            cap,
+            sla: spec.max_latency.map(f64::to_bits),
+        };
+        if let Some((_, answer)) = self.answers.iter().find(|(k, _)| *k == key) {
+            return answer.clone();
+        }
+        let answer = self.answer(s, spec, machine, cap);
+        self.answers.push((key, answer.clone()));
+        answer
+    }
+
+    /// The best plan of search `s` for `spec`, at most `cap` nodes, and its
+    /// price.
+    fn answer(
+        &mut self,
+        s: usize,
+        spec: &MissionSpec,
+        machine: &MachineModel,
+        cap: usize,
+    ) -> Result<Priced, AdmissionError> {
         let view = self.searches[s].1.pinned(spec.io, spec.tail);
         let best = view
             .front()
@@ -747,7 +788,17 @@ mod tests {
                                 .expect("a known machine")
                                 .pool_size()
                                 .map_or(40, |p| p.min(40));
-                            let got = s.admit(&spec).map(|(plan, _)| plan).map_err(|e| match e {
+                            let first = s.admit(&spec);
+                            // Asked again, the memo answers as the first
+                            // time, price included.
+                            match (&first, s.admit(&spec)) {
+                                (Ok((a, ca)), Ok((b, cb))) => {
+                                    assert!(*a == b && Arc::ptr_eq(ca, &cb), "{spec:?}")
+                                }
+                                (Err(a), Err(b)) => assert_eq!(*a, b, "{spec:?}"),
+                                (_, again) => panic!("{spec:?}: {first:?} then {again:?}"),
+                            }
+                            let got = first.map(|(plan, _)| plan).map_err(|e| match e {
                                 AdmissionError::NoFeasiblePlan { detail } => detail,
                                 other => panic!("{spec:?}: {other}"),
                             });
@@ -765,6 +816,8 @@ mod tests {
         assert!(admitted > 0 && refused > 4 * 5 * 4 * 3, "{admitted} admitted, {refused} refused");
         // Per machine and budget: the default menus, and cached:32 alone.
         assert_eq!(s.searches.len(), 4 * 5 * 2);
+        // One answer per distinct spec, asked twice.
+        assert_eq!(s.answers.len(), 4 * 5 * 4 * 3 * 3);
     }
 
     #[test]
