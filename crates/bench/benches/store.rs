@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the smart storage tier (`stap-store`):
-//! what a cache hit, a striped miss, server read-ahead, out-of-core chunk
+//! what a cache hit, a striped miss, a posted fetch, out-of-core chunk
 //! streaming, and an online restripe actually cost in wall time. CI runs
 //! it and uploads the report; the rows spread too widely on a shared host
 //! for a per-row gate.
@@ -56,8 +56,8 @@ fn bench(c: &mut Criterion) {
     let (_fs_miss, miss) = tier(StoreConfig::passthrough());
     g.bench_function("miss_1mib_cube", |b| b.iter(|| miss.fetch(0, 0, CUBE).expect("miss")));
 
-    // Read-ahead path: post the async fetch, then await it.
-    let (_fs_ra, ra) = tier(StoreConfig { readahead_depth: 2, ..StoreConfig::passthrough() });
+    // Posted path: post the async fetch, then await it.
+    let (_fs_ra, ra) = tier(StoreConfig::passthrough());
     g.bench_function("prefetch_await_1mib_cube", |b| {
         b.iter(|| match ra.prefetch(0, 0, CUBE).expect("post") {
             Some(pending) => pending().expect("await"),

@@ -461,6 +461,12 @@ impl StapConfig {
     pub fn nbins(&self) -> usize {
         self.dims.pulses.next_power_of_two()
     }
+
+    /// Whether file reads go through the `stap-store` tier: a cached or
+    /// prefetch strategy, or out-of-core access under any strategy.
+    pub fn routes_through_store(&self) -> bool {
+        self.io.uses_store_tier() || self.access != CubeAccess::Resident
+    }
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use stap_pfs::timing::extent_service;
 ///   files has filled a cache that holds the working set) serves the cube
 ///   at copy bandwidth; the stripe servers stay idle.
 /// - A cold miss behind the tier is posted when the previous instance
-///   started (`prev_start`): the server-side prefetcher overlaps it with
+///   started (`prev_start`): the client's posted fetch overlaps it with
 ///   compute even without client `iread`, and the cube still crosses the
 ///   cache copy on its way up.
 /// - Without a tier, `iread` posts at the previous start too and overlaps
@@ -80,7 +80,7 @@ fn read_step(
 }
 
 /// Whether a CPI's read is posted when the read-bearing task's previous
-/// instance started (`iread`, or a tier's server-side prefetch) rather
+/// instance started (`iread`, or a fetch posted to the storage tier) rather
 /// than when its own instance starts.
 fn posts_early(read: &ReadTerm) -> bool {
     read.overlap || read.cache.is_some()

@@ -3,7 +3,8 @@
 //! The paper tunes two knobs against the I/O bottleneck: the stripe
 //! factor and where the read lives (embedded vs separate task). The
 //! storage tier adds two more — a server-side read cache (`cached:{MB}`)
-//! and server-issued read-ahead (`prefetch:{D}`) — and this module maps
+//! and reads posted to the servers a CPI ahead into a cache just big
+//! enough for them (`prefetch:{D}`) — and this module maps
 //! where each one wins. The sweep prices every strategy through the DES,
 //! which shares its `stap_model::cachetier` cost model with the planner's
 //! `plan --io auto` search, so the crossover shown here is exactly the
@@ -37,7 +38,7 @@ fn sweep_ios() -> impl Iterator<Item = IoStrategy> {
 /// Steady-state cache temperature of a strategy over the paper-default
 /// cube: `warm` means the `STAGING_FANOUT`-file working set fits and every
 /// steady read hits; `cold` means reads still hit the stripe servers
-/// (overlapped by server-side read-ahead).
+/// (overlapped with compute by the posted fetch).
 fn cache_state(io: IoStrategy, cube_bytes: usize) -> &'static str {
     match io {
         IoStrategy::Cached { mb } => {

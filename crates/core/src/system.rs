@@ -56,7 +56,8 @@ pub struct StoreReport {
     pub inserts: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Inserts staged ahead of demand by the prefetcher.
+    /// Always 0: the tier stages no read that no client posted. Kept so
+    /// existing readers of the report still build.
     pub readaheads: u64,
     /// `hits / (hits + misses)` over this run (0 when idle).
     pub hit_rate: f64,
@@ -239,17 +240,15 @@ impl StapSystem {
             // A cached/prefetch strategy or out-of-core access routes the
             // file reads through the smart storage tier; otherwise the
             // plain file source reads the stripe servers directly.
-            SourceSpec::File
-                if config.io.uses_store_tier() || config.access != CubeAccess::Resident =>
-            {
+            SourceSpec::File if config.routes_through_store() => {
                 let cube_bytes = config.dims.bytes();
                 let row_bytes = config.dims.channels * config.dims.pulses * 8;
-                // The tier runs every read, read-ahead included, inside a
-                // post, and posts are served one at a time, so one chunk of
-                // scratch is live at once. The bound the meter enforces
-                // stays one chunk per reading node plus one: a ceiling that
-                // holds however posts are scheduled, and the figure
-                // `results/store_cache.txt` prints.
+                // The tier runs every read inside a post, and posts are
+                // served one at a time, so one chunk of scratch is live at
+                // once. The bound the meter enforces stays one chunk per
+                // reading node plus one: a ceiling that holds however posts
+                // are scheduled, and the figure `results/store_cache.txt`
+                // prints.
                 let chunk_rows = match config.access {
                     CubeAccess::OutOfCore { chunk_rows } => chunk_rows,
                     CubeAccess::Resident => config.dims.ranges.max(1),
@@ -258,10 +257,10 @@ impl StapSystem {
                     files.clone(),
                     StoreConfig {
                         cache_bytes: config.io.cache_bytes(cube_bytes),
-                        readahead_depth: config.io.readahead_depth(),
                         access: config.access,
                         footprint_bound: ((readers + 1) * chunk_rows * row_bytes) as u64,
                         row_bytes,
+                        ..StoreConfig::passthrough()
                     },
                 ));
                 store = Some(Arc::clone(&src));
@@ -469,15 +468,15 @@ impl StapSystem {
         });
 
         let store = self.store.as_ref().map(|s| {
-            let (h0, m0, i0, e0, r0) = store_before.unwrap_or_default();
-            let (h, m, i, e, r) = s.stats().snapshot();
+            let (h0, m0, i0, e0) = store_before.unwrap_or_default();
+            let (h, m, i, e) = s.stats().snapshot();
             let (hits, misses) = (h - h0, m - m0);
             StoreReport {
                 hits,
                 misses,
                 inserts: i - i0,
                 evictions: e - e0,
-                readaheads: r - r0,
+                readaheads: 0,
                 hit_rate: if hits + misses > 0 {
                     hits as f64 / (hits + misses) as f64
                 } else {

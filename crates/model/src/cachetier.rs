@@ -14,14 +14,15 @@
 //!   cyclically: once the cache holds the whole working set
 //!   (`cache_bytes ≥ fanout × cube_bytes`) every steady-state read hits
 //!   ([`CacheTierModel::warm`]).
-//! - A **miss** still pays the striped read, but the server-side
-//!   prefetcher overlaps it with the previous CPI's compute regardless of
-//!   whether the *client* file system supports `iread` — the read-ahead
-//!   is issued by the I/O servers, not the compute nodes. In executed
-//!   runs the tier posts every read (client fetch, posted fetch and
-//!   read-ahead alike) onto one first-come-first-served clock of its own
-//!   and enters the extent in the cache with the instant the read
-//!   completes; a hit on a read still in flight waits for that instant.
+//! - A **miss** still pays the striped read, but the client posts it to
+//!   the tier while the previous CPI computes, so it overlaps that
+//!   compute regardless of whether the *client* file system supports
+//!   `iread` — the I/O servers own the queue, clients only post. In
+//!   executed runs the tier queues every posted read on one
+//!   first-come-first-served clock of its own and enters the extent in
+//!   the cache with the instant the read completes; a hit on a read still
+//!   in flight waits for that instant. The tier reads nothing no client
+//!   posted, so one miss per CPI extent is all the stripe servers see.
 
 /// Memory-to-memory copy bandwidth of one I/O server cache (bytes/s),
 /// calibrated against the Paragon's node memory bus: serving a cached
@@ -61,7 +62,7 @@ impl CacheTierModel {
         Self { hit_time: hit_time(cube_bytes), warm: cache_bytes >= fanout.max(1) * cube_bytes }
     }
 
-    /// Model of a `prefetch:{D}` strategy: read-ahead into a cache just
+    /// Model of a `prefetch:{D}` strategy: posted reads into a cache just
     /// big enough for the in-flight cubes — no reuse, never warm, but
     /// every miss overlaps with compute.
     pub fn prefetch(cube_bytes: usize) -> Self {
@@ -70,8 +71,8 @@ impl CacheTierModel {
 
     /// Steady-state front-task body time (read + core work, before the
     /// per-task overhead `V_i`): warm caches skip the stripe servers
-    /// entirely; cold ones overlap the striped read with `core` thanks to
-    /// server-side read-ahead, then pay the cache copy.
+    /// entirely; cold ones overlap the striped read with `core` because the
+    /// read was posted a CPI ahead, then pay the cache copy.
     pub fn front_body(&self, read_time: f64, core: f64) -> f64 {
         if self.warm {
             self.hit_time + core

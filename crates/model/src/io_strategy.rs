@@ -24,11 +24,12 @@ pub enum IoStrategy {
         /// Cache budget in MiB.
         mb: u32,
     },
-    /// Embedded reads with server-side read-ahead `depth` cubes deep
-    /// (`stap-store`): misses overlap with the previous CPI's compute even
-    /// when the client file system has no `iread`.
+    /// Embedded reads through the `stap-store` tier with a cache of
+    /// `depth + 1` cubes: each CPI's read is posted to the I/O servers
+    /// while the previous CPI computes, so a miss overlaps that compute
+    /// even when the client file system has no `iread`.
     Prefetch {
-        /// Read-ahead depth in cubes.
+        /// Cubes of cache beyond the one being read.
         depth: u32,
     },
 }
@@ -36,7 +37,7 @@ pub enum IoStrategy {
 impl IoStrategy {
     /// The strategy menu `plan --io auto` searches: the paper's two
     /// designs plus the store-tier strategies at a few cache sizes and
-    /// read-ahead depths.
+    /// prefetch depths.
     pub const AUTO_MENU: [IoStrategy; 7] = [
         IoStrategy::Embedded,
         IoStrategy::SeparateTask,
@@ -106,14 +107,14 @@ impl IoStrategy {
     }
 
     /// Whether the strategy runs the `stap-store` tier in front of the
-    /// file system (cache and/or prefetcher).
+    /// file system.
     pub fn uses_store_tier(self) -> bool {
         matches!(self, IoStrategy::Cached { .. } | IoStrategy::Prefetch { .. })
     }
 
     /// The cache byte budget the strategy implies: the configured cache
-    /// for `cached:{MB}`, `in_flight` cubes' worth for `prefetch:{D}`
-    /// (read-ahead needs somewhere to land), zero otherwise.
+    /// for `cached:{MB}`, `D + 1` cubes' worth for `prefetch:{D}` (a posted
+    /// read needs somewhere to land), zero otherwise.
     pub fn cache_bytes(self, cube_bytes: usize) -> usize {
         match self {
             IoStrategy::Cached { mb } => (mb as usize) << 20,
@@ -135,17 +136,6 @@ impl IoStrategy {
             )),
             IoStrategy::Prefetch { .. } => Some(CacheTierModel::prefetch(cube_bytes)),
             IoStrategy::Embedded | IoStrategy::SeparateTask => None,
-        }
-    }
-
-    /// The server-side read-ahead depth the strategy implies.
-    pub fn readahead_depth(self) -> u32 {
-        match self {
-            IoStrategy::Prefetch { depth } => depth,
-            // A plain cache still prefetches one ahead: the detector is
-            // what keeps the cache warm for cubes never seen before.
-            IoStrategy::Cached { .. } => 1,
-            _ => 0,
         }
     }
 }
@@ -237,8 +227,6 @@ mod tests {
         assert_eq!(IoStrategy::Cached { mb: 64 }.cache_bytes(cube), 64 << 20);
         assert_eq!(IoStrategy::Prefetch { depth: 3 }.cache_bytes(cube), 4 * cube);
         assert_eq!(IoStrategy::Embedded.cache_bytes(cube), 0);
-        assert_eq!(IoStrategy::Cached { mb: 64 }.readahead_depth(), 1);
-        assert_eq!(IoStrategy::Prefetch { depth: 3 }.readahead_depth(), 3);
         assert!(IoStrategy::Cached { mb: 1 }.uses_store_tier());
         assert!(!IoStrategy::SeparateTask.uses_store_tier());
     }

@@ -26,7 +26,6 @@ use stap_core::{SourceSpec, StapConfig, StapSystem, StreamSettings, WatchdogPoli
 use stap_kernels::CubeDims;
 use stap_pfs::Pfs;
 use stap_pipeline::PipelineError;
-use stap_store::CubeAccess;
 use stap_trace::{ClockSpec, FleetTrack};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -103,8 +102,7 @@ type DegradedRun = (Result<Box<stap_core::StapRunOutput>, PipelineError>, Option
 /// the way a real fleet drains a lost server without re-ingesting from
 /// the radar.
 fn run_degraded(config: StapConfig, from_sf: usize) -> DegradedRun {
-    let store_tier = config.io.uses_store_tier() || config.access != CubeAccess::Resident;
-    if !store_tier {
+    if !config.routes_through_store() {
         let result = StapSystem::prepare(config)
             .and_then(|sys| sys.run_with_clock(ClockSpec::Wall))
             .map(Box::new);

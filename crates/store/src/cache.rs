@@ -31,26 +31,22 @@ pub struct CacheStats {
     pub hits: AtomicU64,
     /// Lookups that fell through to the stripe servers.
     pub misses: AtomicU64,
-    /// Extents inserted (demand fills + read-ahead fills).
+    /// Extents inserted (one per missed read that succeeded).
     pub inserts: AtomicU64,
     /// Extents evicted to stay under the byte budget.
     pub evictions: AtomicU64,
-    /// Inserts that came from the prefetcher rather than a demand miss.
-    pub readaheads: AtomicU64,
     /// Bytes served from the cache.
     pub hit_bytes: AtomicU64,
 }
 
 impl CacheStats {
-    /// Point-in-time snapshot `(hits, misses, inserts, evictions,
-    /// readaheads)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
+    /// Point-in-time snapshot `(hits, misses, inserts, evictions)`.
+    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
             self.inserts.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
-            self.readaheads.load(Ordering::Relaxed),
         )
     }
 
@@ -161,9 +157,8 @@ impl ReadCache {
 
     /// Inserts an extent whose read completes at `ready_at`, evicting
     /// least-recently-used entries as needed to stay under the byte budget.
-    /// Extents larger than the whole budget are not cached. `readahead`
-    /// marks prefetcher fills in the stats.
-    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, ready_at: Instant, readahead: bool) {
+    /// Extents larger than the whole budget are not cached.
+    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, ready_at: Instant) {
         if data.len() > self.capacity {
             return;
         }
@@ -177,9 +172,6 @@ impl ReadCache {
         }
         inner.bytes += added;
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        if readahead {
-            self.stats.readaheads.fetch_add(1, Ordering::Relaxed);
-        }
         while inner.bytes > self.capacity {
             let victim = inner
                 .map
@@ -205,17 +197,17 @@ mod tests {
     }
 
     fn put(c: &ReadCache, k: CacheKey, bytes: usize) {
-        c.insert(k, Arc::new(vec![0u8; bytes]), Instant::now(), false);
+        c.insert(k, Arc::new(vec![0u8; bytes]), Instant::now());
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let c = ReadCache::new(64);
         assert!(c.lookup(&key(0, 0)).is_none());
-        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), Instant::now(), false);
+        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), Instant::now());
         assert_eq!(c.lookup(&key(0, 0)).unwrap().0.as_slice(), &[1, 2, 3]);
-        let (h, m, i, e, r) = c.stats().snapshot();
-        assert_eq!((h, m, i, e, r), (1, 1, 1, 0, 0));
+        let (h, m, i, e) = c.stats().snapshot();
+        assert_eq!((h, m, i, e), (1, 1, 1, 0));
     }
 
     #[test]

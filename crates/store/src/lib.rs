@@ -12,9 +12,11 @@
 //! - **Read cache** ([`cache`]) — a byte-budgeted LRU over file extents
 //!   on the I/O-server side; hits are served at copy bandwidth and skip
 //!   the stripe-server queues entirely.
-//! - **Server-side prefetch** ([`prefetch`]) — a sequential/round-robin
-//!   pattern detector over the CPI access stream that stages upcoming
-//!   cubes into the cache, independent of client `iread` support.
+//! - **Posted reads** ([`source`]) — the servers own the read queue and
+//!   clients only post: a CPI's read is posted a CPI ahead and queued on
+//!   the tier's own first-come-first-served clock, so a miss overlaps the
+//!   previous CPI's compute whether or not the client file system has
+//!   `iread`. The tier stages no read that no client posted.
 //! - **Out-of-core cubes** ([`chunked`]) — range-block chunked streaming
 //!   with a hard peak-footprint accounting check, for cubes that do not
 //!   fit node memory.
@@ -29,13 +31,11 @@
 pub mod cache;
 pub mod chunked;
 pub mod error;
-pub mod prefetch;
 pub mod restripe;
 pub mod source;
 
 pub use cache::{CacheKey, CacheStats, ReadCache};
 pub use chunked::{ChunkedCube, CubeAccess, FootprintGrant, FootprintMeter};
 pub use error::StoreError;
-pub use prefetch::{Prefetcher, ReadAhead};
 pub use restripe::{restripe_live, LiveFile, RestripeReport};
 pub use source::{StoreConfig, StoreSource};

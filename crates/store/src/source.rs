@@ -6,28 +6,27 @@
 //! 1. a byte-budgeted LRU [`ReadCache`] (hits skip the stripe servers and
 //!    cost [`stap_model::cachetier::hit_time`], mirrored here as paced
 //!    sleep so wall-clock runs agree with the DES);
-//! 2. a server-side [`Prefetcher`] that watches the demand CPI stream and
-//!    posts reads of the next cubes into the cache — read-ahead works
-//!    even when the *client* file system has no `iread`;
-//! 3. optional out-of-core access ([`CubeAccess::OutOfCore`]): misses
+//! 2. optional out-of-core access ([`CubeAccess::OutOfCore`]): misses
 //!    stream through bounded [`ChunkedCube`] chunks charged to a
 //!    [`FootprintMeter`], so peak memory is provable, not hoped for;
-//! 4. [`LiveFile`] handles, so online restriping can swap the backing
+//! 3. [`LiveFile`] handles, so online restriping can swap the backing
 //!    layout underneath running readers.
 //!
-//! The tier owns its queue and clients only post (ViPIOS). `fetch`,
-//! `prefetch` and every read-ahead go through one post path: it looks the
-//! extent up, runs a miss's read body at once (it never sleeps), queues
-//! the pause the read owes on the tier's first-come-first-served clock
-//! (`start = max(now, free_at)`, `free_at = start + pause`) and enters the
-//! extent in the cache with the instant its read completes. Posts are
-//! serialised on that clock, so every lookup sees the cache state a single
-//! FIFO server would have shown it. A caller sleeps until its read's
-//! instant, plus the cache copy on a hit.
+//! The tier owns its queue and clients only post (ViPIOS). `fetch` and
+//! `prefetch` go through one post path: it looks the extent up, runs a
+//! miss's read body at once (it never sleeps), queues the pause the read
+//! owes on the tier's first-come-first-served clock (`start = max(now,
+//! free_at)`, `free_at = start + pause`) and enters the extent in the cache
+//! with the instant its read completes. Posts are serialised on that clock,
+//! so every lookup sees the cache state a single FIFO server would have
+//! shown it. A caller sleeps until its read's instant, plus the cache copy
+//! on a hit. A client's posted fetch is the tier's only overlap — a CPI's
+//! read posted while the previous CPI computes, with or without client
+//! `iread` — which is how `stap_model::cachetier` and the DES price it;
+//! the tier stages no read that no client posted.
 
 use crate::cache::{CacheKey, CacheStats, ReadCache};
 use crate::chunked::{ChunkedCube, CubeAccess, FootprintMeter};
-use crate::prefetch::Prefetcher;
 use crate::restripe::{restripe_live, LiveFile, RestripeReport};
 use crate::StoreError;
 use parking_lot::Mutex;
@@ -51,7 +50,8 @@ fn store_error(e: StoreError) -> SourceError {
 pub struct StoreConfig {
     /// Read-cache byte budget (0 disables caching).
     pub cache_bytes: usize,
-    /// Read-ahead depth in cubes (0 disables the prefetcher).
+    /// Inert: the tier stages no read that no client posted, so it ignores
+    /// this depth. Kept so existing configurations still build.
     pub readahead_depth: u32,
     /// Whether misses materialize cubes resident or out-of-core.
     pub access: CubeAccess,
@@ -63,7 +63,7 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// A pass-through store: no cache, no read-ahead, resident access.
+    /// A pass-through store: no cache, resident access.
     pub fn passthrough() -> Self {
         Self {
             cache_bytes: 0,
@@ -75,13 +75,12 @@ impl StoreConfig {
     }
 }
 
-/// The smart storage tier as a [`CpiSource`]: cache + prefetch +
+/// The smart storage tier as a [`CpiSource`]: cache + posted reads +
 /// out-of-core streaming + live-restripable files, in front of the
 /// striped PFS.
 pub struct StoreSource {
     files: Vec<Arc<LiveFile>>,
     cache: ReadCache,
-    prefetcher: Prefetcher,
     chunker: Option<ChunkedCube>,
     /// Wall-clock pacing scale, mirrored from the mount's `pace_reads` so
     /// cache hits are paced by the same dial as real reads.
@@ -102,7 +101,6 @@ impl std::fmt::Debug for StoreSource {
         f.debug_struct("StoreSource")
             .field("files", &self.files.len())
             .field("cache", &self.cache)
-            .field("readahead_depth", &self.prefetcher.depth())
             .field("out_of_core", &self.chunker.is_some())
             .finish()
     }
@@ -147,7 +145,6 @@ impl StoreSource {
         Self {
             files: files.into_iter().map(LiveFile::new).collect(),
             cache: ReadCache::new(cfg.cache_bytes),
-            prefetcher: Prefetcher::new(cfg.readahead_depth),
             chunker,
             pace,
             free_at: Mutex::new(Instant::now()),
@@ -170,74 +167,45 @@ impl StoreSource {
     }
 
     /// Migrates every backing file onto `dst_pfs` (copy-then-swap per
-    /// stripe unit) without stopping readers, then resets the pattern
-    /// detector — the new layout starts with a clean stream history.
+    /// stripe unit) without stopping readers.
     pub fn restripe_to(&self, dst_pfs: &Pfs) -> Result<Vec<RestripeReport>, StoreError> {
-        let reports = self
-            .files
-            .iter()
-            .map(|live| restripe_live(live, dst_pfs))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.prefetcher.reset();
-        Ok(reports)
+        self.files.iter().map(|live| restripe_live(live, dst_pfs)).collect()
     }
 
-    /// The one read path. A client read (`cpi` given) looks the extent up,
-    /// counting a hit or a miss; a read-ahead (`cpi` is `None`) counts
-    /// nothing. A miss runs the read body at once — a resident client read
-    /// consults an installed fault plan, a read-ahead must not consume its
-    /// deterministic per-(cpi, offset) attempt counters, and out-of-core
-    /// reads stream through metered chunks — then queues the pause it owes
-    /// on the tier's clock and enters the cache with its completion.
-    fn post(&self, key: CacheKey, cpi: Option<u64>) -> Posted {
+    /// The one read path: looks CPI `cpi`'s extent up, counting a hit or a
+    /// miss. A miss runs the read body at once — a resident read consults
+    /// an installed fault plan, an out-of-core read streams through
+    /// metered chunks — then queues the pause it owes on the tier's clock
+    /// and enters the cache with its completion.
+    fn post(&self, cpi: u64, offset: u64, len: usize) -> (CacheKey, Posted) {
+        let key = self.key(cpi, offset, len);
         let mut free_at = self.free_at.lock();
-        if cpi.is_some() {
-            if let Some((bytes, ready_at)) = self.cache.lookup(&key) {
-                return Posted { result: Ok(bytes), ready_at, hit: true };
-            }
+        if let Some((bytes, ready_at)) = self.cache.lookup(&key) {
+            return (key, Posted { result: Ok(bytes), ready_at, hit: true });
         }
         let file = self.files[key.slot].handle();
         let (result, pause) = match &self.chunker {
             None => {
-                let (read, pause) = file.read_body(cpi, key.offset, key.len);
+                let (read, pause) = file.read_body(Some(cpi), offset, len);
                 (read.map_err(SourceError::from), pause)
             }
             Some(c) => {
-                let (read, pause) = c.read(&file, key.offset, key.len);
+                let (read, pause) = c.read(&file, offset, len);
                 (read.map_err(store_error), pause)
             }
         };
         *free_at = (*free_at).max(Instant::now()) + pause;
         let result = result.map(Arc::new);
         if let Ok(bytes) = &result {
-            self.cache.insert(key, Arc::clone(bytes), *free_at, cpi.is_none());
+            self.cache.insert(key, Arc::clone(bytes), *free_at);
         }
-        Posted { result, ready_at: *free_at, hit: false }
-    }
-
-    /// Posts a read of every predicted CPI the cache does not already
-    /// hold. Advisory: a failed read-ahead is dropped, and the client
-    /// read refetches.
-    fn issue_readahead(&self, cpi: u64, offset: u64, len: usize) {
-        if self.cache.capacity() == 0 {
-            return;
-        }
-        for ra in self.prefetcher.observe(cpi, offset, len) {
-            let key = self.key(ra.cpi, ra.offset, ra.len);
-            if self.cache.peek(&key).is_none() {
-                self.post(key, None);
-            }
-        }
+        (key, Posted { result, ready_at: *free_at, hit: false })
     }
 }
 
 impl CpiSource for StoreSource {
     fn fetch(&self, cpi: u64, offset: u64, len: usize) -> Result<Vec<u8>, SourceError> {
-        // The caller's own read is posted ahead of the read-ahead it
-        // triggers, so a demand read never waits behind its own staging.
-        let posted = self.post(self.key(cpi, offset, len), Some(cpi));
-        self.issue_readahead(cpi, offset, len);
-        posted.wait(self.pace)
+        self.post(cpi, offset, len).1.wait(self.pace)
     }
 
     fn prefetch(
@@ -246,11 +214,7 @@ impl CpiSource for StoreSource {
         offset: u64,
         len: usize,
     ) -> Result<Option<PendingFetch>, SourceError> {
-        // Read-ahead first: a posted fetch queues behind the staging it
-        // triggers, as a client request queues at a FIFO server.
-        self.issue_readahead(cpi, offset, len);
-        let key = self.key(cpi, offset, len);
-        let posted = self.post(key, Some(cpi));
+        let (key, posted) = self.post(cpi, offset, len);
         let claims = (!posted.hit).then(|| {
             self.claims.lock().push(key);
             Arc::clone(&self.claims)
@@ -301,14 +265,8 @@ mod tests {
         (fs, files, cubes)
     }
 
-    fn cfg_cached(cache_bytes: usize, depth: u32) -> StoreConfig {
-        StoreConfig {
-            cache_bytes,
-            readahead_depth: depth,
-            access: CubeAccess::Resident,
-            footprint_bound: u64::MAX,
-            row_bytes: 1,
-        }
+    fn cfg_cached(cache_bytes: usize) -> StoreConfig {
+        StoreConfig { cache_bytes, ..StoreConfig::passthrough() }
     }
 
     #[test]
@@ -327,7 +285,7 @@ mod tests {
     #[test]
     fn warm_cache_serves_repeat_reads() {
         let (_fs, files, cubes) = staged(2, 4096);
-        let src = StoreSource::new(files, cfg_cached(1 << 20, 0));
+        let src = StoreSource::new(files, cfg_cached(1 << 20));
         for round in 0..3 {
             for cpi in 0..2u64 {
                 let got = src.fetch(cpi, 0, 4096).unwrap();
@@ -338,24 +296,6 @@ mod tests {
         assert_eq!((h, m), (4, 2), "first round misses, later rounds hit");
         assert!(src.cached(0, 0, 4096));
         assert!(!src.cached(0, 1, 4096));
-    }
-
-    #[test]
-    fn readahead_fills_the_cache_for_the_next_cpi() {
-        let (_fs, files, _cubes) = staged(4, 1024);
-        let src = StoreSource::new(files, cfg_cached(1 << 20, 2));
-        src.fetch(0, 0, 1024).unwrap();
-        src.fetch(1, 0, 1024).unwrap();
-        // A run of two consecutive CPIs arms the detector: the second
-        // fetch posts CPIs 2 and 3, which an unpaced mount completes at
-        // once.
-        assert!(src.cached(2, 0, 1024) && src.cached(3, 0, 1024));
-        let before = src.stats().snapshot();
-        assert_eq!(before.4, 2, "readahead inserts counted");
-        let (h0, ..) = before;
-        src.fetch(2, 0, 1024).unwrap();
-        let (h1, ..) = src.stats().snapshot();
-        assert_eq!(h1, h0 + 1, "the staged cube is a hit");
     }
 
     #[test]
@@ -375,7 +315,7 @@ mod tests {
                 f
             })
             .collect();
-        let src = StoreSource::new(files, cfg_cached(1 << 20, 0));
+        let src = StoreSource::new(files, cfg_cached(1 << 20));
         let posted = Instant::now();
         let first = src.prefetch(0, 0, 1000).unwrap().expect("the tier always posts");
         let second = src.prefetch(1, 0, 1000).unwrap().expect("the tier always posts");
@@ -397,7 +337,7 @@ mod tests {
     #[test]
     fn client_prefetch_returns_the_right_bytes() {
         let (_fs, files, cubes) = staged(2, 2048);
-        let src = StoreSource::new(files, cfg_cached(1 << 20, 0));
+        let src = StoreSource::new(files, cfg_cached(1 << 20));
         let pending = src.prefetch(1, 0, 2048).unwrap().expect("store always has an async path");
         assert_eq!(pending().unwrap(), cubes[1]);
     }
@@ -406,11 +346,10 @@ mod tests {
     fn out_of_core_reads_are_bit_identical_and_bounded() {
         let (_fs, files, cubes) = staged(2, 8192);
         let cfg = StoreConfig {
-            cache_bytes: 0,
-            readahead_depth: 0,
             access: CubeAccess::OutOfCore { chunk_rows: 4 },
             footprint_bound: 4 * 64,
             row_bytes: 64,
+            ..StoreConfig::passthrough()
         };
         let src = StoreSource::new(files, cfg);
         for cpi in 0..2u64 {
@@ -425,11 +364,10 @@ mod tests {
     fn too_tight_footprint_bound_fails_with_footprint_error() {
         let (_fs, files, _cubes) = staged(1, 1024);
         let cfg = StoreConfig {
-            cache_bytes: 0,
-            readahead_depth: 0,
             access: CubeAccess::OutOfCore { chunk_rows: 8 },
             footprint_bound: 100,
             row_bytes: 64,
+            ..StoreConfig::passthrough()
         };
         let src = StoreSource::new(files, cfg);
         let e = src.fetch(0, 0, 1024).unwrap_err();
@@ -440,7 +378,7 @@ mod tests {
     #[test]
     fn restripe_mid_stream_is_invisible_to_readers() {
         let (_fs, files, cubes) = staged(2, 4096);
-        let src = StoreSource::new(files, cfg_cached(0, 0));
+        let src = StoreSource::new(files, cfg_cached(0));
         assert_eq!(src.fetch(0, 0, 4096).unwrap(), cubes[0]);
         let dst = Pfs::mount(FsConfig::paragon_pfs(32));
         let reports = src.restripe_to(&dst).unwrap();

@@ -56,7 +56,7 @@ fn failed_if(failed: bool) -> Outcome {
 
 fn run(config: StapConfig, trace: Option<TraceMode>, virtual_clock: bool) -> Outcome {
     println!("structure : {} / {}", config.io.label(), config.tail.label());
-    if config.io.uses_store_tier() || config.access != ppstap::store::CubeAccess::Resident {
+    if config.routes_through_store() {
         println!("store tier: io={} access={}", config.io.describe(), config.access.label());
     }
     println!(
@@ -110,11 +110,10 @@ fn run(config: StapConfig, trace: Option<TraceMode>, virtual_clock: bool) -> Out
     }
     if let Some(st) = &out.store {
         println!(
-            "\ncache hit-rate : {:>8.0}%  ({} hits, {} misses, {} readaheads, {} evictions)",
+            "\ncache hit-rate : {:>8.0}%  ({} hits, {} misses, {} evictions)",
             st.hit_rate * 100.0,
             st.hits,
             st.misses,
-            st.readaheads,
             st.evictions
         );
         if let Some((peak, bound)) = st.footprint {

@@ -441,9 +441,10 @@ phase); --trace chrome:PATH writes a Chrome trace-event JSON file
 retries linked by flow arrows). --virtual-clock times phases on a
 deterministic virtual clock so trace output is bit-reproducible.
 --io cached:MB puts the stap-store tier (an MB-MiB LRU read cache
-plus a one-deep pattern prefetcher) in front of the embedded
-reads; --io prefetch:D runs
-the tier cacheless-warm with D cubes of server-side read-ahead.
+on the I/O servers) in front of the embedded reads; the front posts
+each CPI's read while the previous CPI computes, so a miss overlaps
+compute without client iread. --io prefetch:D runs the same tier
+with a cache of D+1 cubes, enough for the reads in flight.
 The run then prints a greppable 'cache hit-rate' line and traces
 hits as the cachehit phase. --access ooc:ROWS streams demand
 misses through ROWS-row chunks charged against a hard footprint

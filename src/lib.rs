@@ -19,8 +19,8 @@
 //! - [`model`] — machine/cost models and the paper's analytic equations;
 //! - [`trace`] — phase spans, trace clocks, metrics, Chrome-trace export;
 //! - [`pipeline`] — the generic parallel pipeline runtime;
-//! - [`store`] — the smart storage tier: server-side read cache, pattern
-//!   prefetcher, out-of-core cube streaming, and online restriping;
+//! - [`store`] — the smart storage tier: server-side read cache, posted
+//!   reads, out-of-core cube streaming, and online restriping;
 //! - [`core`] — the paper's STAP pipeline system and experiment drivers;
 //! - [`planner`] — bi-criteria configuration search over node assignments,
 //!   I/O strategies, and task combining (`ppstap plan`);

@@ -37,8 +37,8 @@ fn auto_menu_sweeps_store_strategies_and_a_cached_plan_wins_somewhere() {
     // actually evaluated, and a cached strategy lands on the Pareto front
     // of at least one swept configuration. The SP's synchronous PIOFS is
     // where the tier shines — the client has no `iread`, so only the
-    // server-side cache/prefetcher can hide the read — but every swept
-    // machine must at least score the whole menu.
+    // server-side tier (its cache and posted reads) can hide the read —
+    // but every swept machine must at least score the whole menu.
     let mut cached_won = false;
     for nodes in [25usize, 50, 100] {
         for machine in [MachineModel::paragon(16), MachineModel::paragon(64), MachineModel::sp()] {

@@ -51,8 +51,8 @@ fn window(cube_bytes: usize, quarter: usize) -> (u64, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any cache budget × read-ahead depth × access mode × access
-    /// sequence: the tier is invisible to correctness. Every read is
+    /// Any cache budget × access mode × access sequence: the tier is
+    /// invisible to correctness. Every read is
     /// bit-identical to the plain file, hits + misses equals the demand
     /// lookups, evictions never exceed inserts, and out-of-core scratch
     /// never passes its bound.
@@ -62,7 +62,6 @@ proptest! {
         rows in 4usize..16,
         row_bytes in 16usize..160,
         cache_sel in 0usize..3,
-        depth in 0u32..4,
         ooc in any::<bool>(),
         chunk_rows in 1usize..8,
         seed in any::<u64>(),
@@ -81,13 +80,13 @@ proptest! {
         };
         let cfg = StoreConfig {
             cache_bytes: [0, cube_bytes + 64, 1 << 20][cache_sel],
-            readahead_depth: depth,
             access,
             // Every read runs inside its post, one post at a time: one
             // chunk of scratch is ever live, so four is a roomy provable
             // bound.
             footprint_bound: 4 * chunk_bytes as u64,
             row_bytes,
+            ..StoreConfig::passthrough()
         };
         let src = StoreSource::new(files.clone(), cfg);
         let meter = src.footprint().map(Arc::clone);
@@ -108,7 +107,7 @@ proptest! {
             prop_assert_eq!(&got[..], want, "cpi {} window ({}, {})", cpi, off, len);
         }
 
-        let (hits, misses, inserts, evictions, _readaheads) = src.stats().snapshot();
+        let (hits, misses, inserts, evictions) = src.stats().snapshot();
         prop_assert_eq!(hits + misses, demand_lookups, "every demand lookup is a hit or a miss");
         prop_assert!(evictions <= inserts, "evicted {evictions} of {inserts} inserts");
         if cfg.cache_bytes == 0 {
@@ -199,7 +198,7 @@ fn read_cache_holds_its_laws_under_eight_threads() {
                             }
                             None => {
                                 let ready = std::time::Instant::now();
-                                cache.insert(key, Arc::new(bytes_of(slot)), ready, false)
+                                cache.insert(key, Arc::new(bytes_of(slot)), ready)
                             }
                         }
                     }
@@ -209,7 +208,7 @@ fn read_cache_holds_its_laws_under_eight_threads() {
             .collect();
         workers.into_iter().map(|w| w.join().expect("worker panicked")).sum()
     });
-    let (hits, misses, inserts, evictions, _) = cache.stats().snapshot();
+    let (hits, misses, inserts, evictions) = cache.stats().snapshot();
     assert_eq!(hits + misses, lookups, "every lookup is exactly one hit or one miss");
     assert!(evictions <= inserts, "evicted {evictions} of {inserts} inserts");
     assert!(evictions > 0, "a key space four times the capacity must evict");
@@ -235,13 +234,7 @@ fn restripe_live_serves_staged_bytes_to_eight_readers() {
     const CUBE: usize = 512 * 1024;
     const WINDOW: usize = 256;
     let (_fs, files, cubes) = staged(FANOUT, CUBE, 29);
-    let cfg = StoreConfig {
-        cache_bytes: 4 << 20,
-        readahead_depth: 0,
-        access: CubeAccess::Resident,
-        footprint_bound: u64::MAX,
-        row_bytes: 1,
-    };
+    let cfg = StoreConfig { cache_bytes: 4 << 20, ..StoreConfig::passthrough() };
     let src = StoreSource::new(files, cfg);
     // Warm: every whole cube is cached before the readers start.
     for cpi in 0..FANOUT as u64 {
@@ -290,7 +283,7 @@ fn restripe_live_serves_staged_bytes_to_eight_readers() {
         restriped.store(true, Ordering::Release);
         readers.into_iter().map(|r| r.join().expect("reader panicked")).sum()
     });
-    let (hits, misses, inserts, evictions, _) = src.stats().snapshot();
+    let (hits, misses, inserts, evictions) = src.stats().snapshot();
     assert_eq!(hits + misses, warm + fetches, "every fetch is exactly one hit or one miss");
     assert!(hits > 0 && misses > warm, "both paths ran: {hits} hits, {misses} misses");
     assert!(evictions <= inserts);

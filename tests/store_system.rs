@@ -6,6 +6,7 @@
 use ppstap::core::config::StapConfig;
 use ppstap::core::{IoStrategy, StapRunOutput, StapSystem};
 use ppstap::kernels::cube::CubeDims;
+use ppstap::pfs::FsConfig;
 use ppstap::pipeline::ClockSpec;
 use ppstap::scenario::find;
 use ppstap::store::CubeAccess;
@@ -69,25 +70,62 @@ fn cached_run_matches_plain_run_and_reports_the_tier() {
     assert_eq!(st.footprint, None, "resident access needs no scratch meter");
 }
 
+/// `cached:1` against the four-file working set of `dims` cubes, with
+/// paced reads: the cyclic stream evicts extents before their staging
+/// file comes round again.
+fn thrashing_cached_config(dims: CubeDims) -> StapConfig {
+    StapConfig { dims, io: IoStrategy::Cached { mb: 1 }, cpis: 12, ..StapConfig::default() }
+        .with_read_pacing(0.05)
+}
+
 #[test]
 fn a_thrashing_cache_charges_no_more_cachehit_spans_than_hits() {
-    // Two CPIs' extents of cache (1 MiB over 512 KiB cubes) against the
-    // four-file working set, one cube of read-ahead, paced reads: the
-    // cyclic stream evicts each read-ahead before the client read for its
-    // CPI looks it up, so a wait charged to `cachehit` would be a striped
-    // read misattributed.
-    let cfg = StapConfig {
-        dims: CubeDims::new(32, 8, 256),
-        io: IoStrategy::Cached { mb: 1 },
-        cpis: 12,
-        ..StapConfig::default()
-    }
-    .with_read_pacing(0.05);
+    // Two CPIs' extents of cache (1 MiB over 512 KiB cubes): a wait
+    // charged to `cachehit` on a missed lookup would be a striped read
+    // misattributed.
+    let cfg = thrashing_cached_config(CubeDims::new(32, 8, 256));
     assert_eq!(cfg.io.cache_bytes(cfg.dims.bytes()), 2 * cfg.dims.bytes());
-    assert_eq!(cfg.io.readahead_depth(), 1);
     let out = run(cfg);
     let st = out.store.expect("cached run reports tier counters");
     assert!(st.evictions > 0, "the working set must thrash the cache");
     let spans = out.timing.spans.iter().filter(|s| s.phase == Phase::CacheHit).count() as u64;
     assert!(spans <= st.hits, "{spans} cachehit spans for {} cache hits", st.hits);
+}
+
+#[test]
+fn a_thrashing_cache_reads_each_cpi_extent_from_the_file_system_once() {
+    // One CPI's extents of cache (1 MiB over 1 MiB cubes): a Doppler
+    // node's own extent is evicted by its next three reads, so every
+    // lookup misses. The tier reads only what a client posted — each
+    // Doppler node's extent of each CPI, once; a tier that also staged
+    // reads ahead of demand would read evicted extents a second time.
+    let cfg = thrashing_cached_config(CubeDims::new(32, 8, 512));
+    assert_eq!(cfg.io.cache_bytes(cfg.dims.bytes()), cfg.dims.bytes());
+    let want = cfg.nodes.doppler as u64 * cfg.cpis;
+    let out = run(cfg);
+    let st = out.store.expect("cached run reports tier counters");
+    assert_eq!(out.io.total_reads(), want, "file-system reads: {:?}", out.io);
+    assert_eq!((st.hits, st.misses, st.inserts, st.readaheads), (0, want, want, 0));
+}
+
+#[test]
+fn a_prefetch_run_repeats_its_report_and_detections() {
+    // Three CPIs through `prefetch:2` on a 64-way PFS: two Doppler nodes'
+    // half-cube extents of three CPIs fill the three-cube cache exactly,
+    // so every lookup misses and nothing is evicted, however the nodes'
+    // posts interleave.
+    let cfg = StapConfig {
+        io: IoStrategy::Prefetch { depth: 2 },
+        fs: FsConfig::paragon_pfs(64),
+        cpis: 3,
+        ..StapConfig::default()
+    };
+    let first = run(cfg.clone());
+    let st = first.store.expect("prefetch run reports tier counters");
+    assert_eq!((st.hits, st.misses, st.inserts, st.evictions), (0, 6, 6, 0));
+    for attempt in 1..5 {
+        let again = run(cfg.clone());
+        assert_eq!(again.store, first.store, "run {attempt}: the tier's report moved");
+        assert_eq!(keys(&again), keys(&first), "run {attempt}: detections moved");
+    }
 }
