@@ -39,7 +39,7 @@ fn bench(c: &mut Criterion) {
             plan(&cfg)
         })
     });
-    // The costliest `fleet_whatif` what-if: 14 structures on the auto I/O
+    // The costliest `fleet_whatif` what-if: 10 structures on the auto I/O
     // menu, whose store tiers share DP runs, then DES validation.
     g.bench_function("auto_menu_sp_n50", |b| {
         b.iter(|| {

@@ -462,8 +462,8 @@ impl StapConfig {
         self.dims.pulses.next_power_of_two()
     }
 
-    /// Whether file reads go through the `stap-store` tier: a cached or
-    /// prefetch strategy, or out-of-core access under any strategy.
+    /// Whether file reads go through the `stap-store` tier: a `cached:MB`
+    /// strategy, or out-of-core access under any strategy.
     pub fn routes_through_store(&self) -> bool {
         self.io.uses_store_tier() || self.access != CubeAccess::Resident
     }

@@ -796,17 +796,8 @@ mod tests {
             MachineModel::sp(),
             MachineModel::paragon_hetero(),
         ];
-        let ios = [
-            IoStrategy::Embedded,
-            IoStrategy::SeparateTask,
-            IoStrategy::Cached { mb: 32 },
-            IoStrategy::Cached { mb: 64 },
-            IoStrategy::Cached { mb: 128 },
-            IoStrategy::Prefetch { depth: 2 },
-            IoStrategy::Prefetch { depth: 4 },
-        ];
         for m in &machines {
-            for io in ios {
+            for io in IoStrategy::AUTO_MENU {
                 for tail in [TailStructure::Split, TailStructure::Combined] {
                     for n in [25usize, 50, 100] {
                         let a = pack_classes(&w, &assign_nodes(&w, &TaskId::SEVEN, n), &m.classes);

@@ -2,10 +2,9 @@
 //!
 //! The paper tunes two knobs against the I/O bottleneck: the stripe
 //! factor and where the read lives (embedded vs separate task). The
-//! storage tier adds two more — a server-side read cache (`cached:{MB}`)
-//! and reads posted to the servers a CPI ahead into a cache just big
-//! enough for them (`prefetch:{D}`) — and this module maps
-//! where each one wins. The sweep prices every strategy through the DES,
+//! storage tier adds a third, a server-side read cache (`cached:{MB}`)
+//! that every CPI's read is posted to a CPI ahead, and this module maps
+//! where it wins. The sweep prices every strategy through the DES,
 //! which shares its `stap_model::cachetier` cost model with the planner's
 //! `plan --io auto` search, so the crossover shown here is exactly the
 //! one the planner navigates. The second half is the tier's correctness
@@ -18,7 +17,7 @@ use crate::config::StapConfig;
 use crate::desmodel::{DesExperiment, DesResult};
 use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::system::StapSystem;
-use stap_model::cachetier::{CacheTierModel, STAGING_FANOUT};
+use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
 use stap_model::workload::ShapeParams;
 use stap_pipeline::ClockSpec;
@@ -40,16 +39,10 @@ fn sweep_ios() -> impl Iterator<Item = IoStrategy> {
 /// steady read hits; `cold` means reads still hit the stripe servers
 /// (overlapped with compute by the posted fetch).
 fn cache_state(io: IoStrategy, cube_bytes: usize) -> &'static str {
-    match io {
-        IoStrategy::Cached { mb } => {
-            if CacheTierModel::cached((mb as usize) << 20, cube_bytes, STAGING_FANOUT).warm {
-                "warm"
-            } else {
-                "cold"
-            }
-        }
-        IoStrategy::Prefetch { .. } => "cold",
-        IoStrategy::Embedded | IoStrategy::SeparateTask => "-",
+    match io.cache_tier(cube_bytes) {
+        Some(tier) if tier.warm => "warm",
+        Some(_) => "cold",
+        None => "-",
     }
 }
 
@@ -74,7 +67,7 @@ fn sweep() -> Vec<(IoStrategy, DesResult)> {
 pub fn store_cache_report() -> String {
     let cube_bytes = ShapeParams::paper_default().cube_bytes();
     let mut out = String::new();
-    let _ = writeln!(out, "Smart storage tier: cache size x read-ahead x stripe factor");
+    let _ = writeln!(out, "Smart storage tier: cache size x stripe factor");
     let _ = writeln!(
         out,
         "DES sweep at {SWEEP_NODES} compute nodes, paper-default {} MiB cube;",
@@ -104,19 +97,20 @@ pub fn store_cache_report() -> String {
     let _ = writeln!(out, "Reading: the cache capacity threshold sits at the staging working");
     let _ = writeln!(
         out,
-        "set ({STAGING_FANOUT} files x {} MiB = {} MiB): cached:32 never warms and",
+        "set ({STAGING_FANOUT} files x {} MiB = {} MiB): cached:32 never warms, so",
         cube_bytes >> 20,
         (STAGING_FANOUT * cube_bytes) >> 20
     );
-    let _ = writeln!(out, "behaves like read-ahead, while cached:64 and up serve steady-state");
-    let _ = writeln!(out, "reads from server memory. Where the client overlaps reads anyway");
+    let _ = writeln!(out, "all it adds is the posted fetch (each miss overlaps the previous");
+    let _ = writeln!(out, "CPI's compute), while cached:64 and up serve steady-state reads");
+    let _ = writeln!(out, "from server memory. Where the client overlaps reads anyway");
     let _ = writeln!(out, "(Paragon iread, sf=64) the warm cache only re-prices a read that");
     let _ = writeln!(out, "compute already hides, so classic embedded I/O keeps the front.");
     let _ = writeln!(out, "The tier wins where the paper's machines cannot hide the read:");
     let _ = writeln!(out, "on the narrow sf=16 stripe the warm cache lifts throughput past");
     let _ = writeln!(out, "the stripe-server ceiling, and on the SP (synchronous PIOFS, no");
-    let _ = writeln!(out, "iread) both caching and server read-ahead beat the serialized");
-    let _ = writeln!(out, "read+compute front task — with nothing left to restripe, the");
+    let _ = writeln!(out, "iread) even the cold cache's posted fetch beats the serialized");
+    let _ = writeln!(out, "read+compute front task — with nothing left to restripe, the warm");
     let _ = writeln!(out, "cache is the only strategy that removes the read from the path.");
     let _ = writeln!(out);
 
@@ -216,14 +210,20 @@ mod tests {
     }
 
     #[test]
-    fn undersized_cache_prices_like_prefetch() {
+    fn undersized_cache_gains_only_the_posted_fetch() {
         let cube = ShapeParams::paper_default().cube_bytes();
         assert_eq!(cache_state(IoStrategy::Cached { mb: 32 }, cube), "cold");
         assert_eq!(cache_state(IoStrategy::Cached { mb: 64 }, cube), "warm");
-        let cold = cell(MachineModel::sp(), IoStrategy::Cached { mb: 32 });
-        let ra = cell(MachineModel::sp(), IoStrategy::Prefetch { depth: 2 });
-        let ratio = cold.throughput / ra.throughput;
-        assert!((0.95..1.05).contains(&ratio), "cold cache == read-ahead, got ratio {ratio}");
+        let ios =
+            [IoStrategy::Embedded, IoStrategy::Cached { mb: 32 }, IoStrategy::Cached { mb: 64 }];
+        // The SP has no iread: the posted fetch overlaps a read the embedded
+        // design serializes, and only the warm cache skips it.
+        let sp = ios.map(|io| cell(MachineModel::sp(), io).throughput);
+        assert!(sp[0] < sp[1] && sp[1] < sp[2], "SP embedded < cold < warm: {sp:?}");
+        // The Paragon's iread already overlaps the read: a cold cache adds
+        // nothing on the narrow stripe.
+        let sf16 = ios.map(|io| cell(MachineModel::paragon(16), io).throughput);
+        assert!((sf16[1] / sf16[0] - 1.0).abs() < 1e-9, "sf=16 embedded vs cold: {sf16:?}");
     }
 
     #[test]
@@ -232,7 +232,7 @@ mod tests {
         assert!(r.contains("bit-identical detections: yes"), "parity must hold:\n{r}");
         assert!(r.contains("cache hit-rate:"), "hit-rate line present:\n{r}");
         assert!(r.contains("B bound: yes;"), "footprint held its bound:\n{r}");
-        for io in ["cached:32", "cached:64", "cached:128", "prefetch:2", "prefetch:4"] {
+        for io in ["cached:32", "cached:64", "cached:128"] {
             assert!(r.contains(io), "strategy {io} missing from the sweep:\n{r}");
         }
     }

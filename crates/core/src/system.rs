@@ -91,7 +91,7 @@ pub struct StapRunOutput {
     /// Staging-tier counters for stream-fed runs (None for file-fed).
     pub ingest: Option<IngestReport>,
     /// Storage-tier counters for runs routed through `stap-store`
-    /// (cached/prefetch strategies or out-of-core access).
+    /// (`cached:MB` strategies or out-of-core access).
     pub store: Option<StoreReport>,
 }
 
@@ -237,11 +237,10 @@ impl StapSystem {
         let mut stream = None;
         let mut store: Option<Arc<StoreSource>> = None;
         let source: Arc<dyn CpiSource> = match &config.source {
-            // A cached/prefetch strategy or out-of-core access routes the
+            // A `cached:MB` strategy or out-of-core access routes the
             // file reads through the smart storage tier; otherwise the
             // plain file source reads the stripe servers directly.
             SourceSpec::File if config.routes_through_store() => {
-                let cube_bytes = config.dims.bytes();
                 let row_bytes = config.dims.channels * config.dims.pulses * 8;
                 // The tier runs every read inside a post, and posts are
                 // served one at a time, so one chunk of scratch is live at
@@ -256,7 +255,7 @@ impl StapSystem {
                 let src = Arc::new(StoreSource::new(
                     files.clone(),
                     StoreConfig {
-                        cache_bytes: config.io.cache_bytes(cube_bytes),
+                        cache_bytes: config.io.cache_bytes(),
                         access: config.access,
                         footprint_bound: ((readers + 1) * chunk_rows * row_bytes) as u64,
                         row_bytes,
@@ -346,7 +345,7 @@ impl StapSystem {
     }
 
     /// The smart storage tier, when this system routes reads through one
-    /// (cached/prefetch strategies or out-of-core access); online
+    /// (`cached:MB` strategies or out-of-core access); online
     /// restriping goes through it.
     pub fn store_source(&self) -> Option<&Arc<StoreSource>> {
         self.store.as_ref()
@@ -596,12 +595,7 @@ mod tests {
             pulse: 8,
             cfar: 9,
         };
-        let ios = [
-            IoStrategy::Embedded,
-            IoStrategy::SeparateTask,
-            IoStrategy::Cached { mb: 8 },
-            IoStrategy::Prefetch { depth: 2 },
-        ];
+        let ios = [IoStrategy::Embedded, IoStrategy::SeparateTask, IoStrategy::Cached { mb: 8 }];
         for (io, tail) in ios
             .into_iter()
             .flat_map(|io| [TailStructure::Split, TailStructure::Combined].map(|tail| (io, tail)))

@@ -13,7 +13,11 @@
 //!   [`STAGING_FANOUT`] files, so the pipeline re-reads the same files
 //!   cyclically: once the cache holds the whole working set
 //!   (`cache_bytes ≥ fanout × cube_bytes`) every steady-state read hits
-//!   ([`CacheTierModel::warm`]).
+//!   ([`CacheTierModel::warm`]), and below it none does. The executed
+//!   cache gives each reader a share of the budget in proportion to its
+//!   extent of the cube, so each reader's share crosses that threshold at
+//!   the same budget, however the cube is split and however the readers
+//!   interleave.
 //! - A **miss** still pays the striped read, but the client posts it to
 //!   the tier while the previous CPI computes, so it overlaps that
 //!   compute regardless of whether the *client* file system supports
@@ -62,13 +66,6 @@ impl CacheTierModel {
         Self { hit_time: hit_time(cube_bytes), warm: cache_bytes >= fanout.max(1) * cube_bytes }
     }
 
-    /// Model of a `prefetch:{D}` strategy: posted reads into a cache just
-    /// big enough for the in-flight cubes — no reuse, never warm, but
-    /// every miss overlaps with compute.
-    pub fn prefetch(cube_bytes: usize) -> Self {
-        Self { hit_time: hit_time(cube_bytes), warm: false }
-    }
-
     /// Steady-state front-task body time (read + core work, before the
     /// per-task overhead `V_i`): warm caches skip the stripe servers
     /// entirely; cold ones overlap the striped read with `core` because the
@@ -99,7 +96,6 @@ mod tests {
         let cube = 4 << 20;
         assert!(!CacheTierModel::cached(3 * cube, cube, 4).warm);
         assert!(CacheTierModel::cached(4 * cube, cube, 4).warm);
-        assert!(!CacheTierModel::prefetch(cube).warm);
     }
 
     #[test]

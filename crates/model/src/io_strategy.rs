@@ -1,6 +1,6 @@
 //! The two I/O designs the paper evaluates, the tail-structure choice
-//! introduced by the task-combination study (§6), and the smart-storage
-//! strategies the `stap-store` tier adds on top of the embedded design.
+//! introduced by the task-combination study (§6), and the server read
+//! cache the `stap-store` tier adds on top of the embedded design.
 
 use crate::cachetier::{CacheTierModel, STAGING_FANOUT};
 
@@ -17,35 +17,26 @@ pub enum IoStrategy {
     /// pipeline then has eight tasks.
     SeparateTask,
     /// Embedded reads in front of an I/O-server read cache of `mb` MiB
-    /// (`stap-store`): once the round-robin staging working set fits, the
-    /// steady state serves cubes at copy bandwidth and skips the stripe
-    /// servers.
+    /// (`stap-store`): each CPI's read is posted to the I/O servers while
+    /// the previous CPI computes, so a miss overlaps that compute even when
+    /// the client file system has no `iread`; once the round-robin staging
+    /// working set fits, the steady state serves cubes at copy bandwidth
+    /// and skips the stripe servers.
     Cached {
         /// Cache budget in MiB.
         mb: u32,
-    },
-    /// Embedded reads through the `stap-store` tier with a cache of
-    /// `depth + 1` cubes: each CPI's read is posted to the I/O servers
-    /// while the previous CPI computes, so a miss overlaps that compute
-    /// even when the client file system has no `iread`.
-    Prefetch {
-        /// Cubes of cache beyond the one being read.
-        depth: u32,
     },
 }
 
 impl IoStrategy {
     /// The strategy menu `plan --io auto` searches: the paper's two
-    /// designs plus the store-tier strategies at a few cache sizes and
-    /// prefetch depths.
-    pub const AUTO_MENU: [IoStrategy; 7] = [
+    /// designs plus the store tier at a few cache sizes.
+    pub const AUTO_MENU: [IoStrategy; 5] = [
         IoStrategy::Embedded,
         IoStrategy::SeparateTask,
         IoStrategy::Cached { mb: 32 },
         IoStrategy::Cached { mb: 64 },
         IoStrategy::Cached { mb: 128 },
-        IoStrategy::Prefetch { depth: 2 },
-        IoStrategy::Prefetch { depth: 4 },
     ];
 
     /// Display label used by the tables (the strategy kind; parameters
@@ -55,26 +46,23 @@ impl IoStrategy {
             IoStrategy::Embedded => "I/O embedded in Doppler filter task",
             IoStrategy::SeparateTask => "separate I/O task",
             IoStrategy::Cached { .. } => "embedded I/O behind server read cache",
-            IoStrategy::Prefetch { .. } => "embedded I/O with server read-ahead",
         }
     }
 
     /// Compact parameterized form, inverse of [`IoStrategy::parse`]:
-    /// `embedded`, `separate`, `cached:64`, `prefetch:4`.
+    /// `embedded`, `separate`, `cached:64`.
     pub fn describe(self) -> String {
         match self {
             IoStrategy::Embedded => "embedded".to_string(),
             IoStrategy::SeparateTask => "separate".to_string(),
             IoStrategy::Cached { mb } => format!("cached:{mb}"),
-            IoStrategy::Prefetch { depth } => format!("prefetch:{depth}"),
         }
     }
 
     /// Parses the compact form accepted everywhere a strategy is named
-    /// (CLI flags, serve scripts): `embedded`, `separate`, `cached:{MB}`,
-    /// `prefetch:{D}`.
+    /// (CLI flags, serve scripts): `embedded`, `separate`, `cached:{MB}`.
     pub fn parse(s: &str) -> Result<Self, String> {
-        const GRAMMAR: &str = "embedded|separate|cached:MB|prefetch:D";
+        const GRAMMAR: &str = "embedded|separate|cached:MB";
         match s {
             "embedded" => Ok(IoStrategy::Embedded),
             "separate" => Ok(IoStrategy::SeparateTask),
@@ -83,12 +71,6 @@ impl IoStrategy {
                     return match mb.parse::<u32>() {
                         Ok(mb) if mb > 0 => Ok(IoStrategy::Cached { mb }),
                         _ => Err(format!("cache size in {s:?} must be a positive MiB count")),
-                    };
-                }
-                if let Some(depth) = s.strip_prefix("prefetch:") {
-                    return match depth.parse::<u32>() {
-                        Ok(depth) if depth > 0 => Ok(IoStrategy::Prefetch { depth }),
-                        _ => Err(format!("prefetch depth in {s:?} must be a positive cube count")),
                     };
                 }
                 Err(format!("unknown I/O strategy {s:?} (expected {GRAMMAR})"))
@@ -109,16 +91,14 @@ impl IoStrategy {
     /// Whether the strategy runs the `stap-store` tier in front of the
     /// file system.
     pub fn uses_store_tier(self) -> bool {
-        matches!(self, IoStrategy::Cached { .. } | IoStrategy::Prefetch { .. })
+        matches!(self, IoStrategy::Cached { .. })
     }
 
     /// The cache byte budget the strategy implies: the configured cache
-    /// for `cached:{MB}`, `D + 1` cubes' worth for `prefetch:{D}` (a posted
-    /// read needs somewhere to land), zero otherwise.
-    pub fn cache_bytes(self, cube_bytes: usize) -> usize {
+    /// for `cached:{MB}`, zero otherwise.
+    pub fn cache_bytes(self) -> usize {
         match self {
             IoStrategy::Cached { mb } => (mb as usize) << 20,
-            IoStrategy::Prefetch { depth } => (depth as usize + 1) * cube_bytes,
             _ => 0,
         }
     }
@@ -126,17 +106,10 @@ impl IoStrategy {
     /// The storage-tier cost model the strategy puts in front of the
     /// embedded read (`None` for the paper's two designs) — the one mapping
     /// the prediction, the planner bounds and the DES all price
-    /// `cached:{MB}` / `prefetch:{D}` through.
+    /// `cached:{MB}` through.
     pub fn cache_tier(self, cube_bytes: usize) -> Option<CacheTierModel> {
-        match self {
-            IoStrategy::Cached { .. } => Some(CacheTierModel::cached(
-                self.cache_bytes(cube_bytes),
-                cube_bytes,
-                STAGING_FANOUT,
-            )),
-            IoStrategy::Prefetch { .. } => Some(CacheTierModel::prefetch(cube_bytes)),
-            IoStrategy::Embedded | IoStrategy::SeparateTask => None,
-        }
+        self.uses_store_tier()
+            .then(|| CacheTierModel::cached(self.cache_bytes(), cube_bytes, STAGING_FANOUT))
     }
 }
 
@@ -189,7 +162,6 @@ mod tests {
         assert_eq!(IoStrategy::Embedded.task_count(), 7);
         assert_eq!(IoStrategy::SeparateTask.task_count(), 8);
         assert_eq!(IoStrategy::Cached { mb: 64 }.task_count(), 7, "store tier keeps 7 tasks");
-        assert_eq!(IoStrategy::Prefetch { depth: 4 }.task_count(), 7);
     }
 
     #[test]
@@ -200,14 +172,15 @@ mod tests {
 
     #[test]
     fn parse_and_describe_round_trip() {
-        for s in ["embedded", "separate", "cached:64", "prefetch:4"] {
+        for s in ["embedded", "separate", "cached:64"] {
             assert_eq!(IoStrategy::parse(s).unwrap().describe(), s);
         }
         assert!(IoStrategy::parse("cached:0").is_err());
         assert!(IoStrategy::parse("cached:x").is_err());
-        assert!(IoStrategy::parse("prefetch:0").is_err());
-        let e = IoStrategy::parse("sideways").unwrap_err();
-        assert!(e.contains("embedded|separate"), "{e}");
+        for s in ["sideways", "prefetch:2"] {
+            let e = IoStrategy::parse(s).unwrap_err();
+            assert!(e.ends_with("(expected embedded|separate|cached:MB)"), "{e}");
+        }
     }
 
     #[test]
@@ -223,10 +196,9 @@ mod tests {
 
     #[test]
     fn store_tier_parameters() {
-        let cube = 1 << 20;
-        assert_eq!(IoStrategy::Cached { mb: 64 }.cache_bytes(cube), 64 << 20);
-        assert_eq!(IoStrategy::Prefetch { depth: 3 }.cache_bytes(cube), 4 * cube);
-        assert_eq!(IoStrategy::Embedded.cache_bytes(cube), 0);
+        assert_eq!(IoStrategy::Cached { mb: 64 }.cache_bytes(), 64 << 20);
+        assert_eq!(IoStrategy::Embedded.cache_bytes(), 0);
+        assert_eq!(IoStrategy::SeparateTask.cache_tier(1 << 20), None);
         assert!(IoStrategy::Cached { mb: 1 }.uses_store_tier());
         assert!(!IoStrategy::SeparateTask.uses_store_tier());
     }

@@ -166,10 +166,10 @@ mod tests {
             plain.throughput
         );
         assert!(cached.latency < plain.latency);
-        // A cold cache (prefetch) still cannot beat the striped read on an
-        // async machine — the read was already overlapped — but must never
-        // be worse than serializing it.
-        let cold = at(IoStrategy::Prefetch { depth: 2 });
+        // A cold cache still cannot beat the striped read on an async
+        // machine — the read was already overlapped — but must never be
+        // worse than serializing it.
+        let cold = at(IoStrategy::Cached { mb: 32 });
         assert!(cold.throughput <= plain.throughput + 1e-12);
     }
 

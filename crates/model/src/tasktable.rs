@@ -383,16 +383,7 @@ mod tests {
     #[test]
     fn gates_are_the_slots_edges_and_their_rendezvous() {
         // The whole `--io auto` menu, both tails.
-        let ios = [
-            IoStrategy::Embedded,
-            IoStrategy::SeparateTask,
-            IoStrategy::Cached { mb: 32 },
-            IoStrategy::Cached { mb: 64 },
-            IoStrategy::Cached { mb: 128 },
-            IoStrategy::Prefetch { depth: 2 },
-            IoStrategy::Prefetch { depth: 4 },
-        ];
-        for io in ios {
+        for io in IoStrategy::AUTO_MENU {
             for tail in [TailStructure::Split, TailStructure::Combined] {
                 let slots = task_slots(io, tail);
                 let table = gates(&slots);
@@ -432,7 +423,7 @@ mod tests {
     #[test]
     fn store_strategies_keep_the_embedded_shape_and_carry_their_tier() {
         let cube = ShapeParams::paper_default().cube_bytes();
-        for io in [IoStrategy::Cached { mb: 64 }, IoStrategy::Prefetch { depth: 2 }] {
+        for io in [IoStrategy::Cached { mb: 32 }, IoStrategy::Cached { mb: 64 }] {
             let rows = table(io, TailStructure::Split);
             assert_eq!(rows.len(), 7);
             assert_eq!(rows[0].read.unwrap().cache, io.cache_tier(cube));
@@ -440,7 +431,6 @@ mod tests {
         }
         assert!(IoStrategy::Cached { mb: 64 }.cache_tier(cube).unwrap().warm);
         assert!(!IoStrategy::Cached { mb: 32 }.cache_tier(cube).unwrap().warm);
-        assert!(!IoStrategy::Prefetch { depth: 4 }.cache_tier(cube).unwrap().warm);
         assert_eq!(IoStrategy::SeparateTask.cache_tier(cube), None);
     }
 
@@ -460,7 +450,7 @@ mod tests {
             IoStrategy::Embedded,
             IoStrategy::SeparateTask,
             IoStrategy::Cached { mb: 32 },
-            IoStrategy::Prefetch { depth: 2 },
+            IoStrategy::Cached { mb: 64 },
         ];
         let mut exact = 0;
         for key in MachineModel::KEYS.split('|') {

@@ -750,7 +750,7 @@ mod tests {
                     }
                 }
                 if (key, budget) == ("paragon64", 50) {
-                    assert_eq!(searches.runs(), 6, "{key} n={budget}: DPs for 14 structures");
+                    assert_eq!(searches.runs(), 6, "{key} n={budget}: DPs for 10 structures");
                 }
             }
         }

@@ -93,7 +93,7 @@ type DegradedRun = (Result<Box<stap_core::StapRunOutput>, PipelineError>, Option
 /// and the `(stripe units, bytes)` any online restripe migrated.
 ///
 /// A plain mission simply re-stages its cubes on the surviving stripe
-/// directories. A store-tier mission (`cached:`/`prefetch:` plan, or
+/// directories. A store-tier mission (`cached:` plan, or
 /// out-of-core access) exercises the paper-scale recovery instead: its
 /// staged data comes up at the pre-loss layout, and the storage tier
 /// migrates it onto the degraded mount by online restriping

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! at <secs> submit name=<id> [machine=KEY] [nodes=N] [cpis=C] [priority=P]
-//!                  [max-latency=S] [io=embedded|separate|cached:MB|prefetch:D]
+//!                  [max-latency=S] [io=embedded|separate|cached:MB]
 //!                  [tail=split|combined]
 //!                  [source=file|stream] [staging=N] [backpressure=POLICY] [rate=R]
 //! at <secs> cancel name=<id>

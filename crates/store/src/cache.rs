@@ -3,6 +3,17 @@
 //! stripe-server queues ([`stap_model::cachetier`] prices them). An extent
 //! enters the cache when its read is posted, stamped with the instant that
 //! read completes, so a reader of a still-running read waits for it.
+//!
+//! The budget is given to readers up front (TPIE's rule): every extent
+//! `(offset, len)` of a staged file of `F` bytes is one reader's, and its
+//! share holds `floor(capacity × len / F)` bytes of that extent across the
+//! files. An insert evicts its own share's least-recently-used entries, so
+//! a share sees only its reader's CPI sequence and its hits follow from
+//! the configuration, not from how far one reader runs ahead of another.
+//! A share holds all `fanout` files' extents exactly when `capacity ≥
+//! fanout × F`, the model's warm test. Shares of extents that partition a
+//! file sum to at most the budget; clients whose extents overlap can push
+//! the total past it, and then the globally least-recently-used entries go.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -22,6 +33,14 @@ pub struct CacheKey {
     pub len: usize,
 }
 
+impl CacheKey {
+    /// The share the extent is cached in: one reader's extent, the same
+    /// `(offset, len)` in every staging file.
+    fn share(&self) -> (u64, usize) {
+        (self.offset, self.len)
+    }
+}
+
 /// Lock-free monotonic counters of cache behavior. Conservation laws the
 /// property suite pins down: `hits + misses == lookups`, and
 /// `evictions <= inserts`.
@@ -33,7 +52,7 @@ pub struct CacheStats {
     pub misses: AtomicU64,
     /// Extents inserted (one per missed read that succeeded).
     pub inserts: AtomicU64,
-    /// Extents evicted to stay under the byte budget.
+    /// Extents evicted to stay under their share or the byte budget.
     pub evictions: AtomicU64,
     /// Bytes served from the cache.
     pub hit_bytes: AtomicU64,
@@ -76,7 +95,8 @@ struct LruInner {
     tick: u64,
 }
 
-/// A byte-budgeted LRU cache of file extents, shared across reader threads.
+/// A byte-budgeted LRU cache of file extents, shared across reader threads
+/// and split into per-reader shares.
 pub struct ReadCache {
     inner: Mutex<LruInner>,
     capacity: usize,
@@ -155,11 +175,16 @@ impl ReadCache {
         self.inner.lock().map.get(key).map(|e| e.ready_at)
     }
 
-    /// Inserts an extent whose read completes at `ready_at`, evicting
-    /// least-recently-used entries as needed to stay under the byte budget.
-    /// Extents larger than the whole budget are not cached.
-    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, ready_at: Instant) {
-        if data.len() > self.capacity {
+    /// Inserts an extent of a staged file of `file_len` bytes whose read
+    /// completes at `ready_at`. It first evicts its share's
+    /// least-recently-used entries until the share fits
+    /// `floor(capacity × len / file_len)` bytes, then the globally
+    /// least-recently-used ones while the cache is over its budget. An
+    /// extent larger than its share is not cached.
+    pub fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>, ready_at: Instant, file_len: u64) {
+        let share = (self.capacity as u128 * key.len as u128 / file_len.max(1) as u128)
+            .min(self.capacity as u128) as usize;
+        if data.len() > share {
             return;
         }
         let mut inner = self.inner.lock();
@@ -172,19 +197,24 @@ impl ReadCache {
         }
         inner.bytes += added;
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        while inner.bytes > self.capacity {
+        let mut evicted = 0;
+        loop {
+            let in_share = inner.map.iter().filter(|(k, _)| k.share() == key.share());
+            let own = in_share.map(|(_, e)| e.data.len()).sum::<usize>() > share;
+            if !own && inner.bytes <= self.capacity {
+                break;
+            }
             let victim = inner
                 .map
                 .iter()
-                .filter(|(k, _)| **k != key)
+                .filter(|(k, _)| **k != key && (!own || k.share() == key.share()))
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| *k);
-            let Some(v) = victim else { break };
-            if let Some(e) = inner.map.remove(&v) {
-                inner.bytes -= e.data.len();
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            let Some(e) = victim.and_then(|v| inner.map.remove(&v)) else { break };
+            inner.bytes -= e.data.len();
+            evicted += 1;
         }
+        self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -196,15 +226,16 @@ mod tests {
         CacheKey { slot, offset, len: 4 }
     }
 
+    /// Inserts a whole-file extent: its share is the whole budget.
     fn put(c: &ReadCache, k: CacheKey, bytes: usize) {
-        c.insert(k, Arc::new(vec![0u8; bytes]), Instant::now());
+        c.insert(k, Arc::new(vec![0u8; bytes]), Instant::now(), k.len as u64);
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let c = ReadCache::new(64);
         assert!(c.lookup(&key(0, 0)).is_none());
-        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), Instant::now());
+        c.insert(key(0, 0), Arc::new(vec![1, 2, 3]), Instant::now(), 4);
         assert_eq!(c.lookup(&key(0, 0)).unwrap().0.as_slice(), &[1, 2, 3]);
         let (h, m, i, e) = c.stats().snapshot();
         assert_eq!((h, m, i, e), (1, 1, 1, 0));
@@ -223,6 +254,45 @@ mod tests {
         assert!(c.peek(&key(1, 0)).is_none(), "coldest evicted");
         assert!(c.bytes() <= 12);
         assert_eq!(c.stats().evictions.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_share_evicts_only_its_own_entries() {
+        // Two half-file readers over 8-byte files: each share holds 8 bytes,
+        // two of its 4-byte extents.
+        let c = ReadCache::new(16);
+        let half = |slot: usize, offset: u64| {
+            c.insert(key(slot, offset), Arc::new(vec![0u8; 4]), Instant::now(), 8);
+        };
+        half(0, 4);
+        half(1, 4);
+        half(0, 0);
+        half(1, 0);
+        // The offset-0 reader's third file evicts that reader's coldest
+        // extent, not the globally coldest one, which is the other reader's.
+        half(2, 0);
+        assert!(c.peek(&key(0, 0)).is_none(), "the share's coldest entry goes");
+        assert!(c.peek(&key(0, 4)).is_some() && c.peek(&key(1, 4)).is_some());
+        assert!(c.peek(&key(1, 0)).is_some() && c.peek(&key(2, 0)).is_some());
+        assert_eq!((c.bytes(), c.stats().evictions.load(Ordering::Relaxed)), (16, 1));
+    }
+
+    #[test]
+    fn overlapping_extents_fall_back_to_the_global_budget() {
+        // A whole-file extent and a half-file one of the same 8-byte file
+        // have shares of 8 and 4 bytes; together they pass the 8-byte
+        // budget, so the globally coldest entry goes.
+        let c = ReadCache::new(8);
+        c.insert(
+            CacheKey { slot: 0, offset: 0, len: 8 },
+            Arc::new(vec![0u8; 8]),
+            Instant::now(),
+            8,
+        );
+        c.insert(key(0, 4), Arc::new(vec![0u8; 4]), Instant::now(), 8);
+        assert!(c.peek(&CacheKey { slot: 0, offset: 0, len: 8 }).is_none());
+        assert!(c.peek(&key(0, 4)).is_some());
+        assert_eq!(c.bytes(), 4);
     }
 
     #[test]

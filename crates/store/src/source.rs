@@ -3,9 +3,10 @@
 //!
 //! Wraps the round-robin staging files with, in order of consultation:
 //!
-//! 1. a byte-budgeted LRU [`ReadCache`] (hits skip the stripe servers and
-//!    cost [`stap_model::cachetier::hit_time`], mirrored here as paced
-//!    sleep so wall-clock runs agree with the DES);
+//! 1. a byte-budgeted LRU [`ReadCache`] split into one share per reader
+//!    extent, so each reader's hits follow from its own CPI sequence (hits
+//!    skip the stripe servers and cost [`stap_model::cachetier::hit_time`],
+//!    mirrored here as paced sleep so wall-clock runs agree with the DES);
 //! 2. optional out-of-core access ([`CubeAccess::OutOfCore`]): misses
 //!    stream through bounded [`ChunkedCube`] chunks charged to a
 //!    [`FootprintMeter`], so peak memory is provable, not hoped for;
@@ -161,6 +162,11 @@ impl StoreSource {
         self.cache.stats()
     }
 
+    /// Bytes resident in the cache tier.
+    pub fn cached_bytes(&self) -> usize {
+        self.cache.bytes()
+    }
+
     /// The out-of-core scratch meter, when out-of-core access is on.
     pub fn footprint(&self) -> Option<&Arc<FootprintMeter>> {
         self.chunker.as_ref().map(|c| &c.meter)
@@ -197,7 +203,7 @@ impl StoreSource {
         *free_at = (*free_at).max(Instant::now()) + pause;
         let result = result.map(Arc::new);
         if let Ok(bytes) = &result {
-            self.cache.insert(key, Arc::clone(bytes), *free_at);
+            self.cache.insert(key, Arc::clone(bytes), *free_at, self.files[key.slot].len());
         }
         (key, Posted { result, ready_at: *free_at, hit: false })
     }
@@ -296,6 +302,28 @@ mod tests {
         assert_eq!((h, m), (4, 2), "first round misses, later rounds hit");
         assert!(src.cached(0, 0, 4096));
         assert!(!src.cached(0, 1, 4096));
+    }
+
+    #[test]
+    fn hits_do_not_depend_on_how_two_readers_interleave() {
+        // Two readers' half-cube extents of four files under a three-cube
+        // budget: each reader's share holds three of its four extents, so
+        // its cyclic scan never hits, whichever reader posts first.
+        let cube = 4096;
+        let reader = |r: u64| (0..8u64).map(move |cpi| (cpi, r * cube as u64 / 2));
+        let run = |order: Vec<(u64, u64)>| {
+            let (_fs, files, cubes) = staged(4, cube);
+            let src = StoreSource::new(files, cfg_cached(3 * cube));
+            for (cpi, off) in order {
+                let want = &cubes[(cpi % 4) as usize][off as usize..off as usize + cube / 2];
+                assert_eq!(src.fetch(cpi, off, cube / 2).unwrap(), want);
+            }
+            src.stats().snapshot()
+        };
+        let one_then_other = run(reader(0).chain(reader(1)).collect());
+        let interleaved = run((0..8).flat_map(|cpi| [(cpi, 0), (cpi, cube as u64 / 2)]).collect());
+        assert_eq!(one_then_other, interleaved);
+        assert_eq!(interleaved, (0, 16, 16, 10));
     }
 
     #[test]

@@ -353,7 +353,7 @@ pub fn help() -> String {
 
 // ---- the tables: one row per flag, kept one row per line ----------------
 
-const IO: &str = "embedded|separate|cached:MB|prefetch:D";
+const IO: &str = "embedded|separate|cached:MB";
 const TAIL: &str = "split|combined";
 
 /// `run` before its seeded `--fault-plan` is built: the plan needs the
@@ -441,11 +441,10 @@ phase); --trace chrome:PATH writes a Chrome trace-event JSON file
 retries linked by flow arrows). --virtual-clock times phases on a
 deterministic virtual clock so trace output is bit-reproducible.
 --io cached:MB puts the stap-store tier (an MB-MiB LRU read cache
-on the I/O servers) in front of the embedded reads; the front posts
-each CPI's read while the previous CPI computes, so a miss overlaps
-compute without client iread. --io prefetch:D runs the same tier
-with a cache of D+1 cubes, enough for the reads in flight.
-The run then prints a greppable 'cache hit-rate' line and traces
+on the I/O servers, each reading node holding the share of it its
+extent is of the cube) in front of the embedded reads; the front
+posts each CPI's read while the previous CPI computes, so a miss
+overlaps compute without client iread. The run then prints a greppable 'cache hit-rate' line and traces
 hits as the cachehit phase. --access ooc:ROWS streams demand
 misses through ROWS-row chunks charged against a hard footprint
 meter (the run prints the 'ooc footprint' peak-vs-bound line);
@@ -574,7 +573,7 @@ static PLAN: Spec<PlanDraft> = Spec {
             };
             set(&mut d.machine, v.to_string())
         }),
-        ("--io", "embedded|separate|cached:MB|prefetch:D|auto", "I/O strategy axis", |d, v| {
+        ("--io", "embedded|separate|cached:MB|auto", "I/O strategy axis", |d, v| {
             set(&mut d.config.ios, if v == "auto" { auto_io_menu() } else { vec![parse_io(v)?] })
         }),
         ("--stripe-factor", "16|64|auto", "PFS stripe factor", |d, v| set(&mut d.stripe, match v {
@@ -600,7 +599,7 @@ Search node assignments x I/O strategies x task combining for the
 throughput/latency Pareto front (DES-validated unless --no-des),
 printing every pruned candidate with the reason it lost.
 --io auto widens the strategy axis beyond the paper's pair with
-the stap-store strategies (cached:32|64|128, prefetch:2|4),
+the stap-store cache at three sizes (cached:32|64|128),
 searched under the same admissible DP bounds; a single --io value
 pins the axis. --stripe-factor auto adds the PFS stripe factor (8..128) as a search
 axis; paragon-het plans a mixed 96+32-node pool, packing fast nodes

@@ -13,6 +13,10 @@
 //! feeding two Doppler nodes, so a Doppler node filters partial raw slabs
 //! from two readers into one outgoing buffer.
 //!
+//! Every row, that one and a cache smaller than its working set must also
+//! repeat under the virtual clock: two runs give the same detections, tier
+//! and file-system counters, retries, dropped CPIs and per-phase time.
+//!
 //! Excluded combinations: none. `StapSystem::prepare` accepts all 96
 //! (`every_combination_prepares` holds it to that, so a future rejection
 //! must be listed here instead of being skipped). A stream-fed run
@@ -22,10 +26,13 @@
 
 use ppstap::core::config::{NodeCounts, StapConfig};
 use ppstap::core::{IoStrategy, SourceSpec, StapSystem, StreamSettings, TailStructure};
+use ppstap::kernels::cube::CubeDims;
 use ppstap::kernels::KernelPath;
+use ppstap::pfs::FsConfig;
 use ppstap::pipeline::{ClockSpec, PipelineReport};
 use ppstap::scenario::find;
 use ppstap::store::CubeAccess;
+use ppstap::trace::Phase;
 
 /// Values per axis, in the order of a row's indices.
 const LEVELS: [usize; 6] = [3, 2, 2, 2, 2, 2];
@@ -62,6 +69,19 @@ fn config([io, access, tail, source, kernels, copy_comm]: [usize; 6]) -> StapCon
 fn split_readers_config() -> StapConfig {
     let cfg = config([1, 0, 0, 0, 1, 0]);
     StapConfig { nodes: NodeCounts { read: 3, doppler: 2, ..cfg.nodes }, ..cfg }
+}
+
+/// `cached:1` over 340 KiB cubes on a 64-way PFS, 20 CPIs: each Doppler
+/// node's share of the cache holds three of its four extents
+/// (`tests/store_system.rs` pins its counters).
+fn cold_cached_config() -> StapConfig {
+    StapConfig {
+        dims: CubeDims::new(32, 8, 170),
+        io: IoStrategy::Cached { mb: 1 },
+        fs: FsConfig::paragon_pfs(64),
+        cpis: 20,
+        ..StapConfig::default()
+    }
 }
 
 #[test]
@@ -141,5 +161,46 @@ fn every_row_matches_the_oracle_and_conserves_traced_time() {
             .collect();
         let oracle = oracle.get_or_insert_with(|| bytes.clone());
         assert!(*oracle == bytes, "row {row} changed the detection reports");
+    }
+}
+
+/// What a virtual-clock run must repeat: sorted bit-exact detections, the
+/// tier's and the file system's counters, retries, dropped CPIs, and each
+/// stage's per-phase time sums as bits.
+fn run_facts(cfg: StapConfig) -> impl PartialEq + std::fmt::Debug {
+    let sys = StapSystem::prepare(cfg).expect("prepare");
+    let out = sys.run_with_clock(ClockSpec::virtual_default()).expect("run");
+    let mut detections: Vec<_> = out
+        .reports
+        .iter()
+        .flat_map(|r| {
+            r.detections.iter().map(|d| (r.cpi, d.beam, d.bin, d.range, d.power.to_bits()))
+        })
+        .collect();
+    detections.sort_unstable();
+    let phase_sums: Vec<[u64; Phase::COUNT]> = out
+        .timing
+        .records
+        .iter()
+        .map(|nodes| {
+            let mut sums = [0.0f64; Phase::COUNT];
+            for r in nodes.iter().flatten() {
+                sums.iter_mut().zip(r.phase_secs).for_each(|(sum, secs)| *sum += secs);
+            }
+            sums.map(f64::to_bits)
+        })
+        .collect();
+    (detections, out.store, out.io, out.retries, out.dropped, phase_sums)
+}
+
+#[test]
+fn every_row_repeats_under_the_virtual_clock() {
+    let rows = ROWS.iter().map(|&row| (format!("{row:?}"), config(row)));
+    let extra = [
+        ("3 readers, 2 Doppler".to_string(), split_readers_config()),
+        ("cold cached:1".to_string(), cold_cached_config()),
+    ];
+    for (row, cfg) in rows.chain(extra) {
+        assert_eq!(run_facts(cfg.clone()), run_facts(cfg), "row {row} did not repeat");
     }
 }

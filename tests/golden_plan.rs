@@ -97,9 +97,9 @@ fn plan_json_auto_stripe_with_sla_is_stable() {
 fn plan_json_sp_widened_io_menu_is_stable() {
     // The synchronous-read machine under the full strategy menu, DES
     // validation on: locks the read+compute+send serialization, the store
-    // tier's cache/prefetch pricing and the DES that replays them.
+    // tier's cache pricing and the DES that replays them.
     let out = run_plan(&["plan", "--machine", "sp", "--io", "auto", "--nodes", "50", "--json"]);
-    assert!(out.contains("\"io\":\"cached:64\"") && out.contains("\"io\":\"prefetch:2\""));
+    assert!(out.contains("\"io\":\"cached:32\"") && out.contains("\"io\":\"cached:64\""));
     check_golden("plan_sp_ioauto_n50.json", &out);
 }
 

@@ -44,7 +44,7 @@ const SEEDS: [&str; 14] = [
     "stream:depth=8,policy=drop-oldest,rate=4,strict-lag",
     "ooc:32",
     "cached:64",
-    "prefetch:4",
+    "separate",
     "skip:2:5:3",
     "snr=5,10,15",
     "min_pd = 0.9\nmax_pfa = 1e-3 # design point\nmax_sinr_loss_db = 3\npfa_within_sigmas = 4\n",

@@ -1,5 +1,5 @@
 //! Planner regression for the smart storage tier: `--io auto` grows the
-//! searched menu with `cached:{MB}` and `prefetch:{depth}` strategies,
+//! searched menu with `cached:{MB}` strategies at three cache sizes,
 //! priced through the same `stap_model::cachetier` model the exact
 //! evaluator uses (so the DP bounds stay admissible). The classic
 //! two-strategy menu stays the default — golden plan artifacts must not
@@ -33,7 +33,7 @@ fn default_menu_stays_classic_so_goldens_cannot_drift() {
 #[test]
 fn auto_menu_sweeps_store_strategies_and_a_cached_plan_wins_somewhere() {
     // Acceptance: `ppstap plan --io auto` searches
-    // {embedded, separate, cached:MB, prefetch:D}, every strategy is
+    // {embedded, separate, cached:32|64|128}, every strategy is
     // actually evaluated, and a cached strategy lands on the Pareto front
     // of at least one swept configuration. The SP's synchronous PIOFS is
     // where the tier shines — the client has no `iread`, so only the

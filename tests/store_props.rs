@@ -1,12 +1,13 @@
 //! Differential property tests for the smart storage tier (`stap-store`).
 //!
-//! Whatever the tier is doing — caching extents, prefetching ahead of
-//! demand, streaming cubes out-of-core through bounded chunks, or
+//! Whatever the tier is doing — caching extents in per-reader shares,
+//! serving posted reads, streaming cubes out-of-core through bounded chunks, or
 //! restriping the backing layout under live readers — every byte it
 //! serves must be identical to a plain striped-file read. Its statistics
 //! must conserve (every demand lookup is exactly one hit or one miss;
-//! evictions never exceed inserts), and out-of-core scratch must stay
-//! under the configured footprint bound, provably via the meter's peak.
+//! evictions never exceed inserts), the cache must hold no more than its
+//! byte budget, and out-of-core scratch must stay under the configured
+//! footprint bound, provably via the meter's peak.
 
 use ppstap::pfs::{FileHandle, FsConfig, OpenMode, Pfs};
 use ppstap::pipeline::CpiSource;
@@ -54,8 +55,9 @@ proptest! {
     /// Any cache budget × access mode × access sequence: the tier is
     /// invisible to correctness. Every read is
     /// bit-identical to the plain file, hits + misses equals the demand
-    /// lookups, evictions never exceed inserts, and out-of-core scratch
-    /// never passes its bound.
+    /// lookups, evictions never exceed inserts, the resident bytes never
+    /// pass the budget (the windows overlap, so their shares can sum past
+    /// it), and out-of-core scratch never passes its bound.
     #[test]
     fn store_reads_are_bit_identical_and_stats_conserve(
         fanout in 1usize..4,
@@ -105,6 +107,10 @@ proptest! {
             demand_lookups += 1;
             let want = &cubes[(cpi % fanout as u64) as usize][off as usize..off as usize + len];
             prop_assert_eq!(&got[..], want, "cpi {} window ({}, {})", cpi, off, len);
+            prop_assert!(
+                src.cached_bytes() <= cfg.cache_bytes,
+                "{} B resident over a {} B budget", src.cached_bytes(), cfg.cache_bytes
+            );
         }
 
         let (hits, misses, inserts, evictions) = src.stats().snapshot();
@@ -198,7 +204,7 @@ fn read_cache_holds_its_laws_under_eight_threads() {
                             }
                             None => {
                                 let ready = std::time::Instant::now();
-                                cache.insert(key, Arc::new(bytes_of(slot)), ready)
+                                cache.insert(key, Arc::new(bytes_of(slot)), ready, EXTENT as u64)
                             }
                         }
                     }

@@ -3,7 +3,7 @@
 //! chunks must be invisible to the detections — bit-for-bit — while the
 //! run output gains the tier's counters.
 
-use ppstap::core::config::StapConfig;
+use ppstap::core::config::{NodeCounts, StapConfig};
 use ppstap::core::{IoStrategy, StapRunOutput, StapSystem};
 use ppstap::kernels::cube::CubeDims;
 use ppstap::pfs::FsConfig;
@@ -80,11 +80,11 @@ fn thrashing_cached_config(dims: CubeDims) -> StapConfig {
 
 #[test]
 fn a_thrashing_cache_charges_no_more_cachehit_spans_than_hits() {
-    // Two CPIs' extents of cache (1 MiB over 512 KiB cubes): a wait
-    // charged to `cachehit` on a missed lookup would be a striped read
-    // misattributed.
+    // 1 MiB over 512 KiB cubes: each Doppler node's share holds two of its
+    // four extents, so every lookup misses, and a wait charged to
+    // `cachehit` would be a striped read misattributed.
     let cfg = thrashing_cached_config(CubeDims::new(32, 8, 256));
-    assert_eq!(cfg.io.cache_bytes(cfg.dims.bytes()), 2 * cfg.dims.bytes());
+    assert_eq!(cfg.io.cache_bytes(), 2 * cfg.dims.bytes());
     let out = run(cfg);
     let st = out.store.expect("cached run reports tier counters");
     assert!(st.evictions > 0, "the working set must thrash the cache");
@@ -94,13 +94,13 @@ fn a_thrashing_cache_charges_no_more_cachehit_spans_than_hits() {
 
 #[test]
 fn a_thrashing_cache_reads_each_cpi_extent_from_the_file_system_once() {
-    // One CPI's extents of cache (1 MiB over 1 MiB cubes): a Doppler
-    // node's own extent is evicted by its next three reads, so every
-    // lookup misses. The tier reads only what a client posted — each
-    // Doppler node's extent of each CPI, once; a tier that also staged
-    // reads ahead of demand would read evicted extents a second time.
+    // 1 MiB over 1 MiB cubes: each Doppler node's share holds one of its
+    // four extents, so every lookup misses. The tier reads only what a
+    // client posted — each Doppler node's extent of each CPI, once; a tier
+    // that also staged reads ahead of demand would read evicted extents a
+    // second time.
     let cfg = thrashing_cached_config(CubeDims::new(32, 8, 512));
-    assert_eq!(cfg.io.cache_bytes(cfg.dims.bytes()), cfg.dims.bytes());
+    assert_eq!(cfg.io.cache_bytes(), cfg.dims.bytes());
     let want = cfg.nodes.doppler as u64 * cfg.cpis;
     let out = run(cfg);
     let st = out.store.expect("cached run reports tier counters");
@@ -109,20 +109,50 @@ fn a_thrashing_cache_reads_each_cpi_extent_from_the_file_system_once() {
 }
 
 #[test]
-fn a_prefetch_run_repeats_its_report_and_detections() {
-    // Three CPIs through `prefetch:2` on a 64-way PFS: two Doppler nodes'
-    // half-cube extents of three CPIs fill the three-cube cache exactly,
-    // so every lookup misses and nothing is evicted, however the nodes'
-    // posts interleave.
-    let cfg = StapConfig {
-        io: IoStrategy::Prefetch { depth: 2 },
+fn executed_hits_are_the_models_warm_count() {
+    // `cached:1` over four staging files: 128 range rows make the working
+    // set exactly 1 MiB, 130 rows put it just over. Three Doppler nodes
+    // split either cube unevenly. Each node's share of the cache holds its
+    // four extents exactly when the model calls the cache warm, and then
+    // every lookup after the first round hits.
+    for (ranges, doppler) in [(128, 2), (130, 2), (128, 3), (130, 3)] {
+        let cfg = StapConfig {
+            dims: CubeDims::new(32, 8, ranges),
+            io: IoStrategy::Cached { mb: 1 },
+            nodes: NodeCounts { doppler, ..NodeCounts::default() },
+            cpis: 8,
+            ..StapConfig::default()
+        };
+        let warm = cfg.io.cache_tier(cfg.dims.bytes()).expect("a cached tier").warm;
+        assert_eq!(warm, ranges == 128, "{ranges} rows");
+        let want = if warm { doppler as u64 * (cfg.cpis - cfg.fanout as u64) } else { 0 };
+        let st = run(cfg).store.expect("cached run reports tier counters");
+        assert_eq!(st.hits, want, "{ranges} rows over {doppler} Doppler nodes");
+    }
+}
+
+/// `cached:1` over 340 KiB cubes on a 64-way PFS: each Doppler node's
+/// share holds three of its four extents, so its cyclic scan never hits.
+fn cold_cached_config() -> StapConfig {
+    StapConfig {
+        dims: CubeDims::new(32, 8, 170),
+        io: IoStrategy::Cached { mb: 1 },
         fs: FsConfig::paragon_pfs(64),
-        cpis: 3,
+        cpis: 20,
         ..StapConfig::default()
-    };
+    }
+}
+
+#[test]
+fn a_cold_cached_run_repeats_its_report_and_detections() {
+    // Each Doppler node's share misses every lookup however far one node
+    // runs ahead of the other, which a cache shared by both would turn
+    // into hits that vary from run to run.
+    let cfg = cold_cached_config();
+    let lookups = cfg.nodes.doppler as u64 * cfg.cpis;
     let first = run(cfg.clone());
-    let st = first.store.expect("prefetch run reports tier counters");
-    assert_eq!((st.hits, st.misses, st.inserts, st.evictions), (0, 6, 6, 0));
+    let st = first.store.expect("cached run reports tier counters");
+    assert_eq!((st.hits, st.misses, st.inserts), (0, lookups, lookups));
     for attempt in 1..5 {
         let again = run(cfg.clone());
         assert_eq!(again.store, first.store, "run {attempt}: the tier's report moved");
