@@ -17,6 +17,7 @@
 //! shared runner, from tripping it, and a microsecond-scale row that must
 //! be gated (`fft_64_x32_lanes`) takes more samples.
 
+use stap_trace::json::{self, Json};
 use std::process::ExitCode;
 
 /// One `{"name": ..., "mean_s": ..., "iters": ...}` row of a report.
@@ -27,37 +28,22 @@ struct Row {
     iters: f64,
 }
 
-/// Minimal parser for the shim's flat JSON array (no nesting, no escapes
-/// beyond `\"` and `\\` in names).
+/// Reads the shim's JSON array of rows.
 fn parse_report(text: &str) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::new();
-    for obj in text.split('{').skip(1) {
-        let obj = obj.split('}').next().ok_or("unterminated object")?;
-        let mut name = None;
-        let mut mean_s = None;
-        let mut iters = 10.0;
-        for field in obj.split(',') {
-            let Some((key, value)) = field.split_once(':') else { continue };
-            match key.trim().trim_matches('"') {
-                "name" => {
-                    let v = value.trim().trim_matches('"');
-                    name = Some(v.replace("\\\"", "\"").replace("\\\\", "\\"));
-                }
-                "mean_s" => {
-                    mean_s = Some(value.trim().parse::<f64>().map_err(|e| format!("mean_s: {e}"))?);
-                }
-                "iters" => {
-                    iters = value.trim().parse::<f64>().map_err(|e| format!("iters: {e}"))?;
-                }
-                _ => {}
-            }
-        }
-        match (name, mean_s) {
-            (Some(name), Some(mean_s)) => rows.push(Row { name, mean_s, iters }),
-            _ => return Err("object missing name or mean_s".into()),
-        }
-    }
-    Ok(rows)
+    let json = json::parse(text)?;
+    let rows = json.as_array().ok_or("the report is not a JSON array")?;
+    rows.iter()
+        .map(|row| -> Result<Row, String> {
+            Ok(Row {
+                name: row.get("name").and_then(Json::as_str).ok_or("a row without a name")?.into(),
+                mean_s: row.get("mean_s").and_then(Json::as_f64).ok_or("a row without a mean_s")?,
+                iters: row
+                    .get("iters")
+                    .map_or(Some(10.0), Json::as_f64)
+                    .ok_or("non-numeric iters")?,
+            })
+        })
+        .collect()
 }
 
 /// Slowdowns of a 10-sample mean smaller than this are run-to-run noise at
@@ -218,6 +204,7 @@ mod tests {
             let _ = parse_report(bad);
         }
         assert!(parse_report("[{\"name\": \"a\"}]").is_err());
-        assert!(parse_report("").expect("no objects").is_empty());
+        assert!(parse_report("[]").expect("no objects").is_empty());
+        assert!(parse_report("").is_err());
     }
 }

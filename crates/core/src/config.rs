@@ -1,6 +1,6 @@
 //! Configuration of a real-mode STAP pipeline run.
 
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::{IoStrategy, TailStructure};
 use stap_ingest::{BackpressurePolicy, CpiRing};
 use stap_kernels::cfar::CfarConfig;
 use stap_kernels::cube::CubeDims;

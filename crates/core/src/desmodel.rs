@@ -31,7 +31,7 @@
 //! a fault does to a CPI — in `read_step` and `duration`, behind the step.
 
 use crate::config::{AfterFailure, FailurePolicy, StapConfig};
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::{IoStrategy, TailStructure};
 use stap_des::{FcfsResource, SimTime, Tally};
 use stap_model::analytic::{latency as eq_latency, throughput as eq_throughput, TaskTime};
 use stap_model::assignment::assign_nodes;

@@ -2,7 +2,7 @@
 //! the design parameters DESIGN.md calls out.
 
 use crate::desmodel::{DesExperiment, DesResult};
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::{IoStrategy, TailStructure};
 use stap_model::machines::MachineModel;
 
 /// Sweeps the PFS stripe factor at a fixed node count — generalizing the

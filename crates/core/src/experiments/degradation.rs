@@ -15,8 +15,8 @@
 
 use crate::config::{FailurePolicy, RetryPolicy, StapConfig};
 use crate::desmodel::{DesExperiment, DesFaultModel, DesResult};
-use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::system::{StapRunOutput, StapSystem};
+use crate::{IoStrategy, TailStructure};
 use stap_kernels::cube::CubeDims;
 use stap_model::machines::MachineModel;
 use stap_pfs::{Fault, FaultPlan, FaultWindow};

@@ -10,8 +10,8 @@
 
 use crate::config::StapConfig;
 use crate::desmodel::DesExperiment;
-use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::system::StapSystem;
+use crate::{IoStrategy, TailStructure};
 use stap_model::machines::MachineModel;
 use stap_pfs::StripeConfig;
 use stap_pipeline::timing::Phase;

@@ -15,8 +15,8 @@
 use super::ingest::detection_keys;
 use crate::config::StapConfig;
 use crate::desmodel::{DesExperiment, DesResult};
-use crate::io_strategy::{IoStrategy, TailStructure};
 use crate::system::StapSystem;
+use crate::{IoStrategy, TailStructure};
 use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;
 use stap_model::workload::ShapeParams;

@@ -5,7 +5,7 @@
 //! share these drivers.
 
 use crate::desmodel::{DesExperiment, DesResult};
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::{IoStrategy, TailStructure};
 use stap_model::assignment::PAPER_CASES;
 use stap_model::machines::MachineModel;
 

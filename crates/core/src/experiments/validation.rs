@@ -5,7 +5,7 @@
 //! defense a reproduction has against calibrating itself into fantasy.
 
 use crate::desmodel::DesExperiment;
-use crate::io_strategy::{IoStrategy, TailStructure};
+use crate::{IoStrategy, TailStructure};
 use stap_model::machines::MachineModel;
 use stap_model::prediction::{predict, PredictStructure};
 use stap_model::workload::ShapeParams;

@@ -22,13 +22,13 @@
 //! Table 3 (combined PC+CFAR), Table 4 (latency improvement), Figures 5–8.
 //!
 //! [`config`] holds the shared configuration; [`messages`] the inter-stage
-//! payload types; [`io_strategy`] the two I/O designs and the tail
-//! (split/combined) structure choice.
+//! payload types. [`IoStrategy`] (the I/O designs) and [`TailStructure`]
+//! (the split/combined tail) are re-exported from `stap_model`, next to the
+//! cost model that prices them.
 
 pub mod config;
 pub mod desmodel;
 pub mod experiments;
-pub mod io_strategy;
 pub mod messages;
 pub mod stages;
 pub mod system;
@@ -37,10 +37,10 @@ pub use config::{
     FailurePolicy, RetryPolicy, SourceSpec, StapConfig, StreamSettings, WatchdogPolicy,
 };
 pub use desmodel::{DesExperiment, DesFaultModel, DesResult, Redundancy};
-pub use io_strategy::{IoStrategy, TailStructure};
 pub use messages::{Gap, Payload};
 pub use stages::QualityTap;
 pub use stap_kernels::KernelPath;
+pub use stap_model::io_strategy::{IoStrategy, TailStructure};
 /// The executed run's fault plan, and the seeded draw behind the planner's
 /// representative crash schedule (a plan of node-crash windows).
 pub use stap_pfs::fault::{splitmix64, Fault, FaultPlan, FaultWindow};

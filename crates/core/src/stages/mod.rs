@@ -9,8 +9,8 @@ pub mod front;
 pub mod tail;
 
 use crate::config::StapConfig;
-use crate::io_strategy::IoStrategy;
 use crate::messages::{Gap, Payload};
+use crate::IoStrategy;
 use parking_lot::Mutex;
 use stap_comm::{PoolVec, SlabPool};
 use stap_kernels::doppler::BinClass;

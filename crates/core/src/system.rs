@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn executed_topology_is_the_task_table() {
         use crate::config::NodeCounts;
-        use crate::io_strategy::{IoStrategy, TailStructure};
+        use crate::{IoStrategy, TailStructure};
         // Distinct counts, so a task mapped to another task's field shows.
         let nodes = NodeCounts {
             read: 3,

@@ -17,11 +17,12 @@
 //!
 //! - [`ring`] — the bounded staging ring with three typed backpressure
 //!   policies (block / drop-oldest / reject) and conservation-checked
-//!   counters;
+//!   counters, applied by one admission rule that the ring and its model
+//!   both run;
 //! - [`frontend`] — the producer: it cycles the cubes file staging wrote
 //!   at a configurable rate, so the stream bytes are the file bytes;
-//! - [`staging`] — the ring's deterministic virtual-time model, sharing
-//!   its backpressure policy and counters, for the fleet simulator;
+//! - [`staging`] — the ring's deterministic virtual-time model, which runs
+//!   that admission rule over arrival times, for the fleet simulator;
 //! - [`source`] — the [`FileSource`] and [`StreamSource`] adapters
 //!   behind the pipeline seam;
 //! - [`error`] — the typed failure taxonomy whose `is_transient()`

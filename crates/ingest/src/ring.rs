@@ -1,4 +1,9 @@
 //! The bounded per-mission staging ring producers push CPI cubes into.
+//!
+//! Its admission rule — what an offer to a full ring does under each
+//! [`BackpressurePolicy`] — is written once, in the crate-private `Staged`
+//! buffer. [`CpiRing`] runs it on cubes under a lock;
+//! [`StagingModel`](crate::StagingModel) runs it on arrival times.
 
 use crate::error::IngestError;
 use std::collections::VecDeque;
@@ -102,15 +107,45 @@ impl RingStats {
     }
 }
 
-struct RingInner {
-    buf: VecDeque<StampedCube>,
-    closed: bool,
-    stats: RingStats,
-    /// Cubes evicted since the consumer's last pop (reported as lag).
-    dropped_since_pop: u64,
+/// What [`Staged::offer`] did with an item.
+pub(crate) enum Offer<T> {
+    /// The item entered the buffer (under `DropOldest`, after evicting the
+    /// oldest).
+    Staged,
+    /// A `Block` buffer is full: the producer holds the item until a take
+    /// frees a slot.
+    Full(T),
+    /// A `Reject` buffer is full: the item was refused and counted.
+    Refused,
 }
 
-impl RingInner {
+/// The admission rule of a staging ring, whatever it stages: a bounded
+/// FIFO buffer, its counters, its backpressure policy and the evictions
+/// since the last take.
+#[derive(Debug, Clone)]
+pub(crate) struct Staged<T> {
+    buf: VecDeque<T>,
+    stats: RingStats,
+    policy: BackpressurePolicy,
+    /// Items evicted since the last take (reported as lag).
+    dropped_since_take: u64,
+}
+
+impl<T> Staged<T> {
+    /// An empty buffer of `capacity` items.
+    ///
+    /// # Panics
+    /// When `capacity` is zero — a zero-slot ring can never deliver.
+    pub(crate) fn new(capacity: usize, policy: BackpressurePolicy) -> Self {
+        assert!(capacity > 0, "staging ring needs capacity >= 1");
+        Self {
+            buf: VecDeque::with_capacity(capacity),
+            stats: RingStats { capacity, ..RingStats::default() },
+            policy,
+            dropped_since_take: 0,
+        }
+    }
+
     fn sample_depth(&mut self) {
         let d = self.buf.len();
         self.stats.depth = d;
@@ -118,6 +153,51 @@ impl RingInner {
         self.stats.depth_sum += d as u64;
         self.stats.depth_samples += 1;
     }
+
+    /// Offers one item under the policy.
+    pub(crate) fn offer(&mut self, item: T) -> Offer<T> {
+        if self.buf.len() >= self.stats.capacity {
+            match self.policy {
+                BackpressurePolicy::Block => return Offer::Full(item),
+                BackpressurePolicy::DropOldest => {
+                    self.buf.pop_front();
+                    self.stats.dropped += 1;
+                    self.dropped_since_take += 1;
+                }
+                BackpressurePolicy::Reject => {
+                    self.stats.rejected += 1;
+                    return Offer::Refused;
+                }
+            }
+        }
+        self.buf.push_back(item);
+        self.stats.accepted += 1;
+        self.sample_depth();
+        Offer::Staged
+    }
+
+    /// Takes the oldest item and the evictions since the previous take.
+    pub(crate) fn take(&mut self) -> Option<(T, u64)> {
+        let item = self.buf.pop_front()?;
+        self.stats.delivered += 1;
+        self.sample_depth();
+        Some((item, std::mem::take(&mut self.dropped_since_take)))
+    }
+
+    /// Items currently staged.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Counters snapshot.
+    pub(crate) fn stats(&self) -> RingStats {
+        RingStats { depth: self.buf.len(), ..self.stats }
+    }
+}
+
+struct RingInner {
+    staged: Staged<StampedCube>,
+    closed: bool,
 }
 
 /// Bounded MPSC staging ring with a typed backpressure policy.
@@ -127,8 +207,6 @@ impl RingInner {
 /// mission never leaves a producer parked on a full ring.
 pub struct CpiRing {
     mission: String,
-    capacity: usize,
-    policy: BackpressurePolicy,
     inner: Mutex<RingInner>,
     space: Condvar,
     items: Condvar,
@@ -137,17 +215,9 @@ pub struct CpiRing {
 impl CpiRing {
     /// A ring for `mission` holding at most `capacity` cubes.
     pub fn new(mission: &str, capacity: usize, policy: BackpressurePolicy) -> Self {
-        assert!(capacity > 0, "staging ring needs capacity >= 1");
         Self {
             mission: mission.to_string(),
-            capacity,
-            policy,
-            inner: Mutex::new(RingInner {
-                buf: VecDeque::with_capacity(capacity),
-                closed: false,
-                stats: RingStats { capacity, ..RingStats::default() },
-                dropped_since_pop: 0,
-            }),
+            inner: Mutex::new(RingInner { staged: Staged::new(capacity, policy), closed: false }),
             space: Condvar::new(),
             items: Condvar::new(),
         }
@@ -160,12 +230,12 @@ impl CpiRing {
 
     /// Ring capacity in cubes.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().staged.stats.capacity
     }
 
     /// The backpressure policy in force.
     pub fn policy(&self) -> BackpressurePolicy {
-        self.policy
+        self.lock().staged.policy
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RingInner> {
@@ -177,33 +247,25 @@ impl CpiRing {
     /// # Errors
     /// [`IngestError::Closed`] once the ring is closed;
     /// [`IngestError::StagingFull`] when a `Reject` ring is at capacity.
-    pub fn push(&self, cube: StampedCube) -> Result<(), IngestError> {
+    pub fn push(&self, mut cube: StampedCube) -> Result<(), IngestError> {
         let mut inner = self.lock();
         loop {
             if inner.closed {
                 return Err(IngestError::Closed { mission: self.mission.clone() });
             }
-            if inner.buf.len() < self.capacity {
-                inner.buf.push_back(cube);
-                inner.stats.accepted += 1;
-                inner.sample_depth();
-                self.items.notify_one();
-                return Ok(());
-            }
-            match self.policy {
-                BackpressurePolicy::Block => {
+            match inner.staged.offer(cube) {
+                Offer::Staged => {
+                    self.items.notify_one();
+                    return Ok(());
+                }
+                Offer::Full(held) => {
+                    cube = held;
                     inner = self.space.wait(inner).expect("staging ring lock poisoned");
                 }
-                BackpressurePolicy::DropOldest => {
-                    inner.buf.pop_front();
-                    inner.stats.dropped += 1;
-                    inner.dropped_since_pop += 1;
-                }
-                BackpressurePolicy::Reject => {
-                    inner.stats.rejected += 1;
+                Offer::Refused => {
                     return Err(IngestError::StagingFull {
                         mission: self.mission.clone(),
-                        capacity: self.capacity,
+                        capacity: inner.staged.stats.capacity,
                     });
                 }
             }
@@ -219,12 +281,9 @@ impl CpiRing {
     pub fn pop(&self) -> Result<(StampedCube, u64), IngestError> {
         let mut inner = self.lock();
         loop {
-            if let Some(cube) = inner.buf.pop_front() {
-                inner.stats.delivered += 1;
-                let lag = std::mem::take(&mut inner.dropped_since_pop);
-                inner.sample_depth();
+            if let Some(taken) = inner.staged.take() {
                 self.space.notify_one();
-                return Ok((cube, lag));
+                return Ok(taken);
             }
             if inner.closed {
                 return Err(IngestError::Closed { mission: self.mission.clone() });
@@ -243,7 +302,7 @@ impl CpiRing {
 
     /// Cubes currently staged.
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.lock().staged.len()
     }
 
     /// Whether the ring is empty.
@@ -253,9 +312,7 @@ impl CpiRing {
 
     /// Counters snapshot.
     pub fn stats(&self) -> RingStats {
-        let mut inner = self.lock();
-        inner.stats.depth = inner.buf.len();
-        inner.stats
+        self.lock().staged.stats()
     }
 
     /// Reopens an exhausted ring for another run: clears staged cubes,
@@ -263,10 +320,8 @@ impl CpiRing {
     /// call this — never while producers or consumers are attached.
     pub fn reopen(&self) {
         let mut inner = self.lock();
-        inner.buf.clear();
-        inner.closed = false;
-        inner.dropped_since_pop = 0;
-        inner.stats = RingStats { capacity: self.capacity, ..RingStats::default() };
+        let s = &inner.staged;
+        *inner = RingInner { staged: Staged::new(s.stats.capacity, s.policy), closed: false };
     }
 }
 
@@ -275,9 +330,9 @@ impl std::fmt::Debug for CpiRing {
         let inner = self.lock();
         f.debug_struct("CpiRing")
             .field("mission", &self.mission)
-            .field("capacity", &self.capacity)
-            .field("policy", &self.policy)
-            .field("depth", &inner.buf.len())
+            .field("capacity", &inner.staged.stats.capacity)
+            .field("policy", &inner.staged.policy)
+            .field("depth", &inner.staged.len())
             .field("closed", &inner.closed)
             .finish()
     }

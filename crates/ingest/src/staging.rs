@@ -1,36 +1,32 @@
 //! A deterministic virtual-time model of one mission's staging ring.
 //!
-//! [`StagingModel`] mirrors [`CpiRing`](crate::CpiRing) in virtual time: a
-//! producer offers cubes at a fixed period into a ring of bounded
-//! capacity, a consumer pops them in order, and the ring's own
-//! [`BackpressurePolicy`] decides what happens when the producer outruns
-//! the consumer. It keeps the ring's [`RingStats`], sampling the depth at
-//! every accepted push and every pop as the ring does. The model is a pure
-//! state machine over [`SimTime`] — no threads, no randomness — so capacity
-//! simulations of streamed missions are exactly repeatable.
+//! [`StagingModel`] runs [`CpiRing`](crate::CpiRing)'s own admission rule
+//! (the crate's `Staged` buffer: capacity, [`BackpressurePolicy`] and
+//! [`RingStats`]) over cube arrival times: a producer offers cubes at a
+//! fixed period, and a consumer pops them in order. The model keeps only
+//! the producer's schedule. It is a pure state machine over [`SimTime`] —
+//! no threads, no randomness — so capacity simulations of streamed
+//! missions are exactly repeatable.
 
-use crate::ring::{BackpressurePolicy, RingStats};
+use crate::ring::{BackpressurePolicy, Offer, RingStats, Staged};
 use stap_des::SimTime;
-use std::collections::VecDeque;
 
 /// Deterministic virtual-time model of one mission's staging ring.
 ///
 /// The producer offers cube `k` at `start + k * period` (all at `start`
-/// when the period is zero — an unpaced frontend); under
-/// [`BackpressurePolicy::Block`] an offer that finds the ring full enters
-/// when a pop frees a slot. The consumer calls [`StagingModel::pop`] with
-/// the current virtual time and receives the time at which the next cube is
-/// available.
+/// when the period is zero — an unpaced frontend). Before each pop at
+/// `now` it makes every offer due by then; under the `Block` policy an
+/// offer that finds the ring full is held and made again at the next pop.
+/// The consumer calls [`StagingModel::pop`] with the current virtual time
+/// and receives the time at which the next cube is available.
 #[derive(Debug, Clone)]
 pub struct StagingModel {
     period: SimTime,
     total: u64,
-    policy: BackpressurePolicy,
-    stats: RingStats,
     /// Arrival time of the next cube the producer will offer.
     next_offer: SimTime,
     /// Arrival times of cubes currently staged, ascending.
-    staged: VecDeque<SimTime>,
+    ring: Staged<SimTime>,
 }
 
 impl StagingModel {
@@ -47,58 +43,26 @@ impl StagingModel {
         total: u64,
         policy: BackpressurePolicy,
     ) -> Self {
-        assert!(capacity > 0, "staging ring needs at least one slot");
-        Self {
-            period,
-            total,
-            policy,
-            stats: RingStats { capacity, ..RingStats::default() },
-            next_offer: start,
-            staged: VecDeque::new(),
-        }
+        Self { period, total, next_offer: start, ring: Staged::new(capacity, policy) }
     }
 
     /// The ring counters so far.
     pub fn stats(&self) -> RingStats {
-        self.stats
+        self.ring.stats()
     }
 
-    fn sample_depth(&mut self) {
-        let d = self.staged.len();
-        self.stats.depth = d;
-        self.stats.peak_depth = self.stats.peak_depth.max(d);
-        self.stats.depth_sum += d as u64;
-        self.stats.depth_samples += 1;
-    }
-
-    /// Stages the next offer.
-    fn accept(&mut self, arrival: SimTime) {
-        self.staged.push_back(arrival);
-        self.stats.accepted += 1;
-        self.sample_depth();
-        self.next_offer += self.period;
-    }
-
-    /// Advances the producer through every offer due by `now`.
-    fn ingest_until(&mut self, now: SimTime) {
-        while self.stats.offered() < self.total && self.next_offer <= now {
-            if self.staged.len() >= self.stats.capacity {
-                match self.policy {
-                    // A blocked producer holds the cube; it enters the
-                    // instant a pop frees a slot (handled in `pop`).
-                    BackpressurePolicy::Block => return,
-                    BackpressurePolicy::DropOldest => {
-                        self.staged.pop_front();
-                        self.stats.dropped += 1;
-                    }
-                    BackpressurePolicy::Reject => {
-                        self.stats.rejected += 1;
-                        self.next_offer += self.period;
-                        continue;
-                    }
-                }
+    /// Offers the next cube unless the producer is spent or held by a full
+    /// `Block` ring; returns whether the producer moved on.
+    fn offer(&mut self) -> bool {
+        if self.ring.stats().offered() >= self.total {
+            return false;
+        }
+        match self.ring.offer(self.next_offer) {
+            Offer::Full(_) => false,
+            Offer::Staged | Offer::Refused => {
+                self.next_offer += self.period;
+                true
             }
-            self.accept(self.next_offer);
         }
     }
 
@@ -106,23 +70,12 @@ impl StagingModel {
     /// time the cube is available (`>= now`), or `None` when the producer
     /// has no more cubes to deliver.
     pub fn pop(&mut self, now: SimTime) -> Option<SimTime> {
-        self.ingest_until(now);
-        if self.staged.is_empty() {
-            // Ring empty: wait for the next offer (if any remain).
-            if self.stats.offered() >= self.total {
-                return None;
-            }
-            self.accept(self.next_offer);
+        while self.next_offer <= now && self.offer() {}
+        // Ring empty: wait for the next offer (if any remain).
+        if self.ring.len() == 0 {
+            self.offer();
         }
-        let ready = now.max(self.staged.pop_front()?);
-        self.stats.delivered += 1;
-        self.sample_depth();
-        // A blocked producer enters its held cube the moment this pop
-        // freed a slot.
-        if self.policy == BackpressurePolicy::Block {
-            self.ingest_until(ready);
-        }
-        Some(ready)
+        self.ring.take().map(|(arrival, _)| now.max(arrival))
     }
 }
 
@@ -262,28 +215,44 @@ mod tests {
         ring.stats()
     }
 
+    /// Steps a model and the reference ring through one schedule under
+    /// every policy; returns the ring's counters per policy.
+    fn model_and_ring(
+        capacity: usize,
+        start: SimTime,
+        period: SimTime,
+        total: u64,
+        pops: &[SimTime],
+    ) -> Vec<RingStats> {
+        let offer_at = |k: u64| start + SimTime(period.as_nanos() * k);
+        BackpressurePolicy::ALL
+            .into_iter()
+            .map(|policy| {
+                let mut model = StagingModel::new(start, capacity, period, total, policy);
+                for &t in pops {
+                    if model.pop(t).is_none() {
+                        break;
+                    }
+                }
+                let want = ring_stats(capacity, offer_at, total, policy, pops);
+                assert_eq!(model.stats(), want, "{policy:?}, period {period:?}");
+                want
+            })
+            .collect()
+    }
+
     #[test]
     fn model_matches_the_ring_under_every_policy() {
         let pops: Vec<SimTime> = [3, 4, 9, 30, 31, 32, 60, 61, 90, 200, 201, 202, 203, 400]
             .into_iter()
             .map(ms)
             .collect();
-        let start = ms(3);
         // Unpaced: every offer is due at start. Paced: one per 7 ms, so the
         // ring fills between the sparse pops and drains during the bursts.
         for period_ms in [0, 7] {
-            let period = ms(period_ms);
-            for policy in BackpressurePolicy::ALL {
-                let (capacity, total) = (3, 12);
-                let mut model = StagingModel::new(start, capacity, period, total, policy);
-                for &t in &pops {
-                    if model.pop(t).is_none() {
-                        break;
-                    }
-                }
-                let offer_at = |k: u64| start + ms(period_ms * k);
-                let want = ring_stats(capacity, offer_at, total, policy, &pops);
-                assert_eq!(model.stats(), want, "{policy:?}, period {period:?}");
+            let (capacity, total) = (3, 12);
+            let stats = model_and_ring(capacity, ms(3), ms(period_ms), total, &pops);
+            for (policy, want) in BackpressurePolicy::ALL.into_iter().zip(stats) {
                 // Each schedule makes every policy act: the ring fills.
                 let acted = match policy {
                     BackpressurePolicy::Block => want.delivered == total,
@@ -291,6 +260,32 @@ mod tests {
                     BackpressurePolicy::Reject => want.rejected > 0,
                 };
                 assert!(want.conserves() && want.peak_depth == capacity && acted, "{want:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The model and the ring run one admission rule: on any schedule,
+        /// pops before the first offer included, their counters agree.
+        #[test]
+        fn model_matches_the_ring_on_drawn_schedules(
+            capacity in 1usize..7,
+            total in 0u64..41,
+            period_ms in 0u64..11,
+            start_ms in 0u64..40,
+            gaps_ms in proptest::collection::vec(0u64..25, 0..60),
+        ) {
+            let pops: Vec<SimTime> = gaps_ms
+                .iter()
+                .scan(0, |t, &gap| {
+                    *t += gap;
+                    Some(ms(*t))
+                })
+                .collect();
+            for want in model_and_ring(capacity, ms(start_ms), ms(period_ms), total, &pops) {
+                proptest::prop_assert!(want.conserves() && want.peak_depth <= capacity);
             }
         }
     }

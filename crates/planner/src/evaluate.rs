@@ -16,8 +16,8 @@ use crate::plan::{
 use crate::reliability::{assess, crash_schedule, redundancy_options, FaultContext};
 use crate::search::{SearchMemo, Space};
 use stap_core::desmodel::{DesExperiment, DesFaultModel, Redundancy};
-use stap_core::io_strategy::{IoStrategy, TailStructure};
 use stap_core::FailurePolicy;
+use stap_core::{IoStrategy, TailStructure};
 use stap_model::assignment::{assign_nodes, pack_classes};
 use stap_model::cachetier::STAGING_FANOUT;
 use stap_model::machines::MachineModel;

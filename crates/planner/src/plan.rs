@@ -2,7 +2,7 @@
 
 use crate::pareto::pareto_split;
 use stap_core::desmodel::Redundancy;
-use stap_core::io_strategy::{IoStrategy, TailStructure};
+use stap_core::{IoStrategy, TailStructure};
 use stap_model::assignment::Assignment;
 
 /// The objectives of the (tri-)criteria search.

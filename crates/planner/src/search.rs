@@ -49,7 +49,7 @@
 //! whose inputs are bit-identical (store tiers that price the read alike)
 //! share one run of [`run_dp`] per planner run ([`SearchMemo`]).
 
-use stap_core::io_strategy::{IoStrategy, TailStructure};
+use stap_core::{IoStrategy, TailStructure};
 use stap_model::assignment::Assignment;
 use stap_model::machines::MachineModel;
 use stap_model::tasktable::{slot_bound, task_slots, ReadTerm, TaskSlot};

@@ -101,21 +101,18 @@ impl Run {
     /// Seconds `cpis` CPIs take alone: the same recurrence on an idle
     /// store. With one client, whose every CPI posts the same batches at one
     /// instant and in time order, an idle store finishes a CPI's read exactly
-    /// when its slowest directory would alone, so that directory stands in for
-    /// the store.
+    /// when its slowest directory would alone, so that directory, one FCFS
+    /// server, stands in for the store.
     fn alone(&self, cpis: u64) -> f64 {
         let mut memo = self.alone.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&(_, secs)) = memo.iter().find(|m| m.0 == cpis) {
             return secs;
         }
         let slowest = self.reads.iter().map(|b| b.1).max().unwrap_or_default();
-        let (mut prev, mut cur, mut free) =
-            (self.rec.origin(SimTime::ZERO), CpiRows::default(), SimTime::ZERO);
+        let mut dir = FcfsResource::new("slowest directory", 1);
+        let (mut prev, mut cur) = (self.rec.origin(SimTime::ZERO), CpiRows::default());
         for cpi in 0..cpis {
-            let post = |at: SimTime| {
-                free = at.max(free) + slowest;
-                free
-            };
+            let post = |at: SimTime| dir.submit_to(0, at, slowest).1;
             self.rec.step(cpi, &prev, post, &mut cur);
             std::mem::swap(&mut prev, &mut cur);
         }

@@ -16,21 +16,23 @@
 //! The tier owns its queue and clients only post (ViPIOS). `fetch` and
 //! `prefetch` go through one post path: it looks the extent up, runs a
 //! miss's read body at once (it never sleeps), queues the pause the read
-//! owes on the tier's first-come-first-served clock (`start = max(now,
-//! free_at)`, `free_at = start + pause`) and enters the extent in the cache
-//! with the instant its read completes. Posts are serialised on that clock,
-//! so every lookup sees the cache state a single FIFO server would have
-//! shown it. A caller sleeps until its read's instant, plus the cache copy
-//! on a hit. A client's posted fetch is the tier's only overlap — a CPI's
-//! read posted while the previous CPI computes, with or without client
-//! `iread` — which is how `stap_model::cachetier` and the DES price it;
-//! the tier stages no read that no client posted.
+//! owes on the tier's one-server [`FcfsResource`] — the DES's own
+//! first-come-first-served rule, run in nanoseconds since the tier's
+//! epoch — and enters the extent in the cache with the instant its read
+//! completes. Posts are serialised on that server, so every lookup sees
+//! the cache state a single FIFO server would have shown it. A caller
+//! sleeps until its read's instant, plus the cache copy on a hit. A
+//! client's posted fetch is the tier's only overlap — a CPI's read posted
+//! while the previous CPI computes, with or without client `iread` — which
+//! is how `stap_model::cachetier` and the DES price it; the tier stages no
+//! read that no client posted.
 
 use crate::cache::{CacheKey, CacheStats, ReadCache};
 use crate::chunked::{ChunkedCube, CubeAccess, FootprintMeter};
 use crate::restripe::{restripe_live, LiveFile, RestripeReport};
 use crate::StoreError;
 use parking_lot::Mutex;
+use stap_des::{FcfsResource, SimTime};
 use stap_model::cachetier::hit_time;
 use stap_pfs::{FileHandle, Pfs};
 use stap_pipeline::{CpiSource, PendingFetch, Phase, SourceError};
@@ -86,9 +88,11 @@ pub struct StoreSource {
     /// Wall-clock pacing scale, mirrored from the mount's `pace_reads` so
     /// cache hits are paced by the same dial as real reads.
     pace: f64,
-    /// The tier's FCFS clock: when the last posted read completes. Held
-    /// for the whole of a post, so posts are served one at a time.
-    free_at: Mutex<Instant>,
+    /// The instant the tier's clock counts from.
+    epoch: Instant,
+    /// The tier's one FCFS server, in time since `epoch`. Held for the
+    /// whole of a post, so posts are served one at a time.
+    server: Mutex<FcfsResource>,
     /// Extents of posted client reads that missed and have not been
     /// waited on: their bytes are in the cache, but the wait ahead of
     /// their poster is a striped read, not a cache copy. A fetch dropped
@@ -148,7 +152,8 @@ impl StoreSource {
             cache: ReadCache::new(cfg.cache_bytes),
             chunker,
             pace,
-            free_at: Mutex::new(Instant::now()),
+            epoch: Instant::now(),
+            server: Mutex::new(FcfsResource::new("store tier", 1)),
             claims: Arc::default(),
         }
     }
@@ -181,11 +186,11 @@ impl StoreSource {
     /// The one read path: looks CPI `cpi`'s extent up, counting a hit or a
     /// miss. A miss runs the read body at once — a resident read consults
     /// an installed fault plan, an out-of-core read streams through
-    /// metered chunks — then queues the pause it owes on the tier's clock
+    /// metered chunks — then queues the pause it owes on the tier's server
     /// and enters the cache with its completion.
     fn post(&self, cpi: u64, offset: u64, len: usize) -> (CacheKey, Posted) {
         let key = self.key(cpi, offset, len);
-        let mut free_at = self.free_at.lock();
+        let mut server = self.server.lock();
         if let Some((bytes, ready_at)) = self.cache.lookup(&key) {
             return (key, Posted { result: Ok(bytes), ready_at, hit: true });
         }
@@ -200,12 +205,14 @@ impl StoreSource {
                 (read.map_err(store_error), pause)
             }
         };
-        *free_at = (*free_at).max(Instant::now()) + pause;
+        let nanos = |d: Duration| SimTime(d.as_nanos() as u64);
+        let (_, done) = server.submit_to(0, nanos(self.epoch.elapsed()), nanos(pause));
+        let ready_at = self.epoch + Duration::from_nanos(done.as_nanos());
         let result = result.map(Arc::new);
         if let Ok(bytes) = &result {
-            self.cache.insert(key, Arc::clone(bytes), *free_at, self.files[key.slot].len());
+            self.cache.insert(key, Arc::clone(bytes), ready_at, self.files[key.slot].len());
         }
-        (key, Posted { result, ready_at: *free_at, hit: false })
+        (key, Posted { result, ready_at, hit: false })
     }
 }
 
@@ -257,7 +264,15 @@ mod tests {
     use stap_pipeline::FailureClass;
 
     fn staged(fanout: usize, cube_bytes: usize) -> (Pfs, Vec<FileHandle>, Vec<Vec<u8>>) {
-        let fs = Pfs::mount(FsConfig::paragon_pfs(4));
+        staged_on(FsConfig::paragon_pfs(4), fanout, cube_bytes)
+    }
+
+    fn staged_on(
+        cfg: FsConfig,
+        fanout: usize,
+        cube_bytes: usize,
+    ) -> (Pfs, Vec<FileHandle>, Vec<Vec<u8>>) {
+        let fs = Pfs::mount(cfg);
         let mut files = Vec::new();
         let mut cubes = Vec::new();
         for slot in 0..fanout {
@@ -360,6 +375,37 @@ mod tests {
         assert_eq!(second().unwrap(), vec![1u8; 1000]);
         assert!(posted.elapsed() >= 2 * service);
         assert!(src.cached(1, 0, 1000));
+    }
+
+    #[test]
+    fn four_readers_share_one_fcfs_server() {
+        // Four threads, in two pairs two CPIs apart, cycle four 4 KiB files
+        // through a two-cube cache on a paced mount: a pair's reads mostly
+        // miss once and hit once, and the pairs' misses evict each other.
+        // In a debug build every post also checks the server's arrival
+        // order.
+        let cfg = FsConfig::paragon_pfs(4).with_read_pacing(0.2);
+        let (cube, posts_per_reader) = (4096, 12u64);
+        let pause = Duration::from_secs_f64(
+            stap_pfs::timing::extent_read_time(&cfg, 0, cube, OpenMode::Async) * 0.2,
+        );
+        let (_fs, files, cubes) = staged_on(cfg, 4, cube);
+        let begun = Instant::now();
+        let src = StoreSource::new(files, cfg_cached(2 * cube));
+        std::thread::scope(|s| {
+            for reader in 0..4u64 {
+                let (src, cubes) = (&src, &cubes);
+                s.spawn(move || {
+                    for cpi in (0..posts_per_reader).map(|k| k + reader / 2 * 2) {
+                        assert_eq!(src.fetch(cpi, 0, cube).unwrap(), cubes[(cpi % 4) as usize]);
+                    }
+                });
+            }
+        });
+        let (hits, misses, ..) = src.stats().snapshot();
+        assert_eq!(hits + misses, 4 * posts_per_reader);
+        // One server serialises the misses' pauses.
+        assert!(begun.elapsed() >= pause * misses as u32, "{misses} misses of {pause:?}");
     }
 
     #[test]

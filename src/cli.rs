@@ -68,7 +68,7 @@ pub enum Command {
     /// `ppstap verify` — detection-quality verification of a catalog
     /// scenario against its requirements.
     Verify(VerifyArgs),
-    /// `ppstap help` or `--help`.
+    /// `ppstap help`, `--help` or `-h`, alone or after a subcommand.
     Help,
 }
 
@@ -285,6 +285,9 @@ impl<A> Subcommand for Spec<A> {
     fn parse(&self, it: &mut dyn Iterator<Item = &str>) -> Result<Command, ParseError> {
         let mut draft = (self.draft)();
         while let Some(token) = it.next() {
+            if ["--help", "-h"].contains(&token) {
+                return Ok(Command::Help);
+            }
             match (self.flags.iter().find(|f| f.0 == token), self.positional) {
                 (Some(&(_, "", _, set)), _) => set(&mut draft, "")?,
                 (Some(&(_, _, _, set)), _) => {
@@ -841,6 +844,14 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&["help"]).unwrap(), Command::Help);
         assert_eq!(parse(&["--help"]).unwrap(), Command::Help);
+        assert_eq!(parse(&["-h"]).unwrap(), Command::Help);
+        // A subcommand's help request is help, wherever its flags stand.
+        for c in COMMANDS {
+            for h in ["--help", "-h"] {
+                assert_eq!(parse(&[c.name(), h]), Ok(Command::Help), "{} {h}", c.name());
+            }
+        }
+        assert_eq!(parse(&["run", "--cpis", "9", "-h"]), Ok(Command::Help));
     }
 
     #[test]
